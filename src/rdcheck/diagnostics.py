@@ -22,14 +22,15 @@ pins down three independent ways, each checked here numerically:
 
 The tracker is a solver hook: it advances with the accepted steps and keeps
 running extrema, so bounds are checked against the whole history, not just
-recorded snapshots.  Holder moduli (the expensive O(n^2) metric) are
-measured on recorded snapshots only.
+recorded snapshots.  Holder moduli are measured on recorded snapshots only,
+with one `holder_modulus` call on the stacked (v_d, z_hat, u_hat) rows; the
+lag sweep behind it is O(n) memory and O(n^2) time in the worst case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +45,6 @@ __all__ = [
     "AuxiliaryState",
     "AuxiliaryTracker",
     "CheckResult",
-    "DiagnosticsReport",
     "entropy_pointwise_worst",
     "check_z_bound",
     "check_b_range",
@@ -237,18 +237,14 @@ class AuxiliaryTracker:
 
     def measure_holder(self) -> None:
         """Update running Holder moduli; called at recorded snapshots."""
-        named = {
-            "v_d": self._vd_values(),
-            "z_hat": self._z_hat,
-            "u_hat": self._u_hat,
-        }
-        for name, values in named.items():
-            f = Field(self.grid, values)
-            for g in self.cfg.gammas:
+        names = ("v_d", "z_hat", "u_hat")
+        stacked = np.stack([self._vd_values(), self._z_hat, self._u_hat])
+        moduli = holder_modulus(stacked, self.grid.h, self.cfg.gammas)
+        for name, row in zip(names, moduli):
+            for g, val in zip(self.cfg.gammas, row):
                 key = (name, float(g))
-                val = holder_modulus(f, g)
                 if val > self.holder_max.get(key, 0.0):
-                    self.holder_max[key] = val
+                    self.holder_max[key] = float(val)
 
     def snapshot(self) -> AuxiliaryState:
         return AuxiliaryState(
@@ -277,21 +273,6 @@ class CheckResult:
     bound: float | None = None
     tolerance: float | None = None
     detail: str = ""
-
-
-@dataclass
-class DiagnosticsReport:
-    """All checks of one run plus informational measurements."""
-
-    checks: list = dc_field(default_factory=list)
-    info: dict = dc_field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed is not False for c in self.checks)
-
-    def add(self, result: CheckResult) -> None:
-        self.checks.append(result)
 
 
 def entropy_pointwise_worst(sys: ReactionSystem, state: SystemState) -> float | None:

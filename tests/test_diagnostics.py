@@ -11,7 +11,6 @@ from rdcheck import (
     AuxiliaryConfig,
     AuxiliaryTracker,
     ConfigError,
-    DiagnosticsReport,
     CheckResult,
     Field,
     Grid1D,
@@ -484,17 +483,6 @@ class TestPositivityCheck:
         result = check_positivity(traj)
         assert not result.passed
         assert result.measured == -1e-13
-
-
-class TestDiagnosticsReport:
-    def test_informational_entries_do_not_fail_the_report(self):
-        report = DiagnosticsReport()
-        report.add(CheckResult(name="a", passed=True))
-        report.add(CheckResult(name="b", passed=None))
-        assert report.passed
-        report.add(CheckResult(name="c", passed=False))
-        assert not report.passed
-        assert [c.name for c in report.checks] == ["a", "b", "c"]
 
 
 class TestInterpolationScaling:

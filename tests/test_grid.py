@@ -148,42 +148,113 @@ class TestMetrics:
 
     def test_holder_gamma_zero_is_oscillation(self):
         g = Grid1D(6)
-        f = Field(g, [3.0, -1.0, 0.5, 2.0, -0.25, 1.0])
-        assert holder_modulus(f, 0.0) == 4.0
+        f = [3.0, -1.0, 0.5, 2.0, -0.25, 1.0]
+        assert holder_modulus(f, g.h, [0.0])[0] == 4.0
 
     def test_holder_gamma_one_hand_value(self):
         g = Grid1D(3, 1.5)  # centers 0.25, 0.75, 1.25
-        f = Field(g, [0.0, 1.0, 0.0])
-        assert holder_modulus(f, 1.0) == pytest.approx(2.0, rel=1e-15)
+        f = [0.0, 1.0, 0.0]
+        assert holder_modulus(f, g.h, [1.0])[0] == pytest.approx(2.0, rel=1e-15)
 
     def test_holder_monotone_in_gamma_for_wide_pairs(self):
         # On a unit-length domain all pair distances are < 1, so the
         # quotient grows with gamma.
         g = Grid1D(32, 1.0)
         rng = np.random.default_rng(2)
-        f = Field(g, rng.normal(size=32))
-        values = [holder_modulus(f, gamma) for gamma in (0.0, 0.25, 0.5, 1.0)]
-        assert values == sorted(values)
+        values = holder_modulus(rng.normal(size=32), g.h, [0.0, 0.25, 0.5, 1.0])
+        assert list(values) == sorted(values)
 
-    def test_holder_subsample_linear_field_exact(self):
-        # Above 2048 cells the scan subsamples, but the extreme pair of a
-        # linear profile (the two end cells) is always retained.
+    def test_holder_linear_field_exact_at_5000_cells(self):
+        # The extreme pair of a linear profile is the two end cells, at the
+        # largest lag: a profile that never prunes, scanned to the end.
         n = 5000
         g = Grid1D(n, 1.0)
         a = 3.0
-        f = Field(g, a * g.centers)
         span = g.centers[-1] - g.centers[0]
-        for gamma in (0.0, 0.5, 1.0):
+        gammas = [0.0, 0.5, 1.0]
+        got = holder_modulus(a * g.centers, g.h, gammas)
+        for gamma, value in zip(gammas, got):
             expect = a * span ** (1.0 - gamma) if gamma < 1.0 else a
-            assert holder_modulus(f, gamma) == pytest.approx(expect, rel=1e-12)
+            assert value == pytest.approx(expect, rel=1e-12)
+
+    def test_holder_spike_beyond_2048_cells_is_seen(self):
+        # A unit spike next to the wall of a 3000-cell zero field: its
+        # quotient against a neighbour is 1 / h^0.5 = sqrt(3000) ~ 54.77.
+        g = Grid1D(3000, 1.0)
+        f = np.zeros(3000)
+        f[2] = 1.0
+        got = holder_modulus(f, g.h, [0.5])[0]
+        assert got == pytest.approx(np.sqrt(3000.0), rel=1e-14)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
     def test_holder_bad_gamma(self, bad):
         with pytest.raises(ValueError):
-            holder_modulus(Field.constant(Grid1D(4), 1.0), bad)
+            holder_modulus(np.ones(4), 0.25, [0.5, bad])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_holder_rejects_nonfinite_values(self, bad):
+        with pytest.raises(ValueError):
+            holder_modulus([[0.0, 1.0, 2.0], [0.0, bad, 1.0]], 0.5, [0.5])
 
     def test_holder_gamma_one_dominates_grad_sup(self):
         g = Grid1D(20, 1.0)
         rng = np.random.default_rng(3)
         f = Field(g, rng.normal(size=20))
-        assert holder_modulus(f, 1.0) >= grad_sup(f) - 1e-12
+        assert holder_modulus(f.values, g.h, [1.0])[0] >= grad_sup(f) - 1e-12
+
+
+def pairwise_holder(values, h, gamma):
+    """Test oracle: |f_j - f_k| / (|j - k| h)^gamma maximised over all pairs."""
+    f = np.asarray(values, dtype=np.float64)
+    j, k = np.triu_indices(f.size, 1)
+    return float(np.max(np.abs(f[k] - f[j]) / ((k - j) * h) ** gamma))
+
+
+PROFILES = ("noise", "bump", "monotone", "constant", "cumsum")
+
+
+def profile(kind, x, rng, amplitude, exponent):
+    if kind == "noise":
+        return amplitude * rng.normal(size=x.size)
+    if kind == "bump":
+        centre = rng.uniform(x[0], x[-1])
+        width = rng.uniform(0.02, 0.5) * (x[0] + x[-1])  # x[0] + x[-1] = L
+        return amplitude * np.exp(-(((x - centre) / width) ** 2))
+    if kind == "monotone":
+        # The scan's worst case: for gamma <= exponent the widest pair wins,
+        # so the sweep cannot stop before the largest lag.
+        return amplitude * x**exponent
+    if kind == "constant":
+        return np.full(x.size, amplitude)
+    return amplitude * np.cumsum(rng.normal(size=x.size))
+
+
+class TestHolderAgainstPairwiseOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 200),
+        length=st.sampled_from([1.0, 0.3, 2.0, 7.5, 1e3]),
+        kinds=st.lists(st.sampled_from(PROFILES), min_size=1, max_size=4),
+        log_amplitude=st.floats(-8.0, 8.0),
+        exponent=st.floats(0.0, 1.0),
+        gammas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scan_matches_oracle(
+        self, n, length, kinds, log_amplitude, exponent, gammas, seed
+    ):
+        g = Grid1D(n, length)
+        rng = np.random.default_rng(seed)
+        amplitude = 10.0**log_amplitude
+        stacked = np.stack(
+            [profile(kind, g.centers, rng, amplitude, exponent) for kind in kinds]
+        )
+        gammas = [0.0] + gammas
+        together = holder_modulus(stacked, g.h, gammas)
+        assert together.shape == (len(kinds), len(gammas))
+        for row, got in zip(stacked, together):
+            alone = holder_modulus(row, g.h, gammas)
+            np.testing.assert_array_equal(alone, got)
+            expect = [pairwise_holder(row, g.h, gamma) for gamma in gammas]
+            assert got[0] == expect[0] == np.ptp(row)
+            np.testing.assert_allclose(got, expect, rtol=1e-15, atol=0.0)
