@@ -10,7 +10,8 @@ Subcommands:
     fit          fit a decay rate to a column of an emitted CSV.
 
 Exit codes: 0 pass, 1 check failure, 2 configuration error, 3 numerical
-failure (positivity lost beyond the halving budget).
+failure (positivity lost, or the state non-finite, beyond the halving
+budget).
 """
 
 from __future__ import annotations

@@ -124,7 +124,7 @@ class AuxiliaryTracker:
         cells = self.grid.n_cells
         u0 = initial.stacked()
         self._u_last = u0
-        self._v = [np.zeros(cells) for _ in range(n)]
+        self._v = np.zeros((n, cells))
         self._z = np.sum(u0, axis=0) + cfg.z_offset
         self._z_hat = np.zeros(cells)
         self._u_hat = np.zeros(cells)
@@ -163,27 +163,26 @@ class AuxiliaryTracker:
         return b
 
     def _vd_values(self) -> np.ndarray:
-        out = np.zeros(self.grid.n_cells)
-        for i, v in enumerate(self._v):
-            out += (self.cfg.d - self._weights[i]) * v
-        return out
+        return np.tensordot(self.cfg.d - self._weights, self._v, axes=1)
 
     def on_step(self, event: StepEvent) -> None:
         u_old = event.state_old.stacked()
         u_new = event.state_new.stacked()
         dt = event.dt
         d = self.cfg.d
-        for i in range(self.sys.n_species):
-            self._v[i] = implicit_heat_step(self._v[i], self.grid, d, dt, u_old[i])
-            # Same clamp policy as the solver; the implicit step preserves
-            # nonnegativity, so only rounding-level dust can appear.
-            low = np.min(self._v[i])
-            if low < 0.0:
-                self._v[i] = np.maximum(self._v[i], 0.0)
         k0_old = self.sys.mass_source_rate(event.t_old)
-        self._z = implicit_heat_step(
-            self._z, self.grid, d, dt, np.full(self.grid.n_cells, k0_old)
+        rows = implicit_heat_step(
+            np.vstack((self._v, self._z)),
+            self.grid,
+            d,
+            dt,
+            np.vstack((u_old, np.full(self.grid.n_cells, k0_old))),
         )
+        # Same clamp policy as the solver.  The exact implicit step keeps
+        # v nonnegative; the spectral solve leaves rounding dust of either
+        # sign around that, and only the negative dust is clamped.
+        self._v = np.maximum(rows[:-1], 0.0)
+        self._z = rows[-1]
         s_new = np.tensordot(self._weights, u_new, axes=1)
         self._z_hat = self._z_hat + 0.5 * dt * (self._z_prev + self._z)
         self._u_hat = self._u_hat + 0.5 * dt * (self._s_prev + s_new)

@@ -337,8 +337,9 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
             of the config (CLI --augment); None keeps the config's choice.
 
     Returns:
-        ExperimentOutcome; .aborted is True when the solver hit an
-        unrecoverable positivity failure (partial CSV still emitted).
+        ExperimentOutcome; .aborted is True when the solver could not
+        restore positivity or finiteness within the halving budget (partial
+        CSV still emitted).
 
     Raises:
         ConfigError: if the override makes the diagnostics configuration

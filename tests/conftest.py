@@ -48,6 +48,61 @@ def quad_bump_state(grid: Grid1D) -> SystemState:
     )
 
 
+def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """Thomas elimination for a tridiagonal system, the reference solve.
+
+    Forward elimination followed by back substitution, no pivoting: meant
+    for the diagonally dominant heat matrices, where it is accurate cell by
+    cell.  Band lengths are (n - 1, n, n - 1, n).
+    """
+    b = np.asarray(diag, dtype=np.float64).tolist()
+    n = len(b)
+    a = np.asarray(lower, dtype=np.float64).tolist()
+    c = np.asarray(upper, dtype=np.float64).tolist()
+    d = np.asarray(rhs, dtype=np.float64).tolist()
+    cp = [0.0] * n
+    dp = [0.0] * n
+    if n > 1:
+        cp[0] = c[0] / b[0]
+    dp[0] = d[0] / b[0]
+    for j in range(1, n):
+        denom = b[j] - a[j - 1] * cp[j - 1]
+        if j < n - 1:
+            cp[j] = c[j] / denom
+        dp[j] = (d[j] - a[j - 1] * dp[j - 1]) / denom
+    x = [0.0] * n
+    x[n - 1] = dp[n - 1]
+    for j in range(n - 2, -1, -1):
+        x[j] = dp[j] - cp[j] * x[j + 1]
+    return np.asarray(x, dtype=np.float64)
+
+
+def heat_band(grid: Grid1D, r: float):
+    """Bands of I - r L for the zero-flux stencil (diagonally dominant)."""
+    n = grid.n_cells
+    s = r / (grid.h * grid.h)
+    diag = np.full(n, 1.0 + 2.0 * s)
+    diag[0] = 1.0 + s
+    diag[-1] = 1.0 + s
+    off = np.full(n - 1, -s)
+    return off, diag, off
+
+
+def thomas_heat_step(values, grid, diffusion, dt, source=None):
+    """Reference for `implicit_heat_step`: one Thomas solve per row."""
+    u = np.asarray(values, dtype=np.float64)
+    rhs = u if source is None else u + dt * np.asarray(source, dtype=np.float64)
+    rows = np.atleast_2d(rhs)
+    coeffs = np.broadcast_to(np.asarray(diffusion, dtype=np.float64), rows.shape[:1])
+    out = np.stack(
+        [
+            solve_tridiagonal(*heat_band(grid, dt * float(c)), row)
+            for c, row in zip(coeffs, rows)
+        ]
+    )
+    return out.reshape(u.shape)
+
+
 def pytest_terminal_summary(terminalreporter):
     """Print the acceptance checklist collected during the run, if any."""
     try:

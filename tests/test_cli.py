@@ -63,6 +63,27 @@ def sink_raw():
     }
 
 
+def overflow_raw():
+    """f = u^3 from u0 = 10 blows up at t = 0.005; the explicit steps
+    overflow to a non-finite state at t = 0.07."""
+    return {
+        "model": {
+            "custom": {
+                "n_species": 1,
+                "terms": [[{"coef": 1.0, "powers": [3]}]],
+                "k0": 0.0,
+                "k1": 0.0,
+                "k": 1.0,
+                "eps": 0.0,
+            },
+            "diffusion": [1.0],
+        },
+        "grid": {"n_cells": 16, "length": 1.0},
+        "initial": [{"type": "constant", "value": 10.0}],
+        "solver": {"dt": 0.01, "t_end": 0.1},
+    }
+
+
 class TestRunCommand:
     def test_passing_run_prints_summary_and_writes_artifacts(self, tmp_path, capsys):
         csv_path = tmp_path / "out.csv"
@@ -158,6 +179,28 @@ class TestNumericalFailure:
         assert "overall: aborted" in out
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 2
+
+    def test_overflow_is_a_rejected_trial_then_an_abort(self, tmp_path, capsys):
+        # Each non-finite trial is rejected and halved; once the budget is
+        # spent the run aborts with both artifacts, not a traceback.
+        csv_path = tmp_path / "partial.csv"
+        report_path = tmp_path / "report.json"
+        raw = overflow_raw()
+        raw["output"] = {"csv": str(csv_path), "report": str(report_path)}
+        cfg = write_config(tmp_path, raw)
+        assert main(["verify", cfg]) == EXIT_NUMERICAL
+        out = capsys.readouterr().out
+        assert "overall: aborted" in out
+        report = json.loads(report_path.read_text())
+        assert report["overall"] == "aborted"
+        failure = report["failure"]
+        assert "non-finite" in failure["message"]
+        assert "after 20 halvings" in failure["message"]
+        assert failure["species"] == 1
+        assert failure["time"] == pytest.approx(0.07)
+        assert report["n_accepted_steps"] == 7
+        # Header plus t = 0 and the seven accepted steps.
+        assert len(csv_path.read_text().splitlines()) == 9
 
 
 class TestConfigErrors:

@@ -1,10 +1,15 @@
-"""Tests for the tridiagonal solve, IMEX stepping and the run loop."""
+"""Tests for the implicit heat solve, IMEX stepping and the run loop."""
 
 import math
 
 import numpy as np
 import pytest
-from conftest import bump, quad_bump_state
+import scipy.fft
+from conftest import bump, quad_bump_state, solve_tridiagonal, thomas_heat_step
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rdcheck.solver
 
 from rdcheck import (
     Field,
@@ -12,6 +17,7 @@ from rdcheck import (
     NumericalFailure,
     PolynomialSpec,
     SkewLVSpec,
+    augment_system,
     SolverConfig,
     SystemState,
     imex_step,
@@ -20,7 +26,6 @@ from rdcheck import (
     integrate,
     laplacian_values,
     run_simulation,
-    solve_tridiagonal,
 )
 
 
@@ -99,6 +104,8 @@ class TestSystemState:
 
 
 class TestSolveTridiagonal:
+    """Thomas elimination, the reference the spectral implicit step is checked against."""
+
     def test_hand_one_by_one(self):
         np.testing.assert_array_equal(solve_tridiagonal([], [4.0], [], [8.0]), [2.0])
 
@@ -120,19 +127,6 @@ class TestSolveTridiagonal:
         expected = np.linalg.solve(dense, rhs)
         got = solve_tridiagonal(lower, diag, upper, rhs)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
-
-    def test_zero_pivot_first_row(self):
-        with pytest.raises(NumericalFailure, match="row 0"):
-            solve_tridiagonal([1.0], [0.0, 1.0], [1.0], [1.0, 1.0])
-
-    def test_zero_pivot_from_elimination(self):
-        # Second pivot is 1 - 1 * 1 = 0.
-        with pytest.raises(NumericalFailure, match="row 1"):
-            solve_tridiagonal([1.0], [1.0, 1.0], [1.0], [1.0, 1.0])
-
-    def test_rejects_mismatched_bands(self):
-        with pytest.raises(ValueError, match="band shapes"):
-            solve_tridiagonal([1.0, 2.0], [1.0, 2.0], [1.0], [1.0, 2.0])
 
 
 class TestImplicitHeatStep:
@@ -172,6 +166,126 @@ class TestImplicitHeatStep:
         assert abs(after - before) < 1e-12 * abs(before)
 
 
+def solve_profile(kind, grid, rng):
+    """Right-hand sides for the spectral solve: noise, zero, or a Gaussian
+    bump narrow enough that its tails reach ~1e-30 inside the domain."""
+    if kind == "noise":
+        return rng.uniform(-1.0, 1.0, size=grid.n_cells)
+    if kind == "zero":
+        return np.zeros(grid.n_cells)
+    width = 0.3 * grid.length / math.sqrt(138.0)
+    centre = rng.uniform(0.3, 0.7) * grid.length
+    return bump(grid, centre, width, rng.uniform(0.5, 50.0))
+
+
+class TestSpectralSolveProperties:
+    """The batched DCT-II solve against the Thomas oracle and scipy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        length=st.sampled_from([1.0, 0.3, 2.5, 40.0]),
+        kinds=st.lists(st.sampled_from(["noise", "zero", "bump"]), min_size=1, max_size=6),
+        log_s=st.lists(st.floats(-6.0, 5.0), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle_conserves_mass_and_rows_are_independent(
+        self, n, length, kinds, log_s, seed
+    ):
+        grid = Grid1D(n, length)
+        rng = np.random.default_rng(seed)
+        rhs = np.stack([solve_profile(kind, grid, rng) for kind in kinds])
+        dt = 0.01
+        # s = dt d / h^2 spans 1e-6 (nearly the identity) to 1e5 (nearly
+        # the projection onto the mean).
+        s = 10.0 ** np.array(log_s[: len(kinds)])
+        diffusion = s * grid.h**2 / dt
+        together = implicit_heat_step(rhs, grid, diffusion, dt)
+        assert together.shape == rhs.shape
+        for row, d, s_row, got in zip(rhs, diffusion, s, together):
+            np.testing.assert_array_equal(implicit_heat_step(row, grid, float(d), dt), got)
+            scale = np.max(np.abs(row))
+            if scale == 0.0:
+                np.testing.assert_array_equal(got, 0.0)
+                continue
+            expect = thomas_heat_step(row, grid, float(d), dt)
+            # The oracle's own error grows with the condition number 1 + 4s
+            # (2e-12 of scale at s = 1e5 and n = 2, where the spectral solve
+            # is exact).
+            tol = 1e-13 + 4.0 * np.finfo(np.float64).eps * s_row
+            assert np.max(np.abs(got - expect)) <= tol * scale
+            assert abs(np.sum(got) - np.sum(row)) <= 1e-14 * np.sum(np.abs(row))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_forward_transform_is_the_dct_ii(self, n, rows, seed):
+        values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(rows, n))
+        spectrum = rdcheck.solver._even_spectrum(values)
+        assert spectrum.shape == (rows, n + 1)
+        # Entry k is exp(i k pi / 2n) times the DCT-II coefficient.
+        twiddle = np.exp(-1j * np.pi * np.arange(n) / (2 * n))
+        got = twiddle * spectrum[:, :n]
+        expect = scipy.fft.dct(values, type=2, axis=-1)
+        atol = 1e-14 * np.sum(np.abs(values), axis=1, keepdims=True)
+        assert np.all(np.abs(got.real - expect) <= atol)
+        assert np.all(np.abs(got.imag) <= atol)
+        assert np.all(np.abs(spectrum[:, n]) <= atol[:, 0])
+
+    def test_rejects_mismatched_per_row_diffusion(self):
+        grid = Grid1D(8, 1.0)
+        with pytest.raises(ValueError, match="per-row diffusion"):
+            implicit_heat_step(np.ones((3, 8)), grid, [1.0, 2.0], 0.1)
+        with pytest.raises(ValueError, match="per-row diffusion"):
+            implicit_heat_step(np.ones(8), grid, [1.0], 0.1)
+
+
+class TestTailAccuracy:
+    def test_skew_tails_match_the_thomas_oracle(self, monkeypatch):
+        # The augmented cyclic skew Lotka-Volterra run drives species to
+        # ~1e-35 in part of the domain and lets them re-invade from there.
+        # A transform solve alone is accurate only to eps * sup of each
+        # row, and that noise floor re-invades: without the correction
+        # sweep species 1-3 move from the Thomas run by up to 0.12 relative
+        # (sup) and 0.42 (mass) within these 193 steps.  With the sweep
+        # they agree to about 4e-14.
+        base = instantiate_model(
+            SkewLVSpec(
+                interaction=[[0, 1, -1], [-1, 0, 1], [1, -1, 0]],
+                decay=[0.01, 0.01, 0.01],
+            ),
+            [1e-4, 2e-4, 3e-4],
+        )
+        aug = augment_system(base).augmented
+        grid = Grid1D(64, 1.0)
+        initial = SystemState(
+            0.0,
+            [Field(grid, bump(grid, c, 0.1, 50.0)) for c in (0.3, 0.5, 0.7)]
+            + [Field.constant(grid, 0.0)],
+        )
+        cfg = SolverConfig(dt=0.1, t_end=2.4)
+
+        def run():
+            steps = []
+            run_simulation(
+                aug, initial, cfg,
+                hooks=[lambda e: steps.append((e.dt, e.state_new.stacked()[:3]))],
+            )
+            return steps
+
+        spectral = run()
+        monkeypatch.setattr(rdcheck.solver, "implicit_heat_step", thomas_heat_step)
+        thomas = run()
+        assert len(spectral) == len(thomas) == 193
+        for (dt_a, a), (dt_b, b) in zip(spectral, thomas):
+            assert dt_a == dt_b
+            np.testing.assert_allclose(a.max(axis=1), b.max(axis=1), rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(a.sum(axis=1), b.sum(axis=1), rtol=1e-9, atol=0.0)
+
+
 class TestImexStep:
     def test_advances_time(self):
         state = constant_state(Grid1D(8, 1.0), 1.0)
@@ -193,6 +307,29 @@ class TestImexStep:
         state = constant_state(Grid1D(8, 1.0), 1.0, n_species=2)
         with pytest.raises(ValueError, match="species"):
             imex_step(state, quad_system, 0.1)
+
+    def test_non_finite_step_raises_numerical_failure(self):
+        # u^3 overflows at u = 1e200: the step reports the species and the
+        # start time instead of building a non-finite Field.
+        cube = instantiate_model(
+            PolynomialSpec(
+                n_species=2,
+                terms=[[], [(1.0, (0, 3))]],
+                k0=0.0,
+                k1=0.0,
+                growth_k=1.0,
+                growth_eps=0.0,
+            ),
+            [1.0, 1.0],
+        )
+        state = SystemState(
+            0.5, [Field.constant(Grid1D(8, 1.0), 1.0), Field.constant(Grid1D(8, 1.0), 1e200)]
+        )
+        with pytest.raises(NumericalFailure, match="non-finite") as excinfo:
+            imex_step(state, cube, 0.1)
+        assert excinfo.value.species == 2
+        assert excinfo.value.time == 0.5
+        assert not math.isfinite(excinfo.value.value)
 
     def test_rejects_nonpositive_dt(self):
         state = constant_state(Grid1D(8, 1.0), 1.0)
@@ -339,6 +476,25 @@ class TestPositivityEnforcement:
         )
         assert mins == [0.0, 0.0, 0.0]
         np.testing.assert_array_equal(traj.final().state.fields[0].values, 0.0)
+
+    def test_non_finite_trial_is_rejected_and_halved(self, monkeypatch):
+        # imex_step reports a non-finite trial as NumericalFailure; the run
+        # loop treats it like a positivity rejection and halves the step.
+        real = rdcheck.solver.imex_step
+
+        def overflowing_above(state, sys, dt):
+            if dt > 0.15:
+                raise NumericalFailure("non-finite", time=state.t, species=1, value=math.inf)
+            return real(state, sys, dt)
+
+        monkeypatch.setattr(rdcheck.solver, "imex_step", overflowing_above)
+        seen = []
+        traj = run_simulation(
+            heat_only(), constant_state(Grid1D(8, 1.0), 1.0),
+            SolverConfig(dt=0.2, t_end=0.4), hooks=[lambda e: seen.append(e.dt)],
+        )
+        assert seen == pytest.approx([0.1, 0.1, 0.1, 0.1])
+        assert abs(traj.final().t - 0.4) < 1e-12
 
     def test_exhausted_halvings_raise_with_payload(self):
         sys = constant_sink(1.0)
