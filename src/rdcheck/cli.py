@@ -9,9 +9,9 @@ Subcommands:
     equilibrium  print the reversible-exchange equilibrium for a mass triple.
     fit          fit a decay rate to a column of an emitted CSV.
 
-Exit codes: 0 pass, 1 check failure, 2 configuration error, 3 numerical
-failure (positivity lost, or the state non-finite, beyond the halving
-budget).
+Exit codes: 0 pass, 1 check failure, 2 configuration error (also an
+artifact path that cannot be written), 3 numerical failure (positivity
+lost, or the state non-finite, beyond the halving budget).
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ def _execute(path: str, augment: bool, assert_checks: bool) -> tuple[int, str]:
     except ConfigError as exc:
         lines.append("config error:")
         lines.extend(f"  {e}" for e in exc.errors)
+        return 2, "\n".join(lines)
+    except OSError as exc:
+        # An artifact path that cannot be written is a configuration error.
+        lines.append(f"cannot write artifacts: {exc}")
         return 2, "\n".join(lines)
     report = outcome.report
     for entry in report["checks"]:

@@ -25,6 +25,15 @@ running extrema, so bounds are checked against the whole history, not just
 recorded snapshots.  Holder moduli are measured on recorded snapshots only,
 with one `holder_modulus` call on the stacked (v_d, z_hat, u_hat) rows; the
 lag sweep behind it is O(n) memory and O(n^2) time in the worst case.
+
+The primal checks work the same way.  `InvariantTracker` is fed the
+initial state and then every accepted step, with the masses the solver
+computed once for that step and the step's entropy value, and keeps
+running extrema: the smallest value (positivity), the drift of each
+conserved combination, the excess over the mass envelope, the error of
+the exact geometric mass decay, and the largest entropy production.  The
+check_* functions turn those into verdicts, which therefore do not depend
+on the recording cadence.
 """
 
 from __future__ import annotations
@@ -34,17 +43,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .grid import Field, holder_modulus, laplacian_values
 from .models import ReactionSystem
-from .solver import StepEvent, SystemState, Trajectory, implicit_heat_step
-from .theory import InterpolationConstants
+from .solver import StepEvent, SystemState, implicit_heat_step
 
 __all__ = [
     "AuxiliaryConfig",
     "AuxiliaryState",
     "AuxiliaryTracker",
     "CheckResult",
+    "InvariantTracker",
     "entropy_pointwise_worst",
     "check_z_bound",
     "check_b_range",
@@ -54,8 +62,6 @@ __all__ = [
     "check_mass_identity",
     "check_entropy",
     "check_positivity",
-    "RunMeasurement",
-    "interpolation_scaling_check",
     "loglog_slope",
 ]
 
@@ -166,8 +172,8 @@ class AuxiliaryTracker:
         return np.tensordot(self.cfg.d - self._weights, self._v, axes=1)
 
     def on_step(self, event: StepEvent) -> None:
-        u_old = event.state_old.stacked()
-        u_new = event.state_new.stacked()
+        u_old = event.u_old
+        u_new = event.u_new
         dt = event.dt
         d = self.cfg.d
         k0_old = self.sys.mass_source_rate(event.t_old)
@@ -274,19 +280,87 @@ class CheckResult:
     detail: str = ""
 
 
-def entropy_pointwise_worst(sys: ReactionSystem, state: SystemState) -> float | None:
+def entropy_pointwise_worst(sys: ReactionSystem, u: np.ndarray, t: float) -> float | None:
     """Largest per-cell value of sum_i f_i log u_i over strictly positive cells.
 
-    Returns None when no cell has all species strictly positive.
+    u is the (species, cells) array at time t.  Returns None when no cell
+    has all species strictly positive.  A reaction that overflows gives an
+    inf or nan measurement, without a warning; the CSV reports it as is.
     """
-    u = state.stacked()
     mask = np.all(u > 0.0, axis=0)
     if not np.any(mask):
         return None
     sub = u[:, mask]
-    f = np.asarray(sys.evaluator(sub, state.t), dtype=np.float64)
-    vals = np.sum(f * np.log(sub), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.asarray(sys.evaluator(sub, t), dtype=np.float64)
+        vals = np.sum(f * np.log(sub), axis=0)
     return float(np.max(vals))
+
+
+class InvariantTracker:
+    """Running extrema of the primal invariants, fed once per accepted step.
+
+    Like AuxiliaryTracker it keeps running values only, so the positivity,
+    conservation, mass-envelope, mass-identity and entropy checks see every
+    accepted step whatever the recording cadence.  The first update is the
+    initial state and sets the reference masses.
+    """
+
+    def __init__(self, sys: ReactionSystem, domain_length: float):
+        self.sys = sys
+        self.domain_length = domain_length
+        self.t = None
+        self.total = 0.0
+        self.laws = []
+        self.laws0 = []
+        self.law_drift = [0.0] * len(sys.conservation_laws)
+        self.mass0 = 0.0
+        self.u_min = math.inf
+        self.envelope_excess = -math.inf
+        self.identity_error = 0.0
+        self.entropy_max = -math.inf
+        self._identity_mass = 0.0
+
+    def update(self, t: float, u: np.ndarray, masses: np.ndarray, entropy) -> None:
+        """Feed one state: time, (species, cells) array, per-species masses,
+        and its entropy_pointwise_worst value (None when undefined).
+
+        Afterwards `total` and `laws` hold the state's total mass and
+        conserved combinations.
+        """
+        sys = self.sys
+        total = self.total = float(np.sum(masses))
+        self.laws = [float(np.dot(w, masses)) for _, w in sys.conservation_laws]
+        if self.t is None:
+            self.t = t
+            self.laws0 = self.laws
+            self.mass0 = total
+            self._identity_mass = total
+        self.u_min = min(self.u_min, float(np.min(u)))
+        self.law_drift = [
+            max(d, abs(v - v0)) for d, v, v0 in zip(self.law_drift, self.laws, self.laws0)
+        ]
+        grow = math.exp(sys.k1 * t)
+        rate = sys.k1 + sys.k0_decay
+        if sys.k0 == 0.0:
+            src = 0.0
+        elif rate == 0.0:
+            src = sys.k0 * grow * t
+        else:
+            src = sys.k0 * grow * (1.0 - math.exp(-rate * t)) / rate
+        envelope = grow * self.mass0 + self.domain_length * src
+        self.envelope_excess = max(self.envelope_excess, total - envelope)
+        tau = sys.uniform_decay_rate
+        if tau is not None:
+            # One accepted step multiplies the total mass by 1 - tau dt.
+            self._identity_mass *= 1.0 - tau * (t - self.t)
+            ref = max(abs(self.mass0), _TOTAL_MASS_FLOOR)
+            self.identity_error = max(
+                self.identity_error, abs(total - self._identity_mass) / ref
+            )
+        if entropy is not None:
+            self.entropy_max = max(self.entropy_max, entropy)
+        self.t = t
 
 
 def check_z_bound(tracker: AuxiliaryTracker, t_end: float) -> CheckResult:
@@ -351,21 +425,29 @@ def check_uhat_bounds(tracker: AuxiliaryTracker, t_end: float) -> list:
     ]
 
 
-def check_conservation_laws(traj: Trajectory, sys: ReactionSystem) -> list:
+def check_positivity(inv: InvariantTracker) -> CheckResult:
+    """No value below zero at any accepted step (the solver clamps inside the floor)."""
+    return CheckResult(
+        name="positivity",
+        passed=inv.u_min >= 0.0,
+        measured=inv.u_min,
+        bound=0.0,
+        tolerance=0.0,
+    )
+
+
+def check_conservation_laws(inv: InvariantTracker) -> list:
     """Relative drift of each declared linear invariant of the reaction."""
     results = []
-    if not sys.conservation_laws:
-        return results
-    masses = np.stack([e.masses for e in traj.entries])
-    for label, weights in sys.conservation_laws:
-        series = masses @ weights
-        ref = max(abs(float(series[0])), _TOTAL_MASS_FLOOR)
-        drift = float(np.max(np.abs(series - series[0]))) / ref
+    for (label, _), law0, drift in zip(
+        inv.sys.conservation_laws, inv.laws0, inv.law_drift
+    ):
+        measured = drift / max(abs(law0), _TOTAL_MASS_FLOOR)
         results.append(
             CheckResult(
                 name=f"conservation[{label}]",
-                passed=drift <= _CONS_TOL,
-                measured=drift,
+                passed=measured <= _CONS_TOL,
+                measured=measured,
                 bound=0.0,
                 tolerance=_CONS_TOL,
             )
@@ -373,161 +455,46 @@ def check_conservation_laws(traj: Trajectory, sys: ReactionSystem) -> list:
     return results
 
 
-def check_mass_envelope(traj: Trajectory, sys: ReactionSystem, domain: float) -> CheckResult:
-    """Total mass below the integrating-factor envelope at every snapshot."""
-    total = np.array([float(np.sum(e.masses)) for e in traj.entries])
-    times = traj.times
-    m0 = float(total[0])
-    worst_excess = -math.inf
-    k1 = sys.k1
-    dec = sys.k0_decay
-    for t, m in zip(times, total):
-        grow = math.exp(k1 * t)
-        if sys.k0 == 0.0:
-            src = 0.0
-        else:
-            a = k1 + dec
-            if a == 0.0:
-                src = sys.k0 * grow * t
-            else:
-                src = sys.k0 * grow * (1.0 - math.exp(-a * t)) / a
-        envelope = grow * m0 + domain * src
-        worst_excess = max(worst_excess, float(m) - envelope)
-    tol = _ENVELOPE_SLACK * (1.0 + m0)
+def check_mass_envelope(inv: InvariantTracker) -> CheckResult:
+    """Total mass below the integrating-factor envelope at every accepted step."""
+    tol = _ENVELOPE_SLACK * (1.0 + inv.mass0)
     return CheckResult(
         name="mass_envelope",
-        passed=worst_excess <= tol,
-        measured=worst_excess,
+        passed=inv.envelope_excess <= tol,
+        measured=inv.envelope_excess,
         bound=0.0,
         tolerance=tol,
     )
 
 
-def check_mass_identity(traj: Trajectory, sys: ReactionSystem) -> CheckResult | None:
+def check_mass_identity(inv: InvariantTracker) -> CheckResult | None:
     """Exact geometric mass decay for equal-decay skew Lotka-Volterra runs.
 
-    Valid only when every accepted step is recorded (record_every = 1), so
-    the recorded time increments are the actual step sizes.  Returns None
-    for systems without a uniform decay rate.
+    Every accepted step is fed, so the time increments are the actual step
+    sizes at any recording cadence.  Returns None for systems without a
+    uniform decay rate.
     """
-    tau = sys.uniform_decay_rate
-    if tau is None:
+    if inv.sys.uniform_decay_rate is None:
         return None
-    total = np.array([float(np.sum(e.masses)) for e in traj.entries])
-    times = traj.times
-    expected = total[0]
-    worst = 0.0
-    ref = max(abs(total[0]), _TOTAL_MASS_FLOOR)
-    for k in range(1, len(total)):
-        dt_k = times[k] - times[k - 1]
-        expected = expected * (1.0 - tau * dt_k)
-        worst = max(worst, abs(total[k] - expected) / ref)
     return CheckResult(
         name="mass_identity",
-        passed=worst <= _MASS_IDENTITY_TOL,
-        measured=worst,
+        passed=inv.identity_error <= _MASS_IDENTITY_TOL,
+        measured=inv.identity_error,
         bound=0.0,
         tolerance=_MASS_IDENTITY_TOL,
     )
 
 
-def check_entropy(traj: Trajectory, sys: ReactionSystem) -> CheckResult | None:
-    """Worst recorded pointwise dissipation, for families where it is signed."""
-    if not sys.entropy_nonpositive:
-        return None
-    worst = -math.inf
-    for e in traj.entries:
-        val = entropy_pointwise_worst(sys, e.state)
-        if val is not None:
-            worst = max(worst, val)
-    if worst == -math.inf:
+def check_entropy(inv: InvariantTracker) -> CheckResult | None:
+    """Worst pointwise dissipation over the run, for families where it is signed."""
+    if not inv.sys.entropy_nonpositive or inv.entropy_max == -math.inf:
         return None
     return CheckResult(
         name="entropy_dissipation",
-        passed=worst <= _ENTROPY_TOL,
-        measured=worst,
+        passed=inv.entropy_max <= _ENTROPY_TOL,
+        measured=inv.entropy_max,
         bound=0.0,
         tolerance=_ENTROPY_TOL,
-    )
-
-
-def check_positivity(traj: Trajectory) -> CheckResult:
-    """No recorded value below zero (the solver clamps inside the floor)."""
-    worst = min(
-        float(np.min(f.values)) for e in traj.entries for f in e.state.fields
-    )
-    return CheckResult(
-        name="positivity",
-        passed=worst >= 0.0,
-        measured=worst,
-        bound=0.0,
-        tolerance=0.0,
-    )
-
-
-@dataclass(frozen=True)
-class RunMeasurement:
-    """Per-run triple entering the interpolation scaling check."""
-
-    grad_sup: float
-    holder: float
-    forcing_sup: float
-
-
-def interpolation_scaling_check(
-    measurements, constants: InterpolationConstants
-) -> CheckResult:
-    """Scaling of measured gradients against B H^{1/(2-g)} F^{(1-g)/(2-g)}.
-
-    Regresses log(measured gradient) on log(predicted bound) across a family
-    of runs; a slope at or below 1.1 means the measured growth does not
-    outrun the predicted one.  Vacuously passes on all-zero data.
-
-    Raises:
-        ConfigError: with fewer than 3 runs.
-    """
-    measurements = list(measurements)
-    if len(measurements) < 3:
-        raise ConfigError(
-            f"interpolation scaling check needs at least 3 runs, got "
-            f"{len(measurements)}"
-        )
-    g = constants.gamma
-    bounds = []
-    grads = []
-    for m in measurements:
-        bound = (
-            constants.b
-            * m.holder ** (1.0 / (2.0 - g))
-            * m.forcing_sup ** ((1.0 - g) / (2.0 - g))
-        )
-        bounds.append(bound)
-        grads.append(m.grad_sup)
-    if all(v == 0.0 for v in grads):
-        return CheckResult(
-            name="interpolation_scaling",
-            passed=True,
-            measured=0.0,
-            bound=0.0,
-            tolerance=0.1,
-            detail="vacuous: zero data",
-        )
-    if any(v <= 0.0 for v in bounds) or any(v <= 0.0 for v in grads):
-        return CheckResult(
-            name="interpolation_scaling",
-            passed=False,
-            measured=min(grads),
-            bound=min(bounds),
-            tolerance=0.1,
-            detail="degenerate family: nonpositive measurement or bound",
-        )
-    slope = loglog_slope(bounds, grads)
-    return CheckResult(
-        name="interpolation_scaling",
-        passed=slope <= 1.1,
-        measured=slope,
-        bound=1.0,
-        tolerance=0.1,
     )
 
 

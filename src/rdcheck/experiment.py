@@ -1,11 +1,11 @@
 """End-to-end experiment orchestration: run, check, fit, and emit.
 
 This layer wires a validated RunConfig into the solver, the structure
-audits, the auxiliary-field tracker and the post-run check battery, then
-serializes the results:
+audits, the auxiliary-field tracker and the invariant checks (both fed
+every accepted step), then serializes the results:
 
 * a CSV trace with one row per recorded snapshot (columns fixed by
-  _csv_header; diagnostics cells are empty when the tracker is off);
+  _Recorder; diagnostics cells are empty when the tracker is off);
 * a JSON report echoing the config with its sha256, every check verdict,
   fitted rates, and an overall pass / fail / aborted verdict.
 
@@ -31,6 +31,7 @@ from .diagnostics import (
     AuxiliaryConfig,
     AuxiliaryTracker,
     CheckResult,
+    InvariantTracker,
     check_b_range,
     check_conservation_laws,
     check_entropy,
@@ -42,13 +43,12 @@ from .diagnostics import (
     entropy_pointwise_worst,
 )
 from .errors import ConfigError, NumericalFailure
-from .grid import integrate
 from .models import ReactionSystem, StructureVerdict, check_structure
 from .solver import (
-    SolverConfig,
     StepEvent,
     SystemState,
     Trajectory,
+    row_norms,
     run_simulation,
 )
 from .theory import fit_rate, quad_equilibrium
@@ -169,10 +169,13 @@ def _verdict_checks(prefix: str, verdict: StructureVerdict, conservation: bool) 
 
 
 class _Recorder:
-    """Solver hook assembling CSV rows at recorded snapshots.
+    """Solver hook measuring each state once: it feeds the invariant checks
+    at every accepted step and writes a CSV row at each recorded one.
 
-    Runs after the AuxiliaryTracker hook so the diagnostic cells it reads
-    are synchronized with the primal state of the same step.
+    The entropy value is computed only where a row or the entropy check
+    needs it, and both share it.  Runs after the AuxiliaryTracker hook so
+    the diagnostic cells it reads are synchronized with the primal state of
+    the same step.
     """
 
     def __init__(
@@ -180,12 +183,10 @@ class _Recorder:
         system: ReactionSystem,
         initial: SystemState,
         tracker: AuxiliaryTracker | None,
-        cfg: SolverConfig,
     ):
         self.system = system
         self.tracker = tracker
-        self.cfg = cfg
-        self._tiny = 1e-12 * max(1.0, cfg.t_end)
+        self.invariants = InvariantTracker(system, initial.grid.length)
         self.n_accepted = 0
         n = system.n_species
         columns = (
@@ -197,20 +198,18 @@ class _Recorder:
             + ["z_sup", "b_min", "b_max", "vd_consistency", "zvd_residual", "grad_vd_sup"]
         )
         self.rows = [",".join(columns)]
-        if tracker is not None:
-            tracker.measure_holder()
-        self.rows.append(self._row(initial))
+        u0 = initial.stacked()
+        self._observe(0.0, u0, *row_norms(u0, initial.grid.h), True)
 
-    def _row(self, state: SystemState) -> str:
-        sups = [float(np.max(np.abs(f.values))) for f in state.fields]
-        masses = [integrate(f) for f in state.fields]
-        total = sum(masses)
-        entropy = entropy_pointwise_worst(self.system, state)
-        cons = [
-            float(np.dot(weights, masses))
-            for _, weights in self.system.conservation_laws
-        ]
+    def _observe(self, t, u, sup_norms, masses, recorded: bool) -> None:
+        entropy = None
+        if recorded or self.system.entropy_nonpositive:
+            entropy = entropy_pointwise_worst(self.system, u, t)
+        self.invariants.update(t, u, masses, entropy)
+        if not recorded:
+            return
         if self.tracker is not None:
+            self.tracker.measure_holder()
             d = self.tracker.row_values()
             diag = [
                 d["z_sup"], d["b_min"], d["b_max"],
@@ -218,18 +217,15 @@ class _Recorder:
             ]
         else:
             diag = [None] * 6
-        cells = [state.t, *sups, *masses, total, entropy, *cons, *diag]
-        return ",".join(_fmt(c) for c in cells)
+        inv = self.invariants
+        cells = [t, *sup_norms, *masses, inv.total, entropy, *inv.laws, *diag]
+        self.rows.append(",".join(_fmt(c) for c in cells))
 
     def on_step(self, event: StepEvent) -> None:
         self.n_accepted += 1
-        if (
-            event.index % self.cfg.record_every == 0
-            or event.t_new >= self.cfg.t_end - self._tiny
-        ):
-            if self.tracker is not None:
-                self.tracker.measure_holder()
-            self.rows.append(self._row(event.state_new))
+        self._observe(
+            event.t_new, event.u_new, event.sup_norms, event.masses, event.recorded
+        )
 
     def text(self) -> str:
         return "\n".join(self.rows) + "\n"
@@ -254,8 +250,7 @@ def _series_values(entries, series: str, system: ReactionSystem, domain_length: 
     eq = quad_equilibrium(m13, m23, m24).as_array()
     out = []
     for e in entries:
-        u = e.state.stacked()
-        out.append(float(np.sum(np.max(np.abs(u - eq[:, None]), axis=1))))
+        out.append(float(np.sum(np.max(np.abs(e.u - eq[:, None]), axis=1))))
     return out
 
 
@@ -383,7 +378,7 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
         except ValueError as exc:
             raise ConfigError([f"diagnostics.d: {exc}"]) from exc
 
-    recorder = _Recorder(system, initial, tracker, cfg.solver)
+    recorder = _Recorder(system, initial, tracker)
     hooks = ([tracker.on_step] if tracker else []) + [recorder.on_step]
 
     report = {
@@ -419,16 +414,13 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
         _emit(cfg, outcome)
         return outcome
 
-    checks.append(check_positivity(traj))
-    checks.extend(check_conservation_laws(traj, system))
-    checks.append(check_mass_envelope(traj, system, cfg.grid.length))
-    if cfg.solver.record_every == 1:
-        identity = check_mass_identity(traj, system)
-        if identity is not None:
-            checks.append(identity)
-    entropy = check_entropy(traj, system)
-    if entropy is not None:
-        checks.append(entropy)
+    invariants = recorder.invariants
+    checks.append(check_positivity(invariants))
+    checks.extend(check_conservation_laws(invariants))
+    checks.append(check_mass_envelope(invariants))
+    for check in (check_mass_identity(invariants), check_entropy(invariants)):
+        if check is not None:
+            checks.append(check)
     if tracker is not None:
         checks.append(check_z_bound(tracker, cfg.solver.t_end))
         checks.append(check_b_range(tracker))

@@ -30,6 +30,13 @@ below the floor, or any non-finite value, the step is retried with dt/2
 (the halved dt applies to that step only); values in [floor, 0) after an
 accepted trial are clamped to exact zero.  Hooks observe accepted steps
 only, in registration order.
+
+The run loop works on one float64 (species, cells) array from start to
+end; `SystemState` is only the input type.  Each accepted step's sup norms
+and masses are computed once, row-wise, and shared by the hooks' StepEvent
+and the recorded TrajectoryEntry.  The recording cadence (every
+record_every-th accepted step, and the last one) is decided here only and
+handed to the hooks as StepEvent.recorded.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalFailure
-from .grid import Field, Grid1D, integrate, laplacian_values
+from .grid import Field, Grid1D, laplacian_values
 from .models import NEGATIVE_CLAMP_FLOOR, ReactionSystem
 
 __all__ = [
@@ -121,20 +128,30 @@ class SystemState:
 
 @dataclass(frozen=True)
 class StepEvent:
-    """What a hook sees after each accepted step."""
+    """What a hook sees after each accepted step.
+
+    u_old and u_new are read-only (species, cells) arrays; u_new is already
+    clamped, and sup_norms and masses are its per-species sup|u_i| and
+    h * sum_j u_ij.  recorded says whether the step enters the trajectory.
+    """
 
     index: int
     t_old: float
     t_new: float
     dt: float
-    state_old: SystemState
-    state_new: SystemState
+    u_old: np.ndarray
+    u_new: np.ndarray
+    sup_norms: np.ndarray
+    masses: np.ndarray
+    recorded: bool
 
 
 @dataclass(frozen=True)
 class TrajectoryEntry:
+    """One recorded state: its read-only (species, cells) array and row norms."""
+
     t: float
-    state: SystemState
+    u: np.ndarray
     sup_norms: np.ndarray
     masses: np.ndarray
 
@@ -177,9 +194,8 @@ def implicit_heat_step(
     """One backward-Euler step of u_t - diffusion * L u = source.
 
     The source is taken at the old time (explicit), matching the reaction
-    treatment in imex_step.  Operates on raw arrays; callers wrap Fields.
-    Every row is solved on its own, so a row of a stacked call is bitwise
-    the same as that row solved alone.
+    treatment in imex_step.  Every row is solved on its own, so a row of a
+    stacked call is bitwise the same as that row solved alone.
 
     Args:
         values: one row (cells,) or a stack (rows, cells).
@@ -214,45 +230,55 @@ def implicit_heat_step(
     return x + _spectral_solve(residual, symbol)
 
 
-def imex_step(state: SystemState, sys: ReactionSystem, dt: float) -> SystemState:
-    """One raw IMEX step; no positivity handling (see run_simulation).
+def imex_step(
+    u: np.ndarray, t: float, grid: Grid1D, sys: ReactionSystem, dt: float
+) -> np.ndarray:
+    """One raw IMEX step of the (species, cells) array u from time t.
 
-    All species go through one `implicit_heat_step` call on the stacked
-    (species, cells) array, each row with its own diffusion coefficient.
+    No positivity handling (see run_simulation).  All species go through
+    one `implicit_heat_step` call, each row with its own diffusion
+    coefficient.  Overflow in the reaction or the solve raises no warning:
+    it is reported as the NumericalFailure below.
+
+    Returns:
+        The new (species, cells) array at time t + dt.
 
     Raises:
-        ValueError: if the state's species count does not match the system.
+        ValueError: if u's species count does not match the system, or
+            dt <= 0.
         NumericalFailure: if the step produces a non-finite value (the
             reaction or the solve overflowed); the payload carries the
             step's start time, the first such species and its value.
     """
-    if state.n_species != sys.n_species:
+    if u.shape[0] != sys.n_species:
         raise ValueError(
-            f"state has {state.n_species} species, system expects {sys.n_species}"
+            f"state has {u.shape[0]} species, system expects {sys.n_species}"
         )
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    u = state.stacked()
-    f = np.asarray(sys.evaluator(u, state.t), dtype=np.float64)
-    new = implicit_heat_step(u, state.grid, sys.diffusion, dt, f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.asarray(sys.evaluator(u, t), dtype=np.float64)
+        new = implicit_heat_step(u, grid, sys.diffusion, dt, f)
     finite = np.isfinite(new)
     if not finite.all():
         species = int(np.argmin(np.all(finite, axis=1)))
         value = float(new[species][~finite[species]][0])
         raise NumericalFailure(
             f"species {species + 1} became non-finite ({value}) at "
-            f"t = {state.t} with dt = {dt}",
-            time=state.t,
+            f"t = {t} with dt = {dt}",
+            time=t,
             species=species + 1,
             value=value,
         )
-    return SystemState(state.t + dt, [Field(state.grid, row) for row in new])
+    return new
 
 
-def _snapshot(state: SystemState) -> TrajectoryEntry:
-    sup = np.array([float(np.max(np.abs(f.values))) for f in state.fields])
-    mass = np.array([integrate(f) for f in state.fields])
-    return TrajectoryEntry(t=state.t, state=state, sup_norms=sup, masses=mass)
+def row_norms(u: np.ndarray, h: float) -> tuple:
+    """Per-species sup|u_i| and mass h * sum_j u_ij, summed left to right.
+
+    Bitwise equal to `grid.integrate` and a max over each species Field.
+    """
+    return np.max(np.abs(u), axis=1), np.add.accumulate(u, axis=1)[:, -1] * h
 
 
 def run_simulation(
@@ -266,10 +292,9 @@ def run_simulation(
     Each step starts from cfg.dt (clipped to land exactly on t_end).  A
     trial step whose minimum falls below the positivity floor, or that
     takes a non-finite value, is rejected and retried with half the step,
-    up to max_step_halvings times; values
-    in [floor, 0) on an accepted trial are clamped to exact zero.  Hooks
-    run after every accepted step, in registration order, and see both the
-    old and the clamped new state.
+    up to max_step_halvings times; values in [floor, 0) on an accepted
+    trial are clamped to exact zero.  Hooks run after every accepted step,
+    in registration order, and see the old and the clamped new array.
 
     Returns:
         Trajectory with the t = 0 snapshot, every record_every-th accepted
@@ -288,27 +313,28 @@ def run_simulation(
         )
     if initial.t != 0.0:
         raise ValueError(f"initial state must be at t = 0, got t = {initial.t}")
-    for i, f in enumerate(initial.fields):
-        if np.min(f.values) < 0.0:
+    u = initial.stacked()
+    for i, low in enumerate(u.min(axis=1)):
+        if low < 0.0:
             raise ValueError(
-                f"initial data for species {i + 1} is negative: "
-                f"{float(np.min(f.values))}"
+                f"initial data for species {i + 1} is negative: {float(low)}"
             )
-    traj = Trajectory()
-    traj.entries.append(_snapshot(initial))
-    state = initial
+    u.flags.writeable = False
+    grid = initial.grid
+    t = 0.0
+    traj = Trajectory([TrajectoryEntry(t, u, *row_norms(u, grid.h))])
     tiny = 1e-12 * max(1.0, cfg.t_end)
     step_index = 0
-    while state.t < cfg.t_end - tiny:
-        dt_step = min(cfg.dt, cfg.t_end - state.t)
+    while t < cfg.t_end - tiny:
+        dt_step = min(cfg.dt, cfg.t_end - t)
         halvings = 0
         while True:
             try:
-                trial = imex_step(state, sys, dt_step)
+                trial = imex_step(u, t, grid, sys, dt_step)
             except NumericalFailure as exc:
                 failure = exc
             else:
-                mins = trial.stacked().min(axis=1)
+                mins = trial.min(axis=1)
                 if mins.min() >= cfg.positivity_floor:
                     break
                 failure = None
@@ -317,9 +343,9 @@ def run_simulation(
                 if failure is None:
                     species = int(np.argmin(mins))
                     failure = NumericalFailure(
-                        f"positivity could not be restored at t = {state.t} "
+                        f"positivity could not be restored at t = {t} "
                         f"(species {species + 1} reached {mins[species]})",
-                        time=state.t,
+                        time=t,
                         species=species + 1,
                         value=float(mins[species]),
                     )
@@ -330,25 +356,26 @@ def run_simulation(
                     value=failure.value,
                 )
             dt_step *= 0.5
-        clamped = [
-            Field(f.grid, np.maximum(f.values, 0.0)) if low < 0.0 else f
-            for f, low in zip(trial.fields, mins)
-        ]
-        new_state = SystemState(trial.t, clamped)
+        u_new = np.maximum(trial, 0.0, out=trial)
+        u_new.flags.writeable = False
+        t_new = t + dt_step
         step_index += 1
+        sup_norms, masses = row_norms(u_new, grid.h)
+        recorded = step_index % cfg.record_every == 0 or t_new >= cfg.t_end - tiny
         event = StepEvent(
             index=step_index,
-            t_old=state.t,
-            t_new=new_state.t,
+            t_old=t,
+            t_new=t_new,
             dt=dt_step,
-            state_old=state,
-            state_new=new_state,
+            u_old=u,
+            u_new=u_new,
+            sup_norms=sup_norms,
+            masses=masses,
+            recorded=recorded,
         )
         for hook in hooks:
             hook(event)
-        state = new_state
-        if step_index % cfg.record_every == 0 or state.t >= cfg.t_end - tiny:
-            traj.entries.append(_snapshot(state))
-    if len(traj.entries) == 1:  # t_end below one step: unreachable given dt <= t_end
-        traj.entries.append(_snapshot(state))
+        if recorded:
+            traj.entries.append(TrajectoryEntry(t_new, u_new, sup_norms, masses))
+        t, u = t_new, u_new
     return traj

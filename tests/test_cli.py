@@ -1,9 +1,14 @@
 """Command-line surface: subcommands, exit codes, and printed output."""
 
+import csv
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdcheck.cli import main
 from test_experiment import DT, quad_raw, skew_raw
@@ -232,6 +237,111 @@ class TestConfigErrors:
         assert main(["run", a, b]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "multiple configs need --sweep" in captured.err
+
+
+class TestUnwritableArtifacts:
+    """An output path under a regular file cannot be created."""
+
+    def blocked_config(self, tmp_path):
+        (tmp_path / "blocker").write_text("a file, not a directory")
+        csv_path = tmp_path / "blocker" / "sub" / "run.csv"
+        raw = quad_raw(output={"csv": str(csv_path)})
+        return write_config(tmp_path, raw, "blocked.json")
+
+    def test_single_config_exits_with_a_one_line_message(self, tmp_path, capsys):
+        cfg = self.blocked_config(tmp_path)
+        assert main(["verify", cfg]) == EXIT_CONFIG
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0] == f"== {cfg}"
+        assert lines[1].startswith("cannot write artifacts: ")
+
+    def test_sweep_keeps_the_other_configs_summary(self, tmp_path, capsys):
+        blocked = self.blocked_config(tmp_path)
+        report_path = tmp_path / "good-report.json"
+        good = write_config(
+            tmp_path, quad_raw(output={"report": str(report_path)}), "good.json"
+        )
+        assert main(["verify", "--sweep", good, blocked]) == EXIT_CONFIG
+        out = capsys.readouterr().out
+        assert f"== {good}" in out
+        assert "overall: pass" in out
+        assert f"== {blocked}" in out
+        assert "cannot write artifacts: " in out
+        assert json.loads(report_path.read_text())["overall"] == "pass"
+
+
+@st.composite
+def small_polynomial_configs(draw):
+    """Custom polynomial models of 1-2 species and degree <= 3 on <= 16 cells."""
+    n = draw(st.integers(1, 2))
+    monomial = st.fixed_dictionaries(
+        {
+            "coef": st.floats(-5.0, 5.0),
+            "powers": st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
+                lambda powers: sum(powers) <= 3
+            ),
+        }
+    )
+    profile = st.one_of(
+        st.fixed_dictionaries(
+            {"type": st.just("constant"), "value": st.floats(0.0, 10.0)}
+        ),
+        st.fixed_dictionaries(
+            {
+                "type": st.just("gaussian"),
+                "center": st.floats(0.0, 1.0),
+                "width": st.floats(0.05, 0.5),
+                "amplitude": st.floats(0.0, 10.0),
+            }
+        ),
+    )
+    t_end = draw(st.floats(0.01, 0.1))
+    return {
+        "model": {
+            "custom": {
+                "n_species": n,
+                "terms": draw(
+                    st.lists(st.lists(monomial, max_size=3), min_size=n, max_size=n)
+                ),
+                "k0": 0.0,
+                "k1": 0.0,
+                "k": 1.0,
+                "eps": 0.0,
+            },
+            "diffusion": draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)),
+        },
+        "grid": {"n_cells": draw(st.integers(2, 16)), "length": 1.0},
+        "initial": draw(st.lists(profile, min_size=n, max_size=n)),
+        "solver": {"dt": draw(st.floats(t_end / 20.0, t_end)), "t_end": t_end},
+    }
+
+
+class TestVerifyProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(raw=small_polynomial_configs())
+    def test_documented_exit_code_and_parseable_artifacts(self, raw):
+        with tempfile.TemporaryDirectory() as out:
+            csv_path = os.path.join(out, "run.csv")
+            report_path = os.path.join(out, "report.json")
+            raw = dict(raw, output={"csv": csv_path, "report": report_path})
+            cfg = os.path.join(out, "cfg.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(raw, fh)
+            code = main(["verify", cfg])
+            assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_NUMERICAL)
+            with open(report_path, encoding="utf-8") as fh:
+                report = json.load(fh)
+            expected = {EXIT_OK: "pass", EXIT_CHECK_FAILED: "fail", EXIT_NUMERICAL: "aborted"}
+            assert report["overall"] == expected[code]
+            with open(csv_path, encoding="utf-8", newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header[0] == "t" and rows
+            for row in rows:
+                assert len(row) == len(header)
+                for cell in row:
+                    if cell:
+                        float(cell)
 
 
 class TestSweep:

@@ -10,17 +10,14 @@ from conftest import quad_bump_state
 from rdcheck import (
     AuxiliaryConfig,
     AuxiliaryTracker,
-    ConfigError,
     CheckResult,
     Field,
     Grid1D,
+    InvariantTracker,
     PolynomialSpec,
     ReactionSystem,
-    RunMeasurement,
     SolverConfig,
     SystemState,
-    Trajectory,
-    TrajectoryEntry,
     check_b_range,
     check_conservation_laws,
     check_entropy,
@@ -30,9 +27,7 @@ from rdcheck import (
     check_uhat_bounds,
     check_z_bound,
     entropy_pointwise_worst,
-    free_space_constants,
     instantiate_model,
-    interpolation_scaling_check,
     loglog_slope,
     run_simulation,
 )
@@ -60,16 +55,13 @@ def tracked_run(sys, initial, cfg_aux, dt, t_end):
     return tracker, traj
 
 
-def fake_trajectory(rows):
-    """Trajectory stub from (t, masses) pairs; checks that only read masses."""
-    traj = Trajectory()
+def fed_invariants(sys, rows, domain_length=1.0):
+    """InvariantTracker fed (t, masses) pairs, for checks that only read masses."""
+    inv = InvariantTracker(sys, domain_length)
     for t, masses in rows:
-        traj.entries.append(
-            TrajectoryEntry(
-                t=t, state=None, sup_norms=None, masses=np.asarray(masses, dtype=float)
-            )
-        )
-    return traj
+        masses = np.asarray(masses, dtype=float)
+        inv.update(t, np.zeros((masses.size, 2)), masses, None)
+    return inv
 
 
 class TestAuxiliaryConfig:
@@ -179,7 +171,10 @@ class TestTrackerAtEquilibrium:
         assert check_b_range(tracker).passed
         for result in check_uhat_bounds(tracker, 0.25):
             assert result.passed
-        assert check_positivity(traj).passed
+        inv = InvariantTracker(tracker.sys, 1.0)
+        for e in traj.entries:
+            inv.update(e.t, e.u, e.masses, None)
+        assert check_positivity(inv).passed
 
 
 class TestTrackerWithConstantSource:
@@ -292,13 +287,13 @@ class TestUhatFailureBranches:
 
 class TestConservationLaws:
     def test_no_declared_laws(self, skew_system):
-        assert check_conservation_laws(fake_trajectory([]), skew_system) == []
+        assert check_conservation_laws(fed_invariants(skew_system, [])) == []
 
     def test_exact_conservation_passes(self, quad_system):
-        traj = fake_trajectory(
-            [(0.0, [1.0, 2.0, 3.0, 4.0]), (1.0, [1.0, 2.0, 3.0, 4.0])]
+        inv = fed_invariants(
+            quad_system, [(0.0, [1.0, 2.0, 3.0, 4.0]), (1.0, [1.0, 2.0, 3.0, 4.0])]
         )
-        results = check_conservation_laws(traj, quad_system)
+        results = check_conservation_laws(inv)
         assert [r.name for r in results] == [
             "conservation[u1+u3]",
             "conservation[u2+u3]",
@@ -309,12 +304,10 @@ class TestConservationLaws:
 
     def test_drift_in_one_law_is_localized(self, quad_system):
         # Perturbing species 1 only moves the u1 + u3 combination.
-        traj = fake_trajectory(
-            [(0.0, [1.0, 2.0, 3.0, 4.0]), (1.0, [1.0 + 1e-6, 2.0, 3.0, 4.0])]
+        inv = fed_invariants(
+            quad_system, [(0.0, [1.0, 2.0, 3.0, 4.0]), (1.0, [1.0 + 1e-6, 2.0, 3.0, 4.0])]
         )
-        by_name = {
-            r.name: r for r in check_conservation_laws(traj, quad_system)
-        }
+        by_name = {r.name: r for r in check_conservation_laws(inv)}
         assert not by_name["conservation[u1+u3]"].passed
         assert by_name["conservation[u2+u3]"].passed
         assert by_name["conservation[u2+u4]"].passed
@@ -324,40 +317,45 @@ class TestMassEnvelope:
     def test_flat_envelope(self):
         sys = sourced_single_species(0.0)
         assert check_mass_envelope(
-            fake_trajectory([(0.0, [1.0]), (1.0, [1.0])]), sys, 1.0
+            fed_invariants(sys, [(0.0, [1.0]), (1.0, [1.0])])
         ).passed
         assert not check_mass_envelope(
-            fake_trajectory([(0.0, [1.0]), (1.0, [1.0 + 3e-6])]), sys, 1.0
+            fed_invariants(sys, [(0.0, [1.0]), (1.0, [1.0 + 3e-6])])
         ).passed
 
     def test_decaying_envelope(self, skew_system):
         # k1 = -1: the envelope itself shrinks as e^{-t}.
-        decayed = fake_trajectory([(0.0, [0.6, 0.4]), (1.0, [0.3 * math.e ** -1, 0.7 * math.e ** -1])])
-        assert check_mass_envelope(decayed, skew_system, 1.0).passed
-        flat = fake_trajectory([(0.0, [0.6, 0.4]), (1.0, [0.6, 0.4])])
-        assert not check_mass_envelope(flat, skew_system, 1.0).passed
+        decayed = fed_invariants(
+            skew_system,
+            [(0.0, [0.6, 0.4]), (1.0, [0.3 * math.e ** -1, 0.7 * math.e ** -1])],
+        )
+        assert check_mass_envelope(decayed).passed
+        flat = fed_invariants(skew_system, [(0.0, [0.6, 0.4]), (1.0, [0.6, 0.4])])
+        assert not check_mass_envelope(flat).passed
 
     def test_constant_source_envelope(self):
         sys = sourced_single_species(2.0)
         # Envelope m0 + domain * k0 * t with domain = 2.
-        riding = fake_trajectory([(0.0, [1.0]), (0.5, [1.0 + 2.0 * 2.0 * 0.5])])
-        assert check_mass_envelope(riding, sys, 2.0).passed
-        above = fake_trajectory([(0.0, [1.0]), (0.5, [1.0 + 2.0 * 2.0 * 0.5 + 1e-5])])
-        assert not check_mass_envelope(above, sys, 2.0).passed
+        riding = fed_invariants(sys, [(0.0, [1.0]), (0.5, [1.0 + 2.0 * 2.0 * 0.5])], 2.0)
+        assert check_mass_envelope(riding).passed
+        above = fed_invariants(
+            sys, [(0.0, [1.0]), (0.5, [1.0 + 2.0 * 2.0 * 0.5 + 1e-5])], 2.0
+        )
+        assert not check_mass_envelope(above).passed
 
     def test_decaying_source_envelope(self):
         sys = dataclasses.replace(sourced_single_species(2.0), k0_decay=0.5)
         # Envelope m0 + domain * 4 (1 - e^{-t/2}).
         src = 4.0 * (1.0 - math.exp(-0.5))
-        riding = fake_trajectory([(0.0, [1.0]), (1.0, [1.0 + src])])
-        result = check_mass_envelope(riding, sys, 1.0)
+        riding = fed_invariants(sys, [(0.0, [1.0]), (1.0, [1.0 + src])])
+        result = check_mass_envelope(riding)
         assert result.passed
         assert result.measured == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMassIdentity:
     def test_none_without_uniform_decay(self, quad_system):
-        assert check_mass_identity(fake_trajectory([(0.0, [1.0] * 4)]), quad_system) is None
+        assert check_mass_identity(fed_invariants(quad_system, [(0.0, [1.0] * 4)])) is None
 
     def test_exact_geometric_decay_passes(self, skew_system):
         m0 = 2.5
@@ -367,42 +365,37 @@ class TestMassIdentity:
         for k in range(1, 4):
             m = m * (1.0 - dt)
             rows.append((k * dt, [m, 0.0]))
-        result = check_mass_identity(fake_trajectory(rows), skew_system)
+        result = check_mass_identity(fed_invariants(skew_system, rows))
         assert result.passed
         assert result.measured == 0.0
 
     def test_broken_decay_fails(self, skew_system):
         dt = 1e-3
         rows = [(0.0, [1.0, 0.0]), (dt, [(1.0 - dt) + 1e-8, 0.0])]
-        assert not check_mass_identity(fake_trajectory(rows), skew_system).passed
+        assert not check_mass_identity(fed_invariants(skew_system, rows)).passed
+
+
+def fed_state(sys, u):
+    """InvariantTracker fed one (species, cells) state at t = 0, with its entropy."""
+    u = np.asarray(u, dtype=float)
+    inv = InvariantTracker(sys, 1.0)
+    inv.update(0.0, u, u.sum(axis=1), entropy_pointwise_worst(sys, u, 0.0))
+    return inv
 
 
 class TestEntropy:
     def test_none_for_unflagged_families(self, skew_system):
-        assert check_entropy(fake_trajectory([]), skew_system) is None
+        assert check_entropy(fed_invariants(skew_system, [])) is None
 
     def test_equilibrium_dissipation_is_zero(self, quad_system):
-        grid = Grid1D(8, 1.0)
-        state = constant_state(grid, [1.0] * 4)
-        traj = Trajectory()
-        traj.entries.append(
-            TrajectoryEntry(t=0.0, state=state, sup_norms=np.ones(4), masses=np.ones(4))
-        )
-        result = check_entropy(traj, quad_system)
+        result = check_entropy(fed_state(quad_system, np.ones((4, 8))))
         assert result.passed
         assert result.measured == 0.0
 
     def test_none_when_no_cell_is_fully_positive(self, quad_system):
-        grid = Grid1D(4, 1.0)
-        state = SystemState(
-            0.0,
-            [Field.constant(grid, 0.0)] + [Field.constant(grid, 1.0)] * 3,
-        )
-        traj = Trajectory()
-        traj.entries.append(
-            TrajectoryEntry(t=0.0, state=state, sup_norms=np.ones(4), masses=np.ones(4))
-        )
-        assert check_entropy(traj, quad_system) is None
+        u = np.ones((4, 4))
+        u[0] = 0.0
+        assert check_entropy(fed_state(quad_system, u)) is None
 
     def test_positive_dissipation_fails(self):
         # A fabricated family that claims the sign but violates it: f = u
@@ -418,124 +411,37 @@ class TestEntropy:
             evaluator=lambda u, t: u,
             entropy_nonpositive=True,
         )
-        grid = Grid1D(4, 1.0)
-        state = constant_state(grid, [math.e])
-        traj = Trajectory()
-        traj.entries.append(
-            TrajectoryEntry(t=0.0, state=state, sup_norms=np.ones(1), masses=np.ones(1))
-        )
-        result = check_entropy(traj, sys)
+        result = check_entropy(fed_state(sys, np.full((1, 4), math.e)))
         assert not result.passed
         assert result.measured == pytest.approx(math.e, rel=1e-12)
 
 
 class TestEntropyPointwise:
     def test_worst_cell_wins(self, quad_system):
-        grid = Grid1D(2, 1.0)
-        state = SystemState(
-            0.0,
-            [
-                Field(grid, [2.0, 1.0]),
-                Field(grid, [3.0, 1.0]),
-                Field(grid, [1.0, 1.0]),
-                Field(grid, [4.0, 1.0]),
-            ],
-        )
+        u = np.array([[2.0, 1.0], [3.0, 1.0], [1.0, 1.0], [4.0, 1.0]])
         # Cell 1: 2 log(2/3) < 0; cell 2: equilibrium, exactly 0.
-        assert entropy_pointwise_worst(quad_system, state) == 0.0
+        assert entropy_pointwise_worst(quad_system, u, 0.0) == 0.0
 
     def test_cells_with_a_zero_species_are_masked(self, quad_system):
-        grid = Grid1D(2, 1.0)
-        state = SystemState(
-            0.0,
-            [
-                Field(grid, [2.0, 1.0]),
-                Field(grid, [3.0, 0.0]),
-                Field(grid, [1.0, 1.0]),
-                Field(grid, [4.0, 1.0]),
-            ],
-        )
-        got = entropy_pointwise_worst(quad_system, state)
+        u = np.array([[2.0, 1.0], [3.0, 0.0], [1.0, 1.0], [4.0, 1.0]])
+        got = entropy_pointwise_worst(quad_system, u, 0.0)
         assert got == pytest.approx(2.0 * math.log(2.0 / 3.0), rel=1e-12)
 
     def test_none_without_positive_cells(self, quad_system):
-        grid = Grid1D(2, 1.0)
-        state = SystemState(
-            0.0, [Field.constant(grid, 0.0) for _ in range(4)]
-        )
-        assert entropy_pointwise_worst(quad_system, state) is None
+        assert entropy_pointwise_worst(quad_system, np.zeros((4, 2)), 0.0) is None
 
 
 class TestPositivityCheck:
     def test_flags_negative_recorded_values(self, quad_system):
-        grid = Grid1D(4, 1.0)
-        good = constant_state(grid, [1.0] * 4)
-        bad_values = np.full(4, 1.0)
-        bad_values[2] = -1e-13
-        bad = SystemState(
-            0.0, [Field(grid, bad_values)] + [Field.constant(grid, 1.0)] * 3
-        )
-        traj = Trajectory()
-        for state in (good, bad):
-            traj.entries.append(
-                TrajectoryEntry(t=state.t, state=state, sup_norms=np.ones(4), masses=np.ones(4))
-            )
-        result = check_positivity(traj)
+        good = np.ones((4, 4))
+        bad = np.ones((4, 4))
+        bad[0, 2] = -1e-13
+        inv = InvariantTracker(quad_system, 1.0)
+        for t, u in ((0.0, good), (0.1, bad)):
+            inv.update(t, u, np.ones(4), None)
+        result = check_positivity(inv)
         assert not result.passed
         assert result.measured == -1e-13
-
-
-class TestInterpolationScaling:
-    def make_measurements(self, exponent):
-        constants = free_space_constants(1, 1.0, 0.0)
-        out = []
-        for h, f in ((1.0, 1.0), (2.0, 3.0), (5.0, 4.0), (9.0, 8.0)):
-            bound = constants.b * h**0.5 * f**0.5
-            out.append(
-                RunMeasurement(grad_sup=0.5 * bound**exponent, holder=h, forcing_sup=f)
-            )
-        return out, constants
-
-    def test_matching_scaling_passes(self):
-        measurements, constants = self.make_measurements(1.0)
-        result = interpolation_scaling_check(measurements, constants)
-        assert result.passed
-        assert result.measured == pytest.approx(1.0, abs=1e-9)
-
-    def test_outrunning_scaling_fails(self):
-        measurements, constants = self.make_measurements(1.5)
-        result = interpolation_scaling_check(measurements, constants)
-        assert not result.passed
-        assert result.measured == pytest.approx(1.5, abs=1e-9)
-
-    def test_vacuous_on_zero_data(self):
-        constants = free_space_constants(1, 1.0, 0.0)
-        measurements = [
-            RunMeasurement(grad_sup=0.0, holder=1.0, forcing_sup=1.0)
-            for _ in range(3)
-        ]
-        result = interpolation_scaling_check(measurements, constants)
-        assert result.passed
-        assert "vacuous" in result.detail
-
-    def test_degenerate_family_fails(self):
-        constants = free_space_constants(1, 1.0, 0.0)
-        measurements = [
-            RunMeasurement(grad_sup=1.0, holder=0.0, forcing_sup=1.0),
-            RunMeasurement(grad_sup=2.0, holder=1.0, forcing_sup=1.0),
-            RunMeasurement(grad_sup=3.0, holder=2.0, forcing_sup=1.0),
-        ]
-        result = interpolation_scaling_check(measurements, constants)
-        assert not result.passed
-        assert "degenerate" in result.detail
-
-    def test_needs_three_runs(self):
-        constants = free_space_constants(1, 1.0, 0.0)
-        with pytest.raises(ConfigError, match="at least 3"):
-            interpolation_scaling_check(
-                [RunMeasurement(grad_sup=1.0, holder=1.0, forcing_sup=1.0)] * 2,
-                constants,
-            )
 
 
 class TestLogLogSlope:

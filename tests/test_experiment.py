@@ -263,9 +263,21 @@ class TestMassIdentity:
         entry = check_map(outcome.report)["mass_identity"]
         assert entry["passed"] is True
 
-    def test_absent_when_recording_is_sparse(self):
-        outcome = run_raw(skew_raw(solver={"dt": DT, "t_end": T_END, "record_every": 2}))
-        assert "mass_identity" not in check_map(outcome.report)
+    def test_same_verdicts_at_any_recording_cadence(self):
+        # The checks are fed every accepted step, so sparse recording thins
+        # the CSV but leaves every verdict and measured value bitwise alone.
+        reports = [
+            run_raw(
+                skew_raw(solver={"dt": DT, "t_end": T_END, "record_every": every})
+            ).report
+            for every in (1, 3)
+        ]
+        dense, sparse = (
+            [(c["name"], c["passed"], c["measured"]) for c in r["checks"]]
+            for r in reports
+        )
+        assert sparse == dense
+        assert "mass_identity" in check_map(reports[1])
 
     def test_absent_without_uniform_decay(self, quad_outcome):
         _, outcome, _ = quad_outcome

@@ -16,6 +16,7 @@ from rdcheck import (
     Grid1D,
     NumericalFailure,
     PolynomialSpec,
+    ReactionSystem,
     SkewLVSpec,
     augment_system,
     SolverConfig,
@@ -272,7 +273,7 @@ class TestTailAccuracy:
             steps = []
             run_simulation(
                 aug, initial, cfg,
-                hooks=[lambda e: steps.append((e.dt, e.state_new.stacked()[:3]))],
+                hooks=[lambda e: steps.append((e.dt, e.u_new[:3]))],
             )
             return steps
 
@@ -288,25 +289,39 @@ class TestTailAccuracy:
 
 class TestImexStep:
     def test_advances_time(self):
-        state = constant_state(Grid1D(8, 1.0), 1.0)
-        assert imex_step(state, heat_only(), 0.25).t == 0.25
+        # f = t on a constant field: the reaction is taken at the step's
+        # start time, so one step from t = 0.5 adds exactly dt * 0.5.
+        clock = ReactionSystem(
+            name="clock",
+            n_species=1,
+            diffusion=np.array([1.0]),
+            k0=0.0,
+            k1=0.0,
+            growth_k=1.0,
+            growth_eps=0.0,
+            evaluator=lambda u, t: np.full_like(u, t),
+            time_dependent=True,
+        )
+        state = constant_state(Grid1D(8, 1.0), 1.0, t=0.5)
+        out = imex_step(state.stacked(), state.t, state.grid, clock, 0.25)
+        np.testing.assert_allclose(out, 1.125, rtol=1e-14)
 
     def test_constant_source_hand_value(self):
         # f = -0.5 on a constant field: diffusion is inert, so one step is
         # exactly u - dt * 0.5.
         state = constant_state(Grid1D(16, 1.0), 2.0)
-        out = imex_step(state, constant_sink(0.5), 0.1)
-        np.testing.assert_allclose(out.fields[0].values, 1.95, rtol=1e-14)
+        out = imex_step(state.stacked(), state.t, state.grid, constant_sink(0.5), 0.1)
+        np.testing.assert_allclose(out[0], 1.95, rtol=1e-14)
 
     def test_equilibrium_is_stationary(self, quad_system):
         state = constant_state(Grid1D(16, 1.0), 1.0, n_species=4)
-        out = imex_step(state, quad_system, 0.05)
-        np.testing.assert_allclose(out.stacked(), 1.0, rtol=1e-13)
+        out = imex_step(state.stacked(), state.t, state.grid, quad_system, 0.05)
+        np.testing.assert_allclose(out, 1.0, rtol=1e-13)
 
     def test_rejects_wrong_species_count(self, quad_system):
         state = constant_state(Grid1D(8, 1.0), 1.0, n_species=2)
         with pytest.raises(ValueError, match="species"):
-            imex_step(state, quad_system, 0.1)
+            imex_step(state.stacked(), state.t, state.grid, quad_system, 0.1)
 
     def test_non_finite_step_raises_numerical_failure(self):
         # u^3 overflows at u = 1e200: the step reports the species and the
@@ -326,7 +341,7 @@ class TestImexStep:
             0.5, [Field.constant(Grid1D(8, 1.0), 1.0), Field.constant(Grid1D(8, 1.0), 1e200)]
         )
         with pytest.raises(NumericalFailure, match="non-finite") as excinfo:
-            imex_step(state, cube, 0.1)
+            imex_step(state.stacked(), state.t, state.grid, cube, 0.1)
         assert excinfo.value.species == 2
         assert excinfo.value.time == 0.5
         assert not math.isfinite(excinfo.value.value)
@@ -334,7 +349,7 @@ class TestImexStep:
     def test_rejects_nonpositive_dt(self):
         state = constant_state(Grid1D(8, 1.0), 1.0)
         with pytest.raises(ValueError, match="dt"):
-            imex_step(state, heat_only(), 0.0)
+            imex_step(state.stacked(), state.t, state.grid, heat_only(), 0.0)
 
 
 class TestRunSimulationValidation:
@@ -372,7 +387,7 @@ class TestRunSimulationRecording:
         traj = run_simulation(heat_only(), state, SolverConfig(dt=0.05, t_end=0.2))
         first = traj.entries[0]
         assert first.t == 0.0
-        np.testing.assert_array_equal(first.state.fields[0].values, state.fields[0].values)
+        np.testing.assert_array_equal(first.u[0], state.fields[0].values)
         assert first.sup_norms[0] == float(np.max(state.fields[0].values))
         assert first.masses[0] == integrate(state.fields[0])
 
@@ -416,8 +431,8 @@ class TestRunSimulationPhysics:
         ratios = []
 
         def capture(event):
-            m_old = sum(integrate(f) for f in event.state_old.fields)
-            m_new = sum(integrate(f) for f in event.state_new.fields)
+            m_old = grid.h * float(np.sum(event.u_old))
+            m_new = grid.h * float(np.sum(event.u_new))
             ratios.append(m_new / m_old)
 
         run_simulation(
@@ -429,7 +444,7 @@ class TestRunSimulationPhysics:
     def test_quad_equilibrium_is_stationary(self, quad_system):
         state = constant_state(Grid1D(16, 1.0), 1.0, n_species=4)
         traj = run_simulation(quad_system, state, SolverConfig(dt=0.05, t_end=0.5))
-        np.testing.assert_allclose(traj.final().state.stacked(), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(traj.final().u, 1.0, rtol=1e-12)
 
 
 class TestPositivityEnforcement:
@@ -459,7 +474,7 @@ class TestPositivityEnforcement:
         )
         assert seen[0] == pytest.approx(0.1)
         assert seen[1] == pytest.approx(0.2)
-        np.testing.assert_array_equal(traj.final().state.fields[0].values, 0.0)
+        np.testing.assert_array_equal(traj.final().u[0], 0.0)
 
     def test_tiny_negatives_are_clamped_to_exact_zero(self):
         # One step from zero data under f = -1e-10 lands at -1e-13, inside
@@ -469,23 +484,23 @@ class TestPositivityEnforcement:
         mins = []
 
         def capture(event):
-            mins.append(float(np.min(event.state_new.fields[0].values)))
+            mins.append(float(np.min(event.u_new[0])))
 
         traj = run_simulation(
             sys, state, SolverConfig(dt=1e-3, t_end=3e-3), hooks=[capture]
         )
         assert mins == [0.0, 0.0, 0.0]
-        np.testing.assert_array_equal(traj.final().state.fields[0].values, 0.0)
+        np.testing.assert_array_equal(traj.final().u[0], 0.0)
 
     def test_non_finite_trial_is_rejected_and_halved(self, monkeypatch):
         # imex_step reports a non-finite trial as NumericalFailure; the run
         # loop treats it like a positivity rejection and halves the step.
         real = rdcheck.solver.imex_step
 
-        def overflowing_above(state, sys, dt):
+        def overflowing_above(u, t, grid, sys, dt):
             if dt > 0.15:
-                raise NumericalFailure("non-finite", time=state.t, species=1, value=math.inf)
-            return real(state, sys, dt)
+                raise NumericalFailure("non-finite", time=t, species=1, value=math.inf)
+            return real(u, t, grid, sys, dt)
 
         monkeypatch.setattr(rdcheck.solver, "imex_step", overflowing_above)
         seen = []
@@ -527,7 +542,29 @@ class TestHooks:
         assert [e.index for e in events] == [1, 2]
         assert events[0].t_old == 0.0
         assert events[0].t_new == pytest.approx(0.25)
-        assert events[1].state_old is events[0].state_new
+        assert events[1].u_old is events[0].u_new
+
+    def test_event_shares_read_only_arrays_and_field_norms(self, quad_system):
+        # The step's norms are computed once, row-wise, bitwise equal to the
+        # per-Field integrate and sup, and the recorded entries reuse them.
+        grid = Grid1D(40, 1.0)
+        events = []
+        traj = run_simulation(
+            quad_system, quad_bump_state(grid),
+            SolverConfig(dt=5e-3, t_end=0.05, record_every=3), hooks=[events.append],
+        )
+        recorded = [e for e in events if e.recorded]
+        assert [e.index for e in recorded] == [3, 6, 9, 10]
+        for event in events:
+            assert not event.u_old.flags.writeable
+            assert not event.u_new.flags.writeable
+            fields = [Field(grid, row) for row in event.u_new]
+            assert list(event.masses) == [integrate(f) for f in fields]
+            assert list(event.sup_norms) == [float(np.max(f.values)) for f in fields]
+        for entry, event in zip(traj.entries[1:], recorded):
+            assert entry.t == event.t_new
+            assert entry.u is event.u_new
+            assert entry.masses is event.masses
 
     def test_hooks_see_every_accepted_step_regardless_of_recording(self):
         state = constant_state(Grid1D(8, 1.0), 1.0)
@@ -549,7 +586,7 @@ class TestDeterminism:
         a = run_simulation(quad_system, quad_bump_state(grid), cfg)
         b = run_simulation(quad_system, quad_bump_state(grid), cfg)
         np.testing.assert_array_equal(
-            a.final().state.stacked(), b.final().state.stacked()
+            a.final().u, b.final().u
         )
 
 
@@ -566,7 +603,7 @@ class TestConvergence:
         for dt in (2e-3, 1e-3, 5e-4):
             state = SystemState(0.0, [Field(grid, 1.5 + mode)])
             traj = run_simulation(heat_only(), state, SolverConfig(dt=dt, t_end=t_end))
-            got = traj.final().state.fields[0].values
+            got = traj.final().u[0]
             errors.append(np.max(np.abs(got - (1.5 + exact))))
         assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.2)
         assert errors[1] / errors[2] == pytest.approx(2.0, abs=0.2)
@@ -585,7 +622,7 @@ class TestConvergence:
             traj = run_simulation(
                 heat_only(), state, SolverConfig(dt=t_end / steps, t_end=t_end)
             )
-            got = traj.final().state.fields[0].values
+            got = traj.final().u[0]
             exact = 1.5 + math.exp(-math.pi**2 * t_end) * mode
             errors.append(np.max(np.abs(got - exact)))
         assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.7)

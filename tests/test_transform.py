@@ -170,8 +170,8 @@ class TestAugmentedRuns:
         assert len(base_traj.entries) == len(aug_traj.entries)
         for be, ae in zip(base_traj.entries, aug_traj.entries):
             assert be.t == ae.t
-            np.testing.assert_array_equal(be.state.stacked(), ae.state.stacked()[:4])
-            assert np.all(ae.state.stacked()[4] == 0.0)
+            np.testing.assert_array_equal(be.u, ae.u[:4])
+            assert np.all(ae.u[4] == 0.0)
 
     def test_skew_commutation_error_is_first_order(self, skew_system):
         # Continuum rescaling commutes with the dynamics; discretely the
@@ -185,10 +185,10 @@ class TestAugmentedRuns:
             cfg = SolverConfig(dt=dt, t_end=t_end)
             base_final = run_simulation(
                 skew_system, two_bump_state(grid), cfg
-            ).final().state.stacked()
+            ).final().u
             aug_final = run_simulation(
                 aug, two_bump_state(grid, tail_species=1), cfg
-            ).final().state.stacked()
+            ).final().u
             predicted_head = rescale_solution(base_final, -1.0, t_end)
             defects.append(float(np.max(np.abs(aug_final[:2] - predicted_head))))
         assert defects[0] < 0.05
@@ -208,5 +208,5 @@ class TestAugmentedRuns:
         )
         totals = np.array([float(np.sum(e.masses)) for e in traj.entries])
         assert np.max(np.abs(totals - totals[0])) <= 1e-12 * totals[0]
-        tail = traj.final().state.fields[2].values
+        tail = traj.final().u[2]
         assert np.min(tail) > 0.0
