@@ -10,7 +10,6 @@ conservative closure transform, all reachable from a JSON-configured CLI.
 from .config import RunConfig, build_initial_state, load_config, validate_config
 from .diagnostics import (
     AuxiliaryConfig,
-    AuxiliaryState,
     AuxiliaryTracker,
     CheckResult,
     InvariantTracker,
@@ -53,8 +52,6 @@ from .solver import (
     SolverConfig,
     StepEvent,
     SystemState,
-    Trajectory,
-    TrajectoryEntry,
     imex_step,
     implicit_heat_step,
     run_simulation,
@@ -80,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentedSystem",
     "AuxiliaryConfig",
-    "AuxiliaryState",
     "AuxiliaryTracker",
     "CheckOutcome",
     "CheckResult",
@@ -104,8 +100,6 @@ __all__ = [
     "StepEvent",
     "StructureVerdict",
     "SystemState",
-    "Trajectory",
-    "TrajectoryEntry",
     "apply_laplacian",
     "augment_system",
     "build_initial_state",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -432,18 +433,19 @@ def validate_config(raw: dict) -> RunConfig:
         if aug_offset is None:
             aug_offset = 0.0
 
-    csv_path = None
-    report_path = None
+    paths = {}
     sec = col.section(raw, "output", required=False)
     if sec is not None:
-        csv_path = sec.get("csv")
-        report_path = sec.get("report")
-        if csv_path is not None and not isinstance(csv_path, str):
-            col.add("output.csv", f"expected a path string, got {csv_path!r}")
-            csv_path = None
-        if report_path is not None and not isinstance(report_path, str):
-            col.add("output.report", f"expected a path string, got {report_path!r}")
-            report_path = None
+        for key in ("csv", "report"):
+            value = sec.get(key)
+            if isinstance(value, str) and value:
+                paths[key] = value
+            elif value is not None:
+                col.add(f"output.{key}", f"expected a non-empty path, got {value!r}")
+        if len(paths) == 2 and len({os.path.abspath(p) for p in paths.values()}) == 1:
+            col.add("output.report", f"names the same file as output.csv: {paths['report']!r}")
+    csv_path = paths.get("csv")
+    report_path = paths.get("report")
 
     seed = col.integer(raw, "", "seed", required=False, default=0, minimum=0)
     if seed is None:
@@ -477,6 +479,8 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError([f"cannot read config {path}: {exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config {path} is not UTF-8 text: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config {path} is not valid JSON: {exc}"]) from exc
     return validate_config(raw)

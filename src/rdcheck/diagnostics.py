@@ -21,10 +21,12 @@ pins down three independent ways, each checked here numerically:
   0 <= u_hat <= d z_hat with sup|u_hat| <= d (M + integral K0) T.
 
 The tracker is a solver hook: it advances with the accepted steps and keeps
-running extrema, so bounds are checked against the whole history, not just
-recorded snapshots.  Holder moduli are measured on recorded snapshots only,
-with one `holder_modulus` call on the stacked (v_d, z_hat, u_hat) rows; the
-lag sweep behind it is O(n) memory and O(n^2) time in the worst case.
+the current fields and running extrema only, so bounds are checked against
+the whole history, not just recorded steps, and each per-step quantity
+(sum_i u_i, b, sup|z|, v_d) is computed once.  Holder moduli are measured
+at recorded steps only, with one `holder_modulus` call on the stacked
+(v_d, z_hat, u_hat) rows; the lag sweep behind it is O(n) memory and O(n^2)
+time in the worst case.
 
 The primal checks work the same way.  `InvariantTracker` is fed the
 initial state and then every accepted step, with the masses the solver
@@ -43,13 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, holder_modulus, laplacian_values
+from .grid import holder_modulus, laplacian_values
 from .models import ReactionSystem
 from .solver import StepEvent, SystemState, implicit_heat_step
 
 __all__ = [
     "AuxiliaryConfig",
-    "AuxiliaryState",
     "AuxiliaryTracker",
     "CheckResult",
     "InvariantTracker",
@@ -81,7 +82,7 @@ class AuxiliaryConfig:
     Attributes:
         d: shared auxiliary diffusion; must exceed every species coefficient
             strictly (validated against the system at tracker construction).
-        gammas: Holder exponents measured on recorded snapshots.
+        gammas: Holder exponents measured at recorded steps.
         z_offset: test-surface injection added to z at t = 0 (defaults to
             zero; used to demonstrate that a corrupted z flips the bound
             check).
@@ -97,19 +98,6 @@ class AuxiliaryConfig:
         for g in self.gammas:
             if not np.isfinite(g) or g < 0.0 or g > 1.0:
                 raise ValueError(f"Holder exponent must lie in [0, 1], got {g}")
-
-
-@dataclass(frozen=True)
-class AuxiliaryState:
-    """Snapshot of the auxiliary fields at one instant."""
-
-    t: float
-    v: tuple
-    z: Field
-    z_hat: Field
-    u_hat: Field
-    v_d: Field
-    b: Field
 
 
 class AuxiliaryTracker:
@@ -129,108 +117,92 @@ class AuxiliaryTracker:
         n = sys.n_species
         cells = self.grid.n_cells
         u0 = initial.stacked()
-        self._u_last = u0
         self._v = np.zeros((n, cells))
         self._z = np.sum(u0, axis=0) + cfg.z_offset
         self._z_hat = np.zeros(cells)
         self._u_hat = np.zeros(cells)
         self._weights = np.asarray(sys.diffusion, dtype=np.float64)
+        # d - d_i: the weights of v_d and of its forcing sum_i (d - d_i) u_i.
+        self._gaps = cfg.d - self._weights
         self._s_prev = np.tensordot(self._weights, u0, axes=1)
-        self._z_prev = self._z.copy()
         # M = sum of per-species initial sup norms, the constant in the
         # z and u_hat bounds.
         self.initial_sup_sum = float(
             np.sum([np.max(np.abs(u0[i])) for i in range(n)])
         )
-        self.z_sup_max = float(np.max(np.abs(self._z)))
+        self.z_sup_max = -math.inf
         self.vd_consistency_max = 0.0
         self.zvd_residual_max = 0.0
         self.grad_vd_max = 0.0
-        self.forcing_sup_max = self._forcing_sup(u0)
+        self.forcing_sup_max = -math.inf
         self.uhat_min = 0.0
         self.uhat_sup_max = 0.0
         self.dzhat_minus_uhat_min = 0.0
+        self.b_min = math.inf
+        self.b_max = -math.inf
         self.holder_max: dict = {}
-        b = self._b_values(u0)
-        self.b_min = float(np.min(b))
-        self.b_max = float(np.max(b))
-        self._row = self._compute_row(u0)
-
-    def _forcing_sup(self, u: np.ndarray) -> float:
-        u_d = np.tensordot(self.cfg.d - self._weights, u, axes=1)
-        return float(np.max(np.abs(u_d)))
-
-    def _b_values(self, u: np.ndarray) -> np.ndarray:
-        total = np.sum(u, axis=0)
-        weighted = np.tensordot(self._weights, u, axes=1)
-        fallback = 1.0 / float(self._weights[0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b = np.where(total > _TOTAL_MASS_FLOOR, total / weighted, fallback)
-        return b
-
-    def _vd_values(self) -> np.ndarray:
-        return np.tensordot(self.cfg.d - self._weights, self._v, axes=1)
+        self._observe(u0, self._s_prev)
 
     def on_step(self, event: StepEvent) -> None:
-        u_old = event.u_old
-        u_new = event.u_new
         dt = event.dt
-        d = self.cfg.d
         k0_old = self.sys.mass_source_rate(event.t_old)
         rows = implicit_heat_step(
             np.vstack((self._v, self._z)),
             self.grid,
-            d,
+            self.cfg.d,
             dt,
-            np.vstack((u_old, np.full(self.grid.n_cells, k0_old))),
+            np.vstack((event.u_old, np.full(self.grid.n_cells, k0_old))),
         )
         # Same clamp policy as the solver.  The exact implicit step keeps
         # v nonnegative; the spectral solve leaves rounding dust of either
         # sign around that, and only the negative dust is clamped.
         self._v = np.maximum(rows[:-1], 0.0)
-        self._z = rows[-1]
-        s_new = np.tensordot(self._weights, u_new, axes=1)
-        self._z_hat = self._z_hat + 0.5 * dt * (self._z_prev + self._z)
+        z_old, self._z = self._z, rows[-1]
+        s_new = np.tensordot(self._weights, event.u_new, axes=1)
+        self._z_hat = self._z_hat + 0.5 * dt * (z_old + self._z)
         self._u_hat = self._u_hat + 0.5 * dt * (self._s_prev + s_new)
-        self._z_prev = self._z.copy()
         self._s_prev = s_new
         self.t = event.t_new
+        self._observe(event.u_new, s_new)
 
-        self.z_sup_max = max(self.z_sup_max, float(np.max(np.abs(self._z))))
-        self.forcing_sup_max = max(self.forcing_sup_max, self._forcing_sup(u_new))
-        b = self._b_values(u_new)
-        self.b_min = min(self.b_min, float(np.min(b)))
-        self.b_max = max(self.b_max, float(np.max(b)))
-        self.uhat_min = min(self.uhat_min, float(np.min(self._u_hat)))
-        self.uhat_sup_max = max(self.uhat_sup_max, float(np.max(np.abs(self._u_hat))))
+    def _observe(self, u: np.ndarray, weighted: np.ndarray) -> None:
+        """Measure the fields at the current time, each quantity once.
+
+        u is the primal (species, cells) array of the same time and
+        weighted its sum_i d_i u_i.  Updates the running extrema, the
+        diagnostic CSV row and the v_d that measure_holder reads.
+        """
+        d = self.cfg.d
+        total = np.sum(u, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = np.where(
+                total > _TOTAL_MASS_FLOOR, total / weighted, 1.0 / float(self._weights[0])
+            )
+        b_min = float(np.min(b))
+        b_max = float(np.max(b))
+        z_sup = float(np.max(np.abs(self._z)))
+        forcing = float(np.max(np.abs(np.tensordot(self._gaps, u, axes=1))))
+        v_d = self._v_d = np.tensordot(self._gaps, self._v, axes=1)
         gap = d * self._z_hat - self._u_hat
-        self.dzhat_minus_uhat_min = min(self.dzhat_minus_uhat_min, float(np.min(gap)))
-        self._u_last = u_new
-        self._row = self._compute_row(u_new, gap)
-
-    def _compute_row(self, u: np.ndarray, gap: np.ndarray | None = None) -> dict:
-        v_d = self._vd_values()
-        if gap is None:
-            gap = self.cfg.d * self._z_hat - self._u_hat
         consistency = float(np.max(np.abs(v_d - gap)))
         zvd = float(
-            np.max(
-                np.abs(
-                    self._z
-                    - laplacian_values(v_d, self.grid.h)
-                    - np.sum(u, axis=0)
-                )
-            )
+            np.max(np.abs(self._z - laplacian_values(v_d, self.grid.h) - total))
         )
         gvd = float(np.max(np.abs(np.diff(v_d))) / self.grid.h) if v_d.size > 1 else 0.0
+        self.z_sup_max = max(self.z_sup_max, z_sup)
+        self.forcing_sup_max = max(self.forcing_sup_max, forcing)
+        self.b_min = min(self.b_min, b_min)
+        self.b_max = max(self.b_max, b_max)
+        self.uhat_min = min(self.uhat_min, float(np.min(self._u_hat)))
+        self.uhat_sup_max = max(self.uhat_sup_max, float(np.max(np.abs(self._u_hat))))
+        self.dzhat_minus_uhat_min = min(self.dzhat_minus_uhat_min, float(np.min(gap)))
         self.vd_consistency_max = max(self.vd_consistency_max, consistency)
         self.zvd_residual_max = max(self.zvd_residual_max, zvd)
         self.grad_vd_max = max(self.grad_vd_max, gvd)
-        b = self._b_values(u)
-        return {
-            "z_sup": float(np.max(np.abs(self._z))),
-            "b_min": float(np.min(b)),
-            "b_max": float(np.max(b)),
+        self._row = {
+            "z_sup": z_sup,
+            "b_min": b_min,
+            "b_max": b_max,
             "vd_consistency": consistency,
             "zvd_residual": zvd,
             "grad_vd_sup": gvd,
@@ -241,26 +213,15 @@ class AuxiliaryTracker:
         return dict(self._row)
 
     def measure_holder(self) -> None:
-        """Update running Holder moduli; called at recorded snapshots."""
+        """Update running Holder moduli; called at recorded steps."""
         names = ("v_d", "z_hat", "u_hat")
-        stacked = np.stack([self._vd_values(), self._z_hat, self._u_hat])
+        stacked = np.stack([self._v_d, self._z_hat, self._u_hat])
         moduli = holder_modulus(stacked, self.grid.h, self.cfg.gammas)
         for name, row in zip(names, moduli):
             for g, val in zip(self.cfg.gammas, row):
                 key = (name, float(g))
                 if val > self.holder_max.get(key, 0.0):
                     self.holder_max[key] = float(val)
-
-    def snapshot(self) -> AuxiliaryState:
-        return AuxiliaryState(
-            t=self.t,
-            v=tuple(Field(self.grid, v) for v in self._v),
-            z=Field(self.grid, self._z),
-            z_hat=Field(self.grid, self._z_hat),
-            u_hat=Field(self.grid, self._u_hat),
-            v_d=Field(self.grid, self._vd_values()),
-            b=Field(self.grid, self._b_values(self._u_last)),
-        )
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,14 @@ This layer wires a validated RunConfig into the solver, the structure
 audits, the auxiliary-field tracker and the invariant checks (both fed
 every accepted step), then serializes the results:
 
-* a CSV trace with one row per recorded snapshot (columns fixed by
+* a CSV trace with one row per recorded step (columns fixed by
   _Recorder; diagnostics cells are empty when the tracker is off);
 * a JSON report echoing the config with its sha256, every check verdict,
   fitted rates, and an overall pass / fail / aborted verdict.
+
+No state array outlives its step: the fits read scalar series that the
+recorder appends at each recorded step, so beyond the CSV rows a run
+holds O(cells) memory plus one float per recorded step and fit series.
 
 Both files are written atomically (temp file + os.replace) so a crashed
 run never leaves a half-written artifact at the target path.  A
@@ -44,13 +48,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, NumericalFailure
 from .models import ReactionSystem, StructureVerdict, check_structure
-from .solver import (
-    StepEvent,
-    SystemState,
-    Trajectory,
-    row_norms,
-    run_simulation,
-)
+from .solver import StepEvent, SystemState, row_norms, run_simulation
 from .theory import fit_rate, quad_equilibrium
 from .transform import augment_system, verify_augmented
 
@@ -65,7 +63,6 @@ class ExperimentOutcome:
 
     report: dict
     csv_text: str
-    trajectory: Trajectory | None
     tracker: AuxiliaryTracker | None
     augmented: bool
     aborted: bool
@@ -170,12 +167,14 @@ def _verdict_checks(prefix: str, verdict: StructureVerdict, conservation: bool) 
 
 class _Recorder:
     """Solver hook measuring each state once: it feeds the invariant checks
-    at every accepted step and writes a CSV row at each recorded one.
+    at every accepted step and, at each recorded one, writes a CSV row and
+    appends to the scalar series the configured fits name.
 
     The entropy value is computed only where a row or the entropy check
     needs it, and both share it.  Runs after the AuxiliaryTracker hook so
     the diagnostic cells it reads are synchronized with the primal state of
-    the same step.
+    the same step.  No state array is kept: a fit series is one float per
+    recorded step, and `times` holds their times.
     """
 
     def __init__(
@@ -183,6 +182,7 @@ class _Recorder:
         system: ReactionSystem,
         initial: SystemState,
         tracker: AuxiliaryTracker | None,
+        fit_series=(),
     ):
         self.system = system
         self.tracker = tracker
@@ -199,13 +199,25 @@ class _Recorder:
         )
         self.rows = [",".join(columns)]
         u0 = initial.stacked()
-        self._observe(0.0, u0, *row_norms(u0, initial.grid.h), True)
+        sup_norms, masses = row_norms(u0, initial.grid.h)
+        self.times = []
+        # Fit series name -> its values at the recorded steps, or the
+        # ValueError that leaves it undefined for this run.
+        self.series = {name: [] for name in fit_series}
+        if "distance_to_equilibrium" in self.series:
+            try:
+                eq = _equilibrium(system, masses, initial.grid.length)
+                self._equilibrium = eq[:, None]
+            except ValueError as exc:
+                self.series["distance_to_equilibrium"] = exc
+        self._observe(0.0, u0, sup_norms, masses, True)
 
     def _observe(self, t, u, sup_norms, masses, recorded: bool) -> None:
         entropy = None
         if recorded or self.system.entropy_nonpositive:
             entropy = entropy_pointwise_worst(self.system, u, t)
-        self.invariants.update(t, u, masses, entropy)
+        inv = self.invariants
+        inv.update(t, u, masses, entropy)
         if not recorded:
             return
         if self.tracker is not None:
@@ -217,9 +229,17 @@ class _Recorder:
             ]
         else:
             diag = [None] * 6
-        inv = self.invariants
         cells = [t, *sup_norms, *masses, inv.total, entropy, *inv.laws, *diag]
         self.rows.append(",".join(_fmt(c) for c in cells))
+        self.times.append(t)
+        for name, values in self.series.items():
+            if name == "mass_total":
+                values.append(inv.total)
+            elif name == "sup_total":
+                values.append(float(np.sum(sup_norms)))
+            elif not isinstance(values, ValueError):
+                gap = np.abs(u - self._equilibrium)
+                values.append(float(np.sum(np.max(gap, axis=1))))
 
     def on_step(self, event: StepEvent) -> None:
         self.n_accepted += 1
@@ -231,30 +251,26 @@ class _Recorder:
         return "\n".join(self.rows) + "\n"
 
 
-def _series_values(entries, series: str, system: ReactionSystem, domain_length: float):
-    """Extract one named time series from trajectory entries."""
-    if series == "mass_total":
-        return [float(np.sum(e.masses)) for e in entries]
-    if series == "sup_total":
-        return [float(np.sum(e.sup_norms)) for e in entries]
+def _equilibrium(system: ReactionSystem, masses0: np.ndarray, domain_length: float):
+    """Reversible-exchange equilibrium of the initial conserved masses.
+
+    Raises:
+        ValueError: for a system outside the four-species reversible family,
+            or masses quad_equilibrium rejects.
+    """
     labels = tuple(label for label, _ in system.conservation_laws)
     if labels != _QUAD_LAW_LABELS:
         raise ValueError(
             "distance_to_equilibrium needs the four-species reversible family"
         )
-    masses0 = entries[0].masses
-    law = dict(zip(labels, (w for _, w in system.conservation_laws)))
+    law = dict(system.conservation_laws)
     m13 = float(np.dot(law["u1+u3"], masses0)) / domain_length
     m23 = float(np.dot(law["u2+u3"], masses0)) / domain_length
     m24 = float(np.dot(law["u2+u4"], masses0)) / domain_length
-    eq = quad_equilibrium(m13, m23, m24).as_array()
-    out = []
-    for e in entries:
-        out.append(float(np.sum(np.max(np.abs(e.u - eq[:, None]), axis=1))))
-    return out
+    return quad_equilibrium(m13, m23, m24).as_array()
 
 
-def _run_fits(cfg: RunConfig, traj: Trajectory, system: ReactionSystem):
+def _run_fits(cfg: RunConfig, recorder: _Recorder):
     """Evaluate every configured fit; errors become failed checks."""
     fit_entries = []
     fit_checks = []
@@ -266,13 +282,11 @@ def _run_fits(cfg: RunConfig, traj: Trajectory, system: ReactionSystem):
             "window": [t0, t1],
         }
         try:
-            values = _series_values(
-                traj.entries, spec["series"], system, cfg.grid.length
-            )
+            values = recorder.series[spec["series"]]
+            if isinstance(values, ValueError):
+                raise values
             pairs = [
-                (e.t, v)
-                for e, v in zip(traj.entries, values)
-                if t0 <= e.t <= t1
+                (t, v) for t, v in zip(recorder.times, values) if t0 <= t <= t1
             ]
             times = [p[0] for p in pairs]
             ys = [p[1] for p in pairs]
@@ -378,7 +392,9 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
         except ValueError as exc:
             raise ConfigError([f"diagnostics.d: {exc}"]) from exc
 
-    recorder = _Recorder(system, initial, tracker)
+    recorder = _Recorder(
+        system, initial, tracker, [spec["series"] for spec in cfg.fits]
+    )
     hooks = ([tracker.on_step] if tracker else []) + [recorder.on_step]
 
     report = {
@@ -390,7 +406,7 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
     }
 
     try:
-        traj = run_simulation(system, initial, cfg.solver, hooks)
+        run_simulation(system, initial, cfg.solver, hooks)
     except NumericalFailure as exc:
         report["checks"] = [_check_dict(c) for c in checks]
         report["fits"] = []
@@ -406,7 +422,6 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
         outcome = ExperimentOutcome(
             report=report,
             csv_text=recorder.text(),
-            trajectory=None,
             tracker=tracker,
             augmented=augment,
             aborted=True,
@@ -426,7 +441,7 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
         checks.append(check_b_range(tracker))
         checks.extend(check_uhat_bounds(tracker, cfg.solver.t_end))
 
-    fit_entries, fit_checks = _run_fits(cfg, traj, system)
+    fit_entries, fit_checks = _run_fits(cfg, recorder)
     checks.extend(fit_checks)
 
     passed = all(c.passed is not False for c in checks)
@@ -439,7 +454,6 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
     outcome = ExperimentOutcome(
         report=report,
         csv_text=recorder.text(),
-        trajectory=traj,
         tracker=tracker,
         augmented=augment,
         aborted=False,

@@ -32,16 +32,17 @@ accepted trial are clamped to exact zero.  Hooks observe accepted steps
 only, in registration order.
 
 The run loop works on one float64 (species, cells) array from start to
-end; `SystemState` is only the input type.  Each accepted step's sup norms
-and masses are computed once, row-wise, and shared by the hooks' StepEvent
-and the recorded TrajectoryEntry.  The recording cadence (every
-record_every-th accepted step, and the last one) is decided here only and
-handed to the hooks as StepEvent.recorded.
+end; `SystemState` is only the input type.  No state outlives the step
+that replaced it: the run returns the final array, and a hook that wants
+more keeps what it needs.  Each accepted step's sup norms and masses are
+computed once, row-wise, and handed to the hooks in the StepEvent.  The
+recording cadence (every record_every-th accepted step, and the last one)
+is decided here only and handed to the hooks as StepEvent.recorded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,8 +55,6 @@ __all__ = [
     "SolverConfig",
     "SystemState",
     "StepEvent",
-    "TrajectoryEntry",
-    "Trajectory",
     "implicit_heat_step",
     "imex_step",
     "run_simulation",
@@ -71,8 +70,8 @@ class SolverConfig:
         t_end: final time (> 0); the last step is clipped to land exactly.
         positivity_floor: reject threshold, <= 0.
         max_step_halvings: retry budget per step.
-        record_every: snapshot cadence in accepted steps (>= 1); the final
-            state is always recorded.
+        record_every: recording cadence in accepted steps (>= 1); the
+            final step is always recorded.
     """
 
     dt: float
@@ -132,7 +131,8 @@ class StepEvent:
 
     u_old and u_new are read-only (species, cells) arrays; u_new is already
     clamped, and sup_norms and masses are its per-species sup|u_i| and
-    h * sum_j u_ij.  recorded says whether the step enters the trajectory.
+    h * sum_j u_ij.  recorded says whether the step is a recorded one
+    (every record_every-th accepted step, and the last).
     """
 
     index: int
@@ -144,30 +144,6 @@ class StepEvent:
     sup_norms: np.ndarray
     masses: np.ndarray
     recorded: bool
-
-
-@dataclass(frozen=True)
-class TrajectoryEntry:
-    """One recorded state: its read-only (species, cells) array and row norms."""
-
-    t: float
-    u: np.ndarray
-    sup_norms: np.ndarray
-    masses: np.ndarray
-
-
-@dataclass
-class Trajectory:
-    """Recorded snapshots, strictly increasing in time, first at t = 0."""
-
-    entries: list = dc_field(default_factory=list)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([e.t for e in self.entries])
-
-    def final(self) -> TrajectoryEntry:
-        return self.entries[-1]
 
 
 def _even_spectrum(values: np.ndarray) -> np.ndarray:
@@ -227,7 +203,16 @@ def implicit_heat_step(
     symbol = 1.0 + (r / (grid.h * grid.h)) * decay
     x = _spectral_solve(rhs, symbol)
     residual = rhs - (x - r * laplacian_values(x, grid.h))
-    return x + _spectral_solve(residual, symbol)
+    # The correction solve is _spectral_solve written out, so that the
+    # residual's even extension outlives it: x + correction goes into the
+    # first half of that (rows, 2n) block.  The result is contiguous, and the
+    # state a run keeps occupies a block the size of the next step's
+    # transform buffers, which then reuse freed blocks instead of growing
+    # and trimming the heap, and faulting its pages in again, every step.
+    extension = np.concatenate((residual, residual[..., ::-1]), axis=-1)
+    correction = np.fft.irfft(np.fft.rfft(extension) / symbol, n=2 * n)[..., :n]
+    out = extension.reshape(-1)[: residual.size].reshape(residual.shape)
+    return np.add(x, correction, out=out)
 
 
 def imex_step(
@@ -286,7 +271,7 @@ def run_simulation(
     initial: SystemState,
     cfg: SolverConfig,
     hooks: Sequence[Callable[[StepEvent], None]] = (),
-) -> Trajectory:
+) -> np.ndarray:
     """Integrate from t = 0 to t_end with positivity enforcement.
 
     Each step starts from cfg.dt (clipped to land exactly on t_end).  A
@@ -297,8 +282,8 @@ def run_simulation(
     in registration order, and see the old and the clamped new array.
 
     Returns:
-        Trajectory with the t = 0 snapshot, every record_every-th accepted
-        step, and the final state.
+        The read-only (species, cells) array at t_end.  Only the current
+        state is kept while the run goes on; hooks see every accepted step.
 
     Raises:
         ValueError: on a negative initial state or mismatched species count.
@@ -322,7 +307,6 @@ def run_simulation(
     u.flags.writeable = False
     grid = initial.grid
     t = 0.0
-    traj = Trajectory([TrajectoryEntry(t, u, *row_norms(u, grid.h))])
     tiny = 1e-12 * max(1.0, cfg.t_end)
     step_index = 0
     while t < cfg.t_end - tiny:
@@ -375,7 +359,5 @@ def run_simulation(
         )
         for hook in hooks:
             hook(event)
-        if recorded:
-            traj.entries.append(TrajectoryEntry(t_new, u_new, sup_norms, masses))
         t, u = t_new, u_new
-    return traj
+    return u

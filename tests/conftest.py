@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from rdcheck import (
     SkewLVSpec,
     SystemState,
     instantiate_model,
+    run_simulation,
 )
+from rdcheck.solver import row_norms
 
 QUAD_DIFFUSION = [1.0, 1.5, 2.0, 2.5]
 
@@ -46,6 +50,45 @@ def quad_bump_state(grid: Grid1D) -> SystemState:
             Field(grid, 0.5 + bump(grid, 0.2, 0.12, 1.5)),
         ],
     )
+
+
+class RecordedState(NamedTuple):
+    t: float
+    u: np.ndarray
+    sup_norms: np.ndarray
+    masses: np.ndarray
+
+
+class StateCollector:
+    """Step hook keeping the states a run does not store itself.
+
+    Holds the initial state and the state of every recorded step, with
+    their row norms, for tests that read whole states.
+    """
+
+    def __init__(self, initial: SystemState):
+        u0 = initial.stacked()
+        self.entries = [RecordedState(0.0, u0, *row_norms(u0, initial.grid.h))]
+
+    def __call__(self, event) -> None:
+        if event.recorded:
+            self.entries.append(
+                RecordedState(event.t_new, event.u_new, event.sup_norms, event.masses)
+            )
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.array([e.t for e in self.entries])
+
+    def final(self) -> RecordedState:
+        return self.entries[-1]
+
+
+def collected_run(system, initial, cfg, hooks=()) -> StateCollector:
+    """run_simulation with a StateCollector as the last hook; returns it."""
+    collector = StateCollector(initial)
+    run_simulation(system, initial, cfg, hooks=[*hooks, collector])
+    return collector
 
 
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:

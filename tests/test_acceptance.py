@@ -13,7 +13,9 @@ import time
 import numpy as np
 import pytest
 import scipy.integrate
+from conftest import StateCollector
 
+import rdcheck.experiment
 from rdcheck import (
     Field,
     Grid1D,
@@ -100,15 +102,35 @@ def skew_run_raw(n_cells: int, dt: float, t_end: float, **extra) -> dict:
     return raw
 
 
+def collected_experiment(cfg):
+    """run_experiment with a StateCollector added to its solver hooks.
+
+    Returns the outcome, the collected states and the wall time of
+    run_experiment.
+    """
+    collectors = []
+    solve = rdcheck.experiment.run_simulation
+
+    def collecting(system, initial, solver_cfg, hooks=()):
+        collectors.append(StateCollector(initial))
+        return solve(system, initial, solver_cfg, hooks=[*hooks, collectors[-1]])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rdcheck.experiment, "run_simulation", collecting)
+        start = time.perf_counter()
+        outcome = run_experiment(cfg)
+        elapsed = time.perf_counter() - start
+    (states,) = collectors
+    return outcome, states, elapsed
+
+
 @pytest.fixture(scope="module")
 def quad_relaxation():
     """Shared four-species run to t = 2 used by the conservation and decay gates."""
     cfg = validate_config(quad_run_raw(n_cells=128, dt=1e-3, t_end=2.0))
-    start = time.perf_counter()
-    outcome = run_experiment(cfg)
-    elapsed = time.perf_counter() - start
+    outcome, states, elapsed = collected_experiment(cfg)
     assert not outcome.aborted
-    return outcome, elapsed
+    return states, elapsed
 
 
 def test_01_interpolation_constants_and_moments():
@@ -205,9 +227,9 @@ def test_02_equilibrium_against_bisection():
 def test_03_conservation_and_entropy_decay(quad_relaxation):
     from rdcheck import entropy_pointwise_worst
 
-    outcome, run_elapsed = quad_relaxation
+    states, run_elapsed = quad_relaxation
     failures = []
-    entries = outcome.trajectory.entries
+    entries = states.entries
     system = instantiate_model(
         __import__("rdcheck").QuadraticReversibleSpec(), QUAD_DIFFUSION
     )
@@ -241,10 +263,10 @@ def test_03_conservation_and_entropy_decay(quad_relaxation):
 
 
 def test_04_exponential_relaxation_rate(quad_relaxation):
-    outcome, _ = quad_relaxation
+    states, _ = quad_relaxation
     failures = []
     start = time.perf_counter()
-    entries = outcome.trajectory.entries
+    entries = states.entries
 
     m13 = entries[0].masses[0] + entries[0].masses[2]
     m23 = entries[0].masses[1] + entries[0].masses[2]
@@ -289,11 +311,9 @@ def test_05_skew_mass_decay_rate():
             }
         ],
     )
-    start = time.perf_counter()
-    outcome = run_experiment(validate_config(raw))
-    elapsed = time.perf_counter() - start
+    outcome, states, elapsed = collected_experiment(validate_config(raw))
 
-    entries = outcome.trajectory.entries
+    entries = states.entries
     total0 = float(np.sum(entries[0].masses))
     worst = 0.0
     for k, entry in enumerate(entries):

@@ -231,6 +231,36 @@ class TestConfigErrors:
         assert main(["verify", str(path)]) == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().out
 
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["verify", str(path)]) == EXIT_CONFIG
+        out = capsys.readouterr().out
+        assert "config error:" in out
+        assert "not UTF-8" in out
+
+    def test_not_utf8_in_sweep_keeps_the_other_configs_summary(self, tmp_path, capsys):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b"\xff\xfe{")
+        report_path = tmp_path / "good-report.json"
+        good = write_config(
+            tmp_path, quad_raw(output={"report": str(report_path)}), "good.json"
+        )
+        assert main(["verify", "--sweep", good, str(bad)]) == EXIT_CONFIG
+        out = capsys.readouterr().out
+        assert f"== {good}" in out
+        assert "overall: pass" in out
+        assert f"== {bad}" in out
+        assert "not UTF-8" in out
+        assert json.loads(report_path.read_text())["overall"] == "pass"
+
+    def test_csv_and_report_on_one_file(self, tmp_path, capsys):
+        target = tmp_path / "both.out"
+        raw = quad_raw(output={"csv": str(target), "report": str(tmp_path / "." / "both.out")})
+        assert main(["verify", write_config(tmp_path, raw)]) == EXIT_CONFIG
+        assert "output.report" in capsys.readouterr().out
+        assert not target.exists()
+
     def test_multiple_configs_need_sweep(self, tmp_path, capsys):
         a = write_config(tmp_path, quad_raw(), "a.json")
         b = write_config(tmp_path, quad_raw(), "b.json")
@@ -444,6 +474,28 @@ class TestFitCommand:
         assert rate == pytest.approx(-math.log1p(-DT) / DT, rel=1e-9)
         assert float(fields["prefactor"]) > 0.0
         assert float(fields["r_squared"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_report_fit_equals_the_fit_of_the_emitted_csv(self, tmp_path, capsys):
+        # The report's fit reads the recorder's scalar series, the command
+        # reads the CSV column: both must see the same samples exactly.
+        csv_path = tmp_path / "trace.csv"
+        report_path = tmp_path / "report.json"
+        window = [0.0045, 0.0155]
+        raw = skew_raw(
+            output={"csv": str(csv_path), "report": str(report_path)},
+            fits=[{"series": "mass_total", "mode": "exponential", "window": window}],
+        )
+        assert main(["run", write_config(tmp_path, raw)]) == EXIT_OK
+        (fit,) = json.loads(report_path.read_text())["fits"]
+        capsys.readouterr()
+        argv = ["fit", "--csv", str(csv_path), "--column", "mass_total", "--window"]
+        assert main(argv + [repr(t) for t in window]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        fields = dict(line.split(" = ", 1) for line in lines)
+        assert float(fields["rate"]) == fit["rate"]
+        assert float(fields["prefactor"]) == fit["prefactor"]
+        assert float(fields["r_squared"]) == fit["r_squared"]
+        assert int(fields["n_samples"]) == fit["n_samples"] == 11
 
     def test_window_restricts_samples(self, skew_csv, capsys):
         argv = [

@@ -427,6 +427,24 @@ class TestMiscValidation:
         raw["output"] = {"csv": 7}
         assert_mentions(errors_from(raw), "output.csv")
 
+    def test_output_paths_must_not_be_empty(self):
+        raw = base_quad()
+        raw["output"] = {"csv": "", "report": "report.json"}
+        errors = errors_from(raw)
+        assert_mentions(errors, "output.csv")
+        assert not any("output.report" in e for e in errors)
+
+    def test_output_paths_must_name_different_files(self):
+        raw = base_quad()
+        raw["output"] = {"csv": "out/run.json", "report": "out/../out/./run.json"}
+        assert_mentions(errors_from(raw), "output.report")
+
+    def test_distinct_output_paths_are_kept(self):
+        raw = base_quad()
+        raw["output"] = {"csv": "out/run.csv", "report": "out/run.json"}
+        cfg = validate_config(raw)
+        assert (cfg.csv_path, cfg.report_path) == ("out/run.csv", "out/run.json")
+
     def test_seed_must_be_a_nonnegative_integer(self):
         raw = base_quad()
         raw["seed"] = -1
@@ -453,6 +471,13 @@ class TestLoadConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(str(path))
+
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError, match="not UTF-8"):
             load_config(str(path))
 
 

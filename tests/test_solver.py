@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
-from conftest import bump, quad_bump_state, solve_tridiagonal, thomas_heat_step
+from conftest import (
+    bump,
+    collected_run,
+    quad_bump_state,
+    solve_tridiagonal,
+    thomas_heat_step,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -375,25 +381,29 @@ class TestRunSimulationValidation:
 class TestRunSimulationRecording:
     def test_cadence_and_endpoints(self):
         state = constant_state(Grid1D(8, 1.0), 1.0)
-        traj = run_simulation(
+        traj = collected_run(
             heat_only(), state, SolverConfig(dt=0.1, t_end=1.0, record_every=3)
         )
         # Accepted steps 1..10; recorded at 3, 6, 9 plus t = 0 and the end.
         np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-12)
 
-    def test_first_entry_is_the_initial_state(self):
+    def test_first_step_starts_from_the_initial_state(self):
         grid = Grid1D(32, 1.0)
         state = SystemState(0.0, [Field(grid, 1.0 + bump(grid, 0.5, 0.1, 2.0))])
-        traj = run_simulation(heat_only(), state, SolverConfig(dt=0.05, t_end=0.2))
-        first = traj.entries[0]
-        assert first.t == 0.0
-        np.testing.assert_array_equal(first.u[0], state.fields[0].values)
-        assert first.sup_norms[0] == float(np.max(state.fields[0].values))
-        assert first.masses[0] == integrate(state.fields[0])
+        events = []
+        run_simulation(
+            heat_only(), state, SolverConfig(dt=0.05, t_end=0.2), hooks=[events.append]
+        )
+        first = events[0]
+        assert first.t_old == 0.0
+        np.testing.assert_array_equal(first.u_old[0], state.fields[0].values)
+        sup_norms, masses = rdcheck.solver.row_norms(first.u_old, grid.h)
+        assert sup_norms[0] == float(np.max(state.fields[0].values))
+        assert masses[0] == integrate(state.fields[0])
 
     def test_final_step_is_clipped_to_t_end(self):
         state = constant_state(Grid1D(8, 1.0), 1.0)
-        traj = run_simulation(heat_only(), state, SolverConfig(dt=0.3, t_end=1.0))
+        traj = collected_run(heat_only(), state, SolverConfig(dt=0.3, t_end=1.0))
         assert abs(traj.final().t - 1.0) < 1e-12
         # 0.3 + 0.3 + 0.3 + 0.1: four accepted steps, all recorded.
         assert len(traj.entries) == 5
@@ -401,7 +411,7 @@ class TestRunSimulationRecording:
     def test_times_strictly_increase(self):
         grid = Grid1D(16, 1.0)
         state = SystemState(0.0, [Field(grid, 1.0 + bump(grid, 0.4, 0.1, 1.0))])
-        traj = run_simulation(
+        traj = collected_run(
             heat_only(), state, SolverConfig(dt=0.07, t_end=0.5, record_every=2)
         )
         assert np.all(np.diff(traj.times) > 0.0)
@@ -412,7 +422,7 @@ class TestRunSimulationPhysics:
     def test_pure_diffusion_conserves_mass(self):
         grid = Grid1D(64, 1.0)
         state = SystemState(0.0, [Field(grid, 1.0 + bump(grid, 0.3, 0.08, 3.0))])
-        traj = run_simulation(heat_only(2.0), state, SolverConfig(dt=0.01, t_end=0.5))
+        traj = collected_run(heat_only(2.0), state, SolverConfig(dt=0.01, t_end=0.5))
         masses = np.array([e.masses[0] for e in traj.entries])
         assert np.max(np.abs(masses - masses[0])) < 1e-12 * masses[0]
 
@@ -443,8 +453,8 @@ class TestRunSimulationPhysics:
 
     def test_quad_equilibrium_is_stationary(self, quad_system):
         state = constant_state(Grid1D(16, 1.0), 1.0, n_species=4)
-        traj = run_simulation(quad_system, state, SolverConfig(dt=0.05, t_end=0.5))
-        np.testing.assert_allclose(traj.final().u, 1.0, rtol=1e-12)
+        final = run_simulation(quad_system, state, SolverConfig(dt=0.05, t_end=0.5))
+        np.testing.assert_allclose(final, 1.0, rtol=1e-12)
 
 
 class TestPositivityEnforcement:
@@ -469,12 +479,12 @@ class TestPositivityEnforcement:
         def capture(event):
             seen.append(event.dt)
 
-        traj = run_simulation(
+        final = run_simulation(
             sys, state, SolverConfig(dt=0.2, t_end=0.4), hooks=[capture]
         )
         assert seen[0] == pytest.approx(0.1)
         assert seen[1] == pytest.approx(0.2)
-        np.testing.assert_array_equal(traj.final().u[0], 0.0)
+        np.testing.assert_array_equal(final[0], 0.0)
 
     def test_tiny_negatives_are_clamped_to_exact_zero(self):
         # One step from zero data under f = -1e-10 lands at -1e-13, inside
@@ -486,11 +496,11 @@ class TestPositivityEnforcement:
         def capture(event):
             mins.append(float(np.min(event.u_new[0])))
 
-        traj = run_simulation(
+        final = run_simulation(
             sys, state, SolverConfig(dt=1e-3, t_end=3e-3), hooks=[capture]
         )
         assert mins == [0.0, 0.0, 0.0]
-        np.testing.assert_array_equal(traj.final().u[0], 0.0)
+        np.testing.assert_array_equal(final[0], 0.0)
 
     def test_non_finite_trial_is_rejected_and_halved(self, monkeypatch):
         # imex_step reports a non-finite trial as NumericalFailure; the run
@@ -504,7 +514,7 @@ class TestPositivityEnforcement:
 
         monkeypatch.setattr(rdcheck.solver, "imex_step", overflowing_above)
         seen = []
-        traj = run_simulation(
+        traj = collected_run(
             heat_only(), constant_state(Grid1D(8, 1.0), 1.0),
             SolverConfig(dt=0.2, t_end=0.4), hooks=[lambda e: seen.append(e.dt)],
         )
@@ -546,10 +556,10 @@ class TestHooks:
 
     def test_event_shares_read_only_arrays_and_field_norms(self, quad_system):
         # The step's norms are computed once, row-wise, bitwise equal to the
-        # per-Field integrate and sup, and the recorded entries reuse them.
+        # per-Field integrate and sup; the run returns the last step's array.
         grid = Grid1D(40, 1.0)
         events = []
-        traj = run_simulation(
+        final = run_simulation(
             quad_system, quad_bump_state(grid),
             SolverConfig(dt=5e-3, t_end=0.05, record_every=3), hooks=[events.append],
         )
@@ -561,15 +571,13 @@ class TestHooks:
             fields = [Field(grid, row) for row in event.u_new]
             assert list(event.masses) == [integrate(f) for f in fields]
             assert list(event.sup_norms) == [float(np.max(f.values)) for f in fields]
-        for entry, event in zip(traj.entries[1:], recorded):
-            assert entry.t == event.t_new
-            assert entry.u is event.u_new
-            assert entry.masses is event.masses
+        assert final is events[-1].u_new
+        assert not final.flags.writeable
 
     def test_hooks_see_every_accepted_step_regardless_of_recording(self):
         state = constant_state(Grid1D(8, 1.0), 1.0)
         count = []
-        traj = run_simulation(
+        traj = collected_run(
             heat_only(),
             state,
             SolverConfig(dt=0.1, t_end=1.0, record_every=4),
@@ -585,9 +593,7 @@ class TestDeterminism:
         cfg = SolverConfig(dt=5e-3, t_end=0.2)
         a = run_simulation(quad_system, quad_bump_state(grid), cfg)
         b = run_simulation(quad_system, quad_bump_state(grid), cfg)
-        np.testing.assert_array_equal(
-            a.final().u, b.final().u
-        )
+        np.testing.assert_array_equal(a, b)
 
 
 class TestConvergence:
@@ -602,8 +608,9 @@ class TestConvergence:
         errors = []
         for dt in (2e-3, 1e-3, 5e-4):
             state = SystemState(0.0, [Field(grid, 1.5 + mode)])
-            traj = run_simulation(heat_only(), state, SolverConfig(dt=dt, t_end=t_end))
-            got = traj.final().u[0]
+            got = run_simulation(
+                heat_only(), state, SolverConfig(dt=dt, t_end=t_end)
+            )[0]
             errors.append(np.max(np.abs(got - (1.5 + exact))))
         assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.2)
         assert errors[1] / errors[2] == pytest.approx(2.0, abs=0.2)
@@ -619,10 +626,9 @@ class TestConvergence:
             mode = np.cos(math.pi * grid.centers)
             steps = 64 * (n // 16) ** 2
             state = SystemState(0.0, [Field(grid, 1.5 + mode)])
-            traj = run_simulation(
+            got = run_simulation(
                 heat_only(), state, SolverConfig(dt=t_end / steps, t_end=t_end)
-            )
-            got = traj.final().u[0]
+            )[0]
             exact = 1.5 + math.exp(-math.pi**2 * t_end) * mode
             errors.append(np.max(np.abs(got - exact)))
         assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.7)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import bump
+from conftest import bump, collected_run
 
 from rdcheck import (
     Field,
@@ -165,8 +165,8 @@ class TestAugmentedRuns:
         )
         aug = augment_system(quad_system).augmented
         cfg = SolverConfig(dt=2e-3, t_end=0.1)
-        base_traj = run_simulation(quad_system, base_state, cfg)
-        aug_traj = run_simulation(aug, aug_state, cfg)
+        base_traj = collected_run(quad_system, base_state, cfg)
+        aug_traj = collected_run(aug, aug_state, cfg)
         assert len(base_traj.entries) == len(aug_traj.entries)
         for be, ae in zip(base_traj.entries, aug_traj.entries):
             assert be.t == ae.t
@@ -183,12 +183,8 @@ class TestAugmentedRuns:
         defects = []
         for dt in (2e-3, 1e-3):
             cfg = SolverConfig(dt=dt, t_end=t_end)
-            base_final = run_simulation(
-                skew_system, two_bump_state(grid), cfg
-            ).final().u
-            aug_final = run_simulation(
-                aug, two_bump_state(grid, tail_species=1), cfg
-            ).final().u
+            base_final = run_simulation(skew_system, two_bump_state(grid), cfg)
+            aug_final = run_simulation(aug, two_bump_state(grid, tail_species=1), cfg)
             predicted_head = rescale_solution(base_final, -1.0, t_end)
             defects.append(float(np.max(np.abs(aug_final[:2] - predicted_head))))
         assert defects[0] < 0.05
@@ -201,7 +197,7 @@ class TestAugmentedRuns:
         sys = unequal_skew()
         aug = augment_system(sys).augmented
         grid = Grid1D(32, 1.0)
-        traj = run_simulation(
+        traj = collected_run(
             aug,
             two_bump_state(grid, tail_species=1),
             SolverConfig(dt=1e-3, t_end=0.2),
