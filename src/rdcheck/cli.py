@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 pass, 1 check failure, 2 configuration error (also an
 artifact path that cannot be written), 3 numerical failure (positivity
-lost, or the state non-finite, beyond the halving budget).
+lost, or the state non-finite, beyond the halving budget) or any other
+unexpected exception, which ends its own config only.
 """
 
 from __future__ import annotations
@@ -63,6 +64,13 @@ def _execute(path: str, augment: bool, assert_checks: bool) -> tuple[int, str]:
         # An artifact path that cannot be written is a configuration error.
         lines.append(f"cannot write artifacts: {exc}")
         return 2, "\n".join(lines)
+    except Exception as exc:
+        # Anything else ends this config alone, so a sweep keeps the others.
+        import traceback
+
+        traceback.print_exc()
+        lines.append(f"aborted: unexpected {type(exc).__name__}: {exc}")
+        return 3, "\n".join(lines)
     report = outcome.report
     for entry in report["checks"]:
         lines.append(_check_line(entry))

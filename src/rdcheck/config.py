@@ -289,6 +289,48 @@ def _validate_profile(col: _Collector, path: str, prof, grid: Grid1D | None):
     return None
 
 
+def _finite(compute):
+    """compute(), if it runs without overflow, division by zero or an
+    invalid operation and gives only finite values (underflow is allowed);
+    None otherwise."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            value = compute()
+    except FloatingPointError:
+        return None
+    return value if np.all(np.isfinite(value)) else None
+
+
+def _check_derived(col: _Collector, grid: Grid1D, profiles, dt, diffusion, diag_d) -> None:
+    """Reject derived quantities that are not finite: 1/h^2, the largest
+    solve coefficient 4 dt d / h^2 of every species and auxiliary diffusion
+    d (at the configured dt, the largest step), each initial profile on the
+    grid and its mass, and the initial forcing sum_i (d - d_i) u_i of v_d."""
+    h = np.float64(grid.h)
+    if _finite(lambda: 1.0 / (h * h)) is None:
+        col.add("grid", f"cell width h = {grid.h} has no finite 1/h^2")
+        return
+    coefficients = [(f"model.diffusion[{i}]", d) for i, d in enumerate(diffusion)]
+    if diag_d is not None:
+        coefficients.append(("diagnostics.d", diag_d))
+    if dt is not None:
+        for path, d in coefficients:
+            if _finite(lambda: 1.0 + 4.0 * (np.float64(dt) * d / (h * h))) is None:
+                col.add(path, f"dt * d / h^2 is not finite (dt = {dt}, d = {d}, h = {grid.h})")
+    values = []
+    for i, profile in enumerate(profiles or ()):
+        u0 = _finite(lambda: _profile_values(profile, grid))
+        if u0 is None:
+            col.add(f"initial[{i}]", "profile values on the grid are not finite")
+        elif _finite(lambda: np.add.accumulate(u0)[-1] * h) is None:
+            col.add(f"initial[{i}]", "the initial mass h * sum_j u_j is not finite")
+        else:
+            values.append(u0)
+    if diag_d is not None and 0 < len(values) == len(diffusion):
+        if _finite(lambda: np.tensordot(diag_d - diffusion, values, axes=1)) is None:
+            col.add("diagnostics.d", "the initial forcing sum_i (d - d_i) u_i is not finite")
+
+
 def validate_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON object; raise ConfigError with every problem."""
     if not isinstance(raw, dict):
@@ -450,6 +492,12 @@ def validate_config(raw: dict) -> RunConfig:
     seed = col.integer(raw, "", "seed", required=False, default=0, minimum=0)
     if seed is None:
         seed = 0
+
+    if grid is not None:
+        _check_derived(
+            col, grid, profiles, solver_cfg and solver_cfg.dt,
+            () if system is None else system.diffusion, diag_d,
+        )
 
     if col.errors:
         raise ConfigError(col.errors)

@@ -15,8 +15,8 @@ holds O(cells) memory plus one float per recorded step and fit series.
 
 Both files are written atomically (temp file + os.replace) so a crashed
 run never leaves a half-written artifact at the target path.  A
-NumericalFailure mid-run flushes the rows recorded so far and reports the
-abort instead of raising through.
+NumericalFailure mid-run, or any other exception out of the run, flushes
+the rows recorded so far and reports the abort instead of raising through.
 """
 
 from __future__ import annotations
@@ -347,8 +347,9 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
 
     Returns:
         ExperimentOutcome; .aborted is True when the solver could not
-        restore positivity or finiteness within the halving budget (partial
-        CSV still emitted).
+        restore positivity or finiteness within the halving budget, or the
+        run raised any other exception (named in the failure message); the
+        partial CSV is still emitted.
 
     Raises:
         ConfigError: if the override makes the diagnostics configuration
@@ -407,7 +408,12 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
 
     try:
         run_simulation(system, initial, cfg.solver, hooks)
-    except NumericalFailure as exc:
+    except Exception as exc:
+        if not isinstance(exc, NumericalFailure):
+            import traceback
+
+            traceback.print_exc()
+            exc = NumericalFailure(f"unexpected {type(exc).__name__}: {exc}")
         report["checks"] = [_check_dict(c) for c in checks]
         report["fits"] = []
         report["measurements"] = _measurement_block(tracker)

@@ -360,6 +360,7 @@ def _log_uniform(rng: np.random.Generator, size) -> np.ndarray:
     return 10.0 ** rng.uniform(_SAMPLE_LOG_LO, _SAMPLE_LOG_HI, size=size)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_structure(
     sys: ReactionSystem, rng: np.random.Generator, n_samples: int = 10_000
 ) -> StructureVerdict:
@@ -368,7 +369,8 @@ def check_structure(
     Quasi-positivity is sampled on each boundary face u_i = 0 with the other
     components log-uniform in [1e-6, 1e3]; the other two checks use full
     orthant samples from the same range.  Time-dependent systems are probed
-    at t = 0.
+    at t = 0.  A reaction that overflows raises no warning, and a sample
+    whose value is not a number fails the probe it feeds.
 
     Returns:
         StructureVerdict carrying, per check, the worst margin/ratio and the
@@ -391,7 +393,7 @@ def check_structure(
         lo = float(np.min(vals))
         if lo < qp_worst:
             qp_worst = lo
-        if lo < -_QP_TOL and qp_witness is None:
+        if not lo >= -_QP_TOL and qp_witness is None:
             j = int(np.argmin(vals))
             qp_passed = False
             qp_witness = (i + 1, pts[:, j].copy(), lo)

@@ -28,8 +28,18 @@ eps times that error again (iterative refinement; R. Skeel, Math. Comp. 35,
 Positivity is enforced by reject-and-halve: if a trial step takes any value
 below the floor, or any non-finite value, the step is retried with dt/2
 (the halved dt applies to that step only); values in [floor, 0) after an
-accepted trial are clamped to exact zero.  Hooks observe accepted steps
-only, in registration order.
+accepted trial are clamped to exact zero.  The halvings are solved as a
+ladder: the reaction is taken at the old state, so f does not depend on
+dt, and one `imex_step` call evaluates it once and solves the levels dt,
+dt/2, ..., dt/2^(k-1) as one (k * species, cells) stack, with dt = 1, row
+diffusion dt_l d_i and source dt_l f.  These are the products a single
+trial forms, and every row of the solve is solved on its own, so each
+level is bitwise the trial the sequential halvings would solve, and the
+accepted step is the first level that is finite and above the floor.  The
+ladder depth is the previous step's accepted level + 1, so a run that
+halves the same number of times each step solves one ladder per step; a
+depth of 1 is the plain single-dt call, with no stack.  Hooks observe
+accepted steps only, in registration order.
 
 The run loop works on one float64 (species, cells) array from start to
 end; `SystemState` is only the input type.  No state outlives the step
@@ -216,22 +226,28 @@ def implicit_heat_step(
 
 
 def imex_step(
-    u: np.ndarray, t: float, grid: Grid1D, sys: ReactionSystem, dt: float
+    u: np.ndarray, t: float, grid: Grid1D, sys: ReactionSystem,
+    dt: float | Sequence[float],
 ) -> np.ndarray:
     """One raw IMEX step of the (species, cells) array u from time t.
 
-    No positivity handling (see run_simulation).  All species go through
-    one `implicit_heat_step` call, each row with its own diffusion
-    coefficient.  Overflow in the reaction or the solve raises no warning:
-    it is reported as the NumericalFailure below.
+    No positivity handling (see run_simulation).  The reaction is evaluated
+    once, and all species, and all step sizes of a ladder, go through one
+    `implicit_heat_step` call, each row with its own diffusion coefficient.
+    Overflow in the reaction or the solve raises no warning.
+
+    Args:
+        dt: one step size, or a ladder of k step sizes solved together;
+            level l of a ladder is bitwise the step with dt[l] alone.
 
     Returns:
-        The new (species, cells) array at time t + dt.
+        The new (species, cells) array at time t + dt, or for a ladder the
+        (k, species, cells) stack of its levels, non-finite ones included.
 
     Raises:
-        ValueError: if u's species count does not match the system, or
-            dt <= 0.
-        NumericalFailure: if the step produces a non-finite value (the
+        ValueError: if u's species count does not match the system, or a
+            step size is <= 0.
+        NumericalFailure: if a single step produces a non-finite value (the
             reaction or the solve overflowed); the payload carries the
             step's start time, the first such species and its value.
     """
@@ -239,31 +255,46 @@ def imex_step(
         raise ValueError(
             f"state has {u.shape[0]} species, system expects {sys.n_species}"
         )
-    if dt <= 0.0:
+    single = np.isscalar(dt)
+    if (dt if single else min(dt)) <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     with np.errstate(over="ignore", invalid="ignore"):
         f = np.asarray(sys.evaluator(u, t), dtype=np.float64)
+        if not single:
+            dts = np.asarray(dt, dtype=np.float64)[:, None]
+            rows = implicit_heat_step(
+                (u + dts[..., None] * f).reshape(-1, u.shape[1]), grid,
+                (dts * sys.diffusion).reshape(-1), 1.0,
+            )
+            return rows.reshape(len(dts), *u.shape)
         new = implicit_heat_step(u, grid, sys.diffusion, dt, f)
     finite = np.isfinite(new)
     if not finite.all():
-        species = int(np.argmin(np.all(finite, axis=1)))
-        value = float(new[species][~finite[species]][0])
-        raise NumericalFailure(
-            f"species {species + 1} became non-finite ({value}) at "
-            f"t = {t} with dt = {dt}",
-            time=t,
-            species=species + 1,
-            value=value,
-        )
+        raise _non_finite(new, finite, t, dt)
     return new
+
+
+def _non_finite(trial: np.ndarray, finite: np.ndarray, t: float, dt: float):
+    """The NumericalFailure of a trial with a non-finite value (finite: its mask)."""
+    species = int(np.argmin(np.all(finite, axis=1)))
+    value = float(trial[species][~finite[species]][0])
+    return NumericalFailure(
+        f"species {species + 1} became non-finite ({value}) at "
+        f"t = {t} with dt = {dt}",
+        time=t,
+        species=species + 1,
+        value=value,
+    )
 
 
 def row_norms(u: np.ndarray, h: float) -> tuple:
     """Per-species sup|u_i| and mass h * sum_j u_ij, summed left to right.
 
-    Bitwise equal to `grid.integrate` and a max over each species Field.
+    Bitwise equal to `grid.integrate` and a max over each species Field.  A
+    mass that overflows is inf, without a warning; the mass checks fail on it.
     """
-    return np.max(np.abs(u), axis=1), np.add.accumulate(u, axis=1)[:, -1] * h
+    with np.errstate(over="ignore"):
+        return np.max(np.abs(u), axis=1), np.add.accumulate(u, axis=1)[:, -1] * h
 
 
 def run_simulation(
@@ -278,8 +309,11 @@ def run_simulation(
     trial step whose minimum falls below the positivity floor, or that
     takes a non-finite value, is rejected and retried with half the step,
     up to max_step_halvings times; values in [floor, 0) on an accepted
-    trial are clamped to exact zero.  Hooks run after every accepted step,
-    in registration order, and see the old and the clamped new array.
+    trial are clamped to exact zero.  The halvings are solved in ladders of
+    the previous step's accepted level + 1 levels, one `imex_step` call
+    each, and never beyond the budget's last level.  Hooks run after every
+    accepted step, in registration order, and see the old and the clamped
+    new array.
 
     Returns:
         The read-only (species, cells) array at t_end.  Only the current
@@ -309,21 +343,44 @@ def run_simulation(
     t = 0.0
     tiny = 1e-12 * max(1.0, cfg.t_end)
     step_index = 0
+    depth = 1
     while t < cfg.t_end - tiny:
         dt_step = min(cfg.dt, cfg.t_end - t)
-        halvings = 0
+        level = 0
         while True:
-            try:
-                trial = imex_step(u, t, grid, sys, dt_step)
-            except NumericalFailure as exc:
-                failure = exc
+            depth = min(depth, cfg.max_step_halvings + 1 - level)
+            failure = None
+            if depth == 1:
+                # The single-dt call: no stack and no scaled copies.
+                try:
+                    trial = imex_step(u, t, grid, sys, dt_step)
+                except NumericalFailure as exc:
+                    failure = exc
+                else:
+                    mins = trial.min(axis=1)
+                    if mins.min() >= cfg.positivity_floor:
+                        break
             else:
-                mins = trial.min(axis=1)
-                if mins.min() >= cfg.positivity_floor:
+                # Levels level .. level + depth - 1 from one imex_step call.
+                dts = [dt_step]
+                while len(dts) < depth:
+                    dts.append(dts[-1] * 0.5)
+                trials = imex_step(u, t, grid, sys, dts)
+                finite = np.isfinite(trials)
+                lows = trials.min(axis=2)
+                passed = finite.all(axis=(1, 2)) & (
+                    lows.min(axis=1) >= cfg.positivity_floor
+                )
+                if passed.any():
+                    first = int(np.argmax(passed))
+                    trial, dt_step = trials[first].copy(), dts[first]
+                    level += first
                     break
-                failure = None
-            halvings += 1
-            if halvings > cfg.max_step_halvings:
+                mins, dt_step = lows[-1], dts[-1]
+                if not finite[-1].all():
+                    failure = _non_finite(trials[-1], finite[-1], t, dt_step)
+            level += depth
+            if level > cfg.max_step_halvings:
                 if failure is None:
                     species = int(np.argmin(mins))
                     failure = NumericalFailure(
@@ -340,6 +397,7 @@ def run_simulation(
                     value=failure.value,
                 )
             dt_step *= 0.5
+        depth = level + 1
         u_new = np.maximum(trial, 0.0, out=trial)
         u_new.flags.writeable = False
         t_new = t + dt_step

@@ -8,9 +8,11 @@ import pytest
 from rdcheck import (
     Field,
     Grid1D,
+    NumericalFailure,
     QuadraticReversibleSpec,
     SkewLVSpec,
     SystemState,
+    imex_step,
     instantiate_model,
     run_simulation,
 )
@@ -144,6 +146,52 @@ def thomas_heat_step(values, grid, diffusion, dt, source=None):
         ]
     )
     return out.reshape(u.shape)
+
+
+def sequential_steps(system, initial, cfg):
+    """Reference for run_simulation's halving ladders: one `imex_step` call
+    per trial, halving the step after each rejection.
+
+    Returns (steps, failure): the accepted steps' (dt, clamped u_new) pairs
+    and the NumericalFailure that ended the run, or None.
+    """
+    u = initial.stacked()
+    t = 0.0
+    tiny = 1e-12 * max(1.0, cfg.t_end)
+    steps = []
+    while t < cfg.t_end - tiny:
+        dt = min(cfg.dt, cfg.t_end - t)
+        halvings = 0
+        while True:
+            try:
+                trial = imex_step(u, t, initial.grid, system, dt)
+            except NumericalFailure as exc:
+                failure = exc
+            else:
+                mins = trial.min(axis=1)
+                if mins.min() >= cfg.positivity_floor:
+                    break
+                species = int(np.argmin(mins))
+                failure = NumericalFailure(
+                    f"positivity could not be restored at t = {t} "
+                    f"(species {species + 1} reached {mins[species]})",
+                    time=t,
+                    species=species + 1,
+                    value=float(mins[species]),
+                )
+            halvings += 1
+            if halvings > cfg.max_step_halvings:
+                return steps, NumericalFailure(
+                    f"{failure} after {cfg.max_step_halvings} halvings",
+                    time=failure.time,
+                    species=failure.species,
+                    value=failure.value,
+                )
+            dt *= 0.5
+        u = np.maximum(trial, 0.0)
+        t += dt
+        steps.append((dt, u))
+    return steps, None
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -5,11 +5,14 @@ import json
 import math
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdcheck.cli
+import rdcheck.experiment
 from rdcheck.cli import main
 from test_experiment import DT, quad_raw, skew_raw
 
@@ -301,13 +304,21 @@ class TestUnwritableArtifacts:
         assert json.loads(report_path.read_text())["overall"] == "pass"
 
 
+def magnitudes():
+    """Positive floats 10^e with e in [-300, 300]."""
+    return st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
 @st.composite
 def small_polynomial_configs(draw):
-    """Custom polynomial models of 1-2 species and degree <= 3 on <= 16 cells."""
+    """Custom polynomial models of 1-2 species and degree <= 3 on <= 16
+    cells; coefficients, diffusion, profile sizes, the grid length and the
+    horizon range over magnitudes from 1e-300 to 1e300."""
     n = draw(st.integers(1, 2))
+    length = draw(magnitudes())
     monomial = st.fixed_dictionaries(
         {
-            "coef": st.floats(-5.0, 5.0),
+            "coef": st.one_of(st.just(0.0), magnitudes(), magnitudes().map(lambda c: -c)),
             "powers": st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
                 lambda powers: sum(powers) <= 3
             ),
@@ -315,18 +326,18 @@ def small_polynomial_configs(draw):
     )
     profile = st.one_of(
         st.fixed_dictionaries(
-            {"type": st.just("constant"), "value": st.floats(0.0, 10.0)}
+            {"type": st.just("constant"), "value": st.one_of(st.just(0.0), magnitudes())}
         ),
         st.fixed_dictionaries(
             {
                 "type": st.just("gaussian"),
-                "center": st.floats(0.0, 1.0),
-                "width": st.floats(0.05, 0.5),
-                "amplitude": st.floats(0.0, 10.0),
+                "center": st.floats(0.0, 1.0).map(lambda c: c * length),
+                "width": magnitudes(),
+                "amplitude": st.one_of(st.just(0.0), magnitudes()),
             }
         ),
     )
-    t_end = draw(st.floats(0.01, 0.1))
+    t_end = draw(magnitudes())
     return {
         "model": {
             "custom": {
@@ -339,11 +350,11 @@ def small_polynomial_configs(draw):
                 "k": 1.0,
                 "eps": 0.0,
             },
-            "diffusion": draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)),
+            "diffusion": draw(st.lists(magnitudes(), min_size=n, max_size=n)),
         },
-        "grid": {"n_cells": draw(st.integers(2, 16)), "length": 1.0},
+        "grid": {"n_cells": draw(st.integers(2, 16)), "length": length},
         "initial": draw(st.lists(profile, min_size=n, max_size=n)),
-        "solver": {"dt": draw(st.floats(t_end / 20.0, t_end)), "t_end": t_end},
+        "solver": {"dt": t_end / draw(st.floats(1.0, 20.0)), "t_end": t_end},
     }
 
 
@@ -359,7 +370,12 @@ class TestVerifyProperty:
             with open(cfg, "w", encoding="utf-8") as fh:
                 json.dump(raw, fh)
             code = main(["verify", cfg])
-            assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_NUMERICAL)
+            assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL)
+            if code == EXIT_CONFIG:
+                # Rejected before the run: no artifact is written.
+                assert not os.path.exists(report_path)
+                assert not os.path.exists(csv_path)
+                return
             with open(report_path, encoding="utf-8") as fh:
                 report = json.load(fh)
             expected = {EXIT_OK: "pass", EXIT_CHECK_FAILED: "fail", EXIT_NUMERICAL: "aborted"}
@@ -391,6 +407,59 @@ class TestSweep:
         assert main(["run", "--sweep", a, b]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("overall: pass") == 2
+
+
+class TestUnexpectedExceptions:
+    def test_crashing_config_in_a_sweep_keeps_the_others_summary(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The two-species config's run raises after its second step.
+        real = rdcheck.experiment.run_simulation
+
+        def crash_two_species(system, initial, cfg, hooks=()):
+            def crash(event):
+                if event.index == 2:
+                    raise RuntimeError("injected crash")
+
+            if system.n_species == 2:
+                hooks = [*hooks, crash]
+            return real(system, initial, cfg, hooks)
+
+        monkeypatch.setattr(rdcheck.experiment, "run_simulation", crash_two_species)
+        # Threads see the patched module; worker processes need not.
+        monkeypatch.setattr(rdcheck.cli, "ProcessPoolExecutor", ThreadPoolExecutor)
+        csv_path = tmp_path / "partial.csv"
+        report_path = tmp_path / "report.json"
+        good = write_config(tmp_path, quad_raw(), "good.json")
+        bad = write_config(
+            tmp_path,
+            skew_raw(output={"csv": str(csv_path), "report": str(report_path)}),
+            "bad.json",
+        )
+        assert main(["verify", "--sweep", good, bad]) == EXIT_NUMERICAL
+        out = capsys.readouterr().out
+        assert f"== {good}" in out
+        assert "overall: pass" in out
+        assert "aborted: unexpected RuntimeError: injected crash" in out
+        report = json.loads(report_path.read_text())
+        assert report["overall"] == "aborted"
+        assert report["failure"]["message"] == "unexpected RuntimeError: injected crash"
+        assert report["n_accepted_steps"] == 2
+        # Header plus t = 0 and the two accepted steps.
+        assert len(csv_path.read_text().splitlines()) == 4
+
+    def test_exception_outside_the_run_exits_3_with_a_summary(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def broken(cfg, augment_override=None):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(rdcheck.cli, "run_experiment", broken)
+        cfg = write_config(tmp_path, quad_raw())
+        assert main(["run", cfg]) == EXIT_NUMERICAL
+        out = capsys.readouterr().out
+        assert f"== {cfg}" in out
+        assert "aborted: unexpected ZeroDivisionError: injected" in out
 
 
 class TestReproducibility:

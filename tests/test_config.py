@@ -349,6 +349,60 @@ class TestSolverValidation:
         raw["solver"]["record_every"] = 0
         assert_mentions(errors_from(raw), "solver.record_every")
 
+    def test_zero_halving_budget_reaches_the_solver(self):
+        raw = base_quad()
+        raw["solver"]["max_step_halvings"] = 0
+        assert validate_config(raw).solver.max_step_halvings == 0
+
+
+class TestDerivedQuantities:
+    """Configs whose derived quantities are not finite are config errors."""
+
+    def test_grid_length_without_a_finite_inverse_square_width(self):
+        for length in (1e-300, 1e300):
+            raw = base_quad()
+            raw["grid"]["length"] = length
+            assert_mentions(errors_from(raw), "grid: cell width")
+
+    def test_species_diffusion_step_coefficient_overflows(self):
+        raw = base_quad()
+        raw["model"]["diffusion"] = [1.0, 1.5, 2.0, 1e308]
+        assert_mentions(errors_from(raw), "model.diffusion[3]: dt * d / h^2")
+
+    def test_auxiliary_diffusion_overflows(self):
+        raw = base_quad()
+        raw["grid"]["n_cells"] = 128
+        raw["diagnostics"] = {"enabled": True, "d": 1e308}
+        assert_mentions(errors_from(raw), "diagnostics.d: dt * d / h^2")
+
+    def test_auxiliary_forcing_overflows(self):
+        # dt d / h^2 is finite on 16 cells, but sum_i (d - d_i) u_i is not.
+        raw = base_quad()
+        raw["diagnostics"] = {"enabled": True, "d": 1e308}
+        assert_mentions(errors_from(raw), "diagnostics.d: the initial forcing")
+
+    def test_gaussian_width_that_squares_to_zero(self):
+        raw = base_quad()
+        raw["initial"][0] = {"type": "gaussian", "center": 0.5, "width": 1e-300, "amplitude": 1.0}
+        assert_mentions(errors_from(raw), "initial[0]: profile values")
+
+    def test_gaussian_centre_whose_distance_squares_to_overflow(self):
+        raw = base_quad()
+        raw["initial"][2] = {"type": "gaussian", "center": 1e300, "width": 0.1, "amplitude": 1.0}
+        assert_mentions(errors_from(raw), "initial[2]: profile values")
+
+    def test_initial_mass_overflows(self):
+        raw = base_quad()
+        raw["grid"]["length"] = 1e10
+        raw["initial"][1] = {"type": "constant", "value": 1e300}
+        assert_mentions(errors_from(raw), "initial[1]: the initial mass")
+
+    def test_large_but_finite_quantities_pass(self):
+        raw = base_quad()
+        raw["model"]["diffusion"] = [1.0, 1.5, 2.0, 1e300]
+        raw["initial"][0] = {"type": "gaussian", "center": 0.5, "width": 1e-150, "amplitude": 1e300}
+        assert validate_config(raw).solver.dt == 0.01
+
 
 class TestDiagnosticsValidation:
     def test_enabled_requires_d(self):

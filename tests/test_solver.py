@@ -1,5 +1,6 @@
 """Tests for the implicit heat solve, IMEX stepping and the run loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import (
     bump,
     collected_run,
     quad_bump_state,
+    sequential_steps,
     solve_tridiagonal,
     thomas_heat_step,
 )
@@ -61,6 +63,40 @@ def constant_sink(rate):
 
 def constant_state(grid, value, n_species=1, t=0.0):
     return SystemState(t, [Field.constant(grid, value) for _ in range(n_species)])
+
+
+def monomial(coef, power):
+    """Single species with f = coef * u^power."""
+    return instantiate_model(
+        PolynomialSpec(
+            n_species=1,
+            terms=[[(coef, (power,))]],
+            k0=0.0,
+            k1=0.0,
+            growth_k=max(abs(coef), 1.0),
+            growth_eps=0.0,
+        ),
+        [1.0],
+    )
+
+
+def skew_augmented_64():
+    """The augmented cyclic skew Lotka-Volterra system on 64 cells, with
+    its three bumps of height 50 and zero closure species."""
+    base = instantiate_model(
+        SkewLVSpec(
+            interaction=[[0, 1, -1], [-1, 0, 1], [1, -1, 0]],
+            decay=[0.01, 0.01, 0.01],
+        ),
+        [1e-4, 2e-4, 3e-4],
+    )
+    grid = Grid1D(64, 1.0)
+    initial = SystemState(
+        0.0,
+        [Field(grid, bump(grid, c, 0.1, 50.0)) for c in (0.3, 0.5, 0.7)]
+        + [Field.constant(grid, 0.0)],
+    )
+    return augment_system(base).augmented, initial
 
 
 class TestSolverConfig:
@@ -259,20 +295,7 @@ class TestTailAccuracy:
         # sweep species 1-3 move from the Thomas run by up to 0.12 relative
         # (sup) and 0.42 (mass) within these 193 steps.  With the sweep
         # they agree to about 4e-14.
-        base = instantiate_model(
-            SkewLVSpec(
-                interaction=[[0, 1, -1], [-1, 0, 1], [1, -1, 0]],
-                decay=[0.01, 0.01, 0.01],
-            ),
-            [1e-4, 2e-4, 3e-4],
-        )
-        aug = augment_system(base).augmented
-        grid = Grid1D(64, 1.0)
-        initial = SystemState(
-            0.0,
-            [Field(grid, bump(grid, c, 0.1, 50.0)) for c in (0.3, 0.5, 0.7)]
-            + [Field.constant(grid, 0.0)],
-        )
+        aug, initial = skew_augmented_64()
         cfg = SolverConfig(dt=0.1, t_end=2.4)
 
         def run():
@@ -503,14 +526,20 @@ class TestPositivityEnforcement:
         np.testing.assert_array_equal(final[0], 0.0)
 
     def test_non_finite_trial_is_rejected_and_halved(self, monkeypatch):
-        # imex_step reports a non-finite trial as NumericalFailure; the run
-        # loop treats it like a positivity rejection and halves the step.
+        # A non-finite trial is rejected like a positivity one and the step
+        # halved: a single step reports it as NumericalFailure, a ladder
+        # returns the level non-finite.  The first step solves dt = 0.2 and
+        # then 0.1 alone, the later ones the ladder (0.2, 0.1).
         real = rdcheck.solver.imex_step
 
         def overflowing_above(u, t, grid, sys, dt):
-            if dt > 0.15:
-                raise NumericalFailure("non-finite", time=t, species=1, value=math.inf)
-            return real(u, t, grid, sys, dt)
+            if np.isscalar(dt):
+                if dt > 0.15:
+                    raise NumericalFailure("non-finite", time=t, species=1, value=math.inf)
+                return real(u, t, grid, sys, dt)
+            levels = real(u, t, grid, sys, dt)
+            levels[np.asarray(dt) > 0.15] = math.inf
+            return levels
 
         monkeypatch.setattr(rdcheck.solver, "imex_step", overflowing_above)
         seen = []
@@ -530,6 +559,137 @@ class TestPositivityEnforcement:
         assert err.time == 0.0
         assert err.species == 1
         assert err.value < 0.0
+
+
+def ladder_steps(system, initial, cfg):
+    """run_simulation's accepted (dt, u_new) steps and the failure that
+    ended the run, or None: the form `sequential_steps` returns."""
+    steps = []
+    try:
+        run_simulation(
+            system, initial, cfg, hooks=[lambda e: steps.append((e.dt, e.u_new))]
+        )
+    except NumericalFailure as exc:
+        return steps, exc
+    return steps, None
+
+
+def accepted_levels(steps, cfg):
+    """The halving level of each accepted (dt, u) step."""
+    levels, t = [], 0.0
+    for dt, _ in steps:
+        levels.append(round(math.log2(min(cfg.dt, cfg.t_end - t) / dt)))
+        t += dt
+    return levels
+
+
+LADDER_CASES = {
+    # Accepts at level 3 from the second step on: one ladder of 4 per step.
+    "skew-augmented-64": lambda: (
+        *skew_augmented_64(), SolverConfig(dt=0.1, t_end=2.4),
+    ),
+    # Constant sink from 1 with a floor of -0.05: the accepted level goes
+    # 0, 0, 0, 2, 3, ..., so the ladder (0, 1, 2) fails and (3, 4, 5) runs.
+    "level-rises": lambda: (
+        constant_sink(1.0), constant_state(Grid1D(8, 1.0), 1.0),
+        SolverConfig(dt=0.3, t_end=1.5, positivity_floor=-0.05),
+    ),
+    # Constant sink from zero: the budget runs out at the first step.
+    "sink-exhausted-at-start": lambda: (
+        constant_sink(1.0), constant_state(Grid1D(8, 1.0), 0.0),
+        SolverConfig(dt=1e-3, t_end=1e-2),
+    ),
+    # Constant sink from 1: the level rises by 2 per step until the budget
+    # runs out inside a ladder cut at the budget's last level.
+    "sink-exhausted-in-a-ladder": lambda: (
+        constant_sink(1.0), constant_state(Grid1D(8, 1.0), 1.0),
+        SolverConfig(dt=0.3, t_end=3.0),
+    ),
+    # As above with a budget of 5 halvings: at the step that needs level 6
+    # the ladder (0..4) fails and the next one is cut to level 5 alone.
+    "budget-cuts-the-ladder": lambda: (
+        constant_sink(1.0), constant_state(Grid1D(8, 1.0), 1.0),
+        SolverConfig(dt=0.3, t_end=3.0, max_step_halvings=5),
+    ),
+    # f1 = u1^3 from 10 on 16 cells: overflows to a non-finite state at
+    # t = 0.07 and aborts with the last level's non-finite value.
+    "cube-overflow": lambda: (
+        monomial(1.0, 3), constant_state(Grid1D(16, 1.0), 10.0),
+        SolverConfig(dt=0.01, t_end=0.1),
+    ),
+    # f = 1e306 on 8 cells: the first levels of a ladder overflow in the
+    # solve and a later one is finite, until none is.
+    "non-finite-levels-in-a-ladder": lambda: (
+        monomial(1e306, 0), constant_state(Grid1D(8, 1.0), 0.0),
+        SolverConfig(dt=100.0, t_end=1000.0),
+    ),
+}
+
+
+class TestHalvingLadder:
+    @pytest.mark.parametrize("case", sorted(LADDER_CASES))
+    def test_matches_the_sequential_halvings_bitwise(self, case):
+        system, initial, cfg = LADDER_CASES[case]()
+        got, got_failure = ladder_steps(system, initial, cfg)
+        expect, expect_failure = sequential_steps(system, initial, cfg)
+        assert [dt for dt, _ in got] == [dt for dt, _ in expect]
+        for (_, a), (_, b) in zip(got, expect):
+            assert a.tobytes() == b.tobytes()
+        if expect_failure is None:
+            assert got_failure is None
+        else:
+            assert got_failure is not None
+            assert str(got_failure) == str(expect_failure)
+            assert (got_failure.time, got_failure.species) == (
+                expect_failure.time, expect_failure.species,
+            )
+            assert repr(got_failure.value) == repr(expect_failure.value)
+
+    def test_cases_reach_what_they_name(self):
+        def levels(case):
+            system, initial, cfg = LADDER_CASES[case]()
+            steps, failure = ladder_steps(system, initial, cfg)
+            return accepted_levels(steps, cfg), failure
+
+        skew, failure = levels("skew-augmented-64")
+        # The last five steps are clipped to land on t_end, at lower levels.
+        assert failure is None and set(skew[:188]) == {3}
+        rises, failure = levels("level-rises")
+        assert failure is None and rises[:5] == [0, 0, 0, 2, 3]
+        budget, failure = levels("budget-cuts-the-ladder")
+        assert budget == [0, 0, 0, 2, 4] and "after 5 halvings" in str(failure)
+        for case in ("sink-exhausted-at-start", "sink-exhausted-in-a-ladder"):
+            _, failure = levels(case)
+            assert "positivity could not be restored" in str(failure)
+        for case in ("cube-overflow", "non-finite-levels-in-a-ladder"):
+            _, failure = levels(case)
+            assert "non-finite" in str(failure)
+
+    def test_reaction_is_evaluated_once_per_ladder(self, monkeypatch):
+        system, initial = skew_augmented_64()
+        evaluations = []
+
+        def counting(u, t):
+            evaluations.append(t)
+            return system.evaluator(u, t)
+
+        counted = dataclasses.replace(system, evaluator=counting)
+        cfg = SolverConfig(dt=0.1, t_end=2.4)
+        calls = []
+        real = rdcheck.solver.imex_step
+
+        def recording(u, t, grid, sys, dt):
+            calls.append(dt)
+            return real(u, t, grid, sys, dt)
+
+        monkeypatch.setattr(rdcheck.solver, "imex_step", recording)
+        run_simulation(counted, initial, cfg)
+        # 193 steps, 188 of them at level 3: four single trials for the
+        # first step, then one ladder per step.
+        assert len(evaluations) == len(calls) == 196
+        evaluations.clear()
+        sequential_steps(counted, initial, cfg)
+        assert len(evaluations) == 764
 
 
 class TestHooks:
