@@ -21,6 +21,7 @@ import argparse
 import csv
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import load_config
@@ -66,8 +67,6 @@ def _execute(path: str, augment: bool, assert_checks: bool) -> tuple[int, str]:
         return 2, "\n".join(lines)
     except Exception as exc:
         # Anything else ends this config alone, so a sweep keeps the others.
-        import traceback
-
         traceback.print_exc()
         lines.append(f"aborted: unexpected {type(exc).__name__}: {exc}")
         return 3, "\n".join(lines)

@@ -31,7 +31,13 @@ from .models import (
 )
 from .solver import SolverConfig, SystemState
 
-__all__ = ["RunConfig", "load_config", "validate_config", "build_initial_state"]
+__all__ = [
+    "RunConfig",
+    "load_config",
+    "validate_config",
+    "build_initial_state",
+    "solve_coefficient_error",
+]
 
 _BUILTINS = ("quadratic_reversible", "skew_lv")
 _PROFILE_TYPES = ("constant", "gaussian", "piecewise")
@@ -301,22 +307,37 @@ def _finite(compute):
     return value if np.all(np.isfinite(value)) else None
 
 
-def _check_derived(col: _Collector, grid: Grid1D, profiles, dt, diffusion, diag_d) -> None:
+def solve_coefficient_error(path: str, grid: Grid1D, dt: float, d: float) -> str | None:
+    """The error naming `path` if the largest solve coefficient
+    1 + 4 dt d / h^2 of diffusion d at step dt is not finite, else None."""
+    h = np.float64(grid.h)
+    if _finite(lambda: 1.0 + 4.0 * (np.float64(dt) * d / (h * h))) is None:
+        return f"{path}: dt * d / h^2 is not finite (dt = {dt}, d = {d}, h = {grid.h})"
+    return None
+
+
+def _check_derived(
+    col: _Collector, grid: Grid1D, profiles, dt, diffusion, diag_d, augment: bool
+) -> None:
     """Reject derived quantities that are not finite: 1/h^2, the largest
-    solve coefficient 4 dt d / h^2 of every species and auxiliary diffusion
-    d (at the configured dt, the largest step), each initial profile on the
-    grid and its mass, and the initial forcing sum_i (d - d_i) u_i of v_d."""
+    solve coefficient of every species, of the closure species when the
+    system is augmented, and of the auxiliary diffusion d (at the
+    configured dt, the largest step), each initial profile on the grid and
+    its mass, and the initial forcing sum_i (d - d_i) u_i of v_d."""
     h = np.float64(grid.h)
     if _finite(lambda: 1.0 / (h * h)) is None:
         col.add("grid", f"cell width h = {grid.h} has no finite 1/h^2")
         return
     coefficients = [(f"model.diffusion[{i}]", d) for i, d in enumerate(diffusion)]
+    if augment:
+        coefficients.append(("transform.augment (closure species)", 1.0))
     if diag_d is not None:
         coefficients.append(("diagnostics.d", diag_d))
     if dt is not None:
         for path, d in coefficients:
-            if _finite(lambda: 1.0 + 4.0 * (np.float64(dt) * d / (h * h))) is None:
-                col.add(path, f"dt * d / h^2 is not finite (dt = {dt}, d = {d}, h = {grid.h})")
+            error = solve_coefficient_error(path, grid, dt, d)
+            if error is not None:
+                col.errors.append(error)
     values = []
     for i, profile in enumerate(profiles or ()):
         u0 = _finite(lambda: _profile_values(profile, grid))
@@ -496,7 +517,7 @@ def validate_config(raw: dict) -> RunConfig:
     if grid is not None:
         _check_derived(
             col, grid, profiles, solver_cfg and solver_cfg.dt,
-            () if system is None else system.diffusion, diag_d,
+            () if system is None else system.diffusion, diag_d, augment,
         )
 
     if col.errors:

@@ -287,11 +287,13 @@ class InvariantTracker:
         and its entropy_pointwise_worst value (None when undefined).
 
         Afterwards `total` and `laws` hold the state's total mass and
-        conserved combinations.
+        conserved combinations; one that overflows is inf or nan, without a
+        warning.
         """
         sys = self.sys
-        total = self.total = float(np.sum(masses))
-        self.laws = [float(np.dot(w, masses)) for _, w in sys.conservation_laws]
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = self.total = float(np.sum(masses))
+            self.laws = [float(np.dot(w, masses)) for _, w in sys.conservation_laws]
         if self.t is None:
             self.t = t
             self.laws0 = self.laws
@@ -310,7 +312,9 @@ class InvariantTracker:
         else:
             src = sys.k0 * grow * (1.0 - math.exp(-rate * t)) / rate
         envelope = grow * self.mass0 + self.domain_length * src
-        self.envelope_excess = max(self.envelope_excess, total - envelope)
+        # A total that overflowed is not shown to stay under the envelope.
+        excess = total - envelope if math.isfinite(total) else math.inf
+        self.envelope_excess = max(self.envelope_excess, excess)
         tau = sys.uniform_decay_rate
         if tau is not None:
             # One accepted step multiplies the total mass by 1 - tau dt.
@@ -417,11 +421,14 @@ def check_conservation_laws(inv: InvariantTracker) -> list:
 
 
 def check_mass_envelope(inv: InvariantTracker) -> CheckResult:
-    """Total mass below the integrating-factor envelope at every accepted step."""
+    """Total mass below the integrating-factor envelope at every accepted step.
+
+    A total mass that overflowed fails, the initial one included.
+    """
     tol = _ENVELOPE_SLACK * (1.0 + inv.mass0)
     return CheckResult(
         name="mass_envelope",
-        passed=inv.envelope_excess <= tol,
+        passed=inv.envelope_excess <= tol < math.inf,
         measured=inv.envelope_excess,
         bound=0.0,
         tolerance=tol,

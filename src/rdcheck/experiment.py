@@ -26,11 +26,12 @@ import json
 import math
 import os
 import tempfile
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, build_initial_state
+from .config import RunConfig, build_initial_state, solve_coefficient_error
 from .diagnostics import (
     AuxiliaryConfig,
     AuxiliaryTracker,
@@ -353,7 +354,8 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
 
     Raises:
         ConfigError: if the override makes the diagnostics configuration
-            inconsistent (auxiliary diffusion not above every species).
+            inconsistent (auxiliary diffusion not above every species), or
+            gives the closure species a solve coefficient that is not finite.
     """
     augment = cfg.augment if augment_override is None else augment_override
     base = cfg.system
@@ -366,6 +368,14 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
     if augment:
         pair = augment_system(base)
         system = pair.augmented
+        if not cfg.augment:
+            # Validation checks the closure species only when the config augments.
+            error = solve_coefficient_error(
+                "--augment (closure species)", cfg.grid, cfg.solver.dt,
+                system.diffusion[-1],
+            )
+            if error is not None:
+                raise ConfigError([error])
         aug_verdict = verify_augmented(
             pair,
             rng,
@@ -410,8 +420,6 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
         run_simulation(system, initial, cfg.solver, hooks)
     except Exception as exc:
         if not isinstance(exc, NumericalFailure):
-            import traceback
-
             traceback.print_exc()
             exc = NumericalFailure(f"unexpected {type(exc).__name__}: {exc}")
         report["checks"] = [_check_dict(c) for c in checks]

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, exit codes, and printed output."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import rdcheck.cli
 import rdcheck.experiment
 from rdcheck.cli import main
+from test_config import closure_overflow_quad
 from test_experiment import DT, quad_raw, skew_raw
 
 EXIT_OK = 0
@@ -223,6 +226,17 @@ class TestConfigErrors:
         assert "solver" in out
         assert "grid.n_cells" in out
 
+    def test_augment_override_with_a_closure_coefficient_that_overflows(
+        self, tmp_path, capsys
+    ):
+        csv_path = tmp_path / "run.csv"
+        raw = dict(closure_overflow_quad(), output={"csv": str(csv_path)})
+        cfg = write_config(tmp_path, raw)
+        assert main(["verify", "--augment", cfg]) == EXIT_CONFIG
+        out = capsys.readouterr().out
+        assert "--augment (closure species): dt * d / h^2 is not finite" in out
+        assert not csv_path.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["run", missing]) == EXIT_CONFIG
@@ -369,8 +383,13 @@ class TestVerifyProperty:
             cfg = os.path.join(out, "cfg.json")
             with open(cfg, "w", encoding="utf-8") as fh:
                 json.dump(raw, fh)
-            code = main(["verify", cfg])
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                code = main(["verify", cfg])
             assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL)
+            # A crash, or a RuntimeWarning turned into an error, is a fault
+            # of the program, not a numerical failure of the run.
+            assert "aborted: unexpected" not in printed.getvalue()
             if code == EXIT_CONFIG:
                 # Rejected before the run: no artifact is written.
                 assert not os.path.exists(report_path)
@@ -380,6 +399,8 @@ class TestVerifyProperty:
                 report = json.load(fh)
             expected = {EXIT_OK: "pass", EXIT_CHECK_FAILED: "fail", EXIT_NUMERICAL: "aborted"}
             assert report["overall"] == expected[code]
+            if code == EXIT_NUMERICAL:
+                assert not report["failure"]["message"].startswith("unexpected ")
             with open(csv_path, encoding="utf-8", newline="") as fh:
                 header, *rows = list(csv.reader(fh))
             assert header[0] == "t" and rows
@@ -388,6 +409,24 @@ class TestVerifyProperty:
                 for cell in row:
                     if cell:
                         float(cell)
+
+
+    def test_total_mass_that_overflows_fails_the_envelope_without_a_warning(
+        self, tmp_path, capsys
+    ):
+        # Each species' mass 5 * 3.4e307 is finite; their sum is not.
+        raw = {
+            "model": {
+                "custom": {"n_species": 2, "terms": [[], []], "k0": 0.0, "k1": 0.0,
+                           "k": 1.0, "eps": 0.0},
+                "diffusion": [1.0, 1.0],
+            },
+            "grid": {"n_cells": 2, "length": 10.0},
+            "initial": [{"type": "constant", "value": 1.7e307}] * 2,
+            "solver": {"dt": 0.01, "t_end": 0.02},
+        }
+        assert main(["verify", write_config(tmp_path, raw)]) == EXIT_CHECK_FAILED
+        assert "FAIL mass_envelope  measured=inf" in capsys.readouterr().out
 
 
 class TestSweep:

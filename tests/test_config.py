@@ -20,6 +20,16 @@ def base_quad():
     }
 
 
+def closure_overflow_quad():
+    """dt d / h^2 is finite for the species (d = 1e-300) and overflows for
+    the closure species that augmentation adds (d = 1)."""
+    raw = base_quad()
+    raw["model"]["diffusion"] = [1e-300] * 4
+    raw["grid"] = {"n_cells": 2, "length": 1e-100}
+    raw["solver"] = {"dt": 1e200, "t_end": 1e200}
+    return raw
+
+
 def base_skew():
     return {
         "model": {
@@ -368,6 +378,14 @@ class TestDerivedQuantities:
         raw = base_quad()
         raw["model"]["diffusion"] = [1.0, 1.5, 2.0, 1e308]
         assert_mentions(errors_from(raw), "model.diffusion[3]: dt * d / h^2")
+
+    def test_closure_species_step_coefficient_overflows(self):
+        raw = closure_overflow_quad()
+        assert validate_config(raw).solver.dt == 1e200
+        raw["transform"] = {"augment": True}
+        assert_mentions(
+            errors_from(raw), "transform.augment (closure species): dt * d / h^2"
+        )
 
     def test_auxiliary_diffusion_overflows(self):
         raw = base_quad()
