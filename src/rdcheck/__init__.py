@@ -26,15 +26,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, NumericalFailure
 from .experiment import ExperimentOutcome, config_sha256, run_experiment, write_atomic
-from .grid import (
-    Field,
-    Grid1D,
-    apply_laplacian,
-    grad_sup,
-    holder_modulus,
-    integrate,
-    laplacian_values,
-)
+from .grid import Grid1D, grad_sup, holder_modulus, laplacian_values
 from .models import (
     NEGATIVE_CLAMP_FLOOR,
     CheckOutcome,
@@ -44,14 +36,11 @@ from .models import (
     SkewLVSpec,
     StructureVerdict,
     check_structure,
-    entropy_dissipation,
-    eval_reaction,
     instantiate_model,
 )
 from .solver import (
     SolverConfig,
     StepEvent,
-    SystemState,
     imex_step,
     implicit_heat_step,
     run_simulation,
@@ -63,14 +52,11 @@ from .theory import (
     QuadEquilibrium,
     exponent_algebra,
     fit_rate,
-    free_space_constants,
-    gamma_fn,
     gaussian_moment,
     interpolation_constants,
-    optimal_k,
     quad_equilibrium,
 )
-from .transform import AugmentedSystem, augment_system, rescale_solution, verify_augmented
+from .transform import AugmentedSystem, augment_system, verify_augmented
 
 __version__ = "0.1.0"
 
@@ -83,7 +69,6 @@ __all__ = [
     "ConfigError",
     "ExperimentOutcome",
     "ExponentAlgebra",
-    "Field",
     "FitResult",
     "Grid1D",
     "InterpolationConstants",
@@ -99,8 +84,6 @@ __all__ = [
     "SolverConfig",
     "StepEvent",
     "StructureVerdict",
-    "SystemState",
-    "apply_laplacian",
     "augment_system",
     "build_initial_state",
     "check_b_range",
@@ -113,27 +96,20 @@ __all__ = [
     "check_uhat_bounds",
     "check_z_bound",
     "config_sha256",
-    "entropy_dissipation",
     "entropy_pointwise_worst",
-    "eval_reaction",
     "exponent_algebra",
     "fit_rate",
-    "free_space_constants",
-    "gamma_fn",
     "gaussian_moment",
     "grad_sup",
     "holder_modulus",
     "imex_step",
     "implicit_heat_step",
     "instantiate_model",
-    "integrate",
     "interpolation_constants",
     "laplacian_values",
     "load_config",
     "loglog_slope",
-    "optimal_k",
     "quad_equilibrium",
-    "rescale_solution",
     "run_experiment",
     "run_simulation",
     "validate_config",

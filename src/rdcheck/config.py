@@ -4,11 +4,12 @@ A run config is a single JSON object with sections model / grid / initial /
 solver / diagnostics / transform / fits / inject / output plus a top-level
 seed.  Validation is total: every problem is collected with its dotted field
 path and reported in one ConfigError, so a bad file is fixed in one pass
-rather than one message at a time.
+rather than one message at a time.  A key that validation does not read,
+such as a misspelled one, is such a problem too.
 
 The builders at the bottom turn a validated config into live objects
-(ReactionSystem, Grid1D, initial SystemState); they cannot fail on input
-that passed validation.
+(ReactionSystem, Grid1D, the initial (species, cells) array); they cannot
+fail on input that passed validation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, Grid1D
+from .grid import Grid1D
 from .models import (
     PolynomialSpec,
     QuadraticReversibleSpec,
@@ -29,7 +30,7 @@ from .models import (
     SkewLVSpec,
     instantiate_model,
 )
-from .solver import SolverConfig, SystemState
+from .solver import SolverConfig
 
 __all__ = [
     "RunConfig",
@@ -40,9 +41,19 @@ __all__ = [
 ]
 
 _BUILTINS = ("quadratic_reversible", "skew_lv")
-_PROFILE_TYPES = ("constant", "gaussian", "piecewise")
+# The keys each profile type reads.
+_PROFILE_KEYS = {
+    "constant": ("type", "value"),
+    "gaussian": ("type", "center", "width", "amplitude"),
+    "piecewise": ("type", "values", "breaks"),
+}
+_PROFILE_TYPES = tuple(_PROFILE_KEYS)
 _FIT_SERIES = ("mass_total", "sup_total", "distance_to_equilibrium")
 _FIT_MODES = ("exponential", "polynomial")
+_TOP_LEVEL_KEYS = (
+    "model", "grid", "initial", "solver", "diagnostics", "transform", "fits",
+    "inject", "output", "seed",
+)
 
 
 @dataclass
@@ -115,7 +126,15 @@ class _Collector:
             return default
         return val
 
-    def section(self, obj: dict, key: str, *, required=True) -> dict | None:
+    def unknown(self, obj: dict, path: str, known) -> None:
+        """Report every key of obj that is not in known, by its dotted path."""
+        for key in obj:
+            if key not in known:
+                self.add(f"{path}.{key}" if path else str(key), "unknown key")
+
+    def section(self, obj: dict, key: str, known, *, required=True) -> dict | None:
+        """The object at obj[key], with its keys outside known reported
+        (known None: the caller reports them)."""
         if key not in obj:
             if required:
                 self.add(key, "missing required section")
@@ -124,13 +143,17 @@ class _Collector:
         if not isinstance(val, dict):
             self.add(key, f"expected an object, got {type(val).__name__}")
             return None
+        if known is not None:
+            self.unknown(val, key, known)
         return val
 
 
 def _validate_model(col: _Collector, raw: dict) -> ReactionSystem | None:
-    sec = col.section(raw, "model")
+    sec = col.section(raw, "model", None)
     if sec is None:
         return None
+    skew = ("interaction", "decay") if sec.get("builtin") == "skew_lv" else ()
+    col.unknown(sec, "model", ("builtin", "custom", "diffusion") + skew)
     has_builtin = "builtin" in sec
     has_custom = "custom" in sec
     if has_builtin == has_custom:
@@ -180,6 +203,9 @@ def _validate_model(col: _Collector, raw: dict) -> ReactionSystem | None:
     if not isinstance(custom, dict):
         col.add("model.custom", "expected an object")
         return None
+    col.unknown(
+        custom, "model.custom", ("n_species", "k0", "k1", "k", "eps", "terms", "name")
+    )
     n = col.integer(custom, "model.custom", "n_species", minimum=1)
     k0 = col.number(custom, "model.custom", "k0", minimum=0.0)
     k1 = col.number(custom, "model.custom", "k1")
@@ -205,6 +231,7 @@ def _validate_model(col: _Collector, raw: dict) -> ReactionSystem | None:
             if not isinstance(mono, dict) or "coef" not in mono or "powers" not in mono:
                 col.add(path, "expected an object with 'coef' and 'powers'")
                 return None
+            col.unknown(mono, path, ("coef", "powers"))
             coef = mono["coef"]
             powers = mono["powers"]
             if isinstance(coef, bool) or not isinstance(coef, (int, float)) or not math.isfinite(coef):
@@ -237,7 +264,7 @@ def _validate_model(col: _Collector, raw: dict) -> ReactionSystem | None:
 
 
 def _validate_grid(col: _Collector, raw: dict) -> Grid1D | None:
-    sec = col.section(raw, "grid")
+    sec = col.section(raw, "grid", ("n_cells", "length"))
     if sec is None:
         return None
     n = col.integer(sec, "grid", "n_cells", minimum=2)
@@ -253,6 +280,8 @@ def _validate_profile(col: _Collector, path: str, prof, grid: Grid1D | None):
         col.add(path, "expected an object with a 'type'")
         return None
     kind = prof["type"]
+    if kind in _PROFILE_KEYS:
+        col.unknown(prof, path, _PROFILE_KEYS[kind])
     if kind == "constant":
         val = col.number(prof, path, "value", minimum=0.0)
         if val is None:
@@ -357,6 +386,7 @@ def validate_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected a JSON object"])
     col = _Collector()
+    col.unknown(raw, "", _TOP_LEVEL_KEYS)
 
     system = _validate_model(col, raw)
     grid = _validate_grid(col, raw)
@@ -381,7 +411,10 @@ def validate_config(raw: dict) -> RunConfig:
         profiles = None
 
     solver_cfg = None
-    sec = col.section(raw, "solver")
+    sec = col.section(
+        raw, "solver",
+        ("dt", "t_end", "record_every", "positivity_floor", "max_step_halvings"),
+    )
     if sec is not None:
         dt = col.number(sec, "solver", "dt", exclusive_minimum=0.0)
         t_end = col.number(sec, "solver", "t_end", exclusive_minimum=0.0)
@@ -400,7 +433,7 @@ def validate_config(raw: dict) -> RunConfig:
             )
 
     augment = False
-    sec = col.section(raw, "transform", required=False)
+    sec = col.section(raw, "transform", ("augment",), required=False)
     if sec is not None:
         augment = sec.get("augment", False)
         if not isinstance(augment, bool):
@@ -410,7 +443,7 @@ def validate_config(raw: dict) -> RunConfig:
     diag_enabled = False
     diag_d = None
     diag_gammas = (0.25, 0.5)
-    sec = col.section(raw, "diagnostics", required=False)
+    sec = col.section(raw, "diagnostics", ("enabled", "d", "gammas"), required=False)
     if sec is not None:
         diag_enabled = sec.get("enabled", False)
         if not isinstance(diag_enabled, bool):
@@ -454,6 +487,7 @@ def validate_config(raw: dict) -> RunConfig:
                 if not isinstance(f, dict):
                     col.add(path, "expected an object")
                     continue
+                col.unknown(f, path, ("series", "mode", "window", "bias_correct"))
                 series = f.get("series")
                 mode = f.get("mode", "exponential")
                 window = f.get("window")
@@ -486,7 +520,7 @@ def validate_config(raw: dict) -> RunConfig:
 
     z_offset = 0.0
     aug_offset = 0.0
-    sec = col.section(raw, "inject", required=False)
+    sec = col.section(raw, "inject", ("z_offset", "augmentation_offset"), required=False)
     if sec is not None:
         z_offset = col.number(sec, "inject", "z_offset", required=False, default=0.0)
         aug_offset = col.number(sec, "inject", "augmentation_offset", required=False,
@@ -497,7 +531,7 @@ def validate_config(raw: dict) -> RunConfig:
             aug_offset = 0.0
 
     paths = {}
-    sec = col.section(raw, "output", required=False)
+    sec = col.section(raw, "output", ("csv", "report"), required=False)
     if sec is not None:
         for key in ("csv", "report"):
             value = sec.get(key)
@@ -568,11 +602,10 @@ def _profile_values(profile, grid: Grid1D) -> np.ndarray:
     return np.asarray(values)[idx]
 
 
-def build_initial_state(cfg: RunConfig, extra_zero_species: bool = False) -> SystemState:
-    """Materialize the initial SystemState (optionally with the closure species)."""
-    fields = [
-        Field(cfg.grid, _profile_values(p, cfg.grid)) for p in cfg.initial_profiles
-    ]
+def build_initial_state(cfg: RunConfig, extra_zero_species: bool = False) -> np.ndarray:
+    """The initial float64 (species, cells) array, one row per profile, plus
+    a zero row for the closure species when extra_zero_species is set."""
+    rows = [_profile_values(p, cfg.grid) for p in cfg.initial_profiles]
     if extra_zero_species:
-        fields.append(Field.constant(cfg.grid, 0.0))
-    return SystemState(0.0, fields)
+        rows.append(np.zeros(cfg.grid.n_cells))
+    return np.stack(rows)

@@ -45,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import holder_modulus, laplacian_values
+from .grid import Grid1D, grad_sup, holder_modulus, laplacian_values
 from .models import ReactionSystem
-from .solver import StepEvent, SystemState, implicit_heat_step
+from .solver import StepEvent, implicit_heat_step
 
 __all__ = [
     "AuxiliaryConfig",
@@ -101,9 +101,14 @@ class AuxiliaryConfig:
 
 
 class AuxiliaryTracker:
-    """Solver hook advancing the auxiliary fields with the primal run."""
+    """Solver hook advancing the auxiliary fields with the primal run.
 
-    def __init__(self, sys: ReactionSystem, initial: SystemState, cfg: AuxiliaryConfig):
+    u0 is the run's initial (species, cells) array on grid.
+    """
+
+    def __init__(
+        self, sys: ReactionSystem, grid: Grid1D, u0: np.ndarray, cfg: AuxiliaryConfig
+    ):
         d_max = float(np.max(sys.diffusion))
         if cfg.d <= d_max:
             raise ValueError(
@@ -112,11 +117,10 @@ class AuxiliaryTracker:
             )
         self.sys = sys
         self.cfg = cfg
-        self.grid = initial.grid
+        self.grid = grid
         self.t = 0.0
         n = sys.n_species
-        cells = self.grid.n_cells
-        u0 = initial.stacked()
+        cells = grid.n_cells
         self._v = np.zeros((n, cells))
         self._z = np.sum(u0, axis=0) + cfg.z_offset
         self._z_hat = np.zeros(cells)
@@ -188,7 +192,7 @@ class AuxiliaryTracker:
         zvd = float(
             np.max(np.abs(self._z - laplacian_values(v_d, self.grid.h) - total))
         )
-        gvd = float(np.max(np.abs(np.diff(v_d))) / self.grid.h) if v_d.size > 1 else 0.0
+        gvd = grad_sup(v_d, self.grid.h)
         self.z_sup_max = max(self.z_sup_max, z_sup)
         self.forcing_sup_max = max(self.forcing_sup_max, forcing)
         self.b_min = min(self.b_min, b_min)
@@ -239,6 +243,14 @@ class CheckResult:
     bound: float | None = None
     tolerance: float | None = None
     detail: str = ""
+
+
+def _exp(x: float) -> float:
+    """e^x, or +inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def entropy_pointwise_worst(sys: ReactionSystem, u: np.ndarray, t: float) -> float | None:
@@ -303,15 +315,23 @@ class InvariantTracker:
         self.law_drift = [
             max(d, abs(v - v0)) for d, v, v0 in zip(self.law_drift, self.laws, self.laws0)
         ]
-        grow = math.exp(sys.k1 * t)
+        # An envelope that overflows is +inf: nothing is shown to exceed it.
+        grow = _exp(sys.k1 * t)
         rate = sys.k1 + sys.k0_decay
         if sys.k0 == 0.0:
             src = 0.0
         elif rate == 0.0:
             src = sys.k0 * grow * t
         else:
-            src = sys.k0 * grow * (1.0 - math.exp(-rate * t)) / rate
-        envelope = grow * self.mass0 + self.domain_length * src
+            decay = _exp(-rate * t)
+            if decay == math.inf:
+                # rate < 0: e^{k1 t} may have underflowed to 0, so take the
+                # product e^{k1 t} (1 - e^{-rate t}) as a difference.
+                src = sys.k0 * (grow - _exp(-sys.k0_decay * t)) / rate
+            else:
+                src = sys.k0 * grow * (1.0 - decay) / rate
+        held = grow * self.mass0 if self.mass0 != 0.0 else 0.0
+        envelope = held + self.domain_length * src
         # A total that overflowed is not shown to stay under the envelope.
         excess = total - envelope if math.isfinite(total) else math.inf
         self.envelope_excess = max(self.envelope_excess, excess)

@@ -48,8 +48,9 @@ from .diagnostics import (
     entropy_pointwise_worst,
 )
 from .errors import ConfigError, NumericalFailure
+from .grid import Grid1D
 from .models import ReactionSystem, StructureVerdict, check_structure
-from .solver import StepEvent, SystemState, row_norms, run_simulation
+from .solver import StepEvent, row_norms, run_simulation
 from .theory import fit_rate, quad_equilibrium
 from .transform import augment_system, verify_augmented
 
@@ -181,13 +182,14 @@ class _Recorder:
     def __init__(
         self,
         system: ReactionSystem,
-        initial: SystemState,
+        grid: Grid1D,
+        u0: np.ndarray,
         tracker: AuxiliaryTracker | None,
         fit_series=(),
     ):
         self.system = system
         self.tracker = tracker
-        self.invariants = InvariantTracker(system, initial.grid.length)
+        self.invariants = InvariantTracker(system, grid.length)
         self.n_accepted = 0
         n = system.n_species
         columns = (
@@ -199,15 +201,14 @@ class _Recorder:
             + ["z_sup", "b_min", "b_max", "vd_consistency", "zvd_residual", "grad_vd_sup"]
         )
         self.rows = [",".join(columns)]
-        u0 = initial.stacked()
-        sup_norms, masses = row_norms(u0, initial.grid.h)
+        sup_norms, masses = row_norms(u0, grid.h)
         self.times = []
         # Fit series name -> its values at the recorded steps, or the
         # ValueError that leaves it undefined for this run.
         self.series = {name: [] for name in fit_series}
         if "distance_to_equilibrium" in self.series:
             try:
-                eq = _equilibrium(system, masses, initial.grid.length)
+                eq = _equilibrium(system, masses, grid.length)
                 self._equilibrium = eq[:, None]
             except ValueError as exc:
                 self.series["distance_to_equilibrium"] = exc
@@ -386,14 +387,15 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
     else:
         system = base
 
-    initial = build_initial_state(cfg, extra_zero_species=augment)
+    u0 = build_initial_state(cfg, extra_zero_species=augment)
 
     tracker = None
     if cfg.diagnostics_enabled:
         try:
             tracker = AuxiliaryTracker(
                 system,
-                initial,
+                cfg.grid,
+                u0,
                 AuxiliaryConfig(
                     d=cfg.diagnostics_d,
                     gammas=cfg.diagnostics_gammas,
@@ -404,7 +406,7 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
             raise ConfigError([f"diagnostics.d: {exc}"]) from exc
 
     recorder = _Recorder(
-        system, initial, tracker, [spec["series"] for spec in cfg.fits]
+        system, cfg.grid, u0, tracker, [spec["series"] for spec in cfg.fits]
     )
     hooks = ([tracker.on_step] if tracker else []) + [recorder.on_step]
 
@@ -417,7 +419,7 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
     }
 
     try:
-        run_simulation(system, initial, cfg.solver, hooks)
+        run_simulation(system, cfg.grid, u0, cfg.solver, hooks)
     except Exception as exc:
         if not isinstance(exc, NumericalFailure):
             traceback.print_exc()

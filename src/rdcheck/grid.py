@@ -1,4 +1,4 @@
-"""One-dimensional cell-centered finite-volume grid and field metrics.
+"""One-dimensional cell-centered finite-volume grid and its array metrics.
 
 The domain [0, L] is split into ``n_cells`` equal cells of width h = L/n.
 Unknowns live at cell centers x_j = (j - 1/2) h.  The discrete Laplacian is
@@ -15,14 +15,15 @@ properties carry everything downstream:
   -(4/h^2) sin^2(k pi / 2n): the stencil is diagonalized by the DCT-II,
   which is what the implicit solve in `solver` uses.
 
-Field metrics (integral, sup of the one-sided gradient, Holder quotient) are
-defined on the same cell-centered data and are the measurement side of every
-bound checked elsewhere in the package.  The Holder quotient works on raw
-arrays, like `laplacian_values`: `holder_modulus(values, h, gammas)` takes
-one row or a stack of rows and returns every row's quotient at every gamma.
-It is exact at every grid size.  A sweep over the lag |j - k| with an
-early stop replaces the n x n pair matrix, so memory is O(n); time is
-O(n^2) in the worst case, a monotone x^gamma-like profile that never prunes.
+Cell data is a raw float64 array: one row (cells,), or a stack of rows
+(rows, cells) such as a run's (species, cells) state.  The metrics (sup of
+the one-sided gradient, Holder quotient) are defined on the same data and
+are the measurement side of every bound checked elsewhere in the package.
+`holder_modulus(values, h, gammas)` takes one row or a stack of rows and
+returns every row's quotient at every gamma.  It is exact at every grid
+size.  A sweep over the lag |j - k| with an early stop replaces the n x n
+pair matrix, so memory is O(n); time is O(n^2) in the worst case, a
+monotone x^gamma-like profile that never prunes.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ import numpy as np
 
 __all__ = [
     "Grid1D",
-    "Field",
-    "apply_laplacian",
-    "integrate",
+    "laplacian_values",
     "grad_sup",
     "holder_modulus",
 ]
@@ -76,36 +75,6 @@ class Grid1D:
         return f"Grid1D(n_cells={self.n_cells}, length={self.length})"
 
 
-class Field:
-    """Scalar cell data bound to a grid.
-
-    Values are copied on construction and must be finite; the array is marked
-    read-only so a Field can be shared between snapshots safely.
-    """
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: Grid1D, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (grid.n_cells,):
-            raise ValueError(
-                f"field length {values.shape} does not match grid with "
-                f"{grid.n_cells} cells"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        self.grid = grid
-        self.values = values.copy()
-        self.values.flags.writeable = False
-
-    @classmethod
-    def constant(cls, grid: Grid1D, value: float) -> "Field":
-        return cls(grid, np.full(grid.n_cells, float(value)))
-
-    def __repr__(self):
-        return f"Field(n={self.grid.n_cells}, sup={np.max(np.abs(self.values)):.6g})"
-
-
 def laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
     """Flux-form Neumann Laplacian applied to a raw row, or to each row of a stack."""
     flux = np.diff(values) / h
@@ -116,39 +85,13 @@ def laplacian_values(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def apply_laplacian(field: Field) -> Field:
-    """Apply the zero-flux finite-volume Laplacian.
-
-    Args:
-        field: cell-centered data on any Grid1D.
-
-    Returns:
-        A new Field holding (L f)_j.  Constants map to exactly zero, and the
-        result always integrates to zero because the interior fluxes
-        telescope and the wall fluxes vanish.
-    """
-    return Field(field.grid, laplacian_values(field.values, field.grid.h))
-
-
-def integrate(field: Field) -> float:
-    """Cell-sum quadrature h * sum_j f_j.
-
-    The summation order is fixed left to right (prefix accumulation), so the
-    result is bit-reproducible across runs for identical inputs.
-    """
-    if field.grid.n_cells == 0:  # unreachable under Grid1D invariants
-        return 0.0
-    return float(np.add.accumulate(field.values)[-1] * field.grid.h)
-
-
-def grad_sup(field: Field) -> float:
-    """Max over interior faces of |f_{j+1} - f_j| / h.
+def grad_sup(values: np.ndarray, h: float) -> float:
+    """Max over interior faces of |f_{j+1} - f_j| / h, for one row of cells.
 
     Zero for constants; n_cells >= 2 is a Grid1D invariant so at least one
     face exists.
     """
-    h = field.grid.h
-    return float(np.max(np.abs(np.diff(field.values))) / h)
+    return float(np.max(np.abs(np.diff(values))) / h)
 
 
 def holder_modulus(values, h: float, gammas) -> np.ndarray:

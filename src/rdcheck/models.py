@@ -35,15 +35,14 @@ __all__ = [
     "SkewLVSpec",
     "PolynomialSpec",
     "instantiate_model",
-    "eval_reaction",
     "CheckOutcome",
     "StructureVerdict",
     "check_structure",
-    "entropy_dissipation",
 ]
 
-# Values in [NEGATIVE_CLAMP_FLOOR, 0) are treated as exact zeros before a
-# reaction evaluation; anything below is a genuine domain violation.
+# The solver's default positivity floor: a trial step with a value below it
+# is rejected, and values in [NEGATIVE_CLAMP_FLOOR, 0) of an accepted step
+# are clamped to exact zeros.
 NEGATIVE_CLAMP_FLOOR = -1e-12
 
 # Orthant sampling range for structure probes (log-uniform).
@@ -296,34 +295,6 @@ def instantiate_model(spec, diffusion) -> ReactionSystem:
     raise TypeError(f"unknown model spec {type(spec).__name__}")
 
 
-def _clamp_point(sys: ReactionSystem, u) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (sys.n_species,):
-        raise ValueError(
-            f"state must have length {sys.n_species}, got shape {u.shape}"
-        )
-    if not np.all(np.isfinite(u)):
-        raise ValueError("state must be finite")
-    low = np.min(u)
-    if low < NEGATIVE_CLAMP_FLOOR:
-        i = int(np.argmin(u))
-        raise ValueError(
-            f"species {i + 1} is negative beyond the clamp floor: {low}"
-        )
-    if low < 0.0:
-        u = np.where(u < 0.0, 0.0, u)
-    return u
-
-
-def eval_reaction(sys: ReactionSystem, u, t: float = 0.0) -> np.ndarray:
-    """Evaluate f(u) at a single state point.
-
-    Components in [-1e-12, 0) are clamped to exact zero first; anything
-    below that floor raises a domain error naming the species.
-    """
-    return np.asarray(sys.evaluator(_clamp_point(sys, u), float(t)), dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class CheckOutcome:
     """Outcome of one sampled structure probe.
@@ -429,17 +400,3 @@ def check_structure(
         samples_used=n * per_face + n_samples,
     )
 
-
-def entropy_dissipation(sys: ReactionSystem, u, t: float = 0.0) -> float:
-    """sum_i f_i(u) log(u_i) at a strictly positive state point.
-
-    Raises:
-        ValueError: if any component is not strictly positive.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (sys.n_species,):
-        raise ValueError(f"state must have length {sys.n_species}, got shape {u.shape}")
-    if not np.all(np.isfinite(u)) or np.any(u <= 0.0):
-        raise ValueError("entropy dissipation requires strictly positive components")
-    f = np.asarray(sys.evaluator(u, float(t)), dtype=np.float64)
-    return float(np.dot(f, np.log(u)))

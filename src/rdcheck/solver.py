@@ -42,12 +42,13 @@ depth of 1 is the plain single-dt call, with no stack.  Hooks observe
 accepted steps only, in registration order.
 
 The run loop works on one float64 (species, cells) array from start to
-end; `SystemState` is only the input type.  No state outlives the step
-that replaced it: the run returns the final array, and a hook that wants
-more keeps what it needs.  Each accepted step's sup norms and masses are
-computed once, row-wise, and handed to the hooks in the StepEvent.  The
-recording cadence (every record_every-th accepted step, and the last one)
-is decided here only and handed to the hooks as StepEvent.recorded.
+end, starting from a checked, read-only copy of the u0 it is given.  No
+state outlives the step that replaced it: the run returns the final array,
+and a hook that wants more keeps what it needs.  Each accepted step's sup
+norms and masses are computed once, row-wise, and handed to the hooks in
+the StepEvent.  The recording cadence (every record_every-th accepted
+step, and the last one) is decided here only and handed to the hooks as
+StepEvent.recorded.
 """
 
 from __future__ import annotations
@@ -58,12 +59,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalFailure
-from .grid import Field, Grid1D, laplacian_values
+from .grid import Grid1D, laplacian_values
 from .models import NEGATIVE_CLAMP_FLOOR, ReactionSystem
 
 __all__ = [
     "SolverConfig",
-    "SystemState",
     "StepEvent",
     "implicit_heat_step",
     "imex_step",
@@ -107,32 +107,6 @@ class SolverConfig:
             )
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-
-
-class SystemState:
-    """All species at one instant, on a shared grid."""
-
-    __slots__ = ("t", "fields", "grid")
-
-    def __init__(self, t: float, fields: Sequence[Field]):
-        fields = tuple(fields)
-        if not fields:
-            raise ValueError("a state needs at least one species field")
-        grid = fields[0].grid
-        for f in fields[1:]:
-            if f.grid != grid:
-                raise ValueError("all species fields must share one grid")
-        self.t = float(t)
-        self.fields = fields
-        self.grid = grid
-
-    @property
-    def n_species(self) -> int:
-        return len(self.fields)
-
-    def stacked(self) -> np.ndarray:
-        """Species-by-cell value matrix, shape (N, n_cells)."""
-        return np.stack([f.values for f in self.fields])
 
 
 @dataclass(frozen=True)
@@ -290,8 +264,9 @@ def _non_finite(trial: np.ndarray, finite: np.ndarray, t: float, dt: float):
 def row_norms(u: np.ndarray, h: float) -> tuple:
     """Per-species sup|u_i| and mass h * sum_j u_ij, summed left to right.
 
-    Bitwise equal to `grid.integrate` and a max over each species Field.  A
-    mass that overflows is inf, without a warning; the mass checks fail on it.
+    The masses are the cell-sum quadrature of each row, with a fixed
+    summation order, so they are bit-reproducible.  A mass that overflows
+    is inf, without a warning; the mass checks fail on it.
     """
     with np.errstate(over="ignore"):
         return np.max(np.abs(u), axis=1), np.add.accumulate(u, axis=1)[:, -1] * h
@@ -299,17 +274,19 @@ def row_norms(u: np.ndarray, h: float) -> tuple:
 
 def run_simulation(
     sys: ReactionSystem,
-    initial: SystemState,
+    grid: Grid1D,
+    u0: np.ndarray,
     cfg: SolverConfig,
     hooks: Sequence[Callable[[StepEvent], None]] = (),
 ) -> np.ndarray:
-    """Integrate from t = 0 to t_end with positivity enforcement.
+    """Integrate the (species, cells) array u0 on grid from t = 0 to t_end.
 
-    Each step starts from cfg.dt (clipped to land exactly on t_end).  A
-    trial step whose minimum falls below the positivity floor, or that
-    takes a non-finite value, is rejected and retried with half the step,
-    up to max_step_halvings times; values in [floor, 0) on an accepted
-    trial are clamped to exact zero.  The halvings are solved in ladders of
+    The run starts from a read-only copy of u0.  Each step starts from
+    cfg.dt (clipped to land exactly on t_end).  A trial step whose minimum
+    falls below the positivity floor, or that takes a non-finite value, is
+    rejected and retried with half the step, up to max_step_halvings
+    times; values in [floor, 0) on an accepted trial are clamped to exact
+    zero.  The halvings are solved in ladders of
     the previous step's accepted level + 1 levels, one `imex_step` call
     each, and never beyond the budget's last level.  Hooks run after every
     accepted step, in registration order, and see the old and the clamped
@@ -320,26 +297,26 @@ def run_simulation(
         state is kept while the run goes on; hooks see every accepted step.
 
     Raises:
-        ValueError: on a negative initial state or mismatched species count.
+        ValueError: if u0 does not have shape (sys.n_species, grid.n_cells),
+            or has a value that is not finite or is negative.
         NumericalFailure: when the halving budget is exhausted; the payload
             carries (time, species, value) of the last rejected trial: its
             minimum, or its first non-finite value.
     """
-    if initial.n_species != sys.n_species:
+    u = np.array(u0, dtype=np.float64)
+    if u.shape != (sys.n_species, grid.n_cells):
         raise ValueError(
-            f"initial state has {initial.n_species} species, "
-            f"system expects {sys.n_species}"
+            f"initial data has shape {u.shape}, expected (species, cells) = "
+            f"({sys.n_species}, {grid.n_cells})"
         )
-    if initial.t != 0.0:
-        raise ValueError(f"initial state must be at t = 0, got t = {initial.t}")
-    u = initial.stacked()
+    if not np.all(np.isfinite(u)):
+        raise ValueError("initial data must be finite")
     for i, low in enumerate(u.min(axis=1)):
         if low < 0.0:
             raise ValueError(
                 f"initial data for species {i + 1} is negative: {float(low)}"
             )
     u.flags.writeable = False
-    grid = initial.grid
     t = 0.0
     tiny = 1e-12 * max(1.0, cfg.t_end)
     step_index = 0

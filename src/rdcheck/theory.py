@@ -2,14 +2,11 @@
 
 This module is deliberately free of simulation state.  It evaluates:
 
-* the gamma function (Lanczos approximation, positive arguments);
 * moments of the unit Gaussian integral(|y|^delta exp(-|y|^2)) over R^n,
   via the sphere-area factor omega_{n-1} = 2 pi^{n/2} / Gamma(n/2);
 * the gradient-interpolation constants B4, B5 and their combination B for
   the free-space heat kernel, plus the bounded-domain variants B1..B3 when
   the caller supplies the kernel-envelope pair (c_n, kappa_n);
-* the optimizer sqrt(k) = [Ba F / (Bb H (1 - gamma))]^{1/(2-gamma)} used to
-  balance the two halves of that interpolation;
 * the bootstrap exponent algebra lambda, its admissibility threshold
   eps < delta / (2 - delta), and the polynomial growth exponent
   xi = 1 / (1 - lambda);
@@ -29,12 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "gamma_fn",
     "gaussian_moment",
     "InterpolationConstants",
-    "free_space_constants",
     "interpolation_constants",
-    "optimal_k",
     "ExponentAlgebra",
     "exponent_algebra",
     "QuadEquilibrium",
@@ -43,47 +37,9 @@ __all__ = [
     "fit_rate",
 ]
 
-# Lanczos coefficients, g = 7, n = 9 (Godfrey's table; ~15 significant
-# digits on the positive real axis).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0 via the Lanczos series.
-
-    For x < 0.5 the recurrence Gamma(x) = Gamma(x + 1) / x is applied once,
-    so the reflection formula is never needed on the positive axis.
-
-    Raises:
-        ValueError: if x <= 0 or x is not finite.
-    """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        return gamma_fn(x + 1.0) / x
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
 def _sphere_area(n: int) -> float:
     """Surface area of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2)."""
-    return 2.0 * math.pi ** (n / 2.0) / gamma_fn(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def gaussian_moment(n: int, delta: float) -> float:
@@ -104,7 +60,7 @@ def gaussian_moment(n: int, delta: float) -> float:
     delta = float(delta)
     if not math.isfinite(delta) or delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    return 0.5 * _sphere_area(int(n)) * gamma_fn((n + delta) / 2.0)
+    return 0.5 * _sphere_area(int(n)) * math.gamma((n + delta) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -185,14 +141,14 @@ def interpolation_constants(
     """
     n, d, gamma = _check_constants_domain(n, d, gamma)
     omega = _sphere_area(n)
-    b4 = omega / (math.pi ** ((n - 1) / 2.0) * math.sqrt(d)) * gamma_fn((n + 1) / 2.0)
+    b4 = omega / (math.pi ** ((n - 1) / 2.0) * math.sqrt(d)) * math.gamma((n + 1) / 2.0)
     b5 = (
         omega
         / math.pi ** (n / 2.0)
         * 2.0 ** (gamma - 1.0)
         * d ** ((gamma - 1.0) / 2.0)
-        * gamma_fn((1.0 + gamma) / 2.0)
-        * gamma_fn((n + 1.0 + gamma) / 2.0)
+        * math.gamma((1.0 + gamma) / 2.0)
+        * math.gamma((n + 1.0 + gamma) / 2.0)
     )
     if (c_n is None) != (kappa_n is None):
         raise ValueError("c_n and kappa_n must be supplied together")
@@ -207,48 +163,13 @@ def interpolation_constants(
         raise ValueError(f"c_n must be > 0, got {c_n}")
     if not math.isfinite(kappa_n) or kappa_n <= 0.0:
         raise ValueError(f"kappa_n must be > 0, got {kappa_n}")
-    b1 = c_n * kappa_n ** (-n / 2.0) * gamma_fn(n / 2.0) * math.sqrt(math.pi)
-    b2 = c_n * kappa_n ** (-(n + gamma) / 2.0) * gamma_fn((n + gamma + 1.0) / 2.0)
-    b3 = b2 * gamma_fn((gamma + 1.0) / 2.0)
+    b1 = c_n * kappa_n ** (-n / 2.0) * math.gamma(n / 2.0) * math.sqrt(math.pi)
+    b2 = c_n * kappa_n ** (-(n + gamma) / 2.0) * math.gamma((n + gamma + 1.0) / 2.0)
+    b3 = b2 * math.gamma((gamma + 1.0) / 2.0)
     return InterpolationConstants(
         n=n, d=d, gamma=gamma, b4=b4, b5=b5, b=_combine(b1, b3, gamma),
         case="kernel-envelope", c_n=c_n, kappa_n=kappa_n, b1=b1, b2=b2, b3=b3,
     )
-
-
-def free_space_constants(n: int, d: float, gamma: float) -> InterpolationConstants:
-    """Free-space interpolation constants (B4, B5, B); see interpolation_constants."""
-    return interpolation_constants(n, d, gamma)
-
-
-def optimal_k(b_grad: float, b_holder: float, forcing_sup: float, holder_mod: float,
-              gamma: float) -> float:
-    """Damping rate balancing the two interpolation terms.
-
-    sqrt(k) = [b_grad * F / (b_holder * H * (1 - gamma))]^{1/(2-gamma)};
-    returns k.  F = 0 yields k = 0 by convention (nothing to balance).
-
-    Raises:
-        ValueError: on F < 0, H <= 0, nonpositive constants, or gamma
-            outside [0, 1).
-    """
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 0.0 or gamma >= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    forcing_sup = float(forcing_sup)
-    if not math.isfinite(forcing_sup) or forcing_sup < 0.0:
-        raise ValueError(f"forcing sup must be >= 0, got {forcing_sup}")
-    holder_mod = float(holder_mod)
-    if not math.isfinite(holder_mod) or holder_mod <= 0.0:
-        raise ValueError(f"Holder modulus must be > 0, got {holder_mod}")
-    if b_grad <= 0.0 or b_holder <= 0.0:
-        raise ValueError("interpolation constants must be > 0")
-    if forcing_sup == 0.0:
-        return 0.0
-    root = (b_grad * forcing_sup / (b_holder * holder_mod * (1.0 - gamma))) ** (
-        1.0 / (2.0 - gamma)
-    )
-    return root * root
 
 
 @dataclass(frozen=True)

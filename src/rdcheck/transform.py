@@ -37,7 +37,6 @@ from .models import (
 )
 
 __all__ = [
-    "rescale_solution",
     "AugmentedSystem",
     "augment_system",
     "verify_augmented",
@@ -45,14 +44,6 @@ __all__ = [
 
 _CONSERVATION_TOL = 1e-10
 _QP_TOL = 1e-12
-
-
-def rescale_solution(u, k1: float, t: float) -> np.ndarray:
-    """w = e^{-k1 t} u, componentwise; exact inverse of the reverse call."""
-    u = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("state must be finite")
-    return np.exp(-float(k1) * float(t)) * u
 
 
 @dataclass(frozen=True)

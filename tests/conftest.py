@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from rdcheck import (
-    Field,
     Grid1D,
     NumericalFailure,
     QuadraticReversibleSpec,
     SkewLVSpec,
-    SystemState,
     imex_step,
     instantiate_model,
     run_simulation,
@@ -41,16 +39,15 @@ def bump(grid: Grid1D, center: float, width: float, amplitude: float) -> np.ndar
     return amplitude * np.exp(-((x - center) ** 2) / (2.0 * width * width))
 
 
-def quad_bump_state(grid: Grid1D) -> SystemState:
+def quad_bump_state(grid: Grid1D) -> np.ndarray:
     """Four strictly positive bumps used by the conservation-style runs."""
-    return SystemState(
-        0.0,
+    return np.stack(
         [
-            Field(grid, bump(grid, 0.3, 0.1, 2.0)),
-            Field(grid, bump(grid, 0.7, 0.1, 2.0)),
-            Field(grid, 1.0 + bump(grid, 0.5, 0.15, 1.0)),
-            Field(grid, 0.5 + bump(grid, 0.2, 0.12, 1.5)),
-        ],
+            bump(grid, 0.3, 0.1, 2.0),
+            bump(grid, 0.7, 0.1, 2.0),
+            1.0 + bump(grid, 0.5, 0.15, 1.0),
+            0.5 + bump(grid, 0.2, 0.12, 1.5),
+        ]
     )
 
 
@@ -68,9 +65,8 @@ class StateCollector:
     their row norms, for tests that read whole states.
     """
 
-    def __init__(self, initial: SystemState):
-        u0 = initial.stacked()
-        self.entries = [RecordedState(0.0, u0, *row_norms(u0, initial.grid.h))]
+    def __init__(self, grid: Grid1D, u0: np.ndarray):
+        self.entries = [RecordedState(0.0, u0, *row_norms(u0, grid.h))]
 
     def __call__(self, event) -> None:
         if event.recorded:
@@ -86,10 +82,10 @@ class StateCollector:
         return self.entries[-1]
 
 
-def collected_run(system, initial, cfg, hooks=()) -> StateCollector:
+def collected_run(system, grid, u0, cfg, hooks=()) -> StateCollector:
     """run_simulation with a StateCollector as the last hook; returns it."""
-    collector = StateCollector(initial)
-    run_simulation(system, initial, cfg, hooks=[*hooks, collector])
+    collector = StateCollector(grid, u0)
+    run_simulation(system, grid, u0, cfg, hooks=[*hooks, collector])
     return collector
 
 
@@ -148,14 +144,14 @@ def thomas_heat_step(values, grid, diffusion, dt, source=None):
     return out.reshape(u.shape)
 
 
-def sequential_steps(system, initial, cfg):
+def sequential_steps(system, grid, u0, cfg):
     """Reference for run_simulation's halving ladders: one `imex_step` call
     per trial, halving the step after each rejection.
 
     Returns (steps, failure): the accepted steps' (dt, clamped u_new) pairs
     and the NumericalFailure that ended the run, or None.
     """
-    u = initial.stacked()
+    u = np.array(u0, dtype=np.float64)
     t = 0.0
     tiny = 1e-12 * max(1.0, cfg.t_end)
     steps = []
@@ -164,7 +160,7 @@ def sequential_steps(system, initial, cfg):
         halvings = 0
         while True:
             try:
-                trial = imex_step(u, t, initial.grid, system, dt)
+                trial = imex_step(u, t, grid, system, dt)
             except NumericalFailure as exc:
                 failure = exc
             else:

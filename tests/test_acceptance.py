@@ -17,17 +17,16 @@ from conftest import StateCollector
 
 import rdcheck.experiment
 from rdcheck import (
-    Field,
     Grid1D,
     SkewLVSpec,
     augment_system,
     exponent_algebra,
     fit_rate,
-    free_space_constants,
     gaussian_moment,
     grad_sup,
     implicit_heat_step,
     instantiate_model,
+    interpolation_constants,
     loglog_slope,
     quad_equilibrium,
     run_experiment,
@@ -111,9 +110,9 @@ def collected_experiment(cfg):
     collectors = []
     solve = rdcheck.experiment.run_simulation
 
-    def collecting(system, initial, solver_cfg, hooks=()):
-        collectors.append(StateCollector(initial))
-        return solve(system, initial, solver_cfg, hooks=[*hooks, collectors[-1]])
+    def collecting(system, grid, u0, solver_cfg, hooks=()):
+        collectors.append(StateCollector(grid, u0))
+        return solve(system, grid, u0, solver_cfg, hooks=[*hooks, collectors[-1]])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rdcheck.experiment, "run_simulation", collecting)
@@ -137,12 +136,12 @@ def test_01_interpolation_constants_and_moments():
     failures = []
     start = time.perf_counter()
 
-    one_d = free_space_constants(1, 1.0, 0.0)
+    one_d = interpolation_constants(1, 1.0, 0.0)
     require(failures, abs(one_d.b4 - 2.0) <= 1e-10, "1-d quadratic moment constant")
     require(failures, abs(one_d.b5 - 1.0) <= 1e-10, "1-d linear moment constant")
     require(failures, abs(one_d.b - 2.0 * math.sqrt(2.0)) <= 1e-10, "1-d combined constant")
 
-    two_d = free_space_constants(2, 1.0, 0.0)
+    two_d = interpolation_constants(2, 1.0, 0.0)
     require(failures, abs(two_d.b4 - math.pi) <= 1e-10, "2-d quadratic moment constant")
     require(failures, abs(two_d.b5 - math.pi / 2.0) <= 1e-10, "2-d linear moment constant")
     require(
@@ -415,7 +414,7 @@ def test_07_gradient_interpolation_bound():
     diffusion = 1.0
     dt = 1e-3
     steps = 1000
-    b_const = free_space_constants(1, diffusion, 0.0).b
+    b_const = interpolation_constants(1, diffusion, 0.0).b
 
     amplitudes = (1.0, 2.0, 4.0)
     gradients = []
@@ -424,7 +423,7 @@ def test_07_gradient_interpolation_bound():
         u = np.zeros_like(x)
         for _ in range(steps):
             u = implicit_heat_step(u, grid, diffusion, dt, source=forcing)
-        gradient = grad_sup(Field(grid, u))
+        gradient = grad_sup(u, grid.h)
         gradients.append(gradient)
         ceiling = b_const * math.sqrt(2.0 * float(u.max())) * math.sqrt(amplitude) + 1e-6
         require(

@@ -226,6 +226,16 @@ class TestConfigErrors:
         assert "solver" in out
         assert "grid.n_cells" in out
 
+    def test_misspelled_keys_exit_2_before_the_run(self, tmp_path, capsys):
+        csv_path = tmp_path / "run.csv"
+        raw = dict(quad_raw(), output={"csv": str(csv_path)}, bogus_section={})
+        raw["solver"] = dict(raw["solver"], max_halvings=0, dtt=3)
+        assert main(["verify", write_config(tmp_path, raw)]) == EXIT_CONFIG
+        out = capsys.readouterr().out
+        for key in ("bogus_section", "solver.max_halvings", "solver.dtt"):
+            assert f"{key}: unknown key" in out
+        assert not csv_path.exists()
+
     def test_augment_override_with_a_closure_coefficient_that_overflows(
         self, tmp_path, capsys
     ):
@@ -327,7 +337,8 @@ def magnitudes():
 def small_polynomial_configs(draw):
     """Custom polynomial models of 1-2 species and degree <= 3 on <= 16
     cells; coefficients, diffusion, profile sizes, the grid length and the
-    horizon range over magnitudes from 1e-300 to 1e300."""
+    horizon range over magnitudes from 1e-300 to 1e300, and the mass
+    control rate k1 over [-1, 1]."""
     n = draw(st.integers(1, 2))
     length = draw(magnitudes())
     monomial = st.fixed_dictionaries(
@@ -360,7 +371,7 @@ def small_polynomial_configs(draw):
                     st.lists(st.lists(monomial, max_size=3), min_size=n, max_size=n)
                 ),
                 "k0": 0.0,
-                "k1": 0.0,
+                "k1": draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
                 "k": 1.0,
                 "eps": 0.0,
             },
@@ -428,6 +439,22 @@ class TestVerifyProperty:
         assert main(["verify", write_config(tmp_path, raw)]) == EXIT_CHECK_FAILED
         assert "FAIL mass_envelope  measured=inf" in capsys.readouterr().out
 
+    def test_growing_mass_envelope_that_overflows_passes(self, tmp_path, capsys):
+        # e^{k1 t} overflows once k1 t > 709: the envelope is +inf there.
+        raw = {
+            "model": {
+                "custom": {"n_species": 1, "terms": [[]], "k0": 0.0, "k1": 1.0,
+                           "k": 1.0, "eps": 0.0},
+                "diffusion": [1.0],
+            },
+            "grid": {"n_cells": 8, "length": 1.0},
+            "initial": [{"type": "constant", "value": 1.0}],
+            "solver": {"dt": 100.0, "t_end": 1000.0},
+        }
+        assert main(["verify", write_config(tmp_path, raw)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "ok   mass_envelope" in out and "overall: pass" in out
+
 
 class TestSweep:
     def test_worst_exit_code_wins(self, tmp_path, capsys):
@@ -455,14 +482,14 @@ class TestUnexpectedExceptions:
         # The two-species config's run raises after its second step.
         real = rdcheck.experiment.run_simulation
 
-        def crash_two_species(system, initial, cfg, hooks=()):
+        def crash_two_species(system, grid, u0, cfg, hooks=()):
             def crash(event):
                 if event.index == 2:
                     raise RuntimeError("injected crash")
 
             if system.n_species == 2:
                 hooks = [*hooks, crash]
-            return real(system, initial, cfg, hooks)
+            return real(system, grid, u0, cfg, hooks)
 
         monkeypatch.setattr(rdcheck.experiment, "run_simulation", crash_two_species)
         # Threads see the patched module; worker processes need not.

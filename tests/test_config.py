@@ -1,11 +1,14 @@
 """Tests for config validation, error collection and state builders."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from rdcheck import ConfigError, build_initial_state, load_config, validate_config
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def base_quad():
@@ -528,6 +531,65 @@ class TestMiscValidation:
         assert_mentions(errors_from(raw), "transform.augment")
 
 
+class TestUnknownKeys:
+    def test_misspelled_keys_are_all_reported(self):
+        raw = base_quad()
+        raw["solver"] = {"dt": 0.01, "t_end": 0.1, "max_halvings": 0, "dtt": 3}
+        raw["bogus_section"] = {}
+        errors = errors_from(raw)
+        assert errors == [
+            "bogus_section: unknown key",
+            "solver.max_halvings: unknown key",
+            "solver.dtt: unknown key",
+        ]
+
+    def test_nested_keys_are_reported_by_their_dotted_path(self):
+        raw = base_quad()
+        raw["model"]["interaction"] = [[0.0]]  # read by skew_lv only
+        raw["grid"]["cells"] = 16
+        raw["initial"][2] = {"type": "constant", "value": 1.0, "amplitude": 2.0}
+        raw["diagnostics"] = {"enabled": False, "dd": 5.0}
+        raw["transform"] = {"augmented": True}
+        raw["fits"] = [{"series": "mass_total", "window": [0.0, 0.1], "bias": True}]
+        raw["inject"] = {"offset": 1.0}
+        raw["output"] = {"json": "report.json"}
+        assert_mentions(
+            errors_from(raw),
+            "model.interaction: unknown key",
+            "grid.cells: unknown key",
+            "initial[2].amplitude: unknown key",
+            "diagnostics.dd: unknown key",
+            "transform.augmented: unknown key",
+            "fits[0].bias: unknown key",
+            "inject.offset: unknown key",
+            "output.json: unknown key",
+        )
+
+    def test_custom_model_keys(self):
+        raw = base_quad()
+        raw["model"] = {
+            "custom": {
+                "n_species": 1, "k0": 0.0, "k1": 0.0, "k": 1.0, "eps": 0.0,
+                "name": "sink", "kk": 1.0,
+                "terms": [[{"coef": -1.0, "powers": [1], "power": 1}]],
+            },
+            "diffusion": [1.0],
+        }
+        raw["initial"] = [{"type": "constant", "value": 1.0}]
+        errors = errors_from(raw)
+        assert errors == [
+            "model.custom.kk: unknown key",
+            "model.custom.terms[0][0].power: unknown key",
+        ]
+
+    def test_readme_quick_start_config_validates(self):
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        block = text.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = validate_config(json.loads(block))
+        assert cfg.diagnostics_enabled and cfg.grid.n_cells == 128
+
+
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "run.json"
@@ -556,16 +618,15 @@ class TestLoadConfig:
 class TestBuildInitialState:
     def test_constant_profiles(self):
         cfg = validate_config(base_quad())
-        state = build_initial_state(cfg)
-        assert state.n_species == 4
-        assert state.t == 0.0
-        np.testing.assert_array_equal(state.stacked(), np.ones((4, 16)))
+        u0 = build_initial_state(cfg)
+        assert u0.dtype == np.float64
+        np.testing.assert_array_equal(u0, np.ones((4, 16)))
 
     def test_extra_zero_species(self):
         cfg = validate_config(base_quad())
-        state = build_initial_state(cfg, extra_zero_species=True)
-        assert state.n_species == 5
-        np.testing.assert_array_equal(state.fields[4].values, np.zeros(16))
+        u0 = build_initial_state(cfg, extra_zero_species=True)
+        assert u0.shape == (5, 16)
+        np.testing.assert_array_equal(u0[4], np.zeros(16))
 
     def test_gaussian_profile_hand_values(self):
         raw = base_quad()
@@ -573,10 +634,10 @@ class TestBuildInitialState:
             "type": "gaussian", "center": 0.5, "width": 0.1, "amplitude": 2.0,
         }
         cfg = validate_config(raw)
-        state = build_initial_state(cfg)
+        u0 = build_initial_state(cfg)
         x = cfg.grid.centers
         expected = 2.0 * np.exp(-((x - 0.5) ** 2) / (2.0 * 0.1 * 0.1))
-        np.testing.assert_allclose(state.fields[0].values, expected, rtol=1e-15)
+        np.testing.assert_allclose(u0[0], expected, rtol=1e-15)
 
     def test_piecewise_profile_hand_values(self):
         raw = base_quad()
@@ -585,9 +646,9 @@ class TestBuildInitialState:
             "type": "piecewise", "values": [1.0, 2.0, 3.0], "breaks": [0.25, 0.5],
         }
         cfg = validate_config(raw)
-        state = build_initial_state(cfg)
+        u0 = build_initial_state(cfg)
         np.testing.assert_array_equal(
-            state.fields[0].values, [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
+            u0[0], [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
         )
 
     def test_piecewise_break_hits_a_center(self):
@@ -598,5 +659,5 @@ class TestBuildInitialState:
             "type": "piecewise", "values": [5.0, 9.0], "breaks": [0.25],
         }
         cfg = validate_config(raw)
-        state = build_initial_state(cfg)
-        np.testing.assert_array_equal(state.fields[0].values, [9.0, 9.0])
+        u0 = build_initial_state(cfg)
+        np.testing.assert_array_equal(u0[0], [9.0, 9.0])

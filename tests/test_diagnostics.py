@@ -11,13 +11,11 @@ from rdcheck import (
     AuxiliaryConfig,
     AuxiliaryTracker,
     CheckResult,
-    Field,
     Grid1D,
     InvariantTracker,
     PolynomialSpec,
     ReactionSystem,
     SolverConfig,
-    SystemState,
     check_b_range,
     check_conservation_laws,
     check_entropy,
@@ -33,7 +31,8 @@ from rdcheck import (
 
 
 def constant_state(grid, values):
-    return SystemState(0.0, [Field.constant(grid, v) for v in values])
+    """A run's input (grid, u0), one constant row per value."""
+    return grid, np.stack([np.full(grid.n_cells, float(v)) for v in values])
 
 
 def sourced_single_species(k0):
@@ -47,9 +46,10 @@ def sourced_single_species(k0):
 
 
 def tracked_run(sys, initial, cfg_aux, dt, t_end):
-    tracker = AuxiliaryTracker(sys, initial, cfg_aux)
+    """A run from the (grid, u0) pair initial with an AuxiliaryTracker hook."""
+    tracker = AuxiliaryTracker(sys, *initial, cfg_aux)
     traj = collected_run(
-        sys, initial, SolverConfig(dt=dt, t_end=t_end), hooks=[tracker.on_step]
+        sys, *initial, SolverConfig(dt=dt, t_end=t_end), hooks=[tracker.on_step]
     )
     return tracker, traj
 
@@ -82,11 +82,11 @@ class TestTrackerConstruction:
     def test_requires_strictly_dominating_diffusion(self, quad_system):
         state = constant_state(Grid1D(8, 1.0), [1.0] * 4)
         with pytest.raises(ValueError, match="strictly exceed"):
-            AuxiliaryTracker(quad_system, state, AuxiliaryConfig(d=2.5))
+            AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=2.5))
 
     def test_initial_values(self, quad_system):
         state = constant_state(Grid1D(8, 1.0), [1.0, 2.0, 3.0, 4.0])
-        tracker = AuxiliaryTracker(quad_system, state, AuxiliaryConfig(d=5.0))
+        tracker = AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=5.0))
         assert tracker.initial_sup_sum == 10.0
         assert tracker.z_sup_max == 10.0
         assert tracker.vd_consistency_max == 0.0
@@ -95,13 +95,13 @@ class TestTrackerConstruction:
     def test_b_falls_back_on_empty_cells(self, quad_system):
         # With no mass anywhere the weight is reported as 1 / d_1.
         state = constant_state(Grid1D(8, 1.0), [0.0] * 4)
-        tracker = AuxiliaryTracker(quad_system, state, AuxiliaryConfig(d=5.0))
+        tracker = AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=5.0))
         assert tracker.b_min == 1.0
         assert tracker.b_max == 1.0
 
     def test_row_values_returns_a_copy(self, quad_system):
         state = constant_state(Grid1D(8, 1.0), [1.0] * 4)
-        tracker = AuxiliaryTracker(quad_system, state, AuxiliaryConfig(d=5.0))
+        tracker = AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=5.0))
         row = tracker.row_values()
         assert set(row) == {
             "z_sup", "b_min", "b_max", "vd_consistency", "zvd_residual", "grad_vd_sup",
@@ -225,9 +225,9 @@ class TestTrackerWithConstantSource:
 class TestZOffsetInjection:
     def test_offset_breaks_the_z_bound(self, quad_system):
         state = constant_state(Grid1D(8, 1.0), [1.0] * 4)
-        clean = AuxiliaryTracker(quad_system, state, AuxiliaryConfig(d=5.0))
+        clean = AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=5.0))
         dirty = AuxiliaryTracker(
-            quad_system, state, AuxiliaryConfig(d=5.0, z_offset=1.0)
+            quad_system, *state, AuxiliaryConfig(d=5.0, z_offset=1.0)
         )
         assert check_z_bound(clean, 0.1).passed
         result = check_z_bound(dirty, 0.1)
@@ -242,7 +242,8 @@ class TestRefinementShrinksResiduals:
         # comparison residuals.
         maxima = {}
         for n, dt in ((32, 4e-3), (64, 2e-3)):
-            state = quad_bump_state(Grid1D(n, 1.0))
+            grid = Grid1D(n, 1.0)
+            state = grid, quad_bump_state(grid)
             tracker, _ = tracked_run(
                 quad_system, state, AuxiliaryConfig(d=5.0), dt=dt, t_end=0.2
             )
@@ -251,7 +252,8 @@ class TestRefinementShrinksResiduals:
             assert 1.5 <= coarse / fine <= 3.0
 
     def test_holder_moduli_are_populated(self, quad_system):
-        state = quad_bump_state(Grid1D(32, 1.0))
+        grid = Grid1D(32, 1.0)
+        state = grid, quad_bump_state(grid)
         tracker, _ = tracked_run(
             quad_system, state, AuxiliaryConfig(d=5.0), dt=5e-3, t_end=0.1
         )
@@ -268,7 +270,7 @@ class TestRefinementShrinksResiduals:
 class TestUhatFailureBranches:
     def test_each_bound_reports_its_own_violation(self, quad_system):
         state = constant_state(Grid1D(8, 1.0), [1.0] * 4)
-        tracker = AuxiliaryTracker(quad_system, state, AuxiliaryConfig(d=5.0))
+        tracker = AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=5.0))
         tracker.uhat_min = -1e-6
         tracker.dzhat_minus_uhat_min = -1e-6
         tracker.uhat_sup_max = 1e9
@@ -279,7 +281,7 @@ class TestUhatFailureBranches:
 
     def test_b_range_failure(self, quad_system):
         state = constant_state(Grid1D(8, 1.0), [1.0] * 4)
-        tracker = AuxiliaryTracker(quad_system, state, AuxiliaryConfig(d=5.0))
+        tracker = AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=5.0))
         tracker.b_min = 0.1  # below 1 / max d = 0.4
         assert not check_b_range(tracker).passed
 
@@ -350,6 +352,27 @@ class TestMassEnvelope:
         result = check_mass_envelope(riding)
         assert result.passed
         assert result.measured == pytest.approx(0.0, abs=1e-12)
+
+    def test_envelope_that_overflows_is_infinite(self):
+        # k1 = 1: e^{k1 t} overflows at t = 1000, and the envelope there is
+        # +inf; the steps before it still bound the mass.
+        sys = dataclasses.replace(sourced_single_species(0.0), k1=1.0)
+        inv = fed_invariants(sys, [(0.0, [1.0]), (1.0, [math.e]), (1000.0, [1e300])])
+        result = check_mass_envelope(inv)
+        assert result.passed
+        assert result.measured == pytest.approx(0.0, abs=1e-12)
+        # Zero initial mass holds nothing, not inf * 0.
+        empty = fed_invariants(sys, [(0.0, [0.0]), (1000.0, [1e-300])])
+        assert check_mass_envelope(empty).measured == 1e-300
+
+    def test_sourced_decay_envelope_when_the_source_factor_overflows(self):
+        # k0 = 1, k1 = -1: e^{-k1 t} overflows at t = 1000 and e^{k1 t}
+        # underflows, but the envelope e^{-t} m0 + (1 - e^{-t}) is 1.
+        sys = dataclasses.replace(sourced_single_species(1.0), k1=-1.0)
+        riding = fed_invariants(sys, [(0.0, [3.0]), (1000.0, [1.0])])
+        assert check_mass_envelope(riding).measured == 0.0
+        above = fed_invariants(sys, [(0.0, [3.0]), (1000.0, [1.5])])
+        assert check_mass_envelope(above).measured == 0.5
 
 
 class TestMassIdentity:

@@ -1,0 +1,58 @@
+"""The public surface: rdcheck.__all__ and the README's "Library use" section."""
+
+import builtins
+import dataclasses
+import inspect
+import os
+import re
+
+import rdcheck
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def library_use_spans():
+    """The inline code spans of README's "Library use" section, fenced
+    code blocks left out."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    return re.findall(r"`([^`]+)`", prose)
+
+
+def documented_non_exports():
+    """Identifiers the README may name besides exports: builtins, fields of
+    exported dataclasses and parameters of exported callables."""
+    names = set(dir(builtins))
+    for name in rdcheck.__all__:
+        obj = getattr(rdcheck, name)
+        if dataclasses.is_dataclass(obj):
+            names.update(f.name for f in dataclasses.fields(obj))
+        if inspect.isfunction(obj):
+            names.update(inspect.signature(obj).parameters)
+    return names
+
+
+def test_every_export_resolves():
+    assert len(set(rdcheck.__all__)) == len(rdcheck.__all__)
+    for name in rdcheck.__all__:
+        assert hasattr(rdcheck, name), name
+
+
+def test_readme_library_use_names_only_exports():
+    spans = library_use_spans()
+    exports = set(rdcheck.__all__)
+    others = documented_non_exports()
+    named = set()
+    for span in spans:
+        call = re.fullmatch(r"([A-Za-z_]\w*)\(.*\)", span)
+        if call:
+            # A call names a function: it must be exported.
+            assert call.group(1) in exports, span
+            named.add(call.group(1))
+        elif re.fullmatch(r"[A-Za-z_]\w*", span):
+            assert span in exports or span in others, span
+            named.add(span)
+    # The section does name the run's entry points and lower-level pieces.
+    assert {"run_simulation", "Grid1D", "grad_sup", "holder_modulus"} <= named

@@ -8,17 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdcheck import (
-    NEGATIVE_CLAMP_FLOOR,
     PolynomialSpec,
     QuadraticReversibleSpec,
     SkewLVSpec,
     check_structure,
-    entropy_dissipation,
-    eval_reaction,
+    entropy_pointwise_worst,
     instantiate_model,
 )
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def f_at(sys, u):
+    """The reaction at one state point u (species,), at t = 0."""
+    return np.asarray(sys.evaluator(np.asarray(u, dtype=np.float64), 0.0))
+
+
+def entropy_at(sys, u):
+    """sum_i f_i log u_i at one strictly positive state point."""
+    return entropy_pointwise_worst(sys, np.asarray(u, dtype=np.float64)[:, None], 0.0)
 
 
 def poly_model(n_species, terms, k0=0.0, k1=0.0, growth_k=1.0, growth_eps=0.0):
@@ -54,18 +62,18 @@ class TestQuadraticReversible:
 
     def test_hand_value(self, quad_system):
         # rate = 2*3 - 1*4 = 2
-        f = eval_reaction(quad_system, [2.0, 3.0, 1.0, 4.0])
+        f = f_at(quad_system, [2.0, 3.0, 1.0, 4.0])
         np.testing.assert_array_equal(f, [-2.0, -2.0, 2.0, 2.0])
 
     def test_equilibrium_is_a_zero(self, quad_system):
-        f = eval_reaction(quad_system, [1.0, 1.0, 1.0, 1.0])
+        f = f_at(quad_system, [1.0, 1.0, 1.0, 1.0])
         np.testing.assert_array_equal(f, np.zeros(4))
 
     @given(u=st.tuples(positive, positive, positive, positive))
     def test_conserved_combinations_vanish_exactly(self, quad_system, u):
         # f is (-r, -r, r, r) for a single shared rate, so each conserved
         # combination cancels bitwise, not just to rounding.
-        f = eval_reaction(quad_system, np.array(u))
+        f = f_at(quad_system, np.array(u))
         for _, w in quad_system.conservation_laws:
             assert float(np.dot(w, f)) == 0.0
 
@@ -74,12 +82,12 @@ class TestQuadraticReversible:
         for i in range(4):
             point = np.array(u)
             point[i] = 0.0
-            f = eval_reaction(quad_system, point)
+            f = f_at(quad_system, point)
             assert f[i] >= 0.0
 
     def test_entropy_hand_value(self, quad_system):
         # f = (-2, -2, 2, 2) against log(2, 3, 1, 4): 2*log(2/3)
-        got = entropy_dissipation(quad_system, [2.0, 3.0, 1.0, 4.0])
+        got = entropy_at(quad_system, [2.0, 3.0, 1.0, 4.0])
         assert got == pytest.approx(2.0 * math.log(2.0 / 3.0), rel=1e-14)
 
     @given(u=st.tuples(positive, positive, positive, positive))
@@ -87,7 +95,7 @@ class TestQuadraticReversible:
         # (a - b) * log(b / a) <= 0 with a = u1 u2, b = u3 u4; allow the
         # rounding of the log sum scaled by the rate magnitude.
         rate = u[0] * u[1] - u[2] * u[3]
-        got = entropy_dissipation(quad_system, np.array(u))
+        got = entropy_at(quad_system, u)
         assert got <= 1e-12 * (1.0 + abs(rate))
 
 
@@ -103,13 +111,13 @@ class TestSkewLV:
 
     def test_hand_value(self, skew_system):
         # lin = (3, -2); f = ((3-1)*2, (-2-1)*3)
-        f = eval_reaction(skew_system, [2.0, 3.0])
+        f = f_at(skew_system, [2.0, 3.0])
         np.testing.assert_array_equal(f, [4.0, -9.0])
 
     @given(u=st.tuples(positive, positive))
     def test_total_mass_decays_at_the_uniform_rate(self, skew_system, u):
         # The skew term cancels in the sum, leaving -tau * sum(u).
-        f = eval_reaction(skew_system, np.array(u))
+        f = f_at(skew_system, np.array(u))
         total = u[0] + u[1]
         assert float(np.sum(f)) == pytest.approx(-total, rel=1e-12)
 
@@ -170,13 +178,13 @@ class TestPolynomial:
     def test_hand_value_constant_and_square(self):
         # f(u) = 3 - u^2
         sys = poly_model(1, [[(3.0, (0,)), (-1.0, (2,))]], k0=3.0, growth_k=3.0)
-        np.testing.assert_array_equal(eval_reaction(sys, [2.0]), [-1.0])
-        np.testing.assert_array_equal(eval_reaction(sys, [0.0]), [3.0])
+        np.testing.assert_array_equal(f_at(sys, [2.0]), [-1.0])
+        np.testing.assert_array_equal(f_at(sys, [0.0]), [3.0])
 
     def test_hand_value_mixed_monomial(self):
         # f1 = 2 u1 u2^3, f2 = 0
         sys = poly_model(2, [[(2.0, (1, 3))], []], growth_k=2.0, growth_eps=2.0)
-        np.testing.assert_array_equal(eval_reaction(sys, [3.0, 2.0]), [48.0, 0.0])
+        np.testing.assert_array_equal(f_at(sys, [3.0, 2.0]), [48.0, 0.0])
 
     def test_rejects_zero_species(self):
         with pytest.raises(ValueError, match="n_species"):
@@ -254,30 +262,6 @@ class TestVectorizedEvaluation:
         batch = sys.evaluator(pts, 0.0)
         cols = np.stack([sys.evaluator(pts[:, j], 0.0) for j in range(40)], axis=1)
         np.testing.assert_array_equal(batch, cols)
-
-
-class TestEvalReactionClamping:
-    def test_clamps_tiny_negatives_to_zero(self, quad_system):
-        dirty = eval_reaction(quad_system, [-1e-13, 5.0, -5e-13, 1.0])
-        clean = eval_reaction(quad_system, [0.0, 5.0, 0.0, 1.0])
-        np.testing.assert_array_equal(dirty, clean)
-        np.testing.assert_array_equal(dirty, np.zeros(4))
-
-    def test_floor_itself_is_accepted(self, quad_system):
-        f = eval_reaction(quad_system, [NEGATIVE_CLAMP_FLOOR, 1.0, 1.0, 1.0])
-        assert np.all(np.isfinite(f))
-
-    def test_below_floor_names_the_species(self, quad_system):
-        with pytest.raises(ValueError, match="species 3"):
-            eval_reaction(quad_system, [1.0, 1.0, -2e-12, 1.0])
-
-    def test_wrong_shape(self, quad_system):
-        with pytest.raises(ValueError, match="length 4"):
-            eval_reaction(quad_system, [1.0, 1.0])
-
-    def test_non_finite_state(self, quad_system):
-        with pytest.raises(ValueError, match="finite"):
-            eval_reaction(quad_system, [1.0, np.nan, 1.0, 1.0])
 
 
 class TestCheckStructure:
@@ -371,16 +355,3 @@ class TestMassSource:
             4.0 * (1.0 - math.exp(-1.5)), rel=1e-14
         )
 
-
-class TestEntropyErrors:
-    def test_rejects_zero_component(self, quad_system):
-        with pytest.raises(ValueError, match="strictly positive"):
-            entropy_dissipation(quad_system, [1.0, 0.0, 1.0, 1.0])
-
-    def test_rejects_negative_component(self, quad_system):
-        with pytest.raises(ValueError, match="strictly positive"):
-            entropy_dissipation(quad_system, [1.0, -0.5, 1.0, 1.0])
-
-    def test_rejects_wrong_shape(self, quad_system):
-        with pytest.raises(ValueError, match="length 4"):
-            entropy_dissipation(quad_system, [1.0, 1.0])

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import rdcheck.solver
 
 from rdcheck import (
-    Field,
     Grid1D,
     NumericalFailure,
     PolynomialSpec,
@@ -28,11 +27,9 @@ from rdcheck import (
     SkewLVSpec,
     augment_system,
     SolverConfig,
-    SystemState,
     imex_step,
     implicit_heat_step,
     instantiate_model,
-    integrate,
     laplacian_values,
     run_simulation,
 )
@@ -61,8 +58,9 @@ def constant_sink(rate):
     )
 
 
-def constant_state(grid, value, n_species=1, t=0.0):
-    return SystemState(t, [Field.constant(grid, value) for _ in range(n_species)])
+def constant_state(grid, value, n_species=1):
+    """A run's input (grid, u0) with every value equal to value."""
+    return grid, np.full((n_species, grid.n_cells), float(value))
 
 
 def monomial(coef, power):
@@ -91,12 +89,8 @@ def skew_augmented_64():
         [1e-4, 2e-4, 3e-4],
     )
     grid = Grid1D(64, 1.0)
-    initial = SystemState(
-        0.0,
-        [Field(grid, bump(grid, c, 0.1, 50.0)) for c in (0.3, 0.5, 0.7)]
-        + [Field.constant(grid, 0.0)],
-    )
-    return augment_system(base).augmented, initial
+    u0 = np.stack([bump(grid, c, 0.1, 50.0) for c in (0.3, 0.5, 0.7)] + [np.zeros(64)])
+    return augment_system(base).augmented, (grid, u0)
 
 
 class TestSolverConfig:
@@ -123,27 +117,6 @@ class TestSolverConfig:
     def test_rejects_bad_parameters(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             SolverConfig(**kwargs)
-
-
-class TestSystemState:
-    def test_basic_properties(self):
-        grid = Grid1D(8, 1.0)
-        state = constant_state(grid, 2.0, n_species=3, t=0.5)
-        assert state.n_species == 3
-        assert state.t == 0.5
-        assert state.grid == grid
-        assert state.stacked().shape == (3, 8)
-        np.testing.assert_array_equal(state.stacked(), np.full((3, 8), 2.0))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            SystemState(0.0, [])
-
-    def test_rejects_mismatched_grids(self):
-        a = Field.constant(Grid1D(8, 1.0), 1.0)
-        b = Field.constant(Grid1D(16, 1.0), 1.0)
-        with pytest.raises(ValueError, match="share one grid"):
-            SystemState(0.0, [a, b])
 
 
 class TestSolveTridiagonal:
@@ -204,8 +177,10 @@ class TestImplicitHeatStep:
         grid = Grid1D(64, 1.0)
         rng = np.random.default_rng(12)
         values = rng.uniform(0.5, 2.0, size=64)
-        before = integrate(Field(grid, values))
-        after = integrate(Field(grid, implicit_heat_step(values, grid, 2.0, 0.1)))
+        before = rdcheck.solver.row_norms(values[None], grid.h)[1][0]
+        after = rdcheck.solver.row_norms(
+            implicit_heat_step(values, grid, 2.0, 0.1)[None], grid.h
+        )[1][0]
         assert abs(after - before) < 1e-12 * abs(before)
 
 
@@ -301,7 +276,7 @@ class TestTailAccuracy:
         def run():
             steps = []
             run_simulation(
-                aug, initial, cfg,
+                aug, *initial, cfg,
                 hooks=[lambda e: steps.append((e.dt, e.u_new[:3]))],
             )
             return steps
@@ -331,30 +306,30 @@ class TestImexStep:
             evaluator=lambda u, t: np.full_like(u, t),
             time_dependent=True,
         )
-        state = constant_state(Grid1D(8, 1.0), 1.0, t=0.5)
-        out = imex_step(state.stacked(), state.t, state.grid, clock, 0.25)
+        grid, u = constant_state(Grid1D(8, 1.0), 1.0)
+        out = imex_step(u, 0.5, grid, clock, 0.25)
         np.testing.assert_allclose(out, 1.125, rtol=1e-14)
 
     def test_constant_source_hand_value(self):
         # f = -0.5 on a constant field: diffusion is inert, so one step is
         # exactly u - dt * 0.5.
-        state = constant_state(Grid1D(16, 1.0), 2.0)
-        out = imex_step(state.stacked(), state.t, state.grid, constant_sink(0.5), 0.1)
+        grid, u = constant_state(Grid1D(16, 1.0), 2.0)
+        out = imex_step(u, 0.0, grid, constant_sink(0.5), 0.1)
         np.testing.assert_allclose(out[0], 1.95, rtol=1e-14)
 
     def test_equilibrium_is_stationary(self, quad_system):
-        state = constant_state(Grid1D(16, 1.0), 1.0, n_species=4)
-        out = imex_step(state.stacked(), state.t, state.grid, quad_system, 0.05)
+        grid, u = constant_state(Grid1D(16, 1.0), 1.0, n_species=4)
+        out = imex_step(u, 0.0, grid, quad_system, 0.05)
         np.testing.assert_allclose(out, 1.0, rtol=1e-13)
 
     def test_rejects_wrong_species_count(self, quad_system):
-        state = constant_state(Grid1D(8, 1.0), 1.0, n_species=2)
+        grid, u = constant_state(Grid1D(8, 1.0), 1.0, n_species=2)
         with pytest.raises(ValueError, match="species"):
-            imex_step(state.stacked(), state.t, state.grid, quad_system, 0.1)
+            imex_step(u, 0.0, grid, quad_system, 0.1)
 
     def test_non_finite_step_raises_numerical_failure(self):
         # u^3 overflows at u = 1e200: the step reports the species and the
-        # start time instead of building a non-finite Field.
+        # start time instead of returning a non-finite state.
         cube = instantiate_model(
             PolynomialSpec(
                 n_species=2,
@@ -366,76 +341,98 @@ class TestImexStep:
             ),
             [1.0, 1.0],
         )
-        state = SystemState(
-            0.5, [Field.constant(Grid1D(8, 1.0), 1.0), Field.constant(Grid1D(8, 1.0), 1e200)]
-        )
+        u = np.stack([np.full(8, 1.0), np.full(8, 1e200)])
         with pytest.raises(NumericalFailure, match="non-finite") as excinfo:
-            imex_step(state.stacked(), state.t, state.grid, cube, 0.1)
+            imex_step(u, 0.5, Grid1D(8, 1.0), cube, 0.1)
         assert excinfo.value.species == 2
         assert excinfo.value.time == 0.5
         assert not math.isfinite(excinfo.value.value)
 
     def test_rejects_nonpositive_dt(self):
-        state = constant_state(Grid1D(8, 1.0), 1.0)
+        grid, u = constant_state(Grid1D(8, 1.0), 1.0)
         with pytest.raises(ValueError, match="dt"):
-            imex_step(state.stacked(), state.t, state.grid, heat_only(), 0.0)
+            imex_step(u, 0.0, grid, heat_only(), 0.0)
 
 
 class TestRunSimulationValidation:
-    def test_rejects_wrong_species_count(self, quad_system):
-        state = constant_state(Grid1D(8, 1.0), 1.0)
-        with pytest.raises(ValueError, match="species"):
-            run_simulation(quad_system, state, SolverConfig(dt=0.1, t_end=1.0))
+    """run_simulation's checks of its initial (species, cells) array."""
 
-    def test_rejects_nonzero_start_time(self):
-        state = constant_state(Grid1D(8, 1.0), 1.0, t=0.5)
-        with pytest.raises(ValueError, match="t = 0"):
-            run_simulation(heat_only(), state, SolverConfig(dt=0.1, t_end=1.0))
+    CFG = SolverConfig(dt=0.1, t_end=1.0)
+
+    def test_rejects_wrong_species_count(self, quad_system):
+        with pytest.raises(ValueError, match=r"shape \(1, 8\), expected .* \(4, 8\)"):
+            run_simulation(quad_system, *constant_state(Grid1D(8, 1.0), 1.0), self.CFG)
+
+    def test_rejects_wrong_cell_count(self):
+        grid = Grid1D(8, 1.0)
+        with pytest.raises(ValueError, match=r"shape \(1, 7\), expected .* \(1, 8\)"):
+            run_simulation(heat_only(), grid, np.ones((1, 7)), self.CFG)
+        with pytest.raises(ValueError, match=r"shape \(8,\)"):
+            run_simulation(heat_only(), grid, np.ones(8), self.CFG)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_initial_data(self, bad):
+        grid, u0 = constant_state(Grid1D(8, 1.0), 1.0)
+        u0[0, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            run_simulation(heat_only(), grid, u0, self.CFG)
 
     def test_rejects_negative_initial_data(self):
-        grid = Grid1D(8, 1.0)
-        values = np.full(8, 1.0)
-        values[3] = -0.25
-        state = SystemState(0.0, [Field(grid, values)])
-        with pytest.raises(ValueError, match="species 1"):
-            run_simulation(heat_only(), state, SolverConfig(dt=0.1, t_end=1.0))
+        grid, u0 = constant_state(Grid1D(8, 1.0), 1.0, n_species=2)
+        u0[1, 3] = -0.25
+        skew = instantiate_model(
+            SkewLVSpec(interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 1.0]),
+            [1.0, 1.0],
+        )
+        with pytest.raises(ValueError, match="species 2 is negative: -0.25"):
+            run_simulation(skew, grid, u0, self.CFG)
+
+    def test_runs_on_a_read_only_copy_of_the_initial_data(self):
+        grid, u0 = constant_state(Grid1D(8, 1.0), 1.0)
+        events = []
+        run_simulation(heat_only(), grid, u0, self.CFG, hooks=[events.append])
+        first = events[0].u_old
+        assert first is not u0 and not first.flags.writeable
+        u0[0, 0] = 99.0
+        assert first[0, 0] == 1.0
+        assert u0.flags.writeable
 
 
 class TestRunSimulationRecording:
     def test_cadence_and_endpoints(self):
         state = constant_state(Grid1D(8, 1.0), 1.0)
         traj = collected_run(
-            heat_only(), state, SolverConfig(dt=0.1, t_end=1.0, record_every=3)
+            heat_only(), *state, SolverConfig(dt=0.1, t_end=1.0, record_every=3)
         )
         # Accepted steps 1..10; recorded at 3, 6, 9 plus t = 0 and the end.
         np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-12)
 
     def test_first_step_starts_from_the_initial_state(self):
         grid = Grid1D(32, 1.0)
-        state = SystemState(0.0, [Field(grid, 1.0 + bump(grid, 0.5, 0.1, 2.0))])
+        u0 = np.stack([1.0 + bump(grid, 0.5, 0.1, 2.0)])
         events = []
         run_simulation(
-            heat_only(), state, SolverConfig(dt=0.05, t_end=0.2), hooks=[events.append]
+            heat_only(), grid, u0, SolverConfig(dt=0.05, t_end=0.2), hooks=[events.append]
         )
         first = events[0]
         assert first.t_old == 0.0
-        np.testing.assert_array_equal(first.u_old[0], state.fields[0].values)
+        np.testing.assert_array_equal(first.u_old, u0)
         sup_norms, masses = rdcheck.solver.row_norms(first.u_old, grid.h)
-        assert sup_norms[0] == float(np.max(state.fields[0].values))
-        assert masses[0] == integrate(state.fields[0])
+        assert sup_norms[0] == float(np.max(u0[0]))
+        assert masses[0] == float(np.add.accumulate(u0[0])[-1] * grid.h)
 
     def test_final_step_is_clipped_to_t_end(self):
         state = constant_state(Grid1D(8, 1.0), 1.0)
-        traj = collected_run(heat_only(), state, SolverConfig(dt=0.3, t_end=1.0))
+        traj = collected_run(heat_only(), *state, SolverConfig(dt=0.3, t_end=1.0))
         assert abs(traj.final().t - 1.0) < 1e-12
         # 0.3 + 0.3 + 0.3 + 0.1: four accepted steps, all recorded.
         assert len(traj.entries) == 5
 
     def test_times_strictly_increase(self):
         grid = Grid1D(16, 1.0)
-        state = SystemState(0.0, [Field(grid, 1.0 + bump(grid, 0.4, 0.1, 1.0))])
+        state = grid, np.stack([1.0 + bump(grid, 0.4, 0.1, 1.0)])
         traj = collected_run(
-            heat_only(), state, SolverConfig(dt=0.07, t_end=0.5, record_every=2)
+            heat_only(), *state, SolverConfig(dt=0.07, t_end=0.5, record_every=2)
         )
         assert np.all(np.diff(traj.times) > 0.0)
         assert abs(traj.final().t - 0.5) < 1e-12
@@ -444,8 +441,8 @@ class TestRunSimulationRecording:
 class TestRunSimulationPhysics:
     def test_pure_diffusion_conserves_mass(self):
         grid = Grid1D(64, 1.0)
-        state = SystemState(0.0, [Field(grid, 1.0 + bump(grid, 0.3, 0.08, 3.0))])
-        traj = collected_run(heat_only(2.0), state, SolverConfig(dt=0.01, t_end=0.5))
+        state = grid, np.stack([1.0 + bump(grid, 0.3, 0.08, 3.0)])
+        traj = collected_run(heat_only(2.0), *state, SolverConfig(dt=0.01, t_end=0.5))
         masses = np.array([e.masses[0] for e in traj.entries])
         assert np.max(np.abs(masses - masses[0])) < 1e-12 * masses[0]
 
@@ -453,12 +450,8 @@ class TestRunSimulationPhysics:
         # f evaluated at the old state plus exact operator conservation make
         # the per-step mass factor 1 - tau dt, up to solve rounding.
         grid = Grid1D(32, 1.0)
-        state = SystemState(
-            0.0,
-            [
-                Field(grid, 0.5 + bump(grid, 0.3, 0.1, 1.0)),
-                Field(grid, 0.5 + bump(grid, 0.7, 0.1, 1.0)),
-            ],
+        state = grid, np.stack(
+            [0.5 + bump(grid, 0.3, 0.1, 1.0), 0.5 + bump(grid, 0.7, 0.1, 1.0)]
         )
         dt = 1e-3
         ratios = []
@@ -469,14 +462,14 @@ class TestRunSimulationPhysics:
             ratios.append(m_new / m_old)
 
         run_simulation(
-            skew_system, state, SolverConfig(dt=dt, t_end=0.05), hooks=[capture]
+            skew_system, *state, SolverConfig(dt=dt, t_end=0.05), hooks=[capture]
         )
         assert len(ratios) == 50
         np.testing.assert_allclose(ratios, 1.0 - dt, rtol=1e-12)
 
     def test_quad_equilibrium_is_stationary(self, quad_system):
         state = constant_state(Grid1D(16, 1.0), 1.0, n_species=4)
-        final = run_simulation(quad_system, state, SolverConfig(dt=0.05, t_end=0.5))
+        final = run_simulation(quad_system, *state, SolverConfig(dt=0.05, t_end=0.5))
         np.testing.assert_allclose(final, 1.0, rtol=1e-12)
 
 
@@ -503,7 +496,7 @@ class TestPositivityEnforcement:
             seen.append(event.dt)
 
         final = run_simulation(
-            sys, state, SolverConfig(dt=0.2, t_end=0.4), hooks=[capture]
+            sys, *state, SolverConfig(dt=0.2, t_end=0.4), hooks=[capture]
         )
         assert seen[0] == pytest.approx(0.1)
         assert seen[1] == pytest.approx(0.2)
@@ -520,7 +513,7 @@ class TestPositivityEnforcement:
             mins.append(float(np.min(event.u_new[0])))
 
         final = run_simulation(
-            sys, state, SolverConfig(dt=1e-3, t_end=3e-3), hooks=[capture]
+            sys, *state, SolverConfig(dt=1e-3, t_end=3e-3), hooks=[capture]
         )
         assert mins == [0.0, 0.0, 0.0]
         np.testing.assert_array_equal(final[0], 0.0)
@@ -544,7 +537,7 @@ class TestPositivityEnforcement:
         monkeypatch.setattr(rdcheck.solver, "imex_step", overflowing_above)
         seen = []
         traj = collected_run(
-            heat_only(), constant_state(Grid1D(8, 1.0), 1.0),
+            heat_only(), *constant_state(Grid1D(8, 1.0), 1.0),
             SolverConfig(dt=0.2, t_end=0.4), hooks=[lambda e: seen.append(e.dt)],
         )
         assert seen == pytest.approx([0.1, 0.1, 0.1, 0.1])
@@ -554,7 +547,7 @@ class TestPositivityEnforcement:
         sys = constant_sink(1.0)
         state = constant_state(Grid1D(8, 1.0), 0.0)
         with pytest.raises(NumericalFailure, match="halvings") as excinfo:
-            run_simulation(sys, state, SolverConfig(dt=1e-3, t_end=1e-2))
+            run_simulation(sys, *state, SolverConfig(dt=1e-3, t_end=1e-2))
         err = excinfo.value
         assert err.time == 0.0
         assert err.species == 1
@@ -567,7 +560,7 @@ def ladder_steps(system, initial, cfg):
     steps = []
     try:
         run_simulation(
-            system, initial, cfg, hooks=[lambda e: steps.append((e.dt, e.u_new))]
+            system, *initial, cfg, hooks=[lambda e: steps.append((e.dt, e.u_new))]
         )
     except NumericalFailure as exc:
         return steps, exc
@@ -631,7 +624,7 @@ class TestHalvingLadder:
     def test_matches_the_sequential_halvings_bitwise(self, case):
         system, initial, cfg = LADDER_CASES[case]()
         got, got_failure = ladder_steps(system, initial, cfg)
-        expect, expect_failure = sequential_steps(system, initial, cfg)
+        expect, expect_failure = sequential_steps(system, *initial, cfg)
         assert [dt for dt, _ in got] == [dt for dt, _ in expect]
         for (_, a), (_, b) in zip(got, expect):
             assert a.tobytes() == b.tobytes()
@@ -683,12 +676,12 @@ class TestHalvingLadder:
             return real(u, t, grid, sys, dt)
 
         monkeypatch.setattr(rdcheck.solver, "imex_step", recording)
-        run_simulation(counted, initial, cfg)
+        run_simulation(counted, *initial, cfg)
         # 193 steps, 188 of them at level 3: four single trials for the
         # first step, then one ladder per step.
         assert len(evaluations) == len(calls) == 196
         evaluations.clear()
-        sequential_steps(counted, initial, cfg)
+        sequential_steps(counted, *initial, cfg)
         assert len(evaluations) == 764
 
 
@@ -706,7 +699,7 @@ class TestHooks:
             calls.append("b")
 
         run_simulation(
-            heat_only(), state, SolverConfig(dt=0.25, t_end=0.5), hooks=[first, second]
+            heat_only(), *state, SolverConfig(dt=0.25, t_end=0.5), hooks=[first, second]
         )
         assert calls == ["a", "b", "a", "b"]
         assert [e.index for e in events] == [1, 2]
@@ -715,12 +708,13 @@ class TestHooks:
         assert events[1].u_old is events[0].u_new
 
     def test_event_shares_read_only_arrays_and_field_norms(self, quad_system):
-        # The step's norms are computed once, row-wise, bitwise equal to the
-        # per-Field integrate and sup; the run returns the last step's array.
+        # The step's norms are computed once, row-wise, bitwise equal to each
+        # row's left-to-right cell sum and max; the run returns the last
+        # step's array.
         grid = Grid1D(40, 1.0)
         events = []
         final = run_simulation(
-            quad_system, quad_bump_state(grid),
+            quad_system, grid, quad_bump_state(grid),
             SolverConfig(dt=5e-3, t_end=0.05, record_every=3), hooks=[events.append],
         )
         recorded = [e for e in events if e.recorded]
@@ -728,9 +722,10 @@ class TestHooks:
         for event in events:
             assert not event.u_old.flags.writeable
             assert not event.u_new.flags.writeable
-            fields = [Field(grid, row) for row in event.u_new]
-            assert list(event.masses) == [integrate(f) for f in fields]
-            assert list(event.sup_norms) == [float(np.max(f.values)) for f in fields]
+            assert list(event.masses) == [
+                float(np.add.accumulate(row)[-1] * grid.h) for row in event.u_new
+            ]
+            assert list(event.sup_norms) == [float(np.max(row)) for row in event.u_new]
         assert final is events[-1].u_new
         assert not final.flags.writeable
 
@@ -739,7 +734,7 @@ class TestHooks:
         count = []
         traj = collected_run(
             heat_only(),
-            state,
+            *state,
             SolverConfig(dt=0.1, t_end=1.0, record_every=4),
             hooks=[lambda e: count.append(e.index)],
         )
@@ -751,8 +746,8 @@ class TestDeterminism:
     def test_identical_runs_are_bitwise_equal(self, quad_system):
         grid = Grid1D(48, 1.0)
         cfg = SolverConfig(dt=5e-3, t_end=0.2)
-        a = run_simulation(quad_system, quad_bump_state(grid), cfg)
-        b = run_simulation(quad_system, quad_bump_state(grid), cfg)
+        a = run_simulation(quad_system, grid, quad_bump_state(grid), cfg)
+        b = run_simulation(quad_system, grid, quad_bump_state(grid), cfg)
         np.testing.assert_array_equal(a, b)
 
 
@@ -767,9 +762,9 @@ class TestConvergence:
         exact = math.exp(lam * t_end) * mode
         errors = []
         for dt in (2e-3, 1e-3, 5e-4):
-            state = SystemState(0.0, [Field(grid, 1.5 + mode)])
+            state = grid, np.stack([1.5 + mode])
             got = run_simulation(
-                heat_only(), state, SolverConfig(dt=dt, t_end=t_end)
+                heat_only(), *state, SolverConfig(dt=dt, t_end=t_end)
             )[0]
             errors.append(np.max(np.abs(got - (1.5 + exact))))
         assert errors[0] / errors[1] == pytest.approx(2.0, abs=0.2)
@@ -785,9 +780,9 @@ class TestConvergence:
             grid = Grid1D(n, 1.0)
             mode = np.cos(math.pi * grid.centers)
             steps = 64 * (n // 16) ** 2
-            state = SystemState(0.0, [Field(grid, 1.5 + mode)])
+            state = grid, np.stack([1.5 + mode])
             got = run_simulation(
-                heat_only(), state, SolverConfig(dt=t_end / steps, t_end=t_end)
+                heat_only(), *state, SolverConfig(dt=t_end / steps, t_end=t_end)
             )[0]
             exact = 1.5 + math.exp(-math.pi**2 * t_end) * mode
             errors.append(np.max(np.abs(got - exact)))

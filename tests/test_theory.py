@@ -6,23 +6,19 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
-import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rdcheck import (
     exponent_algebra,
     fit_rate,
-    free_space_constants,
-    gamma_fn,
     gaussian_moment,
     interpolation_constants,
-    optimal_k,
     quad_equilibrium,
 )
 
 # Hardcoded unit-sphere surface areas for n = 1, 2, 3; independent of the
-# package's gamma implementation.
+# gamma function the package uses.
 SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
@@ -58,39 +54,6 @@ def equilibrium_oracle(m13: float, m23: float, m24: float) -> np.ndarray:
     u2 = m23 - u3
     u4 = m24 - u2
     return np.array([u1, u2, u3, u4])
-
-
-class TestGammaFn:
-    @pytest.mark.parametrize(
-        "x,expect",
-        [
-            (1.0, 1.0),
-            (2.0, 1.0),
-            (0.5, math.sqrt(math.pi)),
-            (1.5, math.sqrt(math.pi) / 2.0),
-            (2.5, 3.0 * math.sqrt(math.pi) / 4.0),
-            (5.0, 24.0),
-            (10.0, 362880.0),
-            (20.0, 121645100408832000.0),
-        ],
-    )
-    def test_frozen_values(self, x, expect):
-        assert gamma_fn(x) == pytest.approx(expect, rel=1e-13)
-
-    def test_against_scipy_on_a_grid(self):
-        xs = np.linspace(0.05, 30.0, 277)
-        for x in xs:
-            assert gamma_fn(float(x)) == pytest.approx(
-                float(scipy.special.gamma(x)), rel=5e-13
-            )
-
-    def test_recurrence_below_half(self):
-        assert gamma_fn(0.1) * 0.1 == pytest.approx(gamma_fn(1.1), rel=1e-14)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            gamma_fn(bad)
 
 
 class TestGaussianMoment:
@@ -157,9 +120,6 @@ class TestInterpolationConstants:
         # The free-space pair is still reported alongside.
         assert c.b4 == pytest.approx(2.0, rel=1e-12)
 
-    def test_free_space_alias(self):
-        assert free_space_constants(1, 1.0, 0.0) == interpolation_constants(1, 1.0, 0.0)
-
     def test_half_supplied_envelope_rejected(self):
         with pytest.raises(ValueError):
             interpolation_constants(1, 1.0, 0.0, c_n=1.0)
@@ -173,41 +133,6 @@ class TestInterpolationConstants:
     def test_domain(self, args):
         with pytest.raises(ValueError):
             interpolation_constants(*args)
-
-
-class TestOptimalK:
-    def test_zero_forcing_gives_zero(self):
-        assert optimal_k(2.0, 1.0, 0.0, 1.0, 0.0) == 0.0
-
-    def test_hand_value(self):
-        # sqrt(k) = (2*1 / (1*1*1))^{1/2} = sqrt(2), so k = 2.
-        assert optimal_k(2.0, 1.0, 1.0, 1.0, 0.0) == pytest.approx(2.0, rel=1e-12)
-
-    def test_balances_the_two_terms(self):
-        # sqrt(k) minimizes b_holder H s^{1-gamma} + b_grad F / s, the shape
-        # of the interpolation bound as a function of the damping root.
-        gamma, bg, bh, forcing, holder = 0.5, 3.0, 1.7, 2.2, 0.9
-        k = optimal_k(bg, bh, forcing, holder, gamma)
-        root = math.sqrt(k)
-
-        def objective(s):
-            return bh * holder * s ** (1.0 - gamma) + bg * forcing / s
-
-        eps = 1e-6 * root
-        lo = objective(root - eps)
-        mid = objective(root)
-        hi = objective(root + eps)
-        assert mid <= lo and mid <= hi
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            optimal_k(2.0, 1.0, -1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            optimal_k(2.0, 1.0, 1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            optimal_k(0.0, 1.0, 1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            optimal_k(2.0, 1.0, 1.0, 1.0, 1.0)
 
 
 class TestExponentAlgebra:

@@ -1,4 +1,4 @@
-"""Tests for the time rescaling and the mass-closing augmentation."""
+"""Tests for the mass-closing augmentation of the time-rescaled system."""
 
 import math
 
@@ -7,14 +7,11 @@ import pytest
 from conftest import bump, collected_run
 
 from rdcheck import (
-    Field,
     Grid1D,
     SkewLVSpec,
     SolverConfig,
-    SystemState,
     augment_system,
     instantiate_model,
-    rescale_solution,
     run_simulation,
     verify_augmented,
 )
@@ -28,31 +25,10 @@ def unequal_skew():
 
 
 def two_bump_state(grid, tail_species=0):
-    fields = [
-        Field(grid, 0.5 + bump(grid, 0.3, 0.1, 1.0)),
-        Field(grid, 0.5 + bump(grid, 0.7, 0.1, 1.0)),
-    ]
-    fields += [Field.constant(grid, 0.0) for _ in range(tail_species)]
-    return SystemState(0.0, fields)
-
-
-class TestRescaleSolution:
-    def test_hand_value(self):
-        got = rescale_solution([2.0, 4.0], math.log(2.0), 1.0)
-        np.testing.assert_allclose(got, [1.0, 2.0], rtol=1e-15)
-
-    def test_identity_at_zero_rate(self):
-        u = np.array([0.3, 1.7, 2.9])
-        np.testing.assert_array_equal(rescale_solution(u, 0.0, 5.0), u)
-
-    def test_round_trip(self):
-        u = np.array([0.3, 1.7, 2.9])
-        back = rescale_solution(rescale_solution(u, -0.8, 2.0), 0.8, 2.0)
-        np.testing.assert_allclose(back, u, rtol=1e-14)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            rescale_solution([1.0, np.inf], 1.0, 1.0)
+    """Two bumps plus tail_species zero rows, as a (species, cells) array."""
+    rows = [0.5 + bump(grid, 0.3, 0.1, 1.0), 0.5 + bump(grid, 0.7, 0.1, 1.0)]
+    rows += [np.zeros(grid.n_cells) for _ in range(tail_species)]
+    return np.stack(rows)
 
 
 class TestAugmentSystem:
@@ -151,22 +127,19 @@ class TestAugmentedRuns:
         # The trivially rescaled head must take exactly the same steps as
         # the base system, while the closing species stays identically zero.
         grid = Grid1D(32, 1.0)
-        base_state = SystemState(
-            0.0,
+        base_u0 = np.stack(
             [
-                Field(grid, 0.2 + bump(grid, 0.3, 0.1, 2.0)),
-                Field(grid, 0.2 + bump(grid, 0.7, 0.1, 2.0)),
-                Field(grid, 1.0 + bump(grid, 0.5, 0.15, 1.0)),
-                Field(grid, 0.5 + bump(grid, 0.2, 0.12, 1.5)),
-            ],
+                0.2 + bump(grid, 0.3, 0.1, 2.0),
+                0.2 + bump(grid, 0.7, 0.1, 2.0),
+                1.0 + bump(grid, 0.5, 0.15, 1.0),
+                0.5 + bump(grid, 0.2, 0.12, 1.5),
+            ]
         )
-        aug_state = SystemState(
-            0.0, list(base_state.fields) + [Field.constant(grid, 0.0)]
-        )
+        aug_u0 = np.vstack((base_u0, np.zeros(grid.n_cells)))
         aug = augment_system(quad_system).augmented
         cfg = SolverConfig(dt=2e-3, t_end=0.1)
-        base_traj = collected_run(quad_system, base_state, cfg)
-        aug_traj = collected_run(aug, aug_state, cfg)
+        base_traj = collected_run(quad_system, grid, base_u0, cfg)
+        aug_traj = collected_run(aug, grid, aug_u0, cfg)
         assert len(base_traj.entries) == len(aug_traj.entries)
         for be, ae in zip(base_traj.entries, aug_traj.entries):
             assert be.t == ae.t
@@ -183,9 +156,12 @@ class TestAugmentedRuns:
         defects = []
         for dt in (2e-3, 1e-3):
             cfg = SolverConfig(dt=dt, t_end=t_end)
-            base_final = run_simulation(skew_system, two_bump_state(grid), cfg)
-            aug_final = run_simulation(aug, two_bump_state(grid, tail_species=1), cfg)
-            predicted_head = rescale_solution(base_final, -1.0, t_end)
+            base_final = run_simulation(skew_system, grid, two_bump_state(grid), cfg)
+            aug_final = run_simulation(
+                aug, grid, two_bump_state(grid, tail_species=1), cfg
+            )
+            # The rescaled base run w = e^{-k1 t} u, with k1 = -1.
+            predicted_head = np.exp(t_end) * base_final
             defects.append(float(np.max(np.abs(aug_final[:2] - predicted_head))))
         assert defects[0] < 0.05
         assert 1.5 <= defects[0] / defects[1] <= 3.0
@@ -199,6 +175,7 @@ class TestAugmentedRuns:
         grid = Grid1D(32, 1.0)
         traj = collected_run(
             aug,
+            grid,
             two_bump_state(grid, tail_species=1),
             SolverConfig(dt=1e-3, t_end=0.2),
         )
