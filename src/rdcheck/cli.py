@@ -55,8 +55,8 @@ def _execute(path: str, augment: bool, assert_checks: bool) -> tuple[int, str]:
     """Run one config; returns (exit code, printable summary)."""
     lines = [f"== {path}"]
     try:
-        cfg = load_config(path)
-        outcome = run_experiment(cfg, augment_override=True if augment else None)
+        cfg = load_config(path, augment)
+        outcome = run_experiment(cfg)
     except ConfigError as exc:
         lines.append("config error:")
         lines.extend(f"  {e}" for e in exc.errors)
@@ -130,7 +130,7 @@ def _constants_command(ns: argparse.Namespace) -> int:
         c = interpolation_constants(
             ns.n, ns.d, ns.gamma, c_n=ns.cn, kappa_n=ns.kappan
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"case: {c.case}")

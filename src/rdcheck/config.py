@@ -37,7 +37,6 @@ __all__ = [
     "load_config",
     "validate_config",
     "build_initial_state",
-    "solve_coefficient_error",
 ]
 
 _BUILTINS = ("quadratic_reversible", "skew_lv")
@@ -336,37 +335,31 @@ def _finite(compute):
     return value if np.all(np.isfinite(value)) else None
 
 
-def solve_coefficient_error(path: str, grid: Grid1D, dt: float, d: float) -> str | None:
-    """The error naming `path` if the largest solve coefficient
-    1 + 4 dt d / h^2 of diffusion d at step dt is not finite, else None."""
-    h = np.float64(grid.h)
-    if _finite(lambda: 1.0 + 4.0 * (np.float64(dt) * d / (h * h))) is None:
-        return f"{path}: dt * d / h^2 is not finite (dt = {dt}, d = {d}, h = {grid.h})"
-    return None
-
-
 def _check_derived(
-    col: _Collector, grid: Grid1D, profiles, dt, diffusion, diag_d, augment: bool
+    col: _Collector, grid: Grid1D, profiles, dt, diffusion, diag_d, closure
 ) -> None:
     """Reject derived quantities that are not finite: 1/h^2, the largest
-    solve coefficient of every species, of the closure species when the
-    system is augmented, and of the auxiliary diffusion d (at the
-    configured dt, the largest step), each initial profile on the grid and
-    its mass, and the initial forcing sum_i (d - d_i) u_i of v_d."""
+    solve coefficient 1 + 4 dt d / h^2 of every species, of the closure
+    species when the system is augmented (closure names what augments it,
+    else None), and of the auxiliary diffusion d (at the configured dt, the
+    largest step), each initial profile on the grid and its mass, and the
+    initial forcing sum_i (d - d_i) u_i of v_d."""
     h = np.float64(grid.h)
     if _finite(lambda: 1.0 / (h * h)) is None:
         col.add("grid", f"cell width h = {grid.h} has no finite 1/h^2")
         return
     coefficients = [(f"model.diffusion[{i}]", d) for i, d in enumerate(diffusion)]
-    if augment:
-        coefficients.append(("transform.augment (closure species)", 1.0))
+    if closure is not None:
+        coefficients.append((f"{closure} (closure species)", 1.0))
     if diag_d is not None:
         coefficients.append(("diagnostics.d", diag_d))
     if dt is not None:
         for path, d in coefficients:
-            error = solve_coefficient_error(path, grid, dt, d)
-            if error is not None:
-                col.errors.append(error)
+            if _finite(lambda: 1.0 + 4.0 * (np.float64(dt) * d / (h * h))) is None:
+                col.add(
+                    path,
+                    f"dt * d / h^2 is not finite (dt = {dt}, d = {d}, h = {grid.h})",
+                )
     values = []
     for i, profile in enumerate(profiles or ()):
         u0 = _finite(lambda: _profile_values(profile, grid))
@@ -381,8 +374,13 @@ def _check_derived(
             col.add("diagnostics.d", "the initial forcing sum_i (d - d_i) u_i is not finite")
 
 
-def validate_config(raw: dict) -> RunConfig:
-    """Validate a parsed JSON object; raise ConfigError with every problem."""
+def validate_config(raw: dict, augment: bool = False) -> RunConfig:
+    """Validate a parsed JSON object; raise ConfigError with every problem.
+
+    augment=True forces the closure transform on (CLI --augment) whatever
+    transform.augment says; the closure species is then checked like one
+    the config asks for.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected a JSON object"])
     col = _Collector()
@@ -432,13 +430,16 @@ def validate_config(raw: dict) -> RunConfig:
                 max_step_halvings=halvings, record_every=record_every,
             )
 
-    augment = False
+    # What turns the closure transform on, for the errors that name it.
+    closure = "--augment" if augment else None
     sec = col.section(raw, "transform", ("augment",), required=False)
     if sec is not None:
-        augment = sec.get("augment", False)
-        if not isinstance(augment, bool):
-            col.add("transform.augment", f"expected true/false, got {augment!r}")
-            augment = False
+        configured = sec.get("augment", False)
+        if not isinstance(configured, bool):
+            col.add("transform.augment", f"expected true/false, got {configured!r}")
+        elif configured:
+            closure = "transform.augment"
+    augment = closure is not None
 
     diag_enabled = False
     diag_d = None
@@ -551,7 +552,7 @@ def validate_config(raw: dict) -> RunConfig:
     if grid is not None:
         _check_derived(
             col, grid, profiles, solver_cfg and solver_cfg.dt,
-            () if system is None else system.diffusion, diag_d, augment,
+            () if system is None else system.diffusion, diag_d, closure,
         )
 
     if col.errors:
@@ -575,8 +576,9 @@ def validate_config(raw: dict) -> RunConfig:
     )
 
 
-def load_config(path: str) -> RunConfig:
-    """Read and validate a JSON run config from disk."""
+def load_config(path: str, augment: bool = False) -> RunConfig:
+    """Read and validate a JSON run config from disk; augment as in
+    validate_config."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -586,7 +588,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError([f"config {path} is not UTF-8 text: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config {path} is not valid JSON: {exc}"]) from exc
-    return validate_config(raw)
+    return validate_config(raw, augment)
 
 
 def _profile_values(profile, grid: Grid1D) -> np.ndarray:

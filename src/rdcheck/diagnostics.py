@@ -75,6 +75,18 @@ _ENTROPY_TOL = 1e-12
 _MASS_IDENTITY_TOL = 1e-9
 
 
+def _max(a: float, b: float) -> float:
+    """max(a, b), or NaN if either is NaN (np.maximum's rule), so that a
+    running maximum keeps a measurement that is not a number and its check
+    fails on it; Python's max(a, nan) keeps a."""
+    return b if b > a or b != b else a
+
+
+def _min(a: float, b: float) -> float:
+    """min(a, b), or NaN if either is NaN, as _max."""
+    return b if b < a or b != b else a
+
+
 @dataclass(frozen=True)
 class AuxiliaryConfig:
     """Auxiliary-field parameters.
@@ -193,16 +205,16 @@ class AuxiliaryTracker:
             np.max(np.abs(self._z - laplacian_values(v_d, self.grid.h) - total))
         )
         gvd = grad_sup(v_d, self.grid.h)
-        self.z_sup_max = max(self.z_sup_max, z_sup)
-        self.forcing_sup_max = max(self.forcing_sup_max, forcing)
-        self.b_min = min(self.b_min, b_min)
-        self.b_max = max(self.b_max, b_max)
-        self.uhat_min = min(self.uhat_min, float(np.min(self._u_hat)))
-        self.uhat_sup_max = max(self.uhat_sup_max, float(np.max(np.abs(self._u_hat))))
-        self.dzhat_minus_uhat_min = min(self.dzhat_minus_uhat_min, float(np.min(gap)))
-        self.vd_consistency_max = max(self.vd_consistency_max, consistency)
-        self.zvd_residual_max = max(self.zvd_residual_max, zvd)
-        self.grad_vd_max = max(self.grad_vd_max, gvd)
+        self.z_sup_max = _max(self.z_sup_max, z_sup)
+        self.forcing_sup_max = _max(self.forcing_sup_max, forcing)
+        self.b_min = _min(self.b_min, b_min)
+        self.b_max = _max(self.b_max, b_max)
+        self.uhat_min = _min(self.uhat_min, float(np.min(self._u_hat)))
+        self.uhat_sup_max = _max(self.uhat_sup_max, float(np.max(np.abs(self._u_hat))))
+        self.dzhat_minus_uhat_min = _min(self.dzhat_minus_uhat_min, float(np.min(gap)))
+        self.vd_consistency_max = _max(self.vd_consistency_max, consistency)
+        self.zvd_residual_max = _max(self.zvd_residual_max, zvd)
+        self.grad_vd_max = _max(self.grad_vd_max, gvd)
         self._row = {
             "z_sup": z_sup,
             "b_min": b_min,
@@ -311,9 +323,9 @@ class InvariantTracker:
             self.laws0 = self.laws
             self.mass0 = total
             self._identity_mass = total
-        self.u_min = min(self.u_min, float(np.min(u)))
+        self.u_min = _min(self.u_min, float(np.min(u)))
         self.law_drift = [
-            max(d, abs(v - v0)) for d, v, v0 in zip(self.law_drift, self.laws, self.laws0)
+            _max(d, abs(v - v0)) for d, v, v0 in zip(self.law_drift, self.laws, self.laws0)
         ]
         # An envelope that overflows is +inf: nothing is shown to exceed it.
         grow = _exp(sys.k1 * t)
@@ -334,17 +346,17 @@ class InvariantTracker:
         envelope = held + self.domain_length * src
         # A total that overflowed is not shown to stay under the envelope.
         excess = total - envelope if math.isfinite(total) else math.inf
-        self.envelope_excess = max(self.envelope_excess, excess)
+        self.envelope_excess = _max(self.envelope_excess, excess)
         tau = sys.uniform_decay_rate
         if tau is not None:
             # One accepted step multiplies the total mass by 1 - tau dt.
             self._identity_mass *= 1.0 - tau * (t - self.t)
             ref = max(abs(self.mass0), _TOTAL_MASS_FLOOR)
-            self.identity_error = max(
+            self.identity_error = _max(
                 self.identity_error, abs(total - self._identity_mass) / ref
             )
         if entropy is not None:
-            self.entropy_max = max(self.entropy_max, entropy)
+            self.entropy_max = _max(self.entropy_max, entropy)
         self.t = t
 
 

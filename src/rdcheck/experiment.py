@@ -17,6 +17,10 @@ Both files are written atomically (temp file + os.replace) so a crashed
 run never leaves a half-written artifact at the target path.  A
 NumericalFailure mid-run, or any other exception out of the run, flushes
 the rows recorded so far and reports the abort instead of raising through.
+A passed, failed and aborted run fill the same report and emit it once;
+an aborted run's report holds only the structure audits, which ran before
+the solver, and no fits.  The config is validated before it gets here
+(CLI --augment included), so a run raises no ConfigError.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, build_initial_state, solve_coefficient_error
+from .config import RunConfig, build_initial_state
 from .diagnostics import (
     AuxiliaryConfig,
     AuxiliaryTracker,
@@ -47,7 +51,7 @@ from .diagnostics import (
     check_z_bound,
     entropy_pointwise_worst,
 )
-from .errors import ConfigError, NumericalFailure
+from .errors import NumericalFailure
 from .grid import Grid1D
 from .models import ReactionSystem, StructureVerdict, check_structure
 from .solver import StepEvent, row_norms, run_simulation
@@ -65,13 +69,14 @@ class ExperimentOutcome:
 
     report: dict
     csv_text: str
-    tracker: AuxiliaryTracker | None
-    augmented: bool
-    aborted: bool
 
     @property
     def passed(self) -> bool:
         return self.report["overall"] == "pass"
+
+    @property
+    def aborted(self) -> bool:
+        return self.report["overall"] == "aborted"
 
 
 def config_sha256(raw: dict) -> str:
@@ -339,26 +344,20 @@ def _measurement_block(tracker: AuxiliaryTracker | None):
     }
 
 
-def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> ExperimentOutcome:
+def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
     """Run one configured experiment end to end and emit its artifacts.
 
     Args:
-        cfg: validated configuration.
-        augment_override: force the closure transform on or off regardless
-            of the config (CLI --augment); None keeps the config's choice.
+        cfg: validated configuration; cfg.augment says whether the closure
+            transform is on (the config's choice, or CLI --augment).
 
     Returns:
         ExperimentOutcome; .aborted is True when the solver could not
         restore positivity or finiteness within the halving budget, or the
         run raised any other exception (named in the failure message); the
-        partial CSV is still emitted.
-
-    Raises:
-        ConfigError: if the override makes the diagnostics configuration
-            inconsistent (auxiliary diffusion not above every species), or
-            gives the closure species a solve coefficient that is not finite.
+        partial CSV is still emitted, and the report keeps the structure
+        checks only.
     """
-    augment = cfg.augment if augment_override is None else augment_override
     base = cfg.system
     rng = np.random.default_rng(cfg.seed)
 
@@ -366,17 +365,9 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
     verdict = check_structure(base, rng)
     checks.extend(_verdict_checks("structure", verdict, conservation=False))
 
-    if augment:
+    if cfg.augment:
         pair = augment_system(base)
         system = pair.augmented
-        if not cfg.augment:
-            # Validation checks the closure species only when the config augments.
-            error = solve_coefficient_error(
-                "--augment (closure species)", cfg.grid, cfg.solver.dt,
-                system.diffusion[-1],
-            )
-            if error is not None:
-                raise ConfigError([error])
         aug_verdict = verify_augmented(
             pair,
             rng,
@@ -387,23 +378,20 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
     else:
         system = base
 
-    u0 = build_initial_state(cfg, extra_zero_species=augment)
+    u0 = build_initial_state(cfg, extra_zero_species=cfg.augment)
 
     tracker = None
     if cfg.diagnostics_enabled:
-        try:
-            tracker = AuxiliaryTracker(
-                system,
-                cfg.grid,
-                u0,
-                AuxiliaryConfig(
-                    d=cfg.diagnostics_d,
-                    gammas=cfg.diagnostics_gammas,
-                    z_offset=cfg.inject_z_offset,
-                ),
-            )
-        except ValueError as exc:
-            raise ConfigError([f"diagnostics.d: {exc}"]) from exc
+        tracker = AuxiliaryTracker(
+            system,
+            cfg.grid,
+            u0,
+            AuxiliaryConfig(
+                d=cfg.diagnostics_d,
+                gammas=cfg.diagnostics_gammas,
+                z_offset=cfg.inject_z_offset,
+            ),
+        )
 
     recorder = _Recorder(
         system, cfg.grid, u0, tracker, [spec["series"] for spec in cfg.fits]
@@ -411,11 +399,12 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
     hooks = ([tracker.on_step] if tracker else []) + [recorder.on_step]
 
     report = {
-        "augmented": augment,
+        "augmented": cfg.augment,
         "config": cfg.raw,
         "config_sha256": config_sha256(cfg.raw),
         "system": system.name,
         "failure": None,
+        "fits": [],
     }
 
     try:
@@ -424,56 +413,38 @@ def run_experiment(cfg: RunConfig, augment_override: bool | None = None) -> Expe
         if not isinstance(exc, NumericalFailure):
             traceback.print_exc()
             exc = NumericalFailure(f"unexpected {type(exc).__name__}: {exc}")
-        report["checks"] = [_check_dict(c) for c in checks]
-        report["fits"] = []
-        report["measurements"] = _measurement_block(tracker)
-        report["n_accepted_steps"] = recorder.n_accepted
-        report["overall"] = "aborted"
         report["failure"] = {
             "message": str(exc),
             "time": _num(exc.time),
             "species": exc.species,
             "value": _num(exc.value),
         }
-        outcome = ExperimentOutcome(
-            report=report,
-            csv_text=recorder.text(),
-            tracker=tracker,
-            augmented=augment,
-            aborted=True,
-        )
-        _emit(cfg, outcome)
-        return outcome
+    else:
+        invariants = recorder.invariants
+        checks.append(check_positivity(invariants))
+        checks.extend(check_conservation_laws(invariants))
+        checks.append(check_mass_envelope(invariants))
+        for check in (check_mass_identity(invariants), check_entropy(invariants)):
+            if check is not None:
+                checks.append(check)
+        if tracker is not None:
+            checks.append(check_z_bound(tracker, cfg.solver.t_end))
+            checks.append(check_b_range(tracker))
+            checks.extend(check_uhat_bounds(tracker, cfg.solver.t_end))
+        report["fits"], fit_checks = _run_fits(cfg, recorder)
+        checks.extend(fit_checks)
 
-    invariants = recorder.invariants
-    checks.append(check_positivity(invariants))
-    checks.extend(check_conservation_laws(invariants))
-    checks.append(check_mass_envelope(invariants))
-    for check in (check_mass_identity(invariants), check_entropy(invariants)):
-        if check is not None:
-            checks.append(check)
-    if tracker is not None:
-        checks.append(check_z_bound(tracker, cfg.solver.t_end))
-        checks.append(check_b_range(tracker))
-        checks.extend(check_uhat_bounds(tracker, cfg.solver.t_end))
-
-    fit_entries, fit_checks = _run_fits(cfg, recorder)
-    checks.extend(fit_checks)
-
-    passed = all(c.passed is not False for c in checks)
+    if report["failure"] is not None:
+        report["overall"] = "aborted"
+    elif all(c.passed is not False for c in checks):
+        report["overall"] = "pass"
+    else:
+        report["overall"] = "fail"
     report["checks"] = [_check_dict(c) for c in checks]
-    report["fits"] = fit_entries
     report["measurements"] = _measurement_block(tracker)
     report["n_accepted_steps"] = recorder.n_accepted
-    report["overall"] = "pass" if passed else "fail"
 
-    outcome = ExperimentOutcome(
-        report=report,
-        csv_text=recorder.text(),
-        tracker=tracker,
-        augmented=augment,
-        aborted=False,
-    )
+    outcome = ExperimentOutcome(report=report, csv_text=recorder.text())
     _emit(cfg, outcome)
     return outcome
 

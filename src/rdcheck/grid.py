@@ -61,16 +61,6 @@ class Grid1D:
         self.h = length / self.n_cells
         self.centers = (np.arange(self.n_cells, dtype=np.float64) + 0.5) * self.h
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid1D)
-            and self.n_cells == other.n_cells
-            and self.length == other.length
-        )
-
-    def __hash__(self):
-        return hash((self.n_cells, self.length))
-
     def __repr__(self):
         return f"Grid1D(n_cells={self.n_cells}, length={self.length})"
 

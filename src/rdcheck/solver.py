@@ -38,7 +38,7 @@ level is bitwise the trial the sequential halvings would solve, and the
 accepted step is the first level that is finite and above the floor.  The
 ladder depth is the previous step's accepted level + 1, so a run that
 halves the same number of times each step solves one ladder per step; a
-depth of 1 is the plain single-dt call, with no stack.  Hooks observe
+step that needs no halving is a ladder of one level.  Hooks observe
 accepted steps only, in registration order.
 
 The run loop works on one float64 (species, cells) array from start to
@@ -189,10 +189,7 @@ def implicit_heat_step(
     residual = rhs - (x - r * laplacian_values(x, grid.h))
     # The correction solve is _spectral_solve written out, so that the
     # residual's even extension outlives it: x + correction goes into the
-    # first half of that (rows, 2n) block.  The result is contiguous, and the
-    # state a run keeps occupies a block the size of the next step's
-    # transform buffers, which then reuse freed blocks instead of growing
-    # and trimming the heap, and faulting its pages in again, every step.
+    # first half of that (rows, 2n) block, contiguous, not into a new array.
     extension = np.concatenate((residual, residual[..., ::-1]), axis=-1)
     correction = np.fft.irfft(np.fft.rfft(extension) / symbol, n=2 * n)[..., :n]
     out = extension.reshape(-1)[: residual.size].reshape(residual.shape)
@@ -201,60 +198,63 @@ def implicit_heat_step(
 
 def imex_step(
     u: np.ndarray, t: float, grid: Grid1D, sys: ReactionSystem,
-    dt: float | Sequence[float],
+    dts: Sequence[float],
 ) -> np.ndarray:
-    """One raw IMEX step of the (species, cells) array u from time t.
+    """The raw IMEX steps of the (species, cells) array u from time t, one
+    per step size in dts.
 
     No positivity handling (see run_simulation).  The reaction is evaluated
-    once, and all species, and all step sizes of a ladder, go through one
-    `implicit_heat_step` call, each row with its own diffusion coefficient.
-    Overflow in the reaction or the solve raises no warning.
-
-    Args:
-        dt: one step size, or a ladder of k step sizes solved together;
-            level l of a ladder is bitwise the step with dt[l] alone.
+    once, and all step sizes and all species go through one
+    `implicit_heat_step` call, each row with its own diffusion coefficient;
+    level l of the result is bitwise the step with dts[l] alone.  A level
+    whose reaction or solve overflowed comes back non-finite, without a
+    warning.
 
     Returns:
-        The new (species, cells) array at time t + dt, or for a ladder the
-        (k, species, cells) stack of its levels, non-finite ones included.
+        The (len(dts), species, cells) stack of the new arrays at t + dts[l].
 
     Raises:
         ValueError: if u's species count does not match the system, or a
             step size is <= 0.
-        NumericalFailure: if a single step produces a non-finite value (the
-            reaction or the solve overflowed); the payload carries the
-            step's start time, the first such species and its value.
     """
     if u.shape[0] != sys.n_species:
         raise ValueError(
             f"state has {u.shape[0]} species, system expects {sys.n_species}"
         )
-    single = np.isscalar(dt)
-    if (dt if single else min(dt)) <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    steps = np.asarray(dts, dtype=np.float64)[:, None]
+    if steps.min() <= 0.0:
+        raise ValueError(f"dt must be > 0, got {dts}")
     with np.errstate(over="ignore", invalid="ignore"):
         f = np.asarray(sys.evaluator(u, t), dtype=np.float64)
-        if not single:
-            dts = np.asarray(dt, dtype=np.float64)[:, None]
-            rows = implicit_heat_step(
-                (u + dts[..., None] * f).reshape(-1, u.shape[1]), grid,
-                (dts * sys.diffusion).reshape(-1), 1.0,
-            )
-            return rows.reshape(len(dts), *u.shape)
-        new = implicit_heat_step(u, grid, sys.diffusion, dt, f)
-    finite = np.isfinite(new)
-    if not finite.all():
-        raise _non_finite(new, finite, t, dt)
-    return new
+        rows = implicit_heat_step(
+            (u + steps[..., None] * f).reshape(-1, u.shape[1]), grid,
+            (steps * sys.diffusion).reshape(-1), 1.0,
+        )
+    return rows.reshape(len(steps), *u.shape)
 
 
-def _non_finite(trial: np.ndarray, finite: np.ndarray, t: float, dt: float):
-    """The NumericalFailure of a trial with a non-finite value (finite: its mask)."""
-    species = int(np.argmin(np.all(finite, axis=1)))
-    value = float(trial[species][~finite[species]][0])
+def _exhausted(trial: np.ndarray, t: float, dt: float, halvings: int):
+    """The NumericalFailure of a step whose last trial, at dt, was rejected
+    with the halving budget spent: its first non-finite value, or else its
+    minimum."""
+    finite = np.isfinite(trial)
+    if finite.all():
+        mins = trial.min(axis=1)
+        species = int(np.argmin(mins))
+        value = float(mins[species])
+        what = (
+            f"positivity could not be restored at t = {t} "
+            f"(species {species + 1} reached {mins[species]})"
+        )
+    else:
+        species = int(np.argmin(np.all(finite, axis=1)))
+        value = float(trial[species][~finite[species]][0])
+        what = (
+            f"species {species + 1} became non-finite ({value}) at "
+            f"t = {t} with dt = {dt}"
+        )
     return NumericalFailure(
-        f"species {species + 1} became non-finite ({value}) at "
-        f"t = {t} with dt = {dt}",
+        f"{what} after {halvings} halvings",
         time=t,
         species=species + 1,
         value=value,
@@ -325,57 +325,28 @@ def run_simulation(
         dt_step = min(cfg.dt, cfg.t_end - t)
         level = 0
         while True:
+            # Levels level .. level + depth - 1 from one imex_step call.
             depth = min(depth, cfg.max_step_halvings + 1 - level)
-            failure = None
-            if depth == 1:
-                # The single-dt call: no stack and no scaled copies.
-                try:
-                    trial = imex_step(u, t, grid, sys, dt_step)
-                except NumericalFailure as exc:
-                    failure = exc
-                else:
-                    mins = trial.min(axis=1)
-                    if mins.min() >= cfg.positivity_floor:
-                        break
-            else:
-                # Levels level .. level + depth - 1 from one imex_step call.
-                dts = [dt_step]
-                while len(dts) < depth:
-                    dts.append(dts[-1] * 0.5)
-                trials = imex_step(u, t, grid, sys, dts)
-                finite = np.isfinite(trials)
-                lows = trials.min(axis=2)
-                passed = finite.all(axis=(1, 2)) & (
-                    lows.min(axis=1) >= cfg.positivity_floor
-                )
-                if passed.any():
-                    first = int(np.argmax(passed))
-                    trial, dt_step = trials[first].copy(), dts[first]
-                    level += first
-                    break
-                mins, dt_step = lows[-1], dts[-1]
-                if not finite[-1].all():
-                    failure = _non_finite(trials[-1], finite[-1], t, dt_step)
+            dts = [dt_step]
+            while len(dts) < depth:
+                dts.append(dts[-1] * 0.5)
+            trials = imex_step(u, t, grid, sys, dts)
+            # A NaN or an infinite value fails one of the two comparisons.
+            passed = (trials.min(axis=(1, 2)) >= cfg.positivity_floor) & (
+                trials.max(axis=(1, 2)) < np.inf
+            )
+            if passed.any():
+                first = int(np.argmax(passed))
+                # The accepted level, clamped, in its own array: the stack
+                # is freed.
+                u_new, dt_step = np.maximum(trials[first], 0.0), dts[first]
+                level += first
+                break
             level += depth
             if level > cfg.max_step_halvings:
-                if failure is None:
-                    species = int(np.argmin(mins))
-                    failure = NumericalFailure(
-                        f"positivity could not be restored at t = {t} "
-                        f"(species {species + 1} reached {mins[species]})",
-                        time=t,
-                        species=species + 1,
-                        value=float(mins[species]),
-                    )
-                raise NumericalFailure(
-                    f"{failure} after {cfg.max_step_halvings} halvings",
-                    time=failure.time,
-                    species=failure.species,
-                    value=failure.value,
-                )
-            dt_step *= 0.5
+                raise _exhausted(trials[-1], t, dts[-1], cfg.max_step_halvings)
+            dt_step = dts[-1] * 0.5
         depth = level + 1
-        u_new = np.maximum(trial, 0.0, out=trial)
         u_new.flags.writeable = False
         t_new = t + dt_step
         step_index += 1

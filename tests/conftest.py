@@ -10,7 +10,7 @@ from rdcheck import (
     NumericalFailure,
     QuadraticReversibleSpec,
     SkewLVSpec,
-    imex_step,
+    implicit_heat_step,
     instantiate_model,
     run_simulation,
 )
@@ -145,8 +145,9 @@ def thomas_heat_step(values, grid, diffusion, dt, source=None):
 
 
 def sequential_steps(system, grid, u0, cfg):
-    """Reference for run_simulation's halving ladders: one `imex_step` call
-    per trial, halving the step after each rejection.
+    """Reference for run_simulation's halving ladders: one trial at a time,
+    each the single-step formula (I - dt d_i L) u_new = u + dt f(u, t) with
+    its own reaction evaluation, halving the step after each rejection.
 
     Returns (steps, failure): the accepted steps' (dt, clamped u_new) pairs
     and the NumericalFailure that ended the run, or None.
@@ -159,14 +160,25 @@ def sequential_steps(system, grid, u0, cfg):
         dt = min(cfg.dt, cfg.t_end - t)
         halvings = 0
         while True:
-            try:
-                trial = imex_step(u, t, grid, system, dt)
-            except NumericalFailure as exc:
-                failure = exc
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = implicit_heat_step(
+                    u, grid, system.diffusion, dt, system.evaluator(u, t)
+                )
+            finite = np.isfinite(trial)
+            mins = trial.min(axis=1)
+            if not finite.all():
+                species = int(np.argmin(np.all(finite, axis=1)))
+                value = float(trial[species][~finite[species]][0])
+                failure = NumericalFailure(
+                    f"species {species + 1} became non-finite ({value}) at "
+                    f"t = {t} with dt = {dt}",
+                    time=t,
+                    species=species + 1,
+                    value=value,
+                )
+            elif mins.min() >= cfg.positivity_floor:
+                break
             else:
-                mins = trial.min(axis=1)
-                if mins.min() >= cfg.positivity_floor:
-                    break
                 species = int(np.argmin(mins))
                 failure = NumericalFailure(
                     f"positivity could not be restored at t = {t} "

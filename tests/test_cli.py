@@ -236,7 +236,7 @@ class TestConfigErrors:
             assert f"{key}: unknown key" in out
         assert not csv_path.exists()
 
-    def test_augment_override_with_a_closure_coefficient_that_overflows(
+    def test_augment_flag_with_a_closure_coefficient_that_overflows(
         self, tmp_path, capsys
     ):
         csv_path = tmp_path / "run.csv"
@@ -439,6 +439,34 @@ class TestVerifyProperty:
         assert main(["verify", write_config(tmp_path, raw)]) == EXIT_CHECK_FAILED
         assert "FAIL mass_envelope  measured=inf" in capsys.readouterr().out
 
+    def test_entropy_that_is_never_a_number_fails(self, tmp_path, capsys):
+        # The rate u1 u2 = 1e308 is finite, but its products with log u_i
+        # overflow to -inf and +inf: every cell's entropy production is NaN.
+        raw = quad_raw(
+            grid={"n_cells": 2, "length": 1.0},
+            initial=[
+                {"type": "constant", "value": value}
+                for value in (1e154, 1e154, 1e200, 1e-200)
+            ],
+            solver={"dt": 1e-300, "t_end": 1e-299},
+            diagnostics={"enabled": False},
+        )
+        assert main(["verify", write_config(tmp_path, raw)]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert "FAIL entropy_dissipation  measured=nan" in out
+
+    def test_conserved_law_that_overflows_fails(self, tmp_path, capsys):
+        # Each mass 1e298 * 1e10 is finite; the law u1 + u3 is not.
+        raw = quad_raw(
+            grid={"n_cells": 2, "length": 1e10},
+            initial=[
+                {"type": "constant", "value": value} for value in (1e298, 1, 1e298, 1)
+            ],
+            diagnostics={"enabled": False},
+        )
+        assert main(["verify", write_config(tmp_path, raw)]) == EXIT_CHECK_FAILED
+        assert "FAIL conservation[u1+u3]" in capsys.readouterr().out
+
     def test_growing_mass_envelope_that_overflows_passes(self, tmp_path, capsys):
         # e^{k1 t} overflows once k1 t > 709: the envelope is +inf there.
         raw = {
@@ -517,7 +545,7 @@ class TestUnexpectedExceptions:
     def test_exception_outside_the_run_exits_3_with_a_summary(
         self, tmp_path, capsys, monkeypatch
     ):
-        def broken(cfg, augment_override=None):
+        def broken(cfg):
             raise ZeroDivisionError("injected")
 
         monkeypatch.setattr(rdcheck.cli, "run_experiment", broken)
@@ -573,6 +601,14 @@ class TestConstantsCommand:
     def test_invalid_gamma(self, capsys):
         assert main(["constants", "--n", "1", "--d", "1", "--gamma", "1"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_dimension_whose_constants_overflow(self, capsys):
+        # Gamma((n + 1)/2) overflows for n above about 340.
+        assert main(["constants", "--n", "400", "--d", "1", "--gamma", "0.5"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestEquilibriumCommand:

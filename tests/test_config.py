@@ -47,9 +47,9 @@ def base_skew():
     }
 
 
-def errors_from(raw):
+def errors_from(raw, augment=False):
     with pytest.raises(ConfigError) as excinfo:
-        validate_config(raw)
+        validate_config(raw, augment)
     return excinfo.value.errors
 
 
@@ -385,10 +385,15 @@ class TestDerivedQuantities:
     def test_closure_species_step_coefficient_overflows(self):
         raw = closure_overflow_quad()
         assert validate_config(raw).solver.dt == 1e200
-        raw["transform"] = {"augment": True}
         assert_mentions(
-            errors_from(raw), "transform.augment (closure species): dt * d / h^2"
+            errors_from(raw, augment=True), "--augment (closure species): dt * d / h^2"
         )
+        raw["transform"] = {"augment": True}
+        for augment in (False, True):
+            assert_mentions(
+                errors_from(raw, augment),
+                "transform.augment (closure species): dt * d / h^2",
+            )
 
     def test_auxiliary_diffusion_overflows(self):
         raw = base_quad()

@@ -63,8 +63,8 @@ def skew_raw(**overrides):
     return raw
 
 
-def run_raw(raw, **kwargs):
-    return run_experiment(validate_config(raw), **kwargs)
+def run_raw(raw, augment=False):
+    return run_experiment(validate_config(raw, augment))
 
 
 def check_map(report):
@@ -120,7 +120,7 @@ class TestQuadReport:
         assert outcome.report["overall"] == "pass"
         assert outcome.passed
         assert not outcome.aborted
-        assert not outcome.augmented
+        assert outcome.report["augmented"] is False
         assert outcome.report["failure"] is None
 
     def test_report_key_set(self, quad_outcome):
@@ -255,7 +255,6 @@ class TestDiagnosticsToggle:
         assert "z_sup_bound" not in names
         assert "b_range" not in names
         assert outcome.report["measurements"] is None
-        assert outcome.tracker is None
 
 
 class TestMassIdentity:
@@ -431,7 +430,6 @@ class TestMemory:
 class TestAugmentedRun:
     def test_closure_species_and_checks(self):
         outcome = run_raw(skew_raw(transform={"augment": True}))
-        assert outcome.augmented
         assert outcome.report["augmented"] is True
         assert outcome.report["system"].endswith("+mass-closure")
         header, rows = data_rows(outcome.csv_text)
@@ -452,13 +450,16 @@ class TestAugmentedRun:
             assert total == pytest.approx(totals[0], rel=1e-12)
 
     def test_override_forces_augmentation(self):
-        outcome = run_raw(skew_raw(), augment_override=True)
-        assert outcome.augmented
+        outcome = run_raw(skew_raw(), augment=True)
+        assert outcome.report["augmented"] is True
         assert "augmented_growth" in check_map(outcome.report)
+        # The config is echoed as written.
+        assert outcome.report["config"] == skew_raw()
+        assert outcome.report["config_sha256"] == config_sha256(skew_raw())
 
     def test_override_none_keeps_config_choice(self):
-        outcome = run_raw(skew_raw(), augment_override=None)
-        assert not outcome.augmented
+        outcome = run_raw(skew_raw(), augment=False)
+        assert outcome.report["augmented"] is False
 
     def test_override_can_invalidate_auxiliary_diffusion(self):
         raw = {
@@ -480,7 +481,7 @@ class TestAugmentedRun:
         }
         assert run_raw(raw).passed
         with pytest.raises(ConfigError, match="diagnostics.d"):
-            run_raw(raw, augment_override=True)
+            validate_config(raw, augment=True)
 
 
 class TestInjections:

@@ -42,11 +42,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid1D(4, bad)
 
-    def test_equality_and_hash(self):
-        assert Grid1D(8, 1.0) == Grid1D(8, 1.0)
-        assert Grid1D(8, 1.0) != Grid1D(8, 2.0)
-        assert hash(Grid1D(8, 1.0)) == hash(Grid1D(8, 1.0))
-
 
 class TestLaplacian:
     def test_constant_maps_to_exact_zero(self):

@@ -78,6 +78,21 @@ def monomial(coef, power):
     )
 
 
+def cube_in_species_2():
+    """Two species with f = (0, u_2^3)."""
+    return instantiate_model(
+        PolynomialSpec(
+            n_species=2,
+            terms=[[], [(1.0, (0, 3))]],
+            k0=0.0,
+            k1=0.0,
+            growth_k=1.0,
+            growth_eps=0.0,
+        ),
+        [1.0, 1.0],
+    )
+
+
 def skew_augmented_64():
     """The augmented cyclic skew Lotka-Volterra system on 64 cells, with
     its three bumps of height 50 and zero closure species."""
@@ -307,51 +322,39 @@ class TestImexStep:
             time_dependent=True,
         )
         grid, u = constant_state(Grid1D(8, 1.0), 1.0)
-        out = imex_step(u, 0.5, grid, clock, 0.25)
-        np.testing.assert_allclose(out, 1.125, rtol=1e-14)
+        out = imex_step(u, 0.5, grid, clock, [0.25])
+        np.testing.assert_allclose(out[0], 1.125, rtol=1e-14)
 
     def test_constant_source_hand_value(self):
         # f = -0.5 on a constant field: diffusion is inert, so one step is
         # exactly u - dt * 0.5.
         grid, u = constant_state(Grid1D(16, 1.0), 2.0)
-        out = imex_step(u, 0.0, grid, constant_sink(0.5), 0.1)
-        np.testing.assert_allclose(out[0], 1.95, rtol=1e-14)
+        out = imex_step(u, 0.0, grid, constant_sink(0.5), [0.1])
+        np.testing.assert_allclose(out[0][0], 1.95, rtol=1e-14)
 
     def test_equilibrium_is_stationary(self, quad_system):
         grid, u = constant_state(Grid1D(16, 1.0), 1.0, n_species=4)
-        out = imex_step(u, 0.0, grid, quad_system, 0.05)
-        np.testing.assert_allclose(out, 1.0, rtol=1e-13)
+        out = imex_step(u, 0.0, grid, quad_system, [0.05])
+        np.testing.assert_allclose(out[0], 1.0, rtol=1e-13)
 
     def test_rejects_wrong_species_count(self, quad_system):
         grid, u = constant_state(Grid1D(8, 1.0), 1.0, n_species=2)
         with pytest.raises(ValueError, match="species"):
-            imex_step(u, 0.0, grid, quad_system, 0.1)
+            imex_step(u, 0.0, grid, quad_system, [0.1])
 
-    def test_non_finite_step_raises_numerical_failure(self):
-        # u^3 overflows at u = 1e200: the step reports the species and the
-        # start time instead of returning a non-finite state.
-        cube = instantiate_model(
-            PolynomialSpec(
-                n_species=2,
-                terms=[[], [(1.0, (0, 3))]],
-                k0=0.0,
-                k1=0.0,
-                growth_k=1.0,
-                growth_eps=0.0,
-            ),
-            [1.0, 1.0],
-        )
+    def test_non_finite_level_is_returned(self):
+        # u^3 overflows at u = 1e200: the level comes back non-finite in
+        # species 2, without a warning, and species 1 is untouched.
         u = np.stack([np.full(8, 1.0), np.full(8, 1e200)])
-        with pytest.raises(NumericalFailure, match="non-finite") as excinfo:
-            imex_step(u, 0.5, Grid1D(8, 1.0), cube, 0.1)
-        assert excinfo.value.species == 2
-        assert excinfo.value.time == 0.5
-        assert not math.isfinite(excinfo.value.value)
+        out = imex_step(u, 0.5, Grid1D(8, 1.0), cube_in_species_2(), [0.1])
+        assert out.shape == (1, 2, 8)
+        np.testing.assert_allclose(out[0][0], 1.0, rtol=1e-14)
+        assert not np.isfinite(out[0][1]).any()
 
     def test_rejects_nonpositive_dt(self):
         grid, u = constant_state(Grid1D(8, 1.0), 1.0)
         with pytest.raises(ValueError, match="dt"):
-            imex_step(u, 0.0, grid, heat_only(), 0.0)
+            imex_step(u, 0.0, grid, heat_only(), [0])
 
 
 class TestRunSimulationValidation:
@@ -520,18 +523,13 @@ class TestPositivityEnforcement:
 
     def test_non_finite_trial_is_rejected_and_halved(self, monkeypatch):
         # A non-finite trial is rejected like a positivity one and the step
-        # halved: a single step reports it as NumericalFailure, a ladder
-        # returns the level non-finite.  The first step solves dt = 0.2 and
-        # then 0.1 alone, the later ones the ladder (0.2, 0.1).
+        # halved.  The first step solves dt = 0.2 and then 0.1 alone, the
+        # later ones the ladder (0.2, 0.1).
         real = rdcheck.solver.imex_step
 
-        def overflowing_above(u, t, grid, sys, dt):
-            if np.isscalar(dt):
-                if dt > 0.15:
-                    raise NumericalFailure("non-finite", time=t, species=1, value=math.inf)
-                return real(u, t, grid, sys, dt)
-            levels = real(u, t, grid, sys, dt)
-            levels[np.asarray(dt) > 0.15] = math.inf
+        def overflowing_above(u, t, grid, sys, dts):
+            levels = real(u, t, grid, sys, dts)
+            levels[np.asarray(dts) > 0.15] = math.inf
             return levels
 
         monkeypatch.setattr(rdcheck.solver, "imex_step", overflowing_above)
@@ -542,6 +540,18 @@ class TestPositivityEnforcement:
         )
         assert seen == pytest.approx([0.1, 0.1, 0.1, 0.1])
         assert abs(traj.final().t - 0.4) < 1e-12
+
+    def test_non_finite_trials_exhaust_the_halvings(self):
+        # The cube overflows at every step size: the run names species 2,
+        # the step's start time and its non-finite value.
+        u = np.stack([np.full(8, 1.0), np.full(8, 1e200)])
+        cfg = SolverConfig(dt=0.1, t_end=1.0)
+        with pytest.raises(NumericalFailure, match="non-finite") as excinfo:
+            run_simulation(cube_in_species_2(), Grid1D(8, 1.0), u, cfg)
+        assert "after 20 halvings" in str(excinfo.value)
+        assert excinfo.value.species == 2
+        assert excinfo.value.time == 0.0
+        assert not math.isfinite(excinfo.value.value)
 
     def test_exhausted_halvings_raise_with_payload(self):
         sys = constant_sink(1.0)
@@ -671,14 +681,14 @@ class TestHalvingLadder:
         calls = []
         real = rdcheck.solver.imex_step
 
-        def recording(u, t, grid, sys, dt):
-            calls.append(dt)
-            return real(u, t, grid, sys, dt)
+        def recording(u, t, grid, sys, dts):
+            calls.append(dts)
+            return real(u, t, grid, sys, dts)
 
         monkeypatch.setattr(rdcheck.solver, "imex_step", recording)
         run_simulation(counted, *initial, cfg)
-        # 193 steps, 188 of them at level 3: four single trials for the
-        # first step, then one ladder per step.
+        # 193 steps, 188 of them at level 3: four one-level ladders for
+        # the first step, then one ladder per step.
         assert len(evaluations) == len(calls) == 196
         evaluations.clear()
         sequential_steps(counted, *initial, cfg)
