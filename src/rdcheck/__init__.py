@@ -7,7 +7,7 @@ closed-form constants of the underlying regularity theory, and the
 conservative closure transform, all reachable from a JSON-configured CLI.
 """
 
-from .config import RunConfig, build_initial_state, load_config, validate_config
+from .config import RunConfig, load_config, validate_config
 from .diagnostics import (
     AuxiliaryConfig,
     AuxiliaryTracker,
@@ -28,7 +28,6 @@ from .errors import ConfigError, NumericalFailure
 from .experiment import ExperimentOutcome, config_sha256, run_experiment, write_atomic
 from .grid import Grid1D, grad_sup, holder_modulus, laplacian_values
 from .models import (
-    NEGATIVE_CLAMP_FLOOR,
     CheckOutcome,
     PolynomialSpec,
     QuadraticReversibleSpec,
@@ -73,7 +72,6 @@ __all__ = [
     "Grid1D",
     "InterpolationConstants",
     "InvariantTracker",
-    "NEGATIVE_CLAMP_FLOOR",
     "NumericalFailure",
     "PolynomialSpec",
     "QuadEquilibrium",
@@ -85,7 +83,6 @@ __all__ = [
     "StepEvent",
     "StructureVerdict",
     "augment_system",
-    "build_initial_state",
     "check_b_range",
     "check_conservation_laws",
     "check_entropy",

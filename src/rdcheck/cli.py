@@ -130,7 +130,7 @@ def _constants_command(ns: argparse.Namespace) -> int:
         c = interpolation_constants(
             ns.n, ns.d, ns.gamma, c_n=ns.cn, kappa_n=ns.kappan
         )
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"case: {c.case}")

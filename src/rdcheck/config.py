@@ -7,9 +7,9 @@ path and reported in one ConfigError, so a bad file is fixed in one pass
 rather than one message at a time.  A key that validation does not read,
 such as a misspelled one, is such a problem too.
 
-The builders at the bottom turn a validated config into live objects
-(ReactionSystem, Grid1D, the initial (species, cells) array); they cannot
-fail on input that passed validation.
+Validation also builds, once, everything a run starts from: the
+ReactionSystem, Grid1D, closure pair and AuxiliaryConfig, and the read-only
+initial (species, cells) array, which the derived-quantity checks read.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import AuxiliaryConfig
 from .errors import ConfigError
 from .grid import Grid1D
 from .models import (
@@ -31,12 +32,12 @@ from .models import (
     instantiate_model,
 )
 from .solver import SolverConfig
+from .transform import AugmentedSystem, augment_system
 
 __all__ = [
     "RunConfig",
     "load_config",
     "validate_config",
-    "build_initial_state",
 ]
 
 _BUILTINS = ("quadratic_reversible", "skew_lv")
@@ -57,19 +58,20 @@ _TOP_LEVEL_KEYS = (
 
 @dataclass
 class RunConfig:
-    """Validated run configuration plus live model objects."""
+    """Validated run configuration plus the live objects a run starts from.
+
+    u0 is the read-only initial array of the system the run integrates:
+    augmented.augmented when the closure pair is set, else system (the
+    model).  diagnostics is None when the tracker is off."""
 
     raw: dict
     system: ReactionSystem
     grid: Grid1D
-    initial_profiles: list
+    u0: np.ndarray
     solver: SolverConfig
-    diagnostics_enabled: bool
-    diagnostics_d: float | None
-    diagnostics_gammas: tuple
-    augment: bool
+    augmented: AugmentedSystem | None
+    diagnostics: AuxiliaryConfig | None
     fits: list
-    inject_z_offset: float
     inject_augmentation_offset: float
     csv_path: str | None
     report_path: str | None
@@ -275,6 +277,8 @@ def _validate_grid(col: _Collector, raw: dict) -> Grid1D | None:
 
 
 def _validate_profile(col: _Collector, path: str, prof, grid: Grid1D | None):
+    """The profile as a function of the grid that gives its cell values, or
+    None when it is invalid."""
     if not isinstance(prof, dict) or "type" not in prof:
         col.add(path, "expected an object with a 'type'")
         return None
@@ -285,14 +289,14 @@ def _validate_profile(col: _Collector, path: str, prof, grid: Grid1D | None):
         val = col.number(prof, path, "value", minimum=0.0)
         if val is None:
             return None
-        return ("constant", val)
+        return lambda g: np.full(g.n_cells, val)
     if kind == "gaussian":
         center = col.number(prof, path, "center")
         width = col.number(prof, path, "width", exclusive_minimum=0.0)
         amp = col.number(prof, path, "amplitude", minimum=0.0)
         if center is None or width is None or amp is None:
             return None
-        return ("gaussian", center, width, amp)
+        return lambda g: amp * np.exp(-((g.centers - center) ** 2) / (2.0 * width * width))
     if kind == "piecewise":
         values = prof.get("values")
         breaks = prof.get("breaks")
@@ -318,7 +322,9 @@ def _validate_profile(col: _Collector, path: str, prof, grid: Grid1D | None):
         if grid is not None and prev >= grid.length:
             col.add(f"{path}.breaks", f"breakpoints must lie inside (0, {grid.length})")
             return None
-        return ("piecewise", tuple(float(v) for v in values), tuple(float(b) for b in breaks))
+        values = np.asarray(tuple(float(v) for v in values))
+        breaks = np.asarray(tuple(float(b) for b in breaks))
+        return lambda g: values[np.searchsorted(breaks, g.centers, side="right")]
     col.add(f"{path}.type", f"unknown profile type {kind!r}; choose from {_PROFILE_TYPES}")
     return None
 
@@ -336,21 +342,25 @@ def _finite(compute):
 
 
 def _check_derived(
-    col: _Collector, grid: Grid1D, profiles, dt, diffusion, diag_d, closure
-) -> None:
+    col: _Collector, grid: Grid1D, profiles, dt, system, integrated, diag_d, closure
+):
     """Reject derived quantities that are not finite: 1/h^2, the largest
-    solve coefficient 1 + 4 dt d / h^2 of every species, of the closure
-    species when the system is augmented (closure names what augments it,
-    else None), and of the auxiliary diffusion d (at the configured dt, the
+    solve coefficient 1 + 4 dt d / h^2 of every species of the integrated
+    system (species past the model's own are the closure's, which closure
+    names) and of the auxiliary diffusion d (at the configured dt, the
     largest step), each initial profile on the grid and its mass, and the
-    initial forcing sum_i (d - d_i) u_i of v_d."""
+    initial forcing sum_i (d - d_i) u_i of v_d.  Returns the integrated
+    system's initial array, closure rows zero, or None if it has no valid
+    model or profiles."""
     h = np.float64(grid.h)
     if _finite(lambda: 1.0 / (h * h)) is None:
         col.add("grid", f"cell width h = {grid.h} has no finite 1/h^2")
-        return
-    coefficients = [(f"model.diffusion[{i}]", d) for i, d in enumerate(diffusion)]
-    if closure is not None:
-        coefficients.append((f"{closure} (closure species)", 1.0))
+        return None
+    diffusion = () if integrated is None else integrated.diffusion
+    coefficients = [
+        (f"model.diffusion[{i}]" if i < system.n_species else f"{closure} (closure species)", d)
+        for i, d in enumerate(diffusion)
+    ]
     if diag_d is not None:
         coefficients.append(("diagnostics.d", diag_d))
     if dt is not None:
@@ -362,16 +372,20 @@ def _check_derived(
                 )
     values = []
     for i, profile in enumerate(profiles or ()):
-        u0 = _finite(lambda: _profile_values(profile, grid))
+        u0 = _finite(lambda: profile(grid))
         if u0 is None:
             col.add(f"initial[{i}]", "profile values on the grid are not finite")
         elif _finite(lambda: np.add.accumulate(u0)[-1] * h) is None:
             col.add(f"initial[{i}]", "the initial mass h * sum_j u_j is not finite")
         else:
             values.append(u0)
-    if diag_d is not None and 0 < len(values) == len(diffusion):
-        if _finite(lambda: np.tensordot(diag_d - diffusion, values, axes=1)) is None:
+    if system is None or len(values) != system.n_species:
+        return None
+    u0 = np.stack(values + [np.zeros(grid.n_cells)] * (len(diffusion) - len(values)))
+    if diag_d is not None:
+        if _finite(lambda: np.tensordot(diag_d - diffusion, u0, axes=1)) is None:
             col.add("diagnostics.d", "the initial forcing sum_i (d - d_i) u_i is not finite")
+    return u0
 
 
 def validate_config(raw: dict, augment: bool = False) -> RunConfig:
@@ -417,11 +431,11 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
         dt = col.number(sec, "solver", "dt", exclusive_minimum=0.0)
         t_end = col.number(sec, "solver", "t_end", exclusive_minimum=0.0)
         record_every = col.integer(sec, "solver", "record_every", required=False,
-                                   default=1, minimum=1)
+                                   default=SolverConfig.record_every, minimum=1)
         floor = col.number(sec, "solver", "positivity_floor", required=False,
-                           default=-1e-12, maximum=0.0)
+                           default=SolverConfig.positivity_floor, maximum=0.0)
         halvings = col.integer(sec, "solver", "max_step_halvings", required=False,
-                               default=20, minimum=0)
+                               default=SolverConfig.max_step_halvings, minimum=0)
         if dt is not None and t_end is not None and dt > t_end:
             col.add("solver.dt", f"dt = {dt} exceeds t_end = {t_end}")
         elif None not in (dt, t_end, record_every, floor, halvings):
@@ -439,11 +453,11 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
             col.add("transform.augment", f"expected true/false, got {configured!r}")
         elif configured:
             closure = "transform.augment"
-    augment = closure is not None
+    augmented = None if closure is None or system is None else augment_system(system)
+    integrated = system if augmented is None else augmented.augmented
 
-    diag_enabled = False
     diag_d = None
-    diag_gammas = (0.25, 0.5)
+    diag_gammas = AuxiliaryConfig.gammas
     sec = col.section(raw, "diagnostics", ("enabled", "d", "gammas"), required=False)
     if sec is not None:
         diag_enabled = sec.get("enabled", False)
@@ -452,10 +466,8 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
             diag_enabled = False
         if diag_enabled:
             diag_d = col.number(sec, "diagnostics", "d", exclusive_minimum=0.0)
-            if diag_d is not None and system is not None:
-                d_floor = float(np.max(system.diffusion))
-                if augment:
-                    d_floor = max(d_floor, 1.0)
+            if diag_d is not None and integrated is not None:
+                d_floor = float(np.max(integrated.diffusion))
                 if diag_d <= d_floor:
                     col.add(
                         "diagnostics.d",
@@ -519,17 +531,13 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
                     }
                 )
 
-    z_offset = 0.0
-    aug_offset = 0.0
-    sec = col.section(raw, "inject", ("z_offset", "augmentation_offset"), required=False)
-    if sec is not None:
-        z_offset = col.number(sec, "inject", "z_offset", required=False, default=0.0)
-        aug_offset = col.number(sec, "inject", "augmentation_offset", required=False,
-                                default=0.0)
-        if z_offset is None:
-            z_offset = 0.0
-        if aug_offset is None:
-            aug_offset = 0.0
+    sec = col.section(
+        raw, "inject", ("z_offset", "augmentation_offset"), required=False
+    ) or {}
+    z_offset = col.number(sec, "inject", "z_offset", required=False,
+                          default=AuxiliaryConfig.z_offset)
+    aug_offset = col.number(sec, "inject", "augmentation_offset", required=False,
+                            default=0.0)
 
     paths = {}
     sec = col.section(raw, "output", ("csv", "report"), required=False)
@@ -546,29 +554,28 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
     report_path = paths.get("report")
 
     seed = col.integer(raw, "", "seed", required=False, default=0, minimum=0)
-    if seed is None:
-        seed = 0
 
+    u0 = None
     if grid is not None:
-        _check_derived(
-            col, grid, profiles, solver_cfg and solver_cfg.dt,
-            () if system is None else system.diffusion, diag_d, closure,
+        u0 = _check_derived(
+            col, grid, profiles, solver_cfg and solver_cfg.dt, system, integrated,
+            diag_d, closure,
         )
 
     if col.errors:
         raise ConfigError(col.errors)
+    u0.flags.writeable = False
     return RunConfig(
         raw=raw,
         system=system,
         grid=grid,
-        initial_profiles=profiles,
+        u0=u0,
         solver=solver_cfg,
-        diagnostics_enabled=diag_enabled,
-        diagnostics_d=diag_d,
-        diagnostics_gammas=diag_gammas,
-        augment=augment,
+        augmented=augmented,
+        diagnostics=None if diag_d is None else AuxiliaryConfig(
+            d=diag_d, gammas=diag_gammas, z_offset=z_offset
+        ),
         fits=fits,
-        inject_z_offset=z_offset,
         inject_augmentation_offset=aug_offset,
         csv_path=csv_path,
         report_path=report_path,
@@ -589,25 +596,3 @@ def load_config(path: str, augment: bool = False) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config {path} is not valid JSON: {exc}"]) from exc
     return validate_config(raw, augment)
-
-
-def _profile_values(profile, grid: Grid1D) -> np.ndarray:
-    kind = profile[0]
-    x = grid.centers
-    if kind == "constant":
-        return np.full(grid.n_cells, profile[1])
-    if kind == "gaussian":
-        _, center, width, amp = profile
-        return amp * np.exp(-((x - center) ** 2) / (2.0 * width * width))
-    _, values, breaks = profile
-    idx = np.searchsorted(np.asarray(breaks), x, side="right")
-    return np.asarray(values)[idx]
-
-
-def build_initial_state(cfg: RunConfig, extra_zero_species: bool = False) -> np.ndarray:
-    """The initial float64 (species, cells) array, one row per profile, plus
-    a zero row for the closure species when extra_zero_species is set."""
-    rows = [_profile_values(p, cfg.grid) for p in cfg.initial_profiles]
-    if extra_zero_species:
-        rows.append(np.zeros(cfg.grid.n_cells))
-    return np.stack(rows)

@@ -23,9 +23,10 @@ pins down three independent ways, each checked here numerically:
 The tracker is a solver hook: it advances with the accepted steps and keeps
 the current fields and running extrema only, so bounds are checked against
 the whole history, not just recorded steps, and each per-step quantity
-(sum_i u_i, b, sup|z|, v_d) is computed once.  Holder moduli are measured
-at recorded steps only, with one `holder_modulus` call on the stacked
-(v_d, z_hat, u_hat) rows; the lag sweep behind it is O(n) memory and O(n^2)
+(sum_i u_i, b, sup|z|, v_d) is computed once.  It scans the Holder moduli
+at the steps the solver marks recorded (not at t = 0, where all three
+fields are zero), with one `holder_modulus` call on the stacked (v_d,
+z_hat, u_hat) rows; the lag sweep behind it is O(n) memory and O(n^2)
 time in the worst case.
 
 The primal checks work the same way.  `InvariantTracker` is fed the
@@ -115,7 +116,9 @@ class AuxiliaryConfig:
 class AuxiliaryTracker:
     """Solver hook advancing the auxiliary fields with the primal run.
 
-    u0 is the run's initial (species, cells) array on grid.
+    u0 is the run's initial (species, cells) array on grid.  `row` holds
+    the diagnostic CSV cells of the current time: z_sup, b_min, b_max,
+    vd_consistency, zvd_residual and grad_vd_sup.
     """
 
     def __init__(
@@ -180,13 +183,15 @@ class AuxiliaryTracker:
         self._s_prev = s_new
         self.t = event.t_new
         self._observe(event.u_new, s_new)
+        if event.recorded:
+            self._measure_holder()
 
     def _observe(self, u: np.ndarray, weighted: np.ndarray) -> None:
         """Measure the fields at the current time, each quantity once.
 
         u is the primal (species, cells) array of the same time and
-        weighted its sum_i d_i u_i.  Updates the running extrema, the
-        diagnostic CSV row and the v_d that measure_holder reads.
+        weighted its sum_i d_i u_i.  Updates the running extrema, `row` and
+        the v_d that _measure_holder reads.
         """
         d = self.cfg.d
         total = np.sum(u, axis=0)
@@ -215,21 +220,10 @@ class AuxiliaryTracker:
         self.vd_consistency_max = _max(self.vd_consistency_max, consistency)
         self.zvd_residual_max = _max(self.zvd_residual_max, zvd)
         self.grad_vd_max = _max(self.grad_vd_max, gvd)
-        self._row = {
-            "z_sup": z_sup,
-            "b_min": b_min,
-            "b_max": b_max,
-            "vd_consistency": consistency,
-            "zvd_residual": zvd,
-            "grad_vd_sup": gvd,
-        }
+        self.row = (z_sup, b_min, b_max, consistency, zvd, gvd)
 
-    def row_values(self) -> dict:
-        """Diagnostic CSV values at the current (synchronized) time."""
-        return dict(self._row)
-
-    def measure_holder(self) -> None:
-        """Update running Holder moduli; called at recorded steps."""
+    def _measure_holder(self) -> None:
+        """Update the running Holder moduli of v_d, z_hat and u_hat."""
         names = ("v_d", "z_hat", "u_hat")
         stacked = np.stack([self._v_d, self._z_hat, self._u_hat])
         moduli = holder_modulus(stacked, self.grid.h, self.cfg.gammas)

@@ -1,8 +1,9 @@
 """End-to-end experiment orchestration: run, check, fit, and emit.
 
-This layer wires a validated RunConfig into the solver, the structure
-audits, the auxiliary-field tracker and the invariant checks (both fed
-every accepted step), then serializes the results:
+This layer wires a validated RunConfig, which holds the initial array,
+the closure pair and the tracker's parameters, into the solver, the
+structure audits, the auxiliary-field tracker and the invariant checks
+(both fed every accepted step), then serializes the results:
 
 * a CSV trace with one row per recorded step (columns fixed by
   _Recorder; diagnostics cells are empty when the tracker is off);
@@ -35,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, build_initial_state
+from .config import RunConfig
 from .diagnostics import (
-    AuxiliaryConfig,
     AuxiliaryTracker,
     CheckResult,
     InvariantTracker,
@@ -56,7 +56,7 @@ from .grid import Grid1D
 from .models import ReactionSystem, StructureVerdict, check_structure
 from .solver import StepEvent, row_norms, run_simulation
 from .theory import fit_rate, quad_equilibrium
-from .transform import augment_system, verify_augmented
+from .transform import verify_augmented
 
 __all__ = ["ExperimentOutcome", "run_experiment", "config_sha256", "write_atomic"]
 
@@ -227,15 +227,7 @@ class _Recorder:
         inv.update(t, u, masses, entropy)
         if not recorded:
             return
-        if self.tracker is not None:
-            self.tracker.measure_holder()
-            d = self.tracker.row_values()
-            diag = [
-                d["z_sup"], d["b_min"], d["b_max"],
-                d["vd_consistency"], d["zvd_residual"], d["grad_vd_sup"],
-            ]
-        else:
-            diag = [None] * 6
+        diag = (None,) * 6 if self.tracker is None else self.tracker.row
         cells = [t, *sup_norms, *masses, inv.total, entropy, *inv.laws, *diag]
         self.rows.append(",".join(_fmt(c) for c in cells))
         self.times.append(t)
@@ -348,8 +340,9 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
     """Run one configured experiment end to end and emit its artifacts.
 
     Args:
-        cfg: validated configuration; cfg.augment says whether the closure
-            transform is on (the config's choice, or CLI --augment).
+        cfg: validated configuration; cfg.augmented is the closure pair
+            when the closure transform is on (the config's choice, or CLI
+            --augment), else None.
 
     Returns:
         ExperimentOutcome; .aborted is True when the solver could not
@@ -358,48 +351,34 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
         partial CSV is still emitted, and the report keeps the structure
         checks only.
     """
-    base = cfg.system
     rng = np.random.default_rng(cfg.seed)
 
     checks: list[CheckResult] = []
-    verdict = check_structure(base, rng)
+    verdict = check_structure(cfg.system, rng)
     checks.extend(_verdict_checks("structure", verdict, conservation=False))
 
-    if cfg.augment:
-        pair = augment_system(base)
-        system = pair.augmented
+    system = cfg.system
+    if cfg.augmented is not None:
+        system = cfg.augmented.augmented
         aug_verdict = verify_augmented(
-            pair,
+            cfg.augmented,
             rng,
             t_horizon=cfg.solver.t_end,
             g_tail_offset=cfg.inject_augmentation_offset,
         )
         checks.extend(_verdict_checks("augmented", aug_verdict, conservation=True))
-    else:
-        system = base
-
-    u0 = build_initial_state(cfg, extra_zero_species=cfg.augment)
 
     tracker = None
-    if cfg.diagnostics_enabled:
-        tracker = AuxiliaryTracker(
-            system,
-            cfg.grid,
-            u0,
-            AuxiliaryConfig(
-                d=cfg.diagnostics_d,
-                gammas=cfg.diagnostics_gammas,
-                z_offset=cfg.inject_z_offset,
-            ),
-        )
+    if cfg.diagnostics is not None:
+        tracker = AuxiliaryTracker(system, cfg.grid, cfg.u0, cfg.diagnostics)
 
     recorder = _Recorder(
-        system, cfg.grid, u0, tracker, [spec["series"] for spec in cfg.fits]
+        system, cfg.grid, cfg.u0, tracker, [spec["series"] for spec in cfg.fits]
     )
     hooks = ([tracker.on_step] if tracker else []) + [recorder.on_step]
 
     report = {
-        "augmented": cfg.augment,
+        "augmented": cfg.augmented is not None,
         "config": cfg.raw,
         "config_sha256": config_sha256(cfg.raw),
         "system": system.name,
@@ -408,7 +387,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
     }
 
     try:
-        run_simulation(system, cfg.grid, u0, cfg.solver, hooks)
+        run_simulation(system, cfg.grid, cfg.u0, cfg.solver, hooks)
     except Exception as exc:
         if not isinstance(exc, NumericalFailure):
             traceback.print_exc()

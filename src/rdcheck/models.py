@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "NEGATIVE_CLAMP_FLOOR",
     "ReactionSystem",
     "QuadraticReversibleSpec",
     "SkewLVSpec",
@@ -39,11 +38,6 @@ __all__ = [
     "StructureVerdict",
     "check_structure",
 ]
-
-# The solver's default positivity floor: a trial step with a value below it
-# is rejected, and values in [NEGATIVE_CLAMP_FLOOR, 0) of an accepted step
-# are clamped to exact zeros.
-NEGATIVE_CLAMP_FLOOR = -1e-12
 
 # Orthant sampling range for structure probes (log-uniform).
 _SAMPLE_LOG_LO = -6.0

@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .grid import Grid1D, laplacian_values
-from .models import NEGATIVE_CLAMP_FLOOR, ReactionSystem
+from .models import ReactionSystem
 
 __all__ = [
     "SolverConfig",
@@ -78,7 +78,8 @@ class SolverConfig:
     Attributes:
         dt: step size each step starts from (> 0, <= t_end).
         t_end: final time (> 0); the last step is clipped to land exactly.
-        positivity_floor: reject threshold, <= 0.
+        positivity_floor: reject threshold, <= 0; values in [floor, 0) of
+            an accepted step are clamped to exact zeros.
         max_step_halvings: retry budget per step.
         record_every: recording cadence in accepted steps (>= 1); the
             final step is always recorded.
@@ -86,7 +87,7 @@ class SolverConfig:
 
     dt: float
     t_end: float
-    positivity_floor: float = NEGATIVE_CLAMP_FLOOR
+    positivity_floor: float = -1e-12
     max_step_halvings: int = 20
     record_every: int = 1
 
@@ -318,7 +319,7 @@ def run_simulation(
             )
     u.flags.writeable = False
     t = 0.0
-    tiny = 1e-12 * max(1.0, cfg.t_end)
+    tiny = 1e-12 * cfg.t_end
     step_index = 0
     depth = 1
     while t < cfg.t_end - tiny:

@@ -37,9 +37,19 @@ __all__ = [
     "fit_rate",
 ]
 
+def _gamma(n: int, x: float) -> float:
+    """Gamma(x) in a constant of dimension n; a ValueError naming both if it overflows."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise ValueError(f"Gamma({x}) overflows for n = {n}") from None
+
+
 def _sphere_area(n: int) -> float:
     """Surface area of the unit sphere in R^n: 2 pi^{n/2} / Gamma(n/2)."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    # Gamma(n/2) first: it overflows (n > 343) long before pi^{n/2} (n > 1241).
+    gamma = _gamma(n, n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / gamma
 
 
 def gaussian_moment(n: int, delta: float) -> float:
@@ -53,14 +63,14 @@ def gaussian_moment(n: int, delta: float) -> float:
         delta: moment order, >= 0.
 
     Raises:
-        ValueError: on n < 1 or delta < 0.
+        ValueError: on n < 1 or delta < 0, or when a Gamma factor overflows.
     """
     if int(n) != n or n < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {n}")
     delta = float(delta)
     if not math.isfinite(delta) or delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    return 0.5 * _sphere_area(int(n)) * math.gamma((n + delta) / 2.0)
+    return 0.5 * _sphere_area(int(n)) * _gamma(int(n), (n + delta) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -137,18 +147,19 @@ def interpolation_constants(
 
     Raises:
         ValueError: on bad (n, d, gamma), on a half-supplied envelope pair,
-            or on nonpositive c_n / kappa_n.
+            on nonpositive c_n / kappa_n, or when a Gamma factor or a power
+            of kappa_n overflows.
     """
     n, d, gamma = _check_constants_domain(n, d, gamma)
     omega = _sphere_area(n)
-    b4 = omega / (math.pi ** ((n - 1) / 2.0) * math.sqrt(d)) * math.gamma((n + 1) / 2.0)
+    b4 = omega / (math.pi ** ((n - 1) / 2.0) * math.sqrt(d)) * _gamma(n, (n + 1) / 2.0)
     b5 = (
         omega
         / math.pi ** (n / 2.0)
         * 2.0 ** (gamma - 1.0)
         * d ** ((gamma - 1.0) / 2.0)
         * math.gamma((1.0 + gamma) / 2.0)
-        * math.gamma((n + 1.0 + gamma) / 2.0)
+        * _gamma(n, (n + 1.0 + gamma) / 2.0)
     )
     if (c_n is None) != (kappa_n is None):
         raise ValueError("c_n and kappa_n must be supplied together")
@@ -163,8 +174,13 @@ def interpolation_constants(
         raise ValueError(f"c_n must be > 0, got {c_n}")
     if not math.isfinite(kappa_n) or kappa_n <= 0.0:
         raise ValueError(f"kappa_n must be > 0, got {kappa_n}")
-    b1 = c_n * kappa_n ** (-n / 2.0) * math.gamma(n / 2.0) * math.sqrt(math.pi)
-    b2 = c_n * kappa_n ** (-(n + gamma) / 2.0) * math.gamma((n + gamma + 1.0) / 2.0)
+    try:
+        b1 = c_n * kappa_n ** (-n / 2.0) * math.gamma(n / 2.0) * math.sqrt(math.pi)
+        b2 = c_n * kappa_n ** (-(n + gamma) / 2.0) * math.gamma((n + gamma + 1.0) / 2.0)
+    except OverflowError:
+        raise ValueError(
+            f"kappa_n^(-(n + gamma)/2) overflows for n = {n}, kappa_n = {kappa_n}"
+        ) from None
     b3 = b2 * math.gamma((gamma + 1.0) / 2.0)
     return InterpolationConstants(
         n=n, d=d, gamma=gamma, b4=b4, b5=b5, b=_combine(b1, b3, gamma),

@@ -154,7 +154,7 @@ def sequential_steps(system, grid, u0, cfg):
     """
     u = np.array(u0, dtype=np.float64)
     t = 0.0
-    tiny = 1e-12 * max(1.0, cfg.t_end)
+    tiny = 1e-12 * cfg.t_end
     steps = []
     while t < cfg.t_end - tiny:
         dt = min(cfg.dt, cfg.t_end - t)

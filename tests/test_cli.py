@@ -603,11 +603,12 @@ class TestConstantsCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_dimension_whose_constants_overflow(self, capsys):
-        # Gamma((n + 1)/2) overflows for n above about 340.
+        # Gamma(n/2) overflows for n above about 340.
         assert main(["constants", "--n", "400", "--d", "1", "--gamma", "0.5"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert "n = 400" in captured.err
         assert captured.err.count("\n") == 1
 
 

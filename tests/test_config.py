@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from rdcheck import ConfigError, build_initial_state, load_config, validate_config
+from rdcheck import AuxiliaryConfig, ConfigError, load_config, validate_config
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -66,10 +66,9 @@ class TestHappyPaths:
         assert cfg.solver.dt == 0.01
         assert cfg.solver.record_every == 1
         assert cfg.solver.max_step_halvings == 20
-        assert not cfg.augment
-        assert not cfg.diagnostics_enabled
+        assert cfg.augmented is None
+        assert cfg.diagnostics is None
         assert cfg.fits == []
-        assert cfg.inject_z_offset == 0.0
         assert cfg.inject_augmentation_offset == 0.0
         assert cfg.csv_path is None and cfg.report_path is None
         assert cfg.seed == 0
@@ -124,10 +123,9 @@ class TestHappyPaths:
         raw["output"] = {"csv": "out.csv", "report": "report.json"}
         raw["seed"] = 7
         cfg = validate_config(raw)
-        assert cfg.augment
-        assert cfg.diagnostics_enabled
-        assert cfg.diagnostics_d == 5.0
-        assert cfg.diagnostics_gammas == (0.5,)
+        assert cfg.augmented.base is cfg.system
+        assert cfg.augmented.augmented.n_species == 5
+        assert cfg.diagnostics == AuxiliaryConfig(d=5.0, gammas=(0.5,), z_offset=0.5)
         assert cfg.fits == [
             {
                 "series": "mass_total",
@@ -136,7 +134,6 @@ class TestHappyPaths:
                 "bias_correct": True,
             }
         ]
-        assert cfg.inject_z_offset == 0.5
         assert cfg.inject_augmentation_offset == 0.25
         assert cfg.csv_path == "out.csv"
         assert cfg.report_path == "report.json"
@@ -592,7 +589,7 @@ class TestUnknownKeys:
             text = fh.read()
         block = text.split("```json\n", 1)[1].split("```", 1)[0]
         cfg = validate_config(json.loads(block))
-        assert cfg.diagnostics_enabled and cfg.grid.n_cells == 128
+        assert cfg.diagnostics is not None and cfg.grid.n_cells == 128
 
 
 class TestLoadConfig:
@@ -621,17 +618,28 @@ class TestLoadConfig:
 
 
 class TestBuildInitialState:
+    """cfg.u0, the initial array that validation builds."""
+
     def test_constant_profiles(self):
         cfg = validate_config(base_quad())
-        u0 = build_initial_state(cfg)
-        assert u0.dtype == np.float64
-        np.testing.assert_array_equal(u0, np.ones((4, 16)))
+        assert cfg.u0.dtype == np.float64
+        np.testing.assert_array_equal(cfg.u0, np.ones((4, 16)))
+        assert not cfg.u0.flags.writeable
+        with pytest.raises(ValueError):
+            cfg.u0[0, 0] = 2.0
 
     def test_extra_zero_species(self):
-        cfg = validate_config(base_quad())
-        u0 = build_initial_state(cfg, extra_zero_species=True)
-        assert u0.shape == (5, 16)
-        np.testing.assert_array_equal(u0[4], np.zeros(16))
+        # The closure species starts from zero, whichever way it is turned on.
+        raw = base_quad()
+        flagged = validate_config(raw, augment=True)
+        raw["transform"] = {"augment": True}
+        configured = validate_config(raw)
+        for cfg in (flagged, configured):
+            assert cfg.u0.shape == (5, 16)
+            assert cfg.u0.shape[0] == cfg.augmented.augmented.n_species
+            np.testing.assert_array_equal(cfg.u0[:4], np.ones((4, 16)))
+            np.testing.assert_array_equal(cfg.u0[4], np.zeros(16))
+            assert not cfg.u0.flags.writeable
 
     def test_gaussian_profile_hand_values(self):
         raw = base_quad()
@@ -639,10 +647,9 @@ class TestBuildInitialState:
             "type": "gaussian", "center": 0.5, "width": 0.1, "amplitude": 2.0,
         }
         cfg = validate_config(raw)
-        u0 = build_initial_state(cfg)
         x = cfg.grid.centers
         expected = 2.0 * np.exp(-((x - 0.5) ** 2) / (2.0 * 0.1 * 0.1))
-        np.testing.assert_allclose(u0[0], expected, rtol=1e-15)
+        np.testing.assert_allclose(cfg.u0[0], expected, rtol=1e-15)
 
     def test_piecewise_profile_hand_values(self):
         raw = base_quad()
@@ -651,9 +658,9 @@ class TestBuildInitialState:
             "type": "piecewise", "values": [1.0, 2.0, 3.0], "breaks": [0.25, 0.5],
         }
         cfg = validate_config(raw)
-        u0 = build_initial_state(cfg)
+        assert cfg.u0.dtype == np.float64
         np.testing.assert_array_equal(
-            u0[0], [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
+            cfg.u0[0], [1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
         )
 
     def test_piecewise_break_hits_a_center(self):
@@ -664,5 +671,4 @@ class TestBuildInitialState:
             "type": "piecewise", "values": [5.0, 9.0], "breaks": [0.25],
         }
         cfg = validate_config(raw)
-        u0 = build_initial_state(cfg)
-        np.testing.assert_array_equal(u0[0], [9.0, 9.0])
+        np.testing.assert_array_equal(cfg.u0[0], [9.0, 9.0])

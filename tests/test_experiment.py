@@ -4,8 +4,10 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from rdcheck import diagnostics
 from rdcheck.config import validate_config
 from rdcheck.errors import ConfigError
 from rdcheck.experiment import config_sha256, run_experiment, write_atomic
@@ -255,6 +257,55 @@ class TestDiagnosticsToggle:
         assert "z_sup_bound" not in names
         assert "b_range" not in names
         assert outcome.report["measurements"] is None
+
+
+class TestHolderScan:
+    def test_one_scan_per_recorded_step_and_none_at_t0(self, monkeypatch):
+        scanned = []
+        original = diagnostics.holder_modulus
+
+        def counting(values, h, gammas):
+            scanned.append(values.copy())
+            return original(values, h, gammas)
+
+        monkeypatch.setattr(diagnostics, "holder_modulus", counting)
+        outcome = run_raw(quad_raw(solver={"dt": DT, "t_end": T_END, "record_every": 3}))
+        _, rows = data_rows(outcome.csv_text)
+        # Steps 3, 6, ..., 18 and the last one, 20; the t = 0 row is not scanned.
+        assert len(rows) == 1 + N_STEPS // 3 + 1
+        assert len(scanned) == len(rows) - 1
+        assert all(np.any(values != 0.0) for values in scanned)
+        assert set(outcome.report["measurements"]["holder"]) == {
+            f"{name}:{g}" for name in ("v_d", "z_hat", "u_hat") for g in (0.25, 0.5)
+        }
+
+
+class TestEndTimeBelowOne:
+    def test_tiny_end_time_takes_every_step(self):
+        # The end-of-run slack is relative to t_end: an absolute 1e-12 would
+        # exceed t_end itself and end the run before its first step.
+        raw = {
+            "model": {
+                "custom": {
+                    "n_species": 1,
+                    "terms": [[{"coef": -1.0, "powers": [2]}]],
+                    "k0": 0.0,
+                    "k1": 0.0,
+                    "k": 1.0,
+                    "eps": 0.0,
+                },
+                "diffusion": [1.0],
+            },
+            "grid": {"n_cells": 8, "length": 1.0},
+            "initial": [{"type": "constant", "value": 1.0}],
+            "solver": {"dt": 1e-160, "t_end": 1e-159},
+            "diagnostics": {"enabled": True, "d": 2.0},
+        }
+        outcome = run_raw(raw)
+        assert outcome.report["n_accepted_steps"] == 10
+        _, rows = data_rows(outcome.csv_text)
+        assert len(rows) == 11
+        assert float(rows[-1][0]) == pytest.approx(1e-159, rel=1e-12)
 
 
 class TestMassIdentity:

@@ -79,6 +79,16 @@ class TestGaussianMoment:
         with pytest.raises(ValueError):
             gaussian_moment(*args)
 
+    @pytest.mark.parametrize(
+        "args,factor",
+        [((400, 0.0), "Gamma(200.0)"), ((1, 400.0), "Gamma(200.5)")],
+    )
+    def test_gamma_factor_that_overflows(self, args, factor):
+        with pytest.raises(ValueError) as excinfo:
+            gaussian_moment(*args)
+        message = str(excinfo.value)
+        assert f"n = {args[0]}" in message and factor in message
+
 
 class TestInterpolationConstants:
     def test_frozen_triple_one_one_zero(self):
@@ -133,6 +143,20 @@ class TestInterpolationConstants:
     def test_domain(self, args):
         with pytest.raises(ValueError):
             interpolation_constants(*args)
+
+    @pytest.mark.parametrize(
+        "args,kwargs,needle",
+        [
+            ((400, 1.0, 0.5), {}, "Gamma(200.0)"),
+            ((343, 1.0, 0.5), {}, "Gamma(172.0)"),
+            ((100, 1.0, 0.5), {"c_n": 1.0, "kappa_n": 1e-10}, "kappa_n^"),
+        ],
+    )
+    def test_factor_that_overflows(self, args, kwargs, needle):
+        with pytest.raises(ValueError) as excinfo:
+            interpolation_constants(*args, **kwargs)
+        message = str(excinfo.value)
+        assert f"n = {args[0]}" in message and needle in message
 
 
 class TestExponentAlgebra:
