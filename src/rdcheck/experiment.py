@@ -178,9 +178,12 @@ class _Recorder:
     appends to the scalar series the configured fits name.
 
     The entropy value is computed only where a row or the entropy check
-    needs it, and both share it.  Runs after the AuxiliaryTracker hook so
-    the diagnostic cells it reads are synchronized with the primal state of
-    the same step.  No state array is kept: a fit series is one float per
+    needs it, and both share it.  An augmented run leaves the entropy
+    column empty: its closure species stays at rounding level, so
+    sum_i f_i log u_i would measure that rounding, and no check reads it
+    (the closure system does not declare entropy_nonpositive).  Runs after
+    the AuxiliaryTracker hook so the diagnostic cells it reads are
+    synchronized with the primal state of the same step.  No state array is kept: a fit series is one float per
     recorded step, and `times` holds their times.
     """
 
@@ -191,9 +194,11 @@ class _Recorder:
         u0: np.ndarray,
         tracker: AuxiliaryTracker | None,
         fit_series=(),
+        augmented: bool = False,
     ):
         self.system = system
         self.tracker = tracker
+        self.augmented = augmented
         self.invariants = InvariantTracker(system, grid.length)
         self.n_accepted = 0
         n = system.n_species
@@ -221,7 +226,7 @@ class _Recorder:
 
     def _observe(self, t, u, sup_norms, masses, recorded: bool) -> None:
         entropy = None
-        if recorded or self.system.entropy_nonpositive:
+        if not self.augmented and (recorded or self.system.entropy_nonpositive):
             entropy = entropy_pointwise_worst(self.system, u, t)
         inv = self.invariants
         inv.update(t, u, masses, entropy)
@@ -373,7 +378,8 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
         tracker = AuxiliaryTracker(system, cfg.grid, cfg.u0, cfg.diagnostics)
 
     recorder = _Recorder(
-        system, cfg.grid, cfg.u0, tracker, [spec["series"] for spec in cfg.fits]
+        system, cfg.grid, cfg.u0, tracker, [spec["series"] for spec in cfg.fits],
+        augmented=cfg.augmented is not None,
     )
     hooks = ([tracker.on_step] if tracker else []) + [recorder.on_step]
 

@@ -13,12 +13,16 @@ exactly 1 - tau dt per accepted step, up to solve rounding).
 
 The flux-form Neumann stencil is diagonalized exactly by the DCT-II (modes
 cos(k pi x_j / L), eigenvalues -(4/h^2) sin^2(k pi / 2n)), so all species
-are solved together: one rfft of the even extension of the (rows, cells)
-right-hand side, a divide by 1 + dt d_i (4/h^2) sin^2(k pi / 2n) per row,
-and one irfft.  A transform solve is accurate only normwise: every cell of
-a row carries an error of about eps * sup|row|, which swamps values far
-below the row's sup, and the cyclic skew Lotka-Volterra runs drive species
-to 1e-23 and below in part of the domain and let them re-invade from there.  One
+are solved together.  Makhoul's algorithm gets the DCT-II of each row of
+the (rows, cells) right-hand side from one n-point rfft of the reordered
+row; the coefficients are divided by 1 + dt d_i (4/h^2) sin^2(k pi / 2n),
+and one n-point irfft brings the rows back.  The reordering and twiddles
+are cached per n and the symbols per (n, dt d_i / h^2 rows), each in a
+small bounded cache, so a run's repeated step sizes cost no setup.  A
+transform solve is accurate only normwise: every cell of a row carries an
+error of about eps * sup|row|, which swamps values far below the row's
+sup, and the cyclic skew Lotka-Volterra runs drive species to 1e-23 and
+below in part of the domain and let them re-invade from there.  One
 residual-correction sweep restores accuracy in those tails: the residual
 r = rhs - (I - dt d L) x is formed with the exact stencil, cell by cell, so
 it is as small as the first solve's error, and x + solve(r) carries only
@@ -53,6 +57,7 @@ StepEvent.recorded.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -131,21 +136,72 @@ class StepEvent:
     recorded: bool
 
 
-def _even_spectrum(values: np.ndarray) -> np.ndarray:
-    """rfft of the even extension of each row, frequencies k = 0..n.
+@functools.lru_cache(maxsize=8)
+def _twiddles(n: int) -> tuple:
+    """Makhoul's reordering of n cells and its twiddles, read-only.
 
-    Entry k is exp(i k pi / 2n) times the DCT-II of the row (the type-2
-    transform 2 sum_j f_j cos(k pi (2j + 1) / 2n)); entry n is zero up to
-    rounding.  The even extension turns the Neumann stencil into a periodic
-    one on 2n points, whose eigenvalues are the DCT-II ones.
+    Returns (order, unorder, w, conj(w)): order lists the even cells up and
+    then the odd cells down, [0, 2, 4, ..., 5, 3, 1]; unorder is its
+    inverse permutation; w_k = exp(-i k pi / 2n) for k = 0..n//2.
     """
-    return np.fft.rfft(np.concatenate((values, values[..., ::-1]), axis=-1))
+    order = np.concatenate((np.arange(0, n, 2), np.arange(1, n, 2)[::-1]))
+    w = np.exp(np.arange(n // 2 + 1) * (-1j * np.pi / (2 * n)))
+    arrays = (order, np.argsort(order), w, w.conj())
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def _spectral_solve(rhs: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Solve (I - s h^2 L) x = rhs row-wise, given symbol = 1 + s 4 sin^2(k pi / 2n)."""
+def _half_spectrum(values: np.ndarray) -> np.ndarray:
+    """The DCT-II of each row from one n-point rfft (J. Makhoul, IEEE Trans.
+    ASSP 28(1), 1980), frequencies k = 0..n//2.
+
+    Entry k is (C_k - i C_{n-k}) / 2, with C the type-2 transform
+    C_k = 2 sum_j f_j cos(k pi (2j + 1) / 2n) and C_n = 0: w_k times the
+    rfft of the reordered row.  Every value passes through sums of n terms
+    only, so rows up to about max-float/n transform without overflow.
+    """
+    order, _, w, _ = _twiddles(values.shape[-1])
+    spectrum = np.fft.rfft(np.take(values, order, axis=-1))
+    spectrum *= w
+    return spectrum
+
+
+@functools.lru_cache(maxsize=16)
+def _symbols(n: int, shape: tuple, s: bytes) -> np.ndarray:
+    """The DCT symbols 1 + s 4 sin^2(k pi / 2n) in the layout of
+    `_half_spectrum` viewed as float pairs: k = 0..n//2, each followed by
+    the symbol at n - k, one row per s.  Read-only.
+
+    s is the bytes of a float64 array of the given shape: one dt d / h^2,
+    shape (), or one per row, shape (rows, 1).  A run solves with a few
+    distinct s rows (the levels of its ladders, the tracker's step), so a
+    small bound keeps the ones it reuses.
+    """
+    k = np.arange(n // 2 + 1)
+    pairs = np.stack((k, n - k), axis=-1).reshape(-1)
+    # 4 sin^2(k pi / 2n): the stencil's eigenvalues times -h^2.
+    decay = 4.0 * np.sin(pairs * (np.pi / (2 * n))) ** 2
+    symbols = 1.0 + np.frombuffer(s).reshape(shape) * decay
+    symbols.flags.writeable = False
+    return symbols
+
+
+def _transform_solve(rhs: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Solve (I - s h^2 L) x = rhs row-wise, given `_symbols` for s.
+
+    Divides (C_k, C_{n-k}) by their symbols, which is dividing the real and
+    the imaginary part of `_half_spectrum`'s entry k, and inverts Makhoul's
+    transform: conj(w_k) times that, one n-point irfft, and the cells back
+    in their order.
+    """
     n = rhs.shape[-1]
-    return np.fft.irfft(_even_spectrum(rhs) / symbol, n=2 * n)[..., :n]
+    _, unorder, _, w_conj = _twiddles(n)
+    spectrum = _half_spectrum(rhs)
+    pairs = spectrum.view(np.float64)
+    pairs /= symbols
+    spectrum *= w_conj
+    return np.take(np.fft.irfft(spectrum, n=n), unorder, axis=-1)
 
 
 def implicit_heat_step(
@@ -182,19 +238,13 @@ def implicit_heat_step(
                 f"of shape {u.shape}"
             )
         r = r[:, None]
-    n = grid.n_cells
-    # 4 sin^2(k pi / 2n), k = 0..n: the stencil's eigenvalues times -h^2.
-    decay = 4.0 * np.sin(np.arange(n + 1) * (np.pi / (2 * n))) ** 2
-    symbol = 1.0 + (r / (grid.h * grid.h)) * decay
-    x = _spectral_solve(rhs, symbol)
+    s = r / (grid.h * grid.h)
+    symbols = _symbols(grid.n_cells, s.shape, s.tobytes())
+    x = _transform_solve(rhs, symbols)
     residual = rhs - (x - r * laplacian_values(x, grid.h))
-    # The correction solve is _spectral_solve written out, so that the
-    # residual's even extension outlives it: x + correction goes into the
-    # first half of that (rows, 2n) block, contiguous, not into a new array.
-    extension = np.concatenate((residual, residual[..., ::-1]), axis=-1)
-    correction = np.fft.irfft(np.fft.rfft(extension) / symbol, n=2 * n)[..., :n]
-    out = extension.reshape(-1)[: residual.size].reshape(residual.shape)
-    return np.add(x, correction, out=out)
+    correction = _transform_solve(residual, symbols)
+    correction += x
+    return correction
 
 
 def imex_step(

@@ -147,8 +147,8 @@ def interpolation_constants(
 
     Raises:
         ValueError: on bad (n, d, gamma), on a half-supplied envelope pair,
-            on nonpositive c_n / kappa_n, or when a Gamma factor or a power
-            of kappa_n overflows.
+            on nonpositive c_n / kappa_n, or when a Gamma factor, a power
+            of kappa_n or one of B1, B2, B3 and B overflows.
     """
     n, d, gamma = _check_constants_domain(n, d, gamma)
     omega = _sphere_area(n)
@@ -182,8 +182,15 @@ def interpolation_constants(
             f"kappa_n^(-(n + gamma)/2) overflows for n = {n}, kappa_n = {kappa_n}"
         ) from None
     b3 = b2 * math.gamma((gamma + 1.0) / 2.0)
+    b = _combine(b1, b3, gamma)
+    # A product of finite factors overflows to inf without raising.
+    for name, value in (("B1", b1), ("B2", b2), ("B3", b3), ("B", b)):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{name} overflows for n = {n}, c_n = {c_n}, kappa_n = {kappa_n}"
+            )
     return InterpolationConstants(
-        n=n, d=d, gamma=gamma, b4=b4, b5=b5, b=_combine(b1, b3, gamma),
+        n=n, d=d, gamma=gamma, b4=b4, b5=b5, b=b,
         case="kernel-envelope", c_n=c_n, kappa_n=kappa_n, b1=b1, b2=b2, b3=b3,
     )
 

@@ -611,6 +611,14 @@ class TestConstantsCommand:
         assert "n = 400" in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_constant_whose_product_overflows(self, capsys):
+        argv = ["constants", "--n", "3", "--d", "1", "--gamma", "0.5",
+                "--cn", "1e308", "--kappan", "0.01"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: B1 overflows for n = 3, c_n = 1e+308, kappa_n = 0.01\n"
+
 
 class TestEquilibriumCommand:
     def test_symmetric_masses(self, capsys):

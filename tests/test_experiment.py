@@ -500,6 +500,14 @@ class TestAugmentedRun:
         for total in totals:
             assert total == pytest.approx(totals[0], rel=1e-12)
 
+    def test_entropy_column_is_empty(self):
+        # The closure species stays at rounding level, so the column would
+        # measure the solve's rounding; the plain run still defines it.
+        for augment, defined in ((True, False), (False, True)):
+            header, rows = data_rows(run_raw(skew_raw(), augment=augment).csv_text)
+            col = header.split(",").index("entropy")
+            assert rows and all((row[col] != "") is defined for row in rows)
+
     def test_override_forces_augmentation(self):
         outcome = run_raw(skew_raw(), augment=True)
         assert outcome.report["augmented"] is True

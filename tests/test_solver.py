@@ -257,16 +257,54 @@ class TestSpectralSolveProperties:
     )
     def test_forward_transform_is_the_dct_ii(self, n, rows, seed):
         values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(rows, n))
-        spectrum = rdcheck.solver._even_spectrum(values)
-        assert spectrum.shape == (rows, n + 1)
-        # Entry k is exp(i k pi / 2n) times the DCT-II coefficient.
-        twiddle = np.exp(-1j * np.pi * np.arange(n) / (2 * n))
-        got = twiddle * spectrum[:, :n]
+        spectrum = rdcheck.solver._half_spectrum(values)
+        m = n // 2 + 1
+        assert spectrum.shape == (rows, m)
+        # Entry k is (C_k - i C_{n-k}) / 2, C the DCT-II and C_n = 0.
         expect = scipy.fft.dct(values, type=2, axis=-1)
         atol = 1e-14 * np.sum(np.abs(values), axis=1, keepdims=True)
-        assert np.all(np.abs(got.real - expect) <= atol)
-        assert np.all(np.abs(got.imag) <= atol)
-        assert np.all(np.abs(spectrum[:, n]) <= atol[:, 0])
+        assert np.all(np.abs(2.0 * spectrum.real - expect[:, :m]) <= atol)
+        high = expect[:, n - np.arange(1, m)]
+        assert np.all(np.abs(-2.0 * spectrum.imag[:, 1:] - high) <= atol)
+        assert np.all(spectrum.imag[:, 0] == 0.0)
+
+    def test_plan_cache_is_bounded_and_invisible(self):
+        symbols = rdcheck.solver._symbols
+        grid = Grid1D(64, 1.0)
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.0, 1.0, size=(4, 64))
+        diffusion = np.array([1e-4, 2e-4, 3e-4, 1e-3])
+
+        def cold(dt):
+            symbols.cache_clear()
+            return implicit_heat_step(values, grid, diffusion, dt)
+
+        dt1, dt2 = 0.1, 0.05
+        expect = {dt: cold(dt) for dt in (dt1, dt2)}
+        symbols.cache_clear()
+        for dt in (dt1, dt2, dt1):
+            np.testing.assert_array_equal(
+                implicit_heat_step(values, grid, diffusion, dt), expect[dt]
+            )
+        # Each call returns a new, writable array: the tracker keeps the
+        # last row of one as its z.
+        first = implicit_heat_step(values, grid, diffusion, dt1)
+        second = implicit_heat_step(values, grid, diffusion, dt1)
+        assert first.flags.writeable and not np.shares_memory(first, second)
+        first[:] = -1.0
+        np.testing.assert_array_equal(
+            implicit_heat_step(values, grid, diffusion, dt1), expect[dt1]
+        )
+        bound = symbols.cache_info().maxsize
+        for i in range(3 * bound):
+            implicit_heat_step(values, grid, diffusion, 0.01 * (i + 1))
+        assert symbols.cache_info().currsize == bound
+
+    def test_rows_near_max_float_over_n_stay_finite(self):
+        # The n-point transform sums n values, so a row overflows only
+        # near max-float / n.  RuntimeWarnings are errors in this suite.
+        out = implicit_heat_step(np.full(8, 1.5e307), Grid1D(8), 1.0, 0.1)
+        np.testing.assert_allclose(out, 1.5e307, rtol=1e-15)
 
     def test_rejects_mismatched_per_row_diffusion(self):
         grid = Grid1D(8, 1.0)

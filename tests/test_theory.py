@@ -150,6 +150,11 @@ class TestInterpolationConstants:
             ((400, 1.0, 0.5), {}, "Gamma(200.0)"),
             ((343, 1.0, 0.5), {}, "Gamma(172.0)"),
             ((100, 1.0, 0.5), {"c_n": 1.0, "kappa_n": 1e-10}, "kappa_n^"),
+            # Finite factors whose product overflows.
+            ((3, 1.0, 0.5), {"c_n": 1e308, "kappa_n": 0.01}, "B1 overflows"),
+            ((3, 1.0, 0.5), {"c_n": 1e305, "kappa_n": 0.01}, "B2 overflows"),
+            ((3, 1.0, 0.5), {"c_n": 5e304, "kappa_n": 0.01}, "B3 overflows"),
+            ((3, 1.0, 0.5), {"c_n": 4e304, "kappa_n": 0.01}, "B overflows"),
         ],
     )
     def test_factor_that_overflows(self, args, kwargs, needle):
