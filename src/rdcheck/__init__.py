@@ -11,7 +11,6 @@ from .config import RunConfig, load_config, validate_config
 from .diagnostics import (
     AuxiliaryConfig,
     AuxiliaryTracker,
-    CheckResult,
     InvariantTracker,
     check_b_range,
     check_conservation_laws,
@@ -28,12 +27,11 @@ from .errors import ConfigError, NumericalFailure
 from .experiment import ExperimentOutcome, config_sha256, run_experiment, write_atomic
 from .grid import Grid1D, grad_sup, holder_modulus, laplacian_values
 from .models import (
-    CheckOutcome,
+    CheckResult,
     PolynomialSpec,
     QuadraticReversibleSpec,
     ReactionSystem,
     SkewLVSpec,
-    StructureVerdict,
     check_structure,
     instantiate_model,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "AugmentedSystem",
     "AuxiliaryConfig",
     "AuxiliaryTracker",
-    "CheckOutcome",
     "CheckResult",
     "ConfigError",
     "ExperimentOutcome",
@@ -81,7 +78,6 @@ __all__ = [
     "SkewLVSpec",
     "SolverConfig",
     "StepEvent",
-    "StructureVerdict",
     "augment_system",
     "check_b_range",
     "check_conservation_laws",

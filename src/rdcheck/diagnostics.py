@@ -3,15 +3,18 @@
 Alongside the primal species the tracker integrates, with a single shared
 diffusion constant d chosen strictly above every species coefficient:
 
-* per-species smoothings v_i solving  dv_i/dt - d L v_i = u_i,  v_i(0) = 0;
-* a total-mass field z solving       dz/dt - d L z = K0(t),     z(0) = sum_i u_i(0),
+* the weighted smoothing v_d = sum_i (d - d_i) v_i of the per-species
+  smoothings dv_i/dt - d L v_i = u_i, v_i(0) = 0.  All v_i share the
+  operator, so v_d solves dv_d/dt - d L v_d = sum_i (d - d_i) u_i,
+  v_d(0) = 0, and the tracker integrates that one field;
+* a total-mass field z solving dz/dt - d L z = K0(t), z(0) = sum_i u_i(0),
   where K0(t) is the system's mass source (constant, or K0 e^{-K1 t} for
   time-rescaled systems);
 * time accumulators z_hat = integral of z and u_hat = integral of
   sum_i d_i u_i, both trapezoidal.
 
-These produce the combination v_d = sum_i (d - d_i) v_i, which the theory
-pins down three independent ways, each checked here numerically:
+The theory pins v_d down three independent ways, each checked here
+numerically:
 
 * route consistency: v_d = d z_hat - u_hat up to O(dt) discretization
   (`vd_consistency`, expected to shrink first order under refinement);
@@ -23,11 +26,10 @@ pins down three independent ways, each checked here numerically:
 The tracker is a solver hook: it advances with the accepted steps and keeps
 the current fields and running extrema only, so bounds are checked against
 the whole history, not just recorded steps, and each per-step quantity
-(sum_i u_i, b, sup|z|, v_d) is computed once.  It scans the Holder moduli
-at the steps the solver marks recorded (not at t = 0, where all three
-fields are zero), with one `holder_modulus` call on the stacked (v_d,
-z_hat, u_hat) rows; the lag sweep behind it is O(n) memory and O(n^2)
-time in the worst case.
+(sum_i u_i, b, sup|z|, v_d and its forcing) is computed once.  It scans
+the Holder moduli of v_d at the steps the solver marks recorded (not at
+t = 0, where v_d is zero), with one `holder_modulus` call; the lag sweep
+behind it is O(n) memory and O(n^2) time in the worst case.
 
 The primal checks work the same way.  `InvariantTracker` is fed the
 initial state and then every accepted step, with the masses the solver
@@ -47,13 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid1D, grad_sup, holder_modulus, laplacian_values
-from .models import ReactionSystem
+from .models import CheckResult, ReactionSystem
 from .solver import StepEvent, implicit_heat_step
 
 __all__ = [
     "AuxiliaryConfig",
     "AuxiliaryTracker",
-    "CheckResult",
     "InvariantTracker",
     "entropy_pointwise_worst",
     "check_z_bound",
@@ -136,7 +137,7 @@ class AuxiliaryTracker:
         self.t = 0.0
         n = sys.n_species
         cells = grid.n_cells
-        self._v = np.zeros((n, cells))
+        self._v_d = np.zeros(cells)
         self._z = np.sum(u0, axis=0) + cfg.z_offset
         self._z_hat = np.zeros(cells)
         self._u_hat = np.zeros(cells)
@@ -165,18 +166,19 @@ class AuxiliaryTracker:
     def on_step(self, event: StepEvent) -> None:
         dt = event.dt
         k0_old = self.sys.mass_source_rate(event.t_old)
+        # v_d's source is the forcing _observe computed from u_old.
         rows = implicit_heat_step(
-            np.vstack((self._v, self._z)),
+            np.stack((self._v_d, self._z)),
             self.grid,
             self.cfg.d,
             dt,
-            np.vstack((event.u_old, np.full(self.grid.n_cells, k0_old))),
+            np.stack((self._forcing, np.full(self.grid.n_cells, k0_old))),
         )
         # Same clamp policy as the solver.  The exact implicit step keeps
-        # v nonnegative; the spectral solve leaves rounding dust of either
+        # v_d nonnegative; the spectral solve leaves rounding dust of either
         # sign around that, and only the negative dust is clamped.
-        self._v = np.maximum(rows[:-1], 0.0)
-        z_old, self._z = self._z, rows[-1]
+        self._v_d = np.maximum(rows[0], 0.0)
+        z_old, self._z = self._z, rows[1]
         s_new = np.tensordot(self._weights, event.u_new, axes=1)
         self._z_hat = self._z_hat + 0.5 * dt * (z_old + self._z)
         self._u_hat = self._u_hat + 0.5 * dt * (self._s_prev + s_new)
@@ -191,7 +193,8 @@ class AuxiliaryTracker:
 
         u is the primal (species, cells) array of the same time and
         weighted its sum_i d_i u_i.  Updates the running extrema, `row` and
-        the v_d that _measure_holder reads.
+        the forcing sum_i (d - d_i) u_i, which is v_d's source for the next
+        step.
         """
         d = self.cfg.d
         total = np.sum(u, axis=0)
@@ -202,8 +205,9 @@ class AuxiliaryTracker:
         b_min = float(np.min(b))
         b_max = float(np.max(b))
         z_sup = float(np.max(np.abs(self._z)))
-        forcing = float(np.max(np.abs(np.tensordot(self._gaps, u, axes=1))))
-        v_d = self._v_d = np.tensordot(self._gaps, self._v, axes=1)
+        self._forcing = np.tensordot(self._gaps, u, axes=1)
+        forcing = float(np.max(np.abs(self._forcing)))
+        v_d = self._v_d
         gap = d * self._z_hat - self._u_hat
         consistency = float(np.max(np.abs(v_d - gap)))
         zvd = float(
@@ -223,32 +227,12 @@ class AuxiliaryTracker:
         self.row = (z_sup, b_min, b_max, consistency, zvd, gvd)
 
     def _measure_holder(self) -> None:
-        """Update the running Holder moduli of v_d, z_hat and u_hat."""
-        names = ("v_d", "z_hat", "u_hat")
-        stacked = np.stack([self._v_d, self._z_hat, self._u_hat])
-        moduli = holder_modulus(stacked, self.grid.h, self.cfg.gammas)
-        for name, row in zip(names, moduli):
-            for g, val in zip(self.cfg.gammas, row):
-                key = (name, float(g))
-                if val > self.holder_max.get(key, 0.0):
-                    self.holder_max[key] = float(val)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One named check: measured value vs. bound, with a verdict.
-
-    `passed` is None for purely informational entries (reported quantities
-    that carry no absolute threshold, such as the refinement-monitored
-    residuals).
-    """
-
-    name: str
-    passed: bool | None
-    measured: float | None = None
-    bound: float | None = None
-    tolerance: float | None = None
-    detail: str = ""
+        """Update the running Holder moduli of v_d."""
+        moduli = holder_modulus(self._v_d, self.grid.h, self.cfg.gammas)
+        for g, val in zip(self.cfg.gammas, moduli):
+            key = ("v_d", float(g))
+            if val > self.holder_max.get(key, 0.0):
+                self.holder_max[key] = float(val)
 
 
 def _exp(x: float) -> float:

@@ -39,7 +39,6 @@ import numpy as np
 from .config import RunConfig
 from .diagnostics import (
     AuxiliaryTracker,
-    CheckResult,
     InvariantTracker,
     check_b_range,
     check_conservation_laws,
@@ -53,7 +52,7 @@ from .diagnostics import (
 )
 from .errors import NumericalFailure
 from .grid import Grid1D
-from .models import ReactionSystem, StructureVerdict, check_structure
+from .models import CheckResult, ReactionSystem, check_structure
 from .solver import StepEvent, row_norms, run_simulation
 from .theory import fit_rate, quad_equilibrium
 from .transform import verify_augmented
@@ -126,52 +125,6 @@ def _check_dict(c: CheckResult) -> dict:
     }
 
 
-def _point_str(point) -> str:
-    return "[" + ", ".join(repr(float(v)) for v in np.asarray(point)) + "]"
-
-
-def _verdict_checks(prefix: str, verdict: StructureVerdict, conservation: bool) -> list:
-    """Flatten a sampled StructureVerdict into named CheckResults."""
-    qp = verdict.quasi_positive
-    qp_detail = ""
-    if qp.witness is not None:
-        species, point, value = qp.witness
-        qp_detail = f"species {species} reaches {value} at {_point_str(point)}"
-    mc = verdict.mass_control
-    mc_detail = ""
-    if mc.witness is not None:
-        if conservation:
-            point, t, total, target = mc.witness
-            mc_detail = f"sum {total} vs target {target} at t = {t}, w = {_point_str(point)}"
-        else:
-            point, total, allowance = mc.witness
-            mc_detail = f"sum {total} exceeds allowance {allowance} at {_point_str(point)}"
-    mass_name = "conservation_residual" if conservation else "mass_control"
-    return [
-        CheckResult(
-            name=f"{prefix}_quasi_positivity",
-            passed=qp.passed,
-            measured=qp.worst,
-            bound=0.0,
-            detail=qp_detail or f"{verdict.samples_used} samples",
-        ),
-        CheckResult(
-            name=f"{prefix}_{mass_name}",
-            passed=mc.passed,
-            measured=mc.worst,
-            bound=0.0,
-            detail=mc_detail,
-        ),
-        CheckResult(
-            name=f"{prefix}_growth",
-            passed=verdict.growth.passed,
-            measured=verdict.growth.worst,
-            bound=1.0,
-            detail="worst sampled ratio against the declared envelope",
-        ),
-    ]
-
-
 class _Recorder:
     """Solver hook measuring each state once: it feeds the invariant checks
     at every accepted step and, at each recorded one, writes a CSV row and
@@ -183,8 +136,9 @@ class _Recorder:
     sum_i f_i log u_i would measure that rounding, and no check reads it
     (the closure system does not declare entropy_nonpositive).  Runs after
     the AuxiliaryTracker hook so the diagnostic cells it reads are
-    synchronized with the primal state of the same step.  No state array is kept: a fit series is one float per
-    recorded step, and `times` holds their times.
+    synchronized with the primal state of the same step.  No state array
+    is kept: a fit series is one float per recorded step, and `times`
+    holds their times.
     """
 
     def __init__(
@@ -358,20 +312,19 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
     """
     rng = np.random.default_rng(cfg.seed)
 
-    checks: list[CheckResult] = []
-    verdict = check_structure(cfg.system, rng)
-    checks.extend(_verdict_checks("structure", verdict, conservation=False))
+    checks: list[CheckResult] = check_structure(cfg.system, rng)
 
     system = cfg.system
     if cfg.augmented is not None:
         system = cfg.augmented.augmented
-        aug_verdict = verify_augmented(
-            cfg.augmented,
-            rng,
-            t_horizon=cfg.solver.t_end,
-            g_tail_offset=cfg.inject_augmentation_offset,
+        checks.extend(
+            verify_augmented(
+                cfg.augmented,
+                rng,
+                t_horizon=cfg.solver.t_end,
+                g_tail_offset=cfg.inject_augmentation_offset,
+            )
         )
-        checks.extend(_verdict_checks("augmented", aug_verdict, conservation=True))
 
     tracker = None
     if cfg.diagnostics is not None:

@@ -10,8 +10,9 @@ declared structure the rest of the package relies on:
 * polynomial growth: |f_i(u)| <= K (1 + |u|^{2+eps}) with K > 0, eps >= 0.
 
 Declared constants are never trusted: check_structure probes all three
-inequalities on randomized orthant samples and returns the first violating
-witness, which is how hand-broken models are caught at verify time.
+inequalities on randomized orthant samples and returns the report's three
+structure checks, which is how hand-broken models are caught at verify
+time.
 
 Two families are built in.  The reversible exchange model (four species,
 rate u1 u2 - u3 u4 both ways) conserves three independent linear masses and
@@ -34,8 +35,7 @@ __all__ = [
     "SkewLVSpec",
     "PolynomialSpec",
     "instantiate_model",
-    "CheckOutcome",
-    "StructureVerdict",
+    "CheckResult",
     "check_structure",
 ]
 
@@ -290,35 +290,24 @@ def instantiate_model(spec, diffusion) -> ReactionSystem:
 
 
 @dataclass(frozen=True)
-class CheckOutcome:
-    """Outcome of one sampled structure probe.
+class CheckResult:
+    """One named check: measured value vs. bound, with a verdict.
 
-    `worst` is the extremal margin or ratio seen (check-specific sign
-    convention documented at the call site); `witness` is the first
-    violating sample, or None when the check passed.
+    `passed` is None for purely informational entries (reported quantities
+    that carry no absolute threshold, such as the refinement-monitored
+    residuals).
     """
 
-    passed: bool
-    worst: float
-    witness: tuple | None = None
+    name: str
+    passed: bool | None
+    measured: float | None = None
+    bound: float | None = None
+    tolerance: float | None = None
+    detail: str = ""
 
 
-@dataclass(frozen=True)
-class StructureVerdict:
-    """Joint verdict of the three structural probes."""
-
-    quasi_positive: CheckOutcome
-    mass_control: CheckOutcome
-    growth: CheckOutcome
-    samples_used: int
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.quasi_positive.passed
-            and self.mass_control.passed
-            and self.growth.passed
-        )
+def _point_str(point) -> str:
+    return "[" + ", ".join(repr(float(v)) for v in np.asarray(point)) + "]"
 
 
 def _log_uniform(rng: np.random.Generator, size) -> np.ndarray:
@@ -328,7 +317,7 @@ def _log_uniform(rng: np.random.Generator, size) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def check_structure(
     sys: ReactionSystem, rng: np.random.Generator, n_samples: int = 10_000
-) -> StructureVerdict:
+) -> list[CheckResult]:
     """Probe quasi-positivity, mass control and growth on random samples.
 
     Quasi-positivity is sampled on each boundary face u_i = 0 with the other
@@ -338,16 +327,17 @@ def check_structure(
     whose value is not a number fails the probe it feeds.
 
     Returns:
-        StructureVerdict carrying, per check, the worst margin/ratio and the
-        first violating witness if any.  Sampling never proves the
-        inequalities; it can only falsify them.
+        The report's structure_quasi_positivity, structure_mass_control and
+        structure_growth checks, each measuring the worst margin or ratio
+        sampled.  A failing quasi-positivity or mass-control check names
+        its first violating sample in its detail.  Sampling never proves
+        the inequalities; it can only falsify them.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     n = sys.n_species
 
     # Quasi-positivity on the N boundary faces.
-    qp_passed = True
     qp_worst = np.inf
     qp_witness = None
     per_face = max(1, n_samples // max(n, 1))
@@ -360,8 +350,7 @@ def check_structure(
             qp_worst = lo
         if not lo >= -_QP_TOL and qp_witness is None:
             j = int(np.argmin(vals))
-            qp_passed = False
-            qp_witness = (i + 1, pts[:, j].copy(), lo)
+            qp_witness = f"species {i + 1} reaches {lo} at {_point_str(pts[:, j])}"
 
     # Mass control and growth on shared orthant samples.
     pts = _log_uniform(rng, (n, n_samples))
@@ -371,26 +360,38 @@ def check_structure(
     allowance = sys.k0 + sys.k1 * total_u + _MASS_TOL * (1.0 + total_u)
     margin = total_f - allowance
     mc_worst = float(np.max(margin))
-    mc_passed = mc_worst <= 0.0
-    mc_witness = None
-    if not mc_passed:
+    mc_witness = ""
+    if not mc_worst <= 0.0:
         j = int(np.argmax(margin))
-        mc_witness = (pts[:, j].copy(), float(total_f[j]), float(allowance[j]))
+        mc_witness = (
+            f"sum {float(total_f[j])} exceeds allowance {float(allowance[j])} "
+            f"at {_point_str(pts[:, j])}"
+        )
 
     norms = np.sqrt(np.sum(pts * pts, axis=0))
     envelope = sys.growth_k * (1.0 + norms ** (2.0 + sys.growth_eps))
-    ratio = np.max(np.abs(fvals), axis=0) / envelope
-    gr_worst = float(np.max(ratio))
-    gr_passed = gr_worst <= 1.0 + _GROWTH_TOL
-    gr_witness = None
-    if not gr_passed:
-        j = int(np.argmax(ratio))
-        gr_witness = (pts[:, j].copy(), float(np.max(np.abs(fvals[:, j]))), float(envelope[j]))
+    gr_worst = float(np.max(np.max(np.abs(fvals), axis=0) / envelope))
 
-    return StructureVerdict(
-        quasi_positive=CheckOutcome(qp_passed, qp_worst, qp_witness),
-        mass_control=CheckOutcome(mc_passed, mc_worst, mc_witness),
-        growth=CheckOutcome(gr_passed, gr_worst, gr_witness),
-        samples_used=n * per_face + n_samples,
-    )
-
+    return [
+        CheckResult(
+            name="structure_quasi_positivity",
+            passed=qp_witness is None,
+            measured=qp_worst,
+            bound=0.0,
+            detail=qp_witness or f"{n * per_face + n_samples} samples",
+        ),
+        CheckResult(
+            name="structure_mass_control",
+            passed=mc_worst <= 0.0,
+            measured=mc_worst,
+            bound=0.0,
+            detail=mc_witness,
+        ),
+        CheckResult(
+            name="structure_growth",
+            passed=gr_worst <= 1.0 + _GROWTH_TOL,
+            measured=gr_worst,
+            bound=1.0,
+            detail="worst sampled ratio against the declared envelope",
+        ),
+    ]

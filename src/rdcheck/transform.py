@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (
-    CheckOutcome,
-    ReactionSystem,
-    StructureVerdict,
-    _log_uniform,
-)
+from .models import CheckResult, ReactionSystem, _log_uniform, _point_str
 
 __all__ = [
     "AugmentedSystem",
@@ -108,24 +103,31 @@ def verify_augmented(
     n_samples: int = 10_000,
     t_horizon: float = 1.0,
     g_tail_offset: float = 0.0,
-) -> StructureVerdict:
+) -> list[CheckResult]:
     """Sample-audit the augmented system on random (state, time) pairs.
 
     Checks, per sample (components log-uniform in [1e-6, 1e3], time uniform
     in [0, t_horizon]):
 
-    * conservation: sum of all N+1 reactions equals K0 e^{-K1 t} to 1e-10
-      relative (carried in the mass-control slot of the verdict);
-    * quasi-positivity of every g_i on its boundary face, including the
-      extra species (whose face value is the base mass-control margin);
-    * growth: the constant C in |g_i| <= C e^{(1+eps)|K1| T}(1+|w|^{2+eps})
-      is fitted as the worst sampled ratio and reported in the growth slot;
-      it always passes when finite.
+    * augmented_quasi_positivity: every g_i on its boundary face, including
+      the extra species (whose face value is the base mass-control margin),
+      against the floor -1e-12 (1 + max_i |g_i|) of its sample;
+    * augmented_conservation_residual: the sum of all N+1 reactions equals
+      K0 e^{-K1 t} to 1e-10 relative;
+    * augmented_growth: the constant C in
+      |g_i| <= C e^{(1+eps)|K1| T}(1+|w|^{2+eps}) is fitted as the worst
+      sampled ratio and reported, with no bound; it passes when finite.
+
+    A failing quasi-positivity or conservation check names its first
+    violating sample in its detail.
 
     Args:
         g_tail_offset: test-surface injection added to the extra reaction
             before checking; a nonzero value demonstrates that a broken
             augmentation is caught.
+
+    Returns:
+        The three checks above, in that order.
 
     Raises:
         ValueError: on a nonpositive horizon or sample count.
@@ -151,11 +153,13 @@ def verify_augmented(
     scale = np.maximum(1.0, np.maximum(np.abs(target), np.max(np.abs(g), axis=0)))
     rel = np.abs(sums - target) / scale
     cons_worst = float(np.max(rel))
-    cons_passed = cons_worst <= _CONSERVATION_TOL
-    cons_witness = None
-    if not cons_passed:
+    cons_witness = ""
+    if not cons_worst <= _CONSERVATION_TOL:
         j = int(np.argmax(rel))
-        cons_witness = (pts[:, j].copy(), float(times[j]), float(sums[j]), float(target[j]))
+        cons_witness = (
+            f"sum {float(sums[j])} vs target {float(target[j])} "
+            f"at t = {float(times[j])}, w = {_point_str(pts[:, j])}"
+        )
 
     eps = sys.growth_eps
     horizon_factor = float(np.exp((1.0 + eps) * abs(k1) * t_horizon))
@@ -168,7 +172,6 @@ def verify_augmented(
     # scaled by the sampled reaction magnitude instead of being absolute.
     qp_worst = np.inf
     qp_witness = None
-    qp_passed = True
     per_face = max(1, n_samples // n_aug)
     for i in range(n_aug):
         face = _log_uniform(rng, (n_aug, per_face))
@@ -185,12 +188,30 @@ def verify_augmented(
         bad = vals < floor
         if np.any(bad) and qp_witness is None:
             j = int(np.argmin(vals - floor))
-            qp_passed = False
-            qp_witness = (i + 1, face[:, j].copy(), float(vals[j]))
+            qp_witness = f"species {i + 1} reaches {float(vals[j])} at {_point_str(face[:, j])}"
 
-    return StructureVerdict(
-        quasi_positive=CheckOutcome(qp_passed, qp_worst, qp_witness),
-        mass_control=CheckOutcome(cons_passed, cons_worst, cons_witness),
-        growth=CheckOutcome(bool(np.isfinite(growth_worst)), growth_worst, None),
-        samples_used=n_samples + n_aug * per_face,
-    )
+    return [
+        CheckResult(
+            name="augmented_quasi_positivity",
+            passed=qp_witness is None,
+            measured=qp_worst,
+            bound=0.0,
+            detail=qp_witness
+            or f"{n_samples + n_aug * per_face} samples; floor "
+            f"-{_QP_TOL}*(1 + max_i |g_i|) per sample",
+        ),
+        CheckResult(
+            name="augmented_conservation_residual",
+            passed=cons_worst <= _CONSERVATION_TOL,
+            measured=cons_worst,
+            bound=0.0,
+            detail=cons_witness,
+        ),
+        CheckResult(
+            name="augmented_growth",
+            passed=bool(np.isfinite(growth_worst)),
+            measured=growth_worst,
+            detail="fitted constant C in |g_i| <= C e^{(1+eps)|K1| T}"
+            "(1 + |w|^{2+eps}); passes when finite",
+        ),
+    ]

@@ -131,8 +131,6 @@ class TestTrackerAtEquilibrium:
         # by b_min == b_max in test_running_extrema.
         tracker, _ = outcome
         assert tracker.t == pytest.approx(0.25, abs=1e-12)
-        for v in tracker._v:
-            np.testing.assert_allclose(v, 0.25, rtol=1e-10)
         np.testing.assert_allclose(tracker._v_d, 13.0 * 0.25, rtol=1e-10)
         np.testing.assert_allclose(tracker._z, 4.0, rtol=1e-12)
         np.testing.assert_allclose(tracker._z_hat, 1.0, rtol=1e-10)
@@ -248,12 +246,7 @@ class TestRefinementShrinksResiduals:
         tracker, _ = tracked_run(
             quad_system, state, AuxiliaryConfig(d=5.0), dt=5e-3, t_end=0.1
         )
-        expected = {
-            (name, g)
-            for name in ("v_d", "z_hat", "u_hat")
-            for g in (0.25, 0.5)
-        }
-        assert set(tracker.holder_max) == expected
+        assert set(tracker.holder_max) == {("v_d", 0.25), ("v_d", 0.5)}
         assert all(v > 0.0 for v in tracker.holder_max.values())
 
 

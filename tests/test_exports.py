@@ -8,6 +8,7 @@ import re
 
 import rdcheck
 import rdcheck.diagnostics
+import rdcheck.experiment
 import rdcheck.solver
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -61,7 +62,10 @@ def test_readme_library_use_names_only_exports():
 
 
 def test_solve_boundaries_stay_module_attributes():
-    # The benchmark's tracer wraps implicit_heat_step by name in these two
-    # modules; under another name its solve timings would read zero.
+    # The benchmark's tracer wraps these functions by name in the modules
+    # that call them; under another name their timings would read zero.
     assert rdcheck.solver.implicit_heat_step is rdcheck.implicit_heat_step
     assert rdcheck.diagnostics.implicit_heat_step is rdcheck.implicit_heat_step
+    assert rdcheck.diagnostics.holder_modulus is rdcheck.holder_modulus
+    assert rdcheck.experiment.check_structure is rdcheck.check_structure
+    assert rdcheck.experiment.verify_augmented is rdcheck.verify_augmented

@@ -1,6 +1,7 @@
 """Tests for reaction families, structure probes and entropy evaluation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -264,66 +265,77 @@ class TestVectorizedEvaluation:
         np.testing.assert_array_equal(batch, cols)
 
 
+def audit(sys, seed):
+    """check_structure's three checks, keyed by probe name."""
+    checks = check_structure(sys, np.random.default_rng(seed))
+    return {c.name.removeprefix("structure_"): c for c in checks}
+
+
 class TestCheckStructure:
     def test_quad_passes_all_probes(self, quad_system):
-        verdict = check_structure(quad_system, np.random.default_rng(0))
-        assert verdict.passed
-        assert verdict.quasi_positive.passed
-        assert verdict.mass_control.passed
-        assert verdict.growth.passed
-        assert verdict.samples_used == 20_000
+        checks = audit(quad_system, 0)
+        assert list(checks) == ["quasi_positivity", "mass_control", "growth"]
+        assert checks["quasi_positivity"].passed
+        assert checks["mass_control"].passed
+        assert checks["growth"].passed
+        assert checks["quasi_positivity"].detail == "20000 samples"
 
     def test_skew_passes_all_probes(self, skew_system):
-        assert check_structure(skew_system, np.random.default_rng(1)).passed
+        assert all(c.passed for c in audit(skew_system, 1).values())
 
     def test_unequal_decay_skew_passes(self):
         sys = instantiate_model(
             SkewLVSpec(interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 2.0]),
             [1.0, 1.0],
         )
-        assert check_structure(sys, np.random.default_rng(2)).passed
+        assert all(c.passed for c in audit(sys, 2).values())
 
     def test_catches_broken_quasi_positivity_only(self):
         # f = (-u2, u2): pushes species 1 negative on its own face while the
         # sum stays zero and the growth envelope holds.
         sys = poly_model(2, [[(-1.0, (0, 1))], [(1.0, (0, 1))]])
-        verdict = check_structure(sys, np.random.default_rng(6))
-        assert not verdict.quasi_positive.passed
-        assert verdict.mass_control.passed
-        assert verdict.growth.passed
-        assert not verdict.passed
-        species, point, worst = verdict.quasi_positive.witness
-        assert species == 1
+        checks = audit(sys, 6)
+        qp = checks["quasi_positivity"]
+        assert not qp.passed
+        assert checks["mass_control"].passed
+        assert checks["growth"].passed
+        witness = re.fullmatch(r"species (\d+) reaches (\S+) at \[(.*)\]", qp.detail)
+        point = [float(v) for v in witness.group(3).split(", ")]
+        assert int(witness.group(1)) == 1
         assert point[0] == 0.0
-        assert worst < 0.0
+        assert float(witness.group(2)) < 0.0
+        assert qp.measured < 0.0
 
     def test_catches_broken_mass_control_only(self):
         # f = u with declared k0 = k1 = 0.
         sys = poly_model(1, [[(1.0, (1,))]], growth_k=2.0)
-        verdict = check_structure(sys, np.random.default_rng(7))
-        assert verdict.quasi_positive.passed
-        assert not verdict.mass_control.passed
-        assert verdict.growth.passed
-        point, total_f, allowance = verdict.mass_control.witness
-        assert total_f > allowance
+        checks = audit(sys, 7)
+        assert checks["quasi_positivity"].passed
+        assert not checks["mass_control"].passed
+        assert checks["growth"].passed
+        witness = re.match(
+            r"sum (\S+) exceeds allowance (\S+) at \[", checks["mass_control"].detail
+        )
+        assert float(witness.group(1)) > float(witness.group(2))
 
     def test_catches_broken_growth_only(self):
         # f = u^4 against a declared quadratic envelope; k1 is large enough
         # that mass control still holds on the sampling range.
         sys = poly_model(1, [[(1.0, (4,))]], k1=1e12)
-        verdict = check_structure(sys, np.random.default_rng(8))
-        assert verdict.quasi_positive.passed
-        assert verdict.mass_control.passed
-        assert not verdict.growth.passed
-        point, worst_f, envelope = verdict.growth.witness
-        assert worst_f > envelope
+        checks = audit(sys, 8)
+        assert checks["quasi_positivity"].passed
+        assert checks["mass_control"].passed
+        growth = checks["growth"]
+        assert not growth.passed
+        # The worst sampled |f| over its envelope.
+        assert growth.measured > growth.bound == 1.0
 
     def test_deterministic_under_seed(self, quad_system):
-        a = check_structure(quad_system, np.random.default_rng(9))
-        b = check_structure(quad_system, np.random.default_rng(9))
-        assert a.quasi_positive.worst == b.quasi_positive.worst
-        assert a.mass_control.worst == b.mass_control.worst
-        assert a.growth.worst == b.growth.worst
+        a = audit(quad_system, 9)
+        b = audit(quad_system, 9)
+        assert a["quasi_positivity"].measured == b["quasi_positivity"].measured
+        assert a["mass_control"].measured == b["mass_control"].measured
+        assert a["growth"].measured == b["growth"].measured
 
     def test_rejects_nonpositive_sample_count(self, quad_system):
         with pytest.raises(ValueError, match="n_samples"):

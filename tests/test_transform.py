@@ -84,31 +84,34 @@ class TestAugmentSystem:
         np.testing.assert_array_equal(a, b)
 
 
+def audit(pair, seed, **kwargs):
+    """verify_augmented's three checks, keyed by probe name."""
+    checks = verify_augmented(pair, np.random.default_rng(seed), **kwargs)
+    return {c.name.removeprefix("augmented_"): c for c in checks}
+
+
 class TestVerifyAugmented:
     def test_quad_audit_passes_with_exact_conservation(self, quad_system):
-        pair = augment_system(quad_system)
-        verdict = verify_augmented(pair, np.random.default_rng(0))
-        assert verdict.passed
+        checks = audit(augment_system(quad_system), 0)
+        assert list(checks) == ["quasi_positivity", "conservation_residual", "growth"]
+        assert all(c.passed for c in checks.values())
         # k0 = 0 and the closure negates the freshly computed head sum, so
         # the sampled conservation defect is exactly zero.
-        assert verdict.mass_control.worst == 0.0
-        assert verdict.samples_used == 20_000
+        assert checks["conservation_residual"].measured == 0.0
+        assert checks["quasi_positivity"].detail.startswith("20000 samples")
 
     def test_skew_audit_passes(self, skew_system):
-        pair = augment_system(skew_system)
-        verdict = verify_augmented(pair, np.random.default_rng(1), t_horizon=2.0)
-        assert verdict.passed
-        assert verdict.growth.worst > 0.0
-        assert np.isfinite(verdict.growth.worst)
+        checks = audit(augment_system(skew_system), 1, t_horizon=2.0)
+        assert all(c.passed for c in checks.values())
+        assert checks["growth"].measured > 0.0
+        assert np.isfinite(checks["growth"].measured)
 
     def test_offset_injection_breaks_conservation(self, quad_system):
-        pair = augment_system(quad_system)
-        verdict = verify_augmented(
-            pair, np.random.default_rng(2), g_tail_offset=0.1
-        )
-        assert not verdict.mass_control.passed
-        assert verdict.mass_control.witness is not None
-        assert not verdict.passed
+        checks = audit(augment_system(quad_system), 2, g_tail_offset=0.1)
+        conservation = checks["conservation_residual"]
+        assert not conservation.passed
+        assert conservation.detail.startswith("sum ")
+        assert not all(c.passed for c in checks.values())
 
     def test_rejects_bad_sample_count(self, quad_system):
         pair = augment_system(quad_system)
