@@ -12,14 +12,6 @@ from .diagnostics import (
     AuxiliaryConfig,
     AuxiliaryTracker,
     InvariantTracker,
-    check_b_range,
-    check_conservation_laws,
-    check_entropy,
-    check_mass_envelope,
-    check_mass_identity,
-    check_positivity,
-    check_uhat_bounds,
-    check_z_bound,
     entropy_pointwise_worst,
     loglog_slope,
 )
@@ -79,15 +71,7 @@ __all__ = [
     "SolverConfig",
     "StepEvent",
     "augment_system",
-    "check_b_range",
-    "check_conservation_laws",
-    "check_entropy",
-    "check_mass_envelope",
-    "check_mass_identity",
-    "check_positivity",
     "check_structure",
-    "check_uhat_bounds",
-    "check_z_bound",
     "config_sha256",
     "entropy_pointwise_worst",
     "exponent_algebra",

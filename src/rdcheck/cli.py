@@ -33,12 +33,7 @@ __all__ = ["main"]
 
 
 def _check_line(entry: dict) -> str:
-    if entry["passed"] is None:
-        status = "info"
-    elif entry["passed"]:
-        status = "ok  "
-    else:
-        status = "FAIL"
+    status = "ok  " if entry["passed"] else "FAIL"
     parts = [f"{status} {entry['name']}"]
     if entry["measured"] is not None:
         parts.append(f"measured={entry['measured']}")

@@ -36,9 +36,9 @@ initial state and then every accepted step, with the masses the solver
 computed once for that step and the step's entropy value, and keeps
 running extrema: the smallest value (positivity), the drift of each
 conserved combination, the excess over the mass envelope, the error of
-the exact geometric mass decay, and the largest entropy production.  The
-check_* functions turn those into verdicts, which therefore do not depend
-on the recording cadence.
+the exact geometric mass decay, and the largest entropy production.  Each
+tracker's `checks` turns its own extrema into the report's verdicts, which
+therefore do not depend on the recording cadence.
 """
 
 from __future__ import annotations
@@ -57,14 +57,6 @@ __all__ = [
     "AuxiliaryTracker",
     "InvariantTracker",
     "entropy_pointwise_worst",
-    "check_z_bound",
-    "check_b_range",
-    "check_uhat_bounds",
-    "check_conservation_laws",
-    "check_mass_envelope",
-    "check_mass_identity",
-    "check_entropy",
-    "check_positivity",
     "loglog_slope",
 ]
 
@@ -234,6 +226,55 @@ class AuxiliaryTracker:
             if val > self.holder_max.get(key, 0.0):
                 self.holder_max[key] = float(val)
 
+    def checks(self, t_end: float) -> list[CheckResult]:
+        """The report's checks of the a priori bounds for a run ending at
+        t_end: z_sup_bound, b_range, uhat_nonnegative, uhat_below_d_zhat and
+        uhat_sup_bound, in that order."""
+        z_bound = self.initial_sup_sum + self.sys.mass_source_integral(t_end)
+        z_tol = _ENVELOPE_SLACK * (1.0 + z_bound)
+        lo = 1.0 / float(np.max(self.sys.diffusion)) - _B_TOL
+        hi = 1.0 / float(np.min(self.sys.diffusion)) + _B_TOL
+        sup_bound = self.cfg.d * z_bound * t_end
+        sup_tol = _ENVELOPE_SLACK * (1.0 + sup_bound)
+        return [
+            CheckResult(
+                name="z_sup_bound",
+                passed=self.z_sup_max <= z_bound + z_tol,
+                measured=self.z_sup_max,
+                bound=z_bound,
+                tolerance=z_tol,
+            ),
+            CheckResult(
+                name="b_range",
+                passed=self.b_min >= lo and self.b_max <= hi,
+                measured=self.b_min,
+                bound=self.b_max,
+                tolerance=_B_TOL,
+                detail=f"interval [{lo}, {hi}]",
+            ),
+            CheckResult(
+                name="uhat_nonnegative",
+                passed=self.uhat_min >= -_UHAT_TOL,
+                measured=self.uhat_min,
+                bound=0.0,
+                tolerance=_UHAT_TOL,
+            ),
+            CheckResult(
+                name="uhat_below_d_zhat",
+                passed=self.dzhat_minus_uhat_min >= -_UHAT_TOL,
+                measured=self.dzhat_minus_uhat_min,
+                bound=0.0,
+                tolerance=_UHAT_TOL,
+            ),
+            CheckResult(
+                name="uhat_sup_bound",
+                passed=self.uhat_sup_max <= sup_bound + sup_tol,
+                measured=self.uhat_sup_max,
+                bound=sup_bound,
+                tolerance=sup_tol,
+            ),
+        ]
+
 
 def _exp(x: float) -> float:
     """e^x, or +inf where it overflows."""
@@ -337,143 +378,69 @@ class InvariantTracker:
             self.entropy_max = _max(self.entropy_max, entropy)
         self.t = t
 
+    def checks(self) -> list[CheckResult]:
+        """The report's primal checks over every state fed so far.
 
-def check_z_bound(tracker: AuxiliaryTracker, t_end: float) -> CheckResult:
-    """sup over the run of sup_x |z| against M + integral of K0."""
-    m = tracker.initial_sup_sum
-    bound = m + tracker.sys.mass_source_integral(t_end)
-    tol = _ENVELOPE_SLACK * (1.0 + bound)
-    measured = tracker.z_sup_max
-    return CheckResult(
-        name="z_sup_bound",
-        passed=measured <= bound + tol,
-        measured=measured,
-        bound=bound,
-        tolerance=tol,
-    )
-
-
-def check_b_range(tracker: AuxiliaryTracker) -> CheckResult:
-    """b trapped between the reciprocal extreme diffusions."""
-    lo = 1.0 / float(np.max(tracker.sys.diffusion)) - _B_TOL
-    hi = 1.0 / float(np.min(tracker.sys.diffusion)) + _B_TOL
-    ok = tracker.b_min >= lo and tracker.b_max <= hi
-    return CheckResult(
-        name="b_range",
-        passed=ok,
-        measured=tracker.b_min,
-        bound=tracker.b_max,
-        tolerance=_B_TOL,
-        detail=f"interval [{lo}, {hi}]",
-    )
-
-
-def check_uhat_bounds(tracker: AuxiliaryTracker, t_end: float) -> list:
-    """0 <= u_hat <= d z_hat pointwise, and the sup bound on u_hat."""
-    m = tracker.initial_sup_sum
-    sys = tracker.sys
-    d = tracker.cfg.d
-    sup_bound = d * (m + sys.mass_source_integral(t_end)) * t_end
-    sup_tol = _ENVELOPE_SLACK * (1.0 + sup_bound)
-    return [
-        CheckResult(
-            name="uhat_nonnegative",
-            passed=tracker.uhat_min >= -_UHAT_TOL,
-            measured=tracker.uhat_min,
-            bound=0.0,
-            tolerance=_UHAT_TOL,
-        ),
-        CheckResult(
-            name="uhat_below_d_zhat",
-            passed=tracker.dzhat_minus_uhat_min >= -_UHAT_TOL,
-            measured=tracker.dzhat_minus_uhat_min,
-            bound=0.0,
-            tolerance=_UHAT_TOL,
-        ),
-        CheckResult(
-            name="uhat_sup_bound",
-            passed=tracker.uhat_sup_max <= sup_bound + sup_tol,
-            measured=tracker.uhat_sup_max,
-            bound=sup_bound,
-            tolerance=sup_tol,
-        ),
-    ]
-
-
-def check_positivity(inv: InvariantTracker) -> CheckResult:
-    """No value below zero at any accepted step (the solver clamps inside the floor)."""
-    return CheckResult(
-        name="positivity",
-        passed=inv.u_min >= 0.0,
-        measured=inv.u_min,
-        bound=0.0,
-        tolerance=0.0,
-    )
-
-
-def check_conservation_laws(inv: InvariantTracker) -> list:
-    """Relative drift of each declared linear invariant of the reaction."""
-    results = []
-    for (label, _), law0, drift in zip(
-        inv.sys.conservation_laws, inv.laws0, inv.law_drift
-    ):
-        measured = drift / max(abs(law0), _TOTAL_MASS_FLOOR)
-        results.append(
+        In order: positivity (no value below zero; the solver clamps inside
+        its floor), conservation[label] (relative drift of each declared
+        law) and mass_envelope (a total mass that overflowed fails, the
+        initial one included).  Then mass_identity (the exact geometric
+        decay, over the actual step sizes) for systems with a uniform decay
+        rate, and entropy_dissipation (the worst pointwise value) for
+        families whose entropy is signed, once it was defined at some step.
+        """
+        sys = self.sys
+        checks = [
             CheckResult(
-                name=f"conservation[{label}]",
-                passed=measured <= _CONS_TOL,
-                measured=measured,
+                name="positivity",
+                passed=self.u_min >= 0.0,
+                measured=self.u_min,
                 bound=0.0,
-                tolerance=_CONS_TOL,
+                tolerance=0.0,
+            )
+        ]
+        for (label, _), law0, drift in zip(sys.conservation_laws, self.laws0, self.law_drift):
+            measured = drift / max(abs(law0), _TOTAL_MASS_FLOOR)
+            checks.append(
+                CheckResult(
+                    name=f"conservation[{label}]",
+                    passed=measured <= _CONS_TOL,
+                    measured=measured,
+                    bound=0.0,
+                    tolerance=_CONS_TOL,
+                )
+            )
+        tol = _ENVELOPE_SLACK * (1.0 + self.mass0)
+        checks.append(
+            CheckResult(
+                name="mass_envelope",
+                passed=self.envelope_excess <= tol < math.inf,
+                measured=self.envelope_excess,
+                bound=0.0,
+                tolerance=tol,
             )
         )
-    return results
-
-
-def check_mass_envelope(inv: InvariantTracker) -> CheckResult:
-    """Total mass below the integrating-factor envelope at every accepted step.
-
-    A total mass that overflowed fails, the initial one included.
-    """
-    tol = _ENVELOPE_SLACK * (1.0 + inv.mass0)
-    return CheckResult(
-        name="mass_envelope",
-        passed=inv.envelope_excess <= tol < math.inf,
-        measured=inv.envelope_excess,
-        bound=0.0,
-        tolerance=tol,
-    )
-
-
-def check_mass_identity(inv: InvariantTracker) -> CheckResult | None:
-    """Exact geometric mass decay for equal-decay skew Lotka-Volterra runs.
-
-    Every accepted step is fed, so the time increments are the actual step
-    sizes at any recording cadence.  Returns None for systems without a
-    uniform decay rate.
-    """
-    if inv.sys.uniform_decay_rate is None:
-        return None
-    return CheckResult(
-        name="mass_identity",
-        passed=inv.identity_error <= _MASS_IDENTITY_TOL,
-        measured=inv.identity_error,
-        bound=0.0,
-        tolerance=_MASS_IDENTITY_TOL,
-    )
-
-
-def check_entropy(inv: InvariantTracker) -> CheckResult | None:
-    """Worst pointwise dissipation over the run, for families where it is signed."""
-    if not inv.sys.entropy_nonpositive or inv.entropy_max == -math.inf:
-        return None
-    return CheckResult(
-        name="entropy_dissipation",
-        passed=inv.entropy_max <= _ENTROPY_TOL,
-        measured=inv.entropy_max,
-        bound=0.0,
-        tolerance=_ENTROPY_TOL,
-    )
+        if sys.uniform_decay_rate is not None:
+            checks.append(
+                CheckResult(
+                    name="mass_identity",
+                    passed=self.identity_error <= _MASS_IDENTITY_TOL,
+                    measured=self.identity_error,
+                    bound=0.0,
+                    tolerance=_MASS_IDENTITY_TOL,
+                )
+            )
+        if sys.entropy_nonpositive and self.entropy_max != -math.inf:
+            checks.append(
+                CheckResult(
+                    name="entropy_dissipation",
+                    passed=self.entropy_max <= _ENTROPY_TOL,
+                    measured=self.entropy_max,
+                    bound=0.0,
+                    tolerance=_ENTROPY_TOL,
+                )
+            )
+        return checks
 
 
 def loglog_slope(x, y) -> float:

@@ -37,19 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .diagnostics import (
-    AuxiliaryTracker,
-    InvariantTracker,
-    check_b_range,
-    check_conservation_laws,
-    check_entropy,
-    check_mass_envelope,
-    check_mass_identity,
-    check_positivity,
-    check_uhat_bounds,
-    check_z_bound,
-    entropy_pointwise_worst,
-)
+from .diagnostics import AuxiliaryTracker, InvariantTracker, entropy_pointwise_worst
 from .errors import NumericalFailure
 from .grid import Grid1D
 from .models import CheckResult, ReactionSystem, check_structure
@@ -92,6 +80,10 @@ def write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            # mkstemp makes the file 0600; give it the mode open() would.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -117,7 +109,7 @@ def _num(value):
 def _check_dict(c: CheckResult) -> dict:
     return {
         "name": c.name,
-        "passed": None if c.passed is None else bool(c.passed),
+        "passed": bool(c.passed),
         "measured": _num(c.measured),
         "bound": _num(c.bound),
         "tolerance": _num(c.tolerance),
@@ -358,23 +350,15 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
             "value": _num(exc.value),
         }
     else:
-        invariants = recorder.invariants
-        checks.append(check_positivity(invariants))
-        checks.extend(check_conservation_laws(invariants))
-        checks.append(check_mass_envelope(invariants))
-        for check in (check_mass_identity(invariants), check_entropy(invariants)):
-            if check is not None:
-                checks.append(check)
+        checks.extend(recorder.invariants.checks())
         if tracker is not None:
-            checks.append(check_z_bound(tracker, cfg.solver.t_end))
-            checks.append(check_b_range(tracker))
-            checks.extend(check_uhat_bounds(tracker, cfg.solver.t_end))
+            checks.extend(tracker.checks(cfg.solver.t_end))
         report["fits"], fit_checks = _run_fits(cfg, recorder)
         checks.extend(fit_checks)
 
     if report["failure"] is not None:
         report["overall"] = "aborted"
-    elif all(c.passed is not False for c in checks):
+    elif all(c.passed for c in checks):
         report["overall"] = "pass"
     else:
         report["overall"] = "fail"

@@ -291,15 +291,11 @@ def instantiate_model(spec, diffusion) -> ReactionSystem:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One named check: measured value vs. bound, with a verdict.
-
-    `passed` is None for purely informational entries (reported quantities
-    that carry no absolute threshold, such as the refinement-monitored
-    residuals).
-    """
+    """One entry of the report: a named measurement against its bound,
+    with a pass or fail verdict and a free-text detail."""
 
     name: str
-    passed: bool | None
+    passed: bool
     measured: float | None = None
     bound: float | None = None
     tolerance: float | None = None
@@ -329,8 +325,9 @@ def check_structure(
     Returns:
         The report's structure_quasi_positivity, structure_mass_control and
         structure_growth checks, each measuring the worst margin or ratio
-        sampled.  A failing quasi-positivity or mass-control check names
-        its first violating sample in its detail.  Sampling never proves
+        sampled.  A failing check names a violating sample in its detail:
+        the worst on the first violated face for quasi-positivity, the
+        worst overall for mass control and growth.  Sampling never proves
         the inequalities; it can only falsify them.
     """
     if n_samples < 1:
@@ -370,7 +367,17 @@ def check_structure(
 
     norms = np.sqrt(np.sum(pts * pts, axis=0))
     envelope = sys.growth_k * (1.0 + norms ** (2.0 + sys.growth_eps))
-    gr_worst = float(np.max(np.max(np.abs(fvals), axis=0) / envelope))
+    ratio = np.max(np.abs(fvals), axis=0) / envelope
+    gr_worst = float(np.max(ratio))
+    gr_passed = gr_worst <= 1.0 + _GROWTH_TOL
+    gr_detail = "worst sampled ratio against the declared envelope"
+    if not gr_passed:
+        j = int(np.argmax(ratio))
+        i = int(np.argmax(np.abs(fvals[:, j])))
+        gr_detail = (
+            f"species {i + 1}: |f_{i + 1}| = {abs(float(fvals[i, j]))} exceeds "
+            f"envelope {float(envelope[j])} at {_point_str(pts[:, j])}"
+        )
 
     return [
         CheckResult(
@@ -389,9 +396,9 @@ def check_structure(
         ),
         CheckResult(
             name="structure_growth",
-            passed=gr_worst <= 1.0 + _GROWTH_TOL,
+            passed=gr_passed,
             measured=gr_worst,
             bound=1.0,
-            detail="worst sampled ratio against the declared envelope",
+            detail=gr_detail,
         ),
     ]

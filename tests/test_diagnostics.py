@@ -16,14 +16,6 @@ from rdcheck import (
     PolynomialSpec,
     ReactionSystem,
     SolverConfig,
-    check_b_range,
-    check_conservation_laws,
-    check_entropy,
-    check_mass_envelope,
-    check_mass_identity,
-    check_positivity,
-    check_uhat_bounds,
-    check_z_bound,
     entropy_pointwise_worst,
     instantiate_model,
     loglog_slope,
@@ -52,6 +44,11 @@ def tracked_run(sys, initial, cfg_aux, dt, t_end):
         sys, *initial, SolverConfig(dt=dt, t_end=t_end), hooks=[tracker.on_step]
     )
     return tracker, traj
+
+
+def by_name(checks):
+    """A tracker's checks() list keyed by check name."""
+    return {c.name: c for c in checks}
 
 
 def fed_invariants(sys, rows, domain_length=1.0):
@@ -155,14 +152,12 @@ class TestTrackerAtEquilibrium:
 
     def test_bound_checks_pass(self, outcome):
         tracker, traj = outcome
-        assert check_z_bound(tracker, 0.25).passed
-        assert check_b_range(tracker).passed
-        for result in check_uhat_bounds(tracker, 0.25):
+        for result in tracker.checks(0.25):
             assert result.passed
         inv = InvariantTracker(tracker.sys, 1.0)
         for e in traj.entries:
             inv.update(e.t, e.u, e.masses, None)
-        assert check_positivity(inv).passed
+        assert by_name(inv.checks())["positivity"].passed
 
 
 class TestTrackerWithConstantSource:
@@ -197,18 +192,18 @@ class TestTrackerWithConstantSource:
         # sup z = 5 equals M + integral K0 = 3 + 2 exactly; the slack keeps
         # the verdict on the passing side.
         tracker, _ = outcome
-        result = check_z_bound(tracker, 1.0)
+        result = by_name(tracker.checks(1.0))["z_sup_bound"]
         assert result.passed
         assert result.measured == pytest.approx(result.bound, rel=1e-12)
 
     def test_uhat_bounds_pass(self, outcome):
         tracker, _ = outcome
-        by_name = {r.name: r for r in check_uhat_bounds(tracker, 1.0)}
-        assert by_name["uhat_nonnegative"].passed
-        assert by_name["uhat_below_d_zhat"].passed
-        assert by_name["uhat_sup_bound"].passed
-        assert by_name["uhat_sup_bound"].bound == pytest.approx(15.0, rel=1e-12)
-        assert by_name["uhat_sup_bound"].measured == pytest.approx(3.0, rel=1e-10)
+        checks = by_name(tracker.checks(1.0))
+        assert checks["uhat_nonnegative"].passed
+        assert checks["uhat_below_d_zhat"].passed
+        assert checks["uhat_sup_bound"].passed
+        assert checks["uhat_sup_bound"].bound == pytest.approx(15.0, rel=1e-12)
+        assert checks["uhat_sup_bound"].measured == pytest.approx(3.0, rel=1e-10)
 
 
 class TestZOffsetInjection:
@@ -218,8 +213,8 @@ class TestZOffsetInjection:
         dirty = AuxiliaryTracker(
             quad_system, *state, AuxiliaryConfig(d=5.0, z_offset=1.0)
         )
-        assert check_z_bound(clean, 0.1).passed
-        result = check_z_bound(dirty, 0.1)
+        assert by_name(clean.checks(0.1))["z_sup_bound"].passed
+        result = by_name(dirty.checks(0.1))["z_sup_bound"]
         assert not result.passed
         assert result.measured == pytest.approx(5.0, rel=1e-12)
         assert result.bound == pytest.approx(4.0, rel=1e-12)
@@ -257,27 +252,32 @@ class TestUhatFailureBranches:
         tracker.uhat_min = -1e-6
         tracker.dzhat_minus_uhat_min = -1e-6
         tracker.uhat_sup_max = 1e9
-        by_name = {r.name: r for r in check_uhat_bounds(tracker, 1.0)}
-        assert not by_name["uhat_nonnegative"].passed
-        assert not by_name["uhat_below_d_zhat"].passed
-        assert not by_name["uhat_sup_bound"].passed
+        checks = by_name(tracker.checks(1.0))
+        assert not checks["uhat_nonnegative"].passed
+        assert not checks["uhat_below_d_zhat"].passed
+        assert not checks["uhat_sup_bound"].passed
 
     def test_b_range_failure(self, quad_system):
         state = constant_state(Grid1D(8, 1.0), [1.0] * 4)
         tracker = AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=5.0))
         tracker.b_min = 0.1  # below 1 / max d = 0.4
-        assert not check_b_range(tracker).passed
+        assert not by_name(tracker.checks(1.0))["b_range"].passed
+
+
+def conservation(inv):
+    """The conservation[...] entries of inv.checks(), in report order."""
+    return [c for c in inv.checks() if c.name.startswith("conservation[")]
 
 
 class TestConservationLaws:
     def test_no_declared_laws(self, skew_system):
-        assert check_conservation_laws(fed_invariants(skew_system, [])) == []
+        assert conservation(fed_invariants(skew_system, [])) == []
 
     def test_exact_conservation_passes(self, quad_system):
         inv = fed_invariants(
             quad_system, [(0.0, [1.0, 2.0, 3.0, 4.0]), (1.0, [1.0, 2.0, 3.0, 4.0])]
         )
-        results = check_conservation_laws(inv)
+        results = conservation(inv)
         assert [r.name for r in results] == [
             "conservation[u1+u3]",
             "conservation[u2+u3]",
@@ -291,19 +291,23 @@ class TestConservationLaws:
         inv = fed_invariants(
             quad_system, [(0.0, [1.0, 2.0, 3.0, 4.0]), (1.0, [1.0 + 1e-6, 2.0, 3.0, 4.0])]
         )
-        by_name = {r.name: r for r in check_conservation_laws(inv)}
-        assert not by_name["conservation[u1+u3]"].passed
-        assert by_name["conservation[u2+u3]"].passed
-        assert by_name["conservation[u2+u4]"].passed
+        checks = by_name(inv.checks())
+        assert not checks["conservation[u1+u3]"].passed
+        assert checks["conservation[u2+u3]"].passed
+        assert checks["conservation[u2+u4]"].passed
+
+
+def envelope(inv):
+    return by_name(inv.checks())["mass_envelope"]
 
 
 class TestMassEnvelope:
     def test_flat_envelope(self):
         sys = sourced_single_species(0.0)
-        assert check_mass_envelope(
+        assert envelope(
             fed_invariants(sys, [(0.0, [1.0]), (1.0, [1.0])])
         ).passed
-        assert not check_mass_envelope(
+        assert not envelope(
             fed_invariants(sys, [(0.0, [1.0]), (1.0, [1.0 + 3e-6])])
         ).passed
 
@@ -313,26 +317,26 @@ class TestMassEnvelope:
             skew_system,
             [(0.0, [0.6, 0.4]), (1.0, [0.3 * math.e ** -1, 0.7 * math.e ** -1])],
         )
-        assert check_mass_envelope(decayed).passed
+        assert envelope(decayed).passed
         flat = fed_invariants(skew_system, [(0.0, [0.6, 0.4]), (1.0, [0.6, 0.4])])
-        assert not check_mass_envelope(flat).passed
+        assert not envelope(flat).passed
 
     def test_constant_source_envelope(self):
         sys = sourced_single_species(2.0)
         # Envelope m0 + domain * k0 * t with domain = 2.
         riding = fed_invariants(sys, [(0.0, [1.0]), (0.5, [1.0 + 2.0 * 2.0 * 0.5])], 2.0)
-        assert check_mass_envelope(riding).passed
+        assert envelope(riding).passed
         above = fed_invariants(
             sys, [(0.0, [1.0]), (0.5, [1.0 + 2.0 * 2.0 * 0.5 + 1e-5])], 2.0
         )
-        assert not check_mass_envelope(above).passed
+        assert not envelope(above).passed
 
     def test_decaying_source_envelope(self):
         sys = dataclasses.replace(sourced_single_species(2.0), k0_decay=0.5)
         # Envelope m0 + domain * 4 (1 - e^{-t/2}).
         src = 4.0 * (1.0 - math.exp(-0.5))
         riding = fed_invariants(sys, [(0.0, [1.0]), (1.0, [1.0 + src])])
-        result = check_mass_envelope(riding)
+        result = envelope(riding)
         assert result.passed
         assert result.measured == pytest.approx(0.0, abs=1e-12)
 
@@ -341,26 +345,27 @@ class TestMassEnvelope:
         # +inf; the steps before it still bound the mass.
         sys = dataclasses.replace(sourced_single_species(0.0), k1=1.0)
         inv = fed_invariants(sys, [(0.0, [1.0]), (1.0, [math.e]), (1000.0, [1e300])])
-        result = check_mass_envelope(inv)
+        result = envelope(inv)
         assert result.passed
         assert result.measured == pytest.approx(0.0, abs=1e-12)
         # Zero initial mass holds nothing, not inf * 0.
         empty = fed_invariants(sys, [(0.0, [0.0]), (1000.0, [1e-300])])
-        assert check_mass_envelope(empty).measured == 1e-300
+        assert envelope(empty).measured == 1e-300
 
     def test_sourced_decay_envelope_when_the_source_factor_overflows(self):
         # k0 = 1, k1 = -1: e^{-k1 t} overflows at t = 1000 and e^{k1 t}
         # underflows, but the envelope e^{-t} m0 + (1 - e^{-t}) is 1.
         sys = dataclasses.replace(sourced_single_species(1.0), k1=-1.0)
         riding = fed_invariants(sys, [(0.0, [3.0]), (1000.0, [1.0])])
-        assert check_mass_envelope(riding).measured == 0.0
+        assert envelope(riding).measured == 0.0
         above = fed_invariants(sys, [(0.0, [3.0]), (1000.0, [1.5])])
-        assert check_mass_envelope(above).measured == 0.5
+        assert envelope(above).measured == 0.5
 
 
 class TestMassIdentity:
     def test_none_without_uniform_decay(self, quad_system):
-        assert check_mass_identity(fed_invariants(quad_system, [(0.0, [1.0] * 4)])) is None
+        inv = fed_invariants(quad_system, [(0.0, [1.0] * 4)])
+        assert "mass_identity" not in by_name(inv.checks())
 
     def test_exact_geometric_decay_passes(self, skew_system):
         m0 = 2.5
@@ -370,14 +375,15 @@ class TestMassIdentity:
         for k in range(1, 4):
             m = m * (1.0 - dt)
             rows.append((k * dt, [m, 0.0]))
-        result = check_mass_identity(fed_invariants(skew_system, rows))
+        result = by_name(fed_invariants(skew_system, rows).checks())["mass_identity"]
         assert result.passed
         assert result.measured == 0.0
 
     def test_broken_decay_fails(self, skew_system):
         dt = 1e-3
         rows = [(0.0, [1.0, 0.0]), (dt, [(1.0 - dt) + 1e-8, 0.0])]
-        assert not check_mass_identity(fed_invariants(skew_system, rows)).passed
+        inv = fed_invariants(skew_system, rows)
+        assert not by_name(inv.checks())["mass_identity"].passed
 
 
 def fed_state(sys, u):
@@ -390,17 +396,18 @@ def fed_state(sys, u):
 
 class TestEntropy:
     def test_none_for_unflagged_families(self, skew_system):
-        assert check_entropy(fed_invariants(skew_system, [])) is None
+        assert "entropy_dissipation" not in by_name(fed_invariants(skew_system, []).checks())
 
     def test_equilibrium_dissipation_is_zero(self, quad_system):
-        result = check_entropy(fed_state(quad_system, np.ones((4, 8))))
+        inv = fed_state(quad_system, np.ones((4, 8)))
+        result = by_name(inv.checks())["entropy_dissipation"]
         assert result.passed
         assert result.measured == 0.0
 
     def test_none_when_no_cell_is_fully_positive(self, quad_system):
         u = np.ones((4, 4))
         u[0] = 0.0
-        assert check_entropy(fed_state(quad_system, u)) is None
+        assert "entropy_dissipation" not in by_name(fed_state(quad_system, u).checks())
 
     def test_positive_dissipation_fails(self):
         # A fabricated family that claims the sign but violates it: f = u
@@ -416,7 +423,8 @@ class TestEntropy:
             evaluator=lambda u, t: u,
             entropy_nonpositive=True,
         )
-        result = check_entropy(fed_state(sys, np.full((1, 4), math.e)))
+        inv = fed_state(sys, np.full((1, 4), math.e))
+        result = by_name(inv.checks())["entropy_dissipation"]
         assert not result.passed
         assert result.measured == pytest.approx(math.e, rel=1e-12)
 
@@ -444,9 +452,49 @@ class TestPositivityCheck:
         inv = InvariantTracker(quad_system, 1.0)
         for t, u in ((0.0, good), (0.1, bad)):
             inv.update(t, u, np.ones(4), None)
-        result = check_positivity(inv)
+        result = by_name(inv.checks())["positivity"]
         assert not result.passed
         assert result.measured == -1e-13
+
+
+class TestReportOrder:
+    @pytest.mark.parametrize(
+        "checks, names",
+        [
+            (
+                lambda quad, skew: fed_state(quad, np.ones((4, 8))).checks(),
+                [
+                    "positivity",
+                    "conservation[u1+u3]",
+                    "conservation[u2+u3]",
+                    "conservation[u2+u4]",
+                    "mass_envelope",
+                    "entropy_dissipation",
+                ],
+            ),
+            (
+                lambda quad, skew: fed_invariants(skew, [(0.0, [1.0, 1.0])]).checks(),
+                ["positivity", "mass_envelope", "mass_identity"],
+            ),
+            (
+                lambda quad, skew: AuxiliaryTracker(
+                    quad, *constant_state(Grid1D(8, 1.0), [1.0] * 4), AuxiliaryConfig(d=5.0)
+                ).checks(0.1),
+                [
+                    "z_sup_bound",
+                    "b_range",
+                    "uhat_nonnegative",
+                    "uhat_below_d_zhat",
+                    "uhat_sup_bound",
+                ],
+            ),
+        ],
+        ids=["quad", "uniform-decay-skew", "auxiliary"],
+    )
+    def test_each_family_gets_its_checks_in_report_order(
+        self, checks, names, quad_system, skew_system
+    ):
+        assert [c.name for c in checks(quad_system, skew_system)] == names
 
 
 class TestLogLogSlope:

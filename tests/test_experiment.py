@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import re
+import stat
 import tracemalloc
 
 import numpy as np
@@ -102,6 +104,15 @@ class TestArtifactHelpers:
         assert target.read_text() == "new"
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.txt"]
         assert leftovers == []
+
+    def test_write_atomic_gives_the_mode_open_would(self, tmp_path):
+        target = tmp_path / "out.txt"
+        umask = os.umask(0o022)
+        try:
+            write_atomic(str(target), "payload\n")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
 
 @pytest.fixture(scope="module")
@@ -253,8 +264,8 @@ class TestDiagnosticsToggle:
         assert outcome.report["measurements"] is None
 
 
-def custom_raw(terms, k=1.0):
-    """Polynomial config with declared k0 = k1 = 0, growth constant k, eps = 0."""
+def custom_raw(terms, k=1.0, k1=0.0):
+    """Polynomial config with declared k0 = 0, k1, growth constant k, eps = 0."""
     n = len(terms)
     return {
         "model": {
@@ -264,7 +275,7 @@ def custom_raw(terms, k=1.0):
                     [{"coef": c, "powers": list(p)} for c, p in row] for row in terms
                 ],
                 "k0": 0.0,
-                "k1": 0.0,
+                "k1": k1,
                 "k": k,
                 "eps": 0.0,
             },
@@ -296,6 +307,15 @@ class TestStructureWitnesses:
                 False,
                 r"sum \S+ exceeds allowance \S+ at \[\S+\]",
             ),
+            # f = u^4 outgrows the declared quadratic envelope; k1 keeps
+            # mass control on the sampling range.
+            (
+                custom_raw([[(1.0, (4,))]], k1=1e12),
+                False,
+                "structure_growth",
+                False,
+                r"species 1: \|f_1\| = \S+ exceeds envelope \S+ at \[\S+\]",
+            ),
             (
                 skew_raw(inject={"augmentation_offset": 0.1}),
                 True,
@@ -305,7 +325,13 @@ class TestStructureWitnesses:
             ),
             (quad_raw(), False, "structure_quasi_positivity", True, r"\d+ samples"),
         ],
-        ids=["quasi-positivity", "mass-control", "closure-conservation", "passing"],
+        ids=[
+            "quasi-positivity",
+            "mass-control",
+            "growth",
+            "closure-conservation",
+            "passing",
+        ],
     )
     def test_report_detail_names_the_witness(self, raw, augment, name, passed, pattern):
         entry = check_map(run_raw(raw, augment).report)[name]
