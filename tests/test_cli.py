@@ -422,6 +422,25 @@ class TestVerifyProperty:
                         float(cell)
 
 
+    def test_huge_diffusion_on_two_cells_passes(self, tmp_path, capsys):
+        # s = dt d / h^2 = 4e16: a textbook Thomas pivot (1 + s) - s^2 / (1 + s)
+        # cancels to zero there.
+        raw = {
+            "model": {
+                "custom": {"n_species": 1, "terms": [[]], "k0": 0.0, "k1": 0.0,
+                           "k": 1.0, "eps": 0.0},
+                "diffusion": [1e16],
+            },
+            "grid": {"n_cells": 2, "length": 1.0},
+            "initial": [
+                {"type": "gaussian", "center": 0.3, "width": 0.2, "amplitude": 1.0}
+            ],
+            "solver": {"dt": 1.0, "t_end": 1.0},
+        }
+        assert main(["verify", write_config(tmp_path, raw)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "aborted: unexpected" not in out and "overall: pass" in out
+
     def test_total_mass_that_overflows_fails_the_envelope_without_a_warning(
         self, tmp_path, capsys
     ):

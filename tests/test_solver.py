@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,9 +94,9 @@ def cube_in_species_2():
     )
 
 
-def skew_augmented_64():
-    """The augmented cyclic skew Lotka-Volterra system on 64 cells, with
-    its three bumps of height 50 and zero closure species."""
+def skew_augmented(n_cells=64):
+    """The augmented cyclic skew Lotka-Volterra system on n_cells cells,
+    with its three bumps of height 50 and zero closure species."""
     base = instantiate_model(
         SkewLVSpec(
             interaction=[[0, 1, -1], [-1, 0, 1], [1, -1, 0]],
@@ -103,8 +104,10 @@ def skew_augmented_64():
         ),
         [1e-4, 2e-4, 3e-4],
     )
-    grid = Grid1D(64, 1.0)
-    u0 = np.stack([bump(grid, c, 0.1, 50.0) for c in (0.3, 0.5, 0.7)] + [np.zeros(64)])
+    grid = Grid1D(n_cells, 1.0)
+    u0 = np.stack(
+        [bump(grid, c, 0.1, 50.0) for c in (0.3, 0.5, 0.7)] + [np.zeros(n_cells)]
+    )
     return augment_system(base).augmented, (grid, u0)
 
 
@@ -199,6 +202,45 @@ class TestImplicitHeatStep:
         assert abs(after - before) < 1e-12 * abs(before)
 
 
+# A grid size solved by the DCT-II and the correction sweep.
+ABOVE_CROSSOVER = 256
+assert ABOVE_CROSSOVER > rdcheck.solver.DENSE_MAX_CELLS
+
+
+def assert_cache_is_bounded_and_invisible(cache, n_cells):
+    """A solve from a cold cache equals the one from a warm cache, every
+    call returns a new writable array, and the cache stays at its bound."""
+    grid = Grid1D(n_cells, 1.0)
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.0, 1.0, size=(4, n_cells))
+    diffusion = np.array([1e-4, 2e-4, 3e-4, 1e-3])
+
+    def cold(dt):
+        cache.cache_clear()
+        return implicit_heat_step(values, grid, diffusion, dt)
+
+    dt1, dt2 = 0.1, 0.05
+    expect = {dt: cold(dt) for dt in (dt1, dt2)}
+    cache.cache_clear()
+    for dt in (dt1, dt2, dt1):
+        np.testing.assert_array_equal(
+            implicit_heat_step(values, grid, diffusion, dt), expect[dt]
+        )
+    # Each call returns a new, writable array: the tracker keeps the last
+    # row of one as its z.
+    first = implicit_heat_step(values, grid, diffusion, dt1)
+    second = implicit_heat_step(values, grid, diffusion, dt1)
+    assert first.flags.writeable and not np.shares_memory(first, second)
+    first[:] = -1.0
+    np.testing.assert_array_equal(
+        implicit_heat_step(values, grid, diffusion, dt1), expect[dt1]
+    )
+    bound = cache.cache_info().maxsize
+    for i in range(3 * bound):
+        implicit_heat_step(values, grid, diffusion, 0.01 * (i + 1))
+    assert cache.cache_info().currsize == bound
+
+
 def solve_profile(kind, grid, rng):
     """Right-hand sides for the spectral solve: noise, zero, or a Gaussian
     bump narrow enough that its tails reach ~1e-30 inside the domain."""
@@ -212,7 +254,8 @@ def solve_profile(kind, grid, rng):
 
 
 class TestSpectralSolveProperties:
-    """The batched DCT-II solve against the Thomas oracle and scipy."""
+    """The batched solve, on both sides of the dense crossover, against the
+    Thomas oracle and scipy."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -269,42 +312,18 @@ class TestSpectralSolveProperties:
         assert np.all(spectrum.imag[:, 0] == 0.0)
 
     def test_plan_cache_is_bounded_and_invisible(self):
-        symbols = rdcheck.solver._symbols
-        grid = Grid1D(64, 1.0)
-        rng = np.random.default_rng(5)
-        values = rng.uniform(0.0, 1.0, size=(4, 64))
-        diffusion = np.array([1e-4, 2e-4, 3e-4, 1e-3])
+        assert_cache_is_bounded_and_invisible(rdcheck.solver._symbols, ABOVE_CROSSOVER)
 
-        def cold(dt):
-            symbols.cache_clear()
-            return implicit_heat_step(values, grid, diffusion, dt)
-
-        dt1, dt2 = 0.1, 0.05
-        expect = {dt: cold(dt) for dt in (dt1, dt2)}
-        symbols.cache_clear()
-        for dt in (dt1, dt2, dt1):
-            np.testing.assert_array_equal(
-                implicit_heat_step(values, grid, diffusion, dt), expect[dt]
-            )
-        # Each call returns a new, writable array: the tracker keeps the
-        # last row of one as its z.
-        first = implicit_heat_step(values, grid, diffusion, dt1)
-        second = implicit_heat_step(values, grid, diffusion, dt1)
-        assert first.flags.writeable and not np.shares_memory(first, second)
-        first[:] = -1.0
-        np.testing.assert_array_equal(
-            implicit_heat_step(values, grid, diffusion, dt1), expect[dt1]
-        )
-        bound = symbols.cache_info().maxsize
-        for i in range(3 * bound):
-            implicit_heat_step(values, grid, diffusion, 0.01 * (i + 1))
-        assert symbols.cache_info().currsize == bound
+    def test_inverse_cache_is_bounded_and_invisible(self):
+        assert_cache_is_bounded_and_invisible(rdcheck.solver._inverses, 64)
 
     def test_rows_near_max_float_over_n_stay_finite(self):
         # The n-point transform sums n values, so a row overflows only
         # near max-float / n.  RuntimeWarnings are errors in this suite.
-        out = implicit_heat_step(np.full(8, 1.5e307), Grid1D(8), 1.0, 0.1)
-        np.testing.assert_allclose(out, 1.5e307, rtol=1e-15)
+        out = implicit_heat_step(
+            np.full(ABOVE_CROSSOVER, 4.5e305), Grid1D(ABOVE_CROSSOVER), 1.0, 0.1
+        )
+        np.testing.assert_allclose(out, 4.5e305, rtol=1e-15)
 
     def test_rejects_mismatched_per_row_diffusion(self):
         grid = Grid1D(8, 1.0)
@@ -314,34 +333,94 @@ class TestSpectralSolveProperties:
             implicit_heat_step(np.ones(8), grid, [1.0], 0.1)
 
 
-class TestTailAccuracy:
-    def test_skew_tails_match_the_thomas_oracle(self, monkeypatch):
-        # The augmented cyclic skew Lotka-Volterra run drives species to
-        # ~1e-35 in part of the domain and lets them re-invade from there.
-        # A transform solve alone is accurate only to eps * sup of each
-        # row, and that noise floor re-invades: without the correction
-        # sweep species 1-3 move from the Thomas run by up to 0.12 relative
-        # (sup) and 0.42 (mass) within these 193 steps.  With the sweep
-        # they agree to about 4e-14.
-        aug, initial = skew_augmented_64()
-        cfg = SolverConfig(dt=0.1, t_end=2.4)
+def exact_heat_solve(rhs, s):
+    """(I - s h^2 L) x = rhs in exact rationals, s and rhs taken as the
+    rationals their floats are: Thomas elimination, which the diagonally
+    dominant matrix allows without pivoting."""
+    n = len(rhs)
+    diag = [1 + (1 if j in (0, n - 1) else 2) * s for j in range(n)]
+    b = [Fraction(v) for v in rhs]
+    for j in range(1, n):
+        m = s / diag[j - 1]
+        diag[j] -= m * s
+        b[j] += m * b[j - 1]
+    x = [b[-1] / diag[-1]]
+    for j in range(n - 2, -1, -1):
+        x.insert(0, (b[j] + s * x[0]) / diag[j])
+    return x
 
-        def run():
-            steps = []
-            run_simulation(
-                aug, *initial, cfg,
-                hooks=[lambda e: steps.append((e.dt, e.u_new[:3]))],
+
+class TestDenseSolve:
+    """Grids of at most DENSE_MAX_CELLS cells, solved by a cached inverse."""
+
+    def test_inverse_build_is_subtraction_free(self):
+        # s = 4e16: the textbook pivot (1 + s) - s^2 / (1 + s) cancels to
+        # zero and divides by it.  RuntimeWarnings are errors in this suite.
+        out = implicit_heat_step(np.ones((2, 2)), Grid1D(2), 1e16, 1.0)
+        np.testing.assert_allclose(out, 1.0, rtol=1e-15)
+
+    def test_every_cell_is_accurate_relative_to_itself(self):
+        # The answer falls from 1 to ~4e-57 across four cells.  A solve
+        # accurate only to eps * sup|row| loses every cell but the last.
+        grid = Grid1D(4)
+        d, dt = 1e-12, 1e-8
+        rhs = np.array([1e-300, 0.0, 0.0, 1.0])
+        got = implicit_heat_step(rhs, grid, d, dt)
+        exact = exact_heat_solve(rhs, Fraction(dt * d / (grid.h * grid.h)))
+        for value, expect in zip(got, exact):
+            assert abs(Fraction(value) - expect) <= Fraction(1e-13) * expect, (
+                value, float(expect),
             )
-            return steps
 
-        spectral = run()
-        monkeypatch.setattr(rdcheck.solver, "implicit_heat_step", thomas_heat_step)
-        thomas = run()
-        assert len(spectral) == len(thomas) == 193
-        for (dt_a, a), (dt_b, b) in zip(spectral, thomas):
-            assert dt_a == dt_b
-            np.testing.assert_allclose(a.max(axis=1), b.max(axis=1), rtol=1e-9, atol=0.0)
-            np.testing.assert_allclose(a.sum(axis=1), b.sum(axis=1), rtol=1e-9, atol=0.0)
+    def test_rows_at_max_float_stay_finite(self):
+        # Rows of the inverse are positive and sum to one: the product is
+        # a weighted mean of the row.
+        out = implicit_heat_step(np.full(8, 1e308), Grid1D(8), 1.0, 0.1)
+        np.testing.assert_allclose(out, 1e308, rtol=1e-15)
+
+
+def skew_tails_against_thomas(monkeypatch, n_cells, t_end, n_steps):
+    """Run the augmented skew system with the solver and with the Thomas
+    oracle: the same accepted dts, and sups and masses of species 1-3 within
+    1e-9 relative at every step."""
+    aug, initial = skew_augmented(n_cells)
+    cfg = SolverConfig(dt=0.1, t_end=t_end)
+
+    def run():
+        steps = []
+        run_simulation(
+            aug, *initial, cfg,
+            hooks=[lambda e: steps.append((e.dt, e.u_new[:3]))],
+        )
+        return steps
+
+    solved = run()
+    monkeypatch.setattr(rdcheck.solver, "implicit_heat_step", thomas_heat_step)
+    thomas = run()
+    assert len(solved) == len(thomas) == n_steps
+    for (dt_a, a), (dt_b, b) in zip(solved, thomas):
+        assert dt_a == dt_b
+        np.testing.assert_allclose(a.max(axis=1), b.max(axis=1), rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(a.sum(axis=1), b.sum(axis=1), rtol=1e-9, atol=0.0)
+
+
+class TestTailAccuracy:
+    # The augmented cyclic skew Lotka-Volterra run drives species to ~1e-35
+    # in part of the domain and lets them re-invade from there.  A solve
+    # accurate only to eps * sup of each row leaves a noise floor there, and
+    # the noise re-invades.
+
+    def test_skew_tails_match_the_thomas_oracle(self, monkeypatch):
+        # 64 cells, the dense inverse, over the whole 959-step horizon: it
+        # agrees with Thomas to about 4e-12, where the DCT-II with one
+        # correction sweep drifts to 3.8e-6 (sup) and 3.0e-6 (mass).
+        skew_tails_against_thomas(monkeypatch, 64, 12.0, 959)
+
+    def test_skew_tails_above_the_dense_crossover(self, monkeypatch):
+        # 256 cells, the DCT-II: without the correction sweep the run takes
+        # 193 steps where Thomas takes 191, and species 1-3 move from it by
+        # up to 4 relative (sup).  With the sweep they agree to about 4e-14.
+        skew_tails_against_thomas(monkeypatch, ABOVE_CROSSOVER, 2.4, 191)
 
 
 class TestImexStep:
@@ -627,7 +706,7 @@ def accepted_levels(steps, cfg):
 LADDER_CASES = {
     # Accepts at level 3 from the second step on: one ladder of 4 per step.
     "skew-augmented-64": lambda: (
-        *skew_augmented_64(), SolverConfig(dt=0.1, t_end=2.4),
+        *skew_augmented(), SolverConfig(dt=0.1, t_end=2.4),
     ),
     # Constant sink from 1 with a floor of -0.05: the accepted level goes
     # 0, 0, 0, 2, 3, ..., so the ladder (0, 1, 2) fails and (3, 4, 5) runs.
@@ -658,8 +737,8 @@ LADDER_CASES = {
         monomial(1.0, 3), constant_state(Grid1D(16, 1.0), 10.0),
         SolverConfig(dt=0.01, t_end=0.1),
     ),
-    # f = 1e306 on 8 cells: the first levels of a ladder overflow in the
-    # solve and a later one is finite, until none is.
+    # f = 1e306 on 8 cells: the first levels of a ladder overflow in
+    # u + dt f and a later one is finite, until none is.
     "non-finite-levels-in-a-ladder": lambda: (
         monomial(1e306, 0), constant_state(Grid1D(8, 1.0), 0.0),
         SolverConfig(dt=100.0, t_end=1000.0),
@@ -702,12 +781,15 @@ class TestHalvingLadder:
         for case in ("sink-exhausted-at-start", "sink-exhausted-in-a-ladder"):
             _, failure = levels(case)
             assert "positivity could not be restored" in str(failure)
-        for case in ("cube-overflow", "non-finite-levels-in-a-ladder"):
-            _, failure = levels(case)
-            assert "non-finite" in str(failure)
+        _, failure = levels("cube-overflow")
+        assert "non-finite" in str(failure)
+        # f > 0 never goes below the floor: a step accepted above level 0
+        # had its first levels non-finite.
+        overflowing, failure = levels("non-finite-levels-in-a-ladder")
+        assert "non-finite" in str(failure) and max(overflowing) > 0
 
     def test_reaction_is_evaluated_once_per_ladder(self, monkeypatch):
-        system, initial = skew_augmented_64()
+        system, initial = skew_augmented()
         evaluations = []
 
         def counting(u, t):
