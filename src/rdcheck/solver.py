@@ -19,17 +19,29 @@ solved on one of two paths, chosen on the number of cells n alone, so a
 row's path never depends on what it is stacked with.
 
 Grids of at most DENSE_MAX_CELLS cells multiply the whole stack by the
-inverses in one matrix product.  The inverses are cached per (n, s rows)
-in a small bounded cache, so a run's repeated step sizes cost no setup.
-They are built by Thomas elimination of the identity columns, written so
-that every update adds positive terms (`_inverses`); each entry then
-carries a small relative error however small it is, and the product adds
-positive multiples of a nonnegative right-hand side.  So every cell is
-accurate relative to itself, not only to the row's sup, and no correction
-follows.  That is where the dynamics live: the cyclic skew Lotka-Volterra
-runs drive species to 1e-23 and below in part of the domain and let them
-re-invade from there.  Every output is a weighted mean of the row, so a
-row stays finite up to just below max-float.
+inverses in one matrix product.  They are built by Thomas elimination of
+the identity columns, written so that every update adds positive terms
+(`_build_inverses`); each entry then carries a small relative error down to
+the smallest normal float, and the product adds positive multiples of a
+nonnegative right-hand side.  So every cell is accurate relative to
+itself, not only to the row's sup, and no correction follows.  That is
+where the dynamics live: the cyclic skew Lotka-Volterra runs drive species
+to 1e-23 and below in part of the domain and let them re-invade from
+there.  Every output is a weighted mean of the row, so a row stays finite
+up to just below max-float.
+
+The inverses are cached, so a run's repeated step sizes cost no setup:
+the last three stacks with one s per row (a ladder is one stack per depth
+and start level) and, apart from them, the last two single-s matrices (the
+tracker's step).  On eight augmented skew runs of 32 to 64 cells, with
+dt from 0.1 to 1, initial amplitudes from 5 to 200 and diagnostics on
+and off, these sizes build each distinct key once and no more: 12 builds
+for 959 solves on skew-stiff-aug, 18 for 1914 with diagnostics on, 51 for
+2069 with dt = 0.3 and diagnostics on, where one shared two-entry cache
+built 113 times.  The most builds per solve, 152 for 1560, came from a run
+with dt = 1 whose last 73 steps were each clipped to the time left and
+then halved, each to a new size; its solves took about as long in total
+as on the DCT-II path.
 
 Larger grids use the DCT-II, which diagonalizes the stencil exactly (modes
 cos(k pi x_j / L), eigenvalues -(4/h^2) sin^2(k pi / 2n)).  Makhoul's
@@ -48,19 +60,25 @@ stay finite up to about max-float / n.
 
 The crossover is measured.  Microseconds per call with a warm cache, one
 BLAS thread, on a 2-vCPU x86-64 guest (median of three runs), cached
-product against DCT-II plus sweep:
+product against DCT-II plus sweep, for ladder-like stacks of four species
+per level:
 
-    cells    4 rows        16 rows
-       32     8 vs  93      11 vs 120
-       64    11 vs  98      21 vs 142
-       96    13 vs 109      40 vs 116
-      128    12 vs  86      79 vs 131
-      192    22 vs  86     241 vs 223
-      256    88 vs 119     430 vs 226
+    cells    4 rows      16 rows      32 rows      84 rows
+       32    10 vs 106     7 vs  73    17 vs  87    25 vs 148
+       64    11 vs  76    15 vs  88    31 vs 158   141 vs 292
+       96    15 vs  72    23 vs 115   101 vs 145   301 vs 352
+      128    19 vs 108    74 vs 173   199 vs 207   536 vs 439
+      192    31 vs 127   214 vs 188   416 vs 295  1167 vs 663
+      256    98 vs 130   415 vs 246   757 vs 337  2155 vs 844
 
-A cached stack costs rows * n^2 * 8 bytes (0.5 MB at 16 rows of 64 cells,
-2.1 MB at 128) and about 1 ms (16 rows of 64 cells) to 3 ms (16 of 128) to
-build.
+A stack holds rows * n^2 * 8 bytes (0.5 MB at 16 rows of 64 cells), which
+the product reads once, so its cost grows as rows * n^2 against the
+transform's rows * n log n.  The crossover is chosen on n alone, so it
+must hold at any row count: at 64 cells the product is still faster at 256
+rows (about 470 against 690), while at 128 cells the transform is faster
+from about 32 rows, which a ladder of the default 21 levels reaches on two
+species.  A stack of 64 cells takes about 1 ms (16 rows) to 3.3 ms (84
+rows) to build.
 
 Positivity is enforced by reject-and-halve: if a trial step takes any value
 below the floor, or any non-finite value, the step is retried with dt/2
@@ -91,6 +109,7 @@ StepEvent.recorded.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -239,11 +258,10 @@ def _transform_solve(rhs: np.ndarray, symbols: np.ndarray) -> np.ndarray:
 
 # Grids of at most this many cells solve with the cached inverse; the
 # module docstring has the measurements behind the number.
-DENSE_MAX_CELLS = 128
+DENSE_MAX_CELLS = 64
 
 
-@functools.lru_cache(maxsize=2)
-def _inverses(n: int, shape: tuple, s: bytes) -> np.ndarray:
+def _build_inverses(n: int, shape: tuple, s: bytes) -> np.ndarray:
     """The inverse of I - s h^2 L on n cells: (n, n) for s of shape (), or
     (rows, n, n) for one s per row, shape (rows, 1).  Read-only.
 
@@ -254,9 +272,10 @@ def _inverses(n: int, shape: tuple, s: bytes) -> np.ndarray:
     sweep adds c_{j-1} times row j - 1 to row j, and the back sweep divides
     row j by p_j and adds c_j times row j + 1.  The textbook pivot
     (1 + 2s) - s^2 / p_{j-1} cancels to zero at large s; here every entry
-    keeps a small relative error, however small it is.  A run solves with
-    a few distinct s stacks (the levels of its ladders, the tracker's step)
-    and mostly with one, so two are kept.
+    keeps a small relative error down to the smallest normal float.  The
+    entries decay like s^|j - k| away from the diagonal, and the ones below
+    it are set to zero: subnormal operands make the product several times
+    slower, and they carry no relative accuracy.
     """
     # One s per matrix, as a column: (1,) or (rows, 1).
     s = np.frombuffer(s).reshape(shape[:1] + (1,))
@@ -277,8 +296,52 @@ def _inverses(n: int, shape: tuple, s: bytes) -> np.ndarray:
     inverse /= np.concatenate(p, axis=-1)[..., None]
     for j in range(n - 2, -1, -1):
         inverse[..., j, :] += c[j] * inverse[..., j + 1, :]
+    inverse[inverse < np.finfo(np.float64).tiny] = 0.0
     inverse.flags.writeable = False
     return inverse
+
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+class _InverseCache:
+    """The last `maxsize` results of `_build_inverses`, least recently used
+    dropped first.  Unlike functools.lru_cache, the oldest entry is dropped
+    before a new one is built, so a build never holds more than maxsize
+    entries."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._entries: dict = {}
+        self.hits = self.misses = 0
+
+    def __call__(self, n: int, shape: tuple, s: bytes) -> np.ndarray:
+        key = (n, shape, s)
+        inverse = self._entries.pop(key, None)
+        if inverse is None:
+            self.misses += 1
+            if len(self._entries) == self.maxsize:
+                del self._entries[next(iter(self._entries))]
+            inverse = _build_inverses(n, shape, s)
+        else:
+            self.hits += 1
+        self._entries[key] = inverse
+        return inverse
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._entries))
+
+    def cache_clear(self) -> None:
+        self._entries.clear()
+        self.hits = self.misses = 0
+
+
+# A run solves with a few distinct s rows: one stack per ladder depth and
+# start level, and, with diagnostics on, the tracker's single s.  The two
+# kinds are cached apart, so the tracker's matrix never evicts a ladder's
+# stack; the module docstring has the measured traffic behind the sizes.
+_inverse_stacks = _InverseCache(3)
+_inverse = _InverseCache(2)
 
 
 def implicit_heat_step(
@@ -319,7 +382,8 @@ def implicit_heat_step(
         r = r[:, None]
     s = r / (grid.h * grid.h)
     if grid.n_cells <= DENSE_MAX_CELLS:
-        inverse = _inverses(grid.n_cells, s.shape, s.tobytes())
+        cache = _inverse_stacks if s.ndim else _inverse
+        inverse = cache(grid.n_cells, s.shape, s.tobytes())
         return np.matmul(inverse, rhs[..., None])[..., 0]
     symbols = _symbols(grid.n_cells, s.shape, s.tobytes())
     x = _transform_solve(rhs, symbols)

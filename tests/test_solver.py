@@ -207,13 +207,16 @@ ABOVE_CROSSOVER = 256
 assert ABOVE_CROSSOVER > rdcheck.solver.DENSE_MAX_CELLS
 
 
-def assert_cache_is_bounded_and_invisible(cache, n_cells):
+def assert_cache_is_bounded_and_invisible(
+    cache, n_cells, diffusion=(1e-4, 2e-4, 3e-4, 1e-3)
+):
     """A solve from a cold cache equals the one from a warm cache, every
-    call returns a new writable array, and the cache stays at its bound."""
+    call returns a new writable array, and the cache stays at its bound.
+    diffusion is one per row, or one float for all four rows."""
     grid = Grid1D(n_cells, 1.0)
     rng = np.random.default_rng(5)
     values = rng.uniform(0.0, 1.0, size=(4, n_cells))
-    diffusion = np.array([1e-4, 2e-4, 3e-4, 1e-3])
+    diffusion = np.asarray(diffusion)
 
     def cold(dt):
         cache.cache_clear()
@@ -315,7 +318,10 @@ class TestSpectralSolveProperties:
         assert_cache_is_bounded_and_invisible(rdcheck.solver._symbols, ABOVE_CROSSOVER)
 
     def test_inverse_cache_is_bounded_and_invisible(self):
-        assert_cache_is_bounded_and_invisible(rdcheck.solver._inverses, 64)
+        assert_cache_is_bounded_and_invisible(rdcheck.solver._inverse_stacks, 64)
+
+    def test_single_s_inverse_cache_is_bounded_and_invisible(self):
+        assert_cache_is_bounded_and_invisible(rdcheck.solver._inverse, 64, 2e-4)
 
     def test_rows_near_max_float_over_n_stay_finite(self):
         # The n-point transform sums n values, so a row overflows only
@@ -377,6 +383,52 @@ class TestDenseSolve:
         # a weighted mean of the row.
         out = implicit_heat_step(np.full(8, 1e308), Grid1D(8), 1.0, 0.1)
         np.testing.assert_allclose(out, 1e308, rtol=1e-15)
+
+    def test_inverse_has_no_subnormal_entries(self):
+        # At s = 1e-8 the entries fall like s^|j - k| from the diagonal and
+        # pass below the smallest normal float 39 cells away from it.
+        n, s = 64, np.float64(1e-8)
+        inverse = rdcheck.solver._build_inverses(n, (), s.tobytes())
+        tiny = np.finfo(np.float64).tiny
+        assert not np.any((inverse > 0.0) & (inverse < tiny))
+        near = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 38
+        assert np.all(inverse[near] >= tiny) and np.all(inverse[~near] == 0.0)
+        # Rows and columns still sum to one.
+        np.testing.assert_allclose(inverse.sum(axis=0), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(inverse.sum(axis=1), 1.0, rtol=1e-15)
+
+    def test_single_s_solves_do_not_evict_ladder_stacks(self):
+        # The tracker solves with one s between two ladders.
+        grid = Grid1D(64)
+        values = np.ones((4, 64))
+        diffusion = np.array([1e-4, 2e-4, 3e-4, 1.0])
+        stacks = rdcheck.solver._inverse_stacks
+        stacks.cache_clear()
+        dts = [0.1 * 0.5**level for level in range(stacks.maxsize)]
+        for _ in range(2):
+            for dt in dts:
+                implicit_heat_step(values, grid, diffusion, dt)
+                implicit_heat_step(values[:2], grid, 2.0, dt)
+        assert stacks.cache_info().misses == len(dts)
+
+    def test_a_build_holds_fewer_than_maxsize_inverses(self, monkeypatch):
+        # The oldest entry goes before the new one is built, so the cache
+        # never holds more than maxsize stacks, not even during a build.
+        stacks = rdcheck.solver._inverse_stacks
+        stacks.cache_clear()
+        held = []
+        build = rdcheck.solver._build_inverses
+
+        def counted(*key):
+            held.append(stacks.cache_info().currsize)
+            return build(*key)
+
+        monkeypatch.setattr(rdcheck.solver, "_build_inverses", counted)
+        diffusion = np.array([1e-4, 2e-4])
+        for i in range(3 * stacks.maxsize):
+            implicit_heat_step(np.ones((2, 16)), Grid1D(16), diffusion, 0.01 * (i + 1))
+        assert len(held) == 3 * stacks.maxsize
+        assert max(held) == stacks.maxsize - 1
 
 
 def skew_tails_against_thomas(monkeypatch, n_cells, t_end, n_steps):
