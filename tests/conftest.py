@@ -14,6 +14,7 @@ from rdcheck import (
     instantiate_model,
     run_simulation,
 )
+import rdcheck.solver
 from rdcheck.solver import row_norms
 
 QUAD_DIFFUSION = [1.0, 1.5, 2.0, 2.5]
@@ -152,6 +153,19 @@ def sequential_steps(system, grid, u0, cfg):
     Returns (steps, failure): the accepted steps' (dt, clamped u_new) pairs
     and the NumericalFailure that ended the run, or None.
     """
+    # Each halving level solves with its own inverse on small grids, and a
+    # step's levels cycle through more keys than the solver's cache holds;
+    # a larger cache for this run keeps them built once.  The inverses do
+    # not depend on the cache, so neither do the steps.
+    saved = rdcheck.solver._inverse_stacks
+    rdcheck.solver._inverse_stacks = rdcheck.solver._InverseCache(8)
+    try:
+        return _sequential_steps(system, grid, u0, cfg)
+    finally:
+        rdcheck.solver._inverse_stacks = saved
+
+
+def _sequential_steps(system, grid, u0, cfg):
     u = np.array(u0, dtype=np.float64)
     t = 0.0
     tiny = 1e-12 * cfg.t_end
