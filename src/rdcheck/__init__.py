@@ -20,12 +20,11 @@ from .experiment import ExperimentOutcome, config_sha256, run_experiment, write_
 from .grid import Grid1D, grad_sup, holder_modulus, laplacian_values
 from .models import (
     CheckResult,
-    PolynomialSpec,
-    QuadraticReversibleSpec,
     ReactionSystem,
-    SkewLVSpec,
     check_structure,
-    instantiate_model,
+    custom_polynomial,
+    quadratic_reversible,
+    skew_lv,
 )
 from .solver import (
     SolverConfig,
@@ -62,17 +61,15 @@ __all__ = [
     "InterpolationConstants",
     "InvariantTracker",
     "NumericalFailure",
-    "PolynomialSpec",
     "QuadEquilibrium",
-    "QuadraticReversibleSpec",
     "ReactionSystem",
     "RunConfig",
-    "SkewLVSpec",
     "SolverConfig",
     "StepEvent",
     "augment_system",
     "check_structure",
     "config_sha256",
+    "custom_polynomial",
     "entropy_pointwise_worst",
     "exponent_algebra",
     "fit_rate",
@@ -81,14 +78,15 @@ __all__ = [
     "holder_modulus",
     "imex_step",
     "implicit_heat_step",
-    "instantiate_model",
     "interpolation_constants",
     "laplacian_values",
     "load_config",
     "loglog_slope",
     "quad_equilibrium",
+    "quadratic_reversible",
     "run_experiment",
     "run_simulation",
+    "skew_lv",
     "validate_config",
     "verify_augmented",
     "write_atomic",

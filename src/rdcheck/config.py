@@ -24,13 +24,7 @@ import numpy as np
 from .diagnostics import AuxiliaryConfig
 from .errors import ConfigError
 from .grid import Grid1D
-from .models import (
-    PolynomialSpec,
-    QuadraticReversibleSpec,
-    ReactionSystem,
-    SkewLVSpec,
-    instantiate_model,
-)
+from .models import ReactionSystem, custom_polynomial, quadratic_reversible, skew_lv
 from .solver import SolverConfig
 from .transform import AugmentedSystem, augment_system
 
@@ -85,47 +79,70 @@ class _Collector:
     def add(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
 
-    def number(self, obj: dict, path: str, key: str, *, required=True, default=None,
-               minimum=None, exclusive_minimum=None, maximum=None):
+    def _lookup(self, obj: dict, path: str, key: str, required, default, check,
+                **bounds):
+        """check(label, obj[key], **bounds), or default when the key is
+        absent (reported if required) or its value fails the check."""
         label = f"{path}.{key}" if path else key
         if key not in obj:
             if required:
                 self.add(label, "missing required value")
             return default
-        val = obj[key]
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            self.add(label, f"expected a number, got {val!r}")
-            return default
-        val = float(val)
-        if not math.isfinite(val):
-            self.add(label, f"must be finite, got {val}")
-            return default
-        if minimum is not None and val < minimum:
-            self.add(label, f"must be >= {minimum}, got {val}")
-            return default
-        if exclusive_minimum is not None and val <= exclusive_minimum:
-            self.add(label, f"must be > {exclusive_minimum}, got {val}")
-            return default
-        if maximum is not None and val > maximum:
-            self.add(label, f"must be <= {maximum}, got {val}")
-            return default
-        return val
+        val = check(label, obj[key], **bounds)
+        return default if val is None else val
+
+    def number(self, obj: dict, path: str, key: str, *, required=True, default=None,
+               **bounds):
+        return self._lookup(obj, path, key, required, default, self.real, **bounds)
 
     def integer(self, obj: dict, path: str, key: str, *, required=True, default=None,
-                minimum=None):
-        label = f"{path}.{key}" if path else key
-        if key not in obj:
-            if required:
-                self.add(label, "missing required value")
-            return default
-        val = obj[key]
+                **bounds):
+        return self._lookup(obj, path, key, required, default, self.whole, **bounds)
+
+    def flag(self, obj: dict, path: str, key: str) -> bool:
+        """obj[key] as a bool, False when it is absent or not a bool."""
+        return self._lookup(obj, path, key, False, False, self.boolean)
+
+    def real(self, label: str, val, *, minimum=None, exclusive_minimum=None,
+             maximum=None) -> float | None:
+        """val as a finite float within the bounds, or None with the problem
+        reported under label."""
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            self.add(label, f"expected a number, got {val!r}")
+            return None
+        try:
+            val = float(val)
+        except OverflowError:  # an integer past the float range
+            val = math.inf
+        if not math.isfinite(val):
+            self.add(label, f"must be finite, got {val}")
+        elif minimum is not None and val < minimum:
+            self.add(label, f"must be >= {minimum}, got {val}")
+        elif exclusive_minimum is not None and val <= exclusive_minimum:
+            self.add(label, f"must be > {exclusive_minimum}, got {val}")
+        elif maximum is not None and val > maximum:
+            self.add(label, f"must be <= {maximum}, got {val}")
+        else:
+            return val
+        return None
+
+    def whole(self, label: str, val, *, minimum=None) -> int | None:
+        """val as an integer of at least minimum, or None with the problem
+        reported under label."""
         if isinstance(val, bool) or not isinstance(val, int):
             self.add(label, f"expected an integer, got {val!r}")
-            return default
-        if minimum is not None and val < minimum:
+        elif minimum is not None and val < minimum:
             self.add(label, f"must be >= {minimum}, got {val}")
-            return default
-        return val
+        else:
+            return val
+        return None
+
+    def boolean(self, label: str, val) -> bool | None:
+        """val if it is a bool, else None with the problem reported."""
+        if isinstance(val, bool):
+            return val
+        self.add(label, f"expected true/false, got {val!r}")
+        return None
 
     def unknown(self, obj: dict, path: str, known) -> None:
         """Report every key of obj that is not in known, by its dotted path."""
@@ -165,12 +182,11 @@ def _validate_model(col: _Collector, raw: dict) -> ReactionSystem | None:
     if not isinstance(diffusion, list) or not diffusion:
         col.add("model.diffusion", "expected a nonempty list of coefficients")
         return None
-    bad = False
-    for i, v in enumerate(diffusion):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
-            col.add(f"model.diffusion[{i}]", f"must be a finite number > 0, got {v!r}")
-            bad = True
-    if bad:
+    diffusion = [
+        col.real(f"model.diffusion[{i}]", v, exclusive_minimum=0.0)
+        for i, v in enumerate(diffusion)
+    ]
+    if None in diffusion:
         return None
 
     if has_builtin:
@@ -179,7 +195,7 @@ def _validate_model(col: _Collector, raw: dict) -> ReactionSystem | None:
             if len(diffusion) != 4:
                 col.add("model.diffusion", f"quadratic_reversible needs 4 coefficients, got {len(diffusion)}")
                 return None
-            return instantiate_model(QuadraticReversibleSpec(), diffusion)
+            return quadratic_reversible(diffusion)
         if name == "skew_lv":
             a = sec.get("interaction")
             tau = sec.get("decay")
@@ -193,7 +209,7 @@ def _validate_model(col: _Collector, raw: dict) -> ReactionSystem | None:
                 col.add("model.decay", f"expected a list of length {n}")
                 return None
             try:
-                return instantiate_model(SkewLVSpec(interaction=a, decay=tau), diffusion)
+                return skew_lv(diffusion, a, tau)
             except ValueError as exc:
                 col.add("model", str(exc))
                 return None
@@ -221,47 +237,40 @@ def _validate_model(col: _Collector, raw: dict) -> ReactionSystem | None:
     if not isinstance(terms, list) or len(terms) != n:
         col.add("model.custom.terms", f"expected one monomial list per species ({n})")
         return None
+    ok = True
     parsed = []
     for i, row in enumerate(terms):
         if not isinstance(row, list):
             col.add(f"model.custom.terms[{i}]", "expected a list of monomials")
-            return None
+            ok = False
+            continue
         prow = []
         for j, mono in enumerate(row):
             path = f"model.custom.terms[{i}][{j}]"
             if not isinstance(mono, dict) or "coef" not in mono or "powers" not in mono:
                 col.add(path, "expected an object with 'coef' and 'powers'")
-                return None
+                ok = False
+                continue
             col.unknown(mono, path, ("coef", "powers"))
-            coef = mono["coef"]
+            coef = col.real(f"{path}.coef", mono["coef"])
             powers = mono["powers"]
-            if isinstance(coef, bool) or not isinstance(coef, (int, float)) or not math.isfinite(coef):
-                col.add(f"{path}.coef", f"must be a finite number, got {coef!r}")
-                return None
-            if (
-                not isinstance(powers, list)
-                or len(powers) != n
-                or any(isinstance(p, bool) or not isinstance(p, int) or p < 0 for p in powers)
-            ):
+            if not isinstance(powers, list) or len(powers) != n:
                 col.add(f"{path}.powers", f"expected {n} nonnegative integers")
-                return None
-            prow.append((float(coef), tuple(powers)))
+                ok = False
+                continue
+            powers = [
+                col.whole(f"{path}.powers[{m}]", p, minimum=0) for m, p in enumerate(powers)
+            ]
+            ok = ok and coef is not None and None not in powers
+            prow.append((coef, powers))
         parsed.append(prow)
     name = custom.get("name", "custom-polynomial")
     if not isinstance(name, str):
         col.add("model.custom.name", "expected a string")
         return None
-    try:
-        return instantiate_model(
-            PolynomialSpec(
-                n_species=n, terms=parsed, k0=k0, k1=k1, growth_k=k,
-                growth_eps=eps, name=name,
-            ),
-            diffusion,
-        )
-    except ValueError as exc:
-        col.add("model.custom", str(exc))
+    if not ok:
         return None
+    return custom_polynomial(diffusion, parsed, k0, k1, k, eps, name)
 
 
 def _validate_grid(col: _Collector, raw: dict) -> Grid1D | None:
@@ -303,27 +312,25 @@ def _validate_profile(col: _Collector, path: str, prof, grid: Grid1D | None):
         if not isinstance(values, list) or not values:
             col.add(f"{path}.values", "expected a nonempty list")
             return None
-        for i, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
-                col.add(f"{path}.values[{i}]", f"must be a finite number >= 0, got {v!r}")
-                return None
+        start = len(col.errors)
+        values = [col.real(f"{path}.values[{i}]", v, minimum=0.0) for i, v in enumerate(values)]
         if not isinstance(breaks, list) or len(breaks) != len(values) - 1:
             col.add(f"{path}.breaks", f"expected {len(values) - 1} interior breakpoints")
             return None
+        breaks = [col.real(f"{path}.breaks[{i}]", b) for i, b in enumerate(breaks)]
         prev = 0.0
         for i, b in enumerate(breaks):
-            if isinstance(b, bool) or not isinstance(b, (int, float)) or not math.isfinite(b):
-                col.add(f"{path}.breaks[{i}]", f"must be a finite number, got {b!r}")
-                return None
-            if b <= prev:
-                col.add(f"{path}.breaks[{i}]", "breakpoints must be strictly increasing from 0")
-                return None
-            prev = float(b)
+            if b is not None:
+                if b <= prev:
+                    col.add(f"{path}.breaks[{i}]", "breakpoints must be strictly increasing from 0")
+                prev = b
+        if len(col.errors) > start:
+            return None
         if grid is not None and prev >= grid.length:
             col.add(f"{path}.breaks", f"breakpoints must lie inside (0, {grid.length})")
             return None
-        values = np.asarray(tuple(float(v) for v in values))
-        breaks = np.asarray(tuple(float(b) for b in breaks))
+        values = np.asarray(values)
+        breaks = np.asarray(breaks, dtype=np.float64)
         return lambda g: values[np.searchsorted(breaks, g.centers, side="right")]
     col.add(f"{path}.type", f"unknown profile type {kind!r}; choose from {_PROFILE_TYPES}")
     return None
@@ -447,12 +454,8 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
     # What turns the closure transform on, for the errors that name it.
     closure = "--augment" if augment else None
     sec = col.section(raw, "transform", ("augment",), required=False)
-    if sec is not None:
-        configured = sec.get("augment", False)
-        if not isinstance(configured, bool):
-            col.add("transform.augment", f"expected true/false, got {configured!r}")
-        elif configured:
-            closure = "transform.augment"
+    if sec is not None and col.flag(sec, "transform", "augment"):
+        closure = "transform.augment"
     augmented = None if closure is None or system is None else augment_system(system)
     integrated = system if augmented is None else augmented.augmented
 
@@ -460,11 +463,7 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
     diag_gammas = AuxiliaryConfig.gammas
     sec = col.section(raw, "diagnostics", ("enabled", "d", "gammas"), required=False)
     if sec is not None:
-        diag_enabled = sec.get("enabled", False)
-        if not isinstance(diag_enabled, bool):
-            col.add("diagnostics.enabled", f"expected true/false, got {diag_enabled!r}")
-            diag_enabled = False
-        if diag_enabled:
+        if col.flag(sec, "diagnostics", "enabled"):
             diag_d = col.number(sec, "diagnostics", "d", exclusive_minimum=0.0)
             if diag_d is not None and integrated is not None:
                 d_floor = float(np.max(integrated.diffusion))
@@ -480,15 +479,12 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
             if not isinstance(gammas, list) or not gammas:
                 col.add("diagnostics.gammas", "expected a nonempty list")
             else:
-                ok = True
-                for i, g in enumerate(gammas):
-                    if isinstance(g, bool) or not isinstance(g, (int, float)) or not (
-                        math.isfinite(g) and 0.0 <= g <= 1.0
-                    ):
-                        col.add(f"diagnostics.gammas[{i}]", f"must lie in [0, 1], got {g!r}")
-                        ok = False
-                if ok:
-                    diag_gammas = tuple(float(g) for g in gammas)
+                gammas = tuple(
+                    col.real(f"diagnostics.gammas[{i}]", g, minimum=0.0, maximum=1.0)
+                    for i, g in enumerate(gammas)
+                )
+                if None not in gammas:
+                    diag_gammas = gammas
 
     fits = []
     if "fits" in raw:
@@ -502,32 +498,25 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
                     continue
                 col.unknown(f, path, ("series", "mode", "window", "bias_correct"))
                 series = f.get("series")
-                mode = f.get("mode", "exponential")
-                window = f.get("window")
-                bias = f.get("bias_correct", False)
                 if series not in _FIT_SERIES:
                     col.add(f"{path}.series", f"choose from {_FIT_SERIES}, got {series!r}")
-                    continue
+                mode = f.get("mode", "exponential")
                 if mode not in _FIT_MODES:
                     col.add(f"{path}.mode", f"choose from {_FIT_MODES}, got {mode!r}")
-                    continue
-                if (
-                    not isinstance(window, list)
-                    or len(window) != 2
-                    or any(isinstance(w, bool) or not isinstance(w, (int, float)) for w in window)
-                    or not window[0] < window[1]
-                ):
+                window = f.get("window")
+                if isinstance(window, list) and len(window) == 2:
+                    window = tuple(
+                        col.real(f"{path}.window[{k}]", w) for k, w in enumerate(window)
+                    )
+                # A window entry that is not a finite number is reported above.
+                if not (isinstance(window, tuple) and (None in window or window[0] < window[1])):
                     col.add(f"{path}.window", "expected [t_start, t_end] with t_start < t_end")
-                    continue
-                if not isinstance(bias, bool):
-                    col.add(f"{path}.bias_correct", f"expected true/false, got {bias!r}")
-                    continue
                 fits.append(
                     {
                         "series": series,
                         "mode": mode,
-                        "window": (float(window[0]), float(window[1])),
-                        "bias_correct": bias,
+                        "window": window,
+                        "bias_correct": col.flag(f, path, "bias_correct"),
                     }
                 )
 

@@ -130,7 +130,6 @@ class AuxiliaryTracker:
         self.sys = sys
         self.cfg = cfg
         self.grid = grid
-        self.t = 0.0
         n = sys.n_species
         cells = grid.n_cells
         self._v_d = np.zeros(cells)
@@ -156,6 +155,7 @@ class AuxiliaryTracker:
         self.dzhat_minus_uhat_min = 0.0
         self.b_min = math.inf
         self.b_max = -math.inf
+        # gamma -> the largest Holder modulus of v_d at a recorded step.
         self.holder_max: dict = {}
         self._observe(u0, self._s_prev)
 
@@ -180,7 +180,6 @@ class AuxiliaryTracker:
         self._z_hat = self._z_hat + 0.5 * dt * (z_old + self._z)
         self._u_hat = self._u_hat + 0.5 * dt * (self._s_prev + s_new)
         self._s_prev = s_new
-        self.t = event.t_new
         self._observe(event.u_new, s_new)
         if event.recorded:
             self._measure_holder()
@@ -227,9 +226,8 @@ class AuxiliaryTracker:
         """Update the running Holder moduli of v_d."""
         moduli = holder_modulus(self._v_d, self.grid.h, self.cfg.gammas)
         for g, val in zip(self.cfg.gammas, moduli):
-            key = ("v_d", float(g))
-            if val > self.holder_max.get(key, 0.0):
-                self.holder_max[key] = float(val)
+            if val > self.holder_max.get(float(g), 0.0):
+                self.holder_max[float(g)] = float(val)
 
     def checks(self, t_end: float) -> list[CheckResult]:
         """The report's checks of the a priori bounds for a run ending at

@@ -272,8 +272,7 @@ def _measurement_block(tracker: AuxiliaryTracker | None):
     if tracker is None:
         return None
     holder = {
-        f"{name}:{gamma}": _num(value)
-        for (name, gamma), value in sorted(tracker.holder_max.items())
+        f"v_d:{gamma}": _num(value) for gamma, value in sorted(tracker.holder_max.items())
     }
     return {
         "initial_sup_sum": _num(tracker.initial_sup_sum),

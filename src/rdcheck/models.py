@@ -14,27 +14,28 @@ inequalities on randomized orthant samples and returns the report's three
 structure checks, which is how hand-broken models are caught at verify
 time.
 
-Two families are built in.  The reversible exchange model (four species,
+Two families are built in, each by the builder named after its config
+key.  The reversible exchange model (quadratic_reversible: four species,
 rate u1 u2 - u3 u4 both ways) conserves three independent linear masses and
 dissipates the entropy sum f_i log u_i.  The skew Lotka-Volterra family
-f_i = (-tau_i + (A u)_i) u_i with A + A^T = 0 has sum_i f_i = -sum_i tau_i
-u_i, hence exact geometric mass decay under equal tau.  Custom polynomial
-right-hand sides carry user-declared constants.
+(skew_lv: f_i = (-tau_i + (A u)_i) u_i with A + A^T = 0) has sum_i f_i =
+-sum_i tau_i u_i, hence exact geometric mass decay under equal tau.  Custom
+polynomial right-hand sides (custom_polynomial) carry user-declared
+constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "ReactionSystem",
-    "QuadraticReversibleSpec",
-    "SkewLVSpec",
-    "PolynomialSpec",
-    "instantiate_model",
+    "quadratic_reversible",
+    "skew_lv",
+    "custom_polynomial",
     "CheckResult",
     "check_structure",
 ]
@@ -103,41 +104,6 @@ class ReactionSystem:
         return self.k0 * (1.0 - float(np.exp(-self.k0_decay * t))) / self.k0_decay
 
 
-@dataclass(frozen=True)
-class QuadraticReversibleSpec:
-    """Reversible exchange model u1 + u2 <-> u3 + u4, both rates one."""
-
-
-@dataclass(frozen=True)
-class SkewLVSpec:
-    """Skew Lotka-Volterra family f_i = (-tau_i + (A u)_i) u_i.
-
-    The interaction matrix must be exactly skew (A + A^T identically zero,
-    tolerance zero): the cancellation u . A u = 0 is what makes the mass
-    decay identity exact, and a nearly-skew matrix would silently break it.
-    """
-
-    interaction: Sequence[Sequence[float]]
-    decay: Sequence[float]
-
-
-@dataclass(frozen=True)
-class PolynomialSpec:
-    """Custom polynomial right-hand side with user-declared constants.
-
-    terms[i] is the list of monomials of f_i, each a (coefficient, powers)
-    pair with one nonnegative integer power per species.
-    """
-
-    n_species: int
-    terms: Sequence[Sequence[tuple]]
-    k0: float
-    k1: float
-    growth_k: float
-    growth_eps: float
-    name: str = "custom-polynomial"
-
-
 def _check_diffusion(diffusion, n_species: int) -> np.ndarray:
     d = np.asarray(diffusion, dtype=np.float64)
     if d.shape != (n_species,):
@@ -150,26 +116,133 @@ def _check_diffusion(diffusion, n_species: int) -> np.ndarray:
     return d
 
 
-def _quad_evaluator(u: np.ndarray, t: float) -> np.ndarray:
-    # Single shared rate keeps f1 + f3 = 0 exact in floating point.
-    rate = u[0] * u[1] - u[2] * u[3]
-    return np.stack((-rate, -rate, rate, rate))
+def quadratic_reversible(diffusion) -> ReactionSystem:
+    """Reversible exchange model u1 + u2 <-> u3 + u4, both rates one.
+
+    K0 = K1 = 0, K = 1, eps = 0; the three conserved masses u1+u3, u2+u3
+    and u2+u4; entropy dissipating.
+
+    Raises:
+        ValueError: unless diffusion holds four finite coefficients > 0.
+    """
+
+    def evaluate(u: np.ndarray, t: float) -> np.ndarray:
+        # Single shared rate keeps f1 + f3 = 0 exact in floating point.
+        rate = u[0] * u[1] - u[2] * u[3]
+        return np.stack((-rate, -rate, rate, rate))
+
+    return ReactionSystem(
+        name="quadratic-reversible",
+        n_species=4,
+        diffusion=_check_diffusion(diffusion, 4),
+        k0=0.0,
+        k1=0.0,
+        growth_k=1.0,
+        growth_eps=0.0,
+        evaluator=evaluate,
+        conservation_laws=(
+            ("u1+u3", np.array([1.0, 0.0, 1.0, 0.0])),
+            ("u2+u3", np.array([0.0, 1.0, 1.0, 0.0])),
+            ("u2+u4", np.array([0.0, 1.0, 0.0, 1.0])),
+        ),
+        entropy_nonpositive=True,
+    )
 
 
-def _make_skew_evaluator(a: np.ndarray, tau: np.ndarray):
+def skew_lv(diffusion, interaction, decay) -> ReactionSystem:
+    """Skew Lotka-Volterra family f_i = (-tau_i + (A u)_i) u_i.
+
+    K0 = 0, K1 = -min tau, quadratic growth.  The interaction matrix A must
+    be exactly skew (A + A^T identically zero, tolerance zero): the
+    cancellation u . A u = 0 is what makes the mass decay identity exact,
+    and a nearly-skew matrix would silently break it.
+
+    Raises:
+        ValueError: on a non-square, non-finite or non-skew interaction
+            matrix, a decay vector of another length or not finite, or
+            malformed diffusion.
+    """
+    a = np.asarray(interaction, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"interaction matrix must be square, got shape {a.shape}")
+    n = a.shape[0]
+    if not np.all(np.isfinite(a)):
+        raise ValueError("interaction matrix must be finite")
+    if np.any(a + a.T != 0.0):
+        raise ValueError("interaction matrix must be exactly skew (A + A^T = 0)")
+    tau = np.asarray(decay, dtype=np.float64)
+    if tau.shape != (n,) or not np.all(np.isfinite(tau)):
+        raise ValueError(f"decay vector must be finite with length {n}")
+    d = _check_diffusion(diffusion, n)
+    # |f_i| <= (max|tau| + max row norm)(1 + |u|^2)
+    growth_k = float(np.max(np.abs(tau)) if n else 0.0) + float(
+        np.max(np.sqrt(np.sum(a * a, axis=1)))
+    )
+
     def evaluate(u: np.ndarray, t: float) -> np.ndarray:
         lin = a @ u
         if u.ndim == 2:
             return (lin - tau[:, None]) * u
         return (lin - tau) * u
 
-    return evaluate
+    return ReactionSystem(
+        name="skew-lotka-volterra",
+        n_species=n,
+        diffusion=d,
+        k0=0.0,
+        k1=float(-np.min(tau)),
+        growth_k=max(growth_k, 1.0),
+        growth_eps=0.0,
+        evaluator=evaluate,
+        uniform_decay_rate=float(tau[0]) if np.all(tau == tau[0]) else None,
+    )
 
 
-def _make_polynomial_evaluator(terms):
+def custom_polynomial(
+    diffusion, terms, k0, k1, growth_k, growth_eps, name="custom-polynomial"
+) -> ReactionSystem:
+    """Custom polynomial right-hand side with user-declared constants.
+
+    There is one species per diffusion coefficient.  terms[i] is the list of
+    monomials of f_i, each a (coefficient, powers) pair with one nonnegative
+    integer power per species.
+
+    Raises:
+        ValueError: on malformed diffusion, terms of inconsistent shape,
+            k0 < 0, growth_k <= 0 or growth_eps < 0.
+    """
+    n = len(diffusion)
+    if n < 1:
+        raise ValueError("diffusion must list at least one species")
+    if len(terms) != n:
+        raise ValueError(
+            f"terms must list monomials for each of {n} species, "
+            f"got {len(terms)} lists"
+        )
+    cleaned = []
+    for i, monomials in enumerate(terms):
+        row = []
+        for coef, powers in monomials:
+            coef = float(coef)
+            powers = tuple(int(p) for p in powers)
+            if len(powers) != n or any(p < 0 for p in powers):
+                raise ValueError(
+                    f"species {i + 1}: each monomial needs {n} nonnegative "
+                    f"integer powers, got {powers}"
+                )
+            row.append((coef, powers))
+        cleaned.append(tuple(row))
+    if k0 < 0.0:
+        raise ValueError(f"k0 must be >= 0, got {k0}")
+    if growth_k <= 0.0:
+        raise ValueError(f"growth constant must be > 0, got {growth_k}")
+    if growth_eps < 0.0:
+        raise ValueError(f"growth exponent shift must be >= 0, got {growth_eps}")
+    d = _check_diffusion(diffusion, n)
+
     def evaluate(u: np.ndarray, t: float) -> np.ndarray:
         out = np.zeros_like(u)
-        for i, monomials in enumerate(terms):
+        for i, monomials in enumerate(cleaned):
             acc = np.zeros_like(u[0])
             for coef, powers in monomials:
                 term = np.full_like(u[0], coef)
@@ -182,111 +255,16 @@ def _make_polynomial_evaluator(terms):
             out[i] = acc
         return out
 
-    return evaluate
-
-
-def instantiate_model(spec, diffusion) -> ReactionSystem:
-    """Build a ReactionSystem from a family spec and diffusion coefficients.
-
-    Structure constants are derived for the built-in families (reversible
-    exchange: K0 = K1 = 0, K = 1, eps = 0; skew Lotka-Volterra: K0 = 0,
-    K1 = -min tau, quadratic growth) and copied from the PolynomialSpec
-    fields for custom polynomials.
-
-    Raises:
-        ValueError: on malformed diffusion, a non-skew interaction matrix,
-            or inconsistent polynomial term shapes.
-    """
-    if isinstance(spec, QuadraticReversibleSpec):
-        d = _check_diffusion(diffusion, 4)
-        laws = (
-            ("u1+u3", np.array([1.0, 0.0, 1.0, 0.0])),
-            ("u2+u3", np.array([0.0, 1.0, 1.0, 0.0])),
-            ("u2+u4", np.array([0.0, 1.0, 0.0, 1.0])),
-        )
-        return ReactionSystem(
-            name="quadratic-reversible",
-            n_species=4,
-            diffusion=d,
-            k0=0.0,
-            k1=0.0,
-            growth_k=1.0,
-            growth_eps=0.0,
-            evaluator=_quad_evaluator,
-            conservation_laws=laws,
-            entropy_nonpositive=True,
-            uniform_decay_rate=None,
-        )
-    if isinstance(spec, SkewLVSpec):
-        a = np.asarray(spec.interaction, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"interaction matrix must be square, got shape {a.shape}")
-        n = a.shape[0]
-        if not np.all(np.isfinite(a)):
-            raise ValueError("interaction matrix must be finite")
-        if np.any(a + a.T != 0.0):
-            raise ValueError("interaction matrix must be exactly skew (A + A^T = 0)")
-        tau = np.asarray(spec.decay, dtype=np.float64)
-        if tau.shape != (n,) or not np.all(np.isfinite(tau)):
-            raise ValueError(f"decay vector must be finite with length {n}")
-        d = _check_diffusion(diffusion, n)
-        # |f_i| <= (max|tau| + max row norm)(1 + |u|^2)
-        growth_k = float(np.max(np.abs(tau)) if n else 0.0) + float(
-            np.max(np.sqrt(np.sum(a * a, axis=1)))
-        )
-        growth_k = max(growth_k, 1.0)
-        uniform = float(tau[0]) if np.all(tau == tau[0]) else None
-        return ReactionSystem(
-            name="skew-lotka-volterra",
-            n_species=n,
-            diffusion=d,
-            k0=0.0,
-            k1=float(-np.min(tau)),
-            growth_k=growth_k,
-            growth_eps=0.0,
-            evaluator=_make_skew_evaluator(a, tau),
-            uniform_decay_rate=uniform,
-        )
-    if isinstance(spec, PolynomialSpec):
-        n = int(spec.n_species)
-        if n < 1:
-            raise ValueError(f"n_species must be >= 1, got {spec.n_species}")
-        if len(spec.terms) != n:
-            raise ValueError(
-                f"terms must list monomials for each of {n} species, "
-                f"got {len(spec.terms)} lists"
-            )
-        cleaned = []
-        for i, monomials in enumerate(spec.terms):
-            row = []
-            for coef, powers in monomials:
-                coef = float(coef)
-                powers = tuple(int(p) for p in powers)
-                if len(powers) != n or any(p < 0 for p in powers):
-                    raise ValueError(
-                        f"species {i + 1}: each monomial needs {n} nonnegative "
-                        f"integer powers, got {powers}"
-                    )
-                row.append((coef, powers))
-            cleaned.append(tuple(row))
-        if spec.k0 < 0.0:
-            raise ValueError(f"k0 must be >= 0, got {spec.k0}")
-        if spec.growth_k <= 0.0:
-            raise ValueError(f"growth constant must be > 0, got {spec.growth_k}")
-        if spec.growth_eps < 0.0:
-            raise ValueError(f"growth exponent shift must be >= 0, got {spec.growth_eps}")
-        d = _check_diffusion(diffusion, n)
-        return ReactionSystem(
-            name=spec.name,
-            n_species=n,
-            diffusion=d,
-            k0=float(spec.k0),
-            k1=float(spec.k1),
-            growth_k=float(spec.growth_k),
-            growth_eps=float(spec.growth_eps),
-            evaluator=_make_polynomial_evaluator(tuple(cleaned)),
-        )
-    raise TypeError(f"unknown model spec {type(spec).__name__}")
+    return ReactionSystem(
+        name=name,
+        n_species=n,
+        diffusion=d,
+        k0=float(k0),
+        k1=float(k1),
+        growth_k=float(growth_k),
+        growth_eps=float(growth_eps),
+        evaluator=evaluate,
+    )
 
 
 @dataclass(frozen=True)

@@ -340,6 +340,12 @@ class _InverseCache:
 # start level, and, with diagnostics on, the tracker's single s.  The two
 # kinds are cached apart, so the tracker's matrix never evicts a ladder's
 # stack; the module docstring has the measured traffic behind the sizes.
+# Merging them does not pay: on the eight augmented skew runs (in-process,
+# one BLAS thread) one shared 5-entry cache builds exactly as often as
+# these 3 + 2, but it keeps two more ladder stacks alive, and peak RSS on
+# skew-stiff-aug rose from 38.1-38.4 MB to 39.0-39.2 MB (seeds 1-4).  A
+# shared 4-entry cache rebuilds: 20 builds against 18 with diagnostics on,
+# and 113 against 51 at dt = 0.3 with diagnostics on.
 _inverse_stacks = _InverseCache(3)
 _inverse = _InverseCache(2)
 

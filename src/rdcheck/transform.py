@@ -47,8 +47,6 @@ class AugmentedSystem:
 
     base: ReactionSystem
     augmented: ReactionSystem
-    k0: float
-    k1: float
 
 
 def augment_system(base: ReactionSystem) -> AugmentedSystem:
@@ -94,7 +92,7 @@ def augment_system(base: ReactionSystem) -> AugmentedSystem:
         entropy_nonpositive=False,
         uniform_decay_rate=None,
     )
-    return AugmentedSystem(base=base, augmented=augmented, k0=k0, k1=k1)
+    return AugmentedSystem(base=base, augmented=augmented)
 
 
 def verify_augmented(
@@ -138,8 +136,8 @@ def verify_augmented(
         raise ValueError(f"t_horizon must be finite and > 0, got {t_horizon}")
     sys = aug.augmented
     n_aug = sys.n_species
-    k0 = aug.k0
-    k1 = aug.k1
+    k0 = aug.base.k0
+    k1 = aug.base.k1
 
     # The evaluator built by augment_system broadcasts over a time array of
     # the same length as the sample axis, so the whole audit vectorizes.

@@ -8,11 +8,10 @@ import pytest
 from rdcheck import (
     Grid1D,
     NumericalFailure,
-    QuadraticReversibleSpec,
-    SkewLVSpec,
     implicit_heat_step,
-    instantiate_model,
+    quadratic_reversible,
     run_simulation,
+    skew_lv,
 )
 import rdcheck.solver
 from rdcheck.solver import row_norms
@@ -24,15 +23,12 @@ QUAD_DIFFUSION = [1.0, 1.5, 2.0, 2.5]
 # mutate the shared instances.
 @pytest.fixture(scope="session")
 def quad_system():
-    return instantiate_model(QuadraticReversibleSpec(), QUAD_DIFFUSION)
+    return quadratic_reversible(QUAD_DIFFUSION)
 
 
 @pytest.fixture(scope="session")
 def skew_system():
-    return instantiate_model(
-        SkewLVSpec(interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 1.0]),
-        [1.0, 2.0],
-    )
+    return skew_lv([1.0, 2.0], interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 1.0])
 
 
 def bump(grid: Grid1D, center: float, width: float, amplitude: float) -> np.ndarray:

@@ -19,18 +19,18 @@ from conftest import StateCollector
 import rdcheck.experiment
 from rdcheck import (
     Grid1D,
-    SkewLVSpec,
     augment_system,
     exponent_algebra,
     fit_rate,
     gaussian_moment,
     grad_sup,
     implicit_heat_step,
-    instantiate_model,
     interpolation_constants,
     loglog_slope,
     quad_equilibrium,
+    quadratic_reversible,
     run_experiment,
+    skew_lv,
     validate_config,
     verify_augmented,
 )
@@ -230,9 +230,7 @@ def test_03_conservation_and_entropy_decay(quad_relaxation):
     states, run_elapsed = quad_relaxation
     failures = []
     entries = states.entries
-    system = instantiate_model(
-        __import__("rdcheck").QuadraticReversibleSpec(), QUAD_DIFFUSION
-    )
+    system = quadratic_reversible(QUAD_DIFFUSION)
 
     laws = [(0, 2), (1, 2), (1, 3)]
     base = [entries[0].masses[i] + entries[0].masses[j] for i, j in laws]
@@ -488,10 +486,7 @@ def test_09_closure_conservation_audit():
     failures = []
     start = time.perf_counter()
 
-    skew = instantiate_model(
-        SkewLVSpec(interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 1.0]),
-        [1.0, 2.0],
-    )
+    skew = skew_lv([1.0, 2.0], interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 1.0])
     pair = augment_system(skew)
     audit = verify_augmented(pair, np.random.default_rng(7), n_samples=10000)
     checks = {c.name: c for c in audit}
@@ -506,9 +501,7 @@ def test_09_closure_conservation_audit():
     count = re.match(r"(\d+) samples", checks["augmented_quasi_positivity"].detail)
     require(failures, count is not None and int(count.group(1)) >= 10000, "audit under-sampled")
 
-    quad = instantiate_model(
-        __import__("rdcheck").QuadraticReversibleSpec(), QUAD_DIFFUSION
-    )
+    quad = quadratic_reversible(QUAD_DIFFUSION)
     quad_pair = augment_system(quad)
     rng = np.random.default_rng(13)
     samples = 10.0 ** rng.uniform(-6.0, 3.0, size=(5, 10000))

@@ -150,6 +150,45 @@ class TestErrorCollection:
         assert len(errors) >= 4
         assert_mentions(errors, "model.diffusion", "grid.n_cells", "initial", "solver")
 
+    def test_every_bad_list_entry_and_flag_is_reported(self):
+        raw = base_quad()
+        raw["initial"][0] = {
+            "type": "piecewise", "values": [1, -1, "x"], "breaks": [0.3, 0.2],
+        }
+        raw["diagnostics"] = {"gammas": [2, -1]}
+        raw["fits"] = [{"series": "mass_total", "window": [1, 0], "bias_correct": "y"}]
+        errors = errors_from(raw)
+        paths = [
+            "initial[0].values[1]",
+            "initial[0].values[2]",
+            "initial[0].breaks[1]",
+            "diagnostics.gammas[0]",
+            "diagnostics.gammas[1]",
+            "fits[0].window",
+            "fits[0].bias_correct",
+        ]
+        assert [e.split(": ", 1)[0] for e in errors] == paths, errors
+
+        raw = base_quad()
+        raw["model"] = {
+            "custom": {
+                "n_species": 1, "k0": 0.0, "k1": 0.0, "k": 1.0, "eps": 0.0,
+                "terms": [[
+                    {"coef": "a", "powers": [1]},
+                    {"coef": float("nan"), "powers": [-1]},
+                ]],
+            },
+            "diffusion": [1.0],
+        }
+        raw["initial"] = [{"type": "constant", "value": 1.0}]
+        errors = errors_from(raw)
+        paths = [
+            "model.custom.terms[0][0].coef",
+            "model.custom.terms[0][1].coef",
+            "model.custom.terms[0][1].powers[0]",
+        ]
+        assert [e.split(": ", 1)[0] for e in errors] == paths, errors
+
     def test_top_level_must_be_an_object(self):
         assert_mentions(errors_from([1, 2, 3]), "top level")
 
@@ -177,9 +216,13 @@ class TestModelValidation:
 
     def test_diffusion_entries_are_checked(self):
         raw = base_quad()
-        raw["model"]["diffusion"] = [1.0, -2.0, 2.0, True]
+        # 10**400 is a JSON integer past the float range.
+        raw["model"]["diffusion"] = [1.0, -2.0, 10**400, True]
         errors = errors_from(raw)
-        assert_mentions(errors, "model.diffusion[1]", "model.diffusion[3]")
+        assert_mentions(
+            errors, "model.diffusion[1]", "model.diffusion[2]: must be finite",
+            "model.diffusion[3]",
+        )
 
     def test_skew_matrix_shape(self):
         raw = base_skew()

@@ -13,11 +13,10 @@ from rdcheck import (
     CheckResult,
     Grid1D,
     InvariantTracker,
-    PolynomialSpec,
     ReactionSystem,
     SolverConfig,
+    custom_polynomial,
     entropy_pointwise_worst,
-    instantiate_model,
     loglog_slope,
 )
 
@@ -29,12 +28,7 @@ def constant_state(grid, values):
 
 def sourced_single_species(k0):
     """One species, f = 0, declared mass source k0."""
-    return instantiate_model(
-        PolynomialSpec(
-            n_species=1, terms=[[]], k0=k0, k1=0.0, growth_k=1.0, growth_eps=0.0
-        ),
-        [1.0],
-    )
+    return custom_polynomial([1.0], [[]], k0=k0, k1=0.0, growth_k=1.0, growth_eps=0.0)
 
 
 def tracked_run(sys, initial, cfg_aux, dt, t_end):
@@ -126,8 +120,8 @@ class TestTrackerAtEquilibrium:
     def test_smoothings_grow_linearly(self, outcome):
         # Reads the tracker's current fields; b = 4/7 is pinned pointwise
         # by b_min == b_max in test_running_extrema.
-        tracker, _ = outcome
-        assert tracker.t == pytest.approx(0.25, abs=1e-12)
+        tracker, traj = outcome
+        assert traj.final().t == pytest.approx(0.25, abs=1e-12)
         np.testing.assert_allclose(tracker._v_d, 13.0 * 0.25, rtol=1e-10)
         np.testing.assert_allclose(tracker._z, 4.0, rtol=1e-12)
         np.testing.assert_allclose(tracker._z_hat, 1.0, rtol=1e-10)
@@ -241,7 +235,7 @@ class TestRefinementShrinksResiduals:
         tracker, _ = tracked_run(
             quad_system, state, AuxiliaryConfig(d=5.0), dt=5e-3, t_end=0.1
         )
-        assert set(tracker.holder_max) == {("v_d", 0.25), ("v_d", 0.5)}
+        assert set(tracker.holder_max) == {0.25, 0.5}
         assert all(v > 0.0 for v in tracker.holder_max.values())
 
 

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdcheck import (
-    PolynomialSpec,
-    QuadraticReversibleSpec,
-    SkewLVSpec,
     check_structure,
+    custom_polynomial,
     entropy_pointwise_worst,
-    instantiate_model,
+    quadratic_reversible,
+    skew_lv,
 )
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
@@ -31,15 +30,7 @@ def entropy_at(sys, u):
 
 
 def poly_model(n_species, terms, k0=0.0, k1=0.0, growth_k=1.0, growth_eps=0.0):
-    spec = PolynomialSpec(
-        n_species=n_species,
-        terms=terms,
-        k0=k0,
-        k1=k1,
-        growth_k=growth_k,
-        growth_eps=growth_eps,
-    )
-    return instantiate_model(spec, [1.0] * n_species)
+    return custom_polynomial([1.0] * n_species, terms, k0, k1, growth_k, growth_eps)
 
 
 class TestQuadraticReversible:
@@ -123,56 +114,53 @@ class TestSkewLV:
         assert float(np.sum(f)) == pytest.approx(-total, rel=1e-12)
 
     def test_unequal_decay_rates(self):
-        sys = instantiate_model(
-            SkewLVSpec(interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 2.0]),
-            [1.0, 1.0],
-        )
+        sys = skew_lv([1.0, 1.0], interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 2.0])
         assert sys.uniform_decay_rate is None
         assert sys.k1 == -1.0
 
     def test_growth_constant_never_below_one(self):
-        sys = instantiate_model(
-            SkewLVSpec(interaction=[[0.0, 0.25], [-0.25, 0.0]], decay=[0.1, 0.1]),
+        sys = skew_lv(
             [1.0, 1.0],
+            interaction=[[0.0, 0.25], [-0.25, 0.0]],
+            decay=[0.1, 0.1],
         )
         assert sys.growth_k == 1.0
 
     def test_rejects_nearly_skew_matrix(self):
         with pytest.raises(ValueError, match="exactly skew"):
-            instantiate_model(
-                SkewLVSpec(
-                    interaction=[[0.0, 1.0], [-1.0 + 1e-12, 0.0]], decay=[1.0, 1.0]
-                ),
+            skew_lv(
                 [1.0, 1.0],
+                interaction=[[0.0, 1.0], [-1.0 + 1e-12, 0.0]],
+                decay=[1.0, 1.0],
             )
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="exactly skew"):
-            instantiate_model(
-                SkewLVSpec(interaction=[[1e-300, 0.0], [0.0, 0.0]], decay=[0.0, 0.0]),
+            skew_lv(
                 [1.0, 1.0],
+                interaction=[[1e-300, 0.0], [0.0, 0.0]],
+                decay=[0.0, 0.0],
             )
 
     def test_rejects_non_square_matrix(self):
         with pytest.raises(ValueError, match="square"):
-            instantiate_model(
-                SkewLVSpec(interaction=[[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]], decay=[1.0, 1.0]),
+            skew_lv(
                 [1.0, 1.0],
+                interaction=[[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]],
+                decay=[1.0, 1.0],
             )
 
     def test_rejects_non_finite_matrix(self):
         with pytest.raises(ValueError, match="finite"):
-            instantiate_model(
-                SkewLVSpec(interaction=[[0.0, np.inf], [-np.inf, 0.0]], decay=[1.0, 1.0]),
+            skew_lv(
                 [1.0, 1.0],
+                interaction=[[0.0, np.inf], [-np.inf, 0.0]],
+                decay=[1.0, 1.0],
             )
 
     def test_rejects_wrong_decay_length(self):
         with pytest.raises(ValueError, match="length 2"):
-            instantiate_model(
-                SkewLVSpec(interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0]),
-                [1.0, 1.0],
-            )
+            skew_lv([1.0, 1.0], interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0])
 
 
 class TestPolynomial:
@@ -188,7 +176,7 @@ class TestPolynomial:
         np.testing.assert_array_equal(f_at(sys, [3.0, 2.0]), [48.0, 0.0])
 
     def test_rejects_zero_species(self):
-        with pytest.raises(ValueError, match="n_species"):
+        with pytest.raises(ValueError, match="at least one species"):
             poly_model(0, [])
 
     def test_rejects_wrong_term_count(self):
@@ -215,20 +203,16 @@ class TestPolynomial:
         with pytest.raises(ValueError, match="growth exponent"):
             poly_model(1, [[(1.0, (1,))]], growth_eps=-0.5)
 
-    def test_unknown_spec_type(self):
-        with pytest.raises(TypeError, match="unknown model spec"):
-            instantiate_model(object(), [1.0])
-
 
 class TestDiffusionValidation:
     def test_wrong_length(self):
         with pytest.raises(ValueError, match="per species"):
-            instantiate_model(QuadraticReversibleSpec(), [1.0, 1.0])
+            quadratic_reversible([1.0, 1.0])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_nonpositive_or_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite and > 0"):
-            instantiate_model(QuadraticReversibleSpec(), [1.0, 1.0, 1.0, bad])
+            quadratic_reversible([1.0, 1.0, 1.0, bad])
 
 
 class TestVectorizedEvaluation:
@@ -284,10 +268,7 @@ class TestCheckStructure:
         assert all(c.passed for c in audit(skew_system, 1).values())
 
     def test_unequal_decay_skew_passes(self):
-        sys = instantiate_model(
-            SkewLVSpec(interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 2.0]),
-            [1.0, 1.0],
-        )
+        sys = skew_lv([1.0, 1.0], interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 2.0])
         assert all(c.passed for c in audit(sys, 2).values())
 
     def test_catches_broken_quasi_positivity_only(self):

@@ -23,39 +23,39 @@ import rdcheck.solver
 from rdcheck import (
     Grid1D,
     NumericalFailure,
-    PolynomialSpec,
     ReactionSystem,
-    SkewLVSpec,
-    augment_system,
     SolverConfig,
+    augment_system,
+    custom_polynomial,
     imex_step,
     implicit_heat_step,
-    instantiate_model,
     laplacian_values,
     run_simulation,
+    skew_lv,
 )
 
 
 def heat_only(diffusion=1.0):
     """Single species with f = 0: pure diffusion."""
-    return instantiate_model(
-        PolynomialSpec(n_species=1, terms=[[]], k0=0.0, k1=0.0, growth_k=1.0, growth_eps=0.0),
+    return custom_polynomial(
         [diffusion],
+        [[]],
+        k0=0.0,
+        k1=0.0,
+        growth_k=1.0,
+        growth_eps=0.0,
     )
 
 
 def constant_sink(rate):
     """Single species with f = -rate, independent of the state."""
-    return instantiate_model(
-        PolynomialSpec(
-            n_species=1,
-            terms=[[(-rate, (0,))]],
-            k0=0.0,
-            k1=0.0,
-            growth_k=max(rate, 1.0),
-            growth_eps=0.0,
-        ),
+    return custom_polynomial(
         [1.0],
+        [[(-rate, (0,))]],
+        k0=0.0,
+        k1=0.0,
+        growth_k=max(rate, 1.0),
+        growth_eps=0.0,
     )
 
 
@@ -66,43 +66,35 @@ def constant_state(grid, value, n_species=1):
 
 def monomial(coef, power):
     """Single species with f = coef * u^power."""
-    return instantiate_model(
-        PolynomialSpec(
-            n_species=1,
-            terms=[[(coef, (power,))]],
-            k0=0.0,
-            k1=0.0,
-            growth_k=max(abs(coef), 1.0),
-            growth_eps=0.0,
-        ),
+    return custom_polynomial(
         [1.0],
+        [[(coef, (power,))]],
+        k0=0.0,
+        k1=0.0,
+        growth_k=max(abs(coef), 1.0),
+        growth_eps=0.0,
     )
 
 
 def cube_in_species_2():
     """Two species with f = (0, u_2^3)."""
-    return instantiate_model(
-        PolynomialSpec(
-            n_species=2,
-            terms=[[], [(1.0, (0, 3))]],
-            k0=0.0,
-            k1=0.0,
-            growth_k=1.0,
-            growth_eps=0.0,
-        ),
+    return custom_polynomial(
         [1.0, 1.0],
+        [[], [(1.0, (0, 3))]],
+        k0=0.0,
+        k1=0.0,
+        growth_k=1.0,
+        growth_eps=0.0,
     )
 
 
 def skew_augmented(n_cells=64):
     """The augmented cyclic skew Lotka-Volterra system on n_cells cells,
     with its three bumps of height 50 and zero closure species."""
-    base = instantiate_model(
-        SkewLVSpec(
-            interaction=[[0, 1, -1], [-1, 0, 1], [1, -1, 0]],
-            decay=[0.01, 0.01, 0.01],
-        ),
+    base = skew_lv(
         [1e-4, 2e-4, 3e-4],
+        interaction=[[0, 1, -1], [-1, 0, 1], [1, -1, 0]],
+        decay=[0.01, 0.01, 0.01],
     )
     grid = Grid1D(n_cells, 1.0)
     u0 = np.stack(
@@ -552,10 +544,7 @@ class TestRunSimulationValidation:
     def test_rejects_negative_initial_data(self):
         grid, u0 = constant_state(Grid1D(8, 1.0), 1.0, n_species=2)
         u0[1, 3] = -0.25
-        skew = instantiate_model(
-            SkewLVSpec(interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 1.0]),
-            [1.0, 1.0],
-        )
+        skew = skew_lv([1.0, 1.0], interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 1.0])
         with pytest.raises(ValueError, match="species 2 is negative: -0.25"):
             run_simulation(skew, grid, u0, self.CFG)
 
@@ -650,16 +639,13 @@ class TestPositivityEnforcement:
         # u0 = 0.01 under f = -10 u: the full step dt = 0.2 lands at -u0
         # and is rejected; dt = 0.1 lands at zero and is accepted.  The
         # next step must start again from the configured dt.
-        sys = instantiate_model(
-            PolynomialSpec(
-                n_species=1,
-                terms=[[(-10.0, (1,))]],
-                k0=0.0,
-                k1=0.0,
-                growth_k=10.0,
-                growth_eps=0.0,
-            ),
+        sys = custom_polynomial(
             [1.0],
+            [[(-10.0, (1,))]],
+            k0=0.0,
+            k1=0.0,
+            growth_k=10.0,
+            growth_eps=0.0,
         )
         state = constant_state(Grid1D(8, 1.0), 0.01)
         seen = []

@@ -8,20 +8,16 @@ from conftest import bump, collected_run
 
 from rdcheck import (
     Grid1D,
-    SkewLVSpec,
     SolverConfig,
     augment_system,
-    instantiate_model,
     run_simulation,
+    skew_lv,
     verify_augmented,
 )
 
 
 def unequal_skew():
-    return instantiate_model(
-        SkewLVSpec(interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 2.0]),
-        [1.0, 2.0],
-    )
+    return skew_lv([1.0, 2.0], interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 2.0])
 
 
 def two_bump_state(grid, tail_species=0):
@@ -35,8 +31,7 @@ class TestAugmentSystem:
     def test_structural_fields(self, skew_system):
         pair = augment_system(skew_system)
         aug = pair.augmented
-        assert pair.k0 == 0.0
-        assert pair.k1 == -1.0
+        assert pair.base is skew_system
         assert aug.n_species == 3
         assert aug.diffusion[-1] == 1.0
         np.testing.assert_array_equal(aug.diffusion[:2], skew_system.diffusion)
