@@ -208,6 +208,13 @@ def _validate_model(col: _Collector, raw: dict) -> ReactionSystem | None:
             if not isinstance(tau, list) or len(tau) != n:
                 col.add("model.decay", f"expected a list of length {n}")
                 return None
+            a = [
+                [col.real(f"model.interaction[{i}][{j}]", v) for j, v in enumerate(row)]
+                for i, row in enumerate(a)
+            ]
+            tau = [col.real(f"model.decay[{i}]", v) for i, v in enumerate(tau)]
+            if None in tau or any(None in row for row in a):
+                return None
             try:
                 return skew_lv(diffusion, a, tau)
             except ValueError as exc:
@@ -282,7 +289,11 @@ def _validate_grid(col: _Collector, raw: dict) -> Grid1D | None:
                         exclusive_minimum=0.0)
     if n is None or length is None:
         return None
-    return Grid1D(n, length)
+    try:
+        return Grid1D(n, length)
+    except OverflowError:  # an integer past the float range
+        col.add("grid.n_cells", "too large for a grid")
+        return None
 
 
 def _validate_profile(col: _Collector, path: str, prof, grid: Grid1D | None):
@@ -292,6 +303,9 @@ def _validate_profile(col: _Collector, path: str, prof, grid: Grid1D | None):
         col.add(path, "expected an object with a 'type'")
         return None
     kind = prof["type"]
+    if not isinstance(kind, str):
+        col.add(f"{path}.type", f"expected a string, got {kind!r}")
+        return None
     if kind in _PROFILE_KEYS:
         col.unknown(prof, path, _PROFILE_KEYS[kind])
     if kind == "constant":

@@ -170,11 +170,7 @@ class AuxiliaryTracker:
             dt,
             np.stack((self._forcing, np.full(self.grid.n_cells, k0_old))),
         )
-        # Same clamp policy as the solver.  The exact implicit step keeps
-        # v_d nonnegative, and so does the solve on small grids; the
-        # spectral solve on larger ones leaves rounding dust of either sign
-        # around that, and only the negative dust is clamped.
-        self._v_d = np.maximum(rows[0], 0.0)
+        self._v_d = rows[0]
         z_old, self._z = self._z, rows[1]
         s_new = np.tensordot(self._weights, event.u_new, axes=1)
         self._z_hat = self._z_hat + 0.5 * dt * (z_old + self._z)

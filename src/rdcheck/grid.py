@@ -12,9 +12,7 @@ properties carry everything downstream:
 * conservation: the fluxes telescope, so sum_j (L f)_j h = 0 exactly;
 * symmetry and negative semidefiniteness of the stencil matrix;
 * the eigenmodes cos(k pi x_j / L), k = 0..n-1, with eigenvalues
-  -(4/h^2) sin^2(k pi / 2n): the stencil is diagonalized by the DCT-II,
-  which the implicit solve in `solver` takes with one n-point FFT of the
-  reordered row (Makhoul's algorithm).
+  -(4/h^2) sin^2(k pi / 2n).
 
 Cell data is a raw float64 array: one row (cells,), or a stack of rows
 (rows, cells) such as a run's (species, cells) state.  The metrics (sup of

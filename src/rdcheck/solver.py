@@ -14,76 +14,71 @@ exactly 1 - tau dt per accepted step, up to solve rounding).
 With s = dt d_i / h^2, the matrix I - s h^2 L of the flux-form Neumann
 stencil is symmetric, tridiagonal and diagonally dominant with a positive
 diagonal and negative neighbours, so its inverse is positive and its rows
-and columns sum to one.  The rows of the (rows, cells) right-hand side are
-solved on one of two paths, chosen on the number of cells n alone, so a
-row's path never depends on what it is stacked with.
+and columns sum to one.  Every row of the (rows, cells) right-hand side is
+solved with cached inverses built by Thomas elimination of the identity
+columns, written so that every update adds positive terms
+(`_build_inverses`, the row-sum "slack" form): each entry carries a small
+relative error down to the smallest normal float, and the solve adds
+positive multiples of a nonnegative right-hand side.  So every cell is
+accurate relative to itself, not only to the row's sup, no correction
+follows, and a nonnegative right-hand side gives a nonnegative result on
+every grid.  That is where the dynamics live: the cyclic skew
+Lotka-Volterra runs drive species to 1e-23 and below in part of the domain
+and let them re-invade from there.  Every output is a weighted mean of the
+row, so a row stays finite up to just below max-float.
 
-Grids of at most DENSE_MAX_CELLS cells multiply the whole stack by the
-inverses in one matrix product.  They are built by Thomas elimination of
-the identity columns, written so that every update adds positive terms
-(`_build_inverses`); each entry then carries a small relative error down to
-the smallest normal float, and the product adds positive multiples of a
-nonnegative right-hand side.  So every cell is accurate relative to
-itself, not only to the row's sup, and no correction follows.  That is
-where the dynamics live: the cyclic skew Lotka-Volterra runs drive species
-to 1e-23 and below in part of the domain and let them re-invade from
-there.  Every output is a weighted mean of the row, so a row stays finite
-up to just below max-float.
+A grid of at most DENSE_MAX_CELLS cells is one block: the whole stack is
+multiplied by the inverses in one matrix product.  A larger grid of n cells
+is split into isqrt(n) blocks of about sqrt(n) cells, each followed by one
+separator cell, the first block short by what the layout leaves over (the
+block-and-separator partition of H. H. Wang, ACM TOMS 7(2), 1981).  One
+solve is one batched product of all blocks with the cached block inverses,
+one product of the separator right-hand side with the cached inverse of the
+tridiagonal system that eliminating the blocks leaves in the separators,
+and one fix-up that adds positive multiples of two block-inverse columns.
+The separator system's row sums come from the blocks' row sums, so it is
+built without a subtraction as well, and each separator equation is
+divided by its row sum, which keeps every intermediate below the row's
+own size.  One build pass makes both kinds of block inverse, the first
+block's (a zero-flux end) and every other block's.
+
+Microseconds per call with a warm cache, one BLAS thread, on a 2-vCPU
+x86-64 guest (median of three runs), for ladder-like stacks of four species
+per level, and milliseconds to build one cache entry:
+
+    cells       4 rows    16 rows    84 rows    build (4 / 16 / 84 rows)
+      128           28         40         97    0.4 / 0.3 / 0.6 ms
+     1024           45        100       1202    0.7 / 0.9 / 2.5 ms
+     4096          107        452       5310    1.5 / 2.3 / 8.5 ms
+
+The one-block limit is measured the same way, one product against blocks
+forced onto the grid: 7 / 15 / 134 against 42 / 54 / 123 µs at 64 cells
+(4 / 16 / 84 rows), 17 / 73 / 536 against 46 / 66 / 170 µs at 128 cells.
+The product reads rows * n^2 * 8 bytes, so it loses from 128 cells on.
 
 The inverses are cached, so a run's repeated step sizes cost no setup:
 the last three stacks with one s per row (a ladder is one stack per depth
 and start level) and, apart from them, the last two single-s matrices (the
-tracker's step).  On eight augmented skew runs of 32 to 64 cells, with
-dt from 0.1 to 1, initial amplitudes from 5 to 200 and diagnostics on
-and off, these sizes build each distinct key once and no more: 12 builds
-for 959 solves on skew-stiff-aug, 18 for 1914 with diagnostics on, 51 for
-2069 with dt = 0.3 and diagnostics on, where one shared two-entry cache
-built 113 times.  The most builds per solve, 152 for 1560, came from a run
-with dt = 1 whose last 73 steps were each clipped to the time left and
-then halved, each to a new size; its solves took about as long in total
-as on the DCT-II path.
-
-Larger grids use the DCT-II, which diagonalizes the stencil exactly (modes
-cos(k pi x_j / L), eigenvalues -(4/h^2) sin^2(k pi / 2n)).  Makhoul's
-algorithm gets the DCT-II of each row from one n-point rfft of the
-reordered row; the coefficients are divided by 1 + s 4 sin^2(k pi / 2n),
-and one n-point irfft brings the rows back.  The reordering and twiddles
-are cached per n and the symbols per (n, s rows).  A transform solve is
-accurate only normwise: every cell of a row carries an error of about
-eps * sup|row|, which swamps values far below the row's sup.  One
-residual-correction sweep restores accuracy in those tails: the residual
-r = rhs - (I - dt d L) x is formed with the exact stencil, cell by cell, so
-it is as small as the first solve's error, and x + solve(r) carries only
-eps times that error again (iterative refinement; R. Skeel, Math. Comp. 35,
-1980).  The sweep is exactly one, with no switch and no tolerance.  Rows
-stay finite up to about max-float / n.
-
-The crossover is measured.  Microseconds per call with a warm cache, one
-BLAS thread, on a 2-vCPU x86-64 guest (median of three runs), cached
-product against DCT-II plus sweep, for ladder-like stacks of four species
-per level:
-
-    cells    4 rows      16 rows      32 rows      84 rows
-       32    10 vs 106     7 vs  73    17 vs  87    25 vs 148
-       64    11 vs  76    15 vs  88    31 vs 158   141 vs 292
-       96    15 vs  72    23 vs 115   101 vs 145   301 vs 352
-      128    19 vs 108    74 vs 173   199 vs 207   536 vs 439
-      192    31 vs 127   214 vs 188   416 vs 295  1167 vs 663
-      256    98 vs 130   415 vs 246   757 vs 337  2155 vs 844
-
-A stack holds rows * n^2 * 8 bytes (0.5 MB at 16 rows of 64 cells), which
-the product reads once, so its cost grows as rows * n^2 against the
-transform's rows * n log n.  The crossover is chosen on n alone, so it
-must hold at any row count: at 64 cells the product is still faster at 256
-rows (about 470 against 690), while at 128 cells the transform is faster
-from about 32 rows, which a ladder of the default 21 levels reaches on two
-species.  A stack of 64 cells takes about 1 ms (16 rows) to 3.3 ms (84
-rows) to build.
+tracker's step).  One entry holds n^2 floats per row up to 64 cells (32 KB
+at 64 cells) and about 3n floats per row above: two block inverses, the
+separator inverse and a few columns, 99 KB per row at 4096 cells, so 0.4
+MB for one four-species level and 8.3 MB for 84 rows.  The sizes were
+chosen on eight augmented skew runs of 32 to 64 cells, with dt from 0.1 to
+1, initial amplitudes from 5 to 200 and diagnostics on and off, where they
+built each distinct key once and no more: 18 builds for 1914 solves with
+diagnostics on, 51 for 2069 with dt = 0.3 and diagnostics on, where one
+shared two-entry cache built 113 times.  skew-stiff-aug builds 14 times in
+961 solves.  Step sizes stay on the dyadic ladder of dt (see below), so
+only a step clipped to land on t_end brings a new size: with dt = 1 each
+step of the last unit of time builds one ladder stack, and the tracker
+builds once per accepted size.
 
 Positivity is enforced by reject-and-halve: if a trial step takes any value
 below the floor, or any non-finite value, the step is retried with dt/2
 (the halved dt applies to that step only); values in [floor, 0) after an
-accepted trial are clamped to exact zero.  The halvings are solved as a
+accepted trial are clamped to exact zero.  Step sizes stay on the dyadic
+ladder cfg.dt / 2^k: a step clipped to land on t_end that fails continues
+at the largest rung below its clipped size, not at half of it.  The halvings are solved as a
 ladder: the reaction is taken at the old state, so f does not depend on
 dt, and one `imex_step` call evaluates it once and solves the levels dt,
 dt/2, ..., dt/2^(k-1) as one (k * species, cells) stack, with dt = 1, row
@@ -108,15 +103,15 @@ StepEvent.recorded.
 
 from __future__ import annotations
 
-import functools
+import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .grid import Grid1D, laplacian_values
+from .grid import Grid1D
 from .models import ReactionSystem
 
 __all__ = [
@@ -188,105 +183,43 @@ class StepEvent:
     recorded: bool
 
 
-@functools.lru_cache(maxsize=8)
-def _twiddles(n: int) -> tuple:
-    """Makhoul's reordering of n cells and its twiddles, read-only.
-
-    Returns (order, unorder, w, conj(w)): order lists the even cells up and
-    then the odd cells down, [0, 2, 4, ..., 5, 3, 1]; unorder is its
-    inverse permutation; w_k = exp(-i k pi / 2n) for k = 0..n//2.
-    """
-    order = np.concatenate((np.arange(0, n, 2), np.arange(1, n, 2)[::-1]))
-    w = np.exp(np.arange(n // 2 + 1) * (-1j * np.pi / (2 * n)))
-    arrays = (order, np.argsort(order), w, w.conj())
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _half_spectrum(values: np.ndarray) -> np.ndarray:
-    """The DCT-II of each row from one n-point rfft (J. Makhoul, IEEE Trans.
-    ASSP 28(1), 1980), frequencies k = 0..n//2.
-
-    Entry k is (C_k - i C_{n-k}) / 2, with C the type-2 transform
-    C_k = 2 sum_j f_j cos(k pi (2j + 1) / 2n) and C_n = 0: w_k times the
-    rfft of the reordered row.  Every value passes through sums of n terms
-    only, so rows up to about max-float/n transform without overflow.
-    """
-    order, _, w, _ = _twiddles(values.shape[-1])
-    spectrum = np.fft.rfft(np.take(values, order, axis=-1))
-    spectrum *= w
-    return spectrum
-
-
-@functools.lru_cache(maxsize=16)
-def _symbols(n: int, shape: tuple, s: bytes) -> np.ndarray:
-    """The DCT symbols 1 + s 4 sin^2(k pi / 2n) in the layout of
-    `_half_spectrum` viewed as float pairs: k = 0..n//2, each followed by
-    the symbol at n - k, one row per s.  Read-only.
-
-    s is the bytes of a float64 array of the given shape: one dt d / h^2,
-    shape (), or one per row, shape (rows, 1).  A run solves with a few
-    distinct s rows (the levels of its ladders, the tracker's step), so a
-    small bound keeps the ones it reuses.
-    """
-    k = np.arange(n // 2 + 1)
-    pairs = np.stack((k, n - k), axis=-1).reshape(-1)
-    # 4 sin^2(k pi / 2n): the stencil's eigenvalues times -h^2.
-    decay = 4.0 * np.sin(pairs * (np.pi / (2 * n))) ** 2
-    symbols = 1.0 + np.frombuffer(s).reshape(shape) * decay
-    symbols.flags.writeable = False
-    return symbols
-
-
-def _transform_solve(rhs: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Solve (I - s h^2 L) x = rhs row-wise, given `_symbols` for s.
-
-    Divides (C_k, C_{n-k}) by their symbols, which is dividing the real and
-    the imaginary part of `_half_spectrum`'s entry k, and inverts Makhoul's
-    transform: conj(w_k) times that, one n-point irfft, and the cells back
-    in their order.
-    """
-    n = rhs.shape[-1]
-    _, unorder, _, w_conj = _twiddles(n)
-    spectrum = _half_spectrum(rhs)
-    pairs = spectrum.view(np.float64)
-    pairs /= symbols
-    spectrum *= w_conj
-    return np.take(np.fft.irfft(spectrum, n=n), unorder, axis=-1)
-
-
-# Grids of at most this many cells solve with the cached inverse; the
-# module docstring has the measurements behind the number.
+# Grids of at most this many cells are one block, solved by one product
+# with the cached inverse; the module docstring has the measurements.
 DENSE_MAX_CELLS = 64
 
 
-def _build_inverses(n: int, shape: tuple, s: bytes) -> np.ndarray:
-    """The inverse of I - s h^2 L on n cells: (n, n) for s of shape (), or
-    (rows, n, n) for one s per row, shape (rows, 1).  Read-only.
+def _build_inverses(couplings: np.ndarray, slacks: np.ndarray) -> np.ndarray:
+    """The inverses of the symmetric tridiagonal M-matrices given by their
+    couplings (..., n - 1) >= 0, the negated off-diagonal, and their row
+    sums, the slacks (..., n) > 0: (..., n, n), nonnegative.
 
     Thomas elimination of the identity columns, in place in the returned
-    array and written so that every update adds positive terms.  With
-    e_0 = 1, the pivots are p_j = s + e_j, e_j = 1 + c_{j-1} e_{j-1} and
-    c_j = s / p_j < 1, except the last, p_{n-1} = e_{n-1}; the forward
-    sweep adds c_{j-1} times row j - 1 to row j, and the back sweep divides
-    row j by p_j and adds c_j times row j + 1.  The textbook pivot
-    (1 + 2s) - s^2 / p_{j-1} cancels to zero at large s; here every entry
-    keeps a small relative error down to the smallest normal float.  The
-    entries decay like s^|j - k| away from the diagonal, and the ones below
-    it are set to zero: subnormal operands make the product several times
-    slower, and they carry no relative accuracy.
+    array and written so that every update adds positive terms (the row-sum
+    "slack" form of W. Grassmann, M. Taksar and D. Heyman, Oper. Res.
+    33(5), 1985).  Each pivot is the slack of its reduced row plus its
+    coupling to the next: with e_0 the first slack, p_j = a_j + e_j,
+    c_j = a_j / p_j and e_{j+1} = slack_{j+1} + c_j e_j, and the last pivot
+    is the last e.  The forward sweep adds c_{j-1} times row j - 1 to row
+    j, and the back sweep divides row j by p_j and adds c_j times row
+    j + 1.  The textbook pivot, the diagonal minus a_{j-1}^2 / p_{j-1},
+    cancels to zero at large couplings; here every entry keeps a small
+    relative error down to the smallest normal float.  The entries decay
+    away from the diagonal, and the ones below it are set to zero:
+    subnormal operands make a product several times slower, and they carry
+    no relative accuracy.
     """
-    # One s per matrix, as a column: (1,) or (rows, 1).
-    s = np.frombuffer(s).reshape(shape[:1] + (1,))
+    n = slacks.shape[-1]
+    # One contiguous (..., 1) column per cell.
+    a = np.ascontiguousarray(np.moveaxis(couplings, -1, 0))[..., None]
+    sigma = np.ascontiguousarray(np.moveaxis(slacks, -1, 0))[..., None]
     c, p = [], []
-    e = 1.0
-    for j in range(n - 1):
-        p.append(s + e)
-        c.append(s / p[j])
-        e = 1.0 + c[j] * e
+    e = sigma[0]
+    for a_j, sigma_next in zip(a, sigma[1:]):
+        p.append(a_j + e)
+        c.append(a_j / p[-1])
+        e = sigma_next + c[-1] * e
     p.append(e)
-    inverse = np.zeros(shape[:1] + (n, n))
+    inverse = np.zeros(slacks.shape + (n,))
     cells = np.arange(n)
     inverse[..., cells, cells] = 1.0
     # Row j of the unit lower factor's inverse is zero left of the diagonal
@@ -297,15 +230,143 @@ def _build_inverses(n: int, shape: tuple, s: bytes) -> np.ndarray:
     for j in range(n - 2, -1, -1):
         inverse[..., j, :] += c[j] * inverse[..., j + 1, :]
     inverse[inverse < np.finfo(np.float64).tiny] = 0.0
-    inverse.flags.writeable = False
     return inverse
+
+
+def _layout(n: int) -> tuple:
+    """(blocks, size, pad): n cells as blocks of `size` cells, each followed
+    by one separator cell, the first block short by `pad` cells.
+
+    Up to DENSE_MAX_CELLS cells the grid is one block and has no separator.
+    Above, there are isqrt(n) blocks of ceil(n / blocks) - 1 cells; the pad
+    is below the number of blocks, which is at most the block size, so the
+    first block keeps at least one cell.
+    """
+    if n <= DENSE_MAX_CELLS:
+        return 1, n, 0
+    blocks = math.isqrt(n)
+    size = -(-n // blocks) - 1
+    return blocks, size, blocks * (size + 1) - n
+
+
+class _Blocks(NamedTuple):
+    """The cached factors of I - s h^2 L on a grid of several blocks.
+
+    For each s (leading axes as the s given): the inverse of the first
+    block, with its pad cells decoupled, and of every other block, each
+    (..., size, size); the fix-up columns, s times the other blocks' first
+    and last columns (..., 2, size) and s times the first block's last
+    column (..., size); the weights 1 / sigma and s / sigma of each
+    separator equation scaled by its row sum sigma, (..., blocks); and the
+    inverse of that scaled separator system, (..., blocks, blocks).
+    """
+
+    pad: int
+    first: np.ndarray
+    block: np.ndarray
+    edges: np.ndarray
+    last: np.ndarray
+    inv_slack: np.ndarray
+    coupled: np.ndarray
+    separators: np.ndarray
+
+
+def _factorize(n: int, shape: tuple, s: bytes):
+    """The factors of I - s h^2 L on n cells, read-only, for s of shape ()
+    or one s per row, shape (rows, 1): the inverse, (n, n) or
+    (rows, n, n), on one block, else the `_Blocks`.
+
+    Every factor comes from `_build_inverses`.  The two kinds of block
+    matrix, the first (a zero-flux end on the left, its pad cells
+    decoupled) and every other (coupled to a separator at both ends), are
+    built in one pass.  Eliminating the blocks leaves a tridiagonal system
+    in the separators, whose row sums 1 + s (G 1)_last + s (G 1)_first are
+    formed from the blocks' row sums G 1, never by subtracting from the
+    diagonal.
+    """
+    s = np.frombuffer(s).reshape(shape[:1] + (1,))
+    blocks, size, pad = _layout(n)
+    lead = s.shape[:-1]
+    if blocks == 1:
+        inverse = _build_inverses(
+            np.broadcast_to(s, lead + (n - 1,)), np.ones(lead + (n,))
+        )
+        inverse.flags.writeable = False
+        return inverse
+    couplings = np.broadcast_to(s[..., None], lead + (2, size - 1)).copy()
+    couplings[..., 0, :pad] = 0.0
+    slacks = np.ones(lead + (2, size))
+    slacks[..., -1] += s
+    slacks[..., 1, 0] += s[..., 0]
+    inverses = _build_inverses(couplings, slacks)
+    first, block = inverses[..., 0, :, :], inverses[..., 1, :, :]
+    last = s * first[..., -1]
+    edges = s[..., None] * np.stack((block[..., 0], block[..., -1]), axis=-2)
+    # s times the row sums next to each separator: its left block's last
+    # cell, and the first cell of the block on its right.
+    sums = inverses.sum(axis=-1)
+    left = s * sums[..., :, -1]
+    slack = np.ones(lead + (blocks,))
+    slack[..., 0] += left[..., 0]
+    slack[..., 1:] += left[..., 1:]
+    slack[..., :-1] += s * sums[..., 1, :1]
+    # Separators k - 1 and k couple through block k: s^2 G[-1, 0].
+    coupling = s * edges[..., 0, -1:]
+    separators = _build_inverses(
+        np.broadcast_to(coupling, lead + (blocks - 1,)), slack
+    )
+    # Columns scaled by the row sums: each row of the product is a weighted
+    # mean of the scaled right-hand side.
+    separators *= slack[..., None, :]
+    factors = _Blocks(pad, first, block, edges, last, 1.0 / slack, s / slack, separators)
+    for factor in factors[1:]:
+        factor.flags.writeable = False
+    return factors
+
+
+def _block_solve(rhs: np.ndarray, factors: _Blocks) -> np.ndarray:
+    """Solve (I - s h^2 L) x = rhs row-wise, given `_Blocks` for s.
+
+    One product of every block with its cached inverse, one product of the
+    scaled separator right-hand side with the separator system's inverse,
+    and one fix-up adding the separators' multiples of two block-inverse
+    columns (H. H. Wang, ACM TOMS 7(2), 1981).  For a nonnegative
+    right-hand side every term is nonnegative.
+    """
+    lead = rhs.shape[:-1]
+    blocks = factors.separators.shape[-1]
+    size = factors.block.shape[-1]
+    shape = lead + (blocks, size + 1)
+    if factors.pad:
+        padded = np.zeros(lead + (blocks * (size + 1),))
+        padded[..., factors.pad:] = rhs
+        rhs = padded
+    slots = rhs.reshape(shape)
+    y = np.matmul(slots[..., :size], np.swapaxes(factors.block, -1, -2))
+    y[..., 0, :] = np.matmul(factors.first, slots[..., 0, :size, None])[..., 0]
+    # Each separator equation divided by its row sum.
+    t = slots[..., size] * factors.inv_slack
+    t += factors.coupled * y[..., -1]
+    t[..., :-1] += factors.coupled[..., :-1] * y[..., 1:, 0]
+    xs = np.matmul(factors.separators, t[..., None])[..., 0]
+    # Block k takes separators k - 1 and k; the first block has only its
+    # right one, and its own column for it.
+    pairs = np.zeros(lead + (blocks, 2))
+    pairs[..., 1:, 0] = xs[..., :-1]
+    pairs[..., 1] = xs
+    x = np.empty(lead + (blocks * (size + 1),))
+    out = x.reshape(shape)
+    np.add(y, np.matmul(pairs, factors.edges), out=out[..., :size])
+    out[..., 0, :size] = y[..., 0, :] + xs[..., :1] * factors.last
+    out[..., size] = xs
+    return x[..., factors.pad:]
 
 
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
 
 class _InverseCache:
-    """The last `maxsize` results of `_build_inverses`, least recently used
+    """The last `maxsize` results of `_factorize`, least recently used
     dropped first.  Unlike functools.lru_cache, the oldest entry is dropped
     before a new one is built, so a build never holds more than maxsize
     entries."""
@@ -322,7 +383,7 @@ class _InverseCache:
             self.misses += 1
             if len(self._entries) == self.maxsize:
                 del self._entries[next(iter(self._entries))]
-            inverse = _build_inverses(n, shape, s)
+            inverse = _factorize(n, shape, s)
         else:
             self.hits += 1
         self._entries[key] = inverse
@@ -368,10 +429,9 @@ def implicit_heat_step(
         source: None, or an array broadcasting against values.
 
     Returns:
-        The new values, same shape as values, in a new array: on grids of
-        at most DENSE_MAX_CELLS cells the product with the cached inverse,
-        accurate cell by cell; on larger grids one DCT-II solve followed by
-        one residual-correction sweep with the exact stencil.
+        The new values, same shape as values, in a new array, accurate cell
+        by cell: on grids of at most DENSE_MAX_CELLS cells the product with
+        the cached inverse, on larger grids the block solve.
 
     Raises:
         ValueError: if per-row diffusion does not match the number of rows.
@@ -387,16 +447,11 @@ def implicit_heat_step(
             )
         r = r[:, None]
     s = r / (grid.h * grid.h)
+    cache = _inverse_stacks if s.ndim else _inverse
+    factors = cache(grid.n_cells, s.shape, s.tobytes())
     if grid.n_cells <= DENSE_MAX_CELLS:
-        cache = _inverse_stacks if s.ndim else _inverse
-        inverse = cache(grid.n_cells, s.shape, s.tobytes())
-        return np.matmul(inverse, rhs[..., None])[..., 0]
-    symbols = _symbols(grid.n_cells, s.shape, s.tobytes())
-    x = _transform_solve(rhs, symbols)
-    residual = rhs - (x - r * laplacian_values(x, grid.h))
-    correction = _transform_solve(residual, symbols)
-    correction += x
-    return correction
+        return np.matmul(factors, rhs[..., None])[..., 0]
+    return _block_solve(rhs, factors)
 
 
 def imex_step(
@@ -464,6 +519,16 @@ def _exhausted(trial: np.ndarray, t: float, dt: float, halvings: int):
     )
 
 
+def _halved(dt: float, base: float) -> float:
+    """The largest base / 2^k below dt: half of dt when dt is on base's
+    dyadic ladder, and the ladder's next rung below a step clipped to land
+    on t_end, so that the clipped size is the only one off the ladder."""
+    rung = base
+    while rung >= dt:
+        rung *= 0.5
+    return rung
+
+
 def row_norms(u: np.ndarray, h: float) -> tuple:
     """Per-species sup|u_i| and mass h * sum_j u_ij, summed left to right.
 
@@ -488,8 +553,9 @@ def run_simulation(
     cfg.dt (clipped to land exactly on t_end).  A trial step whose minimum
     falls below the positivity floor, or that takes a non-finite value, is
     rejected and retried with half the step, up to max_step_halvings
-    times; values in [floor, 0) on an accepted trial are clamped to exact
-    zero.  The halvings are solved in ladders of
+    times; a clipped step is retried at the largest cfg.dt / 2^k below it.
+    Values in [floor, 0) on an accepted trial are clamped to exact zero.
+    The halvings are solved in ladders of
     the previous step's accepted level + 1 levels, one `imex_step` call
     each, and never beyond the budget's last level.  Hooks run after every
     accepted step, in registration order, and see the old and the clamped
@@ -531,6 +597,8 @@ def run_simulation(
             # Levels level .. level + depth - 1 from one imex_step call.
             depth = min(depth, cfg.max_step_halvings + 1 - level)
             dts = [dt_step]
+            if depth > 1:
+                dts.append(_halved(dt_step, cfg.dt))
             while len(dts) < depth:
                 dts.append(dts[-1] * 0.5)
             trials = imex_step(u, t, grid, sys, dts)
@@ -548,7 +616,7 @@ def run_simulation(
             level += depth
             if level > cfg.max_step_halvings:
                 raise _exhausted(trials[-1], t, dts[-1], cfg.max_step_halvings)
-            dt_step = dts[-1] * 0.5
+            dt_step = _halved(dts[-1], cfg.dt)
         depth = level + 1
         u_new.flags.writeable = False
         t_new = t + dt_step

@@ -205,7 +205,12 @@ def _sequential_steps(system, grid, u0, cfg):
                     species=failure.species,
                     value=failure.value,
                 )
-            dt *= 0.5
+            # The next rung of cfg.dt's dyadic ladder below dt: half of dt,
+            # or, after a step clipped to land on t_end, the rung below it.
+            rung = cfg.dt
+            while rung >= dt:
+                rung *= 0.5
+            dt = rung
         u = np.maximum(trial, 0.0)
         t += dt
         steps.append((dt, u))

@@ -189,6 +189,24 @@ class TestErrorCollection:
         ]
         assert [e.split(": ", 1)[0] for e in errors] == paths, errors
 
+    @pytest.mark.parametrize(
+        "section, key, value, path",
+        [
+            ("model", "interaction", [[0.0, {}], [-1.0, 0.0]], "model.interaction[0][1]"),
+            ("model", "interaction", [[0.0, True], [-1.0, 0.0]], "model.interaction[0][1]"),
+            ("model", "decay", [1.0, 10**400], "model.decay[1]"),
+            ("initial", 0, {"type": [1], "value": 0.5}, "initial[0].type"),
+            ("grid", "n_cells", 10**400, "grid.n_cells"),
+        ],
+        ids=["object-entry", "boolean-entry", "huge-decay", "list-type", "huge-n-cells"],
+    )
+    def test_malformed_values_are_config_errors(self, section, key, value, path):
+        # Each used to escape validation: a TypeError or an OverflowError
+        # (exit 3), or a true read as 1.0.
+        raw = base_skew()
+        raw[section][key] = value
+        assert_mentions(errors_from(raw), f"{path}:")
+
     def test_top_level_must_be_an_object(self):
         assert_mentions(errors_from([1, 2, 3]), "top level")
 

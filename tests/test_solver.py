@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.fft
 from conftest import (
     bump,
     collected_run,
@@ -130,7 +129,7 @@ class TestSolverConfig:
 
 
 class TestSolveTridiagonal:
-    """Thomas elimination, the reference the spectral implicit step is checked against."""
+    """Thomas elimination, the reference the implicit step is checked against."""
 
     def test_hand_one_by_one(self):
         np.testing.assert_array_equal(solve_tridiagonal([], [4.0], [], [8.0]), [2.0])
@@ -194,7 +193,7 @@ class TestImplicitHeatStep:
         assert abs(after - before) < 1e-12 * abs(before)
 
 
-# A grid size solved by the DCT-II and the correction sweep.
+# A grid size solved in several blocks.
 ABOVE_CROSSOVER = 256
 assert ABOVE_CROSSOVER > rdcheck.solver.DENSE_MAX_CELLS
 
@@ -237,7 +236,7 @@ def assert_cache_is_bounded_and_invisible(
 
 
 def solve_profile(kind, grid, rng):
-    """Right-hand sides for the spectral solve: noise, zero, or a Gaussian
+    """Right-hand sides for the batched solve: noise, zero, or a Gaussian
     bump narrow enough that its tails reach ~1e-30 inside the domain."""
     if kind == "noise":
         return rng.uniform(-1.0, 1.0, size=grid.n_cells)
@@ -248,9 +247,9 @@ def solve_profile(kind, grid, rng):
     return bump(grid, centre, width, rng.uniform(0.5, 50.0))
 
 
-class TestSpectralSolveProperties:
-    """The batched solve, on both sides of the dense crossover, against the
-    Thomas oracle and scipy."""
+class TestBlockSolveProperties:
+    """The batched solve, as one block and in several, against the Thomas
+    oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -273,6 +272,11 @@ class TestSpectralSolveProperties:
         diffusion = s * grid.h**2 / dt
         together = implicit_heat_step(rhs, grid, diffusion, dt)
         assert together.shape == rhs.shape
+        shared = implicit_heat_step(rhs, grid, float(diffusion[0]), dt)
+        for row, got in zip(rhs, shared):
+            np.testing.assert_array_equal(
+                implicit_heat_step(row, grid, float(diffusion[0]), dt), got
+            )
         for row, d, s_row, got in zip(rhs, diffusion, s, together):
             np.testing.assert_array_equal(implicit_heat_step(row, grid, float(d), dt), got)
             scale = np.max(np.abs(row))
@@ -281,33 +285,19 @@ class TestSpectralSolveProperties:
                 continue
             expect = thomas_heat_step(row, grid, float(d), dt)
             # The oracle's own error grows with the condition number 1 + 4s
-            # (2e-12 of scale at s = 1e5 and n = 2, where the spectral solve
-            # is exact).
+            # (2e-12 of scale at s = 1e5 and n = 2, where the solve is
+            # accurate cell by cell).
             tol = 1e-13 + 4.0 * np.finfo(np.float64).eps * s_row
             assert np.max(np.abs(got - expect)) <= tol * scale
             assert abs(np.sum(got) - np.sum(row)) <= 1e-14 * np.sum(np.abs(row))
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        n=st.integers(2, 300),
-        rows=st.integers(1, 6),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_forward_transform_is_the_dct_ii(self, n, rows, seed):
-        values = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(rows, n))
-        spectrum = rdcheck.solver._half_spectrum(values)
-        m = n // 2 + 1
-        assert spectrum.shape == (rows, m)
-        # Entry k is (C_k - i C_{n-k}) / 2, C the DCT-II and C_n = 0.
-        expect = scipy.fft.dct(values, type=2, axis=-1)
-        atol = 1e-14 * np.sum(np.abs(values), axis=1, keepdims=True)
-        assert np.all(np.abs(2.0 * spectrum.real - expect[:, :m]) <= atol)
-        high = expect[:, n - np.arange(1, m)]
-        assert np.all(np.abs(-2.0 * spectrum.imag[:, 1:] - high) <= atol)
-        assert np.all(spectrum.imag[:, 0] == 0.0)
-
-    def test_plan_cache_is_bounded_and_invisible(self):
-        assert_cache_is_bounded_and_invisible(rdcheck.solver._symbols, ABOVE_CROSSOVER)
+    def test_block_factor_caches_are_bounded_and_invisible(self):
+        assert_cache_is_bounded_and_invisible(
+            rdcheck.solver._inverse_stacks, ABOVE_CROSSOVER
+        )
+        assert_cache_is_bounded_and_invisible(
+            rdcheck.solver._inverse, ABOVE_CROSSOVER, 2e-4
+        )
 
     def test_inverse_cache_is_bounded_and_invisible(self):
         assert_cache_is_bounded_and_invisible(rdcheck.solver._inverse_stacks, 64)
@@ -315,13 +305,34 @@ class TestSpectralSolveProperties:
     def test_single_s_inverse_cache_is_bounded_and_invisible(self):
         assert_cache_is_bounded_and_invisible(rdcheck.solver._inverse, 64, 2e-4)
 
-    def test_rows_near_max_float_over_n_stay_finite(self):
-        # The n-point transform sums n values, so a row overflows only
-        # near max-float / n.  RuntimeWarnings are errors in this suite.
-        out = implicit_heat_step(
-            np.full(ABOVE_CROSSOVER, 4.5e305), Grid1D(ABOVE_CROSSOVER), 1.0, 0.1
-        )
-        np.testing.assert_allclose(out, 4.5e305, rtol=1e-15)
+    # The rounding of a weighted mean grows with its number of terms, about
+    # 2 sqrt(n): 1.2e-15 is the worst cell at 4096 cells.
+    @pytest.mark.parametrize(
+        "n, rtol", [(ABOVE_CROSSOVER, 1e-15), (4096, 4e-15)], ids=["256", "4096"]
+    )
+    def test_rows_near_max_float_stay_finite(self, n, rtol):
+        # s = 6554 at 256 cells: s times a separator's neighbour would
+        # overflow, so the separator equations are scaled by their row
+        # sums.  RuntimeWarnings are errors in this suite.
+        out = implicit_heat_step(np.full(n, 4.5e305), Grid1D(n), 1.0, 0.1)
+        np.testing.assert_allclose(out, 4.5e305, rtol=rtol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_s=st.floats(-8.0, 8.0),
+        zeros=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nonnegative_rows_give_nonnegative_cells(self, log_s, zeros, seed):
+        # Every update adds positive terms: a nonnegative right-hand side,
+        # with exact zeros and values down to 1e-300, gives no negative
+        # cell, so callers need no clamp after the solve.
+        n = ABOVE_CROSSOVER
+        rng = np.random.default_rng(seed)
+        rhs = rng.uniform(0.0, 1.0, size=(3, n)) * 10.0 ** rng.uniform(-300, 0, (3, n))
+        rhs[rng.uniform(size=(3, n)) < zeros] = 0.0
+        out = implicit_heat_step(rhs, Grid1D(n), 10.0**log_s / n**2, 1.0)
+        assert np.all(out >= 0.0)
 
     def test_rejects_mismatched_per_row_diffusion(self):
         grid = Grid1D(8, 1.0)
@@ -329,6 +340,44 @@ class TestSpectralSolveProperties:
             implicit_heat_step(np.ones((3, 8)), grid, [1.0, 2.0], 0.1)
         with pytest.raises(ValueError, match="per-row diffusion"):
             implicit_heat_step(np.ones(8), grid, [1.0], 0.1)
+
+
+def sequential_heat_solve(rhs, s):
+    """(I - s h^2 L) x = rhs by sequential Thomas elimination, written so
+    that every update adds positive terms, in floats: the pivots are the
+    reduced rows' slacks plus their couplings, as in `_build_inverses`."""
+    n = len(rhs)
+    y, c, p = [float(rhs[0])], [], []
+    e = 1.0
+    for j in range(n - 1):
+        p.append(s + e)
+        c.append(s / p[j])
+        e = 1.0 + c[j] * e
+        y.append(float(rhs[j + 1]) + c[j] * y[j])
+    p.append(e)
+    x = [y[-1] / p[-1]]
+    for j in range(n - 2, -1, -1):
+        x.insert(0, y[j] / p[j] + c[j] * x[0])
+    return np.array(x)
+
+
+def falling_rows(grid, rows, seed):
+    """Nonnegative rows whose size falls from about 1 to about 1e-200
+    across the grid, with noise of one order of magnitude."""
+    rng = np.random.default_rng(seed)
+    fall = np.exp(-460.0 * grid.centers / grid.length)
+    return rng.uniform(0.1, 1.0, size=(rows, grid.n_cells)) * fall
+
+
+def assert_cells_match_the_sequential_solve(grid, rhs, diffusion):
+    """One stacked solve with dt = 1, every cell of every row within 1e-12
+    of the sequential solve, relative to itself."""
+    got = implicit_heat_step(rhs, grid, diffusion, 1.0)
+    for row, d, out in zip(rhs, diffusion, got):
+        s = float(d) / (grid.h * grid.h)
+        expect = sequential_heat_solve(row, s)
+        worst = np.max(np.abs(out - expect) / expect)
+        assert worst <= 1e-12, (s, worst)
 
 
 def exact_heat_solve(rhs, s):
@@ -346,6 +395,32 @@ def exact_heat_solve(rhs, s):
     for j in range(n - 2, -1, -1):
         x.insert(0, (b[j] + s * x[0]) / diag[j])
     return x
+
+
+class TestCellAccuracy:
+    """Above DENSE_MAX_CELLS every cell stays accurate relative to itself,
+    on rows that fall to 1e-200 across the grid, where a solve accurate
+    only to eps * sup|row| loses all but the first cells."""
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_every_cell_is_accurate_relative_to_itself(self, n):
+        grid = Grid1D(n)
+        # s = dt d / h^2 from 1e-8 to 1e8.
+        diffusion = 10.0 ** np.linspace(-8.0, 8.0, 9) * grid.h**2
+        assert_cells_match_the_sequential_solve(
+            grid, falling_rows(grid, len(diffusion), n), diffusion
+        )
+
+    def test_a_deep_ladder_stack_is_accurate_cell_by_cell(self):
+        # The default 21 levels of the README diffusions from dt = 1e-3,
+        # one row per level and species: 84 rows with s from 2.6e3 down to
+        # 1e-3, in one call.
+        grid = Grid1D(1024)
+        dts = 1e-3 * 0.5 ** np.arange(21)
+        diffusion = np.outer(dts, [1.0, 1.5, 2.0, 2.5]).reshape(-1)
+        assert_cells_match_the_sequential_solve(
+            grid, falling_rows(grid, len(diffusion), 21), diffusion
+        )
 
 
 class TestDenseSolve:
@@ -380,7 +455,7 @@ class TestDenseSolve:
         # At s = 1e-8 the entries fall like s^|j - k| from the diagonal and
         # pass below the smallest normal float 39 cells away from it.
         n, s = 64, np.float64(1e-8)
-        inverse = rdcheck.solver._build_inverses(n, (), s.tobytes())
+        inverse = rdcheck.solver._factorize(n, (), s.tobytes())
         tiny = np.finfo(np.float64).tiny
         assert not np.any((inverse > 0.0) & (inverse < tiny))
         near = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 38
@@ -409,13 +484,13 @@ class TestDenseSolve:
         stacks = rdcheck.solver._inverse_stacks
         stacks.cache_clear()
         held = []
-        build = rdcheck.solver._build_inverses
+        build = rdcheck.solver._factorize
 
         def counted(*key):
             held.append(stacks.cache_info().currsize)
             return build(*key)
 
-        monkeypatch.setattr(rdcheck.solver, "_build_inverses", counted)
+        monkeypatch.setattr(rdcheck.solver, "_factorize", counted)
         diffusion = np.array([1e-4, 2e-4])
         for i in range(3 * stacks.maxsize):
             implicit_heat_step(np.ones((2, 16)), Grid1D(16), diffusion, 0.01 * (i + 1))
@@ -455,16 +530,14 @@ class TestTailAccuracy:
     # the noise re-invades.
 
     def test_skew_tails_match_the_thomas_oracle(self, monkeypatch):
-        # 64 cells, the dense inverse, over the whole 959-step horizon: it
-        # agrees with Thomas to about 4e-12, where the DCT-II with one
-        # correction sweep drifts to 3.8e-6 (sup) and 3.0e-6 (mass).
-        skew_tails_against_thomas(monkeypatch, 64, 12.0, 959)
+        # 64 cells, one block, over the whole 960-step horizon: it agrees
+        # with Thomas to about 4e-12.
+        skew_tails_against_thomas(monkeypatch, 64, 12.0, 960)
 
     def test_skew_tails_above_the_dense_crossover(self, monkeypatch):
-        # 256 cells, the DCT-II: without the correction sweep the run takes
-        # 193 steps where Thomas takes 191, and species 1-3 move from it by
-        # up to 4 relative (sup).  With the sweep they agree to about 4e-14.
-        skew_tails_against_thomas(monkeypatch, ABOVE_CROSSOVER, 2.4, 191)
+        # 256 cells, in several blocks: species 1-3 agree with Thomas to
+        # about 4e-14.
+        skew_tails_against_thomas(monkeypatch, ABOVE_CROSSOVER, 2.4, 192)
 
 
 class TestImexStep:
@@ -733,12 +806,9 @@ def ladder_steps(system, initial, cfg):
 
 
 def accepted_levels(steps, cfg):
-    """The halving level of each accepted (dt, u) step."""
-    levels, t = [], 0.0
-    for dt, _ in steps:
-        levels.append(round(math.log2(min(cfg.dt, cfg.t_end - t) / dt)))
-        t += dt
-    return levels
+    """The rung of cfg.dt's dyadic ladder of each accepted (dt, u) step; a
+    last step clipped to land on t_end counts as its nearest rung."""
+    return [round(math.log2(cfg.dt / dt)) for dt, _ in steps]
 
 
 LADDER_CASES = {
@@ -810,8 +880,9 @@ class TestHalvingLadder:
             return accepted_levels(steps, cfg), failure
 
         skew, failure = levels("skew-augmented-64")
-        # The last five steps are clipped to land on t_end, at lower levels.
-        assert failure is None and set(skew[:188]) == {3}
+        # Every step at rung 3, the last one clipped by rounding to land on
+        # t_end.
+        assert failure is None and set(skew) == {3}
         rises, failure = levels("level-rises")
         assert failure is None and rises[:5] == [0, 0, 0, 2, 3]
         budget, failure = levels("budget-cuts-the-ladder")
@@ -845,12 +916,48 @@ class TestHalvingLadder:
 
         monkeypatch.setattr(rdcheck.solver, "imex_step", recording)
         run_simulation(counted, *initial, cfg)
-        # 193 steps, 188 of them at level 3: four one-level ladders for
-        # the first step, then one ladder per step.
-        assert len(evaluations) == len(calls) == 196
+        # 192 steps at rung 3: four one-level ladders for the first step,
+        # then one ladder per step.
+        assert len(evaluations) == len(calls) == 195
         evaluations.clear()
         sequential_steps(counted, *initial, cfg)
-        assert len(evaluations) == 764
+        # Four trials per step but the last three, whose first, clipped
+        # level is within 3, 2 and 1 rungs of the accepted one.
+        assert len(evaluations) == 189 * 4 + 3 + 2 + 1
+
+
+    def test_steps_clipped_at_t_end_halve_onto_the_dyadic_ladder(self, monkeypatch):
+        # With dt = 1 the augmented skew run halves to 1/32 and 1/64 for
+        # most of its steps, so every step of the last unit of time is
+        # clipped to land on t_end.  A clipped level that fails continues
+        # on dt's dyadic ladder, so the accepted steps keep two sizes (one
+        # per step of the last unit of time when halving the clipped size),
+        # and a solve at each accepted dt, as the tracker's, builds each
+        # size once.
+        aug, (grid, u0) = skew_augmented(16)
+        cfg = SolverConfig(dt=1.0, t_end=3.0)
+        ladders, accepted = [], []
+        real = rdcheck.solver.imex_step
+
+        def recording(u, t, grid, sys, dts):
+            ladders.append(tuple(dts))
+            return real(u, t, grid, sys, dts)
+
+        def tracker(event):
+            accepted.append(event.dt)
+            implicit_heat_step(event.u_new[:2], grid, 2e-3, event.dt)
+
+        monkeypatch.setattr(rdcheck.solver, "imex_step", recording)
+        single, stacks = rdcheck.solver._inverse, rdcheck.solver._inverse_stacks
+        single.cache_clear()
+        stacks.cache_clear()
+        run_simulation(aug, grid, u0, cfg, hooks=[tracker])
+        assert len(accepted) == 191 and set(accepted) == {2.0**-5, 2.0**-6}
+        assert all(math.frexp(dt)[0] == 0.5 for dts in ladders for dt in dts[1:])
+        assert single.cache_info().misses == len(set(accepted))
+        # Each ladder of the last unit of time starts with its own clipped
+        # size, so it builds; no ladder builds twice.
+        assert stacks.cache_info().misses == len(set(ladders)) == 71
 
 
 class TestHooks:
