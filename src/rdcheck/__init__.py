@@ -44,12 +44,11 @@ from .theory import (
     interpolation_constants,
     quad_equilibrium,
 )
-from .transform import AugmentedSystem, augment_system, verify_augmented
+from .transform import augment_system, verify_augmented
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedSystem",
     "AuxiliaryConfig",
     "AuxiliaryTracker",
     "CheckResult",

@@ -8,7 +8,7 @@ rather than one message at a time.  A key that validation does not read,
 such as a misspelled one, is such a problem too.
 
 Validation also builds, once, everything a run starts from: the
-ReactionSystem, Grid1D, closure pair and AuxiliaryConfig, and the read-only
+ReactionSystem, Grid1D, closed system and AuxiliaryConfig, and the read-only
 initial (species, cells) array, which the derived-quantity checks read.
 """
 
@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .grid import Grid1D
 from .models import ReactionSystem, custom_polynomial, quadratic_reversible, skew_lv
 from .solver import SolverConfig
-from .transform import AugmentedSystem, augment_system
+from .transform import augment_system
 
 __all__ = [
     "RunConfig",
@@ -54,16 +54,17 @@ _TOP_LEVEL_KEYS = (
 class RunConfig:
     """Validated run configuration plus the live objects a run starts from.
 
-    u0 is the read-only initial array of the system the run integrates:
-    augmented.augmented when the closure pair is set, else system (the
-    model).  diagnostics is None when the tracker is off."""
+    augmented is the closed system of augment_system(system) when the
+    closure transform is on, else None.  u0 is the read-only initial array
+    of the system the run integrates: augmented when it is set, else system
+    (the model).  diagnostics is None when the tracker is off."""
 
     raw: dict
     system: ReactionSystem
     grid: Grid1D
     u0: np.ndarray
     solver: SolverConfig
-    augmented: AugmentedSystem | None
+    augmented: ReactionSystem | None
     diagnostics: AuxiliaryConfig | None
     fits: list
     inject_augmentation_offset: float
@@ -471,7 +472,7 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
     if sec is not None and col.flag(sec, "transform", "augment"):
         closure = "transform.augment"
     augmented = None if closure is None or system is None else augment_system(system)
-    integrated = system if augmented is None else augmented.augmented
+    integrated = system if augmented is None else augmented
 
     diag_d = None
     diag_gammas = AuxiliaryConfig.gammas

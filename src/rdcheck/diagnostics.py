@@ -37,7 +37,8 @@ monotone x^gamma-like row.
 
 The primal checks work the same way.  `InvariantTracker` is fed the
 initial state and then every accepted step, with the masses the solver
-computed once for that step and the step's entropy value, and keeps
+computed once for that step and the step's entropy value, formed from
+the reaction the solver evaluated once for that state, and keeps
 running extrema: the smallest value (positivity), the drift of each
 conserved combination, the excess over the mass envelope, the error of
 the exact geometric mass decay, and the largest entropy production.  Each
@@ -283,21 +284,20 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def entropy_pointwise_worst(sys: ReactionSystem, u: np.ndarray, t: float) -> float | None:
+def entropy_pointwise_worst(u: np.ndarray, f: np.ndarray) -> float | None:
     """Largest per-cell value of sum_i f_i log u_i over strictly positive cells.
 
-    u is the (species, cells) array at time t.  Returns None when no cell
-    has all species strictly positive.  A reaction that overflows gives an
-    inf or nan measurement, without a warning; the CSV reports it as is.
+    u is a (species, cells) array and f its reaction; the sum is formed in
+    every cell and masked afterwards.  Returns None when no cell has all
+    species strictly positive.  A reaction that overflows gives an inf or
+    nan measurement, without a warning; the CSV reports it as is.
     """
     mask = np.all(u > 0.0, axis=0)
     if not np.any(mask):
         return None
-    sub = u[:, mask]
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = np.asarray(sys.evaluator(sub, t), dtype=np.float64)
-        vals = np.sum(f * np.log(sub), axis=0)
-    return float(np.max(vals))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = np.sum(f * np.log(u), axis=0)
+    return float(np.max(vals[mask]))
 
 
 class InvariantTracker:

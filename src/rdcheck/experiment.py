@@ -1,7 +1,7 @@
 """End-to-end experiment orchestration: run, check, fit, and emit.
 
 This layer wires a validated RunConfig, which holds the initial array,
-the closure pair and the tracker's parameters, into the solver, the
+the closed system and the tracker's parameters, into the solver, the
 structure audits, the auxiliary-field tracker and the invariant checks
 (both fed every accepted step), then serializes the results:
 
@@ -123,14 +123,15 @@ class _Recorder:
     appends to the scalar series the configured fits name.
 
     The entropy value is computed only where a row or the entropy check
-    needs it, and both share it.  An augmented run leaves the entropy
-    column empty: its closure species stays at rounding level, so
-    sum_i f_i log u_i would measure that rounding, and no check reads it
-    (the closure system does not declare entropy_nonpositive).  Runs after
-    the AuxiliaryTracker hook so the diagnostic cells it reads are
-    synchronized with the primal state of the same step.  No state array
-    is kept: a fit series is one float per recorded step, and `times`
-    holds their times.
+    needs it, and both share it, from the step's reaction; the t = 0 row,
+    written before the run so that an aborted run keeps it, evaluates its
+    own.  An augmented run leaves the entropy column empty: its closure
+    species stays at rounding level, so sum_i f_i log u_i would measure
+    that rounding, and no check reads it (the closure system does not
+    declare entropy_nonpositive).  Runs after the AuxiliaryTracker hook so
+    the diagnostic cells it reads are synchronized with the primal state of
+    the same step.  No state array is kept: a fit series is one float per
+    recorded step, and `times` holds their times.
     """
 
     def __init__(
@@ -146,7 +147,7 @@ class _Recorder:
         self.tracker = tracker
         self.augmented = augmented
         self.invariants = InvariantTracker(system, grid.length)
-        self.n_accepted = 0
+        self.last_index = 0
         n = system.n_species
         columns = (
             ["t"]
@@ -168,12 +169,16 @@ class _Recorder:
                 self._equilibrium = eq[:, None]
             except ValueError as exc:
                 self.series["distance_to_equilibrium"] = exc
-        self._observe(0.0, u0, sup_norms, masses, True)
+        f0 = None
+        if not augmented:
+            with np.errstate(over="ignore", invalid="ignore"):
+                f0 = np.asarray(system.evaluator(u0, 0.0), dtype=np.float64)
+        self._observe(0.0, u0, f0, sup_norms, masses, True)
 
-    def _observe(self, t, u, sup_norms, masses, recorded: bool) -> None:
+    def _observe(self, t, u, f, sup_norms, masses, recorded: bool) -> None:
         entropy = None
         if not self.augmented and (recorded or self.system.entropy_nonpositive):
-            entropy = entropy_pointwise_worst(self.system, u, t)
+            entropy = entropy_pointwise_worst(u, f)
         inv = self.invariants
         inv.update(t, u, masses, entropy)
         if not recorded:
@@ -192,9 +197,10 @@ class _Recorder:
                 values.append(float(np.sum(np.max(gap, axis=1))))
 
     def on_step(self, event: StepEvent) -> None:
-        self.n_accepted += 1
+        self.last_index = event.index
         self._observe(
-            event.t_new, event.u_new, event.sup_norms, event.masses, event.recorded
+            event.t_new, event.u_new, event.f, event.sup_norms, event.masses,
+            event.recorded,
         )
 
     def text(self) -> str:
@@ -290,7 +296,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
     """Run one configured experiment end to end and emit its artifacts.
 
     Args:
-        cfg: validated configuration; cfg.augmented is the closure pair
+        cfg: validated configuration; cfg.augmented is the closed system
             when the closure transform is on (the config's choice, or CLI
             --augment), else None.
 
@@ -307,15 +313,11 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
 
     system = cfg.system
     if cfg.augmented is not None:
-        system = cfg.augmented.augmented
-        checks.extend(
-            verify_augmented(
-                cfg.augmented,
-                rng,
-                t_horizon=cfg.solver.t_end,
-                g_tail_offset=cfg.inject_augmentation_offset,
-            )
-        )
+        system = cfg.augmented
+        checks.extend(verify_augmented(
+            system, rng, t_horizon=cfg.solver.t_end,
+            g_tail_offset=cfg.inject_augmentation_offset,
+        ))
 
     tracker = None
     if cfg.diagnostics is not None:
@@ -363,7 +365,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
         report["overall"] = "fail"
     report["checks"] = [_check_dict(c) for c in checks]
     report["measurements"] = _measurement_block(tracker)
-    report["n_accepted_steps"] = recorder.n_accepted
+    report["n_accepted_steps"] = recorder.last_index
 
     outcome = ExperimentOutcome(report=report, csv_text=recorder.text())
     _emit(cfg, outcome)

@@ -78,9 +78,9 @@ below the floor, or any non-finite value, the step is retried with dt/2
 (the halved dt applies to that step only); values in [floor, 0) after an
 accepted trial are clamped to exact zero.  Step sizes stay on the dyadic
 ladder cfg.dt / 2^k: a step clipped to land on t_end that fails continues
-at the largest rung below its clipped size, not at half of it.  The halvings are solved as a
-ladder: the reaction is taken at the old state, so f does not depend on
-dt, and one `imex_step` call evaluates it once and solves the levels dt,
+at the largest rung below its clipped size, not at half of it.  The
+halvings are solved as a ladder: the reaction is taken at the old state,
+so f does not depend on dt, and one `imex_step` call solves the levels dt,
 dt/2, ..., dt/2^(k-1) as one (k * species, cells) stack, with dt = 1, row
 diffusion dt_l d_i and source dt_l f.  These are the products a single
 trial forms, and every row of the solve is solved on its own, so each
@@ -94,11 +94,12 @@ accepted steps only, in registration order.
 The run loop works on one float64 (species, cells) array from start to
 end, starting from a checked, read-only copy of the u0 it is given.  No
 state outlives the step that replaced it: the run returns the final array,
-and a hook that wants more keeps what it needs.  Each accepted step's sup
-norms and masses are computed once, row-wise, and handed to the hooks in
-the StepEvent.  The recording cadence (every record_every-th accepted
-step, and the last one) is decided here only and handed to the hooks as
-StepEvent.recorded.
+and a hook that wants more keeps what it needs.  The run evaluates the
+reaction only at u0 and at each accepted state, once, for every ladder
+from it; an accepted state's reaction, sup norms and masses share one
+errstate block and reach the hooks in the StepEvent.  The recording
+cadence (every record_every-th accepted step, and the last one) is
+decided here only and handed to the hooks as StepEvent.recorded.
 """
 
 from __future__ import annotations
@@ -166,10 +167,10 @@ class SolverConfig:
 class StepEvent:
     """What a hook sees after each accepted step.
 
-    u_old and u_new are read-only (species, cells) arrays; u_new is already
-    clamped, and sup_norms and masses are its per-species sup|u_i| and
-    h * sum_j u_ij.  recorded says whether the step is a recorded one
-    (every record_every-th accepted step, and the last).
+    u_old, u_new and f are read-only (species, cells) arrays; u_new is
+    already clamped, and f, sup_norms and masses are its reaction at t_new,
+    per-species sup|u_i| and h * sum_j u_ij.  recorded says whether the step
+    is a recorded one (every record_every-th accepted step, and the last).
     """
 
     index: int
@@ -178,6 +179,7 @@ class StepEvent:
     dt: float
     u_old: np.ndarray
     u_new: np.ndarray
+    f: np.ndarray
     sup_norms: np.ndarray
     masses: np.ndarray
     recorded: bool
@@ -455,21 +457,21 @@ def implicit_heat_step(
 
 
 def imex_step(
-    u: np.ndarray, t: float, grid: Grid1D, sys: ReactionSystem,
+    u: np.ndarray, f: np.ndarray, grid: Grid1D, sys: ReactionSystem,
     dts: Sequence[float],
 ) -> np.ndarray:
-    """The raw IMEX steps of the (species, cells) array u from time t, one
-    per step size in dts.
+    """The raw IMEX steps of the (species, cells) array u, whose reaction
+    is f, one per step size in dts.
 
-    No positivity handling (see run_simulation).  The reaction is evaluated
-    once, and all step sizes and all species go through one
-    `implicit_heat_step` call, each row with its own diffusion coefficient;
-    level l of the result is bitwise the step with dts[l] alone.  A level
-    whose reaction or solve overflowed comes back non-finite, without a
-    warning.
+    No positivity handling (see run_simulation).  All step sizes and all
+    species go through one `implicit_heat_step` call, each row with its own
+    diffusion coefficient; level l of the result is bitwise the step with
+    dts[l] alone.  A level whose source or solve overflowed, or whose f is
+    not finite, comes back non-finite, without a warning.
 
     Returns:
-        The (len(dts), species, cells) stack of the new arrays at t + dts[l].
+        The (len(dts), species, cells) stack of the new arrays after each
+        step size.
 
     Raises:
         ValueError: if u's species count does not match the system, or a
@@ -483,7 +485,6 @@ def imex_step(
     if steps.min() <= 0.0:
         raise ValueError(f"dt must be > 0, got {dts}")
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.asarray(sys.evaluator(u, t), dtype=np.float64)
         rows = implicit_heat_step(
             (u + steps[..., None] * f).reshape(-1, u.shape[1]), grid,
             (steps * sys.diffusion).reshape(-1), 1.0,
@@ -534,10 +535,9 @@ def row_norms(u: np.ndarray, h: float) -> tuple:
 
     The masses are the cell-sum quadrature of each row, with a fixed
     summation order, so they are bit-reproducible.  A mass that overflows
-    is inf, without a warning; the mass checks fail on it.
+    is inf; the mass checks fail on it.
     """
-    with np.errstate(over="ignore"):
-        return np.max(np.abs(u), axis=1), np.add.accumulate(u, axis=1)[:, -1] * h
+    return np.max(np.abs(u), axis=1), np.add.accumulate(u, axis=1)[:, -1] * h
 
 
 def run_simulation(
@@ -555,11 +555,11 @@ def run_simulation(
     rejected and retried with half the step, up to max_step_halvings
     times; a clipped step is retried at the largest cfg.dt / 2^k below it.
     Values in [floor, 0) on an accepted trial are clamped to exact zero.
-    The halvings are solved in ladders of
-    the previous step's accepted level + 1 levels, one `imex_step` call
-    each, and never beyond the budget's last level.  Hooks run after every
-    accepted step, in registration order, and see the old and the clamped
-    new array.
+    The halvings are solved in ladders of the previous step's accepted
+    level + 1 levels, one `imex_step` call each, and never beyond the
+    budget's last level.  The reaction is evaluated once at u0 and at each
+    accepted state.  Hooks run after every accepted step, in registration
+    order, and see its StepEvent.
 
     Returns:
         The read-only (species, cells) array at t_end.  Only the current
@@ -586,6 +586,9 @@ def run_simulation(
                 f"initial data for species {i + 1} is negative: {float(low)}"
             )
     u.flags.writeable = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.asarray(sys.evaluator(u, 0.0), dtype=np.float64)
+    f.flags.writeable = False
     t = 0.0
     tiny = 1e-12 * cfg.t_end
     step_index = 0
@@ -601,7 +604,7 @@ def run_simulation(
                 dts.append(_halved(dt_step, cfg.dt))
             while len(dts) < depth:
                 dts.append(dts[-1] * 0.5)
-            trials = imex_step(u, t, grid, sys, dts)
+            trials = imex_step(u, f, grid, sys, dts)
             # A NaN or an infinite value fails one of the two comparisons.
             passed = (trials.min(axis=(1, 2)) >= cfg.positivity_floor) & (
                 trials.max(axis=(1, 2)) < np.inf
@@ -621,7 +624,11 @@ def run_simulation(
         u_new.flags.writeable = False
         t_new = t + dt_step
         step_index += 1
-        sup_norms, masses = row_norms(u_new, grid.h)
+        # An overflow is inf or nan: the next trial fails, as do mass checks.
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.asarray(sys.evaluator(u_new, t_new), dtype=np.float64)
+            sup_norms, masses = row_norms(u_new, grid.h)
+        f.flags.writeable = False
         recorded = step_index % cfg.record_every == 0 or t_new >= cfg.t_end - tiny
         event = StepEvent(
             index=step_index,
@@ -630,6 +637,7 @@ def run_simulation(
             dt=dt_step,
             u_old=u,
             u_new=u_new,
+            f=f,
             sup_norms=sup_norms,
             masses=masses,
             recorded=recorded,

@@ -25,14 +25,11 @@ pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .models import CheckResult, ReactionSystem, _log_uniform, _point_str
 
 __all__ = [
-    "AugmentedSystem",
     "augment_system",
     "verify_augmented",
 ]
@@ -41,20 +38,13 @@ _CONSERVATION_TOL = 1e-10
 _QP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AugmentedSystem:
-    """The rescaled base system plus its mass-closing extra species."""
-
-    base: ReactionSystem
-    augmented: ReactionSystem
-
-
-def augment_system(base: ReactionSystem) -> AugmentedSystem:
+def augment_system(base: ReactionSystem) -> ReactionSystem:
     """Build the N+1 species conservative companion of a base system.
 
-    The augmented evaluator is genuinely time-dependent whenever K1 != 0.
-    Its mass source is K0 e^{-K1 t} (decaying for K1 > 0, growing for
-    K1 < 0, constant K0 for K1 = 0); the extra species carries diffusion
+    The closed system's evaluator is genuinely time-dependent whenever
+    K1 != 0.  Its mass source is K0 e^{-K1 t} (decaying for K1 > 0, growing
+    for K1 < 0, constant K0 for K1 = 0), so it carries the base K0 as k0
+    and the base K1 as k0_decay; the extra species carries diffusion
     exactly 1 and must start from zero initial data.
 
     Raises:
@@ -77,7 +67,7 @@ def augment_system(base: ReactionSystem) -> AugmentedSystem:
         g_tail = k0 / scale - head_sum
         return np.concatenate([g_head, g_tail[None]], axis=0)
 
-    augmented = ReactionSystem(
+    return ReactionSystem(
         name=f"{base.name}+mass-closure",
         n_species=n + 1,
         diffusion=np.concatenate([base.diffusion, [1.0]]),
@@ -92,17 +82,17 @@ def augment_system(base: ReactionSystem) -> AugmentedSystem:
         entropy_nonpositive=False,
         uniform_decay_rate=None,
     )
-    return AugmentedSystem(base=base, augmented=augmented)
 
 
 def verify_augmented(
-    aug: AugmentedSystem,
+    closed: ReactionSystem,
     rng: np.random.Generator,
     n_samples: int = 10_000,
     t_horizon: float = 1.0,
     g_tail_offset: float = 0.0,
 ) -> list[CheckResult]:
-    """Sample-audit the augmented system on random (state, time) pairs.
+    """Sample-audit the closed system built by augment_system on random
+    (state, time) pairs, with K0 its k0 and K1 its k0_decay.
 
     Checks, per sample (components log-uniform in [1e-6, 1e3], time uniform
     in [0, t_horizon]):
@@ -134,16 +124,15 @@ def verify_augmented(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if not np.isfinite(t_horizon) or t_horizon <= 0.0:
         raise ValueError(f"t_horizon must be finite and > 0, got {t_horizon}")
-    sys = aug.augmented
-    n_aug = sys.n_species
-    k0 = aug.base.k0
-    k1 = aug.base.k1
+    n_aug = closed.n_species
+    k0 = closed.k0
+    k1 = closed.k0_decay
 
     # The evaluator built by augment_system broadcasts over a time array of
     # the same length as the sample axis, so the whole audit vectorizes.
     times = rng.uniform(0.0, t_horizon, size=n_samples)
     pts = _log_uniform(rng, (n_aug, n_samples))
-    g = np.asarray(sys.evaluator(pts, times), dtype=np.float64)
+    g = np.asarray(closed.evaluator(pts, times), dtype=np.float64)
     g[-1] += g_tail_offset
 
     target = k0 * np.exp(-k1 * times)
@@ -159,10 +148,10 @@ def verify_augmented(
             f"at t = {float(times[j])}, w = {_point_str(pts[:, j])}"
         )
 
-    eps = sys.growth_eps
+    eps = closed.growth_eps
     horizon_factor = float(np.exp((1.0 + eps) * abs(k1) * t_horizon))
     norms = np.sqrt(np.sum(pts * pts, axis=0))
-    envelope = sys.growth_k * horizon_factor * (1.0 + norms ** (2.0 + eps))
+    envelope = closed.growth_k * horizon_factor * (1.0 + norms ** (2.0 + eps))
     growth_worst = float(np.max(np.max(np.abs(g), axis=0) / envelope))
 
     # Quasi-positivity on each boundary face, fresh samples per face.  The
@@ -175,7 +164,7 @@ def verify_augmented(
         face = _log_uniform(rng, (n_aug, per_face))
         face[i, :] = 0.0
         face_times = rng.uniform(0.0, t_horizon, size=per_face)
-        gf = np.asarray(sys.evaluator(face, face_times), dtype=np.float64)
+        gf = np.asarray(closed.evaluator(face, face_times), dtype=np.float64)
         if i == n_aug - 1:
             gf[-1] += g_tail_offset
         vals = gf[i, :]

@@ -1,7 +1,11 @@
 """Tests for config validation, error collection and state builders."""
 
+import copy
 import json
+import math
 import os
+import re
+import reprlib
 
 import numpy as np
 import pytest
@@ -123,8 +127,8 @@ class TestHappyPaths:
         raw["output"] = {"csv": "out.csv", "report": "report.json"}
         raw["seed"] = 7
         cfg = validate_config(raw)
-        assert cfg.augmented.base is cfg.system
-        assert cfg.augmented.augmented.n_species == 5
+        assert cfg.augmented.name == cfg.system.name + "+mass-closure"
+        assert cfg.augmented.n_species == 5
         assert cfg.diagnostics == AuxiliaryConfig(d=5.0, gammas=(0.5,), z_offset=0.5)
         assert cfg.fits == [
             {
@@ -697,7 +701,7 @@ class TestBuildInitialState:
         configured = validate_config(raw)
         for cfg in (flagged, configured):
             assert cfg.u0.shape == (5, 16)
-            assert cfg.u0.shape[0] == cfg.augmented.augmented.n_species
+            assert cfg.u0.shape[0] == cfg.augmented.n_species
             np.testing.assert_array_equal(cfg.u0[:4], np.ones((4, 16)))
             np.testing.assert_array_equal(cfg.u0[4], np.zeros(16))
             assert not cfg.u0.flags.writeable
@@ -733,3 +737,136 @@ class TestBuildInitialState:
         }
         cfg = validate_config(raw)
         np.testing.assert_array_equal(cfg.u0[0], [9.0, 9.0])
+
+
+def corpus_quad():
+    """A small-grid quad config that sets every section and every key."""
+    return {
+        "model": {"builtin": "quadratic_reversible", "diffusion": [1.0, 1.5, 2.0, 2.5]},
+        "grid": {"n_cells": 16, "length": 1.0},
+        "initial": [
+            {"type": "constant", "value": 1.0},
+            {"type": "gaussian", "center": 0.3, "width": 0.1, "amplitude": 1.0},
+            {"type": "piecewise", "values": [0.5, 1.0], "breaks": [0.5]},
+            {"type": "constant", "value": 0.4},
+        ],
+        "solver": {
+            "dt": 0.01, "t_end": 0.1, "record_every": 2,
+            "positivity_floor": -1e-12, "max_step_halvings": 5,
+        },
+        "diagnostics": {"enabled": True, "d": 5.0, "gammas": [0.25, 0.5]},
+        "transform": {"augment": True},
+        "fits": [
+            {"series": "mass_total", "mode": "exponential", "window": [0.0, 0.1],
+             "bias_correct": True},
+        ],
+        "inject": {"z_offset": 0.0, "augmentation_offset": 0.0},
+        "output": {"csv": "run.csv", "report": "report.json"},
+        "seed": 3,
+    }
+
+
+def corpus_custom():
+    """A small-grid two-species custom polynomial config."""
+    raw = corpus_quad()
+    raw["model"] = {
+        "custom": {
+            "n_species": 2, "k0": 0.0, "k1": 0.0, "k": 2.0, "eps": 0.0,
+            "name": "exchange",
+            "terms": [
+                [{"coef": -1.0, "powers": [1, 0]}, {"coef": 1.0, "powers": [0, 1]}],
+                [{"coef": 1.0, "powers": [1, 0]}, {"coef": -1.0, "powers": [0, 1]}],
+            ],
+        },
+        "diffusion": [1.0, 2.0],
+    }
+    raw["initial"] = raw["initial"][1:3]
+    raw["transform"] = {"augment": False}
+    raw["fits"][0]["series"] = "sup_total"
+    return raw
+
+
+def corpus_skew():
+    """A small-grid skew Lotka-Volterra config with diagnostics off."""
+    raw = base_skew()
+    raw["diagnostics"] = {"enabled": False, "gammas": [0.5]}
+    raw["fits"] = [{"series": "distance_to_equilibrium", "mode": "polynomial",
+                    "window": [0.01, 0.05]}]
+    raw["seed"] = 0
+    return raw
+
+
+CORPUS = {"quad": corpus_quad, "custom": corpus_custom, "skew": corpus_skew}
+# Each leaf is set to each of these, and also removed.
+MUTATIONS = (
+    "x", True, None, -1, 0, 2, math.nan, math.inf, [1], {}, 10**400, -0.0, 1.5,
+)
+REMOVED = object()
+
+
+def leaves(node, path=()):
+    """The paths of every value of a parsed config that holds no other value."""
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list) else ()
+    )
+    found = False
+    for key, child in children:
+        found = True
+        yield from leaves(child, path + (key,))
+    if not found and path:
+        yield path
+
+
+def dotted(path):
+    """The dotted field path ConfigError messages use for path."""
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else (f".{key}" if text else key)
+    return text
+
+
+def mutated(raw, path, value):
+    """A copy of raw with the leaf at path set to value, or removed; and
+    the leaf's old value."""
+    raw = copy.deepcopy(raw)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    old = node[path[-1]]
+    if value is REMOVED:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return raw, old
+
+
+class TestMutationCorpus:
+    """Every leaf of three configs set to each awkward JSON value, or removed."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_every_mutation_validates_or_is_a_named_config_error(self, name):
+        raw = CORPUS[name]()
+        validate_config(raw)
+        problems = []
+        for path in leaves(raw):
+            label = dotted(path)
+            section = re.match(r"\w+", label).group()
+            for value in MUTATIONS + (REMOVED,):
+                changed, old = mutated(raw, path, value)
+                what = f"{label} = {'removed' if value is REMOVED else reprlib.repr(value)}"
+                try:
+                    validate_config(changed)
+                except ConfigError as exc:
+                    # Each message leads with the dotted path it names.  The
+                    # leaf, a path under it and a cross-field path of its
+                    # section (model.diffusion for model.custom.n_species)
+                    # all start with the section.
+                    if not any(re.match(rf"{section}\b", m) for m in exc.errors):
+                        problems.append(f"{what}: no message names it: {exc.errors}")
+                except Exception as exc:  # the corpus looks for these
+                    problems.append(f"{what}: raised {type(exc).__name__}: {exc}")
+                else:
+                    if value is True and type(old) in (int, float):
+                        problems.append(f"{what}: true was taken as a number")
+        assert not problems, "\n".join(problems[:20])

@@ -384,7 +384,7 @@ def fed_state(sys, u):
     """InvariantTracker fed one (species, cells) state at t = 0, with its entropy."""
     u = np.asarray(u, dtype=float)
     inv = InvariantTracker(sys, 1.0)
-    inv.update(0.0, u, u.sum(axis=1), entropy_pointwise_worst(sys, u, 0.0))
+    inv.update(0.0, u, u.sum(axis=1), entropy(sys, u))
     return inv
 
 
@@ -423,19 +423,40 @@ class TestEntropy:
         assert result.measured == pytest.approx(math.e, rel=1e-12)
 
 
+def entropy(sys, u):
+    """entropy_pointwise_worst of the (species, cells) array u at t = 0."""
+    u = np.asarray(u, dtype=np.float64)
+    return entropy_pointwise_worst(u, sys.evaluator(u, 0.0))
+
+
 class TestEntropyPointwise:
     def test_worst_cell_wins(self, quad_system):
         u = np.array([[2.0, 1.0], [3.0, 1.0], [1.0, 1.0], [4.0, 1.0]])
         # Cell 1: 2 log(2/3) < 0; cell 2: equilibrium, exactly 0.
-        assert entropy_pointwise_worst(quad_system, u, 0.0) == 0.0
+        assert entropy(quad_system, u) == 0.0
 
     def test_cells_with_a_zero_species_are_masked(self, quad_system):
         u = np.array([[2.0, 1.0], [3.0, 0.0], [1.0, 1.0], [4.0, 1.0]])
-        got = entropy_pointwise_worst(quad_system, u, 0.0)
+        got = entropy(quad_system, u)
         assert got == pytest.approx(2.0 * math.log(2.0 / 3.0), rel=1e-12)
 
     def test_none_without_positive_cells(self, quad_system):
-        assert entropy_pointwise_worst(quad_system, np.zeros((4, 2)), 0.0) is None
+        assert entropy(quad_system, np.zeros((4, 2))) is None
+
+    @pytest.mark.parametrize("positive_cells", [1, 2, 7, 40])
+    def test_masking_the_row_is_bitwise_the_masked_copy(self, quad_system, positive_cells):
+        # The sum over the whole array, masked afterwards, is bitwise the
+        # sum over the copy of the strictly positive cells, where the zero
+        # cells' -inf logarithms never enter.
+        rng = np.random.default_rng(positive_cells)
+        u = 10.0 ** rng.uniform(-8.0, 2.0, size=(4, 48))
+        zero = rng.permutation(48)[positive_cells:]
+        u[rng.integers(0, 4, size=zero.size), zero] = 0.0
+        sub = u[:, np.all(u > 0.0, axis=0)]
+        assert sub.shape[1] == positive_cells
+        copied = float(np.max(np.sum(quad_system.evaluator(sub, 0.0) * np.log(sub), axis=0)))
+        got = entropy(quad_system, u)
+        assert repr(got) == repr(copied)
 
 
 class TestPositivityCheck:

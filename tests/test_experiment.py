@@ -1,5 +1,6 @@
 """End-to-end experiment runs: reports, CSV artifacts, fits, and injections."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rdcheck import diagnostics
+from rdcheck import check_structure, diagnostics, experiment
 from rdcheck.config import validate_config
 from rdcheck.errors import ConfigError
 from rdcheck.experiment import config_sha256, run_experiment, write_atomic
@@ -356,6 +357,33 @@ class TestHolderScan:
         assert len(scanned) == len(rows) - 1
         assert all(np.any(values != 0.0) for values in scanned)
         assert set(outcome.report["measurements"]["holder"]) == {"v_d:0.25", "v_d:0.5"}
+
+
+class TestReactionEvaluations:
+    def test_one_evaluation_per_state_outside_the_audit(self, monkeypatch):
+        # The solver evaluates the reaction at u0 and at each accepted
+        # state, and the entropy column reads it from the step; only the
+        # t = 0 row, written before the run, evaluates it again.  The
+        # structure audit's samples are not run states.
+        cfg = validate_config(quad_raw())
+        calls, audited = [], []
+        evaluate = cfg.system.evaluator
+
+        def counting(u, t):
+            calls.append(t)
+            return evaluate(u, t)
+
+        def audit(system, rng):
+            start = len(calls)
+            checks = check_structure(system, rng)
+            audited.append(len(calls) - start)
+            return checks
+
+        cfg.system = dataclasses.replace(cfg.system, evaluator=counting)
+        monkeypatch.setattr(experiment, "check_structure", audit)
+        steps = run_experiment(cfg).report["n_accepted_steps"]
+        assert steps == N_STEPS and audited[0] > 0
+        assert len(calls) - audited[0] <= steps + 2
 
 
 class TestEndTimeBelowOne:

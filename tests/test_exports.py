@@ -67,5 +67,8 @@ def test_solve_boundaries_stay_module_attributes():
     assert rdcheck.solver.implicit_heat_step is rdcheck.implicit_heat_step
     assert rdcheck.diagnostics.implicit_heat_step is rdcheck.implicit_heat_step
     assert rdcheck.diagnostics.holder_modulus is rdcheck.holder_modulus
+    assert rdcheck.solver.imex_step is rdcheck.imex_step
     assert rdcheck.experiment.check_structure is rdcheck.check_structure
     assert rdcheck.experiment.verify_augmented is rdcheck.verify_augmented
+    assert rdcheck.experiment.entropy_pointwise_worst is rdcheck.entropy_pointwise_worst
+    assert rdcheck.experiment.run_simulation is rdcheck.run_simulation

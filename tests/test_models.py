@@ -26,7 +26,8 @@ def f_at(sys, u):
 
 def entropy_at(sys, u):
     """sum_i f_i log u_i at one strictly positive state point."""
-    return entropy_pointwise_worst(sys, np.asarray(u, dtype=np.float64)[:, None], 0.0)
+    u = np.asarray(u, dtype=np.float64)[:, None]
+    return entropy_pointwise_worst(u, sys.evaluator(u, 0.0))
 
 
 def poly_model(n_species, terms, k0=0.0, k1=0.0, growth_k=1.0, growth_eps=0.0):

@@ -99,7 +99,7 @@ def skew_augmented(n_cells=64):
     u0 = np.stack(
         [bump(grid, c, 0.1, 50.0) for c in (0.3, 0.5, 0.7)] + [np.zeros(n_cells)]
     )
-    return augment_system(base).augmented, (grid, u0)
+    return augment_system(base), (grid, u0)
 
 
 class TestSolverConfig:
@@ -540,47 +540,36 @@ class TestTailAccuracy:
         skew_tails_against_thomas(monkeypatch, ABOVE_CROSSOVER, 2.4, 192)
 
 
-class TestImexStep:
-    def test_advances_time(self):
-        # f = t on a constant field: the reaction is taken at the step's
-        # start time, so one step from t = 0.5 adds exactly dt * 0.5.
-        clock = ReactionSystem(
-            name="clock",
-            n_species=1,
-            diffusion=np.array([1.0]),
-            k0=0.0,
-            k1=0.0,
-            growth_k=1.0,
-            growth_eps=0.0,
-            evaluator=lambda u, t: np.full_like(u, t),
-            time_dependent=True,
-        )
-        grid, u = constant_state(Grid1D(8, 1.0), 1.0)
-        out = imex_step(u, 0.5, grid, clock, [0.25])
-        np.testing.assert_allclose(out[0], 1.125, rtol=1e-14)
+def stepped(u, grid, sys, dts):
+    """imex_step of u by each of dts, with the reaction at (u, 0)."""
+    with np.errstate(over="ignore"):
+        f = sys.evaluator(u, 0.0)
+    return imex_step(u, f, grid, sys, dts)
 
+
+class TestImexStep:
     def test_constant_source_hand_value(self):
         # f = -0.5 on a constant field: diffusion is inert, so one step is
         # exactly u - dt * 0.5.
         grid, u = constant_state(Grid1D(16, 1.0), 2.0)
-        out = imex_step(u, 0.0, grid, constant_sink(0.5), [0.1])
+        out = stepped(u, grid, constant_sink(0.5), [0.1])
         np.testing.assert_allclose(out[0][0], 1.95, rtol=1e-14)
 
     def test_equilibrium_is_stationary(self, quad_system):
         grid, u = constant_state(Grid1D(16, 1.0), 1.0, n_species=4)
-        out = imex_step(u, 0.0, grid, quad_system, [0.05])
+        out = stepped(u, grid, quad_system, [0.05])
         np.testing.assert_allclose(out[0], 1.0, rtol=1e-13)
 
     def test_rejects_wrong_species_count(self, quad_system):
         grid, u = constant_state(Grid1D(8, 1.0), 1.0, n_species=2)
         with pytest.raises(ValueError, match="species"):
-            imex_step(u, 0.0, grid, quad_system, [0.1])
+            imex_step(u, np.zeros_like(u), grid, quad_system, [0.1])
 
     def test_non_finite_level_is_returned(self):
         # u^3 overflows at u = 1e200: the level comes back non-finite in
         # species 2, without a warning, and species 1 is untouched.
         u = np.stack([np.full(8, 1.0), np.full(8, 1e200)])
-        out = imex_step(u, 0.5, Grid1D(8, 1.0), cube_in_species_2(), [0.1])
+        out = stepped(u, Grid1D(8, 1.0), cube_in_species_2(), [0.1])
         assert out.shape == (1, 2, 8)
         np.testing.assert_allclose(out[0][0], 1.0, rtol=1e-14)
         assert not np.isfinite(out[0][1]).any()
@@ -588,7 +577,7 @@ class TestImexStep:
     def test_rejects_nonpositive_dt(self):
         grid, u = constant_state(Grid1D(8, 1.0), 1.0)
         with pytest.raises(ValueError, match="dt"):
-            imex_step(u, 0.0, grid, heat_only(), [0])
+            stepped(u, grid, heat_only(), [0])
 
 
 class TestRunSimulationValidation:
@@ -706,6 +695,31 @@ class TestRunSimulationPhysics:
         final = run_simulation(quad_system, *state, SolverConfig(dt=0.05, t_end=0.5))
         np.testing.assert_allclose(final, 1.0, rtol=1e-12)
 
+    def test_time_dependent_reaction_is_taken_at_the_old_time(self):
+        # f = t on a constant field: each step adds exactly dt * t_old, so
+        # four steps of 0.25 from 1 reach 1 + 0.25 * (0 + 0.25 + 0.5 +
+        # 0.75).  The hooks see the reaction of the new state, at t_new.
+        clock = ReactionSystem(
+            name="clock",
+            n_species=1,
+            diffusion=np.array([1.0]),
+            k0=0.0,
+            k1=0.0,
+            growth_k=1.0,
+            growth_eps=0.0,
+            evaluator=lambda u, t: np.full_like(u, t),
+            time_dependent=True,
+        )
+        events = []
+        final = run_simulation(
+            clock, *constant_state(Grid1D(8, 1.0), 1.0),
+            SolverConfig(dt=0.25, t_end=1.0), hooks=[events.append],
+        )
+        np.testing.assert_allclose(final, 1.375, rtol=1e-14)
+        for event in events:
+            assert not event.f.flags.writeable
+            np.testing.assert_array_equal(event.f, event.t_new)
+
 
 class TestPositivityEnforcement:
     def test_halving_is_scoped_to_the_step(self):
@@ -755,8 +769,8 @@ class TestPositivityEnforcement:
         # later ones the ladder (0.2, 0.1).
         real = rdcheck.solver.imex_step
 
-        def overflowing_above(u, t, grid, sys, dts):
-            levels = real(u, t, grid, sys, dts)
+        def overflowing_above(u, f, grid, sys, dts):
+            levels = real(u, f, grid, sys, dts)
             levels[np.asarray(dts) > 0.15] = math.inf
             return levels
 
@@ -897,7 +911,7 @@ class TestHalvingLadder:
         overflowing, failure = levels("non-finite-levels-in-a-ladder")
         assert "non-finite" in str(failure) and max(overflowing) > 0
 
-    def test_reaction_is_evaluated_once_per_ladder(self, monkeypatch):
+    def test_reaction_is_evaluated_once_per_state(self, monkeypatch):
         system, initial = skew_augmented()
         evaluations = []
 
@@ -910,21 +924,24 @@ class TestHalvingLadder:
         calls = []
         real = rdcheck.solver.imex_step
 
-        def recording(u, t, grid, sys, dts):
+        def recording(u, f, grid, sys, dts):
             calls.append(dts)
-            return real(u, t, grid, sys, dts)
+            return real(u, f, grid, sys, dts)
 
         monkeypatch.setattr(rdcheck.solver, "imex_step", recording)
-        run_simulation(counted, *initial, cfg)
+        events = []
+        run_simulation(counted, *initial, cfg, hooks=[events.append])
         # 192 steps at rung 3: four one-level ladders for the first step,
-        # then one ladder per step.
-        assert len(evaluations) == len(calls) == 195
+        # then one ladder per step, all from the reaction of u0 and of the
+        # 192 accepted states.
+        assert len(events) == 192
+        assert len(calls) == 195
+        assert evaluations == [0.0] + [e.t_new for e in events]
         evaluations.clear()
         sequential_steps(counted, *initial, cfg)
         # Four trials per step but the last three, whose first, clipped
         # level is within 3, 2 and 1 rungs of the accepted one.
         assert len(evaluations) == 189 * 4 + 3 + 2 + 1
-
 
     def test_steps_clipped_at_t_end_halve_onto_the_dyadic_ladder(self, monkeypatch):
         # With dt = 1 the augmented skew run halves to 1/32 and 1/64 for
@@ -939,9 +956,9 @@ class TestHalvingLadder:
         ladders, accepted = [], []
         real = rdcheck.solver.imex_step
 
-        def recording(u, t, grid, sys, dts):
+        def recording(u, f, grid, sys, dts):
             ladders.append(tuple(dts))
-            return real(u, t, grid, sys, dts)
+            return real(u, f, grid, sys, dts)
 
         def tracker(event):
             accepted.append(event.dt)

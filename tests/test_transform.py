@@ -29,9 +29,7 @@ def two_bump_state(grid, tail_species=0):
 
 class TestAugmentSystem:
     def test_structural_fields(self, skew_system):
-        pair = augment_system(skew_system)
-        aug = pair.augmented
-        assert pair.base is skew_system
+        aug = augment_system(skew_system)
         assert aug.n_species == 3
         assert aug.diffusion[-1] == 1.0
         np.testing.assert_array_equal(aug.diffusion[:2], skew_system.diffusion)
@@ -43,7 +41,7 @@ class TestAugmentSystem:
         assert aug.name.endswith("+mass-closure")
 
     def test_rejects_time_dependent_base(self, skew_system):
-        aug = augment_system(skew_system).augmented
+        aug = augment_system(skew_system)
         with pytest.raises(ValueError, match="time-dependent"):
             augment_system(aug)
 
@@ -51,7 +49,7 @@ class TestAugmentSystem:
         # With k0 = k1 = 0 the rescaling is trivial, so the first four
         # components must reproduce the base reaction bit for bit and the
         # closing reaction must be exactly zero.
-        aug = augment_system(quad_system).augmented
+        aug = augment_system(quad_system)
         rng = np.random.default_rng(21)
         w = rng.uniform(0.0, 3.0, size=(5, 60))
         g = aug.evaluator(w, rng.uniform(0.0, 2.0, size=60))
@@ -60,7 +58,7 @@ class TestAugmentSystem:
         assert np.all(g[4] == 0.0)
 
     def test_skew_hand_value_at_time_zero(self, skew_system):
-        aug = augment_system(skew_system).augmented
+        aug = augment_system(skew_system)
         g = aug.evaluator(np.array([2.0, 3.0, 7.0]), 0.0)
         # f(2, 3) = (4, -9); g_head = f + w; the closure balances to zero.
         np.testing.assert_array_equal(g, [6.0, -6.0, 0.0])
@@ -68,20 +66,20 @@ class TestAugmentSystem:
     def test_skew_hand_value_at_later_time(self, skew_system):
         # At t = log 2 the rescaled state is u = w / 2 = (1, 1.5), where
         # f = (0.5, -3); back-scaling and the k1 shift give (3, -3).
-        aug = augment_system(skew_system).augmented
+        aug = augment_system(skew_system)
         g = aug.evaluator(np.array([2.0, 3.0, 7.0]), math.log(2.0))
         np.testing.assert_allclose(g, [3.0, -3.0, 0.0], rtol=1e-13, atol=1e-13)
 
     def test_closure_ignores_its_own_species(self, skew_system):
-        aug = augment_system(skew_system).augmented
+        aug = augment_system(skew_system)
         a = aug.evaluator(np.array([2.0, 3.0, 0.0]), 0.3)
         b = aug.evaluator(np.array([2.0, 3.0, 9.0]), 0.3)
         np.testing.assert_array_equal(a, b)
 
 
-def audit(pair, seed, **kwargs):
+def audit(closed, seed, **kwargs):
     """verify_augmented's three checks, keyed by probe name."""
-    checks = verify_augmented(pair, np.random.default_rng(seed), **kwargs)
+    checks = verify_augmented(closed, np.random.default_rng(seed), **kwargs)
     return {c.name.removeprefix("augmented_"): c for c in checks}
 
 
@@ -109,15 +107,15 @@ class TestVerifyAugmented:
         assert not all(c.passed for c in checks.values())
 
     def test_rejects_bad_sample_count(self, quad_system):
-        pair = augment_system(quad_system)
+        closed = augment_system(quad_system)
         with pytest.raises(ValueError, match="n_samples"):
-            verify_augmented(pair, np.random.default_rng(0), n_samples=0)
+            verify_augmented(closed, np.random.default_rng(0), n_samples=0)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf])
     def test_rejects_bad_horizon(self, quad_system, horizon):
-        pair = augment_system(quad_system)
+        closed = augment_system(quad_system)
         with pytest.raises(ValueError, match="t_horizon"):
-            verify_augmented(pair, np.random.default_rng(0), t_horizon=horizon)
+            verify_augmented(closed, np.random.default_rng(0), t_horizon=horizon)
 
 
 class TestAugmentedRuns:
@@ -134,7 +132,7 @@ class TestAugmentedRuns:
             ]
         )
         aug_u0 = np.vstack((base_u0, np.zeros(grid.n_cells)))
-        aug = augment_system(quad_system).augmented
+        aug = augment_system(quad_system)
         cfg = SolverConfig(dt=2e-3, t_end=0.1)
         base_traj = collected_run(quad_system, grid, base_u0, cfg)
         aug_traj = collected_run(aug, grid, aug_u0, cfg)
@@ -149,7 +147,7 @@ class TestAugmentedRuns:
         # defect between the augmented run and the rescaled base run must
         # shrink like dt.
         grid = Grid1D(32, 1.0)
-        aug = augment_system(skew_system).augmented
+        aug = augment_system(skew_system)
         t_end = 0.25
         defects = []
         for dt in (2e-3, 1e-3):
@@ -169,7 +167,7 @@ class TestAugmentedRuns:
         # the closure must absorb it so the augmented total is conserved
         # to rounding at every snapshot while the tail becomes positive.
         sys = unequal_skew()
-        aug = augment_system(sys).augmented
+        aug = augment_system(sys)
         grid = Grid1D(32, 1.0)
         traj = collected_run(
             aug,
