@@ -21,10 +21,12 @@ from .grid import Grid1D, grad_sup, holder_modulus, laplacian_values
 from .models import (
     CheckResult,
     ReactionSystem,
+    augment_system,
     check_structure,
     custom_polynomial,
     quadratic_reversible,
     skew_lv,
+    verify_augmented,
 )
 from .solver import (
     SolverConfig,
@@ -44,7 +46,6 @@ from .theory import (
     interpolation_constants,
     quad_equilibrium,
 )
-from .transform import augment_system, verify_augmented
 
 __version__ = "0.1.0"
 

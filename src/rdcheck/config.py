@@ -24,9 +24,8 @@ import numpy as np
 from .diagnostics import AuxiliaryConfig
 from .errors import ConfigError
 from .grid import Grid1D
-from .models import ReactionSystem, custom_polynomial, quadratic_reversible, skew_lv
+from .models import ReactionSystem, augment_system, custom_polynomial, quadratic_reversible, skew_lv
 from .solver import SolverConfig
-from .transform import augment_system
 
 __all__ = [
     "RunConfig",

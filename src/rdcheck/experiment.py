@@ -40,10 +40,9 @@ from .config import RunConfig
 from .diagnostics import AuxiliaryTracker, InvariantTracker, entropy_pointwise_worst
 from .errors import NumericalFailure
 from .grid import Grid1D
-from .models import CheckResult, ReactionSystem, check_structure
+from .models import CheckResult, ReactionSystem, check_structure, verify_augmented
 from .solver import StepEvent, row_norms, run_simulation
 from .theory import fit_rate, quad_equilibrium
-from .transform import verify_augmented
 
 __all__ = ["ExperimentOutcome", "run_experiment", "config_sha256", "write_atomic"]
 

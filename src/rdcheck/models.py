@@ -1,4 +1,4 @@
-"""Reaction systems and their structural assumptions.
+"""Reaction systems, their structural assumptions and the mass-closing augmentation.
 
 A ReactionSystem packages the reaction vector field f together with the
 declared structure the rest of the package relies on:
@@ -22,6 +22,29 @@ dissipates the entropy sum f_i log u_i.  The skew Lotka-Volterra family
 -sum_i tau_i u_i, hence exact geometric mass decay under equal tau.  Custom
 polynomial right-hand sides (custom_polynomial) carry user-declared
 constants.
+
+The rescaling w_i = e^{-K1 t} u_i absorbs the linear part of the mass
+control: if sum_i f_i <= K0 + K1 sum_i u_i, the rescaled reactions
+
+    g_i(w, t) = e^{-K1 t} ( f_i(e^{K1 t} w) - K1 e^{K1 t} w_i )
+
+satisfy sum_i g_i <= K0 e^{-K1 t}.  Appending one extra species with
+diffusion exactly one, zero initial data and
+
+    g_{N+1}(w, t) = K0 e^{-K1 t} - sum_{i<=N} g_i(w, t)
+
+turns the inequality into the exact balance sum_{i<=N+1} g_i = K0 e^{-K1 t},
+i.e. the augmented system is conservative up to a known decaying source.
+The extra reaction is nonnegative on the orthant precisely where the base
+system honors its mass-control inequality, so the augmentation preserves
+quasi-positivity instead of assuming anything new.
+
+augment_system builds that closed system and verify_augmented probes these
+facts on random (state, time) samples, with the face probe and growth ratio
+check_structure uses.  The growth constant of the rescaled field over a
+horizon [0, T] is fitted empirically from the samples and reported, never
+asserted: it inherits an e^{(1+eps)|K1| T} factor whose sharp prefactor the
+construction does not pin down.
 """
 
 from __future__ import annotations
@@ -36,17 +59,21 @@ __all__ = [
     "quadratic_reversible",
     "skew_lv",
     "custom_polynomial",
+    "augment_system",
     "CheckResult",
     "check_structure",
+    "verify_augmented",
 ]
 
-# Orthant sampling range for structure probes (log-uniform).
+# Orthant sampling range and sample count of the audits (log-uniform).
 _SAMPLE_LOG_LO = -6.0
 _SAMPLE_LOG_HI = 3.0
+_N_SAMPLES = 10_000
 
 _QP_TOL = 1e-12
 _MASS_TOL = 1e-9
 _GROWTH_TOL = 1e-12
+_CONSERVATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -267,6 +294,52 @@ def custom_polynomial(
     )
 
 
+def augment_system(base: ReactionSystem) -> ReactionSystem:
+    """Build the N+1 species conservative companion of a base system.
+
+    The closed system's evaluator is genuinely time-dependent whenever
+    K1 != 0.  Its mass source is K0 e^{-K1 t} (decaying for K1 > 0, growing
+    for K1 < 0, constant K0 for K1 = 0), so it carries the base K0 as k0
+    and the base K1 as k0_decay; the extra species carries diffusion
+    exactly 1 and must start from zero initial data.
+
+    Raises:
+        ValueError: if the base system is itself time-dependent (stacking
+            two rescalings is not supported).
+    """
+    if base.time_dependent:
+        raise ValueError("cannot augment a time-dependent system")
+    k0 = base.k0
+    k1 = base.k1
+    n = base.n_species
+    base_eval = base.evaluator
+
+    def evaluate(w: np.ndarray, t: float) -> np.ndarray:
+        scale = np.exp(k1 * t)
+        u = scale * w[:n]
+        f = np.asarray(base_eval(u, t), dtype=np.float64)
+        g_head = f / scale - k1 * w[:n]
+        head_sum = np.sum(g_head, axis=0)
+        g_tail = k0 / scale - head_sum
+        return np.concatenate([g_head, g_tail[None]], axis=0)
+
+    return ReactionSystem(
+        name=f"{base.name}+mass-closure",
+        n_species=n + 1,
+        diffusion=np.concatenate([base.diffusion, [1.0]]),
+        k0=k0,
+        k1=0.0,
+        growth_k=base.growth_k,
+        growth_eps=base.growth_eps,
+        evaluator=evaluate,
+        time_dependent=True,
+        k0_decay=k1,
+        conservation_laws=(),
+        entropy_nonpositive=False,
+        uniform_decay_rate=None,
+    )
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """One entry of the report: a named measurement against its bound,
@@ -288,17 +361,63 @@ def _log_uniform(rng: np.random.Generator, size) -> np.ndarray:
     return 10.0 ** rng.uniform(_SAMPLE_LOG_LO, _SAMPLE_LOG_HI, size=size)
 
 
+
+
+def _face_probe(evaluator, n: int, rng: np.random.Generator, t_horizon=None,
+                tail_offset: float = 0.0, relative: bool = False):
+    """Sample quasi-positivity on the n boundary faces u_i = 0.
+
+    Each face draws fresh points, log-uniform off the face, then times
+    uniform in [0, t_horizon] when a horizon is given (else t = 0).  On the
+    last face tail_offset is added to the last reaction.  A sample fails
+    when f_i is below -_QP_TOL, scaled by (1 + max_k |f_k|) of its sample
+    when relative, or is not a number.
+
+    Returns:
+        (worst f_i sampled, the first failing face's worst sample as a
+        witness or None, the number of samples drawn).
+    """
+    per_face = max(1, _N_SAMPLES // n)
+    worst = np.inf
+    witness = None
+    for i in range(n):
+        pts = _log_uniform(rng, (n, per_face))
+        pts[i, :] = 0.0
+        t = 0.0 if t_horizon is None else rng.uniform(0.0, t_horizon, size=per_face)
+        f = np.asarray(evaluator(pts, t), dtype=np.float64)
+        if tail_offset and i == n - 1:
+            f[-1] += tail_offset
+        vals = f[i]
+        floor = -_QP_TOL * (1.0 + np.max(np.abs(f), axis=0)) if relative else -_QP_TOL
+        lo = float(np.min(vals))
+        if lo < worst:
+            worst = lo
+        if witness is None and not np.all(vals >= floor):
+            j = int(np.argmin(vals - floor))
+            witness = f"species {i + 1} reaches {float(vals[j])} at {_point_str(pts[:, j])}"
+    return worst, witness, n * per_face
+
+
+def _growth_ratio(sys: ReactionSystem, pts: np.ndarray, f: np.ndarray, factor: float = 1.0):
+    """Per sample, max_i |f_i| over the envelope K factor (1 + |u|^{2+eps}).
+
+    Returns:
+        (ratio, envelope), one entry per sample.
+    """
+    norms = np.sqrt(np.sum(pts * pts, axis=0))
+    envelope = sys.growth_k * factor * (1.0 + norms ** (2.0 + sys.growth_eps))
+    return np.max(np.abs(f), axis=0) / envelope, envelope
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def check_structure(
-    sys: ReactionSystem, rng: np.random.Generator, n_samples: int = 10_000
-) -> list[CheckResult]:
+def check_structure(sys: ReactionSystem, rng: np.random.Generator) -> list[CheckResult]:
     """Probe quasi-positivity, mass control and growth on random samples.
 
     Quasi-positivity is sampled on each boundary face u_i = 0 with the other
-    components log-uniform in [1e-6, 1e3]; the other two checks use full
-    orthant samples from the same range.  Time-dependent systems are probed
-    at t = 0.  A reaction that overflows raises no warning, and a sample
-    whose value is not a number fails the probe it feeds.
+    components log-uniform in [1e-6, 1e3]; the other two checks use 10000
+    full orthant samples from the same range.  Time-dependent systems are
+    probed at t = 0.  A reaction that overflows raises no warning, and a
+    sample whose value is not a number fails the probe it feeds.
 
     Returns:
         The report's structure_quasi_positivity, structure_mass_control and
@@ -308,27 +427,11 @@ def check_structure(
         worst overall for mass control and growth.  Sampling never proves
         the inequalities; it can only falsify them.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     n = sys.n_species
-
-    # Quasi-positivity on the N boundary faces.
-    qp_worst = np.inf
-    qp_witness = None
-    per_face = max(1, n_samples // max(n, 1))
-    for i in range(n):
-        pts = _log_uniform(rng, (n, per_face))
-        pts[i, :] = 0.0
-        vals = np.asarray(sys.evaluator(pts, 0.0), dtype=np.float64)[i, :]
-        lo = float(np.min(vals))
-        if lo < qp_worst:
-            qp_worst = lo
-        if not lo >= -_QP_TOL and qp_witness is None:
-            j = int(np.argmin(vals))
-            qp_witness = f"species {i + 1} reaches {lo} at {_point_str(pts[:, j])}"
+    qp_worst, qp_witness, qp_count = _face_probe(sys.evaluator, n, rng)
 
     # Mass control and growth on shared orthant samples.
-    pts = _log_uniform(rng, (n, n_samples))
+    pts = _log_uniform(rng, (n, _N_SAMPLES))
     fvals = np.asarray(sys.evaluator(pts, 0.0), dtype=np.float64)
     total_u = np.sum(pts, axis=0)
     total_f = np.sum(fvals, axis=0)
@@ -343,9 +446,7 @@ def check_structure(
             f"at {_point_str(pts[:, j])}"
         )
 
-    norms = np.sqrt(np.sum(pts * pts, axis=0))
-    envelope = sys.growth_k * (1.0 + norms ** (2.0 + sys.growth_eps))
-    ratio = np.max(np.abs(fvals), axis=0) / envelope
+    ratio, envelope = _growth_ratio(sys, pts, fvals)
     gr_worst = float(np.max(ratio))
     gr_passed = gr_worst <= 1.0 + _GROWTH_TOL
     gr_detail = "worst sampled ratio against the declared envelope"
@@ -363,7 +464,7 @@ def check_structure(
             passed=qp_witness is None,
             measured=qp_worst,
             bound=0.0,
-            detail=qp_witness or f"{n * per_face + n_samples} samples",
+            detail=qp_witness or f"{qp_count + _N_SAMPLES} samples",
         ),
         CheckResult(
             name="structure_mass_control",
@@ -378,5 +479,106 @@ def check_structure(
             measured=gr_worst,
             bound=1.0,
             detail=gr_detail,
+        ),
+    ]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def verify_augmented(
+    closed: ReactionSystem,
+    rng: np.random.Generator,
+    t_horizon: float = 1.0,
+    g_tail_offset: float = 0.0,
+) -> list[CheckResult]:
+    """Sample-audit the closed system built by augment_system on random
+    (state, time) pairs, with K0 its k0 and K1 its k0_decay.
+
+    Checks, on 10000 orthant samples plus fresh samples per boundary face
+    (components log-uniform in [1e-6, 1e3], time uniform in
+    [0, t_horizon]):
+
+    * augmented_quasi_positivity: every g_i on its boundary face, including
+      the extra species (whose face value is the base mass-control margin),
+      against the floor -1e-12 (1 + max_i |g_i|) of its sample;
+    * augmented_conservation_residual: the sum of all N+1 reactions equals
+      K0 e^{-K1 t} to 1e-10 relative;
+    * augmented_growth: the constant C in
+      |g_i| <= C e^{(1+eps)|K1| T}(1+|w|^{2+eps}) is fitted as the worst
+      sampled ratio and reported, with no bound; it passes when finite.
+
+    As in check_structure, a reaction that overflows raises no warning and
+    a sample whose value is not a number fails.  A failing
+    quasi-positivity or conservation check names its first violating
+    sample in its detail.
+
+    Args:
+        g_tail_offset: test-surface injection added to the extra reaction
+            before checking; a nonzero value demonstrates that a broken
+            augmentation is caught.
+
+    Returns:
+        The three checks above, in that order.
+
+    Raises:
+        ValueError: on a nonpositive or non-finite horizon.
+    """
+    if not np.isfinite(t_horizon) or t_horizon <= 0.0:
+        raise ValueError(f"t_horizon must be finite and > 0, got {t_horizon}")
+    n_aug = closed.n_species
+    k0 = closed.k0
+    k1 = closed.k0_decay
+
+    # The evaluator built by augment_system broadcasts over a time array of
+    # the same length as the sample axis, so the whole audit vectorizes.
+    times = rng.uniform(0.0, t_horizon, size=_N_SAMPLES)
+    pts = _log_uniform(rng, (n_aug, _N_SAMPLES))
+    g = np.asarray(closed.evaluator(pts, times), dtype=np.float64)
+    g[-1] += g_tail_offset
+
+    target = k0 * np.exp(-k1 * times)
+    sums = np.sum(g, axis=0)
+    scale = np.maximum(1.0, np.maximum(np.abs(target), np.max(np.abs(g), axis=0)))
+    rel = np.abs(sums - target) / scale
+    cons_worst = float(np.max(rel))
+    cons_witness = ""
+    if not cons_worst <= _CONSERVATION_TOL:
+        j = int(np.argmax(rel))
+        cons_witness = (
+            f"sum {float(sums[j])} vs target {float(target[j])} "
+            f"at t = {float(times[j])}, w = {_point_str(pts[:, j])}"
+        )
+
+    horizon_factor = float(np.exp((1.0 + closed.growth_eps) * abs(k1) * t_horizon))
+    growth_worst = float(np.max(_growth_ratio(closed, pts, g, horizon_factor)[0]))
+
+    # The tail face value is a cancellation of O(|w|^2) terms, so the floor
+    # is scaled by the sampled reaction magnitude instead of being absolute.
+    qp_worst, qp_witness, qp_count = _face_probe(
+        closed.evaluator, n_aug, rng, t_horizon, g_tail_offset, relative=True
+    )
+
+    return [
+        CheckResult(
+            name="augmented_quasi_positivity",
+            passed=qp_witness is None,
+            measured=qp_worst,
+            bound=0.0,
+            detail=qp_witness
+            or f"{_N_SAMPLES + qp_count} samples; floor "
+            f"-{_QP_TOL}*(1 + max_i |g_i|) per sample",
+        ),
+        CheckResult(
+            name="augmented_conservation_residual",
+            passed=cons_worst <= _CONSERVATION_TOL,
+            measured=cons_worst,
+            bound=0.0,
+            detail=cons_witness,
+        ),
+        CheckResult(
+            name="augmented_growth",
+            passed=bool(np.isfinite(growth_worst)),
+            measured=growth_worst,
+            detail="fitted constant C in |g_i| <= C e^{(1+eps)|K1| T}"
+            "(1 + |w|^{2+eps}); passes when finite",
         ),
     ]

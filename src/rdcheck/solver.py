@@ -474,13 +474,15 @@ def imex_step(
         step size.
 
     Raises:
-        ValueError: if u's species count does not match the system, or a
-            step size is <= 0.
+        ValueError: if u's species count does not match the system, f's
+            shape is not u's, or a step size is <= 0.
     """
     if u.shape[0] != sys.n_species:
         raise ValueError(
             f"state has {u.shape[0]} species, system expects {sys.n_species}"
         )
+    if f.shape != u.shape:
+        raise ValueError(f"reaction has shape {f.shape}, state has shape {u.shape}")
     steps = np.asarray(dts, dtype=np.float64)[:, None]
     if steps.min() <= 0.0:
         raise ValueError(f"dt must be > 0, got {dts}")

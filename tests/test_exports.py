@@ -1,5 +1,6 @@
 """The public surface: rdcheck.__all__ and the README's "Library use" section."""
 
+import ast
 import builtins
 import dataclasses
 import inspect
@@ -72,3 +73,26 @@ def test_solve_boundaries_stay_module_attributes():
     assert rdcheck.experiment.verify_augmented is rdcheck.verify_augmented
     assert rdcheck.experiment.entropy_pointwise_worst is rdcheck.entropy_pointwise_worst
     assert rdcheck.experiment.run_simulation is rdcheck.run_simulation
+
+
+def test_no_module_imports_a_siblings_private_name():
+    # A private helper that two modules need lives in one of them; the other
+    # does not reach it through its underscore.
+    package = os.path.dirname(rdcheck.__file__)
+    offenders = []
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename)
+        for node in ast.walk(tree):
+            sibling = isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").startswith("rdcheck")
+            )
+            if sibling:
+                offenders += [
+                    f"{filename}: {alias.name} from {node.module}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                ]
+    assert offenders == []

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdcheck import (
+    augment_system,
     check_structure,
     custom_polynomial,
     entropy_pointwise_worst,
     quadratic_reversible,
     skew_lv,
+    verify_augmented,
 )
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
@@ -319,9 +321,114 @@ class TestCheckStructure:
         assert a["mass_control"].measured == b["mass_control"].measured
         assert a["growth"].measured == b["growth"].measured
 
-    def test_rejects_nonpositive_sample_count(self, quad_system):
-        with pytest.raises(ValueError, match="n_samples"):
-            check_structure(quad_system, np.random.default_rng(0), n_samples=0)
+
+GROWTH_OK = "worst sampled ratio against the declared envelope"
+FITTED = (
+    "fitted constant C in |g_i| <= C e^{(1+eps)|K1| T}(1 + |w|^{2+eps}); passes when finite"
+)
+FLOOR = "; floor -1e-12*(1 + max_i |g_i|) per sample"
+
+
+def audit_entries(sys, seed, t_end=None, offset=0.0):
+    """(name, passed, repr(measured), detail) of check_structure on a fresh
+    seeded generator or, given t_end, of verify_augmented on the closed
+    system drawing from the same generator next, as run_experiment calls
+    them."""
+    rng = np.random.default_rng(seed)
+    checks = check_structure(sys, rng)
+    if t_end is not None:
+        checks = verify_augmented(
+            augment_system(sys), rng, t_horizon=t_end, g_tail_offset=offset
+        )
+    return [(c.name, c.passed, repr(c.measured), c.detail) for c in checks]
+
+
+class TestAuditCharacterization:
+    """Exact entries of both audits for fixed seeds.
+
+    Reports must reproduce byte for byte, so the draw order of the samples,
+    the measured floats and the witness text are pinned here.
+    """
+
+    def test_quad(self, quad_system):
+        assert audit_entries(quad_system, 11) == [
+            ("structure_quasi_positivity", True, "1.048443822661202e-12", "20000 samples"),
+            ("structure_mass_control", True, "-1.0000085422539698e-09", ""),
+            ("structure_growth", True, "0.49999060686001784", GROWTH_OK),
+        ]
+
+    def test_skew(self, skew_system):
+        assert audit_entries(skew_system, 12) == [
+            ("structure_quasi_positivity", True, "-0.0", "20000 samples"),
+            ("structure_mass_control", True, "-1.0000024044636087e-09", ""),
+            ("structure_growth", True, "0.3502803388057104", GROWTH_OK),
+        ]
+
+    def test_augmented_quad(self, quad_system):
+        assert audit_entries(quad_system, 13, t_end=0.5) == [
+            ("augmented_quasi_positivity", True, "0.0", "20000 samples" + FLOOR),
+            ("augmented_conservation_residual", True, "0.0", ""),
+            ("augmented_growth", True, "0.49988963812323545", FITTED),
+        ]
+
+    def test_augmented_skew(self, skew_system):
+        assert audit_entries(skew_system, 14, t_end=2.0) == [
+            ("augmented_quasi_positivity", True, "-2.9103830456733704e-11",
+             "19999 samples" + FLOOR),
+            ("augmented_conservation_residual", True, "0.0", ""),
+            ("augmented_growth", True, "0.031901113965993454", FITTED),
+        ]
+
+    def test_augmented_quad_with_tail_offset(self, quad_system):
+        assert audit_entries(quad_system, 15, t_end=0.5, offset=0.1) == [
+            ("augmented_quasi_positivity", True, "1.099084139294495e-12",
+             "20000 samples" + FLOOR),
+            ("augmented_conservation_residual", False, "0.1",
+             "sum 0.1 vs target 0.0 at t = 0.4639050468192795, w = [4.338346631235924, "
+             "2.208434513075474e-06, 3.949697267112211e-06, 235.6738777008632, "
+             "5.20845975359349]"),
+            ("augmented_growth", True, "0.49991952193777556", FITTED),
+        ]
+
+    def test_broken_quasi_positivity(self):
+        sys = poly_model(2, [[(-1.0, (0, 1))], [(1.0, (0, 1))]])
+        assert audit_entries(sys, 16) == [
+            ("structure_quasi_positivity", False, "-996.5357641376474",
+             "species 1 reaches -996.5357641376474 at [0.0, 996.5357641376474]"),
+            ("structure_mass_control", True, "-1.000002145018903e-09", ""),
+            ("structure_growth", True, "0.4999910549609805", GROWTH_OK),
+        ]
+
+    def test_broken_mass_control(self):
+        sys = poly_model(1, [[(1.0, (1,))]], growth_k=2.0)
+        assert audit_entries(sys, 17) == [
+            ("structure_quasi_positivity", True, "0.0", "20000 samples"),
+            ("structure_mass_control", False, "999.3659523259134",
+             "sum 999.3659533262794 exceeds allowance 1.0003659533262795e-06 "
+             "at [999.3659533262794]"),
+            ("structure_growth", True, "0.24999998800073878", GROWTH_OK),
+        ]
+
+    def test_broken_growth(self):
+        sys = poly_model(1, [[(1.0, (4,))]], k1=1e12)
+        assert audit_entries(sys, 18) == [
+            ("structure_quasi_positivity", True, "0.0", "20000 samples"),
+            ("structure_mass_control", True, "-1000334.2556134061", ""),
+            ("structure_growth", False, "998213.2869349228",
+             "species 1: |f_1| = 996431762638.9966 exceeds envelope 998215.2869339212 "
+             "at [999.1067445142792]"),
+        ]
+
+    def test_closure_of_broken_mass_control(self):
+        # The closure's face value is the base mass-control margin, so its
+        # own face fails where the base breaks mass control.
+        sys = poly_model(1, [[(1.0, (1,))]], growth_k=2.0)
+        assert audit_entries(sys, 19, t_end=1.0) == [
+            ("augmented_quasi_positivity", False, "-999.892200107773",
+             "species 2 reaches -999.892200107773 at [999.892200107773, 0.0]"),
+            ("augmented_conservation_residual", True, "0.0", ""),
+            ("augmented_growth", True, "0.24999999176409698", FITTED),
+        ]
 
 
 class TestMassSource:

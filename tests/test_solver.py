@@ -565,6 +565,12 @@ class TestImexStep:
         with pytest.raises(ValueError, match="species"):
             imex_step(u, np.zeros_like(u), grid, quad_system, [0.1])
 
+    def test_rejects_reaction_of_another_shape(self, quad_system):
+        # A (cells,) reaction would broadcast onto every species.
+        grid, u = constant_state(Grid1D(8, 1.0), 1.0, n_species=4)
+        with pytest.raises(ValueError, match=r"reaction has shape \(8,\), state .* \(4, 8\)"):
+            imex_step(u, np.arange(8.0), grid, quad_system, [0.1])
+
     def test_non_finite_level_is_returned(self):
         # u^3 overflows at u = 1e200: the level comes back non-finite in
         # species 2, without a warning, and species 1 is untouched.

@@ -1,6 +1,7 @@
 """Tests for the mass-closing augmentation of the time-rescaled system."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from rdcheck import (
     Grid1D,
     SolverConfig,
     augment_system,
+    custom_polynomial,
+    run_experiment,
     run_simulation,
     skew_lv,
+    validate_config,
     verify_augmented,
 )
 
@@ -106,10 +110,39 @@ class TestVerifyAugmented:
         assert conservation.detail.startswith("sum ")
         assert not all(c.passed for c in checks.values())
 
-    def test_rejects_bad_sample_count(self, quad_system):
-        closed = augment_system(quad_system)
-        with pytest.raises(ValueError, match="n_samples"):
-            verify_augmented(closed, np.random.default_rng(0), n_samples=0)
+    def test_not_a_number_fails_quasi_positivity_without_a_warning(self):
+        # f = -u declared with k1 = 100: past t ~ 7 the rescaling e^{100 t}
+        # overflows and every closed reaction is inf / inf.  Those samples
+        # are not numbers, so the probe fails and names one; no overflow or
+        # invalid-value warning escapes (the suite turns them into errors).
+        base = custom_polynomial(
+            [1.0, 1.0], [[(-1.0, (1, 0))], [(-1.0, (0, 1))]], 0.0, 100.0, 1.0, 0.0
+        )
+        checks = audit(augment_system(base), 0, t_horizon=10.0)
+        qp = checks["quasi_positivity"]
+        assert not qp.passed
+        assert re.fullmatch(r"species \d reaches nan at \[.*\]", qp.detail)
+
+    def test_not_a_number_run_still_aborts(self):
+        raw = {
+            "model": {
+                "custom": {
+                    "n_species": 2, "k0": 0.0, "k1": 100.0, "k": 1.0, "eps": 0.0,
+                    "terms": [[{"coef": -1.0, "powers": [1, 0]}],
+                              [{"coef": -1.0, "powers": [0, 1]}]],
+                },
+                "diffusion": [1.0, 1.0],
+            },
+            "grid": {"n_cells": 16, "length": 1.0},
+            "initial": [{"type": "constant", "value": 1.0}] * 2,
+            "solver": {"dt": 0.5, "t_end": 10.0},
+            "transform": {"augment": True},
+        }
+        outcome = run_experiment(validate_config(raw))
+        assert outcome.aborted
+        qp = {c["name"]: c for c in outcome.report["checks"]}["augmented_quasi_positivity"]
+        assert qp["passed"] is False
+        assert "reaches nan" in qp["detail"]
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf])
     def test_rejects_bad_horizon(self, quad_system, horizon):
