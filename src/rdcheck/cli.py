@@ -24,8 +24,7 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 
-from .config import load_config
-from .errors import ConfigError
+from .config import ConfigError, load_config
 from .experiment import run_experiment
 from .theory import fit_rate, interpolation_constants, quad_equilibrium
 

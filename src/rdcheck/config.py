@@ -22,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import AuxiliaryConfig
-from .errors import ConfigError
 from .grid import Grid1D
 from .models import ReactionSystem, augment_system, custom_polynomial, quadratic_reversible, skew_lv
-from .solver import SolverConfig
+from .solver import SolverConfig, row_norms
 
 __all__ = [
+    "ConfigError",
     "RunConfig",
     "load_config",
     "validate_config",
@@ -47,6 +47,20 @@ _TOP_LEVEL_KEYS = (
     "model", "grid", "initial", "solver", "diagnostics", "transform", "fits",
     "inject", "output", "seed",
 )
+
+
+class ConfigError(Exception):
+    """Invalid run configuration.
+
+    Carries the full list of validation messages, not just the first, so a
+    user can fix a config file in one pass.  The command line exits 2 on it.
+    """
+
+    def __init__(self, errors):
+        if isinstance(errors, str):
+            errors = [errors]
+        self.errors = list(errors)
+        super().__init__("; ".join(self.errors))
 
 
 @dataclass
@@ -396,7 +410,7 @@ def _check_derived(
         u0 = _finite(lambda: profile(grid))
         if u0 is None:
             col.add(f"initial[{i}]", "profile values on the grid are not finite")
-        elif _finite(lambda: np.add.accumulate(u0)[-1] * h) is None:
+        elif _finite(lambda: row_norms(u0[None], h)[1]) is None:
             col.add(f"initial[{i}]", "the initial mass h * sum_j u_j is not finite")
         else:
             values.append(u0)

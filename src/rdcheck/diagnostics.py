@@ -115,9 +115,11 @@ class AuxiliaryTracker:
     """Solver hook advancing the auxiliary fields with the primal run.
 
     u0 is the run's initial (species, cells) array on grid.  `row` holds
-    the diagnostic CSV cells of the current time: z_sup, b_min, b_max,
-    vd_consistency, zvd_residual and grad_vd_sup.
+    the diagnostic CSV cells of the current time, which `columns` names in
+    order.
     """
+
+    columns = ("z_sup", "b_min", "b_max", "vd_consistency", "zvd_residual", "grad_vd_sup")
 
     def __init__(
         self, sys: ReactionSystem, grid: Grid1D, u0: np.ndarray, cfg: AuxiliaryConfig
@@ -276,14 +278,6 @@ class AuxiliaryTracker:
         ]
 
 
-def _exp(x: float) -> float:
-    """e^x, or +inf where it overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def entropy_pointwise_worst(u: np.ndarray, f: np.ndarray) -> float | None:
     """Largest per-cell value of sum_i f_i log u_i over strictly positive cells.
 
@@ -345,23 +339,7 @@ class InvariantTracker:
         self.law_drift = [
             _max(d, abs(v - v0)) for d, v, v0 in zip(self.law_drift, self.laws, self.laws0)
         ]
-        # An envelope that overflows is +inf: nothing is shown to exceed it.
-        grow = _exp(sys.k1 * t)
-        rate = sys.k1 + sys.k0_decay
-        if sys.k0 == 0.0:
-            src = 0.0
-        elif rate == 0.0:
-            src = sys.k0 * grow * t
-        else:
-            decay = _exp(-rate * t)
-            if decay == math.inf:
-                # rate < 0: e^{k1 t} may have underflowed to 0, so take the
-                # product e^{k1 t} (1 - e^{-rate t}) as a difference.
-                src = sys.k0 * (grow - _exp(-sys.k0_decay * t)) / rate
-            else:
-                src = sys.k0 * grow * (1.0 - decay) / rate
-        held = grow * self.mass0 if self.mass0 != 0.0 else 0.0
-        envelope = held + self.domain_length * src
+        envelope = sys.mass_envelope(t, self.mass0, self.domain_length)
         # A total that overflowed is not shown to stay under the envelope.
         excess = total - envelope if math.isfinite(total) else math.inf
         self.envelope_excess = _max(self.envelope_excess, excess)

@@ -6,7 +6,8 @@ structure audits, the auxiliary-field tracker and the invariant checks
 (both fed every accepted step), then serializes the results:
 
 * a CSV trace with one row per recorded step (columns fixed by
-  _Recorder; diagnostics cells are empty when the tracker is off);
+  _Recorder, the diagnostic ones named by AuxiliaryTracker.columns and
+  empty when the tracker is off);
 * a JSON report echoing the config with its sha256, every check verdict,
   fitted rates, and an overall pass / fail / aborted verdict.
 
@@ -38,10 +39,9 @@ import numpy as np
 
 from .config import RunConfig
 from .diagnostics import AuxiliaryTracker, InvariantTracker, entropy_pointwise_worst
-from .errors import NumericalFailure
 from .grid import Grid1D
 from .models import CheckResult, ReactionSystem, check_structure, verify_augmented
-from .solver import StepEvent, row_norms, run_simulation
+from .solver import NumericalFailure, StepEvent, row_norms, run_simulation
 from .theory import fit_rate, quad_equilibrium
 
 __all__ = ["ExperimentOutcome", "run_experiment", "config_sha256", "write_atomic"]
@@ -154,7 +154,7 @@ class _Recorder:
             + [f"mass_{i + 1}" for i in range(n)]
             + ["mass_total", "entropy"]
             + [f"cons_law_{j + 1}" for j in range(len(system.conservation_laws))]
-            + ["z_sup", "b_min", "b_max", "vd_consistency", "zvd_residual", "grad_vd_sup"]
+            + list(AuxiliaryTracker.columns)
         )
         self.rows = [",".join(columns)]
         sup_norms, masses = row_norms(u0, grid.h)
@@ -170,7 +170,7 @@ class _Recorder:
                 self.series["distance_to_equilibrium"] = exc
         f0 = None
         if not augmented:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 f0 = np.asarray(system.evaluator(u0, 0.0), dtype=np.float64)
         self._observe(0.0, u0, f0, sup_norms, masses, True)
 
@@ -182,7 +182,7 @@ class _Recorder:
         inv.update(t, u, masses, entropy)
         if not recorded:
             return
-        diag = (None,) * 6 if self.tracker is None else self.tracker.row
+        diag = self.tracker.row if self.tracker else (None,) * len(AuxiliaryTracker.columns)
         cells = [t, *sup_norms, *masses, inv.total, entropy, *inv.laws, *diag]
         self.rows.append(",".join(_fmt(c) for c in cells))
         self.times.append(t)

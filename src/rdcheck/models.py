@@ -49,6 +49,7 @@ construction does not pin down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,6 +130,36 @@ class ReactionSystem:
         if self.k0_decay == 0.0:
             return self.k0 * t
         return self.k0 * (1.0 - float(np.exp(-self.k0_decay * t))) / self.k0_decay
+
+    def mass_envelope(self, t: float, mass0: float, length: float) -> float:
+        """The mass control's bound on the total mass at time t of a run
+        that starts with total mass mass0 on a domain of that length:
+        e^{k1 t} mass0 + length * integral_0^t e^{k1 (t - s)} K0(s) ds.
+        An envelope that overflows is +inf: nothing is shown to exceed it."""
+        grow = _exp(self.k1 * t)
+        rate = self.k1 + self.k0_decay
+        if self.k0 == 0.0:
+            src = 0.0
+        elif rate == 0.0:
+            src = self.k0 * grow * t
+        else:
+            decay = _exp(-rate * t)
+            if decay == math.inf:
+                # rate < 0: e^{k1 t} may have underflowed to 0, so take the
+                # product e^{k1 t} (1 - e^{-rate t}) as a difference.
+                src = self.k0 * (grow - _exp(-self.k0_decay * t)) / rate
+            else:
+                src = self.k0 * grow * (1.0 - decay) / rate
+        held = grow * mass0 if mass0 != 0.0 else 0.0
+        return held + length * src
+
+
+def _exp(x: float) -> float:
+    """e^x, or +inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _check_diffusion(diffusion, n_species: int) -> np.ndarray:
@@ -390,7 +421,9 @@ def _face_probe(evaluator, n: int, rng: np.random.Generator, t_horizon=None,
         vals = f[i]
         floor = -_QP_TOL * (1.0 + np.max(np.abs(f), axis=0)) if relative else -_QP_TOL
         lo = float(np.min(vals))
-        if lo < worst:
+        # A face minimum that is not a number stays the worst, as in
+        # the trackers' running minima.
+        if lo < worst or lo != lo:
             worst = lo
         if witness is None and not np.all(vals >= floor):
             j = int(np.argmin(vals - floor))
@@ -409,15 +442,16 @@ def _growth_ratio(sys: ReactionSystem, pts: np.ndarray, f: np.ndarray, factor: f
     return np.max(np.abs(f), axis=0) / envelope, envelope
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def check_structure(sys: ReactionSystem, rng: np.random.Generator) -> list[CheckResult]:
     """Probe quasi-positivity, mass control and growth on random samples.
 
     Quasi-positivity is sampled on each boundary face u_i = 0 with the other
     components log-uniform in [1e-6, 1e3]; the other two checks use 10000
     full orthant samples from the same range.  Time-dependent systems are
-    probed at t = 0.  A reaction that overflows raises no warning, and a
-    sample whose value is not a number fails the probe it feeds.
+    probed at t = 0.  A reaction that overflows or divides by zero raises
+    no warning, and a sample whose value is not a number fails the probe it
+    feeds.
 
     Returns:
         The report's structure_quasi_positivity, structure_mass_control and
@@ -483,7 +517,7 @@ def check_structure(sys: ReactionSystem, rng: np.random.Generator) -> list[Check
     ]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def verify_augmented(
     closed: ReactionSystem,
     rng: np.random.Generator,
@@ -506,10 +540,10 @@ def verify_augmented(
       |g_i| <= C e^{(1+eps)|K1| T}(1+|w|^{2+eps}) is fitted as the worst
       sampled ratio and reported, with no bound; it passes when finite.
 
-    As in check_structure, a reaction that overflows raises no warning and
-    a sample whose value is not a number fails.  A failing
-    quasi-positivity or conservation check names its first violating
-    sample in its detail.
+    As in check_structure, a reaction that overflows or divides by zero
+    raises no warning and a sample whose value is not a number fails.  A
+    failing quasi-positivity or conservation check names its first
+    violating sample in its detail.
 
     Args:
         g_tail_offset: test-surface injection added to the extra reaction

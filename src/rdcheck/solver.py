@@ -111,17 +111,35 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NumericalFailure
 from .grid import Grid1D
 from .models import ReactionSystem
 
 __all__ = [
+    "NumericalFailure",
     "SolverConfig",
     "StepEvent",
     "implicit_heat_step",
     "imex_step",
     "run_simulation",
 ]
+
+
+class NumericalFailure(RuntimeError):
+    """Unrecoverable numerical breakdown during a run; the command line
+    exits 3 on it.
+
+    Attributes:
+        time: simulation time at which the failure occurred.
+        species: index of the offending species, or None.
+        value: the offending value (the last rejected trial's minimum or
+            its first non-finite value), or None.
+    """
+
+    def __init__(self, message, time=None, species=None, value=None):
+        super().__init__(message)
+        self.time = time
+        self.species = species
+        self.value = value
 
 
 @dataclass(frozen=True)
@@ -588,7 +606,7 @@ def run_simulation(
                 f"initial data for species {i + 1} is negative: {float(low)}"
             )
     u.flags.writeable = False
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f = np.asarray(sys.evaluator(u, 0.0), dtype=np.float64)
     f.flags.writeable = False
     t = 0.0
@@ -627,7 +645,7 @@ def run_simulation(
         t_new = t + dt_step
         step_index += 1
         # An overflow is inf or nan: the next trial fails, as do mass checks.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f = np.asarray(sys.evaluator(u_new, t_new), dtype=np.float64)
             sup_norms, masses = row_norms(u_new, grid.h)
         f.flags.writeable = False

@@ -95,6 +95,29 @@ def overflow_raw():
     }
 
 
+def underflow_raw():
+    """f = 1 - 200u declared with k1 = -100, augmented: past t ~ 7.4 the
+    closure's rescaling e^{-100 t} underflows to zero and the closed
+    reaction divides by it."""
+    return {
+        "model": {
+            "custom": {
+                "n_species": 1,
+                "terms": [[{"coef": 1.0, "powers": [0]}, {"coef": -200.0, "powers": [1]}]],
+                "k0": 1.0,
+                "k1": -100.0,
+                "k": 1000.0,
+                "eps": 0.0,
+            },
+            "diffusion": [1.0],
+        },
+        "grid": {"n_cells": 8, "length": 1.0},
+        "initial": [{"type": "constant", "value": 0.005}],
+        "solver": {"dt": 0.5, "t_end": 10.0},
+        "transform": {"augment": True},
+    }
+
+
 class TestRunCommand:
     def test_passing_run_prints_summary_and_writes_artifacts(self, tmp_path, capsys):
         csv_path = tmp_path / "out.csv"
@@ -212,6 +235,17 @@ class TestNumericalFailure:
         assert report["n_accepted_steps"] == 7
         # Header plus t = 0 and the seven accepted steps.
         assert len(csv_path.read_text().splitlines()) == 9
+
+    def test_underflowing_closure_aborts_without_a_warning(self, tmp_path, capsys):
+        # Neither the audits nor the run warn on the division by the
+        # underflowed rescaling; a warning would be an error in this suite
+        # and end the run as an unexpected exception, with a traceback.
+        cfg = write_config(tmp_path, underflow_raw())
+        assert main(["verify", cfg]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "FAIL augmented_quasi_positivity  measured=nan  " in captured.out
+        assert "aborted: species 1 became non-finite (inf)" in captured.out
 
 
 class TestConfigErrors:

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from rdcheck import check_structure, diagnostics, experiment
-from rdcheck.config import validate_config
-from rdcheck.errors import ConfigError
+from rdcheck.config import ConfigError, validate_config
 from rdcheck.experiment import config_sha256, run_experiment, write_atomic
 
 DT = 1e-3
@@ -263,6 +262,16 @@ class TestDiagnosticsToggle:
         assert "z_sup_bound" not in names
         assert "b_range" not in names
         assert outcome.report["measurements"] is None
+
+    @pytest.mark.parametrize("section", [{"enabled": True, "d": 5.0}, {"enabled": False}])
+    def test_header_ends_with_the_tracker_columns(self, section):
+        # The tracker names its cells; every row has one cell per header
+        # name, diagnostics on or off.
+        header, rows = data_rows(run_raw(quad_raw(diagnostics=section)).csv_text)
+        names = header.split(",")
+        columns = diagnostics.AuxiliaryTracker.columns
+        assert tuple(names[-len(columns):]) == columns
+        assert rows and all(len(row) == len(names) for row in rows)
 
 
 def custom_raw(terms, k=1.0, k1=0.0):

@@ -3,6 +3,7 @@
 import ast
 import builtins
 import dataclasses
+import importlib
 import inspect
 import os
 import re
@@ -42,6 +43,18 @@ def test_every_export_resolves():
     assert len(set(rdcheck.__all__)) == len(rdcheck.__all__)
     for name in rdcheck.__all__:
         assert hasattr(rdcheck, name), name
+
+
+def test_package_reexports_exactly_its_modules_exports():
+    # Each name is declared once, in its module's __all__; the package
+    # re-exports every module's list but the command line's.
+    package = os.path.dirname(rdcheck.__file__)
+    files = sorted(f[:-3] for f in os.listdir(package) if f.endswith(".py"))
+    modules = [importlib.import_module(f"rdcheck.{name}") for name in files if name != "__init__"]
+    for module in modules:
+        assert isinstance(getattr(module, "__all__", None), list), module.__name__
+    reexported = [m.__all__ for m in modules if m.__name__ != "rdcheck.cli"]
+    assert sorted(rdcheck.__all__) == sorted(name for names in reexported for name in names)
 
 
 def test_readme_library_use_names_only_exports():

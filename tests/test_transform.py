@@ -113,14 +113,16 @@ class TestVerifyAugmented:
     def test_not_a_number_fails_quasi_positivity_without_a_warning(self):
         # f = -u declared with k1 = 100: past t ~ 7 the rescaling e^{100 t}
         # overflows and every closed reaction is inf / inf.  Those samples
-        # are not numbers, so the probe fails and names one; no overflow or
-        # invalid-value warning escapes (the suite turns them into errors).
+        # are not numbers, so the probe fails, names one and measures NaN;
+        # no overflow or invalid-value warning escapes (the suite turns them
+        # into errors).
         base = custom_polynomial(
             [1.0, 1.0], [[(-1.0, (1, 0))], [(-1.0, (0, 1))]], 0.0, 100.0, 1.0, 0.0
         )
         checks = audit(augment_system(base), 0, t_horizon=10.0)
         qp = checks["quasi_positivity"]
         assert not qp.passed
+        assert math.isnan(qp.measured)
         assert re.fullmatch(r"species \d reaches nan at \[.*\]", qp.detail)
 
     def test_not_a_number_run_still_aborts(self):
