@@ -23,25 +23,25 @@ numerically:
   b = sum u_i / sum d_i u_i trapped in [1/max d_i, 1/min d_i], and
   0 <= u_hat <= d z_hat with sup|u_hat| <= d (M + integral K0) T.
 
-The tracker is a solver hook: it advances with the accepted steps and keeps
-the current fields and running extrema only, so bounds are checked against
-the whole history, not just recorded steps, and each per-step quantity
-(sum_i u_i, b, sup|z|, v_d and its forcing) is computed once.  It scans
-the Holder moduli of v_d at the steps the solver marks recorded (not at
-t = 0, where v_d is zero), with one `holder_modulus` call.  That scan
-skips the lag bands whose bound cannot beat the running best and takes
-the rest 32 lags per numpy call: on the smooth v_d of the README quad run
-at 1024 cells it scans about 350-450 of the 1023 lags, 1-1.5 ms a
-snapshot.  It is O(n) memory, and O(n^2) time in the worst case, a
-monotone x^gamma-like row.
+The tracker is a solver hook: it starts from the solver's index-0 event,
+u0, advances with the accepted steps and keeps the current fields and
+running extrema only, so bounds are checked against the whole history, not
+just recorded steps, and each per-step quantity (sum_i u_i, b, sup|z|, v_d
+and its forcing) is computed once.  It scans the Holder moduli of v_d at
+the steps the solver marks recorded (not at t = 0, where v_d is zero),
+with one `holder_modulus` call.  That scan skips the lag bands whose bound
+cannot beat the running best and takes the rest 32 lags per numpy call:
+on the smooth v_d of the README quad run at 1024 cells it scans about
+350-450 of the 1023 lags, 1-1.5 ms a snapshot.  It is O(n) memory, and
+O(n^2) time in the worst case, a monotone x^gamma-like row.
 
-The primal checks work the same way.  `InvariantTracker` is fed the
-initial state and then every accepted step, with the masses the solver
-computed once for that step and the step's entropy value, formed from
-the reaction the solver evaluated once for that state, and keeps
-running extrema: the smallest value (positivity), the drift of each
-conserved combination, the excess over the mass envelope, the error of
-the exact geometric mass decay, and the largest entropy production.  Each
+The primal checks work the same way.  `InvariantTracker` is fed every
+state of the run, u0 first, with the masses the solver computed once for
+that state and the state's entropy value, formed from the reaction the
+solver evaluated once for that state, and keeps running extrema: the
+smallest value (positivity), the drift of each conserved combination, the
+excess over the mass envelope, the error of the exact geometric mass
+decay, and the largest entropy production.  Each
 tracker's `checks` turns its own extrema into the report's verdicts, which
 therefore do not depend on the recording cadence.
 """
@@ -112,18 +112,18 @@ class AuxiliaryConfig:
 
 
 class AuxiliaryTracker:
-    """Solver hook advancing the auxiliary fields with the primal run.
+    """Solver hook advancing the auxiliary fields with the primal run on
+    grid.
 
-    u0 is the run's initial (species, cells) array on grid.  `row` holds
-    the diagnostic CSV cells of the current time, which `columns` names in
+    The index-0 event, u0, sets z, sum_i d_i u_i and initial_sup_sum; every
+    later event advances the fields by its step.  `row` holds the
+    diagnostic CSV cells of the current time, which `columns` names in
     order.
     """
 
     columns = ("z_sup", "b_min", "b_max", "vd_consistency", "zvd_residual", "grad_vd_sup")
 
-    def __init__(
-        self, sys: ReactionSystem, grid: Grid1D, u0: np.ndarray, cfg: AuxiliaryConfig
-    ):
+    def __init__(self, sys: ReactionSystem, grid: Grid1D, cfg: AuxiliaryConfig):
         d_max = float(np.max(sys.diffusion))
         if cfg.d <= d_max:
             raise ValueError(
@@ -133,21 +133,16 @@ class AuxiliaryTracker:
         self.sys = sys
         self.cfg = cfg
         self.grid = grid
-        n = sys.n_species
         cells = grid.n_cells
         self._v_d = np.zeros(cells)
-        self._z = np.sum(u0, axis=0) + cfg.z_offset
         self._z_hat = np.zeros(cells)
         self._u_hat = np.zeros(cells)
         self._weights = np.asarray(sys.diffusion, dtype=np.float64)
         # d - d_i: the weights of v_d and of its forcing sum_i (d - d_i) u_i.
         self._gaps = cfg.d - self._weights
-        self._s_prev = np.tensordot(self._weights, u0, axes=1)
         # M = sum of per-species initial sup norms, the constant in the
-        # z and u_hat bounds.
-        self.initial_sup_sum = float(
-            np.sum([np.max(np.abs(u0[i])) for i in range(n)])
-        )
+        # z and u_hat bounds; NaN until u0 is seen.
+        self.initial_sup_sum = math.nan
         self.z_sup_max = -math.inf
         self.vd_consistency_max = 0.0
         self.zvd_residual_max = 0.0
@@ -160,27 +155,31 @@ class AuxiliaryTracker:
         self.b_max = -math.inf
         # gamma -> the largest Holder modulus of v_d at a recorded step.
         self.holder_max: dict = {}
-        self._observe(u0, self._s_prev)
 
     def on_step(self, event: StepEvent) -> None:
-        dt = event.dt
-        k0_old = self.sys.mass_source_rate(event.t_old)
-        # v_d's source is the forcing _observe computed from u_old.
-        rows = implicit_heat_step(
-            np.stack((self._v_d, self._z)),
-            self.grid,
-            self.cfg.d,
-            dt,
-            np.stack((self._forcing, np.full(self.grid.n_cells, k0_old))),
-        )
-        self._v_d = rows[0]
-        z_old, self._z = self._z, rows[1]
         s_new = np.tensordot(self._weights, event.u_new, axes=1)
-        self._z_hat = self._z_hat + 0.5 * dt * (z_old + self._z)
-        self._u_hat = self._u_hat + 0.5 * dt * (self._s_prev + s_new)
+        if event.index == 0:
+            self._z = np.sum(event.u_new, axis=0) + self.cfg.z_offset
+            self.initial_sup_sum = float(np.sum(event.sup_norms))
+        else:
+            dt = event.dt
+            k0_old = self.sys.mass_source_rate(event.t_old)
+            # v_d's source is the forcing _observe computed from u_old.
+            rows = implicit_heat_step(
+                np.stack((self._v_d, self._z)),
+                self.grid,
+                self.cfg.d,
+                dt,
+                np.stack((self._forcing, np.full(self.grid.n_cells, k0_old))),
+            )
+            self._v_d = rows[0]
+            z_old, self._z = self._z, rows[1]
+            self._z_hat = self._z_hat + 0.5 * dt * (z_old + self._z)
+            self._u_hat = self._u_hat + 0.5 * dt * (self._s_prev + s_new)
         self._s_prev = s_new
         self._observe(event.u_new, s_new)
-        if event.recorded:
+        # v_d is zero at u0: no scan there.
+        if event.recorded and event.index:
             self._measure_holder()
 
     def _observe(self, u: np.ndarray, weighted: np.ndarray) -> None:
@@ -227,6 +226,21 @@ class AuxiliaryTracker:
         for g, val in zip(self.cfg.gammas, moduli):
             if val > self.holder_max.get(float(g), 0.0):
                 self.holder_max[float(g)] = float(val)
+
+    def measurements(self) -> dict:
+        """The report's measurement block: the running extrema behind
+        `checks`, the initial sup sum M and the largest Holder modulus of
+        v_d per exponent, keyed "v_d:<gamma>"."""
+        return {
+            "initial_sup_sum": self.initial_sup_sum,
+            "forcing_sup_max": self.forcing_sup_max,
+            "z_sup_max": self.z_sup_max,
+            "vd_consistency_max": self.vd_consistency_max,
+            "zvd_residual_max": self.zvd_residual_max,
+            "grad_vd_max": self.grad_vd_max,
+            "uhat_sup_max": self.uhat_sup_max,
+            "holder": {f"v_d:{g}": value for g, value in self.holder_max.items()},
+        }
 
     def checks(self, t_end: float) -> list[CheckResult]:
         """The report's checks of the a priori bounds for a run ending at
@@ -295,7 +309,7 @@ def entropy_pointwise_worst(u: np.ndarray, f: np.ndarray) -> float | None:
 
 
 class InvariantTracker:
-    """Running extrema of the primal invariants, fed once per accepted step.
+    """Running extrema of the primal invariants, fed once per state.
 
     Like AuxiliaryTracker it keeps running values only, so the positivity,
     conservation, mass-envelope, mass-identity and entropy checks see every

@@ -3,7 +3,7 @@
 This layer wires a validated RunConfig, which holds the initial array,
 the closed system and the tracker's parameters, into the solver, the
 structure audits, the auxiliary-field tracker and the invariant checks
-(both fed every accepted step), then serializes the results:
+(both fed every state of the run, u0 first), then serializes the results:
 
 * a CSV trace with one row per recorded step (columns fixed by
   _Recorder, the diagnostic ones named by AuxiliaryTracker.columns and
@@ -17,8 +17,9 @@ holds O(cells) memory plus one float per recorded step and fit series.
 
 Both files are written atomically (temp file + os.replace) so a crashed
 run never leaves a half-written artifact at the target path.  A
-NumericalFailure mid-run, or any other exception out of the run, flushes
-the rows recorded so far and reports the abort instead of raising through.
+NumericalFailure mid-run, or any other exception out of the run (the
+reaction at u0 included), flushes the rows recorded so far and reports the
+abort instead of raising through.
 A passed, failed and aborted run fill the same report and emit it once;
 an aborted run's report holds only the structure audits, which ran before
 the solver, and no fits.  The config is validated before it gets here
@@ -39,9 +40,8 @@ import numpy as np
 
 from .config import RunConfig
 from .diagnostics import AuxiliaryTracker, InvariantTracker, entropy_pointwise_worst
-from .grid import Grid1D
 from .models import CheckResult, ReactionSystem, check_structure, verify_augmented
-from .solver import NumericalFailure, StepEvent, row_norms, run_simulation
+from .solver import NumericalFailure, StepEvent, run_simulation
 from .theory import fit_rate, quad_equilibrium
 
 __all__ = ["ExperimentOutcome", "run_experiment", "config_sha256", "write_atomic"]
@@ -99,8 +99,12 @@ def _fmt(value) -> str:
 
 
 def _num(value):
+    """A JSON value: None, a finite float, the repr of any other float, or
+    a dict of these."""
     if value is None:
         return None
+    if isinstance(value, dict):
+        return {key: _num(v) for key, v in value.items()}
     value = float(value)
     return value if math.isfinite(value) else repr(value)
 
@@ -118,16 +122,16 @@ def _check_dict(c: CheckResult) -> dict:
 
 class _Recorder:
     """Solver hook measuring each state once: it feeds the invariant checks
-    at every accepted step and, at each recorded one, writes a CSV row and
-    appends to the scalar series the configured fits name.
+    at every state of the run and, at each recorded one, writes a CSV row
+    and appends to the scalar series the configured fits name.  The
+    equilibrium of distance_to_equilibrium comes from u0's masses.
 
     The entropy value is computed only where a row or the entropy check
-    needs it, and both share it, from the step's reaction; the t = 0 row,
-    written before the run so that an aborted run keeps it, evaluates its
-    own.  An augmented run leaves the entropy column empty: its closure
-    species stays at rounding level, so sum_i f_i log u_i would measure
-    that rounding, and no check reads it (the closure system does not
-    declare entropy_nonpositive).  Runs after the AuxiliaryTracker hook so
+    needs it, and both share it, from the state's reaction.  An augmented
+    run leaves the entropy column empty: its closure species stays at
+    rounding level, so sum_i f_i log u_i would measure that rounding, and
+    no check reads it (the closure system does not declare
+    entropy_nonpositive).  Runs after the AuxiliaryTracker hook so
     the diagnostic cells it reads are synchronized with the primal state of
     the same step.  No state array is kept: a fit series is one float per
     recorded step, and `times` holds their times.
@@ -136,16 +140,16 @@ class _Recorder:
     def __init__(
         self,
         system: ReactionSystem,
-        grid: Grid1D,
-        u0: np.ndarray,
+        length: float,
         tracker: AuxiliaryTracker | None,
         fit_series=(),
         augmented: bool = False,
     ):
         self.system = system
+        self.length = length
         self.tracker = tracker
         self.augmented = augmented
-        self.invariants = InvariantTracker(system, grid.length)
+        self.invariants = InvariantTracker(system, length)
         self.last_index = 0
         n = system.n_species
         columns = (
@@ -157,50 +161,39 @@ class _Recorder:
             + list(AuxiliaryTracker.columns)
         )
         self.rows = [",".join(columns)]
-        sup_norms, masses = row_norms(u0, grid.h)
         self.times = []
         # Fit series name -> its values at the recorded steps, or the
         # ValueError that leaves it undefined for this run.
         self.series = {name: [] for name in fit_series}
-        if "distance_to_equilibrium" in self.series:
+
+    def on_step(self, event: StepEvent) -> None:
+        self.last_index = event.index
+        t, u, masses = event.t_new, event.u_new, event.masses
+        if event.index == 0 and "distance_to_equilibrium" in self.series:
             try:
-                eq = _equilibrium(system, masses, grid.length)
+                eq = _equilibrium(self.system, masses, self.length)
                 self._equilibrium = eq[:, None]
             except ValueError as exc:
                 self.series["distance_to_equilibrium"] = exc
-        f0 = None
-        if not augmented:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                f0 = np.asarray(system.evaluator(u0, 0.0), dtype=np.float64)
-        self._observe(0.0, u0, f0, sup_norms, masses, True)
-
-    def _observe(self, t, u, f, sup_norms, masses, recorded: bool) -> None:
         entropy = None
-        if not self.augmented and (recorded or self.system.entropy_nonpositive):
-            entropy = entropy_pointwise_worst(u, f)
+        if not self.augmented and (event.recorded or self.system.entropy_nonpositive):
+            entropy = entropy_pointwise_worst(u, event.f)
         inv = self.invariants
         inv.update(t, u, masses, entropy)
-        if not recorded:
+        if not event.recorded:
             return
         diag = self.tracker.row if self.tracker else (None,) * len(AuxiliaryTracker.columns)
-        cells = [t, *sup_norms, *masses, inv.total, entropy, *inv.laws, *diag]
+        cells = [t, *event.sup_norms, *masses, inv.total, entropy, *inv.laws, *diag]
         self.rows.append(",".join(_fmt(c) for c in cells))
         self.times.append(t)
         for name, values in self.series.items():
             if name == "mass_total":
                 values.append(inv.total)
             elif name == "sup_total":
-                values.append(float(np.sum(sup_norms)))
+                values.append(float(np.sum(event.sup_norms)))
             elif not isinstance(values, ValueError):
                 gap = np.abs(u - self._equilibrium)
                 values.append(float(np.sum(np.max(gap, axis=1))))
-
-    def on_step(self, event: StepEvent) -> None:
-        self.last_index = event.index
-        self._observe(
-            event.t_new, event.u_new, event.f, event.sup_norms, event.masses,
-            event.recorded,
-        )
 
     def text(self) -> str:
         return "\n".join(self.rows) + "\n"
@@ -273,24 +266,6 @@ def _run_fits(cfg: RunConfig, recorder: _Recorder):
     return fit_entries, fit_checks
 
 
-def _measurement_block(tracker: AuxiliaryTracker | None):
-    if tracker is None:
-        return None
-    holder = {
-        f"v_d:{gamma}": _num(value) for gamma, value in sorted(tracker.holder_max.items())
-    }
-    return {
-        "initial_sup_sum": _num(tracker.initial_sup_sum),
-        "forcing_sup_max": _num(tracker.forcing_sup_max),
-        "z_sup_max": _num(tracker.z_sup_max),
-        "vd_consistency_max": _num(tracker.vd_consistency_max),
-        "zvd_residual_max": _num(tracker.zvd_residual_max),
-        "grad_vd_max": _num(tracker.grad_vd_max),
-        "uhat_sup_max": _num(tracker.uhat_sup_max),
-        "holder": holder,
-    }
-
-
 def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
     """Run one configured experiment end to end and emit its artifacts.
 
@@ -320,10 +295,10 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
 
     tracker = None
     if cfg.diagnostics is not None:
-        tracker = AuxiliaryTracker(system, cfg.grid, cfg.u0, cfg.diagnostics)
+        tracker = AuxiliaryTracker(system, cfg.grid, cfg.diagnostics)
 
     recorder = _Recorder(
-        system, cfg.grid, cfg.u0, tracker, [spec["series"] for spec in cfg.fits],
+        system, cfg.grid.length, tracker, [spec["series"] for spec in cfg.fits],
         augmented=cfg.augmented is not None,
     )
     hooks = ([tracker.on_step] if tracker else []) + [recorder.on_step]
@@ -363,7 +338,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
     else:
         report["overall"] = "fail"
     report["checks"] = [_check_dict(c) for c in checks]
-    report["measurements"] = _measurement_block(tracker)
+    report["measurements"] = _num(tracker.measurements()) if tracker else None
     report["n_accepted_steps"] = recorder.last_index
 
     outcome = ExperimentOutcome(report=report, csv_text=recorder.text())

@@ -88,18 +88,18 @@ level is bitwise the trial the sequential halvings would solve, and the
 accepted step is the first level that is finite and above the floor.  The
 ladder depth is the previous step's accepted level + 1, so a run that
 halves the same number of times each step solves one ladder per step; a
-step that needs no halving is a ladder of one level.  Hooks observe
-accepted steps only, in registration order.
+step that needs no halving is a ladder of one level.
 
 The run loop works on one float64 (species, cells) array from start to
 end, starting from a checked, read-only copy of the u0 it is given.  No
 state outlives the step that replaced it: the run returns the final array,
-and a hook that wants more keeps what it needs.  The run evaluates the
-reaction only at u0 and at each accepted state, once, for every ladder
-from it; an accepted state's reaction, sup norms and masses share one
-errstate block and reach the hooks in the StepEvent.  The recording
-cadence (every record_every-th accepted step, and the last one) is
-decided here only and handed to the hooks as StepEvent.recorded.
+and a hook that wants more keeps what it needs.  Every state of the run
+reaches the hooks, in registration order, through one StepEvent: u0 first,
+as index 0 with dt = 0, then each accepted state.  The run evaluates the
+reaction once per state, for every ladder from it; a state's reaction,
+sup norms and masses share one errstate block.  The recording cadence
+(u0, every record_every-th accepted step, and the last one) is decided
+here only and handed to the hooks as StepEvent.recorded.
 """
 
 from __future__ import annotations
@@ -183,12 +183,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepEvent:
-    """What a hook sees after each accepted step.
+    """What a hook sees for each state of the run: u0 first, as index 0
+    with t_old = t_new = 0, dt = 0 and u_old is u_new, then each accepted
+    step.
 
     u_old, u_new and f are read-only (species, cells) arrays; u_new is
     already clamped, and f, sup_norms and masses are its reaction at t_new,
-    per-species sup|u_i| and h * sum_j u_ij.  recorded says whether the step
-    is a recorded one (every record_every-th accepted step, and the last).
+    per-species sup|u_i| and h * sum_j u_ij.  recorded says whether the
+    state is a recorded one (u0, every record_every-th accepted step, and
+    the last).
     """
 
     index: int
@@ -577,13 +580,13 @@ def run_simulation(
     Values in [floor, 0) on an accepted trial are clamped to exact zero.
     The halvings are solved in ladders of the previous step's accepted
     level + 1 levels, one `imex_step` call each, and never beyond the
-    budget's last level.  The reaction is evaluated once at u0 and at each
-    accepted state.  Hooks run after every accepted step, in registration
-    order, and see its StepEvent.
+    budget's last level.  The reaction is evaluated once per state.  Hooks
+    run at u0 (index 0, dt = 0) and after every accepted step, in
+    registration order, and see the state's StepEvent.
 
     Returns:
         The read-only (species, cells) array at t_end.  Only the current
-        state is kept while the run goes on; hooks see every accepted step.
+        state is kept while the run goes on; hooks see every state.
 
     Raises:
         ValueError: if u0 does not have shape (sys.n_species, grid.n_cells),
@@ -606,14 +609,34 @@ def run_simulation(
                 f"initial data for species {i + 1} is negative: {float(low)}"
             )
     u.flags.writeable = False
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f = np.asarray(sys.evaluator(u, 0.0), dtype=np.float64)
-    f.flags.writeable = False
-    t = 0.0
+    t = t_old = dt_step = 0.0
+    u_old = u
     tiny = 1e-12 * cfg.t_end
-    step_index = 0
+    index = 0
     depth = 1
-    while t < cfg.t_end - tiny:
+    while True:
+        # An overflow is inf or nan: the next trial fails, as do mass checks.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f = np.asarray(sys.evaluator(u, t), dtype=np.float64)
+            sup_norms, masses = row_norms(u, grid.h)
+        f.flags.writeable = False
+        done = t >= cfg.t_end - tiny
+        event = StepEvent(
+            index=index,
+            t_old=t_old,
+            t_new=t,
+            dt=dt_step,
+            u_old=u_old,
+            u_new=u,
+            f=f,
+            sup_norms=sup_norms,
+            masses=masses,
+            recorded=index % cfg.record_every == 0 or done,
+        )
+        for hook in hooks:
+            hook(event)
+        if done:
+            return u
         dt_step = min(cfg.dt, cfg.t_end - t)
         level = 0
         while True:
@@ -642,27 +665,6 @@ def run_simulation(
             dt_step = _halved(dts[-1], cfg.dt)
         depth = level + 1
         u_new.flags.writeable = False
-        t_new = t + dt_step
-        step_index += 1
-        # An overflow is inf or nan: the next trial fails, as do mass checks.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f = np.asarray(sys.evaluator(u_new, t_new), dtype=np.float64)
-            sup_norms, masses = row_norms(u_new, grid.h)
-        f.flags.writeable = False
-        recorded = step_index % cfg.record_every == 0 or t_new >= cfg.t_end - tiny
-        event = StepEvent(
-            index=step_index,
-            t_old=t,
-            t_new=t_new,
-            dt=dt_step,
-            u_old=u,
-            u_new=u_new,
-            f=f,
-            sup_norms=sup_norms,
-            masses=masses,
-            recorded=recorded,
-        )
-        for hook in hooks:
-            hook(event)
-        t, u = t_new, u_new
-    return u
+        t_old, u_old = t, u
+        t, u = t + dt_step, u_new
+        index += 1

@@ -8,13 +8,13 @@ import pytest
 from rdcheck import (
     Grid1D,
     NumericalFailure,
+    SolverConfig,
     implicit_heat_step,
     quadratic_reversible,
     run_simulation,
     skew_lv,
 )
 import rdcheck.solver
-from rdcheck.solver import row_norms
 
 QUAD_DIFFUSION = [1.0, 1.5, 2.0, 2.5]
 
@@ -58,12 +58,12 @@ class RecordedState(NamedTuple):
 class StateCollector:
     """Step hook keeping the states a run does not store itself.
 
-    Holds the initial state and the state of every recorded step, with
-    their row norms, for tests that read whole states.
+    Holds every recorded state, u0 first, with its row norms, for tests
+    that read whole states.
     """
 
-    def __init__(self, grid: Grid1D, u0: np.ndarray):
-        self.entries = [RecordedState(0.0, u0, *row_norms(u0, grid.h))]
+    def __init__(self):
+        self.entries = []
 
     def __call__(self, event) -> None:
         if event.recorded:
@@ -79,9 +79,18 @@ class StateCollector:
         return self.entries[-1]
 
 
+def initial_event(system, grid, u0):
+    """The first StepEvent a run of system from u0 hands its hooks: u0, as
+    index 0."""
+    events = []
+    cfg = SolverConfig(dt=1.0, t_end=1.0)
+    run_simulation(system, grid, u0, cfg, hooks=[events.append])
+    return events[0]
+
+
 def collected_run(system, grid, u0, cfg, hooks=()) -> StateCollector:
     """run_simulation with a StateCollector as the last hook; returns it."""
-    collector = StateCollector(grid, u0)
+    collector = StateCollector()
     run_simulation(system, grid, u0, cfg, hooks=[*hooks, collector])
     return collector
 

@@ -112,7 +112,7 @@ def collected_experiment(cfg):
     solve = rdcheck.experiment.run_simulation
 
     def collecting(system, grid, u0, solver_cfg, hooks=()):
-        collectors.append(StateCollector(grid, u0))
+        collectors.append(StateCollector())
         return solve(system, grid, u0, solver_cfg, hooks=[*hooks, collectors[-1]])
 
     with pytest.MonkeyPatch.context() as mp:

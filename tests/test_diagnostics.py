@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import collected_run, quad_bump_state
+from conftest import collected_run, initial_event, quad_bump_state
 
 from rdcheck import (
     AuxiliaryConfig,
@@ -31,9 +31,17 @@ def sourced_single_species(k0):
     return custom_polynomial([1.0], [[]], k0=k0, k1=0.0, growth_k=1.0, growth_eps=0.0)
 
 
+def started_tracker(sys, initial, cfg_aux):
+    """An AuxiliaryTracker that has seen the index-0 event of a run from the
+    (grid, u0) pair initial."""
+    tracker = AuxiliaryTracker(sys, initial[0], cfg_aux)
+    tracker.on_step(initial_event(sys, *initial))
+    return tracker
+
+
 def tracked_run(sys, initial, cfg_aux, dt, t_end):
     """A run from the (grid, u0) pair initial with an AuxiliaryTracker hook."""
-    tracker = AuxiliaryTracker(sys, *initial, cfg_aux)
+    tracker = AuxiliaryTracker(sys, initial[0], cfg_aux)
     traj = collected_run(
         sys, *initial, SolverConfig(dt=dt, t_end=t_end), hooks=[tracker.on_step]
     )
@@ -71,13 +79,12 @@ class TestAuxiliaryConfig:
 
 class TestTrackerConstruction:
     def test_requires_strictly_dominating_diffusion(self, quad_system):
-        state = constant_state(Grid1D(8, 1.0), [1.0] * 4)
         with pytest.raises(ValueError, match="strictly exceed"):
-            AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=2.5))
+            AuxiliaryTracker(quad_system, Grid1D(8, 1.0), AuxiliaryConfig(d=2.5))
 
     def test_initial_values(self, quad_system):
         state = constant_state(Grid1D(8, 1.0), [1.0, 2.0, 3.0, 4.0])
-        tracker = AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=5.0))
+        tracker = started_tracker(quad_system, state, AuxiliaryConfig(d=5.0))
         assert tracker.initial_sup_sum == 10.0
         assert tracker.z_sup_max == 10.0
         assert tracker.vd_consistency_max == 0.0
@@ -86,7 +93,7 @@ class TestTrackerConstruction:
     def test_b_falls_back_on_empty_cells(self, quad_system):
         # With no mass anywhere the weight is reported as 1 / d_1.
         state = constant_state(Grid1D(8, 1.0), [0.0] * 4)
-        tracker = AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=5.0))
+        tracker = started_tracker(quad_system, state, AuxiliaryConfig(d=5.0))
         assert tracker.b_min == 1.0
         assert tracker.b_max == 1.0
 
@@ -203,9 +210,9 @@ class TestTrackerWithConstantSource:
 class TestZOffsetInjection:
     def test_offset_breaks_the_z_bound(self, quad_system):
         state = constant_state(Grid1D(8, 1.0), [1.0] * 4)
-        clean = AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=5.0))
-        dirty = AuxiliaryTracker(
-            quad_system, *state, AuxiliaryConfig(d=5.0, z_offset=1.0)
+        clean = started_tracker(quad_system, state, AuxiliaryConfig(d=5.0))
+        dirty = started_tracker(
+            quad_system, state, AuxiliaryConfig(d=5.0, z_offset=1.0)
         )
         assert by_name(clean.checks(0.1))["z_sup_bound"].passed
         result = by_name(dirty.checks(0.1))["z_sup_bound"]
@@ -242,7 +249,7 @@ class TestRefinementShrinksResiduals:
 class TestUhatFailureBranches:
     def test_each_bound_reports_its_own_violation(self, quad_system):
         state = constant_state(Grid1D(8, 1.0), [1.0] * 4)
-        tracker = AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=5.0))
+        tracker = started_tracker(quad_system, state, AuxiliaryConfig(d=5.0))
         tracker.uhat_min = -1e-6
         tracker.dzhat_minus_uhat_min = -1e-6
         tracker.uhat_sup_max = 1e9
@@ -253,7 +260,7 @@ class TestUhatFailureBranches:
 
     def test_b_range_failure(self, quad_system):
         state = constant_state(Grid1D(8, 1.0), [1.0] * 4)
-        tracker = AuxiliaryTracker(quad_system, *state, AuxiliaryConfig(d=5.0))
+        tracker = started_tracker(quad_system, state, AuxiliaryConfig(d=5.0))
         tracker.b_min = 0.1  # below 1 / max d = 0.4
         assert not by_name(tracker.checks(1.0))["b_range"].passed
 
@@ -492,8 +499,8 @@ class TestReportOrder:
                 ["positivity", "mass_envelope", "mass_identity"],
             ),
             (
-                lambda quad, skew: AuxiliaryTracker(
-                    quad, *constant_state(Grid1D(8, 1.0), [1.0] * 4), AuxiliaryConfig(d=5.0)
+                lambda quad, skew: started_tracker(
+                    quad, constant_state(Grid1D(8, 1.0), [1.0] * 4), AuxiliaryConfig(d=5.0)
                 ).checks(0.1),
                 [
                     "z_sup_bound",

@@ -370,10 +370,10 @@ class TestHolderScan:
 
 class TestReactionEvaluations:
     def test_one_evaluation_per_state_outside_the_audit(self, monkeypatch):
-        # The solver evaluates the reaction at u0 and at each accepted
-        # state, and the entropy column reads it from the step; only the
-        # t = 0 row, written before the run, evaluates it again.  The
-        # structure audit's samples are not run states.
+        # The solver evaluates the reaction once at u0 and at each accepted
+        # state, and the entropy column, the t = 0 row's included, reads it
+        # from the state's event.  The structure audit's samples are not run
+        # states.
         cfg = validate_config(quad_raw())
         calls, audited = [], []
         evaluate = cfg.system.evaluator
@@ -392,7 +392,7 @@ class TestReactionEvaluations:
         monkeypatch.setattr(experiment, "check_structure", audit)
         steps = run_experiment(cfg).report["n_accepted_steps"]
         assert steps == N_STEPS and audited[0] > 0
-        assert len(calls) - audited[0] <= steps + 2
+        assert len(calls) - audited[0] == steps + 1
 
 
 class TestEndTimeBelowOne:
@@ -737,6 +737,59 @@ class TestAbortedRun:
         assert (tmp_path / "partial.csv").read_text() == outcome.csv_text
         loaded = json.loads((tmp_path / "report.json").read_text())
         assert loaded["overall"] == "aborted"
+
+    def test_reaction_raising_at_u0_aborts_with_both_files(self, tmp_path):
+        # The reaction at u0 is the run's first evaluation, inside the
+        # abort handling: the CSV keeps its header only, and the tracker,
+        # which has seen no state, reports its initial sup sum as NaN.
+        raw = {
+            "model": {
+                "custom": {
+                    "n_species": 2,
+                    "terms": [
+                        [{"coef": 1.0, "powers": [0, 0]}, {"coef": -1.0, "powers": [1, 0]}],
+                        [{"coef": -1.0, "powers": [0, 1]}],
+                    ],
+                    "k0": 1.0,
+                    "k1": -1.0,
+                    "k": 2.0,
+                    "eps": 0.0,
+                },
+                "diffusion": [1.0, 2.0],
+            },
+            "grid": {"n_cells": 16, "length": 1.0},
+            "initial": [
+                {"type": "constant", "value": 0.5},
+                {"type": "gaussian", "center": 0.5, "width": 0.1, "amplitude": 1.0},
+            ],
+            "solver": {"dt": DT, "t_end": T_END},
+            "diagnostics": {"enabled": True, "d": 3.0},
+            "output": {
+                "csv": str(tmp_path / "run.csv"),
+                "report": str(tmp_path / "report.json"),
+            },
+        }
+        cfg = validate_config(raw)
+        evaluate = cfg.system.evaluator
+
+        def raising(u, t):
+            # The structure audit's samples have another shape.
+            if u.shape == cfg.u0.shape:
+                return 1.0 / 0.0
+            return evaluate(u, t)
+
+        cfg.system = dataclasses.replace(cfg.system, evaluator=raising)
+        outcome = run_experiment(cfg)
+        assert outcome.aborted
+        report = outcome.report
+        assert "ZeroDivisionError" in report["failure"]["message"]
+        assert report["n_accepted_steps"] == 0
+        header, rows = data_rows(outcome.csv_text)
+        assert header.startswith("t,sup_u_1,") and rows == []
+        assert (tmp_path / "run.csv").read_text() == outcome.csv_text
+        loaded = json.loads((tmp_path / "report.json").read_text())
+        assert loaded["overall"] == "aborted"
+        assert loaded["measurements"]["initial_sup_sum"] == "nan"
 
     def test_structure_checks_still_reported(self, sink_raw):
         report = run_raw(sink_raw).report

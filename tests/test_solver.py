@@ -501,7 +501,7 @@ class TestDenseSolve:
 def skew_tails_against_thomas(monkeypatch, n_cells, t_end, n_steps):
     """Run the augmented skew system with the solver and with the Thomas
     oracle: the same accepted dts, and sups and masses of species 1-3 within
-    1e-9 relative at every step."""
+    1e-9 relative at u0 and at every step."""
     aug, initial = skew_augmented(n_cells)
     cfg = SolverConfig(dt=0.1, t_end=t_end)
 
@@ -516,7 +516,7 @@ def skew_tails_against_thomas(monkeypatch, n_cells, t_end, n_steps):
     solved = run()
     monkeypatch.setattr(rdcheck.solver, "implicit_heat_step", thomas_heat_step)
     thomas = run()
-    assert len(solved) == len(thomas) == n_steps
+    assert len(solved) == len(thomas) == n_steps + 1
     for (dt_a, a), (dt_b, b) in zip(solved, thomas):
         assert dt_a == dt_b
         np.testing.assert_allclose(a.max(axis=1), b.max(axis=1), rtol=1e-9, atol=0.0)
@@ -643,7 +643,7 @@ class TestRunSimulationRecording:
         run_simulation(
             heat_only(), grid, u0, SolverConfig(dt=0.05, t_end=0.2), hooks=[events.append]
         )
-        first = events[0]
+        first = events[1]
         assert first.t_old == 0.0
         np.testing.assert_array_equal(first.u_old, u0)
         sup_norms, masses = rdcheck.solver.row_norms(first.u_old, grid.h)
@@ -686,9 +686,10 @@ class TestRunSimulationPhysics:
         ratios = []
 
         def capture(event):
-            m_old = grid.h * float(np.sum(event.u_old))
-            m_new = grid.h * float(np.sum(event.u_new))
-            ratios.append(m_new / m_old)
+            if event.index:
+                m_old = grid.h * float(np.sum(event.u_old))
+                m_new = grid.h * float(np.sum(event.u_new))
+                ratios.append(m_new / m_old)
 
         run_simulation(
             skew_system, *state, SolverConfig(dt=dt, t_end=0.05), hooks=[capture]
@@ -749,8 +750,9 @@ class TestPositivityEnforcement:
         final = run_simulation(
             sys, *state, SolverConfig(dt=0.2, t_end=0.4), hooks=[capture]
         )
-        assert seen[0] == pytest.approx(0.1)
-        assert seen[1] == pytest.approx(0.2)
+        # seen[0] is u0's dt = 0.
+        assert seen[1] == pytest.approx(0.1)
+        assert seen[2] == pytest.approx(0.2)
         np.testing.assert_array_equal(final[0], 0.0)
 
     def test_tiny_negatives_are_clamped_to_exact_zero(self):
@@ -766,7 +768,8 @@ class TestPositivityEnforcement:
         final = run_simulation(
             sys, *state, SolverConfig(dt=1e-3, t_end=3e-3), hooks=[capture]
         )
-        assert mins == [0.0, 0.0, 0.0]
+        # u0 and the three steps.
+        assert mins == [0.0, 0.0, 0.0, 0.0]
         np.testing.assert_array_equal(final[0], 0.0)
 
     def test_non_finite_trial_is_rejected_and_halved(self, monkeypatch):
@@ -786,7 +789,7 @@ class TestPositivityEnforcement:
             heat_only(), *constant_state(Grid1D(8, 1.0), 1.0),
             SolverConfig(dt=0.2, t_end=0.4), hooks=[lambda e: seen.append(e.dt)],
         )
-        assert seen == pytest.approx([0.1, 0.1, 0.1, 0.1])
+        assert seen == pytest.approx([0.0, 0.1, 0.1, 0.1, 0.1])
         assert abs(traj.final().t - 0.4) < 1e-12
 
     def test_non_finite_trials_exhaust_the_halvings(self):
@@ -816,10 +819,13 @@ def ladder_steps(system, initial, cfg):
     """run_simulation's accepted (dt, u_new) steps and the failure that
     ended the run, or None: the form `sequential_steps` returns."""
     steps = []
+
+    def accepted(event):
+        if event.index:
+            steps.append((event.dt, event.u_new))
+
     try:
-        run_simulation(
-            system, *initial, cfg, hooks=[lambda e: steps.append((e.dt, e.u_new))]
-        )
+        run_simulation(system, *initial, cfg, hooks=[accepted])
     except NumericalFailure as exc:
         return steps, exc
     return steps, None
@@ -939,10 +945,10 @@ class TestHalvingLadder:
         run_simulation(counted, *initial, cfg, hooks=[events.append])
         # 192 steps at rung 3: four one-level ladders for the first step,
         # then one ladder per step, all from the reaction of u0 and of the
-        # 192 accepted states.
-        assert len(events) == 192
+        # 192 accepted states, each evaluated once for its event.
+        assert len(events) == 193
         assert len(calls) == 195
-        assert evaluations == [0.0] + [e.t_new for e in events]
+        assert evaluations == [e.t_new for e in events]
         evaluations.clear()
         sequential_steps(counted, *initial, cfg)
         # Four trials per step but the last three, whose first, clipped
@@ -967,8 +973,9 @@ class TestHalvingLadder:
             return real(u, f, grid, sys, dts)
 
         def tracker(event):
-            accepted.append(event.dt)
-            implicit_heat_step(event.u_new[:2], grid, 2e-3, event.dt)
+            if event.index:
+                accepted.append(event.dt)
+                implicit_heat_step(event.u_new[:2], grid, 2e-3, event.dt)
 
         monkeypatch.setattr(rdcheck.solver, "imex_step", recording)
         single, stacks = rdcheck.solver._inverse, rdcheck.solver._inverse_stacks
@@ -999,11 +1006,12 @@ class TestHooks:
         run_simulation(
             heat_only(), *state, SolverConfig(dt=0.25, t_end=0.5), hooks=[first, second]
         )
-        assert calls == ["a", "b", "a", "b"]
-        assert [e.index for e in events] == [1, 2]
-        assert events[0].t_old == 0.0
-        assert events[0].t_new == pytest.approx(0.25)
+        assert calls == ["a", "b", "a", "b", "a", "b"]
+        assert [e.index for e in events] == [0, 1, 2]
+        assert events[1].t_old == 0.0
+        assert events[1].t_new == pytest.approx(0.25)
         assert events[1].u_old is events[0].u_new
+        assert events[2].u_old is events[1].u_new
 
     def test_event_shares_read_only_arrays_and_field_norms(self, quad_system):
         # The step's norms are computed once, row-wise, bitwise equal to each
@@ -1016,7 +1024,7 @@ class TestHooks:
             SolverConfig(dt=5e-3, t_end=0.05, record_every=3), hooks=[events.append],
         )
         recorded = [e for e in events if e.recorded]
-        assert [e.index for e in recorded] == [3, 6, 9, 10]
+        assert [e.index for e in recorded] == [0, 3, 6, 9, 10]
         for event in events:
             assert not event.u_old.flags.writeable
             assert not event.u_new.flags.writeable
@@ -1036,8 +1044,43 @@ class TestHooks:
             SolverConfig(dt=0.1, t_end=1.0, record_every=4),
             hooks=[lambda e: count.append(e.index)],
         )
-        assert count == list(range(1, 11))
+        assert count == list(range(11))
         assert len(traj.entries) == 4  # t = 0, steps 4 and 8, final
+
+
+    def test_u0_is_the_first_event(self, quad_system, monkeypatch):
+        # u0 reaches the hooks before any solve, as index 0 with dt = 0, its
+        # reaction and norms bitwise those of u0, and recorded whatever the
+        # cadence; the indices then run on without a gap.
+        grid = Grid1D(40, 1.0)
+        u0 = quad_bump_state(grid)
+        trace, events = [], []
+        real = rdcheck.solver.imex_step
+
+        def recording(u, f, grid, sys, dts):
+            trace.append("solve")
+            return real(u, f, grid, sys, dts)
+
+        def hook(event):
+            trace.append(event.index)
+            events.append(event)
+
+        monkeypatch.setattr(rdcheck.solver, "imex_step", recording)
+        run_simulation(
+            quad_system, grid, u0, SolverConfig(dt=5e-3, t_end=0.05, record_every=3),
+            hooks=[hook],
+        )
+        assert trace[:2] == [0, "solve"]
+        assert [e.index for e in events] == list(range(11))
+        first = events[0]
+        assert first.t_old == first.t_new == first.dt == 0.0
+        assert first.u_old is first.u_new and first.recorded
+        assert not first.u_new.flags.writeable and not first.f.flags.writeable
+        assert first.u_new.tobytes() == u0.tobytes()
+        assert first.f.tobytes() == quad_system.evaluator(u0, 0.0).tobytes()
+        sup_norms, masses = rdcheck.solver.row_norms(u0, grid.h)
+        assert first.sup_norms.tobytes() == sup_norms.tobytes()
+        assert first.masses.tobytes() == masses.tobytes()
 
 
 class TestDeterminism:
