@@ -22,7 +22,6 @@ import csv
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, load_config
 from .experiment import run_experiment
@@ -109,6 +108,10 @@ def _run_command(ns: argparse.Namespace, assert_checks: bool) -> int:
     if len(jobs) == 1:
         results = [_execute_tuple(jobs[0])]
     else:
+        # Imported here: the pool brings multiprocessing, which a single
+        # config does not need.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute_tuple, jobs))

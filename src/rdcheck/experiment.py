@@ -12,8 +12,12 @@ structure audits, the auxiliary-field tracker and the invariant checks
   fitted rates, and an overall pass / fail / aborted verdict.
 
 No state array outlives its step: the fits read scalar series that the
-recorder appends at each recorded step, so beyond the CSV rows a run
+recorder samples at each recorded step, so beyond the CSV rows a run
 holds O(cells) memory plus one float per recorded step and fit series.
+The per-state bookkeeping waits in the InvariantTracker's fixed block of
+_CHUNK states, with the sup norms (and diagnostic cells) of its recorded
+states, until a fold turns the chunk into extrema, CSV rows and fit
+samples, so what a run holds beyond that does not grow with its steps.
 
 Both files are written atomically (temp file + os.replace) so a crashed
 run never leaves a half-written artifact at the target path.  A
@@ -92,12 +96,6 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
 def _num(value):
     """A JSON value: None, a finite float, the repr of any other float, or
     a dict of these."""
@@ -122,9 +120,13 @@ def _check_dict(c: CheckResult) -> dict:
 
 class _Recorder:
     """Solver hook measuring each state once: it feeds the invariant checks
-    at every state of the run and, at each recorded one, writes a CSV row
-    and appends to the scalar series the configured fits name.  The
-    equilibrium of distance_to_equilibrium comes from u0's masses.
+    at every state of the run and, at each recorded one, keeps the solver's
+    sup norms and the tracker's diagnostic cells until the InvariantTracker
+    folds the chunk.  The fold hands the chunk's states back (_take): the
+    recorded ones become CSV rows, each formatted once, and samples of the
+    scalar series the configured fits name.  The equilibrium of
+    distance_to_equilibrium comes from u0's masses, and that series is
+    sampled at the state, the one fit series that needs the state array.
 
     The entropy value is computed only where a row or the entropy check
     needs it, and both share it, from the state's reaction.  An augmented
@@ -134,7 +136,8 @@ class _Recorder:
     entropy_nonpositive).  Runs after the AuxiliaryTracker hook so
     the diagnostic cells it reads are synchronized with the primal state of
     the same step.  No state array is kept: a fit series is one float per
-    recorded step, and `times` holds their times.
+    recorded step, and `times` holds their times.  text() folds what the
+    tracker holds, so an aborted run's CSV ends at its last state.
     """
 
     def __init__(
@@ -149,7 +152,7 @@ class _Recorder:
         self.length = length
         self.tracker = tracker
         self.augmented = augmented
-        self.invariants = InvariantTracker(system, length)
+        self.invariants = InvariantTracker(system, length, on_fold=self._take)
         self.last_index = 0
         n = system.n_species
         columns = (
@@ -161,10 +164,17 @@ class _Recorder:
             + list(AuxiliaryTracker.columns)
         )
         self.rows = [",".join(columns)]
+        # The empty diagnostic cells of a run without the tracker.
+        self._no_diag = "" if tracker else "," * len(AuxiliaryTracker.columns)
         self.times = []
         # Fit series name -> its values at the recorded steps, or the
         # ValueError that leaves it undefined for this run.
         self.series = {name: [] for name in fit_series}
+        # Since the last fold: per state whether it is recorded, and per
+        # recorded state its sup norms and diagnostic cells.
+        self._recorded = []
+        self._sups = []
+        self._diag = []
 
     def on_step(self, event: StepEvent) -> None:
         self.last_index = event.index
@@ -178,24 +188,49 @@ class _Recorder:
         entropy = None
         if not self.augmented and (event.recorded or self.system.entropy_nonpositive):
             entropy = entropy_pointwise_worst(u, event.f)
-        inv = self.invariants
-        inv.update(t, u, masses, entropy)
+        # A full chunk is folded (_take) before this state joins the lists.
+        self.invariants.update(t, u, masses, entropy)
+        self._recorded.append(event.recorded)
         if not event.recorded:
             return
-        diag = self.tracker.row if self.tracker else (None,) * len(AuxiliaryTracker.columns)
-        cells = [t, *event.sup_norms, *masses, inv.total, entropy, *inv.laws, *diag]
-        self.rows.append(",".join(_fmt(c) for c in cells))
-        self.times.append(t)
+        self._sups.append(event.sup_norms)
+        if self.tracker:
+            self._diag.append(self.tracker.row)
+        distance = self.series.get("distance_to_equilibrium")
+        if isinstance(distance, list):
+            gap = np.abs(u - self._equilibrium)
+            distance.append(float(np.sum(np.max(gap, axis=1))))
+
+    def _take(self, states: np.ndarray, has_entropy: np.ndarray) -> None:
+        """The invariants' on_fold: format the chunk's recorded states as
+        CSV rows, each cell repr(float) or empty, and sample the folded
+        columns for the fit series."""
+        recorded = np.array(self._recorded, dtype=bool)
+        self._recorded = []
+        if not recorded.any():
+            return
+        n = self.system.n_species
+        states = states[recorded]
+        sups = np.array(self._sups)
+        parts = [states[:, :1], sups, states[:, 1:]]
+        if self.tracker:
+            parts.append(np.array(self._diag))
+        self._sups = []
+        self._diag = []
+        cells = np.concatenate(parts, axis=1).tolist()
+        # The entropy column; str(x) is repr(x) for a float.
+        for i in np.flatnonzero(~has_entropy[recorded]).tolist():
+            cells[i][2 * n + 2] = ""
+        self.rows.extend(",".join(map(str, row)) + self._no_diag for row in cells)
+        self.times.extend(states[:, 0].tolist())
         for name, values in self.series.items():
             if name == "mass_total":
-                values.append(inv.total)
+                values.extend(states[:, n + 1].tolist())
             elif name == "sup_total":
-                values.append(float(np.sum(event.sup_norms)))
-            elif not isinstance(values, ValueError):
-                gap = np.abs(u - self._equilibrium)
-                values.append(float(np.sum(np.max(gap, axis=1))))
+                values.extend(sups.sum(axis=1).tolist())
 
     def text(self) -> str:
+        self.invariants.fold()
         return "\n".join(self.rows) + "\n"
 
 
@@ -324,7 +359,9 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
             "species": exc.species,
             "value": _num(exc.value),
         }
-    else:
+    # Folds the last chunk: the CSV rows, fit series and extrema are whole.
+    csv_text = recorder.text()
+    if report["failure"] is None:
         checks.extend(recorder.invariants.checks())
         if tracker is not None:
             checks.extend(tracker.checks(cfg.solver.t_end))
@@ -341,7 +378,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
     report["measurements"] = _num(tracker.measurements()) if tracker else None
     report["n_accepted_steps"] = recorder.last_index
 
-    outcome = ExperimentOutcome(report=report, csv_text=recorder.text())
+    outcome = ExperimentOutcome(report=report, csv_text=csv_text)
     _emit(cfg, outcome)
     return outcome
 

@@ -1,11 +1,14 @@
 """Command-line surface: subcommands, exit codes, and printed output."""
 
+import concurrent.futures
 import contextlib
 import csv
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
@@ -555,6 +558,23 @@ class TestSweep:
         out = capsys.readouterr().out
         assert out.count("overall: pass") == 2
 
+    def test_importing_the_cli_loads_no_process_pool(self):
+        # Only a sweep of two or more configs imports the pool and the
+        # multiprocessing package it brings.
+        code = (
+            "import sys, rdcheck.cli; print(sorted(set(sys.modules) & "
+            "{'concurrent.futures.process', 'multiprocessing'}))"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rdcheck.cli.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "[]\n"
+
 
 class TestUnexpectedExceptions:
     def test_crashing_config_in_a_sweep_keeps_the_others_summary(
@@ -574,7 +594,7 @@ class TestUnexpectedExceptions:
 
         monkeypatch.setattr(rdcheck.experiment, "run_simulation", crash_two_species)
         # Threads see the patched module; worker processes need not.
-        monkeypatch.setattr(rdcheck.cli, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
         csv_path = tmp_path / "partial.csv"
         report_path = tmp_path / "report.json"
         good = write_config(tmp_path, quad_raw(), "good.json")

@@ -16,8 +16,11 @@ from rdcheck import (
     ReactionSystem,
     SolverConfig,
     custom_polynomial,
+    diagnostics,
     entropy_pointwise_worst,
     loglog_slope,
+    quadratic_reversible,
+    skew_lv,
 )
 
 
@@ -464,6 +467,145 @@ class TestEntropyPointwise:
         copied = float(np.max(np.sum(quad_system.evaluator(sub, 0.0) * np.log(sub), axis=0)))
         got = entropy(quad_system, u)
         assert repr(got) == repr(copied)
+
+
+def running_max(a, b):
+    return b if b > a or b != b else a
+
+
+def running_min(a, b):
+    return b if b < a or b != b else a
+
+
+def per_state_measurements(sys, states, domain_length=1.0):
+    """The measured value of each InvariantTracker check, keyed by name,
+    from a loop over the states with the tracker's per-state formulas."""
+    floor = 1e-12
+    t_prev = None
+    laws0 = []
+    drift = [0.0] * len(sys.conservation_laws)
+    mass0 = identity_mass = 0.0
+    u_min, excess, identity, entropy_max = math.inf, -math.inf, 0.0, -math.inf
+    for t, u, masses, entropy in states:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(masses))
+            laws = [float(np.dot(w, masses)) for _, w in sys.conservation_laws]
+        if t_prev is None:
+            t_prev, laws0, mass0, identity_mass = t, laws, total, total
+        u_min = running_min(u_min, float(np.min(u)))
+        drift = [running_max(d, abs(v - v0)) for d, v, v0 in zip(drift, laws, laws0)]
+        envelope = sys.mass_envelope(t, mass0, domain_length)
+        excess = running_max(excess, total - envelope if math.isfinite(total) else math.inf)
+        if sys.uniform_decay_rate is not None:
+            identity_mass *= 1.0 - sys.uniform_decay_rate * (t - t_prev)
+            identity = running_max(
+                identity, abs(total - identity_mass) / max(abs(mass0), floor)
+            )
+        if entropy is not None:
+            entropy_max = running_max(entropy_max, entropy)
+        t_prev = t
+    measured = {"positivity": u_min, "mass_envelope": excess}
+    for (label, _), d, v0 in zip(sys.conservation_laws, drift, laws0):
+        measured[f"conservation[{label}]"] = d / max(abs(v0), floor)
+    if sys.uniform_decay_rate is not None:
+        measured["mass_identity"] = identity
+    if sys.entropy_nonpositive and entropy_max != -math.inf:
+        measured["entropy_dissipation"] = entropy_max
+    return measured
+
+
+def random_states(system, count, kind):
+    """count states (t, u, masses, entropy) of system.
+
+    The masses spread over six decades; those of a system with a uniform
+    decay rate follow the exact decay species by species, so its total
+    misses the identity by rounding only.  Signed zeros
+    tie for the smallest value and the largest entropy, -0.0 at t = 0 and
+    0.0 later; some entropies are None.  kind "nan" adds a NaN entropy and
+    a NaN value, kind "overflow" a total that overflows.
+    """
+    rng = np.random.default_rng(count)
+    n = system.n_species
+    t = np.cumsum(rng.choice([0.0125, 0.025, 0.05], size=count))
+    t[0] = 0.0
+    base = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    tau = system.uniform_decay_rate
+    states = []
+    for i in range(count):
+        u = rng.uniform(0.0, 1.0, size=(n, 3))
+        zero = -0.0 if i == 0 else 0.0
+        u[0, 0] = zero
+        if tau is None:
+            masses = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        else:
+            if i:
+                base = base * (1.0 - tau * (t[i] - t[i - 1]))
+            masses = base.copy()
+        entropy = [None, zero, -1e-3 * rng.random()][rng.integers(3) if i else 1]
+        if kind == "nan" and i == count - 40:
+            u[1, 2] = entropy = math.nan
+        if kind == "overflow" and i == count // 2:
+            masses[:2] = 1e308
+        states.append((float(t[i]), u, masses, entropy))
+    return states
+
+
+def skew_ring(n, decay):
+    """Cyclic skew Lotka-Volterra system of n species, equal decay rates."""
+    interaction = np.zeros((n, n))
+    for i in range(n):
+        interaction[i, (i + 1) % n], interaction[(i + 1) % n, i] = 1.0, -1.0
+    return skew_lv(np.linspace(1.0, 2.0, n), interaction, [decay] * n)
+
+
+class TestFoldBoundaries:
+    """The tracker's verdicts do not depend on where its chunks end: fed
+    more states than a chunk holds, and folded at arbitrary points, every
+    measured value is bitwise the per-state loop's."""
+
+    count = 2 * diagnostics._CHUNK + 37
+
+    @pytest.fixture(params=["skew11", "skew11-overflow", "quad", "quad-nan"])
+    def case(self, request):
+        name, _, kind = request.param.partition("-")
+        if name == "quad":
+            system = quadratic_reversible([1.0, 1.5, 2.0, 2.5])
+        else:
+            # Eleven species: numpy sums a state's masses pairwise.
+            system = skew_ring(11, 0.5)
+        return system, kind, random_states(system, self.count, kind)
+
+    @pytest.mark.parametrize("fold_every", [None, 1, 7, 97])
+    def test_measured_values_are_the_per_state_ones(self, case, fold_every):
+        system, kind, states = case
+        inv = InvariantTracker(system, 1.0)
+        for i, (t, u, masses, entropy) in enumerate(states):
+            inv.update(t, u, masses, entropy)
+            if fold_every and i % fold_every == 0:
+                inv.fold()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    total = float(np.sum(masses))
+                    laws = [float(np.dot(w, masses)) for _, w in system.conservation_laws]
+                assert repr(inv.total) == repr(total)
+                assert repr(inv.laws) == repr(laws)
+        first = inv.checks()
+        measured = {c.name: repr(c.measured) for c in first}
+        expected = per_state_measurements(system, states)
+        assert measured == {name: repr(v) for name, v in expected.items()}
+        if kind == "overflow":
+            # The overflowing total is not shown to stay under the envelope.
+            assert measured["mass_envelope"] == measured["mass_identity"] == "inf"
+        elif kind == "nan":
+            assert measured["positivity"] == measured["entropy_dissipation"] == "nan"
+        elif system.uniform_decay_rate is not None:
+            assert 0.0 < float(measured["mass_identity"]) < 1e-11
+        else:
+            # Signed zeros tie: the first one, -0.0, is kept.
+            assert measured["positivity"] == measured["entropy_dissipation"] == "-0.0"
+        again = inv.checks()
+        assert [dataclasses.astuple(c) for c in again] == [
+            dataclasses.astuple(c) for c in first
+        ]
 
 
 class TestPositivityCheck:

@@ -7,13 +7,16 @@ import os
 import re
 import stat
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
+from conftest import collected_run
 
-from rdcheck import check_structure, diagnostics, experiment
+from rdcheck import check_structure, custom_polynomial, diagnostics, experiment, theory
 from rdcheck.config import ConfigError, validate_config
 from rdcheck.experiment import config_sha256, run_experiment, write_atomic
+from rdcheck.solver import StepEvent
 
 DT = 1e-3
 T_END = 0.02
@@ -113,6 +116,78 @@ class TestArtifactHelpers:
         finally:
             os.umask(umask)
         assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+
+def hand_built_event(index, t, u, f, sup_norms, masses):
+    """A recorded StepEvent with the given fields, as a run would hand it."""
+    u = np.asarray(u, dtype=np.float64)
+    return StepEvent(
+        index=index,
+        t_old=t,
+        t_new=t,
+        dt=0.0,
+        u_old=u,
+        u_new=u,
+        f=np.asarray(f, dtype=np.float64),
+        sup_norms=np.asarray(sup_norms, dtype=np.float64),
+        masses=np.asarray(masses, dtype=np.float64),
+        recorded=True,
+    )
+
+
+class TestCsvCells:
+    """The CSV cell contract: a number is repr(float(x)), an empty cell ""."""
+
+    system = custom_polynomial(
+        [1.0, 1.0], [[], []], k0=0.0, k1=0.0, growth_k=1.0, growth_eps=0.0
+    )
+    seventeen = 0.1 + 0.2  # 0.30000000000000004
+    positive = np.full((2, 3), 2.0)
+    half_empty = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    events = (
+        # -0.0, the smallest subnormal and a 17-digit value; a finite entropy.
+        (0.0, positive, np.ones((2, 3)), [-0.0, 5e-324], [seventeen, 1.0 / 3.0]),
+        # inf and nan cells, a total that overflows, and a NaN entropy.
+        (seventeen, positive, np.full((2, 3), np.nan), [np.inf, np.nan], [1e308, 1e308]),
+        # An undefined (None) entropy, next to the NaN one, and a NaN total.
+        (1.0, half_empty, np.ones((2, 3)), [0.0, 3.0], [np.nan, 2.0]),
+    )
+
+    def recorded_text(self, tracker=None):
+        recorder = experiment._Recorder(self.system, 1.0, tracker)
+        for index, (t, u, f, sups, masses) in enumerate(self.events):
+            recorder.on_step(hand_built_event(index, t, u, f, sups, masses))
+        return recorder.text()
+
+    def expected_rows(self, diagnostic_cells):
+        rows = []
+        for t, u, f, sups, masses in self.events:
+            with np.errstate(over="ignore"):
+                total = np.sum(np.asarray(masses))
+            entropy = diagnostics.entropy_pointwise_worst(u, f)
+            cells = [repr(float(c)) for c in (t, *sups, *masses, total)]
+            cells.append("" if entropy is None else repr(float(entropy)))
+            rows.append(",".join(cells + list(diagnostic_cells)))
+        return rows
+
+    def test_cells_without_the_tracker(self):
+        lines = self.recorded_text().splitlines()
+        assert lines[0] == (
+            "t,sup_u_1,sup_u_2,mass_1,mass_2,mass_total,entropy,"
+            "z_sup,b_min,b_max,vd_consistency,zvd_residual,grad_vd_sup"
+        )
+        assert lines[1:] == self.expected_rows([""] * 6)
+        assert lines[1].split(",")[1:4] == ["-0.0", "5e-324", "0.30000000000000004"]
+        assert lines[2].split(",")[1:7] == ["inf", "nan", "1e+308", "1e+308", "inf", "nan"]
+        # A NaN total, and the undefined entropy next to the NaN one.
+        assert lines[3].split(",")[5:7] == ["nan", ""]
+
+    def test_diagnostic_cells_follow_the_same_rule(self):
+        row = (-0.0, 5e-324, math.inf, math.nan, self.seventeen, 1.0)
+        tracker = types.SimpleNamespace(row=row)
+        lines = self.recorded_text(tracker).splitlines()
+        cells = ["-0.0", "5e-324", "inf", "nan", "0.30000000000000004", "1.0"]
+        assert lines[1:] == self.expected_rows(cells)
 
 
 @pytest.fixture(scope="module")
@@ -560,6 +635,46 @@ class TestFits:
         check = check_map(outcome.report)["fit_distance_to_equilibrium"]
         assert check["passed"] is False
         assert check["detail"] == "fit failed: conserved mass m13 must be > 0, got 0.0"
+
+
+class TestFitsReadTheFoldedColumns:
+    def test_fits_and_csv_match_a_collected_run(self):
+        # Three chunks of states, one recorded in seven: the fit series and
+        # the CSV come from the folded columns, and must be the per-state
+        # values of the same run.
+        t_end = 0.4
+        raw = quad_raw(
+            grid={"n_cells": 96, "length": 1.0},
+            solver={"dt": DT, "t_end": t_end, "record_every": 7},
+            fits=[
+                {"series": series, "mode": "exponential", "window": [0.0, t_end]}
+                for series in ("mass_total", "sup_total")
+            ],
+        )
+        cfg = validate_config(raw)
+        outcome = run_experiment(cfg)
+        entries = collected_run(cfg.system, cfg.grid, cfg.u0, cfg.solver).entries
+        assert outcome.report["n_accepted_steps"] + 1 > 2 * diagnostics._CHUNK
+        times = [e.t for e in entries]
+        series = {
+            "mass_total": [float(np.sum(e.masses)) for e in entries],
+            "sup_total": [float(np.sum(e.sup_norms)) for e in entries],
+        }
+        for entry in outcome.report["fits"]:
+            fit = theory.fit_rate(times, series[entry["series"]], "exponential")
+            assert entry["n_samples"] == len(entries)
+            assert [entry["rate"], entry["prefactor"], entry["r_squared"]] == [
+                experiment._num(v) for v in (fit.rate, fit.prefactor, fit.r_squared)
+            ]
+        header, rows = data_rows(outcome.csv_text)
+        column = header.split(",").index
+        assert [row[0] for row in rows] == [repr(t) for t in times]
+        assert [row[column("mass_total")] for row in rows] == [
+            repr(v) for v in series["mass_total"]
+        ]
+        assert [row[column("sup_u_1") : column("mass_1")] for row in rows] == [
+            [repr(float(v)) for v in e.sup_norms] for e in entries
+        ]
 
 
 class TestMemory:
