@@ -178,7 +178,7 @@ class AuxiliaryTracker:
         else:
             dt = event.dt
             k0_old = self.sys.mass_source_rate(event.t_old)
-            # v_d's source is the forcing _observe computed from u_old.
+            # v_d's source is the forcing _observe computed from the previous state.
             rows = implicit_heat_step(
                 np.stack((self._v_d, self._z)),
                 self.grid,

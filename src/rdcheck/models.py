@@ -400,13 +400,14 @@ def _face_probe(evaluator, n: int, rng: np.random.Generator, t_horizon=None,
 
     Each face draws fresh points, log-uniform off the face, then times
     uniform in [0, t_horizon] when a horizon is given (else t = 0).  On the
-    last face tail_offset is added to the last reaction.  A sample fails
-    when f_i is below -_QP_TOL, scaled by (1 + max_k |f_k|) of its sample
-    when relative, or is not a number.
+    last face tail_offset is added to the last reaction.  When relative,
+    f_i is divided by (1 + max_k |f_k|) of its sample.  A sample fails when
+    that value is below -_QP_TOL or is not a number.
 
     Returns:
-        (worst f_i sampled, the first failing face's worst sample as a
-        witness or None, the number of samples drawn).
+        (the worst value sampled, which the verdict compares; the first
+        failing face's worst sample as a witness, or None; the number of
+        samples drawn).
     """
     per_face = max(1, _N_SAMPLES // n)
     worst = np.inf
@@ -418,16 +419,15 @@ def _face_probe(evaluator, n: int, rng: np.random.Generator, t_horizon=None,
         f = np.asarray(evaluator(pts, t), dtype=np.float64)
         if tail_offset and i == n - 1:
             f[-1] += tail_offset
-        vals = f[i]
-        floor = -_QP_TOL * (1.0 + np.max(np.abs(f), axis=0)) if relative else -_QP_TOL
+        vals = f[i] / (1.0 + np.max(np.abs(f), axis=0)) if relative else f[i]
         lo = float(np.min(vals))
         # A face minimum that is not a number stays the worst, as in
         # the trackers' running minima.
         if lo < worst or lo != lo:
             worst = lo
-        if witness is None and not np.all(vals >= floor):
-            j = int(np.argmin(vals - floor))
-            witness = f"species {i + 1} reaches {float(vals[j])} at {_point_str(pts[:, j])}"
+        if witness is None and not np.all(vals >= -_QP_TOL):
+            j = int(np.argmin(vals + _QP_TOL))
+            witness = f"species {i + 1} reaches {float(f[i, j])} at {_point_str(pts[:, j])}"
     return worst, witness, n * per_face
 
 
@@ -533,7 +533,8 @@ def verify_augmented(
 
     * augmented_quasi_positivity: every g_i on its boundary face, including
       the extra species (whose face value is the base mass-control margin),
-      against the floor -1e-12 (1 + max_i |g_i|) of its sample;
+      divided by (1 + max_k |g_k|) of its sample; it measures the worst of
+      these and passes when it is at least -tolerance, -1e-12;
     * augmented_conservation_residual: the sum of all N+1 reactions equals
       K0 e^{-K1 t} to 1e-10 relative;
     * augmented_growth: the constant C in
@@ -597,6 +598,7 @@ def verify_augmented(
             passed=qp_witness is None,
             measured=qp_worst,
             bound=0.0,
+            tolerance=_QP_TOL,
             detail=qp_witness
             or f"{_N_SAMPLES + qp_count} samples; floor "
             f"-{_QP_TOL}*(1 + max_i |g_i|) per sample",

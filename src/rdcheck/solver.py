@@ -57,38 +57,39 @@ forced onto the grid: 7 / 15 / 134 against 42 / 54 / 123 µs at 64 cells
 The product reads rows * n^2 * 8 bytes, so it loses from 128 cells on.
 
 The inverses are cached, so a run's repeated step sizes cost no setup:
-the last three stacks with one s per row (a ladder is one stack per depth
-and start level) and, apart from them, the last two single-s matrices (the
-tracker's step).  One entry holds n^2 floats per row up to 64 cells (32 KB
-at 64 cells) and about 3n floats per row above: two block inverses, the
+the last three stacks with one s per row (one per ladder depth and start
+rung) and, apart from them, the last two single-s matrices (the tracker's
+step).  One entry holds n^2 floats per row up to 64 cells (32 KB at 64
+cells) and about 3n floats per row above: two block inverses, the
 separator inverse and a few columns, 99 KB per row at 4096 cells, so 0.4
-MB for one four-species level and 8.3 MB for 84 rows.  The sizes were
-chosen on eight augmented skew runs of 32 to 64 cells, with dt from 0.1 to
-1, initial amplitudes from 5 to 200 and diagnostics on and off, where they
-built each distinct key once and no more: 18 builds for 1914 solves with
-diagnostics on, 51 for 2069 with dt = 0.3 and diagnostics on, where one
-shared two-entry cache built 113 times.  skew-stiff-aug builds 14 times in
-961 solves.  Step sizes stay on the dyadic ladder of dt (see below), so
-only a step clipped to land on t_end brings a new size: with dt = 1 each
-step of the last unit of time builds one ladder stack, and the tracker
-builds once per accepted size.
+MB for one four-species level and 8.3 MB for 84 rows.  Every step size is
+a rung of dt, so on eight augmented skew runs of 32 to 64 cells (dt 0.1
+to 1, initial amplitudes 5 to 200, diagnostics on and off) these sizes
+build each key once, but for a one-level ladder of the first step that a
+step of the last dt solves again: 10 builds in 961 solves on
+skew-stiff-aug, 17 in 2064 at dt = 0.3 with diagnostics on.  Four stacks
+build as often; two build 53 times at dt = 0.3, one single-s matrix 30.
 
-Positivity is enforced by reject-and-halve: if a trial step takes any value
-below the floor, or any non-finite value, the step is retried with dt/2
-(the halved dt applies to that step only); values in [floor, 0) after an
-accepted trial are clamped to exact zero.  Step sizes stay on the dyadic
-ladder cfg.dt / 2^k: a step clipped to land on t_end that fails continues
-at the largest rung below its clipped size, not at half of it.  The
-halvings are solved as a ladder: the reaction is taken at the old state,
-so f does not depend on dt, and one `imex_step` call solves the levels dt,
-dt/2, ..., dt/2^(k-1) as one (k * species, cells) stack, with dt = 1, row
-diffusion dt_l d_i and source dt_l f.  These are the products a single
-trial forms, and every row of the solve is solved on its own, so each
-level is bitwise the trial the sequential halvings would solve, and the
-accepted step is the first level that is finite and above the floor.  The
-ladder depth is the previous step's accepted level + 1, so a run that
-halves the same number of times each step solves one ladder per step; a
-step that needs no halving is a ladder of one level.
+Time is a count of ticks, the finest rung dt / 2^max_step_halvings, and t
+is the count times the tick, rounded once.  Each step starts at the
+largest rung dt / 2^k that fits in the time left, so the last dt is walked
+as its binary expansion.  The end is the multiple of the coarsest rung
+within 1e-12 t_end of t_end, and its state is at t_end; without one, whole
+ticks and one remainder step, the only size off the ladder, reach t_end.
+
+Positivity is enforced by reject-and-halve: a trial step that takes any
+value below the floor, or any non-finite value, is retried at the next
+rung, for that step only, down to the tick: a step from rung k has
+max_step_halvings - k halvings, and the remainder step none.  Values in
+[floor, 0) after an accepted trial are clamped to exact zero.  The
+reaction is taken at the old state, so f does not depend on the step
+size, and one `imex_step` call solves m rungs as one (m * species, cells)
+stack, with dt = 1, row diffusion dt_l d_i and source dt_l f.  Every row
+is solved on its own, so each level is bitwise the trial the sequential
+halvings would solve; the first level that is finite and above the floor
+is accepted.  A ladder runs from the step's start rung down to the
+previous step's accepted rung, and one that fails at every level is
+followed by one as deep.
 
 The run loop works on one float64 (species, cells) array from start to
 end, starting from a checked, read-only copy of the u0 it is given.  No
@@ -147,11 +148,12 @@ class SolverConfig:
     """Time-stepping parameters.
 
     Attributes:
-        dt: step size each step starts from (> 0, <= t_end).
-        t_end: final time (> 0); the last step is clipped to land exactly.
+        dt: the largest step size, the rung dt / 2^0 (> 0, <= t_end).
+        t_end: final time (> 0), the t of the run's last state.
         positivity_floor: reject threshold, <= 0; values in [floor, 0) of
             an accepted step are clamped to exact zeros.
-        max_step_halvings: retry budget per step.
+        max_step_halvings: m, the depth of the finest rung dt / 2^m, the
+            clock's tick; a step that starts at rung k has m - k halvings.
         record_every: recording cadence in accepted steps (>= 1); the
             final step is always recorded.
     """
@@ -184,21 +186,19 @@ class SolverConfig:
 @dataclass(frozen=True)
 class StepEvent:
     """What a hook sees for each state of the run: u0 first, as index 0
-    with t_old = t_new = 0, dt = 0 and u_old is u_new, then each accepted
-    step.
+    with t_old = t_new = 0 and dt = 0, then each accepted step.
 
-    u_old, u_new and f are read-only (species, cells) arrays; u_new is
-    already clamped, and f, sup_norms and masses are its reaction at t_new,
+    u_new and f are read-only (species, cells) arrays; u_new is already
+    clamped, and f, sup_norms and masses are its reaction at t_new,
     per-species sup|u_i| and h * sum_j u_ij.  recorded says whether the
     state is a recorded one (u0, every record_every-th accepted step, and
-    the last).
+    the last).  A hook that needs the previous state keeps it.
     """
 
     index: int
     t_old: float
     t_new: float
     dt: float
-    u_old: np.ndarray
     u_new: np.ndarray
     f: np.ndarray
     sup_norms: np.ndarray
@@ -421,15 +421,12 @@ class _InverseCache:
 
 
 # A run solves with a few distinct s rows: one stack per ladder depth and
-# start level, and, with diagnostics on, the tracker's single s.  The two
+# start rung, and, with diagnostics on, the tracker's single s.  The two
 # kinds are cached apart, so the tracker's matrix never evicts a ladder's
 # stack; the module docstring has the measured traffic behind the sizes.
-# Merging them does not pay: on the eight augmented skew runs (in-process,
-# one BLAS thread) one shared 5-entry cache builds exactly as often as
-# these 3 + 2, but it keeps two more ladder stacks alive, and peak RSS on
-# skew-stiff-aug rose from 38.1-38.4 MB to 39.0-39.2 MB (seeds 1-4).  A
-# shared 4-entry cache rebuilds: 20 builds against 18 with diagnostics on,
-# and 113 against 51 at dt = 0.3 with diagnostics on.
+# Merging them does not pay: on the eight augmented skew runs, one shared
+# cache of 5 entries builds 19 times against 17 at dt = 0.3 with diagnostics
+# on, and one of 4 entries 83 times.
 _inverse_stacks = _InverseCache(3)
 _inverse = _InverseCache(2)
 
@@ -543,14 +540,21 @@ def _exhausted(trial: np.ndarray, t: float, dt: float, halvings: int):
     )
 
 
-def _halved(dt: float, base: float) -> float:
-    """The largest base / 2^k below dt: half of dt when dt is on base's
-    dyadic ladder, and the ladder's next rung below a step clipped to land
-    on t_end, so that the clipped size is the only one off the ladder."""
-    rung = base
-    while rung >= dt:
-        rung *= 0.5
-    return rung
+def _clock(cfg: SolverConfig) -> tuple:
+    """(end, q): t_end is p / q ticks of cfg.dt / 2^max_step_halvings, and
+    end, in units of 1/q tick, is the multiple of the coarsest rung nearest
+    t_end if it lies within 1e-12 t_end of t_end, or else p itself."""
+    halvings = cfg.max_step_halvings
+    num, den = cfg.dt.as_integer_ratio()
+    a, b = cfg.t_end.as_integer_ratio()
+    p, q = (a * den) << halvings, b * num
+    tol, tol_den = (1e-12).as_integer_ratio()
+    for k in range(halvings + 1):
+        rung = q << (halvings - k)
+        multiple = (2 * p + rung) // (2 * rung) * rung
+        if abs(multiple - p) * tol_den <= tol * p:
+            return multiple, q
+    return p, q
 
 
 def row_norms(u: np.ndarray, h: float) -> tuple:
@@ -572,17 +576,11 @@ def run_simulation(
 ) -> np.ndarray:
     """Integrate the (species, cells) array u0 on grid from t = 0 to t_end.
 
-    The run starts from a read-only copy of u0.  Each step starts from
-    cfg.dt (clipped to land exactly on t_end).  A trial step whose minimum
-    falls below the positivity floor, or that takes a non-finite value, is
-    rejected and retried with half the step, up to max_step_halvings
-    times; a clipped step is retried at the largest cfg.dt / 2^k below it.
-    Values in [floor, 0) on an accepted trial are clamped to exact zero.
-    The halvings are solved in ladders of the previous step's accepted
-    level + 1 levels, one `imex_step` call each, and never beyond the
-    budget's last level.  The reaction is evaluated once per state.  Hooks
-    run at u0 (index 0, dt = 0) and after every accepted step, in
-    registration order, and see the state's StepEvent.
+    The run starts from a read-only copy of u0.  Its clock, step sizes and
+    reject-and-halve ladders are the module docstring's.  The reaction is
+    evaluated once per state.  Hooks run at u0 (index 0, dt = 0) and after
+    every accepted step, in registration order, and see the state's
+    StepEvent.
 
     Returns:
         The read-only (species, cells) array at t_end.  Only the current
@@ -591,9 +589,10 @@ def run_simulation(
     Raises:
         ValueError: if u0 does not have shape (sys.n_species, grid.n_cells),
             or has a value that is not finite or is negative.
-        NumericalFailure: when the halving budget is exhausted; the payload
-            carries (time, species, value) of the last rejected trial: its
-            minimum, or its first non-finite value.
+        NumericalFailure: when the halving budget is exhausted or the
+            remainder step is rejected; the payload carries (time, species,
+            value) of the last rejected trial: its minimum, or its first
+            non-finite value.
     """
     u = np.array(u0, dtype=np.float64)
     if u.shape != (sys.n_species, grid.n_cells):
@@ -609,24 +608,25 @@ def run_simulation(
                 f"initial data for species {i + 1} is negative: {float(low)}"
             )
     u.flags.writeable = False
+    halvings = cfg.max_step_halvings
+    end, q = _clock(cfg)
+    num, den = cfg.dt.as_integer_ratio()
+    # t = count * num / scale, rounded once; rung k is q << (halvings - k).
+    scale = (q * den) << halvings
+    count = index = rung = 0
     t = t_old = dt_step = 0.0
-    u_old = u
-    tiny = 1e-12 * cfg.t_end
-    index = 0
-    depth = 1
     while True:
         # An overflow is inf or nan: the next trial fails, as do mass checks.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f = np.asarray(sys.evaluator(u, t), dtype=np.float64)
             sup_norms, masses = row_norms(u, grid.h)
         f.flags.writeable = False
-        done = t >= cfg.t_end - tiny
+        done = count == end
         event = StepEvent(
             index=index,
             t_old=t_old,
             t_new=t,
             dt=dt_step,
-            u_old=u_old,
             u_new=u,
             f=f,
             sup_norms=sup_norms,
@@ -637,16 +637,16 @@ def run_simulation(
             hook(event)
         if done:
             return u
-        dt_step = min(cfg.dt, cfg.t_end - t)
-        level = 0
+        left = end - count
+        # The largest rung that fits in what is left; below one tick, the
+        # remainder step, level halvings + 1.
+        level = start = max(0, halvings + 1 - (left // q).bit_length())
+        depth = max(1, rung + 1 - level)
         while True:
             # Levels level .. level + depth - 1 from one imex_step call.
-            depth = min(depth, cfg.max_step_halvings + 1 - level)
-            dts = [dt_step]
-            if depth > 1:
-                dts.append(_halved(dt_step, cfg.dt))
-            while len(dts) < depth:
-                dts.append(dts[-1] * 0.5)
+            last = min(level + depth, halvings + 1)
+            dts = [math.ldexp(cfg.dt, -k) for k in range(level, last)]
+            dts = dts or [left * num / scale]
             trials = imex_step(u, f, grid, sys, dts)
             # A NaN or an infinite value fails one of the two comparisons.
             passed = (trials.min(axis=(1, 2)) >= cfg.positivity_floor) & (
@@ -657,14 +657,13 @@ def run_simulation(
                 # The accepted level, clamped, in its own array: the stack
                 # is freed.
                 u_new, dt_step = np.maximum(trials[first], 0.0), dts[first]
-                level += first
+                rung = level + first
+                count += q << (halvings - rung) if rung <= halvings else left
                 break
-            level += depth
-            if level > cfg.max_step_halvings:
-                raise _exhausted(trials[-1], t, dts[-1], cfg.max_step_halvings)
-            dt_step = _halved(dts[-1], cfg.dt)
-        depth = level + 1
+            level += len(dts)
+            if level > halvings:
+                raise _exhausted(trials[-1], t, dts[-1], max(0, halvings - start))
         u_new.flags.writeable = False
-        t_old, u_old = t, u
-        t, u = t + dt_step, u_new
+        t_old, u = t, u_new
+        t = cfg.t_end if count == end else count * num / scale
         index += 1

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -171,17 +173,34 @@ def sequential_steps(system, grid, u0, cfg):
 
 
 def _sequential_steps(system, grid, u0, cfg):
+    # The clock in exact rationals.  The run ends at the multiple of the
+    # coarsest rung cfg.dt / 2^k nearest t_end when it is within 1e-12
+    # t_end, or else at t_end after one remainder step below the finest
+    # rung.  Each step starts at the largest rung that fits in what is
+    # left and halves down to the finest rung.
+    dt, t_end = Fraction(cfg.dt), Fraction(cfg.t_end)
+    budget = cfg.max_step_halvings
+    end = t_end
+    for k in range(budget + 1):
+        rung = dt / 2**k
+        multiple = math.floor(t_end / rung + Fraction(1, 2)) * rung
+        if abs(multiple - t_end) <= Fraction(1e-12) * t_end:
+            end = multiple
+            break
     u = np.array(u0, dtype=np.float64)
-    t = 0.0
-    tiny = 1e-12 * cfg.t_end
+    time = Fraction(0)
     steps = []
-    while t < cfg.t_end - tiny:
-        dt = min(cfg.dt, cfg.t_end - t)
-        halvings = 0
+    while time < end:
+        t = float(time)
+        level = 0
+        while level <= budget and dt / 2**level > end - time:
+            level += 1
+        halvings = max(0, budget - level)
+        step = dt / 2**level if level <= budget else end - time
         while True:
             with np.errstate(over="ignore", invalid="ignore"):
                 trial = implicit_heat_step(
-                    u, grid, system.diffusion, dt, system.evaluator(u, t)
+                    u, grid, system.diffusion, float(step), system.evaluator(u, t)
                 )
             finite = np.isfinite(trial)
             mins = trial.min(axis=1)
@@ -190,7 +209,7 @@ def _sequential_steps(system, grid, u0, cfg):
                 value = float(trial[species][~finite[species]][0])
                 failure = NumericalFailure(
                     f"species {species + 1} became non-finite ({value}) at "
-                    f"t = {t} with dt = {dt}",
+                    f"t = {t} with dt = {float(step)}",
                     time=t,
                     species=species + 1,
                     value=value,
@@ -206,23 +225,18 @@ def _sequential_steps(system, grid, u0, cfg):
                     species=species + 1,
                     value=float(mins[species]),
                 )
-            halvings += 1
-            if halvings > cfg.max_step_halvings:
+            level += 1
+            if level > budget:
                 return steps, NumericalFailure(
-                    f"{failure} after {cfg.max_step_halvings} halvings",
+                    f"{failure} after {halvings} halvings",
                     time=failure.time,
                     species=failure.species,
                     value=failure.value,
                 )
-            # The next rung of cfg.dt's dyadic ladder below dt: half of dt,
-            # or, after a step clipped to land on t_end, the rung below it.
-            rung = cfg.dt
-            while rung >= dt:
-                rung *= 0.5
-            dt = rung
+            step = dt / 2**level
         u = np.maximum(trial, 0.0)
-        t += dt
-        steps.append((dt, u))
+        time += step
+        steps.append((float(step), u))
     return steps, None
 
 

@@ -126,7 +126,6 @@ def hand_built_event(index, t, u, f, sup_norms, masses):
         t_old=t,
         t_new=t,
         dt=0.0,
-        u_old=u,
         u_new=u,
         f=np.asarray(f, dtype=np.float64),
         sup_norms=np.asarray(sup_norms, dtype=np.float64),
@@ -808,6 +807,21 @@ class TestInjections:
         assert broken["passed"] is False
         clean = run_raw(skew_raw(transform={"augment": True}))
         assert clean.report["overall"] == "pass"
+
+    def test_augmented_quasi_positivity_measures_what_it_compares(self):
+        # The closure's face value plus the offset, over 1 + max |g| of its
+        # sample, crosses -tolerance between offsets -5e-13 and -1e-12, and
+        # the verdict turns there too.
+        verdicts = []
+        for offset in (0.1, 0.0, -5e-13, -1e-12, -1e-9):
+            raw = skew_raw(
+                transform={"augment": True}, inject={"augmentation_offset": offset}
+            )
+            entry = check_map(run_raw(raw).report)["augmented_quasi_positivity"]
+            assert entry["tolerance"] == 1e-12 and entry["bound"] == 0.0
+            assert entry["passed"] is (entry["measured"] >= -entry["tolerance"])
+            verdicts.append(entry["passed"])
+        assert verdicts == [True, True, True, False, False]
 
 
 class TestAbortedRun:

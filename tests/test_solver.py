@@ -620,7 +620,7 @@ class TestRunSimulationValidation:
         grid, u0 = constant_state(Grid1D(8, 1.0), 1.0)
         events = []
         run_simulation(heat_only(), grid, u0, self.CFG, hooks=[events.append])
-        first = events[0].u_old
+        first = events[0].u_new
         assert first is not u0 and not first.flags.writeable
         u0[0, 0] = 99.0
         assert first[0, 0] == 1.0
@@ -643,19 +643,13 @@ class TestRunSimulationRecording:
         run_simulation(
             heat_only(), grid, u0, SolverConfig(dt=0.05, t_end=0.2), hooks=[events.append]
         )
-        first = events[1]
+        start, first = events[0], events[1]
         assert first.t_old == 0.0
-        np.testing.assert_array_equal(first.u_old, u0)
-        sup_norms, masses = rdcheck.solver.row_norms(first.u_old, grid.h)
-        assert sup_norms[0] == float(np.max(u0[0]))
-        assert masses[0] == float(np.add.accumulate(u0[0])[-1] * grid.h)
-
-    def test_final_step_is_clipped_to_t_end(self):
-        state = constant_state(Grid1D(8, 1.0), 1.0)
-        traj = collected_run(heat_only(), *state, SolverConfig(dt=0.3, t_end=1.0))
-        assert abs(traj.final().t - 1.0) < 1e-12
-        # 0.3 + 0.3 + 0.3 + 0.1: four accepted steps, all recorded.
-        assert len(traj.entries) == 5
+        np.testing.assert_array_equal(start.u_new, u0)
+        assert start.sup_norms[0] == float(np.max(u0[0]))
+        assert start.masses[0] == float(np.add.accumulate(u0[0])[-1] * grid.h)
+        step = imex_step(u0, np.zeros_like(u0), grid, heat_only(), [0.05])[0]
+        assert first.u_new.tobytes() == np.maximum(step, 0.0).tobytes()
 
     def test_times_strictly_increase(self):
         grid = Grid1D(16, 1.0)
@@ -665,6 +659,110 @@ class TestRunSimulationRecording:
         )
         assert np.all(np.diff(traj.times) > 0.0)
         assert abs(traj.final().t - 0.5) < 1e-12
+
+
+def tick_counts(events, cfg):
+    """Each event's t in ticks of cfg.dt / 2^max_step_halvings, summed from
+    the accepted step sizes in exact rationals, and the sizes that are no
+    rung of cfg.dt."""
+    tick = Fraction(cfg.dt) / 2**cfg.max_step_halvings
+    counts, off_ladder, count = [], [], Fraction(0)
+    for event in events:
+        count += Fraction(event.dt) / tick
+        counts.append(count)
+        ratio = Fraction(cfg.dt) / Fraction(event.dt) if event.index else 1
+        if ratio.denominator != 1 or ratio.numerator.bit_count() != 1:
+            off_ladder.append(event.dt)
+    return counts, tick, off_ladder
+
+
+class TestClock:
+    """t is an integer count of ticks, the finest rung, rounded once."""
+
+    def test_t_is_the_tick_count_times_the_tick(self, quad_system):
+        # The README quad: 49 steps of 1e-3 read 0.049, where a running
+        # float sum reads 0.04900000000000004.
+        grid = Grid1D(64, 1.0)
+        cfg = SolverConfig(dt=1e-3, t_end=0.05)
+        events = []
+        run_simulation(
+            quad_system, grid, quad_bump_state(grid), cfg, hooks=[events.append]
+        )
+        counts, tick, off_ladder = tick_counts(events, cfg)
+        assert len(events) == 51 and not off_ladder
+        assert events[49].t_new == 0.049 and events[-1].t_new == 0.05
+        num, den = tick.as_integer_ratio()
+        for event, count in zip(events, counts):
+            assert count.denominator == 1
+            assert event.t_new == count.numerator * num / den
+            assert event.t_old == events[max(event.index - 1, 0)].t_new
+
+    def test_t_end_off_the_ladder_takes_one_remainder_step(self):
+        # 1 / 0.3 is no multiple of a rung: three steps of 0.3, then the
+        # rest below 0.3 in binary, 0.1 = (1/4 + 1/16 + ...) 0.3, ten rungs
+        # down to the 20th, and one remainder step below the tick.
+        cfg = SolverConfig(dt=0.3, t_end=1.0)
+        events = []
+        run_simulation(
+            heat_only(), *constant_state(Grid1D(8, 1.0), 1.0), cfg, hooks=[events.append]
+        )
+        counts, _, off_ladder = tick_counts(events, cfg)
+        assert len(events) == 1 + 14
+        assert events[-1].t_new == 1.0 and events[-1].recorded
+        assert off_ladder == [events[-1].dt] and events[-1].dt < 0.3 / 2**20
+        assert all(count.denominator == 1 for count in counts[:-1])
+        assert [e.dt for e in events[1:4]] == [0.3] * 3
+
+    def test_a_budget_of_1100_halvings_keeps_whole_steps(self, quad_system):
+        # The tick, 1e-3 / 2^1100, is below the smallest float; 0.05 is
+        # still 50 whole steps of the float 1e-3.
+        grid = Grid1D(16, 1.0)
+        cfg = SolverConfig(dt=1e-3, t_end=0.05, max_step_halvings=1100)
+        events = []
+        run_simulation(
+            quad_system, grid, quad_bump_state(grid), cfg, hooks=[events.append]
+        )
+        assert [e.dt for e in events[1:]] == [1e-3] * 50
+        assert events[-1].t_new == 0.05
+
+    def test_a_rejected_remainder_step_ends_the_run(self, monkeypatch):
+        # The remainder step is never halved: when it is rejected, the run
+        # fails at the start of it, after 0 halvings.
+        real = rdcheck.solver.imex_step
+
+        def overflowing_off_the_ladder(u, f, grid, sys, dts):
+            levels = real(u, f, grid, sys, dts)
+            off = [math.log2(0.3 / dt) % 1 != 0 for dt in dts]
+            levels[np.asarray(off)] = math.inf
+            return levels
+
+        monkeypatch.setattr(rdcheck.solver, "imex_step", overflowing_off_the_ladder)
+        events = []
+        with pytest.raises(NumericalFailure, match="after 0 halvings") as excinfo:
+            run_simulation(
+                heat_only(), *constant_state(Grid1D(8, 1.0), 1.0),
+                SolverConfig(dt=0.3, t_end=1.0), hooks=[events.append],
+            )
+        assert len(events) == 14 and excinfo.value.time == events[-1].t_new < 1.0
+
+    @pytest.mark.parametrize(
+        "dt, t_end, steps",
+        [
+            (1e-3, 0.05, 50), (1e-3, 0.049, 49), (5e-3, 0.2, 40), (0.3, 0.9, 3),
+            (0.3, 3.0, 10), (0.1, 12.0, 120), (0.0125, 3.0, 240), (0.07, 0.07 * 3, 3),
+            # 2.4 / 0.1 is 23.999999999999996 in floats; 24 steps of 0.1
+            # are within 1e-12 t_end of 2.4 all the same.
+            (0.1, 2.4, 24),
+        ],
+    )
+    def test_whole_steps_end_on_t_end(self, dt, t_end, steps):
+        events = []
+        run_simulation(
+            heat_only(), *constant_state(Grid1D(4, 1.0), 1.0),
+            SolverConfig(dt=dt, t_end=t_end), hooks=[events.append],
+        )
+        assert [e.dt for e in events[1:]] == [dt] * steps
+        assert events[-1].t_new == t_end
 
 
 class TestRunSimulationPhysics:
@@ -683,13 +781,12 @@ class TestRunSimulationPhysics:
             [0.5 + bump(grid, 0.3, 0.1, 1.0), 0.5 + bump(grid, 0.7, 0.1, 1.0)]
         )
         dt = 1e-3
-        ratios = []
+        masses, ratios = [], []
 
         def capture(event):
+            masses.append(grid.h * float(np.sum(event.u_new)))
             if event.index:
-                m_old = grid.h * float(np.sum(event.u_old))
-                m_new = grid.h * float(np.sum(event.u_new))
-                ratios.append(m_new / m_old)
+                ratios.append(masses[-1] / masses[-2])
 
         run_simulation(
             skew_system, *state, SolverConfig(dt=dt, t_end=0.05), hooks=[capture]
@@ -832,8 +929,9 @@ def ladder_steps(system, initial, cfg):
 
 
 def accepted_levels(steps, cfg):
-    """The rung of cfg.dt's dyadic ladder of each accepted (dt, u) step; a
-    last step clipped to land on t_end counts as its nearest rung."""
+    """The rung k of each accepted (dt, u) step, dt = cfg.dt / 2^k.  Every
+    step is a rung from 0 to max_step_halvings, but for a remainder step
+    below the finest rung, which counts as its nearest rung."""
     return [round(math.log2(cfg.dt / dt)) for dt, _ in steps]
 
 
@@ -847,6 +945,12 @@ LADDER_CASES = {
     "level-rises": lambda: (
         constant_sink(1.0), constant_state(Grid1D(8, 1.0), 1.0),
         SolverConfig(dt=0.3, t_end=1.5, positivity_floor=-0.05),
+    ),
+    # As above to t_end = 1, which no rung divides: the last 0.1 is walked
+    # in rungs and closed by one remainder step below the finest rung.
+    "off-the-ladder-end": lambda: (
+        constant_sink(1.0), constant_state(Grid1D(8, 1.0), 1.0),
+        SolverConfig(dt=0.3, t_end=1.0, positivity_floor=-0.05),
     ),
     # Constant sink from zero: the budget runs out at the first step.
     "sink-exhausted-at-start": lambda: (
@@ -906,11 +1010,15 @@ class TestHalvingLadder:
             return accepted_levels(steps, cfg), failure
 
         skew, failure = levels("skew-augmented-64")
-        # Every step at rung 3, the last one clipped by rounding to land on
-        # t_end.
-        assert failure is None and set(skew) == {3}
+        # Every step at rung 3, 0.0125: 24 steps of 0.1 lie within 1e-12
+        # t_end of 2.4.
+        assert failure is None and skew == [3] * 192
         rises, failure = levels("level-rises")
         assert failure is None and rises[:5] == [0, 0, 0, 2, 3]
+        # Rungs 2, 4, ..., 20 walk the last 0.1 = 0.3 (1/4 + 1/16 + ...);
+        # the remainder step lies below rung 20.
+        ends, failure = levels("off-the-ladder-end")
+        assert failure is None and ends == [0, 0, 0, *range(2, 21, 2), 22]
         budget, failure = levels("budget-cuts-the-ladder")
         assert budget == [0, 0, 0, 2, 4] and "after 5 halvings" in str(failure)
         for case in ("sink-exhausted-at-start", "sink-exhausted-in-a-ladder"):
@@ -951,18 +1059,18 @@ class TestHalvingLadder:
         assert evaluations == [e.t_new for e in events]
         evaluations.clear()
         sequential_steps(counted, *initial, cfg)
-        # Four trials per step but the last three, whose first, clipped
-        # level is within 3, 2 and 1 rungs of the accepted one.
-        assert len(evaluations) == 189 * 4 + 3 + 2 + 1
+        # Four trials per step but in the last 0.1, whose eight steps of
+        # 0.0125 start at the largest rung that fits in what is left: 0.1,
+        # then 0.05 four times, 0.025 twice and 0.0125, so 4 + 3 * 4 + 2 * 2
+        # + 1 trials.
+        assert len(evaluations) == 184 * 4 + 21
 
-    def test_steps_clipped_at_t_end_halve_onto_the_dyadic_ladder(self, monkeypatch):
+    def test_last_unit_of_time_walks_the_rungs_of_dt(self, monkeypatch):
         # With dt = 1 the augmented skew run halves to 1/32 and 1/64 for
-        # most of its steps, so every step of the last unit of time is
-        # clipped to land on t_end.  A clipped level that fails continues
-        # on dt's dyadic ladder, so the accepted steps keep two sizes (one
-        # per step of the last unit of time when halving the clipped size),
-        # and a solve at each accepted dt, as the tracker's, builds each
-        # size once.
+        # most of its steps.  In the last unit of time each step starts at
+        # the largest rung that fits in what is left, so every size is a
+        # rung of dt, and a solve at each accepted dt, as the tracker's,
+        # builds each size once.
         aug, (grid, u0) = skew_augmented(16)
         cfg = SolverConfig(dt=1.0, t_end=3.0)
         ladders, accepted = [], []
@@ -983,11 +1091,13 @@ class TestHalvingLadder:
         stacks.cache_clear()
         run_simulation(aug, grid, u0, cfg, hooks=[tracker])
         assert len(accepted) == 191 and set(accepted) == {2.0**-5, 2.0**-6}
-        assert all(math.frexp(dt)[0] == 0.5 for dts in ladders for dt in dts[1:])
+        assert all(math.frexp(dt)[0] == 0.5 for dts in ladders for dt in dts)
         assert single.cache_info().misses == len(set(accepted))
-        # Each ladder of the last unit of time starts with its own clipped
-        # size, so it builds; no ladder builds twice.
-        assert stacks.cache_info().misses == len(set(ladders)) == 71
+        # 15 distinct ladders, and one built twice: the first step's
+        # one-level ladder at 1/64, which has left the three-stack cache
+        # when the last step solves it.
+        assert len(set(ladders)) == 15
+        assert stacks.cache_info().misses == 16
 
 
 class TestHooks:
@@ -1009,9 +1119,9 @@ class TestHooks:
         assert calls == ["a", "b", "a", "b", "a", "b"]
         assert [e.index for e in events] == [0, 1, 2]
         assert events[1].t_old == 0.0
-        assert events[1].t_new == pytest.approx(0.25)
-        assert events[1].u_old is events[0].u_new
-        assert events[2].u_old is events[1].u_new
+        assert events[1].t_new == 0.25
+        assert events[2].t_old == events[1].t_new
+        assert events[2].t_new == 0.5
 
     def test_event_shares_read_only_arrays_and_field_norms(self, quad_system):
         # The step's norms are computed once, row-wise, bitwise equal to each
@@ -1026,7 +1136,6 @@ class TestHooks:
         recorded = [e for e in events if e.recorded]
         assert [e.index for e in recorded] == [0, 3, 6, 9, 10]
         for event in events:
-            assert not event.u_old.flags.writeable
             assert not event.u_new.flags.writeable
             assert list(event.masses) == [
                 float(np.add.accumulate(row)[-1] * grid.h) for row in event.u_new
@@ -1074,7 +1183,7 @@ class TestHooks:
         assert [e.index for e in events] == list(range(11))
         first = events[0]
         assert first.t_old == first.t_new == first.dt == 0.0
-        assert first.u_old is first.u_new and first.recorded
+        assert first.recorded
         assert not first.u_new.flags.writeable and not first.f.flags.writeable
         assert first.u_new.tobytes() == u0.tobytes()
         assert first.f.tobytes() == quad_system.evaluator(u0, 0.0).tobytes()
