@@ -36,17 +36,16 @@ on the smooth v_d of the README quad run at 1024 cells it scans about
 O(n^2) time in the worst case, a monotone x^gamma-like row.
 
 The primal checks work the same way.  `InvariantTracker` is fed every
-state of the run, u0 first, with the masses the solver computed once for
-that state and the state's entropy value, formed from the reaction the
-solver evaluated once for that state, and keeps running extrema, folded
-per chunk: the smallest value (positivity), the drift of each conserved
-combination, the excess over the mass envelope, the error of the exact
-geometric mass decay, and the largest entropy production.  A state costs
-a few writes into a preallocated block; the totals, the conserved
-combinations and the extrema are numpy reductions over a chunk of states,
-equal bit for bit to the state by state ones.  Each tracker's `checks`
-turns its own extrema into the report's verdicts, which therefore do not
-depend on the recording cadence.
+StepEvent of the run, u0 first, with the state's entropy value, formed
+from the reaction the solver evaluated once for that state, and keeps
+running extrema, folded per chunk: the smallest value (positivity), the
+drift of each conserved combination, the worst step of the mass ledger
+(its balance and its one-step envelope), and the largest entropy
+production.  A state costs a few writes and one sum of its reaction; the
+totals, the conserved combinations, the ledger and the extrema are numpy
+reductions over a chunk of states, equal bit for bit to the state by
+state ones.  Each tracker's `checks` turns its own extrema into the
+report's verdicts, which therefore do not depend on the recording cadence.
 """
 
 from __future__ import annotations
@@ -74,7 +73,8 @@ _UHAT_TOL = 1e-9
 _CONS_TOL = 1e-8
 _ENVELOPE_SLACK = 1e-6
 _ENTROPY_TOL = 1e-12
-_MASS_IDENTITY_TOL = 1e-9
+# A mass-ledger step's relative miss; correct runs measured 2.6e-15 at worst.
+_LEDGER_TOL = 1e-12
 # States an InvariantTracker holds between folds.  From 64 to 512 the
 # recorder's time on a 958-state run is flat within noise (2-vCPU guest),
 # while the transient of formatting a chunk's CSV rows grows with it.
@@ -91,6 +91,14 @@ def _max(a: float, b: float) -> float:
 def _min(a: float, b: float) -> float:
     """min(a, b), or NaN if either is NaN, as _max."""
     return b if b < a or b != b else a
+
+
+def _relative(value: np.ndarray, scale: np.ndarray, overflow: np.ndarray) -> np.ndarray:
+    """value / scale per step: 0 where value is 0, whatever the scale, and
+    +inf where a total mass overflowed, so that the step fails its check."""
+    out = np.divide(value, scale, out=np.zeros_like(value), where=value != 0.0)
+    out[overflow] = math.inf
+    return out
 
 
 def _first(arg, values: np.ndarray) -> float:
@@ -323,17 +331,24 @@ def entropy_pointwise_worst(u: np.ndarray, f: np.ndarray) -> float | None:
 
 
 class InvariantTracker:
-    """Running extrema of the primal invariants, fed once per state and
-    folded per chunk.
+    """Running extrema of the primal invariants, fed every StepEvent of a
+    run on grid, u0 first, and folded per chunk.
 
-    update() copies a state's time, masses, smallest value and entropy
-    into one preallocated float64 block.  fold() reduces the block with
-    numpy, when it is full, at checks() and whenever its owner asks: it
-    forms each state's total mass and conserved combinations once, and the
-    running extrema take in the chunk's.  So the positivity, conservation,
-    mass-envelope, mass-identity and entropy checks see every accepted
-    step whatever the recording cadence, one chunk late.  The first state
-    fed sets the reference masses.
+    update() copies an event's time, step size, masses, smallest value,
+    flux F = h sum_ij f_ij, clamped mass and entropy into one preallocated
+    float64 block.  fold() reduces the block with numpy, when it is full,
+    at checks() and whenever its owner asks: it forms each state's total
+    mass M and conserved combinations once, and the running extrema take
+    in the chunk's.  So the checks see every accepted step whatever the
+    recording cadence, one chunk late.  The first state fed sets the
+    reference combinations.
+
+    The mass ledger: the solve keeps each row's mass, so a step n -> n + 1
+    of size dt has M_{n+1} = M_n + dt F_n + C_{n+1}, C the clamped mass.
+    mass_identity is the step's miss of that balance, and mass_envelope the
+    excess of M_{n+1} - C_{n+1} over (1 + K1 dt) M_n + dt L K0(t_n), the
+    mass control on a domain of length L; both relative to M_n + M_{n+1},
+    the envelope's plus dt L |K0(t_n)|.
 
     on_fold, if given, is called by every fold with the chunk's states
     before the block is reused: a (states, species + 3 + laws) view whose
@@ -342,33 +357,34 @@ class InvariantTracker:
     None.  Both are valid during the call only.
     """
 
-    def __init__(self, sys: ReactionSystem, domain_length: float, on_fold=None):
+    def __init__(self, sys: ReactionSystem, grid: Grid1D, on_fold=None):
         self.sys = sys
-        self.domain_length = domain_length
+        self.grid = grid
         self.on_fold = on_fold
-        self.t = None
         self.total = 0.0
         self.laws = []
         self.laws0 = []
         self.law_drift = [0.0] * len(sys.conservation_laws)
-        self.mass0 = 0.0
         self.u_min = math.inf
         self.envelope_excess = -math.inf
         self.identity_error = 0.0
         self.entropy_max = -math.inf
-        self._identity_mass = 0.0
         n = sys.n_species
         self._weights = np.array(
             [w for _, w in sys.conservation_laws], dtype=np.float64
         ).reshape(-1, n)
-        # Columns: t, masses, total, entropy, laws, and the state's minimum.
-        self._block = np.empty((_CHUNK, n + 4 + len(self._weights)))
+        # Columns: t, masses, total, entropy and laws, the on_fold view;
+        # then the state's minimum, dt, flux and clamped masses.
+        self._view = n + 3 + len(self._weights)
+        self._block = np.empty((_CHUNK, self._view + 3 + n))
         self._has_entropy = np.empty(_CHUNK, dtype=bool)
         self._held = 0
+        # The last folded row, where the next chunk's first step starts.
+        self._last = self._block[:0].copy()
 
-    def update(self, t: float, u: np.ndarray, masses: np.ndarray, entropy) -> None:
-        """Feed one state: time, (species, cells) array, per-species masses,
-        and its entropy_pointwise_worst value (None when undefined).
+    def update(self, event: StepEvent, entropy) -> None:
+        """Feed one state: its StepEvent and its entropy_pointwise_worst
+        value (None when undefined).
 
         The state enters the extrema when its chunk is folded.  Afterwards
         `total` and `laws` hold the last folded state's total mass and
@@ -380,10 +396,15 @@ class InvariantTracker:
             self.fold()
             i = 0
         n = self.sys.n_species
+        v = self._view
         row = self._block[i]
-        row[0] = t
-        row[1 : n + 1] = masses
-        row[-1] = u.min()
+        row[0] = event.t_new
+        row[1 : n + 1] = event.masses
+        row[v] = event.u_new.min()
+        row[v + 1] = event.dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            row[v + 2] = event.f.sum() * self.grid.h
+        row[v + 3 :] = event.clamped
         self._has_entropy[i] = entropy is not None
         if entropy is not None:
             row[n + 2] = entropy
@@ -394,9 +415,9 @@ class InvariantTracker:
         then hand them to on_fold.
 
         Per chunk: one sum per state for the total (numpy's, as np.sum of
-        the state's masses), one product with the law weights, a scalar
-        mass_envelope per state, and the exact geometric decay as a
-        sequential product.  Each extremum keeps the value a state by state
+        the state's masses), one product with the law weights, and the
+        ledger of each step into a state of the chunk, the first from the
+        last folded state.  Each extremum keeps the value a state by state
         _max or _min would: the first extreme entry, NaN first of all.
         """
         k = self._held
@@ -405,56 +426,52 @@ class InvariantTracker:
         self._held = 0
         sys = self.sys
         n = sys.n_species
+        v = self._view
         block = self._block[:k]
-        t = block[:, 0]
         has_entropy = self._has_entropy[:k]
         masses = block[:, 1 : n + 1]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             totals = masses.sum(axis=1)
             laws = masses @ self._weights.T
             block[:, n + 1] = totals
-            block[:, n + 3 : -1] = laws
-            if self.t is None:
-                self.t = float(t[0])
-                self.mass0 = self._identity_mass = float(totals[0])
+            block[:, n + 3 : v] = laws
+            if not len(self._last):
                 self.laws0 = laws[0].tolist()
-            self.u_min = _min(self.u_min, _first(np.argmin, block[:, -1]))
+            rows = np.concatenate((self._last, block))
+            self.u_min = _min(self.u_min, _first(np.argmin, block[:, v]))
             drift = np.max(np.abs(laws - self.laws0), axis=0).tolist()
-            self.law_drift = [_max(d, v) for d, v in zip(self.law_drift, drift)]
-            envelope = np.array(
-                [sys.mass_envelope(s, self.mass0, self.domain_length) for s in t.tolist()]
-            )
-            # A total that overflowed is not shown to stay under the envelope.
-            excess = np.where(np.isfinite(totals), totals - envelope, math.inf)
-            self.envelope_excess = _max(self.envelope_excess, _first(np.argmax, excess))
-            tau = sys.uniform_decay_rate
-            if tau is not None:
-                # One accepted step multiplies the total mass by 1 - tau dt.
-                factors = 1.0 - tau * np.diff(t, prepend=self.t)
-                mass = np.multiply.accumulate(np.append(self._identity_mass, factors))[1:]
-                ref = max(abs(self.mass0), _TOTAL_MASS_FLOOR)
-                error = float(np.max(np.abs(totals - mass) / ref))
-                self.identity_error = _max(self.identity_error, error)
-                self._identity_mass = float(mass[-1])
+            self.law_drift = [_max(a, b) for a, b in zip(self.law_drift, drift)]
+            if len(rows) > 1:
+                old, new = rows[:-1], rows[1:]
+                m_old, m_new, dt = old[:, n + 1], new[:, n + 1], new[:, v + 1]
+                clamped = new[:, v + 3 :].sum(axis=1)
+                overflow = np.isinf(m_old) | np.isinf(m_new)
+                scale = m_old + m_new
+                residual = np.abs(m_new - m_old - dt * old[:, v + 2] - clamped)
+                source = dt * self.grid.length * sys.mass_source_rate(old[:, 0])
+                excess = m_new - (1.0 + sys.k1 * dt) * m_old - source - clamped
+                identity = _relative(residual, scale, overflow)
+                envelope = _relative(excess, scale + np.abs(source), overflow)
+                self.identity_error = _max(self.identity_error, _first(np.argmax, identity))
+                self.envelope_excess = _max(self.envelope_excess, _first(np.argmax, envelope))
         if has_entropy.any():
             entropy = _first(np.argmax, block[has_entropy, n + 2])
             self.entropy_max = _max(self.entropy_max, entropy)
-        self.t = float(t[-1])
+        self._last = block[-1:].copy()
         self.total = float(totals[-1])
         self.laws = laws[-1].tolist()
         if self.on_fold is not None:
-            self.on_fold(block[:, :-1], has_entropy)
+            self.on_fold(block[:, :v], has_entropy)
 
     def checks(self) -> list[CheckResult]:
         """The report's primal checks over every state fed so far.
 
         In order: positivity (no value below zero; the solver clamps inside
         its floor), conservation[label] (relative drift of each declared
-        law) and mass_envelope (a total mass that overflowed fails, the
-        initial one included).  Then mass_identity (the exact geometric
-        decay, over the actual step sizes) for systems with a uniform decay
-        rate, and entropy_dissipation (the worst pointwise value) for
-        families whose entropy is signed, once it was defined at some step.
+        law), mass_envelope and mass_identity (the worst step of the mass
+        ledger; a total mass that overflowed fails both), and
+        entropy_dissipation (the worst pointwise value) for families whose
+        entropy is signed, once it was defined at some step.
         """
         self.fold()
         sys = self.sys
@@ -478,26 +495,26 @@ class InvariantTracker:
                     tolerance=_CONS_TOL,
                 )
             )
-        tol = _ENVELOPE_SLACK * (1.0 + self.mass0)
         checks.append(
             CheckResult(
                 name="mass_envelope",
-                passed=self.envelope_excess <= tol < math.inf,
+                passed=self.envelope_excess <= _LEDGER_TOL,
                 measured=self.envelope_excess,
                 bound=0.0,
-                tolerance=tol,
+                tolerance=_LEDGER_TOL,
+                detail="worst step of M_new - C <= (1 + K1 dt) M_old + dt L K0, relative",
             )
         )
-        if sys.uniform_decay_rate is not None:
-            checks.append(
-                CheckResult(
-                    name="mass_identity",
-                    passed=self.identity_error <= _MASS_IDENTITY_TOL,
-                    measured=self.identity_error,
-                    bound=0.0,
-                    tolerance=_MASS_IDENTITY_TOL,
-                )
+        checks.append(
+            CheckResult(
+                name="mass_identity",
+                passed=self.identity_error <= _LEDGER_TOL,
+                measured=self.identity_error,
+                bound=0.0,
+                tolerance=_LEDGER_TOL,
+                detail="worst step of M_new = M_old + dt F_old + C, relative",
             )
+        )
         if sys.entropy_nonpositive and self.entropy_max != -math.inf:
             checks.append(
                 CheckResult(

@@ -44,6 +44,7 @@ import numpy as np
 
 from .config import RunConfig
 from .diagnostics import AuxiliaryTracker, InvariantTracker, entropy_pointwise_worst
+from .grid import Grid1D
 from .models import CheckResult, ReactionSystem, check_structure, verify_augmented
 from .solver import NumericalFailure, StepEvent, run_simulation
 from .theory import fit_rate, quad_equilibrium
@@ -143,16 +144,16 @@ class _Recorder:
     def __init__(
         self,
         system: ReactionSystem,
-        length: float,
+        grid: Grid1D,
         tracker: AuxiliaryTracker | None,
         fit_series=(),
         augmented: bool = False,
     ):
         self.system = system
-        self.length = length
+        self.length = grid.length
         self.tracker = tracker
         self.augmented = augmented
-        self.invariants = InvariantTracker(system, length, on_fold=self._take)
+        self.invariants = InvariantTracker(system, grid, on_fold=self._take)
         self.last_index = 0
         n = system.n_species
         columns = (
@@ -178,10 +179,10 @@ class _Recorder:
 
     def on_step(self, event: StepEvent) -> None:
         self.last_index = event.index
-        t, u, masses = event.t_new, event.u_new, event.masses
+        u = event.u_new
         if event.index == 0 and "distance_to_equilibrium" in self.series:
             try:
-                eq = _equilibrium(self.system, masses, self.length)
+                eq = _equilibrium(self.system, event.masses, self.length)
                 self._equilibrium = eq[:, None]
             except ValueError as exc:
                 self.series["distance_to_equilibrium"] = exc
@@ -189,7 +190,7 @@ class _Recorder:
         if not self.augmented and (event.recorded or self.system.entropy_nonpositive):
             entropy = entropy_pointwise_worst(u, event.f)
         # A full chunk is folded (_take) before this state joins the lists.
-        self.invariants.update(t, u, masses, entropy)
+        self.invariants.update(event, entropy)
         self._recorded.append(event.recorded)
         if not event.recorded:
             return
@@ -333,7 +334,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
         tracker = AuxiliaryTracker(system, cfg.grid, cfg.diagnostics)
 
     recorder = _Recorder(
-        system, cfg.grid.length, tracker, [spec["series"] for spec in cfg.fits],
+        system, cfg.grid, tracker, [spec["series"] for spec in cfg.fits],
         augmented=cfg.augmented is not None,
     )
     hooks = ([tracker.on_step] if tracker else []) + [recorder.on_step]

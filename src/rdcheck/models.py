@@ -19,8 +19,10 @@ key.  The reversible exchange model (quadratic_reversible: four species,
 rate u1 u2 - u3 u4 both ways) conserves three independent linear masses and
 dissipates the entropy sum f_i log u_i.  The skew Lotka-Volterra family
 (skew_lv: f_i = (-tau_i + (A u)_i) u_i with A + A^T = 0) has sum_i f_i =
--sum_i tau_i u_i, hence exact geometric mass decay under equal tau.  Custom
-polynomial right-hand sides (custom_polynomial) carry user-declared
+-sum_i tau_i u_i, so under equal tau its mass decays geometrically, by
+exactly 1 - tau dt per step of the scheme.  That is a property, not a code
+path: the run's mass ledger checks every system's steps by one rule.
+Custom polynomial right-hand sides (custom_polynomial) carry user-declared
 constants.
 
 The rescaling w_i = e^{-K1 t} u_i absorbs the linear part of the mass
@@ -49,7 +51,6 @@ construction does not pin down.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -97,8 +98,6 @@ class ReactionSystem:
             of the reaction (empty if none are declared).
         entropy_nonpositive: whether sum f_i log u_i <= 0 is guaranteed for
             this family (asserted at verify time only if True).
-        uniform_decay_rate: tau when sum f = -tau * sum u holds exactly
-            (equal-tau skew Lotka-Volterra), else None.
     """
 
     name: str
@@ -113,15 +112,15 @@ class ReactionSystem:
     k0_decay: float = 0.0
     conservation_laws: tuple = ()
     entropy_nonpositive: bool = False
-    uniform_decay_rate: float | None = None
 
-    def mass_source_rate(self, t: float) -> float:
-        """Mass-control source K0(t) = k0 * exp(-k0_decay * t)."""
+    def mass_source_rate(self, t):
+        """Mass-control source K0(t) = k0 * exp(-k0_decay * t), at a time or
+        at each time of an array."""
         if self.k0 == 0.0:
             return 0.0
         if self.k0_decay == 0.0:
             return self.k0
-        return self.k0 * float(np.exp(-self.k0_decay * t))
+        return self.k0 * np.exp(-self.k0_decay * t)
 
     def mass_source_integral(self, t: float) -> float:
         """Closed-form integral of the mass source over [0, t]."""
@@ -130,36 +129,6 @@ class ReactionSystem:
         if self.k0_decay == 0.0:
             return self.k0 * t
         return self.k0 * (1.0 - float(np.exp(-self.k0_decay * t))) / self.k0_decay
-
-    def mass_envelope(self, t: float, mass0: float, length: float) -> float:
-        """The mass control's bound on the total mass at time t of a run
-        that starts with total mass mass0 on a domain of that length:
-        e^{k1 t} mass0 + length * integral_0^t e^{k1 (t - s)} K0(s) ds.
-        An envelope that overflows is +inf: nothing is shown to exceed it."""
-        grow = _exp(self.k1 * t)
-        rate = self.k1 + self.k0_decay
-        if self.k0 == 0.0:
-            src = 0.0
-        elif rate == 0.0:
-            src = self.k0 * grow * t
-        else:
-            decay = _exp(-rate * t)
-            if decay == math.inf:
-                # rate < 0: e^{k1 t} may have underflowed to 0, so take the
-                # product e^{k1 t} (1 - e^{-rate t}) as a difference.
-                src = self.k0 * (grow - _exp(-self.k0_decay * t)) / rate
-            else:
-                src = self.k0 * grow * (1.0 - decay) / rate
-        held = grow * mass0 if mass0 != 0.0 else 0.0
-        return held + length * src
-
-
-def _exp(x: float) -> float:
-    """e^x, or +inf where it overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def _check_diffusion(diffusion, n_species: int) -> np.ndarray:
@@ -252,7 +221,6 @@ def skew_lv(diffusion, interaction, decay) -> ReactionSystem:
         growth_k=max(growth_k, 1.0),
         growth_eps=0.0,
         evaluator=evaluate,
-        uniform_decay_rate=float(tau[0]) if np.all(tau == tau[0]) else None,
     )
 
 
@@ -367,7 +335,6 @@ def augment_system(base: ReactionSystem) -> ReactionSystem:
         k0_decay=k1,
         conservation_laws=(),
         entropy_nonpositive=False,
-        uniform_decay_rate=None,
     )
 
 

@@ -7,9 +7,9 @@ One step advances every species by
 i.e. diffusion implicit (unconditionally stable for the Neumann stencil),
 reaction explicit at the old state.  Evaluating f at the old state is a
 structural choice, not a convenience: combined with the exact discrete
-conservation of L it makes linear mass identities hold step by step (for
-the equal-decay skew Lotka-Volterra family, total mass is multiplied by
-exactly 1 - tau dt per accepted step, up to solve rounding).
+conservation of L it makes the mass ledger hold step by step: up to solve
+rounding, M_new = M_old + dt h sum_ij f_ij(u_old) + C, with C the mass
+the clamp added (StepEvent.clamped).
 
 With s = dt d_i / h^2, the matrix I - s h^2 L of the flux-form Neumann
 stencil is symmetric, tridiagonal and diagonally dominant with a positive
@@ -81,15 +81,15 @@ Positivity is enforced by reject-and-halve: a trial step that takes any
 value below the floor, or any non-finite value, is retried at the next
 rung, for that step only, down to the tick: a step from rung k has
 max_step_halvings - k halvings, and the remainder step none.  Values in
-[floor, 0) after an accepted trial are clamped to exact zero.  The
-reaction is taken at the old state, so f does not depend on the step
-size, and one `imex_step` call solves m rungs as one (m * species, cells)
-stack, with dt = 1, row diffusion dt_l d_i and source dt_l f.  Every row
-is solved on its own, so each level is bitwise the trial the sequential
-halvings would solve; the first level that is finite and above the floor
-is accepted.  A ladder runs from the step's start rung down to the
-previous step's accepted rung, and one that fails at every level is
-followed by one as deep.
+[floor, 0) after an accepted trial are clamped to exact zero, and the
+hooks see the mass this adds.  The reaction is taken at the old state, so
+f does not depend on the step size, and one `imex_step` call solves m
+rungs as one (m * species, cells) stack, with dt = 1, row diffusion
+dt_l d_i and source dt_l f.  Every row is solved on its own, so each
+level is bitwise the trial the sequential halvings would solve; the first
+level that is finite and above the floor is accepted.  A ladder runs from
+the step's start rung down to the previous step's accepted rung, and one
+that fails at every level is followed by one as deep.
 
 The run loop works on one float64 (species, cells) array from start to
 end, starting from a checked, read-only copy of the u0 it is given.  No
@@ -190,9 +190,11 @@ class StepEvent:
 
     u_new and f are read-only (species, cells) arrays; u_new is already
     clamped, and f, sup_norms and masses are its reaction at t_new,
-    per-species sup|u_i| and h * sum_j u_ij.  recorded says whether the
-    state is a recorded one (u0, every record_every-th accepted step, and
-    the last).  A hook that needs the previous state keeps it.
+    per-species sup|u_i| and h * sum_j u_ij; clamped, zero at u0, is the
+    mass the clamp added, h * sum_j max(-trial_ij, 0).  recorded says
+    whether the state is a recorded one (u0, every record_every-th
+    accepted step, and the last).  A hook that needs the previous state
+    keeps it.
     """
 
     index: int
@@ -203,6 +205,7 @@ class StepEvent:
     f: np.ndarray
     sup_norms: np.ndarray
     masses: np.ndarray
+    clamped: np.ndarray
     recorded: bool
 
 
@@ -615,6 +618,7 @@ def run_simulation(
     scale = (q * den) << halvings
     count = index = rung = 0
     t = t_old = dt_step = 0.0
+    clamped = no_clamp = np.zeros(sys.n_species)
     while True:
         # An overflow is inf or nan: the next trial fails, as do mass checks.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -631,6 +635,7 @@ def run_simulation(
             f=f,
             sup_norms=sup_norms,
             masses=masses,
+            clamped=clamped,
             recorded=index % cfg.record_every == 0 or done,
         )
         for hook in hooks:
@@ -649,14 +654,18 @@ def run_simulation(
             dts = dts or [left * num / scale]
             trials = imex_step(u, f, grid, sys, dts)
             # A NaN or an infinite value fails one of the two comparisons.
-            passed = (trials.min(axis=(1, 2)) >= cfg.positivity_floor) & (
-                trials.max(axis=(1, 2)) < np.inf
-            )
+            lows = trials.min(axis=(1, 2))
+            passed = (lows >= cfg.positivity_floor) & (trials.max(axis=(1, 2)) < np.inf)
             if passed.any():
                 first = int(np.argmax(passed))
                 # The accepted level, clamped, in its own array: the stack
                 # is freed.
-                u_new, dt_step = np.maximum(trials[first], 0.0), dts[first]
+                trial = trials[first]
+                u_new, dt_step = np.maximum(trial, 0.0), dts[first]
+                clamped = no_clamp
+                if lows[first] < 0.0:
+                    # h * sum_j max(-trial, 0), summed as row_norms sums a mass.
+                    clamped = np.add.accumulate(u_new - trial, axis=1)[:, -1] * grid.h
                 rung = level + first
                 count += q << (halvings - rung) if rung <= halvings else left
                 break

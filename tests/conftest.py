@@ -13,6 +13,7 @@ from rdcheck import (
     SolverConfig,
     implicit_heat_step,
     quadratic_reversible,
+    StepEvent,
     run_simulation,
     skew_lv,
 )
@@ -90,6 +91,25 @@ def initial_event(system, grid, u0):
     return events[0]
 
 
+def hand_built_event(index, t, u, f, sup_norms, masses, dt=0.0, clamped=None):
+    """A recorded StepEvent with the given fields, as a run would hand it:
+    the step of size dt that ends at t, with the clamped masses (zero by
+    default)."""
+    masses = np.asarray(masses, dtype=np.float64)
+    return StepEvent(
+        index=index,
+        t_old=t - dt,
+        t_new=t,
+        dt=dt,
+        u_new=np.asarray(u, dtype=np.float64),
+        f=np.asarray(f, dtype=np.float64),
+        sup_norms=np.asarray(sup_norms, dtype=np.float64),
+        masses=masses,
+        clamped=np.zeros_like(masses) if clamped is None else np.asarray(clamped),
+        recorded=True,
+    )
+
+
 def collected_run(system, grid, u0, cfg, hooks=()) -> StateCollector:
     """run_simulation with a StateCollector as the last hook; returns it."""
     collector = StateCollector()
@@ -152,13 +172,14 @@ def thomas_heat_step(values, grid, diffusion, dt, source=None):
     return out.reshape(u.shape)
 
 
-def sequential_steps(system, grid, u0, cfg):
+def sequential_steps(system, grid, u0, cfg, trials=None):
     """Reference for run_simulation's halving ladders: one trial at a time,
     each the single-step formula (I - dt d_i L) u_new = u + dt f(u, t) with
     its own reaction evaluation, halving the step after each rejection.
 
     Returns (steps, failure): the accepted steps' (dt, clamped u_new) pairs
-    and the NumericalFailure that ended the run, or None.
+    and the NumericalFailure that ended the run, or None.  A trials list,
+    if given, receives each accepted step's trial before the clamp.
     """
     # Each halving level solves with its own inverse on small grids, and a
     # step's levels cycle through more keys than the solver's cache holds;
@@ -167,12 +188,12 @@ def sequential_steps(system, grid, u0, cfg):
     saved = rdcheck.solver._inverse_stacks
     rdcheck.solver._inverse_stacks = rdcheck.solver._InverseCache(8)
     try:
-        return _sequential_steps(system, grid, u0, cfg)
+        return _sequential_steps(system, grid, u0, cfg, trials)
     finally:
         rdcheck.solver._inverse_stacks = saved
 
 
-def _sequential_steps(system, grid, u0, cfg):
+def _sequential_steps(system, grid, u0, cfg, trials=None):
     # The clock in exact rationals.  The run ends at the multiple of the
     # coarsest rung cfg.dt / 2^k nearest t_end when it is within 1e-12
     # t_end, or else at t_end after one remainder step below the finest
@@ -234,6 +255,8 @@ def _sequential_steps(system, grid, u0, cfg):
                     value=failure.value,
                 )
             step = dt / 2**level
+        if trials is not None:
+            trials.append(trial)
         u = np.maximum(trial, 0.0)
         time += step
         steps.append((float(step), u))

@@ -493,7 +493,9 @@ class TestVerifyProperty:
             "solver": {"dt": 0.01, "t_end": 0.02},
         }
         assert main(["verify", write_config(tmp_path, raw)]) == EXIT_CHECK_FAILED
-        assert "FAIL mass_envelope  measured=inf" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL mass_envelope  measured=inf" in out
+        assert "FAIL mass_identity  measured=inf" in out
 
     def test_entropy_that_is_never_a_number_fails(self, tmp_path, capsys):
         # The rate u1 u2 = 1e308 is finite, but its products with log u_i
@@ -523,8 +525,39 @@ class TestVerifyProperty:
         assert main(["verify", write_config(tmp_path, raw)]) == EXIT_CHECK_FAILED
         assert "FAIL conservation[u1+u3]" in capsys.readouterr().out
 
+    def test_mass_growing_toward_its_source_equilibrium_passes(self, tmp_path, capsys):
+        # f1 = 1 - u1, f2 = -u2 with k0 = 1, k1 = -1: the mass 0.75 rises
+        # toward L k0 / (-k1) = 1.  Each step keeps a factor 1 - dt of the
+        # gap, less than e^{-dt}, so the scheme's mass ran above the
+        # continuous envelope, which failed this run; the one-step envelope
+        # and the balance hold to rounding.
+        raw = {
+            "model": {
+                "custom": {
+                    "n_species": 2,
+                    "terms": [
+                        [{"coef": 1.0, "powers": [0, 0]}, {"coef": -1.0, "powers": [1, 0]}],
+                        [{"coef": -1.0, "powers": [0, 1]}],
+                    ],
+                    "k0": 1.0, "k1": -1.0, "k": 2.0, "eps": 0.0,
+                },
+                "diffusion": [1.0, 2.0],
+            },
+            "grid": {"n_cells": 24, "length": 1.0},
+            "initial": [{"type": "constant", "value": 0.5},
+                        {"type": "constant", "value": 0.25}],
+            "solver": {"dt": 0.01, "t_end": 0.5},
+        }
+        path = write_config(tmp_path, raw)
+        for flags in ([], ["--augment"]):
+            assert main(["verify", *flags, path]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert "ok   mass_envelope" in out and "ok   mass_identity" in out
+
     def test_growing_mass_envelope_that_overflows_passes(self, tmp_path, capsys):
-        # e^{k1 t} overflows once k1 t > 709: the envelope is +inf there.
+        # k1 = 1 and steps of 100: the continuous envelope e^{k1 t} overflowed
+        # once k1 t > 709; the one-step bound (1 + 100) M holds the
+        # unchanged mass at every step.
         raw = {
             "model": {
                 "custom": {"n_species": 1, "terms": [[]], "k0": 0.0, "k1": 1.0,

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import collected_run, initial_event, quad_bump_state
+from conftest import collected_run, hand_built_event, initial_event, quad_bump_state
 
 from rdcheck import (
     AuxiliaryConfig,
@@ -20,6 +20,7 @@ from rdcheck import (
     entropy_pointwise_worst,
     loglog_slope,
     quadratic_reversible,
+    run_simulation,
     skew_lv,
 )
 
@@ -57,11 +58,24 @@ def by_name(checks):
 
 
 def fed_invariants(sys, rows, domain_length=1.0):
-    """InvariantTracker fed (t, masses) pairs, for checks that only read masses."""
-    inv = InvariantTracker(sys, domain_length)
-    for t, masses in rows:
-        masses = np.asarray(masses, dtype=float)
-        inv.update(t, np.zeros((masses.size, 2)), masses, None)
+    """InvariantTracker on two cells fed (t, masses) states, each the step
+    from the state before it, with u = f = 0: for checks that only read
+    masses."""
+    inv = InvariantTracker(sys, Grid1D(2, domain_length))
+    t_old = None
+    for index, (t, masses) in enumerate(rows):
+        zeros = np.zeros((len(masses), 2))
+        dt = 0.0 if t_old is None else t - t_old
+        inv.update(hand_built_event(index, t, zeros, zeros, masses, masses, dt), None)
+        t_old = t
+    return inv
+
+
+def fed_events(sys, grid, events):
+    """InvariantTracker on grid fed the events, with no entropy."""
+    inv = InvariantTracker(sys, grid)
+    for event in events:
+        inv.update(event, None)
     return inv
 
 
@@ -155,13 +169,17 @@ class TestTrackerAtEquilibrium:
         assert tracker.forcing_sup_max == pytest.approx(13.0, rel=1e-12)
 
     def test_bound_checks_pass(self, outcome):
-        tracker, traj = outcome
+        tracker, _ = outcome
         for result in tracker.checks(0.25):
             assert result.passed
-        inv = InvariantTracker(tracker.sys, 1.0)
-        for e in traj.entries:
-            inv.update(e.t, e.u, e.masses, None)
-        assert by_name(inv.checks())["positivity"].passed
+        grid, u0 = constant_state(Grid1D(16, 1.0), [1.0] * 4)
+        events = []
+        run_simulation(
+            tracker.sys, grid, u0, SolverConfig(dt=0.01, t_end=0.25), hooks=[events.append]
+        )
+        checks = by_name(fed_events(tracker.sys, grid, events).checks())
+        for name in ("positivity", "mass_envelope", "mass_identity"):
+            assert checks[name].passed
 
 
 class TestTrackerWithConstantSource:
@@ -306,95 +324,114 @@ def envelope(inv):
 
 
 class TestMassEnvelope:
+    """The one-step envelope M_new - C <= (1 + K1 dt) M_old + dt L K0(t_old)
+    of each step, relative to M_old + M_new + dt L |K0(t_old)|."""
+
     def test_flat_envelope(self):
         sys = sourced_single_species(0.0)
         assert envelope(
             fed_invariants(sys, [(0.0, [1.0]), (1.0, [1.0])])
         ).passed
-        assert not envelope(
-            fed_invariants(sys, [(0.0, [1.0]), (1.0, [1.0 + 3e-6])])
-        ).passed
+        above = envelope(fed_invariants(sys, [(0.0, [1.0]), (1.0, [1.0 + 3e-6])]))
+        assert not above.passed
+        assert above.measured == pytest.approx(1.5e-6, rel=1e-5)
 
     def test_decaying_envelope(self, skew_system):
-        # k1 = -1: the envelope itself shrinks as e^{-t}.
+        # k1 = -1: a step of 0.25 keeps at most 3/4 of the mass.
         decayed = fed_invariants(
-            skew_system,
-            [(0.0, [0.6, 0.4]), (1.0, [0.3 * math.e ** -1, 0.7 * math.e ** -1])],
+            skew_system, [(0.0, [0.6, 0.4]), (0.25, [0.225, 0.525])]
         )
         assert envelope(decayed).passed
-        flat = fed_invariants(skew_system, [(0.0, [0.6, 0.4]), (1.0, [0.6, 0.4])])
-        assert not envelope(flat).passed
+        flat = fed_invariants(skew_system, [(0.0, [0.6, 0.4]), (0.25, [0.6, 0.4])])
+        result = envelope(flat)
+        assert not result.passed
+        assert result.measured == 0.125
 
     def test_constant_source_envelope(self):
         sys = sourced_single_species(2.0)
-        # Envelope m0 + domain * k0 * t with domain = 2.
+        # A step of 0.5 on a domain of length 2 adds at most 0.5 * 2 * 2.
         riding = fed_invariants(sys, [(0.0, [1.0]), (0.5, [1.0 + 2.0 * 2.0 * 0.5])], 2.0)
         assert envelope(riding).passed
+        assert envelope(riding).measured == 0.0
         above = fed_invariants(
             sys, [(0.0, [1.0]), (0.5, [1.0 + 2.0 * 2.0 * 0.5 + 1e-5])], 2.0
         )
         assert not envelope(above).passed
 
     def test_decaying_source_envelope(self):
+        # K0(t) = 2 e^{-t/2}, taken at each step's start.
         sys = dataclasses.replace(sourced_single_species(2.0), k0_decay=0.5)
-        # Envelope m0 + domain * 4 (1 - e^{-t/2}).
-        src = 4.0 * (1.0 - math.exp(-0.5))
-        riding = fed_invariants(sys, [(0.0, [1.0]), (1.0, [1.0 + src])])
+        second = 2.0 + 0.5 * 2.0 * math.exp(-0.25)
+        riding = fed_invariants(sys, [(0.0, [1.0]), (0.5, [2.0]), (1.0, [second])])
         result = envelope(riding)
         assert result.passed
-        assert result.measured == pytest.approx(0.0, abs=1e-12)
+        assert result.measured == pytest.approx(0.0, abs=1e-16)
+        above = fed_invariants(
+            sys, [(0.0, [1.0]), (0.5, [2.0]), (1.0, [second + 1e-9])]
+        )
+        assert not envelope(above).passed
 
     def test_envelope_that_overflows_is_infinite(self):
-        # k1 = 1: e^{k1 t} overflows at t = 1000, and the envelope there is
-        # +inf; the steps before it still bound the mass.
+        # k1 = 1: the bound (1 + 1000) * 1e306 of a step of 1000 overflows,
+        # and +inf holds any finite mass.
         sys = dataclasses.replace(sourced_single_species(0.0), k1=1.0)
-        inv = fed_invariants(sys, [(0.0, [1.0]), (1.0, [math.e]), (1000.0, [1e300])])
+        inv = fed_invariants(sys, [(0.0, [1e306]), (1000.0, [1e307])])
         result = envelope(inv)
         assert result.passed
-        assert result.measured == pytest.approx(0.0, abs=1e-12)
-        # Zero initial mass holds nothing, not inf * 0.
+        assert result.measured == -math.inf
+        # Zero mass holds nothing, not inf * 0.
         empty = fed_invariants(sys, [(0.0, [0.0]), (1000.0, [1e-300])])
-        assert envelope(empty).measured == 1e-300
+        assert envelope(empty).measured == 1.0
 
-    def test_sourced_decay_envelope_when_the_source_factor_overflows(self):
-        # k0 = 1, k1 = -1: e^{-k1 t} overflows at t = 1000 and e^{k1 t}
-        # underflows, but the envelope e^{-t} m0 + (1 - e^{-t}) is 1.
-        sys = dataclasses.replace(sourced_single_species(1.0), k1=-1.0)
-        riding = fed_invariants(sys, [(0.0, [3.0]), (1000.0, [1.0])])
-        assert envelope(riding).measured == 0.0
-        above = fed_invariants(sys, [(0.0, [3.0]), (1000.0, [1.5])])
-        assert envelope(above).measured == 0.5
+
+def decaying_run(skew_system):
+    """The grid and the StepEvents of a skew run with equal decay rates 1."""
+    grid, u0 = constant_state(Grid1D(16, 1.0), [2.0, 0.5])
+    events = []
+    run_simulation(
+        skew_system, grid, u0, SolverConfig(dt=1e-3, t_end=0.05), hooks=[events.append]
+    )
+    return grid, events
 
 
 class TestMassIdentity:
-    def test_none_without_uniform_decay(self, quad_system):
+    """The balance M_new = M_old + dt F_old + C of each step, relative to
+    M_old + M_new."""
+
+    def test_present_without_uniform_decay(self, quad_system):
         inv = fed_invariants(quad_system, [(0.0, [1.0] * 4)])
-        assert "mass_identity" not in by_name(inv.checks())
+        result = by_name(inv.checks())["mass_identity"]
+        assert result.passed
+        assert result.measured == 0.0 and result.tolerance == 1e-12
 
     def test_exact_geometric_decay_passes(self, skew_system):
-        m0 = 2.5
-        dt = 1e-3
-        rows = [(0.0, [m0, 0.0])]
-        m = m0
-        for k in range(1, 4):
-            m = m * (1.0 - dt)
-            rows.append((k * dt, [m, 0.0]))
-        result = by_name(fed_invariants(skew_system, rows).checks())["mass_identity"]
+        # Equal decay rates tau = 1: the flux is -M, so every step
+        # multiplies the mass by 1 - dt.  No code path knows that.
+        grid, events = decaying_run(skew_system)
+        result = by_name(fed_events(skew_system, grid, events).checks())["mass_identity"]
         assert result.passed
-        assert result.measured == 0.0
+        assert result.measured <= 1e-15
+        totals = np.array([np.sum(e.masses) for e in events])
+        np.testing.assert_allclose(totals[1:] / totals[:-1], 1.0 - 1e-3, rtol=1e-13)
 
     def test_broken_decay_fails(self, skew_system):
-        dt = 1e-3
-        rows = [(0.0, [1.0, 0.0]), (dt, [(1.0 - dt) + 1e-8, 0.0])]
-        inv = fed_invariants(skew_system, rows)
-        assert not by_name(inv.checks())["mass_identity"].passed
+        # A state whose mass changed between steps misses the balance on
+        # the steps into and out of it.
+        grid, events = decaying_run(skew_system)
+        events[20] = dataclasses.replace(events[20], masses=events[20].masses * (1.0 + 1e-8))
+        result = by_name(fed_events(skew_system, grid, events).checks())["mass_identity"]
+        assert not result.passed
+        assert result.measured == pytest.approx(5e-9, rel=1e-3)
 
 
 def fed_state(sys, u):
     """InvariantTracker fed one (species, cells) state at t = 0, with its entropy."""
     u = np.asarray(u, dtype=float)
-    inv = InvariantTracker(sys, 1.0)
-    inv.update(0.0, u, u.sum(axis=1), entropy(sys, u))
+    inv = InvariantTracker(sys, Grid1D(u.shape[1], 1.0))
+    event = hand_built_event(
+        0, 0.0, u, sys.evaluator(u, 0.0), u.max(axis=1), u.sum(axis=1)
+    )
+    inv.update(event, entropy(sys, u))
     return inv
 
 
@@ -477,76 +514,98 @@ def running_min(a, b):
     return b if b < a or b != b else a
 
 
-def per_state_measurements(sys, states, domain_length=1.0):
+def _ratio(value, scale):
+    """A step's relative value, as the tracker forms it: 0 when value is 0."""
+    if value == 0.0:
+        return 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(value) / np.float64(scale))
+
+
+def per_state_measurements(sys, grid, states):
     """The measured value of each InvariantTracker check, keyed by name,
-    from a loop over the states with the tracker's per-state formulas."""
+    from a loop over the (event, entropy) states with the tracker's
+    per-state formulas."""
     floor = 1e-12
-    t_prev = None
-    laws0 = []
+    laws0 = None
     drift = [0.0] * len(sys.conservation_laws)
-    mass0 = identity_mass = 0.0
     u_min, excess, identity, entropy_max = math.inf, -math.inf, 0.0, -math.inf
-    for t, u, masses, entropy in states:
+    old = None
+    for event, entropy in states:
         with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.sum(masses))
-            laws = [float(np.dot(w, masses)) for _, w in sys.conservation_laws]
-        if t_prev is None:
-            t_prev, laws0, mass0, identity_mass = t, laws, total, total
-        u_min = running_min(u_min, float(np.min(u)))
+            total = float(np.sum(event.masses))
+            laws = [float(np.dot(w, event.masses)) for _, w in sys.conservation_laws]
+            flux = float(event.f.sum() * grid.h)
+            clamped = float(np.sum(event.clamped))
+        if laws0 is None:
+            laws0 = laws
+        u_min = running_min(u_min, float(np.min(event.u_new)))
         drift = [running_max(d, abs(v - v0)) for d, v, v0 in zip(drift, laws, laws0)]
-        envelope = sys.mass_envelope(t, mass0, domain_length)
-        excess = running_max(excess, total - envelope if math.isfinite(total) else math.inf)
-        if sys.uniform_decay_rate is not None:
-            identity_mass *= 1.0 - sys.uniform_decay_rate * (t - t_prev)
-            identity = running_max(
-                identity, abs(total - identity_mass) / max(abs(mass0), floor)
-            )
+        if old is not None:
+            t_old, m_old, flux_old = old
+            dt = event.dt
+            if math.isinf(m_old) or math.isinf(total):
+                miss = gap = math.inf
+            else:
+                residual = abs(total - m_old - dt * flux_old - clamped)
+                source = dt * grid.length * sys.mass_source_rate(t_old)
+                bound = (1.0 + sys.k1 * dt) * m_old
+                miss = _ratio(residual, m_old + total)
+                gap = _ratio(total - bound - source - clamped, m_old + total + abs(source))
+            identity = running_max(identity, miss)
+            excess = running_max(excess, gap)
         if entropy is not None:
             entropy_max = running_max(entropy_max, entropy)
-        t_prev = t
-    measured = {"positivity": u_min, "mass_envelope": excess}
+        old = (event.t_new, total, flux)
+    measured = {"positivity": u_min, "mass_envelope": excess, "mass_identity": identity}
     for (label, _), d, v0 in zip(sys.conservation_laws, drift, laws0):
         measured[f"conservation[{label}]"] = d / max(abs(v0), floor)
-    if sys.uniform_decay_rate is not None:
-        measured["mass_identity"] = identity
     if sys.entropy_nonpositive and entropy_max != -math.inf:
         measured["entropy_dissipation"] = entropy_max
     return measured
 
 
-def random_states(system, count, kind):
-    """count states (t, u, masses, entropy) of system.
+def random_states(system, grid, count, kind):
+    """count (event, entropy) states of system on grid, of three cells.
 
-    The masses spread over six decades; those of a system with a uniform
-    decay rate follow the exact decay species by species, so its total
-    misses the identity by rounding only.  Signed zeros
+    Each event is a step of 0.0125, 0.025 or 0.05 from the one before.
+    The masses spread over six decades and follow the ledger species by
+    species: the flux of the state before, at a rate up to 0.5 below K1,
+    plus a clamped mass at about one state in three, so the totals miss
+    the balance by rounding only and stay under the envelope.  Signed zeros
     tie for the smallest value and the largest entropy, -0.0 at t = 0 and
-    0.0 later; some entropies are None.  kind "nan" adds a NaN entropy and
-    a NaN value, kind "overflow" a total that overflows.
+    0.0 later; some entropies are None.  kind "nan" adds a NaN entropy, a
+    NaN value and a NaN mass, kind "overflow" a total that overflows.
     """
     rng = np.random.default_rng(count)
     n = system.n_species
-    t = np.cumsum(rng.choice([0.0125, 0.025, 0.05], size=count))
-    t[0] = 0.0
-    base = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
-    tau = system.uniform_decay_rate
+    steps = rng.choice([0.0125, 0.025, 0.05], size=count)
+    steps[0] = 0.0
+    t = np.cumsum(steps)
+    masses = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
     states = []
     for i in range(count):
-        u = rng.uniform(0.0, 1.0, size=(n, 3))
+        u = rng.uniform(0.0, 1.0, size=(n, grid.n_cells))
         zero = -0.0 if i == 0 else 0.0
         u[0, 0] = zero
-        if tau is None:
-            masses = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
-        else:
-            if i:
-                base = base * (1.0 - tau * (t[i] - t[i - 1]))
-            masses = base.copy()
+        clamped = np.zeros(n)
+        if i:
+            if rng.random() < 0.3:
+                clamped = 1e-3 * masses * rng.random(n)
+            masses = masses + steps[i] * flux + clamped
+        rates = system.k1 - 0.5 * rng.random(n)
+        f = np.repeat((rates * masses / grid.length)[:, None], grid.n_cells, axis=1)
+        flux = f.sum(axis=1) * grid.h
         entropy = [None, zero, -1e-3 * rng.random()][rng.integers(3) if i else 1]
+        shown = masses.copy()
         if kind == "nan" and i == count - 40:
-            u[1, 2] = entropy = math.nan
+            u[1, 2] = entropy = shown[0] = math.nan
         if kind == "overflow" and i == count // 2:
-            masses[:2] = 1e308
-        states.append((float(t[i]), u, masses, entropy))
+            shown[:2] = 1e308
+        event = hand_built_event(
+            i, float(t[i]), u, f, u.max(axis=1), shown, float(steps[i]), clamped
+        )
+        states.append((event, entropy))
     return states
 
 
@@ -558,12 +617,15 @@ def skew_ring(n, decay):
     return skew_lv(np.linspace(1.0, 2.0, n), interaction, [decay] * n)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFoldBoundaries:
     """The tracker's verdicts do not depend on where its chunks end: fed
     more states than a chunk holds, and folded at arbitrary points, every
-    measured value is bitwise the per-state loop's."""
+    measured value is bitwise the per-state loop's, and so is every state
+    of the view it hands on_fold."""
 
     count = 2 * diagnostics._CHUNK + 37
+    grid = Grid1D(3, 1.0)
 
     @pytest.fixture(params=["skew11", "skew11-overflow", "quad", "quad-nan"])
     def case(self, request):
@@ -573,39 +635,68 @@ class TestFoldBoundaries:
         else:
             # Eleven species: numpy sums a state's masses pairwise.
             system = skew_ring(11, 0.5)
-        return system, kind, random_states(system, self.count, kind)
+        return system, kind, random_states(system, self.grid, self.count, kind)
 
     @pytest.mark.parametrize("fold_every", [None, 1, 7, 97])
     def test_measured_values_are_the_per_state_ones(self, case, fold_every):
         system, kind, states = case
-        inv = InvariantTracker(system, 1.0)
-        for i, (t, u, masses, entropy) in enumerate(states):
-            inv.update(t, u, masses, entropy)
+        views = []
+        inv = InvariantTracker(
+            system, self.grid, on_fold=lambda view, has: views.append((view.copy(), has.copy()))
+        )
+        for i, (event, entropy) in enumerate(states):
+            inv.update(event, entropy)
             if fold_every and i % fold_every == 0:
                 inv.fold()
                 with np.errstate(over="ignore", invalid="ignore"):
-                    total = float(np.sum(masses))
-                    laws = [float(np.dot(w, masses)) for _, w in system.conservation_laws]
+                    total = float(np.sum(event.masses))
+                    laws = [float(np.dot(w, event.masses)) for _, w in system.conservation_laws]
                 assert repr(inv.total) == repr(total)
                 assert repr(inv.laws) == repr(laws)
         first = inv.checks()
         measured = {c.name: repr(c.measured) for c in first}
-        expected = per_state_measurements(system, states)
+        expected = per_state_measurements(system, self.grid, states)
         assert measured == {name: repr(v) for name, v in expected.items()}
+        self.assert_views_are_the_states(system, states, views)
+        verdicts = {c.name: c.passed for c in first}
+        ledger = ("mass_envelope", "mass_identity")
         if kind == "overflow":
-            # The overflowing total is not shown to stay under the envelope.
-            assert measured["mass_envelope"] == measured["mass_identity"] == "inf"
+            # The overflowing total is not shown to keep the ledger.
+            assert [measured[name] for name in ledger] == ["inf", "inf"]
+            assert not any(verdicts[name] for name in ledger)
         elif kind == "nan":
-            assert measured["positivity"] == measured["entropy_dissipation"] == "nan"
-        elif system.uniform_decay_rate is not None:
-            assert 0.0 < float(measured["mass_identity"]) < 1e-11
+            for name in ("positivity", "entropy_dissipation", *ledger):
+                assert measured[name] == "nan" and not verdicts[name]
         else:
             # Signed zeros tie: the first one, -0.0, is kept.
-            assert measured["positivity"] == measured["entropy_dissipation"] == "-0.0"
+            assert measured["positivity"] == "-0.0"
+            assert measured.get("entropy_dissipation", "-0.0") == "-0.0"
+            assert 0.0 < float(measured["mass_identity"]) <= 1e-15
+            assert float(measured["mass_envelope"]) < 0.0
+            assert all(verdicts[name] for name in ledger)
         again = inv.checks()
-        assert [dataclasses.astuple(c) for c in again] == [
-            dataclasses.astuple(c) for c in first
+        assert [repr(dataclasses.astuple(c)) for c in again] == [
+            repr(dataclasses.astuple(c)) for c in first
         ]
+
+    @staticmethod
+    def assert_views_are_the_states(system, states, views):
+        """The on_fold views, chunk after chunk, hold each state's t,
+        masses, total, entropy where it has one, and laws: the columns the
+        recorder formats."""
+        view = np.concatenate([v for v, _ in views])
+        has = np.concatenate([h for _, h in views])
+        n = system.n_species
+        assert view.shape == (len(states), n + 3 + len(system.conservation_laws))
+        for row, defined, (event, entropy) in zip(view, has, states):
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = np.sum(event.masses)
+                laws = [np.dot(w, event.masses) for _, w in system.conservation_laws]
+            cells = [event.t_new, *event.masses, total, *laws]
+            assert defined == (entropy is not None)
+            assert np.array(cells).tobytes() == np.delete(row, n + 2).tobytes()
+            if defined:
+                assert repr(float(row[n + 2])) == repr(float(entropy))
 
 
 class TestPositivityCheck:
@@ -613,9 +704,9 @@ class TestPositivityCheck:
         good = np.ones((4, 4))
         bad = np.ones((4, 4))
         bad[0, 2] = -1e-13
-        inv = InvariantTracker(quad_system, 1.0)
-        for t, u in ((0.0, good), (0.1, bad)):
-            inv.update(t, u, np.ones(4), None)
+        inv = InvariantTracker(quad_system, Grid1D(4, 1.0))
+        for index, (t, u) in enumerate(((0.0, good), (0.1, bad))):
+            inv.update(hand_built_event(index, t, u, 0.0 * u, np.ones(4), np.ones(4), t), None)
         result = by_name(inv.checks())["positivity"]
         assert not result.passed
         assert result.measured == -1e-13
@@ -633,6 +724,7 @@ class TestReportOrder:
                     "conservation[u2+u3]",
                     "conservation[u2+u4]",
                     "mass_envelope",
+                    "mass_identity",
                     "entropy_dissipation",
                 ],
             ),

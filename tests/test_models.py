@@ -43,7 +43,6 @@ class TestQuadraticReversible:
         assert sys.k0 == 0.0 and sys.k1 == 0.0
         assert sys.growth_k == 1.0 and sys.growth_eps == 0.0
         assert sys.entropy_nonpositive
-        assert sys.uniform_decay_rate is None
         assert not sys.time_dependent
 
     def test_conservation_law_labels_and_weights(self, quad_system):
@@ -101,7 +100,6 @@ class TestSkewLV:
         assert sys.k0 == 0.0
         assert sys.k1 == -1.0
         assert sys.growth_k == 2.0
-        assert sys.uniform_decay_rate == 1.0
         assert sys.conservation_laws == ()
 
     def test_hand_value(self, skew_system):
@@ -117,8 +115,8 @@ class TestSkewLV:
         assert float(np.sum(f)) == pytest.approx(-total, rel=1e-12)
 
     def test_unequal_decay_rates(self):
+        # sum f = -(u1 + 2 u2) <= -(u1 + u2): K1 is minus the smallest rate.
         sys = skew_lv([1.0, 1.0], interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 2.0])
-        assert sys.uniform_decay_rate is None
         assert sys.k1 == -1.0
 
     def test_growth_constant_never_below_one(self):
@@ -455,4 +453,9 @@ class TestMassSource:
         assert sys.mass_source_integral(3.0) == pytest.approx(
             4.0 * (1.0 - math.exp(-1.5)), rel=1e-14
         )
+        # The mass ledger takes the rate at every step's start at once.
+        times = [0.0, 0.25, 3.0]
+        assert sys.mass_source_rate(np.array(times)).tolist() == [
+            sys.mass_source_rate(t) for t in times
+        ]
 

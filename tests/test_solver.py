@@ -21,6 +21,7 @@ import rdcheck.solver
 
 from rdcheck import (
     Grid1D,
+    InvariantTracker,
     NumericalFailure,
     ReactionSystem,
     SolverConfig,
@@ -32,6 +33,8 @@ from rdcheck import (
     run_simulation,
     skew_lv,
 )
+from rdcheck.config import validate_config
+from rdcheck.experiment import run_experiment
 
 
 def heat_only(diffusion=1.0):
@@ -1100,6 +1103,56 @@ class TestHalvingLadder:
         assert stacks.cache_info().misses == 16
 
 
+class TestClampLedger:
+    """Each event carries the mass the clamp added, so the mass ledger
+    M_new = M_old + dt F_old + C closes on runs that clamp."""
+
+    def test_each_event_carries_the_mass_its_clamp_added(self):
+        system, (grid, u0), cfg = LADDER_CASES["level-rises"]()
+        events, trials = [], []
+        run_simulation(system, grid, u0, cfg, hooks=[events.append])
+        _, failure = sequential_steps(system, grid, u0, cfg, trials)
+        assert failure is None and len(trials) == len(events) - 1
+        assert events[0].clamped.tolist() == [0.0]
+        for event, trial in zip(events[1:], trials):
+            expected = rdcheck.solver.row_norms(np.maximum(-trial, 0.0), grid.h)[1]
+            np.testing.assert_array_equal(event.clamped, expected)
+        # Steps that clamp, each adding at most the floor's 0.05 per cell.
+        added = [float(e.clamped[0]) for e in events]
+        assert sum(c > 0.0 for c in added) >= 3 and max(added) <= 0.05
+
+    def test_mass_identity_needs_the_clamped_mass(self):
+        system, (grid, u0), cfg = LADDER_CASES["level-rises"]()
+        raw = {
+            "model": {
+                "custom": {"n_species": 1, "terms": [[{"coef": -1.0, "powers": [0]}]],
+                           "k0": 0.0, "k1": 0.0, "k": 1.0, "eps": 0.0},
+                "diffusion": [1.0],
+            },
+            "grid": {"n_cells": grid.n_cells, "length": grid.length},
+            "initial": [{"type": "constant", "value": 1.0}],
+            "solver": {"dt": cfg.dt, "t_end": cfg.t_end,
+                       "positivity_floor": cfg.positivity_floor},
+        }
+        report = run_experiment(validate_config(raw)).report
+        identity = {c["name"]: c for c in report["checks"]}["mass_identity"]
+        assert identity["passed"] is True
+        events = []
+        run_simulation(system, grid, u0, cfg, hooks=[events.append])
+
+        def fed(events):
+            tracker = InvariantTracker(system, grid)
+            for event in events:
+                tracker.update(event, None)
+            return {c.name: c for c in tracker.checks()}["mass_identity"]
+
+        assert fed(events).measured == identity["measured"]
+        # The same steps with the clamped mass left out miss the balance.
+        unclamped = fed([dataclasses.replace(e, clamped=np.zeros(1)) for e in events])
+        assert not unclamped.passed
+        assert unclamped.measured > 1e-3
+
+
 class TestHooks:
     def test_order_and_event_chain(self):
         state = constant_state(Grid1D(8, 1.0), 1.0)
@@ -1190,6 +1243,7 @@ class TestHooks:
         sup_norms, masses = rdcheck.solver.row_norms(u0, grid.h)
         assert first.sup_norms.tobytes() == sup_norms.tobytes()
         assert first.masses.tobytes() == masses.tobytes()
+        assert first.clamped.tolist() == [0.0] * 4
 
 
 class TestDeterminism:
