@@ -19,9 +19,9 @@ numerically:
 * route consistency: v_d = d z_hat - u_hat up to O(dt) discretization
   (`vd_consistency`, expected to shrink first order under refinement);
 * the elliptic identity z - L v_d = sum_i u_i (`zvd_residual`);
-* a priori bounds: sup|z| <= M + integral K0, the weight
-  b = sum u_i / sum d_i u_i trapped in [1/max d_i, 1/min d_i], and
-  0 <= u_hat <= d z_hat with sup|u_hat| <= d (M + integral K0) T.
+* a priori bounds: sup|z| <= M + S, S = sum_n dt K0(t_n) the source added
+  to z, the weight b = sum u_i / sum d_i u_i trapped in [1/max d_i,
+  1/min d_i], and 0 <= u_hat <= d z_hat with sup|u_hat| <= d (M + S) T.
 
 The tracker is a solver hook: it starts from the solver's index-0 event,
 u0, advances with the accepted steps and keeps the current fields and
@@ -38,14 +38,14 @@ O(n^2) time in the worst case, a monotone x^gamma-like row.
 The primal checks work the same way.  `InvariantTracker` is fed every
 StepEvent of the run, u0 first, with the state's entropy value, formed
 from the reaction the solver evaluated once for that state, and keeps
-running extrema, folded per chunk: the smallest value (positivity), the
-drift of each conserved combination, the worst step of the mass ledger
-(its balance and its one-step envelope), and the largest entropy
-production.  A state costs a few writes and one sum of its reaction; the
-totals, the conserved combinations, the ledger and the extrema are numpy
-reductions over a chunk of states, equal bit for bit to the state by
-state ones.  Each tracker's `checks` turns its own extrema into the
-report's verdicts, which therefore do not depend on the recording cadence.
+running extrema, folded per chunk: the drift of each conserved
+combination, the worst step of the mass ledger (its balance, its one-step
+envelope and the clamp's share, positivity), and the largest entropy
+production.  A state costs a few writes; the totals, the conserved
+combinations, the ledger and the extrema are numpy reductions over a chunk
+of states, equal bit for bit to the state by state ones.  Each tracker's
+`checks` turns its own extrema into the report's verdicts, which
+therefore do not depend on the recording cadence.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 _TOTAL_MASS_FLOOR = 1e-12
-_B_TOL = 1e-9
+_B_TOL = 1e-12
 _UHAT_TOL = 1e-9
 _CONS_TOL = 1e-8
 _ENVELOPE_SLACK = 1e-6
@@ -101,11 +101,11 @@ def _relative(value: np.ndarray, scale: np.ndarray, overflow: np.ndarray) -> np.
     return out
 
 
-def _first(arg, values: np.ndarray) -> float:
-    """values at arg(values), with arg np.argmax or np.argmin: the first
-    extreme entry, or the first NaN.  That is the entry a fold of _max or
-    _min over the values in order keeps, down to the sign of a zero."""
-    return float(values[arg(values)])
+def _first_max(values: np.ndarray) -> float:
+    """values at np.argmax(values): the first largest entry, or the first
+    NaN.  That is the entry a fold of _max over the values in order keeps,
+    down to the sign of a zero."""
+    return float(values[np.argmax(values)])
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,8 @@ class AuxiliaryTracker:
         # M = sum of per-species initial sup norms, the constant in the
         # z and u_hat bounds; NaN until u0 is seen.
         self.initial_sup_sum = math.nan
+        # The last event's t, and S = sum_n dt K0(t_n), the source added to z.
+        self._t = self._source = 0.0
         self.z_sup_max = -math.inf
         self.vd_consistency_max = 0.0
         self.zvd_residual_max = 0.0
@@ -185,7 +187,8 @@ class AuxiliaryTracker:
             self.initial_sup_sum = float(np.sum(event.sup_norms))
         else:
             dt = event.dt
-            k0_old = self.sys.mass_source_rate(event.t_old)
+            k0_old = self.sys.mass_source_rate(self._t)
+            self._source += dt * k0_old
             # v_d's source is the forcing _observe computed from the previous state.
             rows = implicit_heat_step(
                 np.stack((self._v_d, self._z)),
@@ -199,6 +202,7 @@ class AuxiliaryTracker:
             self._z_hat = self._z_hat + 0.5 * dt * (z_old + self._z)
             self._u_hat = self._u_hat + 0.5 * dt * (self._s_prev + s_new)
         self._s_prev = s_new
+        self._t = event.t_new
         self._observe(event.u_new, s_new)
         # v_d is zero at u0: no scan there.
         if event.recorded and event.index:
@@ -264,16 +268,17 @@ class AuxiliaryTracker:
             "holder": {f"v_d:{g}": value for g, value in self.holder_max.items()},
         }
 
-    def checks(self, t_end: float) -> list[CheckResult]:
-        """The report's checks of the a priori bounds for a run ending at
-        t_end: z_sup_bound, b_range, uhat_nonnegative, uhat_below_d_zhat and
-        uhat_sup_bound, in that order."""
-        z_bound = self.initial_sup_sum + self.sys.mass_source_integral(t_end)
-        z_tol = _ENVELOPE_SLACK * (1.0 + z_bound)
-        lo = 1.0 / float(np.max(self.sys.diffusion)) - _B_TOL
-        hi = 1.0 / float(np.min(self.sys.diffusion)) + _B_TOL
-        sup_bound = self.cfg.d * z_bound * t_end
-        sup_tol = _ENVELOPE_SLACK * (1.0 + sup_bound)
+    def checks(self) -> list[CheckResult]:
+        """The report's checks of the a priori bounds up to the last event's
+        t: z_sup_bound (M + S, exact in arithmetic: each solve is a weighted
+        mean), b_range, uhat_nonnegative, uhat_below_d_zhat and
+        uhat_sup_bound (d (M + S) t), in that order."""
+        z_bound = self.initial_sup_sum + self._source
+        z_tol = _ENVELOPE_SLACK * z_bound
+        lo = 1.0 / float(np.max(self.sys.diffusion)) * (1.0 - _B_TOL)
+        hi = 1.0 / float(np.min(self.sys.diffusion)) * (1.0 + _B_TOL)
+        sup_bound = self.cfg.d * z_bound * self._t
+        sup_tol = _ENVELOPE_SLACK * sup_bound
         return [
             CheckResult(
                 name="z_sup_bound",
@@ -334,8 +339,8 @@ class InvariantTracker:
     """Running extrema of the primal invariants, fed every StepEvent of a
     run on grid, u0 first, and folded per chunk.
 
-    update() copies an event's time, step size, masses, smallest value,
-    flux F = h sum_ij f_ij, clamped mass and entropy into one preallocated
+    update() copies an event's time, step size, masses, flux
+    F = h sum_ij f_ij, clamped mass and entropy into one preallocated
     float64 block.  fold() reduces the block with numpy, when it is full,
     at checks() and whenever its owner asks: it forms each state's total
     mass M and conserved combinations once, and the running extrema take
@@ -348,7 +353,8 @@ class InvariantTracker:
     mass_identity is the step's miss of that balance, and mass_envelope the
     excess of M_{n+1} - C_{n+1} over (1 + K1 dt) M_n + dt L K0(t_n), the
     mass control on a domain of length L; both relative to M_n + M_{n+1},
-    the envelope's plus dt L |K0(t_n)|.
+    the envelope's plus dt L |K0(t_n)|.  positivity is the clamp's share
+    C_{n+1} / (M_n + M_{n+1}), 0 where C is 0 or a total overflowed.
 
     on_fold, if given, is called by every fold with the chunk's states
     before the block is reused: a (states, species + 3 + laws) view whose
@@ -365,7 +371,7 @@ class InvariantTracker:
         self.laws = []
         self.laws0 = []
         self.law_drift = [0.0] * len(sys.conservation_laws)
-        self.u_min = math.inf
+        self.clamp_share = 0.0
         self.envelope_excess = -math.inf
         self.identity_error = 0.0
         self.entropy_max = -math.inf
@@ -374,9 +380,9 @@ class InvariantTracker:
             [w for _, w in sys.conservation_laws], dtype=np.float64
         ).reshape(-1, n)
         # Columns: t, masses, total, entropy and laws, the on_fold view;
-        # then the state's minimum, dt, flux and clamped masses.
+        # then dt, flux and clamped masses.
         self._view = n + 3 + len(self._weights)
-        self._block = np.empty((_CHUNK, self._view + 3 + n))
+        self._block = np.empty((_CHUNK, self._view + 2 + n))
         self._has_entropy = np.empty(_CHUNK, dtype=bool)
         self._held = 0
         # The last folded row, where the next chunk's first step starts.
@@ -400,11 +406,9 @@ class InvariantTracker:
         row = self._block[i]
         row[0] = event.t_new
         row[1 : n + 1] = event.masses
-        row[v] = event.u_new.min()
-        row[v + 1] = event.dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            row[v + 2] = event.f.sum() * self.grid.h
-        row[v + 3 :] = event.clamped
+        row[v] = event.dt
+        row[v + 1] = event.flux
+        row[v + 2 :] = event.clamped
         self._has_entropy[i] = entropy is not None
         if entropy is not None:
             row[n + 2] = entropy
@@ -418,7 +422,7 @@ class InvariantTracker:
         the state's masses), one product with the law weights, and the
         ledger of each step into a state of the chunk, the first from the
         last folded state.  Each extremum keeps the value a state by state
-        _max or _min would: the first extreme entry, NaN first of all.
+        _max would: the first largest entry, NaN first of all.
         """
         k = self._held
         if k == 0:
@@ -438,24 +442,25 @@ class InvariantTracker:
             if not len(self._last):
                 self.laws0 = laws[0].tolist()
             rows = np.concatenate((self._last, block))
-            self.u_min = _min(self.u_min, _first(np.argmin, block[:, v]))
             drift = np.max(np.abs(laws - self.laws0), axis=0).tolist()
             self.law_drift = [_max(a, b) for a, b in zip(self.law_drift, drift)]
             if len(rows) > 1:
                 old, new = rows[:-1], rows[1:]
-                m_old, m_new, dt = old[:, n + 1], new[:, n + 1], new[:, v + 1]
-                clamped = new[:, v + 3 :].sum(axis=1)
+                m_old, m_new, dt = old[:, n + 1], new[:, n + 1], new[:, v]
+                clamped = new[:, v + 2 :].sum(axis=1)
                 overflow = np.isinf(m_old) | np.isinf(m_new)
                 scale = m_old + m_new
-                residual = np.abs(m_new - m_old - dt * old[:, v + 2] - clamped)
+                residual = np.abs(m_new - m_old - dt * old[:, v + 1] - clamped)
                 source = dt * self.grid.length * sys.mass_source_rate(old[:, 0])
                 excess = m_new - (1.0 + sys.k1 * dt) * m_old - source - clamped
                 identity = _relative(residual, scale, overflow)
                 envelope = _relative(excess, scale + np.abs(source), overflow)
-                self.identity_error = _max(self.identity_error, _first(np.argmax, identity))
-                self.envelope_excess = _max(self.envelope_excess, _first(np.argmax, envelope))
+                share = np.where(overflow, 0.0, _relative(clamped, scale, overflow))
+                self.identity_error = _max(self.identity_error, _first_max(identity))
+                self.envelope_excess = _max(self.envelope_excess, _first_max(envelope))
+                self.clamp_share = _max(self.clamp_share, _first_max(share))
         if has_entropy.any():
-            entropy = _first(np.argmax, block[has_entropy, n + 2])
+            entropy = _first_max(block[has_entropy, n + 2])
             self.entropy_max = _max(self.entropy_max, entropy)
         self._last = block[-1:].copy()
         self.total = float(totals[-1])
@@ -466,9 +471,9 @@ class InvariantTracker:
     def checks(self) -> list[CheckResult]:
         """The report's primal checks over every state fed so far.
 
-        In order: positivity (no value below zero; the solver clamps inside
-        its floor), conservation[label] (relative drift of each declared
-        law), mass_envelope and mass_identity (the worst step of the mass
+        In order: positivity (the clamp's share of the ledger),
+        conservation[label] (relative drift of each declared law),
+        mass_envelope and mass_identity (the worst step of the mass
         ledger; a total mass that overflowed fails both), and
         entropy_dissipation (the worst pointwise value) for families whose
         entropy is signed, once it was defined at some step.
@@ -478,10 +483,11 @@ class InvariantTracker:
         checks = [
             CheckResult(
                 name="positivity",
-                passed=self.u_min >= 0.0,
-                measured=self.u_min,
+                passed=self.clamp_share <= _LEDGER_TOL,
+                measured=self.clamp_share,
                 bound=0.0,
-                tolerance=0.0,
+                tolerance=_LEDGER_TOL,
+                detail="worst step of C / (M_old + M_new), the mass the clamp added",
             )
         ]
         for (label, _), law0, drift in zip(sys.conservation_laws, self.laws0, self.law_drift):

@@ -365,7 +365,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
     if report["failure"] is None:
         checks.extend(recorder.invariants.checks())
         if tracker is not None:
-            checks.extend(tracker.checks(cfg.solver.t_end))
+            checks.extend(tracker.checks())
         report["fits"], fit_checks = _run_fits(cfg, recorder)
         checks.extend(fit_checks)
 

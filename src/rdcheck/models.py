@@ -122,14 +122,6 @@ class ReactionSystem:
             return self.k0
         return self.k0 * np.exp(-self.k0_decay * t)
 
-    def mass_source_integral(self, t: float) -> float:
-        """Closed-form integral of the mass source over [0, t]."""
-        if self.k0 == 0.0:
-            return 0.0
-        if self.k0_decay == 0.0:
-            return self.k0 * t
-        return self.k0 * (1.0 - float(np.exp(-self.k0_decay * t))) / self.k0_decay
-
 
 def _check_diffusion(diffusion, n_species: int) -> np.ndarray:
     d = np.asarray(diffusion, dtype=np.float64)

@@ -98,9 +98,9 @@ and a hook that wants more keeps what it needs.  Every state of the run
 reaches the hooks, in registration order, through one StepEvent: u0 first,
 as index 0 with dt = 0, then each accepted state.  The run evaluates the
 reaction once per state, for every ladder from it; a state's reaction,
-sup norms and masses share one errstate block.  The recording cadence
-(u0, every record_every-th accepted step, and the last one) is decided
-here only and handed to the hooks as StepEvent.recorded.
+its flux, sup norms and masses share one errstate block.  The recording
+cadence (u0, every record_every-th accepted step, and the last one) is
+decided here only and handed to the hooks as StepEvent.recorded.
 """
 
 from __future__ import annotations
@@ -186,19 +186,18 @@ class SolverConfig:
 @dataclass(frozen=True)
 class StepEvent:
     """What a hook sees for each state of the run: u0 first, as index 0
-    with t_old = t_new = 0 and dt = 0, then each accepted step.
+    with t_new = 0 and dt = 0, then each accepted step.
 
     u_new and f are read-only (species, cells) arrays; u_new is already
     clamped, and f, sup_norms and masses are its reaction at t_new,
     per-species sup|u_i| and h * sum_j u_ij; clamped, zero at u0, is the
-    mass the clamp added, h * sum_j max(-trial_ij, 0).  recorded says
-    whether the state is a recorded one (u0, every record_every-th
-    accepted step, and the last).  A hook that needs the previous state
-    keeps it.
+    mass the clamp added, h * sum_j max(-trial_ij, 0), and flux the
+    state's h * sum_ij f_ij.  recorded says whether the state is a
+    recorded one (u0, every record_every-th accepted step, and the last).
+    A hook that needs the previous state, or its time, keeps it.
     """
 
     index: int
-    t_old: float
     t_new: float
     dt: float
     u_new: np.ndarray
@@ -206,6 +205,7 @@ class StepEvent:
     sup_norms: np.ndarray
     masses: np.ndarray
     clamped: np.ndarray
+    flux: float
     recorded: bool
 
 
@@ -617,18 +617,18 @@ def run_simulation(
     # t = count * num / scale, rounded once; rung k is q << (halvings - k).
     scale = (q * den) << halvings
     count = index = rung = 0
-    t = t_old = dt_step = 0.0
+    t = dt_step = 0.0
     clamped = no_clamp = np.zeros(sys.n_species)
     while True:
         # An overflow is inf or nan: the next trial fails, as do mass checks.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f = np.asarray(sys.evaluator(u, t), dtype=np.float64)
             sup_norms, masses = row_norms(u, grid.h)
+            flux = f.sum() * grid.h
         f.flags.writeable = False
         done = count == end
         event = StepEvent(
             index=index,
-            t_old=t_old,
             t_new=t,
             dt=dt_step,
             u_new=u,
@@ -636,6 +636,7 @@ def run_simulation(
             sup_norms=sup_norms,
             masses=masses,
             clamped=clamped,
+            flux=flux,
             recorded=index % cfg.record_every == 0 or done,
         )
         for hook in hooks:
@@ -673,6 +674,6 @@ def run_simulation(
             if level > halvings:
                 raise _exhausted(trials[-1], t, dts[-1], max(0, halvings - start))
         u_new.flags.writeable = False
-        t_old, u = t, u_new
+        u = u_new
         t = cfg.t_end if count == end else count * num / scale
         index += 1

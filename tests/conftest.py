@@ -91,14 +91,13 @@ def initial_event(system, grid, u0):
     return events[0]
 
 
-def hand_built_event(index, t, u, f, sup_norms, masses, dt=0.0, clamped=None):
+def hand_built_event(index, t, u, f, sup_norms, masses, dt=0.0, clamped=None, flux=0.0):
     """A recorded StepEvent with the given fields, as a run would hand it:
     the step of size dt that ends at t, with the clamped masses (zero by
-    default)."""
+    default) and the flux h * sum_ij f_ij (zero by default)."""
     masses = np.asarray(masses, dtype=np.float64)
     return StepEvent(
         index=index,
-        t_old=t - dt,
         t_new=t,
         dt=dt,
         u_new=np.asarray(u, dtype=np.float64),
@@ -106,6 +105,7 @@ def hand_built_event(index, t, u, f, sup_norms, masses, dt=0.0, clamped=None):
         sup_norms=np.asarray(sup_norms, dtype=np.float64),
         masses=masses,
         clamped=np.zeros_like(masses) if clamped is None else np.asarray(clamped),
+        flux=flux,
         recorded=True,
     )
 

@@ -554,6 +554,50 @@ class TestVerifyProperty:
             out = capsys.readouterr().out
             assert "ok   mass_envelope" in out and "ok   mass_identity" in out
 
+    def test_decaying_source_closure_passes_the_z_bound(self, tmp_path, capsys):
+        # f = 1 + u with k0 = k1 = 1, augmented: the closure's source
+        # K0 e^{-t} decays, and z gets the left sum of dt K0 at each step's
+        # start, above its integral, which failed this run; the z bound is
+        # now that sum.
+        raw = {
+            "model": {
+                "custom": {
+                    "n_species": 1,
+                    "terms": [[{"coef": 1.0, "powers": [0]}, {"coef": 1.0, "powers": [1]}]],
+                    "k0": 1.0, "k1": 1.0, "k": 2.0, "eps": 0.0,
+                },
+                "diffusion": [1.0],
+            },
+            "grid": {"n_cells": 16, "length": 1.0},
+            "initial": [{"type": "constant", "value": 1.0}],
+            "solver": {"dt": 0.01, "t_end": 1.0},
+            "diagnostics": {"enabled": True, "d": 2.0},
+            "transform": {"augment": True},
+        }
+        assert main(["verify", write_config(tmp_path, raw)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "ok   z_sup_bound  measured=1.635286429285254  bound=1.6352864292852445" in out
+
+    def test_b_one_ulp_above_its_interval_passes(self, tmp_path, capsys):
+        # Heat only, diffusion [1e-8, 2e-8]: b = sum u / sum d_i u_i lands
+        # one ulp above 1 / min d = 1e8, which an absolute tolerance of 1e-9
+        # failed; b_range's tolerance is relative.
+        raw = {
+            "model": {
+                "custom": {"n_species": 2, "terms": [[], []], "k0": 0.0, "k1": 0.0,
+                           "k": 1.0, "eps": 0.0},
+                "diffusion": [1e-8, 2e-8],
+            },
+            "grid": {"n_cells": 32, "length": 1.0},
+            "initial": [{"type": "constant", "value": 0.77},
+                        {"type": "constant", "value": 0.0}],
+            "solver": {"dt": 0.01, "t_end": 0.1},
+            "diagnostics": {"enabled": True, "d": 3e-8},
+        }
+        assert main(["verify", write_config(tmp_path, raw)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "ok   b_range  measured=99999999.99999999  bound=100000000.00000001" in out
+
     def test_growing_mass_envelope_that_overflows_passes(self, tmp_path, capsys):
         # k1 = 1 and steps of 100: the continuous envelope e^{k1 t} overflowed
         # once k1 t > 709; the one-step bound (1 + 100) M holds the

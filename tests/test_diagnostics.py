@@ -170,7 +170,7 @@ class TestTrackerAtEquilibrium:
 
     def test_bound_checks_pass(self, outcome):
         tracker, _ = outcome
-        for result in tracker.checks(0.25):
+        for result in tracker.checks():
             assert result.passed
         grid, u0 = constant_state(Grid1D(16, 1.0), [1.0] * 4)
         events = []
@@ -211,21 +211,43 @@ class TestTrackerWithConstantSource:
         assert tracker.zvd_residual_max == pytest.approx(2.0, rel=1e-9)
 
     def test_z_bound_is_saturated_but_holds(self, outcome):
-        # sup z = 5 equals M + integral K0 = 3 + 2 exactly; the slack keeps
-        # the verdict on the passing side.
+        # sup z = 5 equals M + S = 3 + 100 * (0.01 * 2) up to rounding; the
+        # relative slack keeps the verdict on the passing side.
         tracker, _ = outcome
-        result = by_name(tracker.checks(1.0))["z_sup_bound"]
+        result = by_name(tracker.checks())["z_sup_bound"]
         assert result.passed
         assert result.measured == pytest.approx(result.bound, rel=1e-12)
 
     def test_uhat_bounds_pass(self, outcome):
         tracker, _ = outcome
-        checks = by_name(tracker.checks(1.0))
+        checks = by_name(tracker.checks())
         assert checks["uhat_nonnegative"].passed
         assert checks["uhat_below_d_zhat"].passed
         assert checks["uhat_sup_bound"].passed
         assert checks["uhat_sup_bound"].bound == pytest.approx(15.0, rel=1e-12)
         assert checks["uhat_sup_bound"].measured == pytest.approx(3.0, rel=1e-10)
+
+
+class TestTrackerWithDecayingSource:
+    def test_bounds_sum_the_source_each_step_added(self):
+        """Fed steps by hand, the z bound is M plus the left sum of dt K0 at
+        each step's start, exactly, not the integral of K0."""
+        sys = dataclasses.replace(sourced_single_species(2.0), k0_decay=0.5)
+        u = np.full((1, 8), 3.0)
+        tracker = AuxiliaryTracker(sys, Grid1D(8, 1.0), AuxiliaryConfig(d=3.0))
+        tracker.on_step(hand_built_event(0, 0.0, u, 0.0 * u, [3.0], [3.0]))
+        t, source = 0.0, 0.0
+        for index, dt in enumerate((0.5, 0.25, 1.0, 0.125), 1):
+            source += dt * sys.mass_source_rate(t)
+            t += dt
+            tracker.on_step(hand_built_event(index, t, u, 0.0 * u, [3.0], [3.0], dt))
+        checks = by_name(tracker.checks())
+        assert checks["z_sup_bound"].bound == 3.0 + source
+        assert checks["z_sup_bound"].passed
+        assert checks["z_sup_bound"].tolerance == 1e-6 * (3.0 + source)
+        # The integral of K0 over [0, 1.875] is 0.43 below the left sum.
+        assert 3.0 + 4.0 * (1.0 - math.exp(-0.5 * t)) < checks["z_sup_bound"].bound - 0.4
+        assert checks["uhat_sup_bound"].bound == 3.0 * (3.0 + source) * 1.875
 
 
 class TestZOffsetInjection:
@@ -235,8 +257,8 @@ class TestZOffsetInjection:
         dirty = started_tracker(
             quad_system, state, AuxiliaryConfig(d=5.0, z_offset=1.0)
         )
-        assert by_name(clean.checks(0.1))["z_sup_bound"].passed
-        result = by_name(dirty.checks(0.1))["z_sup_bound"]
+        assert by_name(clean.checks())["z_sup_bound"].passed
+        result = by_name(dirty.checks())["z_sup_bound"]
         assert not result.passed
         assert result.measured == pytest.approx(5.0, rel=1e-12)
         assert result.bound == pytest.approx(4.0, rel=1e-12)
@@ -274,7 +296,7 @@ class TestUhatFailureBranches:
         tracker.uhat_min = -1e-6
         tracker.dzhat_minus_uhat_min = -1e-6
         tracker.uhat_sup_max = 1e9
-        checks = by_name(tracker.checks(1.0))
+        checks = by_name(tracker.checks())
         assert not checks["uhat_nonnegative"].passed
         assert not checks["uhat_below_d_zhat"].passed
         assert not checks["uhat_sup_bound"].passed
@@ -283,7 +305,7 @@ class TestUhatFailureBranches:
         state = constant_state(Grid1D(8, 1.0), [1.0] * 4)
         tracker = started_tracker(quad_system, state, AuxiliaryConfig(d=5.0))
         tracker.b_min = 0.1  # below 1 / max d = 0.4
-        assert not by_name(tracker.checks(1.0))["b_range"].passed
+        assert not by_name(tracker.checks())["b_range"].passed
 
 
 def conservation(inv):
@@ -510,10 +532,6 @@ def running_max(a, b):
     return b if b > a or b != b else a
 
 
-def running_min(a, b):
-    return b if b < a or b != b else a
-
-
 def _ratio(value, scale):
     """A step's relative value, as the tracker forms it: 0 when value is 0."""
     if value == 0.0:
@@ -529,24 +547,24 @@ def per_state_measurements(sys, grid, states):
     floor = 1e-12
     laws0 = None
     drift = [0.0] * len(sys.conservation_laws)
-    u_min, excess, identity, entropy_max = math.inf, -math.inf, 0.0, -math.inf
+    share, excess, identity, entropy_max = 0.0, -math.inf, 0.0, -math.inf
     old = None
     for event, entropy in states:
         with np.errstate(over="ignore", invalid="ignore"):
             total = float(np.sum(event.masses))
             laws = [float(np.dot(w, event.masses)) for _, w in sys.conservation_laws]
-            flux = float(event.f.sum() * grid.h)
             clamped = float(np.sum(event.clamped))
         if laws0 is None:
             laws0 = laws
-        u_min = running_min(u_min, float(np.min(event.u_new)))
         drift = [running_max(d, abs(v - v0)) for d, v, v0 in zip(drift, laws, laws0)]
         if old is not None:
             t_old, m_old, flux_old = old
             dt = event.dt
             if math.isinf(m_old) or math.isinf(total):
                 miss = gap = math.inf
+                clamp = 0.0
             else:
+                clamp = _ratio(clamped, m_old + total)
                 residual = abs(total - m_old - dt * flux_old - clamped)
                 source = dt * grid.length * sys.mass_source_rate(t_old)
                 bound = (1.0 + sys.k1 * dt) * m_old
@@ -554,10 +572,11 @@ def per_state_measurements(sys, grid, states):
                 gap = _ratio(total - bound - source - clamped, m_old + total + abs(source))
             identity = running_max(identity, miss)
             excess = running_max(excess, gap)
+            share = running_max(share, clamp)
         if entropy is not None:
             entropy_max = running_max(entropy_max, entropy)
-        old = (event.t_new, total, flux)
-    measured = {"positivity": u_min, "mass_envelope": excess, "mass_identity": identity}
+        old = (event.t_new, total, event.flux)
+    measured = {"positivity": share, "mass_envelope": excess, "mass_identity": identity}
     for (label, _), d, v0 in zip(sys.conservation_laws, drift, laws0):
         measured[f"conservation[{label}]"] = d / max(abs(v0), floor)
     if sys.entropy_nonpositive and entropy_max != -math.inf:
@@ -572,10 +591,11 @@ def random_states(system, grid, count, kind):
     The masses spread over six decades and follow the ledger species by
     species: the flux of the state before, at a rate up to 0.5 below K1,
     plus a clamped mass at about one state in three, so the totals miss
-    the balance by rounding only and stay under the envelope.  Signed zeros
-    tie for the smallest value and the largest entropy, -0.0 at t = 0 and
-    0.0 later; some entropies are None.  kind "nan" adds a NaN entropy, a
-    NaN value and a NaN mass, kind "overflow" a total that overflows.
+    the balance by rounding only and stay under the envelope, and the clamp
+    shares are up to 5e-4.  Signed zeros tie for the largest entropy, -0.0
+    at t = 0 and 0.0 later; some entropies are None.  kind "nan" adds a NaN
+    entropy and a NaN mass on a state that clamps, kind "overflow" a total
+    that overflows.
     """
     rng = np.random.default_rng(count)
     n = system.n_species
@@ -587,10 +607,10 @@ def random_states(system, grid, count, kind):
     for i in range(count):
         u = rng.uniform(0.0, 1.0, size=(n, grid.n_cells))
         zero = -0.0 if i == 0 else 0.0
-        u[0, 0] = zero
+        nan = kind == "nan" and i == count - 40
         clamped = np.zeros(n)
         if i:
-            if rng.random() < 0.3:
+            if rng.random() < 0.3 or nan:
                 clamped = 1e-3 * masses * rng.random(n)
             masses = masses + steps[i] * flux + clamped
         rates = system.k1 - 0.5 * rng.random(n)
@@ -598,12 +618,13 @@ def random_states(system, grid, count, kind):
         flux = f.sum(axis=1) * grid.h
         entropy = [None, zero, -1e-3 * rng.random()][rng.integers(3) if i else 1]
         shown = masses.copy()
-        if kind == "nan" and i == count - 40:
-            u[1, 2] = entropy = shown[0] = math.nan
+        if nan:
+            entropy = shown[0] = math.nan
         if kind == "overflow" and i == count // 2:
             shown[:2] = 1e308
         event = hand_built_event(
-            i, float(t[i]), u, f, u.max(axis=1), shown, float(steps[i]), clamped
+            i, float(t[i]), u, f, u.max(axis=1), shown, float(steps[i]), clamped,
+            f.sum() * grid.h,
         )
         states.append((event, entropy))
     return states
@@ -661,7 +682,8 @@ class TestFoldBoundaries:
         verdicts = {c.name: c.passed for c in first}
         ledger = ("mass_envelope", "mass_identity")
         if kind == "overflow":
-            # The overflowing total is not shown to keep the ledger.
+            # The overflowing total is not shown to keep the ledger; the
+            # steps next to it read 0 for the clamp.
             assert [measured[name] for name in ledger] == ["inf", "inf"]
             assert not any(verdicts[name] for name in ledger)
         elif kind == "nan":
@@ -669,11 +691,13 @@ class TestFoldBoundaries:
                 assert measured[name] == "nan" and not verdicts[name]
         else:
             # Signed zeros tie: the first one, -0.0, is kept.
-            assert measured["positivity"] == "-0.0"
             assert measured.get("entropy_dissipation", "-0.0") == "-0.0"
             assert 0.0 < float(measured["mass_identity"]) <= 1e-15
             assert float(measured["mass_envelope"]) < 0.0
             assert all(verdicts[name] for name in ledger)
+        # The states clamp up to 1e-3 of their masses.
+        assert kind == "nan" or 1e-6 < float(measured["positivity"]) <= 5e-4
+        assert not verdicts["positivity"]
         again = inv.checks()
         assert [repr(dataclasses.astuple(c)) for c in again] == [
             repr(dataclasses.astuple(c)) for c in first
@@ -700,16 +724,43 @@ class TestFoldBoundaries:
 
 
 class TestPositivityCheck:
-    def test_flags_negative_recorded_values(self, quad_system):
-        good = np.ones((4, 4))
-        bad = np.ones((4, 4))
-        bad[0, 2] = -1e-13
-        inv = InvariantTracker(quad_system, Grid1D(4, 1.0))
-        for index, (t, u) in enumerate(((0.0, good), (0.1, bad))):
-            inv.update(hand_built_event(index, t, u, 0.0 * u, np.ones(4), np.ones(4), t), None)
-        result = by_name(inv.checks())["positivity"]
-        assert not result.passed
-        assert result.measured == -1e-13
+    """positivity is the worst step's clamped mass C over M_old + M_new."""
+
+    @staticmethod
+    def fed_clamps(sys, steps):
+        """InvariantTracker on four cells fed u0 of masses 1 and then one
+        step of 0.1 per (masses, clamped) pair."""
+        inv = InvariantTracker(sys, Grid1D(4, 1.0))
+        u = np.ones((sys.n_species, 4))
+        inv.update(hand_built_event(0, 0.0, u, 0.0 * u, np.ones(4), np.ones(4)), None)
+        for index, (masses, clamped) in enumerate(steps, 1):
+            event = hand_built_event(
+                index, 0.1 * index, u, 0.0 * u, np.ones(4), masses, 0.1, clamped
+            )
+            inv.update(event, None)
+        return by_name(inv.checks())
+
+    def test_flags_a_step_that_clamps(self, quad_system):
+        checks = self.fed_clamps(
+            quad_system, [([1.0] * 4, [0.0] * 4), ([1.5, 1.0, 1.0, 1.0], [0.5, 0.0, 0.0, 0.0])]
+        )
+        # C = 0.5 against M_old + M_new = 4 + 4.5.
+        assert not checks["positivity"].passed
+        assert checks["positivity"].measured == 0.5 / 8.5
+        assert checks["positivity"].tolerance == 1e-12
+        assert checks["mass_identity"].passed
+
+    def test_steps_that_clamp_nothing_read_zero(self, quad_system):
+        checks = self.fed_clamps(quad_system, [([1.0] * 4, [0.0] * 4)] * 3)
+        assert checks["positivity"].passed
+        assert checks["positivity"].measured == 0.0
+
+    def test_an_overflowed_total_reads_zero(self, quad_system):
+        # The ledger checks fail on it; positivity does not read it.
+        checks = self.fed_clamps(quad_system, [([1e308] * 4, [1.0, 0.0, 0.0, 0.0])])
+        assert checks["positivity"].measured == 0.0
+        assert not checks["mass_identity"].passed
+        assert not checks["mass_envelope"].passed
 
 
 class TestReportOrder:
@@ -735,7 +786,7 @@ class TestReportOrder:
             (
                 lambda quad, skew: started_tracker(
                     quad, constant_state(Grid1D(8, 1.0), [1.0] * 4), AuxiliaryConfig(d=5.0)
-                ).checks(0.1),
+                ).checks(),
                 [
                     "z_sup_bound",
                     "b_range",

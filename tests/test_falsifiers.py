@@ -52,6 +52,28 @@ def mass_source_above_the_audit_box():
     }
 
 
+def clamped_to_zero_every_step():
+    """f = -2u with k1 = -2 and dt = 1 under a floor of -10: each trial is
+    -u, accepted and clamped to zero, so the clamp adds the whole mass back
+    (C / (M_old + M_new) = 1), which the mass ledger accounts for."""
+    return {
+        "model": {
+            "custom": {
+                "n_species": 1,
+                "terms": [[{"coef": -2.0, "powers": [1]}]],
+                "k0": 0.0,
+                "k1": -2.0,
+                "k": 2.0,
+                "eps": 0.0,
+            },
+            "diffusion": [1.0],
+        },
+        "grid": {"n_cells": 8, "length": 1.0},
+        "initial": [{"type": "constant", "value": 1.0}],
+        "solver": {"dt": 1.0, "t_end": 2.0, "positivity_floor": -10.0},
+    }
+
+
 STRUCTURE = ("structure_quasi_positivity", "structure_mass_control", "structure_growth")
 
 # Check name -> (config, program defect or None, checks that still pass).
@@ -59,6 +81,9 @@ FALSIFIERS = {
     "mass_identity": (quad_raw(), leaky_boundary, STRUCTURE + ("mass_envelope",)),
     "mass_envelope": (
         mass_source_above_the_audit_box(), None, STRUCTURE + ("positivity", "mass_identity"),
+    ),
+    "positivity": (
+        clamped_to_zero_every_step(), None, STRUCTURE + ("mass_envelope", "mass_identity"),
     ),
 }
 

@@ -432,12 +432,10 @@ class TestAuditCharacterization:
 class TestMassSource:
     def test_zero_source(self, quad_system):
         assert quad_system.mass_source_rate(5.0) == 0.0
-        assert quad_system.mass_source_integral(5.0) == 0.0
 
     def test_constant_source(self):
         sys = poly_model(1, [[(2.0, (0,))]], k0=2.0, growth_k=2.0)
         assert sys.mass_source_rate(7.0) == 2.0
-        assert sys.mass_source_integral(3.0) == 6.0
 
     def test_decaying_source(self):
         base = poly_model(1, [[(2.0, (0,))]], k0=2.0, growth_k=2.0)
@@ -449,9 +447,6 @@ class TestMassSource:
         )
         assert sys.mass_source_rate(3.0) == pytest.approx(
             2.0 * math.exp(-1.5), rel=1e-14
-        )
-        assert sys.mass_source_integral(3.0) == pytest.approx(
-            4.0 * (1.0 - math.exp(-1.5)), rel=1e-14
         )
         # The mass ledger takes the rate at every step's start at once.
         times = [0.0, 0.25, 3.0]
