@@ -140,13 +140,15 @@ class _Collector:
             return val
         return None
 
-    def whole(self, label: str, val, *, minimum=None) -> int | None:
-        """val as an integer of at least minimum, or None with the problem
+    def whole(self, label: str, val, *, minimum=None, maximum=None) -> int | None:
+        """val as an integer within the bounds, or None with the problem
         reported under label."""
         if isinstance(val, bool) or not isinstance(val, int):
             self.add(label, f"expected an integer, got {val!r}")
         elif minimum is not None and val < minimum:
             self.add(label, f"must be >= {minimum}, got {val}")
+        elif maximum is not None and val > maximum:
+            self.add(label, f"must be <= {maximum}, got {val}")
         else:
             return val
         return None
@@ -570,7 +572,10 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
     csv_path = paths.get("csv")
     report_path = paths.get("report")
 
-    seed = col.integer(raw, "", "seed", required=False, default=0, minimum=0)
+    # The audits' SplitMix64 stream is 64-bit: a larger seed would alias.
+    seed = col.integer(
+        raw, "", "seed", required=False, default=0, minimum=0, maximum=2**64 - 1
+    )
 
     u0 = None
     if grid is not None:

@@ -69,7 +69,6 @@ __all__ = [
 
 _TOTAL_MASS_FLOOR = 1e-12
 _B_TOL = 1e-12
-_UHAT_TOL = 1e-9
 _CONS_TOL = 1e-8
 _ENVELOPE_SLACK = 1e-6
 _ENTROPY_TOL = 1e-12
@@ -272,7 +271,8 @@ class AuxiliaryTracker:
         """The report's checks of the a priori bounds up to the last event's
         t: z_sup_bound (M + S, exact in arithmetic: each solve is a weighted
         mean), b_range, uhat_nonnegative, uhat_below_d_zhat and
-        uhat_sup_bound (d (M + S) t), in that order."""
+        uhat_sup_bound (d (M + S) t), in that order.  The three u_hat checks
+        share one tolerance, relative to u_hat's bound d (M + S) t."""
         z_bound = self.initial_sup_sum + self._source
         z_tol = _ENVELOPE_SLACK * z_bound
         lo = 1.0 / float(np.max(self.sys.diffusion)) * (1.0 - _B_TOL)
@@ -297,17 +297,17 @@ class AuxiliaryTracker:
             ),
             CheckResult(
                 name="uhat_nonnegative",
-                passed=self.uhat_min >= -_UHAT_TOL,
+                passed=self.uhat_min >= -sup_tol,
                 measured=self.uhat_min,
                 bound=0.0,
-                tolerance=_UHAT_TOL,
+                tolerance=sup_tol,
             ),
             CheckResult(
                 name="uhat_below_d_zhat",
-                passed=self.dzhat_minus_uhat_min >= -_UHAT_TOL,
+                passed=self.dzhat_minus_uhat_min >= -sup_tol,
                 measured=self.dzhat_minus_uhat_min,
                 bound=0.0,
-                tolerance=_UHAT_TOL,
+                tolerance=sup_tol,
             ),
             CheckResult(
                 name="uhat_sup_bound",

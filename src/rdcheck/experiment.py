@@ -317,15 +317,13 @@ def run_experiment(cfg: RunConfig) -> ExperimentOutcome:
         partial CSV is still emitted, and the report keeps the structure
         checks only.
     """
-    rng = np.random.default_rng(cfg.seed)
-
-    checks: list[CheckResult] = check_structure(cfg.system, rng)
+    checks: list[CheckResult] = check_structure(cfg.system, cfg.seed)
 
     system = cfg.system
     if cfg.augmented is not None:
         system = cfg.augmented
         checks.extend(verify_augmented(
-            system, rng, t_horizon=cfg.solver.t_end,
+            system, cfg.seed, t_horizon=cfg.solver.t_end,
             g_tail_offset=cfg.inject_augmentation_offset,
         ))
 

@@ -347,13 +347,60 @@ def _point_str(point) -> str:
     return "[" + ", ".join(repr(float(v)) for v in np.asarray(point)) + "]"
 
 
-def _log_uniform(rng: np.random.Generator, size) -> np.ndarray:
-    return 10.0 ** rng.uniform(_SAMPLE_LOG_LO, _SAMPLE_LOG_HI, size=size)
+# The golden-ratio increment; multiples are reduced mod 2^64 as Python ints.
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
+def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> None:
+    """Apply the SplitMix64 finaliser to the uint64 array z in place,
+    wrapping mod 2^64; scratch is a work array of z's shape."""
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, shift, out=scratch)
+        z *= np.uint64(factor)
+    z ^= np.right_shift(z, 31, out=scratch)
 
 
-def _face_probe(evaluator, n: int, rng: np.random.Generator, t_horizon=None,
+class _Stream:
+    """The uniform draws of one audit: draw k is the SplitMix64 finaliser
+    of the mixed seed plus (2k + key + 1) golden-ratio increments, so the
+    streams of key 0 and key 1 interleave and never share a counter.
+
+    Counter-based, so a draw of a + b values equals a draw of a followed
+    by one of b.  The uint64 arithmetic stays on arrays, where it wraps
+    without the overflow warning of numpy's uint64 scalars, and works in
+    place: a fresh array of 10^5 values costs more than the arithmetic.
+    """
+
+    def __init__(self, seed: int, key: int):
+        base = np.array([seed], dtype=np.uint64)
+        _splitmix64(base, np.empty_like(base))
+        # The counter of draw 0, mix(seed) + (key + 1) increments.
+        self._first = base + np.uint64((key + 1) * _GOLDEN % 2**64)
+        self._drawn = 0
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """size values uniform in [low, high): 53 bits each, transformed
+        as numpy's Generator.uniform does."""
+        count = int(np.prod(size))
+        z = np.arange(self._drawn, self._drawn + count, dtype=np.uint64)
+        self._drawn += count
+        z *= np.uint64(2 * _GOLDEN % 2**64)
+        z += self._first
+        u = np.empty(count)
+        _splitmix64(z, u.view(np.uint64))
+        z >>= np.uint64(11)
+        np.multiply(z, 2.0**-53, out=u)
+        u *= high - low
+        u += low
+        return u.reshape(size)
+
+
+def _log_uniform(stream: _Stream, size) -> np.ndarray:
+    exponents = stream.uniform(_SAMPLE_LOG_LO, _SAMPLE_LOG_HI, size=size)
+    return np.power(10.0, exponents, out=exponents)
+
+
+def _face_probe(evaluator, n: int, stream: _Stream, t_horizon=None,
                 tail_offset: float = 0.0, relative: bool = False):
     """Sample quasi-positivity on the n boundary faces u_i = 0.
 
@@ -372,9 +419,9 @@ def _face_probe(evaluator, n: int, rng: np.random.Generator, t_horizon=None,
     worst = np.inf
     witness = None
     for i in range(n):
-        pts = _log_uniform(rng, (n, per_face))
+        pts = _log_uniform(stream, (n, per_face))
         pts[i, :] = 0.0
-        t = 0.0 if t_horizon is None else rng.uniform(0.0, t_horizon, size=per_face)
+        t = 0.0 if t_horizon is None else stream.uniform(0.0, t_horizon, size=per_face)
         f = np.asarray(evaluator(pts, t), dtype=np.float64)
         if tail_offset and i == n - 1:
             f[-1] += tail_offset
@@ -402,7 +449,7 @@ def _growth_ratio(sys: ReactionSystem, pts: np.ndarray, f: np.ndarray, factor: f
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def check_structure(sys: ReactionSystem, rng: np.random.Generator) -> list[CheckResult]:
+def check_structure(sys: ReactionSystem, seed: int) -> list[CheckResult]:
     """Probe quasi-positivity, mass control and growth on random samples.
 
     Quasi-positivity is sampled on each boundary face u_i = 0 with the other
@@ -411,6 +458,10 @@ def check_structure(sys: ReactionSystem, rng: np.random.Generator) -> list[Check
     probed at t = 0.  A reaction that overflows or divides by zero raises
     no warning, and a sample whose value is not a number fails the probe it
     feeds.
+
+    Args:
+        seed: the run's seed in [0, 2^64 - 1]; the samples are the draws of
+            its SplitMix64 stream, key 0.
 
     Returns:
         The report's structure_quasi_positivity, structure_mass_control and
@@ -421,10 +472,11 @@ def check_structure(sys: ReactionSystem, rng: np.random.Generator) -> list[Check
         the inequalities; it can only falsify them.
     """
     n = sys.n_species
-    qp_worst, qp_witness, qp_count = _face_probe(sys.evaluator, n, rng)
+    stream = _Stream(seed, 0)
+    qp_worst, qp_witness, qp_count = _face_probe(sys.evaluator, n, stream)
 
     # Mass control and growth on shared orthant samples.
-    pts = _log_uniform(rng, (n, _N_SAMPLES))
+    pts = _log_uniform(stream, (n, _N_SAMPLES))
     fvals = np.asarray(sys.evaluator(pts, 0.0), dtype=np.float64)
     total_u = np.sum(pts, axis=0)
     total_f = np.sum(fvals, axis=0)
@@ -479,7 +531,7 @@ def check_structure(sys: ReactionSystem, rng: np.random.Generator) -> list[Check
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def verify_augmented(
     closed: ReactionSystem,
-    rng: np.random.Generator,
+    seed: int,
     t_horizon: float = 1.0,
     g_tail_offset: float = 0.0,
 ) -> list[CheckResult]:
@@ -506,6 +558,9 @@ def verify_augmented(
     violating sample in its detail.
 
     Args:
+        seed: the run's seed in [0, 2^64 - 1]; the samples are the draws of
+            its SplitMix64 stream, key 1, so they share none with
+            check_structure's.
         g_tail_offset: test-surface injection added to the extra reaction
             before checking; a nonzero value demonstrates that a broken
             augmentation is caught.
@@ -524,8 +579,9 @@ def verify_augmented(
 
     # The evaluator built by augment_system broadcasts over a time array of
     # the same length as the sample axis, so the whole audit vectorizes.
-    times = rng.uniform(0.0, t_horizon, size=_N_SAMPLES)
-    pts = _log_uniform(rng, (n_aug, _N_SAMPLES))
+    stream = _Stream(seed, 1)
+    times = stream.uniform(0.0, t_horizon, size=_N_SAMPLES)
+    pts = _log_uniform(stream, (n_aug, _N_SAMPLES))
     g = np.asarray(closed.evaluator(pts, times), dtype=np.float64)
     g[-1] += g_tail_offset
 
@@ -548,7 +604,7 @@ def verify_augmented(
     # The tail face value is a cancellation of O(|w|^2) terms, so the floor
     # is scaled by the sampled reaction magnitude instead of being absolute.
     qp_worst, qp_witness, qp_count = _face_probe(
-        closed.evaluator, n_aug, rng, t_horizon, g_tail_offset, relative=True
+        closed.evaluator, n_aug, stream, t_horizon, g_tail_offset, relative=True
     )
 
     return [

@@ -488,7 +488,7 @@ def test_09_closure_conservation_audit():
 
     skew = skew_lv([1.0, 2.0], interaction=[[0.0, 1.0], [-1.0, 0.0]], decay=[1.0, 1.0])
     pair = augment_system(skew)
-    audit = verify_augmented(pair, np.random.default_rng(7))
+    audit = verify_augmented(pair, 7)
     checks = {c.name: c for c in audit}
     conservation = checks["augmented_conservation_residual"]
     require(failures, conservation.passed is True, "closure conservation failed")

@@ -171,6 +171,26 @@ class TestVerifyCommand:
         assert main(["verify", cfg]) == EXIT_OK
         assert "overall: pass" in capsys.readouterr().out
 
+    def test_verify_loads_no_numpy_random(self, tmp_path):
+        # The audits draw from their own SplitMix64 stream: importing
+        # numpy.random (and the secrets module it brings) costs a fresh
+        # process 11-15 ms.  Both audits run here, the closure's included.
+        cfg = write_config(tmp_path, quad_raw(transform={"augment": True}))
+        code = (
+            "import sys, rdcheck.cli; code = rdcheck.cli.main(['verify', sys.argv[1]]); "
+            "print(code, sorted(set(sys.modules) & {'numpy.random', 'secrets'}))"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(rdcheck.cli.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", code, cfg],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert "augmented_quasi_positivity" in done.stdout
+        assert done.stdout.endswith("\n0 []\n")
+
     def test_broken_quasi_positivity_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, qp_broken_raw())
         assert main(["verify", cfg]) == EXIT_CHECK_FAILED

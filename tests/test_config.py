@@ -592,6 +592,15 @@ class TestMiscValidation:
         raw["seed"] = -1
         assert_mentions(errors_from(raw), "seed")
 
+    def test_seed_must_fit_in_64_bits(self):
+        # The audits draw from a 64-bit stream, so seed and seed + 2^64
+        # would give the same samples.
+        raw = base_quad()
+        raw["seed"] = 2**64 - 1
+        assert validate_config(raw).seed == 2**64 - 1
+        raw["seed"] = 2**64
+        assert errors_from(raw) == [f"seed: must be <= {2**64 - 1}, got {2**64}"]
+
     def test_augment_flag_must_be_boolean(self):
         raw = base_quad()
         raw["transform"] = {"augment": "yes"}

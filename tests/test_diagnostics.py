@@ -301,6 +301,32 @@ class TestUhatFailureBranches:
         assert not checks["uhat_below_d_zhat"].passed
         assert not checks["uhat_sup_bound"].passed
 
+    def test_tolerance_is_relative_to_the_uhat_bound(self):
+        # Heat only at diffusion 1e-8: the u_hat bound d (M + S) t is
+        # 2.31e-9.  Hand-fed states put u_hat 1.15e-10 below zero in cell 0
+        # and 2.5e-10 above d z_hat in cell 3; an absolute 1e-9 passed both.
+        sys = custom_polynomial([1e-8, 2e-8], [[], []], 0.0, 0.0, 1.0, 0.0)
+        tracker = AuxiliaryTracker(sys, Grid1D(4, 1.0), AuxiliaryConfig(d=3e-8))
+        u0 = np.array([[0.77, 0.77, 0.77, 0.1], [0.0, 0.0, 0.0, 0.0]])
+        tracker.on_step(hand_built_event(0, 0.0, u0, 0.0 * u0, [0.77, 0.0], [0.0, 0.0]))
+        u1 = u0.copy()
+        u1[0, 0] = -1.0
+        u1[1, 3] = 0.45
+        tracker.on_step(
+            hand_built_event(1, 0.1, u1, 0.0 * u1, [1.0, 0.45], [0.0, 0.0], 0.1)
+        )
+        checks = by_name(tracker.checks())
+        bound = checks["uhat_sup_bound"].bound
+        assert bound == pytest.approx(2.31e-9, rel=1e-12)
+        assert checks["uhat_sup_bound"].passed
+        nonnegative = checks["uhat_nonnegative"]
+        below = checks["uhat_below_d_zhat"]
+        assert nonnegative.measured == pytest.approx(-1.15e-10, rel=1e-9)
+        assert below.measured == pytest.approx(-2.5e-10, rel=1e-6)
+        assert nonnegative.tolerance == below.tolerance == 1e-6 * bound
+        assert not nonnegative.passed
+        assert not below.passed
+
     def test_b_range_failure(self, quad_system):
         state = constant_state(Grid1D(8, 1.0), [1.0] * 4)
         tracker = started_tracker(quad_system, state, AuxiliaryConfig(d=5.0))

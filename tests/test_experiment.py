@@ -442,9 +442,9 @@ class TestReactionEvaluations:
             calls.append(t)
             return evaluate(u, t)
 
-        def audit(system, rng):
+        def audit(system, seed):
             start = len(calls)
-            checks = check_structure(system, rng)
+            checks = check_structure(system, seed)
             audited.append(len(calls) - start)
             return checks
 

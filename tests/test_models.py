@@ -17,6 +17,7 @@ from rdcheck import (
     skew_lv,
     verify_augmented,
 )
+from rdcheck.models import _Stream
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -252,7 +253,7 @@ class TestVectorizedEvaluation:
 
 def audit(sys, seed):
     """check_structure's three checks, keyed by probe name."""
-    checks = check_structure(sys, np.random.default_rng(seed))
+    checks = check_structure(sys, seed)
     return {c.name.removeprefix("structure_"): c for c in checks}
 
 
@@ -328,15 +329,13 @@ FLOOR = "; floor -1e-12*(1 + max_i |g_i|) per sample"
 
 
 def audit_entries(sys, seed, t_end=None, offset=0.0):
-    """(name, passed, repr(measured), detail) of check_structure on a fresh
-    seeded generator or, given t_end, of verify_augmented on the closed
-    system drawing from the same generator next, as run_experiment calls
-    them."""
-    rng = np.random.default_rng(seed)
-    checks = check_structure(sys, rng)
-    if t_end is not None:
+    """(name, passed, repr(measured), detail) of check_structure or, given
+    t_end, of verify_augmented on the closed system, at one seed."""
+    if t_end is None:
+        checks = check_structure(sys, seed)
+    else:
         checks = verify_augmented(
-            augment_system(sys), rng, t_horizon=t_end, g_tail_offset=offset
+            augment_system(sys), seed, t_horizon=t_end, g_tail_offset=offset
         )
     return [(c.name, c.passed, repr(c.measured), c.detail) for c in checks]
 
@@ -350,71 +349,71 @@ class TestAuditCharacterization:
 
     def test_quad(self, quad_system):
         assert audit_entries(quad_system, 11) == [
-            ("structure_quasi_positivity", True, "1.048443822661202e-12", "20000 samples"),
-            ("structure_mass_control", True, "-1.0000085422539698e-09", ""),
-            ("structure_growth", True, "0.49999060686001784", GROWTH_OK),
+            ("structure_quasi_positivity", True, "1.2126784340177206e-12", "20000 samples"),
+            ("structure_mass_control", True, "-1.0000132617959658e-09", ""),
+            ("structure_growth", True, "0.49999966316056377", GROWTH_OK),
         ]
 
     def test_skew(self, skew_system):
         assert audit_entries(skew_system, 12) == [
-            ("structure_quasi_positivity", True, "-0.0", "20000 samples"),
-            ("structure_mass_control", True, "-1.0000024044636087e-09", ""),
-            ("structure_growth", True, "0.3502803388057104", GROWTH_OK),
+            ("structure_quasi_positivity", True, "0.0", "20000 samples"),
+            ("structure_mass_control", True, "-1.0000021120623295e-09", ""),
+            ("structure_growth", True, "0.3522956302583835", GROWTH_OK),
         ]
 
     def test_augmented_quad(self, quad_system):
         assert audit_entries(quad_system, 13, t_end=0.5) == [
             ("augmented_quasi_positivity", True, "0.0", "20000 samples" + FLOOR),
             ("augmented_conservation_residual", True, "0.0", ""),
-            ("augmented_growth", True, "0.49988963812323545", FITTED),
+            ("augmented_growth", True, "0.4997961469612104", FITTED),
         ]
 
     def test_augmented_skew(self, skew_system):
         assert audit_entries(skew_system, 14, t_end=2.0) == [
-            ("augmented_quasi_positivity", True, "-2.1273722904263915e-13",
+            ("augmented_quasi_positivity", True, "-2.1145381057139877e-13",
              "19999 samples" + FLOOR),
             ("augmented_conservation_residual", True, "0.0", ""),
-            ("augmented_growth", True, "0.031901113965993454", FITTED),
+            ("augmented_growth", True, "0.032709932897847245", FITTED),
         ]
 
     def test_augmented_quad_with_tail_offset(self, quad_system):
         assert audit_entries(quad_system, 15, t_end=0.5, offset=0.1) == [
-            ("augmented_quasi_positivity", True, "1.099084139293287e-12",
+            ("augmented_quasi_positivity", True, "1.2261061988847474e-12",
              "20000 samples" + FLOOR),
             ("augmented_conservation_residual", False, "0.1",
-             "sum 0.1 vs target 0.0 at t = 0.4639050468192795, w = [4.338346631235924, "
-             "2.208434513075474e-06, 3.949697267112211e-06, 235.6738777008632, "
-             "5.20845975359349]"),
-            ("augmented_growth", True, "0.49991952193777556", FITTED),
+             "sum 0.1 vs target 0.0 at t = 0.22609952529108984, w = [1.5432821493718983e-06, "
+             "421.5630975635424, 0.007789874040697646, 7.56775271461373e-06, "
+             "0.00275012762538911]"),
+            ("augmented_growth", True, "0.49999826056100316", FITTED),
         ]
 
     def test_broken_quasi_positivity(self):
         sys = poly_model(2, [[(-1.0, (0, 1))], [(1.0, (0, 1))]])
         assert audit_entries(sys, 16) == [
-            ("structure_quasi_positivity", False, "-996.5357641376474",
-             "species 1 reaches -996.5357641376474 at [0.0, 996.5357641376474]"),
-            ("structure_mass_control", True, "-1.000002145018903e-09", ""),
-            ("structure_growth", True, "0.4999910549609805", GROWTH_OK),
+            ("structure_quasi_positivity", False, "-997.7811036831766",
+             "species 1 reaches -997.7811036831766 at [0.0, 997.7811036831766]"),
+            ("structure_mass_control", True, "-1.0000024276108726e-09", ""),
+            ("structure_growth", True, "0.49999916997489463", GROWTH_OK),
         ]
 
     def test_broken_mass_control(self):
         sys = poly_model(1, [[(1.0, (1,))]], growth_k=2.0)
         assert audit_entries(sys, 17) == [
             ("structure_quasi_positivity", True, "0.0", "20000 samples"),
-            ("structure_mass_control", False, "999.3659523259134",
-             "sum 999.3659533262794 exceeds allowance 1.0003659533262795e-06 "
-             "at [999.3659533262794]"),
-            ("structure_growth", True, "0.24999998800073878", GROWTH_OK),
+            ("structure_mass_control", False, "998.4745475909627",
+             "sum 998.4745485904373 exceeds allowance 9.994745485904374e-07 "
+             "at [998.4745485904373]"),
+            ("structure_growth", True, "0.24999998730491385", GROWTH_OK),
         ]
 
     def test_broken_growth(self):
         sys = poly_model(1, [[(1.0, (4,))]], k1=1e12)
         assert audit_entries(sys, 18) == [
             ("structure_quasi_positivity", True, "0.0", "20000 samples"),
-            ("structure_mass_control", True, "-1000334.2556134061", ""),
-            ("structure_growth", False, "998213.2869349228",
-             "species 1: |f_1| = 996431762638.9966 exceeds envelope 998215.2869339212 "
-             "at [999.1067445142792]"),
+            ("structure_mass_control", True, "-1001401.9005696956", ""),
+            ("structure_growth", False, "994701.0688576277",
+             "species 1: |f_1| = 989432205787.6447 exceeds envelope 994703.0688566223 "
+             "at [997.3475165942021]"),
         ]
 
     def test_closure_of_broken_mass_control(self):
@@ -422,11 +421,61 @@ class TestAuditCharacterization:
         # own face fails where the base breaks mass control.
         sys = poly_model(1, [[(1.0, (1,))]], growth_k=2.0)
         assert audit_entries(sys, 19, t_end=1.0) == [
-            ("augmented_quasi_positivity", False, "-0.9990008914047963",
-             "species 2 reaches -999.892200107773 at [999.892200107773, 0.0]"),
+            ("augmented_quasi_positivity", False, "-0.9990003787817295",
+             "species 2 reaches -999.3789252594757 at [999.3789252594757, 0.0]"),
             ("augmented_conservation_residual", True, "0.0", ""),
-            ("augmented_growth", True, "0.24999999176409698", FITTED),
+            ("augmented_growth", True, "0.24999983665937223", FITTED),
         ]
+
+
+MASK64 = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64(z):
+    """The SplitMix64 finaliser on a Python int, the stream's reference."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+class TestAuditStream:
+    """The audits' SplitMix64 stream: draw k of key j at a seed is the
+    finaliser of mix(seed) + (2k + j + 1) golden-ratio increments."""
+
+    def test_reference_is_splitmix64(self):
+        # Published first outputs of SplitMix64 from state 0.
+        assert [splitmix64(k * GOLDEN & MASK64) for k in (1, 2, 3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, MASK64])
+    @pytest.mark.parametrize("key", [0, 1])
+    def test_first_draws_match_the_reference(self, seed, key):
+        base = splitmix64(seed)
+        expected = [
+            (splitmix64((base + (2 * k + key + 1) * GOLDEN) & MASK64) >> 11) * 2.0**-53
+            for k in range(8)
+        ]
+        assert _Stream(seed, key).uniform(0.0, 1.0, 8).tolist() == expected
+
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (-6.0, 3.0), (0.0, 0.3)])
+    def test_values_lie_in_the_half_open_interval(self, low, high):
+        values = _Stream(MASK64, 1).uniform(low, high, (3, 20000))
+        assert values.shape == (3, 20000)
+        assert np.all(values >= low) and np.all(values < high)
+
+    def test_split_draws_equal_one_draw(self):
+        stream = _Stream(17, 0)
+        first = stream.uniform(0.0, 1.0, (2, 3))
+        second = stream.uniform(0.0, 1.0, 5)
+        whole = _Stream(17, 0).uniform(0.0, 1.0, 11)
+        np.testing.assert_array_equal(np.concatenate([first.ravel(), second]), whole)
+
+    def test_the_two_audits_share_no_value(self):
+        structure = _Stream(1, 0).uniform(0.0, 1.0, 100000)
+        augmented = _Stream(1, 1).uniform(0.0, 1.0, 100000)
+        assert np.intersect1d(structure, augmented).size == 0
 
 
 class TestMassSource:
