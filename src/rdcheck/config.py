@@ -490,8 +490,7 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
     integrated = system if augmented is None else augmented
 
     diag_d = None
-    diag_gammas = AuxiliaryConfig.gammas
-    sec = col.section(raw, "diagnostics", ("enabled", "d", "gammas"), required=False)
+    sec = col.section(raw, "diagnostics", ("enabled", "d"), required=False)
     if sec is not None:
         if col.flag(sec, "diagnostics", "enabled"):
             diag_d = col.number(sec, "diagnostics", "d", exclusive_minimum=0.0)
@@ -504,17 +503,6 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
                         f"(largest is {d_floor}), got {diag_d}",
                     )
                     diag_d = None
-        gammas = sec.get("gammas")
-        if gammas is not None:
-            if not isinstance(gammas, list) or not gammas:
-                col.add("diagnostics.gammas", "expected a nonempty list")
-            else:
-                gammas = tuple(
-                    col.real(f"diagnostics.gammas[{i}]", g, minimum=0.0, maximum=1.0)
-                    for i, g in enumerate(gammas)
-                )
-                if None not in gammas:
-                    diag_gammas = gammas
 
     fits = []
     if "fits" in raw:
@@ -594,9 +582,7 @@ def validate_config(raw: dict, augment: bool = False) -> RunConfig:
         u0=u0,
         solver=solver_cfg,
         augmented=augmented,
-        diagnostics=None if diag_d is None else AuxiliaryConfig(
-            d=diag_d, gammas=diag_gammas, z_offset=z_offset
-        ),
+        diagnostics=None if diag_d is None else AuxiliaryConfig(d=diag_d, z_offset=z_offset),
         fits=fits,
         inject_augmentation_offset=aug_offset,
         csv_path=csv_path,

@@ -23,17 +23,18 @@ numerically:
   to z, the weight b = sum u_i / sum d_i u_i trapped in [1/max d_i,
   1/min d_i], and 0 <= u_hat <= d z_hat with sup|u_hat| <= d (M + S) T.
 
+v_d's own bound is the gradient interpolation at Holder exponent 0:
+sup|grad v_d| <= B(1, d, 0) sqrt(F osc v_d), F the largest sup of the
+forcing over the states that drove v_d so far and osc v_d = max v_d -
+min v_d, its [v_d]_0 seminorm (`vd_gradient_interpolation`).
+
 The tracker is a solver hook: it starts from the solver's index-0 event,
 u0, advances with the accepted steps and keeps the current fields and
 running extrema only, so bounds are checked against the whole history, not
 just recorded steps, and each per-step quantity (sum_i u_i, b, sup|z|, v_d
-and its forcing) is computed once.  It scans the Holder moduli of v_d at
-the steps the solver marks recorded (not at t = 0, where v_d is zero),
-with one `holder_modulus` call.  That scan skips the lag bands whose bound
-cannot beat the running best and takes the rest 32 lags per numpy call:
-on the smooth v_d of the README quad run at 1024 cells it scans about
-350-450 of the 1023 lags, 1-1.5 ms a snapshot.  It is O(n) memory, and
-O(n^2) time in the worst case, a monotone x^gamma-like row.
+and its forcing) is computed once.  The interpolation bound reads v_d's
+gradient, its oscillation and the running forcing sup at every step, two
+O(n) reductions beyond the CSV cells.
 
 The primal checks work the same way.  `InvariantTracker` is fed every
 StepEvent of the run, u0 first, with the state's entropy value, formed
@@ -55,9 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid1D, grad_sup, holder_modulus, laplacian_values
+from .grid import Grid1D, grad_sup, laplacian_values
 from .models import CheckResult, ReactionSystem
 from .solver import StepEvent, implicit_heat_step
+from .theory import interpolation_constants
 
 __all__ = [
     "AuxiliaryConfig",
@@ -74,17 +76,29 @@ _ENVELOPE_SLACK = 1e-6
 _ENTROPY_TOL = 1e-12
 # A mass-ledger step's relative miss; correct runs measured 2.6e-15 at worst.
 _LEDGER_TOL = 1e-12
+# The mass ledger's checks: name -> what each step measures.
+_LEDGER = {
+    "positivity": "C / (M_old + M_new), the mass the clamp added",
+    "mass_envelope": "M_new - C <= (1 + K1 dt) M_old + dt L K0, relative",
+    "mass_identity": "M_new = M_old + dt F_old + C, relative",
+}
 # States an InvariantTracker holds between folds.  From 64 to 512 the
 # recorder's time on a 958-state run is flat within noise (2-vCPU guest),
 # while the transient of formatting a chunk's CSV rows grows with it.
 _CHUNK = 128
 
 
+def _replaces(value: float, best: float) -> bool:
+    """Whether value takes over the running maximum best: it is larger, or
+    it is the first NaN (np.maximum's rule), so that a running maximum keeps
+    a measurement that is not a number and its check fails on it; Python's
+    max(best, nan) keeps best."""
+    return value > best or (value != value and best == best)
+
+
 def _max(a: float, b: float) -> float:
-    """max(a, b), or NaN if either is NaN (np.maximum's rule), so that a
-    running maximum keeps a measurement that is not a number and its check
-    fails on it; Python's max(a, nan) keeps a."""
-    return b if b > a or b != b else a
+    """max(a, b), or NaN if either is NaN, as _replaces."""
+    return b if _replaces(b, a) else a
 
 
 def _min(a: float, b: float) -> float:
@@ -100,11 +114,23 @@ def _relative(value: np.ndarray, scale: np.ndarray, overflow: np.ndarray) -> np.
     return out
 
 
-def _first_max(values: np.ndarray) -> float:
-    """values at np.argmax(values): the first largest entry, or the first
-    NaN.  That is the entry a fold of _max over the values in order keeps,
-    down to the sign of a zero."""
-    return float(values[np.argmax(values)])
+def _worst(best: float, t_best, values: np.ndarray, times: np.ndarray):
+    """The running maximum best, set at t_best, after the steps of values
+    at times: (value, t) of np.argmax(values), the first largest entry or
+    the first NaN, if it replaces best, else (best, t_best).  That is the
+    entry a fold of _max over the values in order keeps, down to the sign
+    of a zero."""
+    i = np.argmax(values)
+    value = float(values[i])
+    if _replaces(value, best):
+        return value, float(times[i])
+    return best, t_best
+
+
+def _at(t) -> str:
+    """A check detail's suffix naming the t of its worst step, if a step
+    set its measurement."""
+    return "" if t is None else f", at t = {t!r}"
 
 
 @dataclass(frozen=True)
@@ -114,22 +140,17 @@ class AuxiliaryConfig:
     Attributes:
         d: shared auxiliary diffusion; must exceed every species coefficient
             strictly (validated against the system at tracker construction).
-        gammas: Holder exponents measured at recorded steps.
         z_offset: test-surface injection added to z at t = 0 (defaults to
             zero; used to demonstrate that a corrupted z flips the bound
             check).
     """
 
     d: float
-    gammas: tuple = (0.25, 0.5)
     z_offset: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.d) or self.d <= 0.0:
             raise ValueError(f"auxiliary diffusion must be finite and > 0, got {self.d}")
-        for g in self.gammas:
-            if not np.isfinite(g) or g < 0.0 or g > 1.0:
-                raise ValueError(f"Holder exponent must lie in [0, 1], got {g}")
 
 
 class AuxiliaryTracker:
@@ -161,6 +182,7 @@ class AuxiliaryTracker:
         self._weights = np.asarray(sys.diffusion, dtype=np.float64)
         # d - d_i: the weights of v_d and of its forcing sum_i (d - d_i) u_i.
         self._gaps = cfg.d - self._weights
+        self._interpolation_b = interpolation_constants(1, cfg.d, 0.0).b
         # M = sum of per-species initial sup norms, the constant in the
         # z and u_hat bounds; NaN until u0 is seen.
         self.initial_sup_sum = math.nan
@@ -176,8 +198,9 @@ class AuxiliaryTracker:
         self.dzhat_minus_uhat_min = 0.0
         self.b_min = math.inf
         self.b_max = -math.inf
-        # gamma -> the largest Holder modulus of v_d at a recorded step.
-        self.holder_max: dict = {}
+        # The worst step's grad v_d / (B sqrt(F osc v_d)), and its t.
+        self.interpolation_max = 0.0
+        self.interpolation_t = None
 
     def on_step(self, event: StepEvent) -> None:
         s_new = np.tensordot(self._weights, event.u_new, axes=1)
@@ -203,9 +226,6 @@ class AuxiliaryTracker:
         self._s_prev = s_new
         self._t = event.t_new
         self._observe(event.u_new, s_new)
-        # v_d is zero at u0: no scan there.
-        if event.recorded and event.index:
-            self._measure_holder()
 
     def _observe(self, u: np.ndarray, weighted: np.ndarray) -> None:
         """Measure the fields at the current time, each quantity once.
@@ -233,6 +253,15 @@ class AuxiliaryTracker:
             np.max(np.abs(self._z - laplacian_values(v_d, self.grid.h) - total))
         )
         gvd = grad_sup(v_d, self.grid.h)
+        # forcing_sup_max is still F over the states that drove v_d.  Two
+        # roots, so that F osc neither overflows nor underflows.
+        ratio = 0.0
+        if gvd != 0.0:
+            osc = float(np.max(v_d)) - float(np.min(v_d))
+            scale = self._interpolation_b * math.sqrt(self.forcing_sup_max) * math.sqrt(osc)
+            ratio = gvd / scale if scale else math.inf
+        if _replaces(ratio, self.interpolation_max):
+            self.interpolation_max, self.interpolation_t = ratio, self._t
         self.z_sup_max = _max(self.z_sup_max, z_sup)
         self.forcing_sup_max = _max(self.forcing_sup_max, forcing)
         self.b_min = _min(self.b_min, b_min)
@@ -245,17 +274,9 @@ class AuxiliaryTracker:
         self.grad_vd_max = _max(self.grad_vd_max, gvd)
         self.row = (z_sup, b_min, b_max, consistency, zvd, gvd)
 
-    def _measure_holder(self) -> None:
-        """Update the running Holder moduli of v_d."""
-        moduli = holder_modulus(self._v_d, self.grid.h, self.cfg.gammas)
-        for g, val in zip(self.cfg.gammas, moduli):
-            if val > self.holder_max.get(float(g), 0.0):
-                self.holder_max[float(g)] = float(val)
-
     def measurements(self) -> dict:
         """The report's measurement block: the running extrema behind
-        `checks`, the initial sup sum M and the largest Holder modulus of
-        v_d per exponent, keyed "v_d:<gamma>"."""
+        `checks` and the initial sup sum M."""
         return {
             "initial_sup_sum": self.initial_sup_sum,
             "forcing_sup_max": self.forcing_sup_max,
@@ -264,15 +285,16 @@ class AuxiliaryTracker:
             "zvd_residual_max": self.zvd_residual_max,
             "grad_vd_max": self.grad_vd_max,
             "uhat_sup_max": self.uhat_sup_max,
-            "holder": {f"v_d:{g}": value for g, value in self.holder_max.items()},
         }
 
     def checks(self) -> list[CheckResult]:
         """The report's checks of the a priori bounds up to the last event's
         t: z_sup_bound (M + S, exact in arithmetic: each solve is a weighted
-        mean), b_range, uhat_nonnegative, uhat_below_d_zhat and
-        uhat_sup_bound (d (M + S) t), in that order.  The three u_hat checks
-        share one tolerance, relative to u_hat's bound d (M + S) t."""
+        mean), b_range, uhat_nonnegative, uhat_below_d_zhat,
+        uhat_sup_bound (d (M + S) t) and vd_gradient_interpolation (the
+        worst step's ratio to B(1, d, 0) sqrt(F osc v_d), at most 1), in
+        that order.  The three u_hat checks share one tolerance, relative
+        to u_hat's bound d (M + S) t."""
         z_bound = self.initial_sup_sum + self._source
         z_tol = _ENVELOPE_SLACK * z_bound
         lo = 1.0 / float(np.max(self.sys.diffusion)) * (1.0 - _B_TOL)
@@ -316,6 +338,15 @@ class AuxiliaryTracker:
                 bound=sup_bound,
                 tolerance=sup_tol,
             ),
+            CheckResult(
+                name="vd_gradient_interpolation",
+                passed=self.interpolation_max <= 1.0,
+                measured=self.interpolation_max,
+                bound=1.0,
+                tolerance=0.0,
+                detail="worst step of sup|grad v_d| / (B(1, d, 0) sqrt(F osc v_d))"
+                + _at(self.interpolation_t),
+            ),
         ]
 
 
@@ -355,6 +386,8 @@ class InvariantTracker:
     mass control on a domain of length L; both relative to M_n + M_{n+1},
     the envelope's plus dt L |K0(t_n)|.  positivity is the clamp's share
     C_{n+1} / (M_n + M_{n+1}), 0 where C is 0 or a total overflowed.
+    Each of the three keeps the t_{n+1} of its worst step in `ledger`, and
+    its detail names it.
 
     on_fold, if given, is called by every fold with the chunk's states
     before the block is reused: a (states, species + 3 + laws) view whose
@@ -371,9 +404,10 @@ class InvariantTracker:
         self.laws = []
         self.laws0 = []
         self.law_drift = [0.0] * len(sys.conservation_laws)
-        self.clamp_share = 0.0
-        self.envelope_excess = -math.inf
-        self.identity_error = 0.0
+        # Ledger check name -> (its worst step's value, that step's t); the
+        # t is None until a step sets the value.
+        self.ledger = {name: (0.0, None) for name in _LEDGER}
+        self.ledger["mass_envelope"] = (-math.inf, None)
         self.entropy_max = -math.inf
         n = sys.n_species
         self._weights = np.array(
@@ -456,12 +490,12 @@ class InvariantTracker:
                 identity = _relative(residual, scale, overflow)
                 envelope = _relative(excess, scale + np.abs(source), overflow)
                 share = np.where(overflow, 0.0, _relative(clamped, scale, overflow))
-                self.identity_error = _max(self.identity_error, _first_max(identity))
-                self.envelope_excess = _max(self.envelope_excess, _first_max(envelope))
-                self.clamp_share = _max(self.clamp_share, _first_max(share))
+                for name, values in zip(_LEDGER, (share, envelope, identity)):
+                    self.ledger[name] = _worst(*self.ledger[name], values, new[:, 0])
         if has_entropy.any():
-            entropy = _first_max(block[has_entropy, n + 2])
-            self.entropy_max = _max(self.entropy_max, entropy)
+            self.entropy_max, _ = _worst(
+                self.entropy_max, None, block[has_entropy, n + 2], block[has_entropy, 0]
+            )
         self._last = block[-1:].copy()
         self.total = float(totals[-1])
         self.laws = laws[-1].tolist()
@@ -480,16 +514,19 @@ class InvariantTracker:
         """
         self.fold()
         sys = self.sys
-        checks = [
-            CheckResult(
-                name="positivity",
-                passed=self.clamp_share <= _LEDGER_TOL,
-                measured=self.clamp_share,
+
+        def ledger(name: str) -> CheckResult:
+            value, t = self.ledger[name]
+            return CheckResult(
+                name=name,
+                passed=value <= _LEDGER_TOL,
+                measured=value,
                 bound=0.0,
                 tolerance=_LEDGER_TOL,
-                detail="worst step of C / (M_old + M_new), the mass the clamp added",
+                detail=f"worst step of {_LEDGER[name]}" + _at(t),
             )
-        ]
+
+        checks = [ledger("positivity")]
         for (label, _), law0, drift in zip(sys.conservation_laws, self.laws0, self.law_drift):
             measured = drift / max(abs(law0), _TOTAL_MASS_FLOOR)
             checks.append(
@@ -501,26 +538,7 @@ class InvariantTracker:
                     tolerance=_CONS_TOL,
                 )
             )
-        checks.append(
-            CheckResult(
-                name="mass_envelope",
-                passed=self.envelope_excess <= _LEDGER_TOL,
-                measured=self.envelope_excess,
-                bound=0.0,
-                tolerance=_LEDGER_TOL,
-                detail="worst step of M_new - C <= (1 + K1 dt) M_old + dt L K0, relative",
-            )
-        )
-        checks.append(
-            CheckResult(
-                name="mass_identity",
-                passed=self.identity_error <= _LEDGER_TOL,
-                measured=self.identity_error,
-                bound=0.0,
-                tolerance=_LEDGER_TOL,
-                detail="worst step of M_new = M_old + dt F_old + C, relative",
-            )
-        )
+        checks += [ledger("mass_envelope"), ledger("mass_identity")]
         if sys.entropy_nonpositive and self.entropy_max != -math.inf:
             checks.append(
                 CheckResult(

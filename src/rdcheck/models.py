@@ -372,6 +372,14 @@ class _Stream:
     """
 
     def __init__(self, seed: int, key: int):
+        # A float would take its integer part's samples, and numpy rejects
+        # the integers outside uint64 with an OverflowError.
+        if (
+            isinstance(seed, bool)
+            or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed <= 2**64 - 1
+        ):
+            raise ValueError(f"seed must be an integer in [0, 2^64 - 1], got {seed!r}")
         base = np.array([seed], dtype=np.uint64)
         _splitmix64(base, np.empty_like(base))
         # The counter of draw 0, mix(seed) + (key + 1) increments.
@@ -470,6 +478,9 @@ def check_structure(sys: ReactionSystem, seed: int) -> list[CheckResult]:
         the worst on the first violated face for quasi-positivity, the
         worst overall for mass control and growth.  Sampling never proves
         the inequalities; it can only falsify them.
+
+    Raises:
+        ValueError: on a seed that is not an integer in [0, 2^64 - 1].
     """
     n = sys.n_species
     stream = _Stream(seed, 0)
@@ -569,7 +580,8 @@ def verify_augmented(
         The three checks above, in that order.
 
     Raises:
-        ValueError: on a nonpositive or non-finite horizon.
+        ValueError: on a nonpositive or non-finite horizon, or a seed that
+            is not an integer in [0, 2^64 - 1].
     """
     if not np.isfinite(t_horizon) or t_horizon <= 0.0:
         raise ValueError(f"t_horizon must be finite and > 0, got {t_horizon}")

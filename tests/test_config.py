@@ -114,7 +114,7 @@ class TestHappyPaths:
     def test_all_sections(self):
         raw = base_quad()
         raw["transform"] = {"augment": True}
-        raw["diagnostics"] = {"enabled": True, "d": 5.0, "gammas": [0.5]}
+        raw["diagnostics"] = {"enabled": True, "d": 5.0}
         raw["fits"] = [
             {
                 "series": "mass_total",
@@ -129,7 +129,7 @@ class TestHappyPaths:
         cfg = validate_config(raw)
         assert cfg.augmented.name == cfg.system.name + "+mass-closure"
         assert cfg.augmented.n_species == 5
-        assert cfg.diagnostics == AuxiliaryConfig(d=5.0, gammas=(0.5,), z_offset=0.5)
+        assert cfg.diagnostics == AuxiliaryConfig(d=5.0, z_offset=0.5)
         assert cfg.fits == [
             {
                 "series": "mass_total",
@@ -159,15 +159,14 @@ class TestErrorCollection:
         raw["initial"][0] = {
             "type": "piecewise", "values": [1, -1, "x"], "breaks": [0.3, 0.2],
         }
-        raw["diagnostics"] = {"gammas": [2, -1]}
+        raw["diagnostics"] = {"enabled": "y"}
         raw["fits"] = [{"series": "mass_total", "window": [1, 0], "bias_correct": "y"}]
         errors = errors_from(raw)
         paths = [
             "initial[0].values[1]",
             "initial[0].values[2]",
             "initial[0].breaks[1]",
-            "diagnostics.gammas[0]",
-            "diagnostics.gammas[1]",
+            "diagnostics.enabled",
             "fits[0].window",
             "fits[0].bias_correct",
         ]
@@ -519,11 +518,6 @@ class TestDiagnosticsValidation:
         raw["diagnostics"] = {"enabled": True, "d": 0.8}
         assert_mentions(errors_from(raw), "largest is 1.0")
 
-    def test_gamma_range(self):
-        raw = base_quad()
-        raw["diagnostics"] = {"enabled": True, "d": 5.0, "gammas": [0.5, 1.5]}
-        assert_mentions(errors_from(raw), "diagnostics.gammas[1]")
-
     def test_enabled_must_be_boolean(self):
         raw = base_quad()
         raw["diagnostics"] = {"enabled": "yes", "d": 5.0}
@@ -763,7 +757,7 @@ def corpus_quad():
             "dt": 0.01, "t_end": 0.1, "record_every": 2,
             "positivity_floor": -1e-12, "max_step_halvings": 5,
         },
-        "diagnostics": {"enabled": True, "d": 5.0, "gammas": [0.25, 0.5]},
+        "diagnostics": {"enabled": True, "d": 5.0},
         "transform": {"augment": True},
         "fits": [
             {"series": "mass_total", "mode": "exponential", "window": [0.0, 0.1],
@@ -798,7 +792,7 @@ def corpus_custom():
 def corpus_skew():
     """A small-grid skew Lotka-Volterra config with diagnostics off."""
     raw = base_skew()
-    raw["diagnostics"] = {"enabled": False, "gammas": [0.5]}
+    raw["diagnostics"] = {"enabled": False}
     raw["fits"] = [{"series": "distance_to_equilibrium", "mode": "polynomial",
                     "window": [0.01, 0.05]}]
     raw["seed"] = 0

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from conftest import collected_run, hand_built_event, initial_event, quad_bump_state
+from test_falsifiers import checkerboard_v_d
 
 from rdcheck import (
     AuxiliaryConfig,
@@ -18,6 +20,9 @@ from rdcheck import (
     custom_polynomial,
     diagnostics,
     entropy_pointwise_worst,
+    grad_sup,
+    implicit_heat_step,
+    interpolation_constants,
     loglog_slope,
     quadratic_reversible,
     run_simulation,
@@ -82,16 +87,11 @@ def fed_events(sys, grid, events):
 class TestAuxiliaryConfig:
     def test_defaults(self):
         cfg = AuxiliaryConfig(d=5.0)
-        assert cfg.gammas == (0.25, 0.5)
         assert cfg.z_offset == 0.0
 
     def test_rejects_nonpositive_diffusion(self):
         with pytest.raises(ValueError, match="auxiliary diffusion"):
             AuxiliaryConfig(d=0.0)
-
-    def test_rejects_exponent_outside_unit_interval(self):
-        with pytest.raises(ValueError, match="Holder exponent"):
-            AuxiliaryConfig(d=5.0, gammas=(0.5, 1.5))
 
 
 class TestTrackerConstruction:
@@ -279,14 +279,63 @@ class TestRefinementShrinksResiduals:
         for coarse, fine in zip(maxima[32], maxima[64]):
             assert 1.5 <= coarse / fine <= 3.0
 
-    def test_holder_moduli_are_populated(self, quad_system):
+
+
+class TestGradientInterpolation:
+    """vd_gradient_interpolation: at every step, sup|grad v_d| against
+    B(1, d, 0) sqrt(F osc v_d), F the largest forcing sup of the states
+    before it."""
+
+    @staticmethod
+    def oracle(sys, grid, d, events):
+        """(worst ratio, its t) from the events, with v_d solved alone."""
+        gaps = d - np.asarray(sys.diffusion)
+        b = interpolation_constants(1, d, 0.0).b
+        v_d = np.zeros(grid.n_cells)
+        forcing_max, worst, worst_t = -math.inf, 0.0, None
+        for event in events:
+            if event.index:
+                v_d = implicit_heat_step(v_d, grid, d, event.dt, forcing)
+            gradient = grad_sup(v_d, grid.h)
+            if gradient:
+                ratio = gradient / (b * math.sqrt(forcing_max * np.ptp(v_d)))
+                if ratio > worst:
+                    worst, worst_t = ratio, event.t_new
+            forcing = np.tensordot(gaps, event.u_new, axes=1)
+            forcing_max = max(forcing_max, float(np.max(np.abs(forcing))))
+        return worst, worst_t
+
+    def test_every_step_against_a_per_step_oracle(self, quad_system):
         grid = Grid1D(32, 1.0)
-        state = grid, quad_bump_state(grid)
+        u0 = quad_bump_state(grid)
+        tracker = AuxiliaryTracker(quad_system, grid, AuxiliaryConfig(d=5.0))
+        events = []
+        cfg = SolverConfig(dt=5e-3, t_end=0.1, record_every=4)
+        run_simulation(quad_system, grid, u0, cfg, hooks=[tracker.on_step, events.append])
+        worst, worst_t = self.oracle(quad_system, grid, 5.0, events)
+        check = by_name(tracker.checks())["vd_gradient_interpolation"]
+        assert check.passed and check.bound == 1.0
+        assert 0.0 < check.measured == pytest.approx(worst, rel=1e-9)
+        assert tracker.interpolation_t == worst_t
+        assert check.detail.endswith(f", at t = {worst_t!r}")
+
+    def test_zero_v_d_reads_zero(self, quad_system):
+        state = constant_state(Grid1D(8, 1.0), [1.0] * 4)
+        tracker = started_tracker(quad_system, state, AuxiliaryConfig(d=5.0))
+        check = by_name(tracker.checks())["vd_gradient_interpolation"]
+        assert check.passed and check.measured == 0.0
+        assert "at t" not in check.detail
+
+    def test_a_grid_scale_oscillation_fails(self, quad_system, monkeypatch):
+        checkerboard_v_d(monkeypatch)
+        grid = Grid1D(32, 1.0)
         tracker, _ = tracked_run(
-            quad_system, state, AuxiliaryConfig(d=5.0), dt=5e-3, t_end=0.1
+            quad_system, (grid, quad_bump_state(grid)), AuxiliaryConfig(d=5.0),
+            dt=5e-3, t_end=0.05,
         )
-        assert set(tracker.holder_max) == {0.25, 0.5}
-        assert all(v > 0.0 for v in tracker.holder_max.values())
+        check = by_name(tracker.checks())["vd_gradient_interpolation"]
+        assert not check.passed
+        assert check.measured > 1.0
 
 
 class TestUhatFailureBranches:
@@ -558,6 +607,11 @@ def running_max(a, b):
     return b if b > a or b != b else a
 
 
+def replaces(value, best):
+    """Whether value is a new running maximum: larger, or the first NaN."""
+    return value > best or (value != value and best == best)
+
+
 def _ratio(value, scale):
     """A step's relative value, as the tracker forms it: 0 when value is 0."""
     if value == 0.0:
@@ -569,11 +623,13 @@ def _ratio(value, scale):
 def per_state_measurements(sys, grid, states):
     """The measured value of each InvariantTracker check, keyed by name,
     from a loop over the (event, entropy) states with the tracker's
-    per-state formulas."""
+    per-state formulas; and the t of the step that set each ledger
+    check's value, None where no step did."""
     floor = 1e-12
     laws0 = None
     drift = [0.0] * len(sys.conservation_laws)
     share, excess, identity, entropy_max = 0.0, -math.inf, 0.0, -math.inf
+    worst_t = {"positivity": None, "mass_envelope": None, "mass_identity": None}
     old = None
     for event, entropy in states:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -596,6 +652,13 @@ def per_state_measurements(sys, grid, states):
                 bound = (1.0 + sys.k1 * dt) * m_old
                 miss = _ratio(residual, m_old + total)
                 gap = _ratio(total - bound - source - clamped, m_old + total + abs(source))
+            for name, value, best in (
+                ("mass_identity", miss, identity),
+                ("mass_envelope", gap, excess),
+                ("positivity", clamp, share),
+            ):
+                if replaces(value, best):
+                    worst_t[name] = event.t_new
             identity = running_max(identity, miss)
             excess = running_max(excess, gap)
             share = running_max(share, clamp)
@@ -607,7 +670,7 @@ def per_state_measurements(sys, grid, states):
         measured[f"conservation[{label}]"] = d / max(abs(v0), floor)
     if sys.entropy_nonpositive and entropy_max != -math.inf:
         measured["entropy_dissipation"] = entropy_max
-    return measured
+    return measured, worst_t
 
 
 def random_states(system, grid, count, kind):
@@ -702,8 +765,9 @@ class TestFoldBoundaries:
                 assert repr(inv.laws) == repr(laws)
         first = inv.checks()
         measured = {c.name: repr(c.measured) for c in first}
-        expected = per_state_measurements(system, self.grid, states)
+        expected, worst_t = per_state_measurements(system, self.grid, states)
         assert measured == {name: repr(v) for name, v in expected.items()}
+        assert {name: t for name, (_, t) in inv.ledger.items()} == worst_t
         self.assert_views_are_the_states(system, states, views)
         verdicts = {c.name: c.passed for c in first}
         ledger = ("mass_envelope", "mass_identity")
@@ -770,9 +834,13 @@ class TestPositivityCheck:
         checks = self.fed_clamps(
             quad_system, [([1.0] * 4, [0.0] * 4), ([1.5, 1.0, 1.0, 1.0], [0.5, 0.0, 0.0, 0.0])]
         )
-        # C = 0.5 against M_old + M_new = 4 + 4.5.
+        # C = 0.5 against M_old + M_new = 4 + 4.5, at the second step.
         assert not checks["positivity"].passed
         assert checks["positivity"].measured == 0.5 / 8.5
+        assert re.fullmatch(
+            r"worst step of C / \(M_old \+ M_new\), the mass the clamp added, at t = 0\.2",
+            checks["positivity"].detail,
+        )
         assert checks["positivity"].tolerance == 1e-12
         assert checks["mass_identity"].passed
 
@@ -780,6 +848,8 @@ class TestPositivityCheck:
         checks = self.fed_clamps(quad_system, [([1.0] * 4, [0.0] * 4)] * 3)
         assert checks["positivity"].passed
         assert checks["positivity"].measured == 0.0
+        # No step set the measurement, so the detail names none.
+        assert "at t" not in checks["positivity"].detail
 
     def test_an_overflowed_total_reads_zero(self, quad_system):
         # The ledger checks fail on it; positivity does not read it.
@@ -819,6 +889,7 @@ class TestReportOrder:
                     "uhat_nonnegative",
                     "uhat_below_d_zhat",
                     "uhat_sup_bound",
+                    "vd_gradient_interpolation",
                 ],
             ),
         ],

@@ -72,7 +72,7 @@ def test_readme_library_use_names_only_exports():
             assert span in exports or span in others, span
             named.add(span)
     # The section does name the run's entry points and lower-level pieces.
-    assert {"run_simulation", "Grid1D", "grad_sup", "holder_modulus"} <= named
+    assert {"run_simulation", "Grid1D", "grad_sup"} <= named
 
 
 def test_solve_boundaries_stay_module_attributes():
@@ -80,7 +80,6 @@ def test_solve_boundaries_stay_module_attributes():
     # that call them; under another name their timings would read zero.
     assert rdcheck.solver.implicit_heat_step is rdcheck.implicit_heat_step
     assert rdcheck.diagnostics.implicit_heat_step is rdcheck.implicit_heat_step
-    assert rdcheck.diagnostics.holder_modulus is rdcheck.holder_modulus
     assert rdcheck.solver.imex_step is rdcheck.imex_step
     assert rdcheck.experiment.check_structure is rdcheck.check_structure
     assert rdcheck.experiment.verify_augmented is rdcheck.verify_augmented

@@ -9,8 +9,10 @@ that the failure comes from the named check and not from the run at large.
 
 import json
 
+import numpy as np
 import pytest
 
+import rdcheck.diagnostics
 import rdcheck.solver
 from rdcheck.cli import main
 from test_experiment import quad_raw
@@ -28,6 +30,20 @@ def leaky_boundary(monkeypatch):
         return out
 
     monkeypatch.setattr(rdcheck.solver, "implicit_heat_step", leaky)
+
+
+def checkerboard_v_d(monkeypatch):
+    """A tracker solve that adds 0.1 max|v_d| (-1)^j to v_d's row: a
+    grid-scale oscillation that the heat flow would have damped, while z
+    and u_hat stay right."""
+    real = rdcheck.diagnostics.implicit_heat_step
+
+    def rough(values, grid, *args, **kwargs):
+        out = real(values, grid, *args, **kwargs)
+        out[0] += 0.1 * np.max(np.abs(out[0])) * (-1.0) ** np.arange(grid.n_cells)
+        return out
+
+    monkeypatch.setattr(rdcheck.diagnostics, "implicit_heat_step", rough)
 
 
 def mass_source_above_the_audit_box():
@@ -75,6 +91,9 @@ def clamped_to_zero_every_step():
 
 
 STRUCTURE = ("structure_quasi_positivity", "structure_mass_control", "structure_growth")
+AUXILIARY = (
+    "z_sup_bound", "b_range", "uhat_nonnegative", "uhat_below_d_zhat", "uhat_sup_bound",
+)
 
 # Check name -> (config, program defect or None, checks that still pass).
 FALSIFIERS = {
@@ -84,6 +103,9 @@ FALSIFIERS = {
     ),
     "positivity": (
         clamped_to_zero_every_step(), None, STRUCTURE + ("mass_envelope", "mass_identity"),
+    ),
+    "vd_gradient_interpolation": (
+        quad_raw(grid={"n_cells": 64, "length": 1.0}), checkerboard_v_d, AUXILIARY,
     ),
 }
 

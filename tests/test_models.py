@@ -477,6 +477,17 @@ class TestAuditStream:
         augmented = _Stream(1, 1).uniform(0.0, 1.0, 100000)
         assert np.intersect1d(structure, augmented).size == 0
 
+    @pytest.mark.parametrize("seed", [1.5, -1, MASK64 + 1, True, "1", None])
+    @pytest.mark.parametrize("audit", ["structure", "augmented"])
+    def test_audits_reject_a_seed_outside_uint64(self, quad_system, seed, audit):
+        # 1.5 would take seed 1's samples; -1 and 2^64 would reach numpy's
+        # OverflowError.
+        with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
+            if audit == "structure":
+                check_structure(quad_system, seed)
+            else:
+                verify_augmented(augment_system(quad_system), seed)
+
 
 class TestMassSource:
     def test_zero_source(self, quad_system):
