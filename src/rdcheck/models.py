@@ -307,12 +307,13 @@ def augment_system(base: ReactionSystem) -> ReactionSystem:
 
     def evaluate(w: np.ndarray, t: float) -> np.ndarray:
         scale = np.exp(k1 * t)
-        u = scale * w[:n]
-        f = np.asarray(base_eval(u, t), dtype=np.float64)
-        g_head = f / scale - k1 * w[:n]
-        head_sum = np.sum(g_head, axis=0)
-        g_tail = k0 / scale - head_sum
-        return np.concatenate([g_head, g_tail[None]], axis=0)
+        f = np.asarray(base_eval(scale * w[:n], t), dtype=np.float64)
+        # g in one new array: the head f / scale - K1 w, then the tail.
+        g = np.empty((n + 1,) + f.shape[1:])
+        head = np.divide(f, scale, out=g[:n])
+        head -= k1 * w[:n]
+        g[n] = k0 / scale - np.sum(head, axis=0)
+        return g
 
     return ReactionSystem(
         name=f"{base.name}+mass-closure",

@@ -42,33 +42,43 @@ divided by its row sum, which keeps every intermediate below the row's
 own size.  One build pass makes both kinds of block inverse, the first
 block's (a zero-flux end) and every other block's.
 
-Microseconds per call with a warm cache, one BLAS thread, on a 2-vCPU
-x86-64 guest (median of three runs), for ladder-like stacks of four species
-per level, and milliseconds to build one cache entry:
+Microseconds per `imex_step` call of the four-species quad system with a
+warm cache, one BLAS thread, on a 2-vCPU x86-64 guest (median of three
+runs), for ladders of 1, 4 and 21 levels (4 / 16 / 84 rows), and
+milliseconds for the first call, which builds the entry:
 
-    cells       4 rows    16 rows    84 rows    build (4 / 16 / 84 rows)
-      128           28         40         97    0.4 / 0.3 / 0.6 ms
-     1024           45        100       1202    0.7 / 0.9 / 2.5 ms
-     4096          107        452       5310    1.5 / 2.3 / 8.5 ms
+    cells       4 rows    16 rows    84 rows    first call (4 / 16 / 84 rows)
+      128           28         44        116    0.6 / 0.6 / 1.1 ms
+     1024           55        113        644    1.0 / 1.8 / 5.3 ms
+     4096          122        516       2832    1.7 / 3.0 / 17.5 ms
 
 The one-block limit is measured the same way, one product against blocks
-forced onto the grid: 7 / 15 / 134 against 42 / 54 / 123 µs at 64 cells
-(4 / 16 / 84 rows), 17 / 73 / 536 against 46 / 66 / 170 µs at 128 cells.
+forced onto the grid: 8 / 18 / 117 against 27 / 33 / 73 µs at 64 cells
+(4 / 16 / 84 rows), 13 / 68 / 482 against 28 / 44 / 116 µs at 128 cells.
 The product reads rows * n^2 * 8 bytes, so it loses from 128 cells on.
 
-The inverses are cached, so a run's repeated step sizes cost no setup:
-the last three stacks with one s per row (one per ladder depth and start
-rung) and, apart from them, the last two single-s matrices (the tracker's
-step).  One entry holds n^2 floats per row up to 64 cells (32 KB at 64
-cells) and about 3n floats per row above: two block inverses, the
-separator inverse and a few columns, 99 KB per row at 4096 cells, so 0.4
-MB for one four-species level and 8.3 MB for 84 rows.  Every step size is
+The factors are cached, so a run's repeated step sizes cost no setup.
+The last three ladders (one per start rung and depth) are held whole:
+under the key (cells, h, the system's diffusion, the dts tuple) an entry
+holds the ladder's (m, 1, 1) step column and the factors of its
+m * species rows.  A hit costs the key and one dict lookup, about 0.6 µs;
+`imex_step` then forms the right-hand side and calls the solve kernel,
+without re-deriving the steps, the rows' s = dt_l d_i / h^2 or their
+bytes (17 µs for a four-level call at 64 cells, against 25 µs when each
+call derived them).  `implicit_heat_step`'s stacks with one s per row
+share that cache under the key (cells, shape, s bytes); apart from them,
+the last two single-s matrices (the tracker's step) are cached.  One entry
+holds n^2 floats per row up to 64 cells (32 KB at 64 cells) and about 3n
+floats per row above: two block inverses, the separator inverse and a few
+columns, 99 KB per row at 4096 cells, so 0.4 MB for one four-species level
+and 8.3 MB for 84 rows.  Every step size is
 a rung of dt, so on eight augmented skew runs of 32 to 64 cells (dt 0.1
 to 1, initial amplitudes 5 to 200, diagnostics on and off) these sizes
 build each key once, but for a one-level ladder of the first step that a
 step of the last dt solves again: 10 builds in 961 solves on
-skew-stiff-aug, 17 in 2064 at dt = 0.3 with diagnostics on.  Four stacks
-build as often; two build 53 times at dt = 0.3, one single-s matrix 30.
+skew-stiff-aug, 17 in 2064 at dt = 0.3 with diagnostics on.  Four
+ladders build as often; two build 53 times at dt = 0.3, one single-s
+matrix 30.
 
 Time is a count of ticks, the finest rung dt / 2^max_step_halvings, and t
 is the count times the tick, rounded once.  Each step starts at the
@@ -89,7 +99,9 @@ dt_l d_i and source dt_l f.  Every row is solved on its own, so each
 level is bitwise the trial the sequential halvings would solve; the first
 level that is finite and above the floor is accepted.  A ladder runs from
 the step's start rung down to the previous step's accepted rung, and one
-that fails at every level is followed by one as deep.
+that fails at every level is followed by one as deep.  The run keeps one
+dts tuple per (start rung, depth), so each ladder's cache key is made of
+the same tuple every time.
 
 The run loop works on one float64 (species, cells) array from start to
 end, starting from a checked, read-only copy of the u0 it is given.  No
@@ -392,28 +404,27 @@ _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
 
 class _InverseCache:
-    """The last `maxsize` results of `_factorize`, least recently used
-    dropped first.  Unlike functools.lru_cache, the oldest entry is dropped
-    before a new one is built, so a build never holds more than maxsize
-    entries."""
+    """The last `maxsize` entries built by `build(*args)` for their key,
+    least recently used dropped first.  Unlike functools.lru_cache, the
+    oldest entry is dropped before a new one is built, so a build never
+    holds more than maxsize entries."""
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self._entries: dict = {}
         self.hits = self.misses = 0
 
-    def __call__(self, n: int, shape: tuple, s: bytes) -> np.ndarray:
-        key = (n, shape, s)
-        inverse = self._entries.pop(key, None)
-        if inverse is None:
+    def __call__(self, key: tuple, build: Callable, *args):
+        entry = self._entries.pop(key, None)
+        if entry is None:
             self.misses += 1
             if len(self._entries) == self.maxsize:
                 del self._entries[next(iter(self._entries))]
-            inverse = _factorize(n, shape, s)
+            entry = build(*args)
         else:
             self.hits += 1
-        self._entries[key] = inverse
-        return inverse
+        self._entries[key] = entry
+        return entry
 
     def cache_info(self) -> _CacheInfo:
         return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._entries))
@@ -423,15 +434,25 @@ class _InverseCache:
         self.hits = self.misses = 0
 
 
-# A run solves with a few distinct s rows: one stack per ladder depth and
-# start rung, and, with diagnostics on, the tracker's single s.  The two
-# kinds are cached apart, so the tracker's matrix never evicts a ladder's
-# stack; the module docstring has the measured traffic behind the sizes.
-# Merging them does not pay: on the eight augmented skew runs, one shared
-# cache of 5 entries builds 19 times against 17 at dt = 0.3 with diagnostics
-# on, and one of 4 entries 83 times.
+# A run solves with a few distinct s rows: one ladder per start rung and
+# depth, and, with diagnostics on, the tracker's single s.  The two kinds
+# are cached apart, so the tracker's matrix never evicts a ladder; the
+# module docstring has the measured traffic behind the sizes.  Merging them
+# does not pay: on the eight augmented skew runs, one shared cache of 5
+# entries builds 19 times against 17 at dt = 0.3 with diagnostics on, and
+# one of 4 entries 83 times.  `_inverse_stacks` holds `imex_step`'s ladders
+# and `implicit_heat_step`'s stacks with one s per row, under keys of
+# different lengths.
 _inverse_stacks = _InverseCache(3)
 _inverse = _InverseCache(2)
+
+
+def _solve(factors, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - s h^2 L) x = rhs row-wise with factors from `_factorize`:
+    the product with the inverse on one block, else the block solve."""
+    if isinstance(factors, _Blocks):
+        return _block_solve(rhs, factors)
+    return np.matmul(factors, rhs[..., None])[..., 0]
 
 
 def implicit_heat_step(
@@ -471,10 +492,19 @@ def implicit_heat_step(
         r = r[:, None]
     s = r / (grid.h * grid.h)
     cache = _inverse_stacks if s.ndim else _inverse
-    factors = cache(grid.n_cells, s.shape, s.tobytes())
-    if grid.n_cells <= DENSE_MAX_CELLS:
-        return np.matmul(factors, rhs[..., None])[..., 0]
-    return _block_solve(rhs, factors)
+    key = (grid.n_cells, s.shape, s.tobytes())
+    return _solve(cache(key, _factorize, *key), rhs)
+
+
+def _ladder(grid: Grid1D, diffusion: np.ndarray, dts: tuple) -> tuple:
+    """(steps, factors) of one ladder: its step sizes as an (m, 1, 1)
+    column and the factors of its (m * species) rows, row l * species + i
+    with s = dts[l] d_i / h^2."""
+    steps = np.asarray(dts, dtype=np.float64)[:, None]
+    if steps.min() <= 0.0:
+        raise ValueError(f"dt must be > 0, got {dts}")
+    s = (steps * diffusion).reshape(-1, 1) / (grid.h * grid.h)
+    return steps[..., None], _factorize(grid.n_cells, s.shape, s.tobytes())
 
 
 def imex_step(
@@ -485,10 +515,12 @@ def imex_step(
     is f, one per step size in dts.
 
     No positivity handling (see run_simulation).  All step sizes and all
-    species go through one `implicit_heat_step` call, each row with its own
-    diffusion coefficient; level l of the result is bitwise the step with
-    dts[l] alone.  A level whose source or solve overflowed, or whose f is
-    not finite, comes back non-finite, without a warning.
+    species are one stack of rows, each with its own diffusion coefficient,
+    solved by one call of the solve kernel `implicit_heat_step` uses; level
+    l of the result is bitwise the step with dts[l] alone.  The ladder's
+    step column and factors are cached under (cells, h, the system's
+    diffusion, dts).  A level whose source or solve overflowed, or whose f
+    is not finite, comes back non-finite, without a warning.
 
     Returns:
         The (len(dts), species, cells) stack of the new arrays after each
@@ -504,15 +536,12 @@ def imex_step(
         )
     if f.shape != u.shape:
         raise ValueError(f"reaction has shape {f.shape}, state has shape {u.shape}")
-    steps = np.asarray(dts, dtype=np.float64)[:, None]
-    if steps.min() <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dts}")
+    dts = tuple(dts)
+    key = (grid.n_cells, grid.h, sys.diffusion.tobytes(), dts)
+    steps, factors = _inverse_stacks(key, _ladder, grid, sys.diffusion, dts)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = implicit_heat_step(
-            (u + steps[..., None] * f).reshape(-1, u.shape[1]), grid,
-            (steps * sys.diffusion).reshape(-1), 1.0,
-        )
-    return rows.reshape(len(steps), *u.shape)
+        rows = _solve(factors, (u + steps * f).reshape(-1, u.shape[1]))
+    return rows.reshape(len(dts), *u.shape)
 
 
 def _exhausted(trial: np.ndarray, t: float, dt: float, halvings: int):
@@ -567,7 +596,7 @@ def row_norms(u: np.ndarray, h: float) -> tuple:
     summation order, so they are bit-reproducible.  A mass that overflows
     is inf; the mass checks fail on it.
     """
-    return np.max(np.abs(u), axis=1), np.add.accumulate(u, axis=1)[:, -1] * h
+    return np.maximum.reduce(np.abs(u), axis=1), np.add.accumulate(u, axis=1)[:, -1] * h
 
 
 def run_simulation(
@@ -619,12 +648,14 @@ def run_simulation(
     count = index = rung = 0
     t = dt_step = 0.0
     clamped = no_clamp = np.zeros(sys.n_species)
+    # (start rung, depth) -> the ladder's step sizes, one tuple each.
+    ladders = {}
     while True:
         # An overflow is inf or nan: the next trial fails, as do mass checks.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f = np.asarray(sys.evaluator(u, t), dtype=np.float64)
             sup_norms, masses = row_norms(u, grid.h)
-            flux = f.sum() * grid.h
+            flux = np.add.reduce(f, axis=None) * grid.h
         f.flags.writeable = False
         done = count == end
         event = StepEvent(
@@ -650,13 +681,20 @@ def run_simulation(
         depth = max(1, rung + 1 - level)
         while True:
             # Levels level .. level + depth - 1 from one imex_step call.
-            last = min(level + depth, halvings + 1)
-            dts = [math.ldexp(cfg.dt, -k) for k in range(level, last)]
-            dts = dts or [left * num / scale]
+            if level > halvings:
+                dts = (left * num / scale,)
+            else:
+                dts = ladders.get((level, depth))
+                if dts is None:
+                    last = min(level + depth, halvings + 1)
+                    dts = tuple(math.ldexp(cfg.dt, -k) for k in range(level, last))
+                    ladders[level, depth] = dts
             trials = imex_step(u, f, grid, sys, dts)
             # A NaN or an infinite value fails one of the two comparisons.
-            lows = trials.min(axis=(1, 2))
-            passed = (lows >= cfg.positivity_floor) & (trials.max(axis=(1, 2)) < np.inf)
+            lows = np.minimum.reduce(trials, axis=(1, 2))
+            passed = (lows >= cfg.positivity_floor) & (
+                np.maximum.reduce(trials, axis=(1, 2)) < np.inf
+            )
             if passed.any():
                 first = int(np.argmax(passed))
                 # The accepted level, clamped, in its own array: the stack

@@ -172,6 +172,15 @@ def thomas_heat_step(values, grid, diffusion, dt, source=None):
     return out.reshape(u.shape)
 
 
+def thomas_imex_step(u, f, grid, sys, dts):
+    """Reference for `imex_step`: each level by `thomas_heat_step`, with
+    row diffusion dt_l d_i and source dt_l f."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([
+            thomas_heat_step(u + dt * f, grid, dt * sys.diffusion, 1.0) for dt in dts
+        ])
+
+
 def sequential_steps(system, grid, u0, cfg, trials=None):
     """Reference for run_simulation's halving ladders: one trial at a time,
     each the single-step formula (I - dt d_i L) u_new = u + dt f(u, t) with

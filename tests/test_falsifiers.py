@@ -20,16 +20,24 @@ from test_experiment import quad_raw
 EXIT_CHECK_FAILED = 1
 
 
+# A program defect patches the seam it breaks and returns the step sizes of
+# the calls it altered, which must not stay empty: a seam the run no longer
+# calls would turn its row into a silent pass.
+
+
 def leaky_boundary(monkeypatch):
-    """A solve that loses a thousandth of every row's last cell."""
-    real = rdcheck.solver.implicit_heat_step
+    """A ladder solve that loses a thousandth of every row's last cell."""
+    real = rdcheck.solver.imex_step
+    calls = []
 
     def leaky(*args, **kwargs):
         out = real(*args, **kwargs)
         out[..., -1] *= 1.0 - 1e-3
+        calls.append(args[-1])
         return out
 
-    monkeypatch.setattr(rdcheck.solver, "implicit_heat_step", leaky)
+    monkeypatch.setattr(rdcheck.solver, "imex_step", leaky)
+    return calls
 
 
 def checkerboard_v_d(monkeypatch):
@@ -37,13 +45,16 @@ def checkerboard_v_d(monkeypatch):
     grid-scale oscillation that the heat flow would have damped, while z
     and u_hat stay right."""
     real = rdcheck.diagnostics.implicit_heat_step
+    calls = []
 
     def rough(values, grid, *args, **kwargs):
         out = real(values, grid, *args, **kwargs)
         out[0] += 0.1 * np.max(np.abs(out[0])) * (-1.0) ** np.arange(grid.n_cells)
+        calls.append(args[1])
         return out
 
     monkeypatch.setattr(rdcheck.diagnostics, "implicit_heat_step", rough)
+    return calls
 
 
 def mass_source_above_the_audit_box():
@@ -123,11 +134,12 @@ def verdicts(out):
 @pytest.mark.parametrize("check", sorted(FALSIFIERS))
 def test_falsifier_fails_its_check(check, tmp_path, monkeypatch, capsys):
     raw, defect, passing = FALSIFIERS[check]
-    if defect is not None:
-        defect(monkeypatch)
+    altered = defect(monkeypatch) if defect is not None else None
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     assert main(["verify", str(path)]) == EXIT_CHECK_FAILED
+    if defect is not None:
+        assert altered, "the defect's seam was never called"
     found = verdicts(capsys.readouterr().out)
     assert found[check] is False
     assert all(found[name] for name in passing)

@@ -8,11 +8,13 @@ scales exactly, so a verifier whose checks are free of units gives the
 same verdicts and the same step sequence, and every mass and sup column
 scales bitwise.
 
-Only the quad case is here.  The augmented skew case fails its positivity
-check at lam = 2^-30 and aborts at 2^30, because the solver's positivity
-floor is an absolute -1e-12, and its sampled augmented quasi-positivity
-audit fails at 2^10 and 2^30 on the absolute 1 in its tolerance.  It waits
-for a floor relative to the state, and for exact structure certificates.
+Two cases are here: the quad run and a heat-only run of two species with
+no reaction, which exercises the tracker's bounds with f = 0.  The
+augmented skew case fails its positivity check at lam = 2^-30 and aborts
+at 2^30, because the solver's positivity floor is an absolute -1e-12, and
+its sampled augmented quasi-positivity audit fails at 2^10 and 2^30 on the
+absolute 1 in its tolerance.  It waits for a floor relative to the state,
+and for exact structure certificates.
 """
 
 import copy
@@ -29,6 +31,29 @@ def quad_case():
         grid={"n_cells": 64, "length": 1.0},
         solver={"dt": 1e-3, "t_end": 0.05},
     )
+
+
+def heat_only_case():
+    """Two species, terms [[], []]: a 0.77 bump and a 0.5 constant that
+    only diffuse."""
+    return {
+        "model": {
+            "custom": {"n_species": 2, "terms": [[], []], "k0": 0.0, "k1": 0.0,
+                       "k": 1.0, "eps": 0.0},
+            "diffusion": [0.5, 0.25],
+        },
+        "grid": {"n_cells": 64, "length": 1.0},
+        "initial": [
+            {"type": "gaussian", "center": 0.5, "width": 0.1, "amplitude": 0.77},
+            {"type": "constant", "value": 0.5},
+        ],
+        "solver": {"dt": 1e-3, "t_end": 0.05},
+        "diagnostics": {"enabled": True, "d": 0.8},
+    }
+
+
+CASES = {"quad": quad_case, "heat_only": heat_only_case}
+SCALES = [2.0**-30, 2.0**-10, 2.0**10, 2.0**30]
 
 
 def rescaled(raw, lam):
@@ -49,13 +74,23 @@ def verdicts(report):
 
 
 @pytest.fixture(scope="module")
-def original():
-    return run_experiment(validate_config(quad_case()))
+def originals():
+    """case name -> its run at lam = 1, made once for the module."""
+    return {name: run_experiment(validate_config(case())) for name, case in CASES.items()}
 
 
-@pytest.mark.parametrize("lam", [2.0**-30, 2.0**-10, 2.0**10, 2.0**30])
-def test_quad_run_rescales_exactly(original, lam):
-    scaled = run_experiment(validate_config(rescaled(quad_case(), lam)))
+@pytest.mark.parametrize("lam", SCALES)
+def test_quad_run_rescales_exactly(originals, lam):
+    assert_rescales_exactly("quad", originals["quad"], lam)
+
+
+@pytest.mark.parametrize("lam", SCALES)
+def test_heat_only_run_rescales_exactly(originals, lam):
+    assert_rescales_exactly("heat_only", originals["heat_only"], lam)
+
+
+def assert_rescales_exactly(case, original, lam):
+    scaled = run_experiment(validate_config(rescaled(CASES[case](), lam)))
     assert scaled.report["overall"] == original.report["overall"] == "pass"
     assert verdicts(scaled.report) == verdicts(original.report)
     assert "vd_gradient_interpolation" in verdicts(scaled.report)

@@ -13,6 +13,7 @@ from conftest import (
     sequential_steps,
     solve_tridiagonal,
     thomas_heat_step,
+    thomas_imex_step,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -517,7 +518,7 @@ def skew_tails_against_thomas(monkeypatch, n_cells, t_end, n_steps):
         return steps
 
     solved = run()
-    monkeypatch.setattr(rdcheck.solver, "implicit_heat_step", thomas_heat_step)
+    monkeypatch.setattr(rdcheck.solver, "imex_step", thomas_imex_step)
     thomas = run()
     assert len(solved) == len(thomas) == n_steps + 1
     for (dt_a, a), (dt_b, b) in zip(solved, thomas):
@@ -587,6 +588,46 @@ class TestImexStep:
         grid, u = constant_state(Grid1D(8, 1.0), 1.0)
         with pytest.raises(ValueError, match="dt"):
             stepped(u, grid, heat_only(), [0])
+
+    def test_ladders_are_keyed_on_cells_h_diffusion_and_steps(self, quad_system):
+        # More distinct ladders than the cache holds, among them the same
+        # dts with two diffusions and two grids of 64 cells but different
+        # lengths.  Each is solved again while it is still cached, once
+        # with its dts as a list: every solve is bitwise the one from an
+        # empty cache, and each ladder is built once.
+        stacks = rdcheck.solver._inverse_stacks
+        faster = dataclasses.replace(quad_system, diffusion=2.0 * quad_system.diffusion)
+        ladders = [
+            (Grid1D(64, 1.0), quad_system, (0.1, 0.05)),
+            (Grid1D(64, 1.0), faster, (0.1, 0.05)),
+            (Grid1D(64, 2.0), quad_system, (0.1, 0.05)),
+            (Grid1D(64, 1.0), quad_system, (0.05,)),
+            (Grid1D(ABOVE_CROSSOVER, 1.0), quad_system, (0.1, 0.05)),
+            (Grid1D(64, 1.0), quad_system, (0.1, 0.05, 0.025)),
+        ]
+        assert len(ladders) > stacks.maxsize
+        rng = np.random.default_rng(3)
+        states = {n: rng.uniform(0.0, 2.0, size=(4, n)) for n in (64, ABOVE_CROSSOVER)}
+
+        def solve(i, as_list=False):
+            grid, sys, dts = ladders[i]
+            u = states[grid.n_cells]
+            return imex_step(u, np.sin(u), grid, sys, list(dts) if as_list else dts)
+
+        expect = []
+        for i in range(len(ladders)):
+            stacks.cache_clear()
+            expect.append(solve(i))
+        stacks.cache_clear()
+        order = [0, 1, 0, 2, 1, 3, 2, 4, 3, 5, 4, 5]
+        for turn, i in enumerate(order):
+            got = solve(i, as_list=turn % 2 == 0)
+            assert got.shape == expect[i].shape
+            assert got.tobytes() == expect[i].tobytes(), (turn, i)
+        info = stacks.cache_info()
+        assert info.misses == len(ladders)
+        assert info.hits == len(order) - len(ladders)
+        assert info.currsize == stacks.maxsize
 
 
 class TestRunSimulationValidation:

@@ -81,6 +81,61 @@ class TestAugmentSystem:
         np.testing.assert_array_equal(a, b)
 
 
+def concatenated_closure(base):
+    """The closure evaluator as it was first written, head and tail joined
+    by np.concatenate: the reference for augment_system's evaluator."""
+    n, k0, k1 = base.n_species, base.k0, base.k1
+
+    def evaluate(w, t):
+        scale = np.exp(k1 * t)
+        u = scale * w[:n]
+        f = np.asarray(base.evaluator(u, t), dtype=np.float64)
+        g_head = f / scale - k1 * w[:n]
+        head_sum = np.sum(g_head, axis=0)
+        g_tail = k0 / scale - head_sum
+        return np.concatenate([g_head, g_tail[None]], axis=0)
+
+    return evaluate
+
+
+class TestClosureEvaluator:
+    """augment_system's evaluator writes g into one new array; it is bitwise
+    the concatenated form, on the points the audits and tests pass and on
+    the (species, cells) arrays of a run."""
+
+    @pytest.mark.parametrize("k1", [-0.7, 0.0, 1.3])
+    def test_bitwise_equal_to_the_concatenated_form(self, k1):
+        # A constant source, a product and a decay per species, with k0 > 0
+        # so the tail's source term is not zero.
+        base = custom_polynomial(
+            [1.0, 2.0],
+            [[(0.5, (0, 0)), (1.0, (1, 1))], [(-1.0, (1, 1)), (-2.0, (0, 1))]],
+            0.5, k1, 1.0, 0.0,
+        )
+        closed = augment_system(base).evaluator
+        reference = concatenated_closure(base)
+        rng = np.random.default_rng(8)
+        state = rng.uniform(0.0, 3.0, size=(3, 64))
+        times = rng.uniform(0.0, 2.0, size=64)
+        cases = [(state[:, 0], 0.4), (state[:, 1], 0.0), (state, 0.4), (state, times)]
+        for w, t in cases:
+            got, want = closed(w, t), reference(w, t)
+            assert got.shape == want.shape == w.shape
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+    def test_every_call_returns_a_new_writable_array(self, skew_system):
+        # The run freezes each f in place, and hooks may keep it.
+        closed = augment_system(skew_system).evaluator
+        for w in (np.array([2.0, 3.0, 7.0]), np.full((3, 8), 0.5)):
+            first, second = closed(w, 0.3), closed(w, 0.3)
+            assert first.flags.writeable and second.flags.writeable
+            assert not np.shares_memory(first, second)
+            assert not np.shares_memory(first, w)
+            first.flags.writeable = False
+            np.testing.assert_array_equal(closed(w, 0.3), second)
+
+
 def audit(closed, seed, **kwargs):
     """verify_augmented's three checks, keyed by probe name."""
     checks = verify_augmented(closed, seed, **kwargs)
