@@ -65,9 +65,9 @@ m * species rows.  A hit costs the key and one dict lookup, about 0.6 µs;
 `imex_step` then forms the right-hand side and calls the solve kernel,
 without re-deriving the steps, the rows' s = dt_l d_i / h^2 or their
 bytes (17 µs for a four-level call at 64 cells, against 25 µs when each
-call derived them).  `implicit_heat_step`'s stacks with one s per row
-share that cache under the key (cells, shape, s bytes); apart from them,
-the last two single-s matrices (the tracker's step) are cached.  One entry
+call derived them).  Apart from the ladders, the last two single-s
+matrices of `implicit_heat_step` (the tracker's step) are cached, under
+the key (cells, s).  One entry
 holds n^2 floats per row up to 64 cells (32 KB at 64 cells) and about 3n
 floats per row above: two block inverses, the separator inverse and a few
 columns, 99 KB per row at 4096 cells, so 0.4 MB for one four-species level
@@ -309,10 +309,10 @@ class _Blocks(NamedTuple):
     separators: np.ndarray
 
 
-def _factorize(n: int, shape: tuple, s: bytes):
-    """The factors of I - s h^2 L on n cells, read-only, for s of shape ()
-    or one s per row, shape (rows, 1): the inverse, (n, n) or
-    (rows, n, n), on one block, else the `_Blocks`.
+def _factorize(n: int, s: np.ndarray):
+    """The factors of I - s h^2 L on n cells, read-only, for one s, an
+    array of shape (1,), or one s per row, shape (rows, 1): the inverse,
+    (n, n) or (rows, n, n), on one block, else the `_Blocks`.
 
     Every factor comes from `_build_inverses`.  The two kinds of block
     matrix, the first (a zero-flux end on the left, its pad cells
@@ -322,7 +322,6 @@ def _factorize(n: int, shape: tuple, s: bytes):
     formed from the blocks' row sums G 1, never by subtracting from the
     diagonal.
     """
-    s = np.frombuffer(s).reshape(shape[:1] + (1,))
     blocks, size, pad = _layout(n)
     lead = s.shape[:-1]
     if blocks == 1:
@@ -441,8 +440,8 @@ class _InverseCache:
 # does not pay: on the eight augmented skew runs, one shared cache of 5
 # entries builds 19 times against 17 at dt = 0.3 with diagnostics on, and
 # one of 4 entries 83 times.  `_inverse_stacks` holds `imex_step`'s ladders
-# and `implicit_heat_step`'s stacks with one s per row, under keys of
-# different lengths.
+# under (cells, h, diffusion bytes, dts), `_inverse` `implicit_heat_step`'s
+# matrices under (cells, s).
 _inverse_stacks = _InverseCache(3)
 _inverse = _InverseCache(2)
 
@@ -456,10 +455,11 @@ def _solve(factors, rhs: np.ndarray) -> np.ndarray:
 
 
 def implicit_heat_step(
-    values: np.ndarray, grid: Grid1D, diffusion: float | np.ndarray, dt: float,
+    values: np.ndarray, grid: Grid1D, diffusion: float, dt: float,
     source: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One backward-Euler step of u_t - diffusion * L u = source.
+    """One backward-Euler step of u_t - diffusion * L u = source, one
+    coefficient for all rows; per-row stacks are `imex_step` ladders.
 
     The source is taken at the old time (explicit), matching the reaction
     treatment in imex_step.  Every row is solved on its own, so a row of a
@@ -468,7 +468,7 @@ def implicit_heat_step(
     Args:
         values: one row (cells,) or a stack (rows, cells).
         grid: the grid the rows live on.
-        diffusion: one coefficient for every row, or one per row.
+        diffusion: the one coefficient of every row.
         dt: step size.
         source: None, or an array broadcasting against values.
 
@@ -478,22 +478,19 @@ def implicit_heat_step(
         the cached inverse, on larger grids the block solve.
 
     Raises:
-        ValueError: if per-row diffusion does not match the number of rows.
+        ValueError: if diffusion is an array.
     """
     u = np.asarray(values, dtype=np.float64)
     rhs = u if source is None else u + dt * np.asarray(source, dtype=np.float64)
     r = dt * np.asarray(diffusion, dtype=np.float64)
     if r.ndim:
-        if u.ndim != 2 or r.shape != u.shape[:1]:
-            raise ValueError(
-                f"per-row diffusion of shape {r.shape} does not match values "
-                f"of shape {u.shape}"
-            )
-        r = r[:, None]
+        raise ValueError(
+            f"diffusion must be one coefficient, got shape {r.shape}; rows "
+            "with their own coefficients go through imex_step"
+        )
     s = r / (grid.h * grid.h)
-    cache = _inverse_stacks if s.ndim else _inverse
-    key = (grid.n_cells, s.shape, s.tobytes())
-    return _solve(cache(key, _factorize, *key), rhs)
+    factors = _inverse((grid.n_cells, s), _factorize, grid.n_cells, np.reshape(s, 1))
+    return _solve(factors, rhs)
 
 
 def _ladder(grid: Grid1D, diffusion: np.ndarray, dts: tuple) -> tuple:
@@ -504,7 +501,7 @@ def _ladder(grid: Grid1D, diffusion: np.ndarray, dts: tuple) -> tuple:
     if steps.min() <= 0.0:
         raise ValueError(f"dt must be > 0, got {dts}")
     s = (steps * diffusion).reshape(-1, 1) / (grid.h * grid.h)
-    return steps[..., None], _factorize(grid.n_cells, s.shape, s.tobytes())
+    return steps[..., None], _factorize(grid.n_cells, s)
 
 
 def imex_step(

@@ -11,7 +11,7 @@ from rdcheck import (
     Grid1D,
     NumericalFailure,
     SolverConfig,
-    implicit_heat_step,
+    imex_step,
     quadratic_reversible,
     StepEvent,
     run_simulation,
@@ -158,7 +158,8 @@ def heat_band(grid: Grid1D, r: float):
 
 
 def thomas_heat_step(values, grid, diffusion, dt, source=None):
-    """Reference for `implicit_heat_step`: one Thomas solve per row."""
+    """Reference for `implicit_heat_step`: one Thomas solve per row, with
+    one coefficient for every row or one per row."""
     u = np.asarray(values, dtype=np.float64)
     rhs = u if source is None else u + dt * np.asarray(source, dtype=np.float64)
     rows = np.atleast_2d(rhs)
@@ -183,16 +184,17 @@ def thomas_imex_step(u, f, grid, sys, dts):
 
 def sequential_steps(system, grid, u0, cfg, trials=None):
     """Reference for run_simulation's halving ladders: one trial at a time,
-    each the single-step formula (I - dt d_i L) u_new = u + dt f(u, t) with
-    its own reaction evaluation, halving the step after each rejection.
+    each the single-step formula (I - dt d_i L) u_new = u + dt f(u, t), a
+    one-level `imex_step`, with its own reaction evaluation, halving the
+    step after each rejection.
 
     Returns (steps, failure): the accepted steps' (dt, clamped u_new) pairs
     and the NumericalFailure that ended the run, or None.  A trials list,
     if given, receives each accepted step's trial before the clamp.
     """
-    # Each halving level solves with its own inverse on small grids, and a
-    # step's levels cycle through more keys than the solver's cache holds;
-    # a larger cache for this run keeps them built once.  The inverses do
+    # Each halving level is a one-level ladder of its own, and a step's
+    # levels cycle through more ladders than the solver's cache holds; a
+    # larger cache for this run keeps them built once.  The inverses do
     # not depend on the cache, so neither do the steps.
     saved = rdcheck.solver._inverse_stacks
     rdcheck.solver._inverse_stacks = rdcheck.solver._InverseCache(8)
@@ -229,9 +231,8 @@ def _sequential_steps(system, grid, u0, cfg, trials=None):
         step = dt / 2**level if level <= budget else end - time
         while True:
             with np.errstate(over="ignore", invalid="ignore"):
-                trial = implicit_heat_step(
-                    u, grid, system.diffusion, float(step), system.evaluator(u, t)
-                )
+                f = system.evaluator(u, t)
+                trial = imex_step(u, f, grid, system, (float(step),))[0]
             finite = np.isfinite(trial)
             mins = trial.min(axis=1)
             if not finite.all():

@@ -165,6 +165,31 @@ class TestRunCommand:
         assert "FAIL structure_quasi_positivity" in out
 
 
+    def test_fit_lines(self, tmp_path, capsys):
+        # A bias-corrected exponential fit prints its corrected rate; a
+        # window of fewer than four samples prints the fit's error.
+        report_path = tmp_path / "report.json"
+        fits = [
+            {"series": "mass_total", "mode": "exponential", "window": [0.0, 0.02],
+             "bias_correct": True},
+            {"series": "sup_total", "mode": "exponential", "window": [0.0, 0.002]},
+        ]
+        raw = skew_raw(fits=fits, output={"report": str(report_path)})
+        assert main(["run", write_config(tmp_path, raw)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        fitted, failed = json.loads(report_path.read_text())["fits"]
+        assert fitted["n_samples"] == 21
+        assert (
+            "fit mass_total (exponential): "
+            f"rate={fitted['rate']}  prefactor={fitted['prefactor']}"
+            f"  r2={fitted['r_squared']}  corrected={fitted['corrected_rate']}"
+        ) in lines
+        assert (
+            "fit sup_total (exponential): error: rate fit needs at least 4 samples, got 3"
+        ) in lines
+        assert failed["error"] == "rate fit needs at least 4 samples, got 3"
+
+
 class TestVerifyCommand:
     def test_clean_config_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, quad_raw())

@@ -109,6 +109,19 @@ class TestArtifactHelpers:
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.txt"]
         assert leftovers == []
 
+    def test_write_atomic_leaves_no_partial_file_on_failure(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.txt"
+        write_atomic(str(target), "old")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_atomic(str(target), "new")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert target.read_text() == "old"
+
     def test_write_atomic_gives_the_mode_open_would(self, tmp_path):
         target = tmp_path / "out.txt"
         umask = os.umask(0o022)
@@ -634,15 +647,15 @@ class TestFits:
 class TestFitsReadTheFoldedColumns:
     def test_fits_and_csv_match_a_collected_run(self):
         # Three chunks of states, one recorded in seven: the fit series and
-        # the CSV come from the folded columns, and must be the per-state
-        # values of the same run.
+        # the CSV come from the folded columns, the distance from each
+        # recorded state, and must be the per-state values of the same run.
         t_end = 0.4
         raw = quad_raw(
             grid={"n_cells": 96, "length": 1.0},
             solver={"dt": DT, "t_end": t_end, "record_every": 7},
             fits=[
                 {"series": series, "mode": "exponential", "window": [0.0, t_end]}
-                for series in ("mass_total", "sup_total")
+                for series in ("mass_total", "sup_total", "distance_to_equilibrium")
             ],
         )
         cfg = validate_config(raw)
@@ -650,10 +663,20 @@ class TestFitsReadTheFoldedColumns:
         entries = collected_run(cfg.system, cfg.grid, cfg.u0, cfg.solver).entries
         assert outcome.report["n_accepted_steps"] + 1 > 2 * diagnostics._CHUNK
         times = [e.t for e in entries]
+        # The equilibrium of u0's conserved masses, each divided by L.
+        m1, m2, m3, m4 = entries[0].masses
+        length = cfg.grid.length
+        eq = theory.quad_equilibrium(
+            (m1 + m3) / length, (m2 + m3) / length, (m2 + m4) / length
+        ).as_array()
         series = {
             "mass_total": [float(np.sum(e.masses)) for e in entries],
             "sup_total": [float(np.sum(e.sup_norms)) for e in entries],
+            "distance_to_equilibrium": [
+                float(np.sum(np.max(np.abs(e.u - eq[:, None]), axis=1))) for e in entries
+            ],
         }
+        assert [entry["series"] for entry in outcome.report["fits"]] == list(series)
         for entry in outcome.report["fits"]:
             fit = theory.fit_rate(times, series[entry["series"]], "exponential")
             assert entry["n_samples"] == len(entries)
@@ -669,6 +692,18 @@ class TestFitsReadTheFoldedColumns:
         assert [row[column("sup_u_1") : column("mass_1")] for row in rows] == [
             [repr(float(v)) for v in e.sup_norms] for e in entries
         ]
+
+
+    def test_a_chunk_without_a_recorded_state_adds_no_row(self):
+        # One state in 300 recorded: the second chunk of states, 128 to
+        # 255, holds none; the checks read every state all the same.
+        def run(every):
+            return run_raw(quad_raw(solver={"dt": DT, "t_end": 0.4, "record_every": every}))
+
+        sparse = run(300)
+        _, rows = data_rows(sparse.csv_text)
+        assert [row[0] for row in rows] == ["0.0", "0.3", "0.4"]
+        assert sparse.report["checks"] == run(1).report["checks"]
 
 
 class TestMemory:

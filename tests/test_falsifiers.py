@@ -2,8 +2,8 @@
 exit 1 with the check it is named after failing.
 
 A falsifier is either a config that breaks what its check audits (a
-hand-broken custom model) or a named program defect applied with
-monkeypatch.  Each row also names checks that must still pass, which shows
+hand-broken custom model, or an `inject` offset) or a named program defect
+applied with monkeypatch.  Each row also names checks that must still pass, which shows
 that the failure comes from the named check and not from the run at large.
 """
 
@@ -15,7 +15,7 @@ import pytest
 import rdcheck.diagnostics
 import rdcheck.solver
 from rdcheck.cli import main
-from test_experiment import quad_raw
+from test_experiment import quad_raw, skew_raw
 
 EXIT_CHECK_FAILED = 1
 
@@ -102,9 +102,9 @@ def clamped_to_zero_every_step():
 
 
 STRUCTURE = ("structure_quasi_positivity", "structure_mass_control", "structure_growth")
-AUXILIARY = (
-    "z_sup_bound", "b_range", "uhat_nonnegative", "uhat_below_d_zhat", "uhat_sup_bound",
-)
+LEDGER = ("positivity", "mass_envelope", "mass_identity")
+UHAT = ("uhat_nonnegative", "uhat_below_d_zhat", "uhat_sup_bound")
+AUXILIARY = ("z_sup_bound", "b_range") + UHAT
 
 # Check name -> (config, program defect or None, checks that still pass).
 FALSIFIERS = {
@@ -117,6 +117,21 @@ FALSIFIERS = {
     ),
     "vd_gradient_interpolation": (
         quad_raw(grid={"n_cells": 64, "length": 1.0}), checkerboard_v_d, AUXILIARY,
+    ),
+    # The tracked z starts 1 above the sum of u0's species, above the bound
+    # its sources allow.
+    "z_sup_bound": (
+        quad_raw(inject={"z_offset": 1.0}),
+        None,
+        STRUCTURE + LEDGER + ("b_range",) + UHAT + ("vd_gradient_interpolation",),
+    ),
+    # The closure reaction shifted up by 0.1: the closed system no longer
+    # conserves, though g stays quasi-positive.  A negative offset fails
+    # augmented_quasi_positivity too.
+    "augmented_conservation_residual": (
+        skew_raw(transform={"augment": True}, inject={"augmentation_offset": 0.1}),
+        None,
+        STRUCTURE + ("augmented_quasi_positivity", "augmented_growth") + LEDGER,
     ),
 }
 

@@ -36,18 +36,30 @@ from rdcheck import (
 )
 from rdcheck.config import validate_config
 from rdcheck.experiment import run_experiment
+from test_experiment import skew_raw
 
 
-def heat_only(diffusion=1.0):
-    """Single species with f = 0: pure diffusion."""
+def heat_rows(diffusion):
+    """One species per coefficient, each with f = 0: pure diffusion."""
     return custom_polynomial(
-        [diffusion],
-        [[]],
+        diffusion,
+        [[]] * len(diffusion),
         k0=0.0,
         k1=0.0,
         growth_k=1.0,
         growth_eps=0.0,
     )
+
+
+def heat_only(diffusion=1.0):
+    """Single species with f = 0: pure diffusion."""
+    return heat_rows([diffusion])
+
+
+def row_heat_step(values, grid, diffusion, dt):
+    """One backward-Euler heat step of the (rows, cells) values, each row
+    with its own coefficient: a one-level `imex_step` with f = 0."""
+    return imex_step(values, np.zeros_like(values), grid, heat_rows(diffusion), (dt,))[0]
 
 
 def constant_sink(rate):
@@ -207,35 +219,35 @@ def assert_cache_is_bounded_and_invisible(
 ):
     """A solve from a cold cache equals the one from a warm cache, every
     call returns a new writable array, and the cache stays at its bound.
-    diffusion is one per row, or one float for all four rows."""
+    diffusion is one per row, solved as a ladder, or one float for all four
+    rows, solved by `implicit_heat_step`."""
     grid = Grid1D(n_cells, 1.0)
     rng = np.random.default_rng(5)
     values = rng.uniform(0.0, 1.0, size=(4, n_cells))
-    diffusion = np.asarray(diffusion)
+    heat_step = row_heat_step if np.ndim(diffusion) else implicit_heat_step
+
+    def solve(dt):
+        return heat_step(values, grid, diffusion, dt)
 
     def cold(dt):
         cache.cache_clear()
-        return implicit_heat_step(values, grid, diffusion, dt)
+        return solve(dt)
 
     dt1, dt2 = 0.1, 0.05
     expect = {dt: cold(dt) for dt in (dt1, dt2)}
     cache.cache_clear()
     for dt in (dt1, dt2, dt1):
-        np.testing.assert_array_equal(
-            implicit_heat_step(values, grid, diffusion, dt), expect[dt]
-        )
+        np.testing.assert_array_equal(solve(dt), expect[dt])
     # Each call returns a new, writable array: the tracker keeps the last
     # row of one as its z.
-    first = implicit_heat_step(values, grid, diffusion, dt1)
-    second = implicit_heat_step(values, grid, diffusion, dt1)
+    first = solve(dt1)
+    second = solve(dt1)
     assert first.flags.writeable and not np.shares_memory(first, second)
     first[:] = -1.0
-    np.testing.assert_array_equal(
-        implicit_heat_step(values, grid, diffusion, dt1), expect[dt1]
-    )
+    np.testing.assert_array_equal(solve(dt1), expect[dt1])
     bound = cache.cache_info().maxsize
     for i in range(3 * bound):
-        implicit_heat_step(values, grid, diffusion, 0.01 * (i + 1))
+        solve(0.01 * (i + 1))
     assert cache.cache_info().currsize == bound
 
 
@@ -274,7 +286,7 @@ class TestBlockSolveProperties:
         # the projection onto the mean).
         s = 10.0 ** np.array(log_s[: len(kinds)])
         diffusion = s * grid.h**2 / dt
-        together = implicit_heat_step(rhs, grid, diffusion, dt)
+        together = row_heat_step(rhs, grid, diffusion, dt)
         assert together.shape == rhs.shape
         shared = implicit_heat_step(rhs, grid, float(diffusion[0]), dt)
         for row, got in zip(rhs, shared):
@@ -338,11 +350,12 @@ class TestBlockSolveProperties:
         out = implicit_heat_step(rhs, Grid1D(n), 10.0**log_s / n**2, 1.0)
         assert np.all(out >= 0.0)
 
-    def test_rejects_mismatched_per_row_diffusion(self):
+    def test_rejects_array_diffusion(self):
+        # Rows with their own coefficients are an imex_step ladder.
         grid = Grid1D(8, 1.0)
-        with pytest.raises(ValueError, match="per-row diffusion"):
-            implicit_heat_step(np.ones((3, 8)), grid, [1.0, 2.0], 0.1)
-        with pytest.raises(ValueError, match="per-row diffusion"):
+        with pytest.raises(ValueError, match="imex_step"):
+            implicit_heat_step(np.ones((2, 8)), grid, [1.0, 2.0], 0.1)
+        with pytest.raises(ValueError, match="imex_step"):
             implicit_heat_step(np.ones(8), grid, [1.0], 0.1)
 
 
@@ -376,7 +389,7 @@ def falling_rows(grid, rows, seed):
 def assert_cells_match_the_sequential_solve(grid, rhs, diffusion):
     """One stacked solve with dt = 1, every cell of every row within 1e-12
     of the sequential solve, relative to itself."""
-    got = implicit_heat_step(rhs, grid, diffusion, 1.0)
+    got = row_heat_step(rhs, grid, diffusion, 1.0)
     for row, d, out in zip(rhs, diffusion, got):
         s = float(d) / (grid.h * grid.h)
         expect = sequential_heat_solve(row, s)
@@ -459,7 +472,7 @@ class TestDenseSolve:
         # At s = 1e-8 the entries fall like s^|j - k| from the diagonal and
         # pass below the smallest normal float 39 cells away from it.
         n, s = 64, np.float64(1e-8)
-        inverse = rdcheck.solver._factorize(n, (), s.tobytes())
+        inverse = rdcheck.solver._factorize(n, np.array([s]))
         tiny = np.finfo(np.float64).tiny
         assert not np.any((inverse > 0.0) & (inverse < tiny))
         near = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 38
@@ -478,7 +491,7 @@ class TestDenseSolve:
         dts = [0.1 * 0.5**level for level in range(stacks.maxsize)]
         for _ in range(2):
             for dt in dts:
-                implicit_heat_step(values, grid, diffusion, dt)
+                row_heat_step(values, grid, diffusion, dt)
                 implicit_heat_step(values[:2], grid, 2.0, dt)
         assert stacks.cache_info().misses == len(dts)
 
@@ -490,14 +503,14 @@ class TestDenseSolve:
         held = []
         build = rdcheck.solver._factorize
 
-        def counted(*key):
+        def counted(*args):
             held.append(stacks.cache_info().currsize)
-            return build(*key)
+            return build(*args)
 
         monkeypatch.setattr(rdcheck.solver, "_factorize", counted)
-        diffusion = np.array([1e-4, 2e-4])
+        diffusion = [1e-4, 2e-4]
         for i in range(3 * stacks.maxsize):
-            implicit_heat_step(np.ones((2, 16)), Grid1D(16), diffusion, 0.01 * (i + 1))
+            row_heat_step(np.ones((2, 16)), Grid1D(16), diffusion, 0.01 * (i + 1))
         assert len(held) == 3 * stacks.maxsize
         assert max(held) == stacks.maxsize - 1
 
@@ -628,6 +641,30 @@ class TestImexStep:
         assert info.misses == len(ladders)
         assert info.hits == len(order) - len(ladders)
         assert info.currsize == stacks.maxsize
+
+    def test_a_diagnostics_run_caches_ladders_and_tracker_matrices_apart(self):
+        # After an augmented run with the tracker on, which walks the last
+        # 0.1 in rungs and ends on a remainder step, every entry of
+        # _inverse_stacks is one of the run's ladders, under (cells, h, the
+        # closed system's diffusion bytes, dts), and every entry of
+        # _inverse one of the tracker's matrices, under (cells, s).
+        stacks, single = rdcheck.solver._inverse_stacks, rdcheck.solver._inverse
+        stacks.cache_clear()
+        single.cache_clear()
+        cfg = validate_config(skew_raw(
+            transform={"augment": True},
+            diagnostics={"enabled": True, "d": 3.0},
+            solver={"dt": 0.3, "t_end": 1.0},
+        ))
+        run_experiment(cfg)
+        grid, diffusion = cfg.grid, cfg.augmented.diffusion.tobytes()
+        assert stacks.cache_info().currsize == stacks.maxsize
+        for cells, h, rows, dts in stacks._entries:
+            assert (cells, h, rows) == (grid.n_cells, grid.h, diffusion)
+            assert type(dts) is tuple and all(type(dt) is float and dt > 0.0 for dt in dts)
+        assert single.cache_info().currsize == single.maxsize
+        for cells, s in single._entries:
+            assert cells == grid.n_cells and np.ndim(s) == 0 and s > 0.0
 
 
 class TestRunSimulationValidation:
