@@ -647,10 +647,11 @@ def per_state_measurements(sys, grid, states):
                 clamp = 0.0
             else:
                 clamp = _ratio(clamped, m_old + total)
-                residual = abs(total - m_old - dt * flux_old - clamped)
+                step = dt * flux_old
+                residual = abs(total - m_old - step - clamped)
                 source = dt * grid.length * sys.mass_source_rate(t_old)
                 bound = (1.0 + sys.k1 * dt) * m_old
-                miss = _ratio(residual, m_old + total)
+                miss = _ratio(residual, m_old + total + abs(step) + clamped)
                 gap = _ratio(total - bound - source - clamped, m_old + total + abs(source))
             for name, value, best in (
                 ("mass_identity", miss, identity),

@@ -15,6 +15,7 @@ import pytest
 import rdcheck.diagnostics
 import rdcheck.solver
 from rdcheck.cli import main
+from test_cli import qp_broken_raw
 from test_experiment import quad_raw, skew_raw
 
 EXIT_CHECK_FAILED = 1
@@ -101,6 +102,39 @@ def clamped_to_zero_every_step():
     }
 
 
+def two_species(terms):
+    """A custom two-species model declared with k0 = k1 = 0 and growth
+    k = 1, eps = 0, from 0.5 on 16 cells to t = 0.1 in steps of 0.01."""
+    return {
+        "model": {
+            "custom": {
+                "n_species": 2,
+                "terms": terms,
+                "k0": 0.0,
+                "k1": 0.0,
+                "k": 1.0,
+                "eps": 0.0,
+            },
+            "diffusion": [1.0, 1.0],
+        },
+        "grid": {"n_cells": 16, "length": 1.0},
+        "initial": [{"type": "constant", "value": 0.5}] * 2,
+        "solver": {"dt": 0.01, "t_end": 0.1},
+    }
+
+
+def linear_growth():
+    """f = (u1, u2): total mass grows at rate 1, above the declared K1 = 0."""
+    return two_species([[{"coef": 1.0, "powers": [1, 0]}], [{"coef": 1.0, "powers": [0, 1]}]])
+
+
+def cubic_exchange():
+    """f = (-u1^2 u2, u1^2 u2): conserves mass and stays quasi-positive, but
+    is cubic, above the declared growth k (1 + |u|)^(2 + eps) with eps = 0."""
+    cubic = [2, 1]
+    return two_species([[{"coef": -1.0, "powers": cubic}], [{"coef": 1.0, "powers": cubic}]])
+
+
 STRUCTURE = ("structure_quasi_positivity", "structure_mass_control", "structure_growth")
 LEDGER = ("positivity", "mass_envelope", "mass_identity")
 UHAT = ("uhat_nonnegative", "uhat_below_d_zhat", "uhat_sup_bound")
@@ -108,6 +142,18 @@ AUXILIARY = ("z_sup_bound", "b_range") + UHAT
 
 # Check name -> (config, program defect or None, checks that still pass).
 FALSIFIERS = {
+    "structure_quasi_positivity": (
+        qp_broken_raw(), None, ("structure_mass_control", "structure_growth") + LEDGER,
+    ),
+    # The mass grows at rate 1 against K1 = 0, so the envelope fails too.
+    "structure_mass_control": (
+        linear_growth(),
+        None,
+        ("structure_quasi_positivity", "structure_growth", "positivity", "mass_identity"),
+    ),
+    "structure_growth": (
+        cubic_exchange(), None, ("structure_quasi_positivity", "structure_mass_control") + LEDGER,
+    ),
     "mass_identity": (quad_raw(), leaky_boundary, STRUCTURE + ("mass_envelope",)),
     "mass_envelope": (
         mass_source_above_the_audit_box(), None, STRUCTURE + ("positivity", "mass_identity"),
@@ -158,3 +204,33 @@ def test_falsifier_fails_its_check(check, tmp_path, monkeypatch, capsys):
     found = verdicts(capsys.readouterr().out)
     assert found[check] is False
     assert all(found[name] for name in passing)
+
+
+def test_a_sink_through_zero_mass_keeps_its_ledger(tmp_path, capsys):
+    """f = -1 drains a Gaussian to zero mass and the clamp holds it there
+    (floor -0.05).  Steps into and out of the zero-mass state balance at
+    rounding, so mass_identity passes; the hand-broken sink still fails
+    the quasi-positivity audit and the clamp's share."""
+    raw = {
+        "model": {
+            "custom": {
+                "n_species": 1,
+                "terms": [[{"coef": -1.0, "powers": [0]}]],
+                "k0": 0.0,
+                "k1": 0.0,
+                "k": 1.0,
+                "eps": 0.0,
+            },
+            "diffusion": [1.0],
+        },
+        "grid": {"n_cells": 64, "length": 1.0},
+        "initial": [{"type": "gaussian", "center": 0.4, "width": 0.2, "amplitude": 1.0}],
+        "solver": {"dt": 0.01, "t_end": 1.5, "positivity_floor": -0.05},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["verify", str(path)]) == EXIT_CHECK_FAILED
+    found = verdicts(capsys.readouterr().out)
+    assert found["mass_identity"] is True
+    assert found["positivity"] is False
+    assert found["structure_quasi_positivity"] is False
