@@ -193,43 +193,35 @@ def _fit_command(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rdcheck",
-        description="Reaction-diffusion global-existence diagnostics.",
+def _config_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("config", nargs="+", help="path(s) to JSON run config")
+    p.add_argument(
+        "--augment",
+        action="store_true",
+        help="force the conservative closure transform on",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument(
+        "--sweep",
+        action="store_true",
+        help="allow several configs, run them concurrently",
+    )
 
-    for name, help_text in (
-        ("run", "simulate a config and emit its CSV trace and JSON report"),
-        ("verify", "run a config and fail (exit 1) if any check fails"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("config", nargs="+", help="path(s) to JSON run config")
-        p.add_argument(
-            "--augment",
-            action="store_true",
-            help="force the conservative closure transform on",
-        )
-        p.add_argument(
-            "--sweep",
-            action="store_true",
-            help="allow several configs, run them concurrently",
-        )
 
-    p = sub.add_parser("constants", help="print interpolation constants")
+def _constants_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="spatial dimension")
     p.add_argument("--d", type=float, required=True, help="diffusion coefficient")
     p.add_argument("--gamma", type=float, required=True, help="Holder exponent in [0, 1)")
     p.add_argument("--cn", type=float, default=None, help="kernel envelope amplitude")
     p.add_argument("--kappan", type=float, default=None, help="kernel envelope decay rate")
 
-    p = sub.add_parser("equilibrium", help="print the reversible-exchange equilibrium")
+
+def _equilibrium_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m13", type=float, required=True, help="conserved average of u1+u3")
     p.add_argument("--m23", type=float, required=True, help="conserved average of u2+u3")
     p.add_argument("--m24", type=float, required=True, help="conserved average of u2+u4")
 
-    p = sub.add_parser("fit", help="fit a decay rate to a CSV column")
+
+def _fit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", required=True, help="CSV trace emitted by run")
     p.add_argument("--column", required=True, help="column to fit (e.g. mass_total)")
     p.add_argument(
@@ -246,18 +238,66 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict samples to T0 <= t <= T1",
     )
+
+
+# Each subcommand's help line and the function adding its arguments.
+_COMMANDS = {
+    "run": (
+        "simulate a config and emit its CSV trace and JSON report",
+        _config_arguments,
+    ),
+    "verify": (
+        "run a config and fail (exit 1) if any check fails",
+        _config_arguments,
+    ),
+    "constants": ("print interpolation constants", _constants_arguments),
+    "equilibrium": (
+        "print the reversible-exchange equilibrium",
+        _equilibrium_arguments,
+    ),
+    "fit": ("fit a decay rate to a CSV column", _fit_arguments),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rdcheck",
+        description="Reaction-diffusion global-existence diagnostics.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> tuple[str, argparse.Namespace]:
+    """(command, namespace) of argv.
+
+    When argv[0] names a subcommand, only that subcommand's parser is
+    built: it is the parser the full tree hands the rest to, so it prints
+    the same help and errors.  Arguments it leaves over are an error of the
+    full tree, which is built to report them.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"rdcheck {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        ns, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return argv[0], ns
     ns = _build_parser().parse_args(argv)
-    if ns.command == "run":
+    return ns.command, ns
+
+
+def main(argv=None) -> int:
+    command, ns = _parse(argv)
+    if command == "run":
         return _run_command(ns, assert_checks=False)
-    if ns.command == "verify":
+    if command == "verify":
         return _run_command(ns, assert_checks=True)
-    if ns.command == "constants":
+    if command == "constants":
         return _constants_command(ns)
-    if ns.command == "equilibrium":
+    if command == "equilibrium":
         return _equilibrium_command(ns)
     return _fit_command(ns)
 

@@ -354,17 +354,21 @@ class AuxiliaryTracker:
 def entropy_pointwise_worst(u: np.ndarray, f: np.ndarray) -> float | None:
     """Largest per-cell value of sum_i f_i log u_i over strictly positive cells.
 
-    u is a (species, cells) array and f its reaction; the sum is formed in
-    every cell and masked afterwards.  Returns None when no cell has all
-    species strictly positive.  A reaction that overflows gives an inf or
-    nan measurement, without a warning; the CSV reports it as is.
+    u is a (species, cells) array and f its reaction.  The cells counted
+    are those whose smallest species is > 0, found by one species-axis
+    reduction; the sum is formed in every cell and its maximum taken over
+    the counted cells in place, without copying them out.  The result is
+    np.max(np.sum(f * np.log(u), 0)[mask]) bit for bit (a NaN where that is
+    a NaN).  Returns None when no cell has all species strictly positive.
+    A reaction that overflows gives an inf or nan measurement, without a
+    warning; the CSV reports it as is.
     """
-    mask = np.all(u > 0.0, axis=0)
-    if not np.any(mask):
+    mask = np.minimum.reduce(u, axis=0) > 0.0
+    if not mask.any():
         return None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.sum(f * np.log(u), axis=0)
-    return float(np.max(vals[mask]))
+        vals = np.add.reduce(f * np.log(u), axis=0)
+    return float(np.maximum.reduce(vals, where=mask, initial=-np.inf))
 
 
 class InvariantTracker:

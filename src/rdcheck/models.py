@@ -146,9 +146,17 @@ def quadratic_reversible(diffusion) -> ReactionSystem:
     """
 
     def evaluate(u: np.ndarray, t: float) -> np.ndarray:
-        # Single shared rate keeps f1 + f3 = 0 exact in floating point.
-        rate = u[0] * u[1] - u[2] * u[3]
-        return np.stack((-rate, -rate, rate, rate))
+        # Single shared rate keeps f1 + f3 = 0 exact in floating point.  The
+        # rows are written into one array; indexing with ... keeps a row an
+        # array view when u is one point (species,).
+        f = np.empty((4,) + np.shape(u)[1:])
+        rate = f[2, ...]
+        np.multiply(u[0], u[1], out=rate)
+        rate -= u[2] * u[3]
+        f[3] = rate
+        np.negative(rate, out=f[0, ...])
+        f[1] = f[0]
+        return f
 
     return ReactionSystem(
         name="quadratic-reversible",

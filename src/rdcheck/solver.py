@@ -50,13 +50,13 @@ runs), for ladders of 1, 4 and 21 levels (4 / 16 / 84 rows), and
 milliseconds for the first call, which builds the entry:
 
     cells       4 rows    16 rows    84 rows    first call (4 / 16 / 84 rows)
-      128           28         44        116    0.6 / 0.6 / 1.1 ms
-     1024           55        113        644    1.0 / 1.8 / 5.3 ms
-     4096          122        516       2832    1.7 / 3.0 / 17.5 ms
+      128           25         36        152    0.5 / 0.6 / 0.8 ms
+     1024           38        168        431    0.7 / 1.0 / 3.3 ms
+     4096           79        325       1860    1.2 / 2.0 / 12.2 ms
 
 The one-block limit is measured the same way, one product against blocks
-forced onto the grid: 8 / 18 / 117 against 27 / 33 / 73 µs at 64 cells
-(4 / 16 / 84 rows), 13 / 68 / 482 against 28 / 44 / 116 µs at 128 cells.
+forced onto the grid: 8 / 17 / 109 against 26 / 33 / 68 µs at 64 cells
+(4 / 16 / 84 rows), 15 / 62 / 402 against 28 / 41 / 112 µs at 128 cells.
 The product reads rows * n^2 * 8 bytes, so it loses from 128 cells on.
 
 The factors are cached, so a run's repeated step sizes cost no setup.
@@ -112,9 +112,10 @@ and a hook that wants more keeps what it needs.  Every state of the run
 reaches the hooks, in registration order, through one StepEvent: u0 first,
 as index 0 with dt = 0, then each accepted state.  The run evaluates the
 reaction once per state, for every ladder from it; a state's reaction,
-its flux, sup norms and masses share one errstate block.  The recording
-cadence (u0, every record_every-th accepted step, and the last one) is
-decided here only and handed to the hooks as StepEvent.recorded.
+its flux and masses share one errstate block.  An accepted state's sup
+norms come from the per-species maxima its acceptance test takes.  The
+recording cadence (u0, every record_every-th accepted step, and the last
+one) is decided here only and handed to the hooks as StepEvent.recorded.
 """
 
 from __future__ import annotations
@@ -293,12 +294,20 @@ class _Blocks(NamedTuple):
     """The cached factors of I - s h^2 L on a grid of several blocks.
 
     For each s (leading axes as the s given): the inverse of the first
-    block, with its pad cells decoupled, and of every other block, each
-    (..., size, size); the fix-up columns, s times the other blocks' first
-    and last columns (..., 2, size) and s times the first block's last
-    column (..., size); the weights 1 / sigma and s / sigma of each
-    separator equation scaled by its row sum sigma, (..., blocks); and the
-    inverse of that scaled separator system, (..., blocks, blocks).
+    block, with its pad cells decoupled, and the transpose of the inverse
+    of every other block, each (..., size, size); the fix-up columns, s
+    times the other blocks' first and last columns (..., 2, size) and s
+    times the first block's last column (..., size); the weights 1 / sigma
+    and s / sigma of each separator equation scaled by its row sum sigma,
+    (..., blocks); and the inverse of that scaled separator system,
+    (..., blocks, blocks).
+
+    The other blocks' inverse is the right operand of the solve's main
+    product, every block's right-hand side times it: stored transposed,
+    both operands of that product are contiguous, as BLAS's unit-stride
+    kernel wants (46 against 30 µs for that product at (4, 4096), one
+    thread).  The first block's inverse multiplies one column and is
+    stored as built.
     """
 
     pad: int
@@ -351,6 +360,9 @@ def _factorize(n: int, s: np.ndarray):
     slack[..., :-1] += s * sums[..., 1, :1]
     # Separators k - 1 and k couple through block k: s^2 G[-1, 0].
     coupling = s * edges[..., 0, -1:]
+    # Stored transposed in its own slot, now that edges and sums have read
+    # it (see `_Blocks`).
+    block[...] = np.swapaxes(block, -1, -2)
     separators = _build_inverses(
         np.broadcast_to(coupling, lead + (blocks - 1,)), slack
     )
@@ -381,7 +393,7 @@ def _block_solve(rhs: np.ndarray, factors: _Blocks) -> np.ndarray:
         padded[..., factors.pad:] = rhs
         rhs = padded
     slots = rhs.reshape(shape)
-    y = np.matmul(slots[..., :size], np.swapaxes(factors.block, -1, -2))
+    y = np.matmul(slots[..., :size], factors.block)
     y[..., 0, :] = np.matmul(factors.first, slots[..., 0, :size, None])[..., 0]
     # Each separator equation divided by its row sum.
     t = slots[..., size] * factors.inv_slack
@@ -395,7 +407,8 @@ def _block_solve(rhs: np.ndarray, factors: _Blocks) -> np.ndarray:
     pairs[..., 1] = xs
     x = np.empty(lead + (blocks * (size + 1),))
     out = x.reshape(shape)
-    np.add(y, np.matmul(pairs, factors.edges), out=out[..., :size])
+    np.matmul(pairs, factors.edges, out=out[..., :size])
+    out[..., :size] += y
     out[..., 0, :size] = y[..., 0, :] + xs[..., :1] * factors.last
     out[..., size] = xs
     return x[..., factors.pad:]
@@ -539,7 +552,9 @@ def imex_step(
     key = (grid.n_cells, grid.h, sys.diffusion.tobytes(), dts)
     steps, factors = _inverse_stacks(key, _ladder, grid, sys.diffusion, dts)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = _solve(factors, (u + steps * f).reshape(-1, u.shape[1]))
+        rhs = steps * f
+        rhs += u
+        rows = _solve(factors, rhs.reshape(-1, u.shape[1]))
     return rows.reshape(len(dts), *u.shape)
 
 
@@ -654,13 +669,17 @@ def run_simulation(
     count = index = rung = 0
     t = dt_step = 0.0
     clamped = no_clamp = np.zeros(sys.n_species)
+    # The sup norms of a nonnegative state are its row maxima, + 0.0 mapping
+    # a -0.0 maximum to 0.0 as abs does; an accepted state's maxima come
+    # from its acceptance test.
+    sup_norms = np.maximum.reduce(u, axis=1) + 0.0
     # (start rung, depth) -> the ladder's step sizes, one tuple each.
     ladders = {}
     while True:
         # An overflow is inf or nan: the next trial fails, as do mass checks.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f = np.asarray(sys.evaluator(u, t), dtype=np.float64)
-            sup_norms, masses = row_norms(u, grid.h)
+            masses = np.add.reduce(u, axis=1) * grid.h
             flux = np.add.reduce(f, axis=None) * grid.h
         f.flags.writeable = False
         done = count == end
@@ -698,15 +717,17 @@ def run_simulation(
             trials = imex_step(u, f, grid, sys, dts)
             # A NaN or an infinite value fails one of the two comparisons.
             lows = np.minimum.reduce(trials, axis=(1, 2))
+            highs = np.maximum.reduce(trials, axis=2)
             passed = (lows >= cfg.positivity_floor) & (
-                np.maximum.reduce(trials, axis=(1, 2)) < np.inf
+                np.maximum.reduce(highs, axis=1) < np.inf
             )
             if passed.any():
                 first = int(np.argmax(passed))
                 # The accepted level, clamped, in its own array: the stack
-                # is freed.
+                # is freed below, before the hooks and the next ladder run.
                 trial = trials[first]
                 u_new, dt_step = np.maximum(trial, 0.0), dts[first]
+                sup_norms = np.maximum(highs[first], 0.0) + 0.0
                 clamped = no_clamp
                 if lows[first] < 0.0:
                     # h * sum_j max(-trial, 0), summed pairwise as row_norms sums a mass.
@@ -717,6 +738,7 @@ def run_simulation(
             level += len(dts)
             if level > halvings:
                 raise _exhausted(trials[-1], t, dts[-1], max(0, halvings - start))
+        del trials, trial
         u_new.flags.writeable = False
         u = u_new
         t = cfg.t_end if count == end else count * num / scale

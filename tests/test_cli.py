@@ -927,3 +927,29 @@ class TestUsageErrors:
             main(["fit", "--csv", "x.csv", "--column", "t", "--mode", "cubic"])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["verify", "--help"],
+            [],
+            ["frobnicate"],
+            ["verify"],
+            ["fit", "--mode", "cubic"],
+            ["constants", "--help"],
+            ["run", "cfg.json", "--bogus"],
+            ["equilibrium", "--m13", "1", "--m23", "1"],
+        ],
+    )
+    def test_one_subcommand_parser_matches_the_full_tree(self, argv, capsys):
+        # main builds only the named subcommand's parser; what it prints and
+        # its exit code must be those of the parser of all subcommands.
+        outcomes = []
+        for parse in (main, rdcheck.cli._build_parser().parse_args):
+            with pytest.raises(SystemExit) as excinfo:
+                parse(argv)
+            captured = capsys.readouterr()
+            outcomes.append((excinfo.value.code, captured.out, captured.err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] or outcomes[0][2]

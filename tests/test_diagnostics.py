@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import collected_run, hand_built_event, initial_event, quad_bump_state
 from test_falsifiers import checkerboard_v_d
 
@@ -601,6 +603,39 @@ class TestEntropyPointwise:
         copied = float(np.max(np.sum(quad_system.evaluator(sub, 0.0) * np.log(sub), axis=0)))
         got = entropy(quad_system, u)
         assert repr(got) == repr(copied)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_one_pass_mask_is_bitwise_the_masked_copy(self, data):
+        # States with zero cells, now and then a species zero everywhere (no
+        # cell counts: None), values at 1 (log 0, so +-0 products) and a
+        # reaction with signed zeros, infinities and NaNs.
+        species = data.draw(st.integers(1, 4))
+        cells = data.draw(st.integers(1, 24))
+        u = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1.0, 1e-300, 0.5, 3.0, 1e300]),
+            min_size=species * cells, max_size=species * cells,
+        ))).reshape(species, cells)
+        if data.draw(st.booleans()):
+            u[data.draw(st.integers(0, species - 1))] = 0.0
+        f = np.array(data.draw(st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                st.floats(-1e300, 1e300),
+            ),
+            min_size=species * cells, max_size=species * cells,
+        ))).reshape(species, cells)
+        mask = np.all(u > 0.0, axis=0)
+        got = entropy_pointwise_worst(u, f)
+        if not mask.any():
+            assert got is None
+            return
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            expected = np.max(np.sum(f * np.log(u), 0)[mask])
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == expected.tobytes()
 
 
 def running_max(a, b):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -596,6 +597,19 @@ class TestImexStep:
         assert out.shape == (1, 2, 8)
         np.testing.assert_allclose(out[0][0], 1.0, rtol=1e-14)
         assert not np.isfinite(out[0][1]).any()
+
+    def test_each_level_of_a_padded_block_ladder_is_the_step_alone(self, quad_system):
+        # 1000 cells are 31 blocks of 32 cells with a first block short by
+        # 23: the block path with a pad.  Every level of a 21-level ladder
+        # (84 rows, s from 2.5e3 down to 1e-3) is bitwise its step alone.
+        grid = Grid1D(1000, 1.0)
+        assert rdcheck.solver._layout(grid.n_cells) == (31, 32, 23)
+        u = quad_bump_state(grid)
+        dts = tuple(1e-3 * 0.5**k for k in range(21))
+        ladder = stepped(u, grid, quad_system, dts)
+        assert ladder.shape == (21, 4, 1000)
+        for dt, level in zip(dts, ladder):
+            assert stepped(u, grid, quad_system, [dt])[0].tobytes() == level.tobytes()
 
     def test_rejects_nonpositive_dt(self):
         grid, u = constant_state(Grid1D(8, 1.0), 1.0)
@@ -1311,6 +1325,63 @@ class TestHooks:
             assert list(event.sup_norms) == [float(np.max(row)) for row in event.u_new]
         assert final is events[-1].u_new
         assert not final.flags.writeable
+
+    def test_sup_norms_of_a_clamping_run_are_row_norms_bitwise(self):
+        # An accepted state's sup norms come from its acceptance test, not
+        # from a pass over the state; the augmented skew run clamps in more
+        # than half of its steps.
+        aug, (grid, u0) = skew_augmented()
+        events = []
+        run_simulation(aug, grid, u0, SolverConfig(dt=0.1, t_end=2.4), hooks=[events.append])
+        assert sum(e.clamped.any() for e in events) > len(events) // 2
+        for event in events:
+            expected = rdcheck.solver.row_norms(event.u_new, grid.h)[0]
+            assert event.sup_norms.tobytes() == expected.tobytes()
+
+    def test_a_negative_zero_row_has_sup_norm_positive_zero(self, monkeypatch):
+        # A trial row of -0.0, or of -0.0 and tiny negatives, has a -0.0
+        # maximum; the clamped row's largest |u| is +0.0, as abs makes it,
+        # whichever zero np.maximum keeps on this platform.
+        real = rdcheck.solver.imex_step
+
+        def zeroed(u, f, grid, sys, dts):
+            trials = real(u, f, grid, sys, dts)
+            trials[:, 0] = -0.0
+            trials[:, 1, ::2] = -1e-14
+            trials[:, 1, 1::2] = -0.0
+            return trials
+
+        monkeypatch.setattr(rdcheck.solver, "imex_step", zeroed)
+        grid, u0 = constant_state(Grid1D(8, 1.0), 1.0, n_species=3)
+        events = []
+        run_simulation(heat_rows([1.0, 1.0, 1.0]), grid, u0, SolverConfig(dt=0.1, t_end=0.3),
+                       hooks=[events.append])
+        assert len(events) == 4
+        for event in events[1:]:
+            expected = rdcheck.solver.row_norms(event.u_new, grid.h)[0]
+            assert event.sup_norms.tobytes() == expected.tobytes()
+            assert event.sup_norms[:2].tolist() == [0.0, 0.0]
+            assert not np.signbit(event.sup_norms).any()
+
+    def test_the_trial_stack_is_freed_before_the_hooks_run(self, quad_system, monkeypatch):
+        # The accepted level is copied out, clamped; the stack it came from
+        # is dropped before the hooks see the state, not at the next ladder.
+        real = rdcheck.solver.imex_step
+        stacks = []
+
+        def recording(*args):
+            trials = real(*args)
+            stacks.append(weakref.ref(trials if trials.base is None else trials.base))
+            return trials
+
+        monkeypatch.setattr(rdcheck.solver, "imex_step", recording)
+        grid = Grid1D(128, 1.0)
+        alive = []
+        run_simulation(
+            quad_system, grid, quad_bump_state(grid), SolverConfig(dt=5e-3, t_end=0.02),
+            hooks=[lambda event: alive.append(sum(r() is not None for r in stacks))],
+        )
+        assert len(stacks) == 4 and alive == [0] * 5
 
     def test_hooks_see_every_accepted_step_regardless_of_recording(self):
         state = constant_state(Grid1D(8, 1.0), 1.0)
