@@ -317,10 +317,10 @@ def augment_system(base: ReactionSystem) -> ReactionSystem:
         scale = np.exp(k1 * t)
         f = np.asarray(base_eval(scale * w[:n], t), dtype=np.float64)
         # g in one new array: the head f / scale - K1 w, then the tail.
-        g = np.empty((n + 1,) + f.shape[1:])
+        g = np.empty(w.shape)
         head = np.divide(f, scale, out=g[:n])
         head -= k1 * w[:n]
-        g[n] = k0 / scale - np.sum(head, axis=0)
+        g[n] = k0 / scale - np.add.reduce(head, axis=0)
         return g
 
     return ReactionSystem(

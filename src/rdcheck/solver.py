@@ -99,11 +99,14 @@ f does not depend on the step size, and one `imex_step` call solves m
 rungs as one (m * species, cells) stack, with dt = 1, row diffusion
 dt_l d_i and source dt_l f.  Every row is solved on its own, so each
 level is bitwise the trial the sequential halvings would solve; the first
-level that is finite and above the floor is accepted.  A ladder runs from
-the step's start rung down to the previous step's accepted rung, and one
-that fails at every level is followed by one as deep.  The run keeps one
-dts tuple per (start rung, depth), so each ladder's cache key is made of
-the same tuple every time.
+level that is finite and above the floor is accepted.  The test reads the
+stack once, for every level's minimum, so a rejected level costs that
+minimum alone (a NaN fails the floor); a level above the floor then has
+its per-species maxima taken, which give its +inf test and, once it
+passes, its sup norms.  A ladder runs from the step's start rung down to
+the previous step's accepted rung, and one that fails at every level is
+followed by one as deep.  The run keeps one dts tuple per (start rung,
+depth), so each ladder's cache key is made of the same tuple every time.
 
 The run loop works on one float64 (species, cells) array from start to
 end, starting from a checked, read-only copy of the u0 it is given.  No
@@ -113,7 +116,7 @@ reaches the hooks, in registration order, through one StepEvent: u0 first,
 as index 0 with dt = 0, then each accepted state.  The run evaluates the
 reaction once per state, for every ladder from it; a state's reaction,
 its flux and masses share one errstate block.  An accepted state's sup
-norms come from the per-species maxima its acceptance test takes.  The
+norms are the per-species maxima its acceptance test took.  The
 recording cadence (u0, every record_every-th accepted step, and the last
 one) is decided here only and handed to the hooks as StepEvent.recorded.
 """
@@ -631,9 +634,11 @@ def run_simulation(
 
     The run starts from a read-only copy of u0.  Its clock, step sizes and
     reject-and-halve ladders are the module docstring's.  The reaction is
-    evaluated once per state.  Hooks run at u0 (index 0, dt = 0) and after
-    every accepted step, in registration order, and see the state's
-    StepEvent.
+    evaluated once per state.  Each ladder is tested with one minimum per
+    level, which is all a rejected level costs; the accepted level's
+    per-species maxima give its finiteness test and its sup norms.  Hooks
+    run at u0 (index 0, dt = 0) and after every accepted step, in
+    registration order, and see the state's StepEvent.
 
     Returns:
         The read-only (species, cells) array at t_end.  Only the current
@@ -715,29 +720,34 @@ def run_simulation(
                     dts = tuple(math.ldexp(cfg.dt, -k) for k in range(level, last))
                     ladders[level, depth] = dts
             trials = imex_step(u, f, grid, sys, dts)
-            # A NaN or an infinite value fails one of the two comparisons.
-            lows = np.minimum.reduce(trials, axis=(1, 2))
-            highs = np.maximum.reduce(trials, axis=2)
-            passed = (lows >= cfg.positivity_floor) & (
-                np.maximum.reduce(highs, axis=1) < np.inf
-            )
-            if passed.any():
-                first = int(np.argmax(passed))
-                # The accepted level, clamped, in its own array: the stack
-                # is freed below, before the hooks and the next ladder run.
-                trial = trials[first]
-                u_new, dt_step = np.maximum(trial, 0.0), dts[first]
-                sup_norms = np.maximum(highs[first], 0.0) + 0.0
-                clamped = no_clamp
-                if lows[first] < 0.0:
-                    # h * sum_j max(-trial, 0), summed pairwise as row_norms sums a mass.
-                    clamped = np.add.reduce(u_new - trial, axis=1) * grid.h
-                rung = level + first
-                count += q << (halvings - rung) if rung <= halvings else left
-                break
-            level += len(dts)
-            if level > halvings:
-                raise _exhausted(trials[-1], t, dts[-1], max(0, halvings - start))
+            # One minimum per level: np.minimum propagates a NaN, which
+            # fails the floor.  Only a level above the floor has its
+            # per-species maxima taken; an inf among them fails it too.
+            lows = np.minimum.reduce(trials, axis=(1, 2)).tolist()
+            for first, low in enumerate(lows):
+                if low >= cfg.positivity_floor:
+                    highs = np.maximum.reduce(trials[first], axis=1)
+                    if max(highs.tolist()) < math.inf:
+                        break
+            else:
+                level += len(dts)
+                if level > halvings:
+                    raise _exhausted(trials[-1], t, dts[-1], max(0, halvings - start))
+                continue
+            # The accepted level, clamped, in its own array: the stack is
+            # freed below, before the hooks and the next ladder run.
+            trial = trials[first]
+            u_new, dt_step = np.maximum(trial, 0.0), dts[first]
+            if lows[first] >= 0.0:
+                # Nothing to clamp: + 0.0 maps a -0.0 maximum to 0.0.
+                sup_norms, clamped = highs + 0.0, no_clamp
+            else:
+                sup_norms = np.maximum(highs, 0.0) + 0.0
+                # h * sum_j max(-trial, 0), summed pairwise as row_norms sums a mass.
+                clamped = np.add.reduce(u_new - trial, axis=1) * grid.h
+            rung = level + first
+            count += q << (halvings - rung) if rung <= halvings else left
+            break
         del trials, trial
         u_new.flags.writeable = False
         u = u_new

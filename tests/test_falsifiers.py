@@ -5,6 +5,7 @@ A falsifier is either a config that breaks what its check audits (a
 hand-broken custom model, or an `inject` offset) or a named program defect
 applied with monkeypatch.  Each row also names checks that must still pass, which shows
 that the failure comes from the named check and not from the run at large.
+A check without a row holds by construction or is pending its row.
 """
 
 import json
@@ -15,6 +16,8 @@ import pytest
 import rdcheck.diagnostics
 import rdcheck.solver
 from rdcheck.cli import main
+from rdcheck.config import validate_config
+from rdcheck.experiment import run_experiment
 from test_cli import qp_broken_raw
 from test_experiment import quad_raw, skew_raw
 
@@ -180,6 +183,57 @@ FALSIFIERS = {
         STRUCTURE + ("augmented_quasi_positivity", "augmented_growth") + LEDGER,
     ),
 }
+
+
+# Checks that hold by construction -> why each holds.
+BY_CONSTRUCTION = {
+    "b_range": "b = sum_i u_i / sum_i d_i u_i is a mean of the 1 / d_i, in range "
+    "in exact arithmetic for u >= 0",
+    "uhat_nonnegative": "u_hat sums nonnegative products of step sizes and sum_i d_i u_i",
+    "augmented_growth": "it has no bound of its own until ROADMAP item 4 gives it one",
+    "fit_*": "it fails only a fit that cannot be computed and bounds no computed one",
+}
+
+# Checks still without a falsifier row -> what will give them one.
+PENDING = {
+    "conservation[...]": "ROADMAP item 17: the law's per-step ledger, failed by a 1e-11 defect",
+    "augmented_quasi_positivity": "CHANGES.md FOUND: a negative augmentation_offset "
+    "fails augmented_conservation_residual too",
+    "uhat_below_d_zhat": "ROADMAP item 18: v_d >= 0, which a wrong tracker coefficient breaks",
+    "uhat_sup_bound": "ROADMAP item 18: the tracker's identities held exactly, so a "
+    "wrong coefficient shows",
+    "entropy_dissipation": "ROADMAP item 10: only a program defect fails it today",
+}
+
+
+def listed_as(name):
+    """The entry of a check name in the lists above: one per family for the
+    conservation laws and the fits."""
+    if name.startswith("conservation["):
+        return "conservation[...]"
+    if name.startswith("fit_"):
+        return "fit_*"
+    return name
+
+
+def test_every_check_is_falsified_by_construction_or_pending():
+    lists = (FALSIFIERS, BY_CONSTRUCTION, PENDING)
+    # A quad with diagnostics, one fit computed and one whose window holds
+    # no sample; an augmented skew run; and each falsifier row's config.
+    fits = [
+        {"series": "mass_total", "window": [0.0, 0.02]},
+        {"series": "sup_total", "window": [1.0, 2.0]},
+    ]
+    runs = [quad_raw(fits=fits), skew_raw(transform={"augment": True})]
+    runs += [raw for raw, _, _ in FALSIFIERS.values()]
+    seen = set()
+    for raw in runs:
+        for check in run_experiment(validate_config(raw)).report["checks"]:
+            entry = listed_as(check["name"])
+            assert sum(entry in names for names in lists) == 1, check["name"]
+            seen.add(entry)
+    # No entry outlives the check it names.
+    assert seen == {entry for names in lists for entry in names}
 
 
 def verdicts(out):

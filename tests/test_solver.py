@@ -1195,6 +1195,143 @@ class TestHalvingLadder:
         assert stacks.cache_info().misses == 16
 
 
+def three_pass_acceptance(trials, floor, h):
+    """The ladder's acceptance test as three whole-stack passes, the oracle
+    for the run's one-minimum walk: (level, u_new, sup_norms, clamped) of
+    the first level above the floor without an inf, or None."""
+    lows = np.minimum.reduce(trials, axis=(1, 2))
+    highs = np.maximum.reduce(trials, axis=2)
+    passed = (lows >= floor) & (np.maximum.reduce(highs, axis=1) < np.inf)
+    if not passed.any():
+        return None
+    first = int(np.argmax(passed))
+    u_new = np.maximum(trials[first], 0.0)
+    clamped = np.zeros(trials.shape[1])
+    if lows[first] < 0.0:
+        clamped = np.add.reduce(u_new - trials[first], axis=1) * h
+    return first, u_new, np.maximum(highs[first], 0.0) + 0.0, clamped
+
+
+# The crafted run: two species of pure diffusion on four cells, dt = 1
+# with seven halvings and a floor of -0.25.  Its first step's one-level
+# ladders reject rungs 0 to 2 and accept rung 3, so the second step solves
+# LADDER, rungs 0 to 3, and, if that fails at every level, NEXT, rungs 4
+# to 7, each returning the stack a case crafts.
+FLOOR = -0.25
+LADDER = (1.0, 0.5, 0.25, 0.125)
+NEXT = tuple(2.0**-k for k in range(4, 8))
+BELOW = [[1.0, 1.0, 1.0, 1.0], [1.0, -0.5, 1.0, 1.0]]
+CLEAN = [[1.0, 2.0, 3.0, 4.0], [0.5, 0.25, 8.0, 1.0]]
+WITH_INF = [[0.5, math.inf, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0]]
+WITH_NAN = [[1.0, 1.0, math.nan, 1.0], [1.0, 1.0, 1.0, 1.0]]
+SIGNED_ZEROS = [[-0.0, -0.0, -0.0, -0.0], [0.0, -0.0, 0.0, -0.0]]
+AT_THE_FLOOR = [[2.0, FLOOR, 1.0, 1.0], [1.0, 1.0, 3.0, 1.0]]
+# Values in [floor, 0), each clamped to zero.
+CLAMPS = [[-0.1, 1.0, -0.125, 2.0], [0.5, -(2.0**-10), 4.0, -0.2]]
+
+# Case -> (LADDER's stack, NEXT's stack or None, the level accepted).
+ACCEPTANCE_CASES = {
+    # Level 0's minimum passes, but it holds +inf.
+    "inf-above-the-floor": ([WITH_INF, CLEAN, CLEAN, CLEAN], None, 1),
+    # A NaN, then a NaN beside +inf.
+    "nan": ([WITH_NAN, [[math.nan, math.inf, 1.0, 1.0], CLEAN[1]], CLEAN, CLEAN], None, 2),
+    # Only signed zeros: no clamp, and every sup norm is +0.0.
+    "signed-zeros": ([BELOW, SIGNED_ZEROS, CLEAN, CLEAN], None, 1),
+    "minimum-at-the-floor": ([AT_THE_FLOOR, CLEAN, CLEAN, CLEAN], None, 0),
+    "clamp-mass": ([BELOW, CLAMPS, CLEAN, CLEAN], None, 1),
+    # Every level of LADDER fails, -inf among them; NEXT accepts its second.
+    "next-ladder": (
+        [BELOW, WITH_NAN, [[-math.inf, 1.0, 1.0, 1.0], CLEAN[1]], WITH_INF],
+        [BELOW, CLAMPS, CLEAN, CLEAN],
+        1,
+    ),
+}
+
+
+class SecondStep(Exception):
+    """Raised by the crafted run's hook with its second step's event."""
+
+
+def crafted_run(monkeypatch, ladder, next_ladder=None):
+    """The crafted run's imex_step calls, and the event of its second step
+    or the NumericalFailure that ended it."""
+    stacks = {(dt,): [BELOW] for dt in LADDER[:3]}
+    stacks.update({(LADDER[3],): [CLEAN], LADDER: ladder, NEXT: next_ladder})
+    calls = []
+
+    def crafted(u, f, grid, sys, dts):
+        calls.append(dts)
+        return np.array(stacks[dts], dtype=np.float64)
+
+    def second(event):
+        if event.index == 2:
+            raise SecondStep(event)
+
+    monkeypatch.setattr(rdcheck.solver, "imex_step", crafted)
+    cfg = SolverConfig(dt=1.0, t_end=8.0, positivity_floor=FLOOR, max_step_halvings=7)
+    try:
+        run_simulation(
+            heat_rows([1.0, 1.0]), Grid1D(4, 1.0), np.ones((2, 4)), cfg, hooks=[second]
+        )
+    except SecondStep as stop:
+        return calls, stop.args[0]
+    except NumericalFailure as failure:
+        return calls, failure
+    raise AssertionError("the crafted run reached t_end")
+
+
+class TestAcceptance:
+    """A ladder's acceptance takes one minimum per level, and maxima of the
+    first level above the floor only; every accepted step is bitwise the
+    three-pass test's, and a ladder that fails fails as it did."""
+
+    FIRST_STEP = [(dt,) for dt in LADDER]
+
+    @pytest.mark.parametrize("case", sorted(ACCEPTANCE_CASES))
+    def test_matches_the_three_pass_test_bitwise(self, case, monkeypatch):
+        ladder, next_ladder, level = ACCEPTANCE_CASES[case]
+        calls, event = crafted_run(monkeypatch, ladder, next_ladder)
+        dts, stack = (NEXT, next_ladder) if next_ladder else (LADDER, ladder)
+        assert calls == self.FIRST_STEP + [LADDER] + ([NEXT] if next_ladder else [])
+        first, u_new, sup_norms, clamped = three_pass_acceptance(
+            np.array(stack), FLOOR, 0.25
+        )
+        assert first == level
+        assert event.dt.hex() == dts[first].hex()
+        assert event.u_new.tobytes() == u_new.tobytes()
+        assert event.sup_norms.tobytes() == sup_norms.tobytes()
+        assert event.clamped.tobytes() == clamped.tobytes()
+
+    def test_cases_reach_what_they_name(self, monkeypatch):
+        _, zeros = crafted_run(monkeypatch, *ACCEPTANCE_CASES["signed-zeros"][:2])
+        assert zeros.sup_norms.tobytes() == np.zeros(2).tobytes()
+        assert zeros.clamped.tolist() == [0.0, 0.0]
+        _, at_floor = crafted_run(monkeypatch, *ACCEPTANCE_CASES["minimum-at-the-floor"][:2])
+        assert at_floor.clamped.tolist() == [0.25 * 0.25, 0.0]
+        _, clamps = crafted_run(monkeypatch, *ACCEPTANCE_CASES["clamp-mass"][:2])
+        assert clamps.clamped.tolist() == [0.25 * (0.1 + 0.125), 0.25 * (2.0**-10 + 0.2)]
+
+    @pytest.mark.parametrize(
+        "last, message, value",
+        [
+            (BELOW, "positivity could not be restored at t = 0.125 "
+             "(species 2 reached -0.5) after 7 halvings", -0.5),
+            ([CLEAN[0], [1.0, math.inf, math.nan, 1.0]], "species 2 became "
+             "non-finite (inf) at t = 0.125 with dt = 0.0078125 after 7 halvings",
+             math.inf),
+        ],
+    )
+    def test_a_ladder_failing_at_every_level_is_followed_as_before(
+        self, last, message, value, monkeypatch
+    ):
+        failing = [BELOW, WITH_NAN, WITH_INF]
+        calls, failure = crafted_run(monkeypatch, failing + [BELOW], failing + [last])
+        assert calls == self.FIRST_STEP + [LADDER, NEXT]
+        assert isinstance(failure, NumericalFailure)
+        assert str(failure) == message
+        assert (failure.time, failure.species, failure.value) == (0.125, 2, value)
+
+
 class TestClampLedger:
     """Each event carries the mass the clamp added, so the mass ledger
     M_new = M_old + dt F_old + C closes on runs that clamp."""

@@ -118,6 +118,8 @@ class TestClosureEvaluator:
         state = rng.uniform(0.0, 3.0, size=(3, 64))
         times = rng.uniform(0.0, 2.0, size=64)
         cases = [(state[:, 0], 0.4), (state[:, 1], 0.0), (state, 0.4), (state, times)]
+        # t = 30 puts e^{K1 t} at e^{-21} and e^{39}, far from 1.
+        cases += [(state[:, 2], 30.0), (state, 30.0), (state, 15.0 * times)]
         for w, t in cases:
             got, want = closed(w, t), reference(w, t)
             assert got.shape == want.shape == w.shape
